@@ -1,6 +1,7 @@
 """gateway_mix: open-loop HTTP load against one gateway process.
 
-The gateway is ``repro.net.serve_forever`` in its own (spawned) process,
+The gateway is ``repro.net.serve_forever`` in its own interpreter (a
+child process of this one that ends when its standard input does),
 backed by a ``ResultStore`` pre-seeded with real solves.  This process
 runs two sender threads, each with its own keep-alive
 ``GatewayClient``, that send ``POST /v1/solve`` requests at their
@@ -11,9 +12,12 @@ stall also charges the requests queued behind it.
 
 from __future__ import annotations
 
-import multiprocessing
+import json
+import queue
 import resource
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -43,6 +47,9 @@ BOOT_TIMEOUT = 60.0
 #: A request normally takes milliseconds; these bound a hung gateway.
 REQUEST_TIMEOUT = 10.0
 DEADLINE_SLACK = 30.0
+#: Prefix of the gateway process's messages on its standard output.
+MARK = "perfbench-gateway "
+RUN_PY = Path(__file__).resolve().parent / "run.py"
 
 
 def _target(member: inputs.Member):
@@ -58,77 +65,111 @@ def warm_up_target(index: int):
 # -- the gateway process --------------------------------------------------------
 
 
-def _gateway_main(store, records, traced, ready, reset, stop, report) -> None:
+def _say(kind: str, payload: dict[str, Any]) -> None:
+    print(MARK + json.dumps({kind: payload}, default=str), flush=True)
+
+
+def child_main(store: str, records: str, traced: bool) -> int:
     """Gateway process entry: hooks first when traced, then serve_forever.
 
-    ``reset`` marks the end of the warm-up: spans recorded before it are
-    dropped, so the per-layer figures cover measured requests only.
+    Orders arrive on standard input, one a line: ``reset`` marks the end
+    of the warm-up (spans recorded before it are dropped, so the
+    per-layer figures cover measured requests only), and the end of
+    input stops the gateway, so it never outlives the process that
+    started it.  The address and the final report go to standard output
+    as ``MARK`` lines.
     """
     from repro.net import serve_forever
 
     recorder = Recorder()
     if traced:
         install(SERVER_HOOKS, recorder)
+    stop = threading.Event()
 
-        def drop_warm_up_spans() -> None:
-            reset.wait()
-            recorder.spans.clear()
+    def follow_orders() -> None:
+        for line in sys.stdin:
+            if line.strip() == "reset":
+                recorder.spans.clear()
+        stop.set()
 
-        threading.Thread(target=drop_warm_up_spans, daemon=True).start()
+    threading.Thread(target=follow_orders, daemon=True).start()
     stats = serve_forever(
-        store=store, records=records, run_id="gateway", ready=ready.put, stop=stop,
+        store=store, records=records, run_id="gateway",
+        ready=lambda info: _say("ready", info), stop=stop,
     )
-    report.put({
+    _say("report", {
         "stats": stats,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "spans": recorder.summary(),
         "missing": recorder.missing,
     })
+    return 0
 
 
 class GatewayProcess:
-    """One spawned gateway: boot, address, reset marker, clean shutdown."""
+    """One gateway child process: boot, address, reset marker, clean
+    shutdown.  Closing its standard input stops it; :meth:`close` then
+    waits for it to end (killing it if it hangs)."""
 
     def __init__(self, store: Path, records: Path, traced: bool):
-        context = multiprocessing.get_context("spawn")
-        self._ready = context.Queue()
-        self._report = context.Queue()
-        self._reset = context.Event()
-        self._stop = context.Event()
-        self.process = context.Process(
-            target=_gateway_main,
-            args=(str(store), str(records), traced, self._ready, self._reset,
-                  self._stop, self._report),
-            name="perfbench-gateway",
-        )
+        self._command = [
+            sys.executable, str(RUN_PY), "--gateway-child", str(store), str(records),
+            "--trace", str(int(traced)),
+        ]
+        self.process: subprocess.Popen | None = None
+        self._messages: queue.Queue[dict[str, Any] | None] = queue.Queue()
+        self._reader: threading.Thread | None = None
         self.records = records / "gateway"
         self.info: dict[str, Any] = {}
 
+    def _read(self) -> None:
+        for line in self.process.stdout:
+            if line.startswith(MARK):
+                self._messages.put(json.loads(line[len(MARK):]))
+        self._messages.put(None)  # the gateway closed its output
+
+    def _message(self, kind: str) -> dict[str, Any]:
+        message = self._messages.get(timeout=BOOT_TIMEOUT)
+        if message is None or kind not in message:
+            raise RuntimeError(f"the gateway process ended without its {kind} message")
+        return message[kind]
+
     def start(self) -> dict[str, Any]:
-        self.process.start()
-        self.info = self._ready.get(timeout=BOOT_TIMEOUT)
+        self.process = subprocess.Popen(
+            self._command, cwd=RUN_PY.parent.parent, stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True,
+        )
+        self._reader = threading.Thread(target=self._read, name="gateway-output", daemon=True)
+        self._reader.start()
+        self.info = self._message("ready")
         return self.info
 
     def client(self) -> GatewayClient:
         return GatewayClient(self.info["host"], self.info["port"], timeout=REQUEST_TIMEOUT)
 
     def reset(self) -> None:
-        self._reset.set()
+        self.process.stdin.write("reset\n")
+        self.process.stdin.flush()
 
     def close(self) -> dict[str, Any]:
         """Stop the gateway and wait for it; returns its final report."""
-        self._stop.set()
-        self._reset.set()
-        report: dict[str, Any] = {}
-        if self.process.pid is not None:
-            try:
-                report = self._report.get(timeout=BOOT_TIMEOUT)
-            except Exception:  # noqa: BLE001 - queue.Empty or a dead child
-                report = {}
-            self.process.join(timeout=BOOT_TIMEOUT)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join()
+        if self.process is None:
+            return {}
+        try:
+            self.process.stdin.close()
+        except OSError:  # the gateway already died
+            pass
+        try:
+            report = self._message("report")
+        except (queue.Empty, RuntimeError):
+            report = {}
+        try:
+            self.process.wait(timeout=BOOT_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self._reader.join()
+        self.process.stdout.close()
         return report
 
 

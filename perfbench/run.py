@@ -26,6 +26,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -48,8 +49,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--all", action="store_true", help="run every workload")
     parser.add_argument("--self-test", action="store_true", help="check seed discipline")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--gateway-child", nargs=2, metavar=("STORE", "RECORDS"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if not (args.all or args.self_test) and args.workload is None:
+    if not (args.all or args.self_test or args.gateway_child) and args.workload is None:
         parser.error("--workload is required (or --all / --self-test)")
     return args
 
@@ -246,10 +249,19 @@ def _run_all(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    # Unwind on SIGTERM too, so the cleanup that stops and waits for the
+    # gateway and probe processes runs on that path as well.
+    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     problem = _program_present()
     if problem is not None:
         print(f"perfbench: {problem}", file=sys.stderr)
         return 2
+    if args.gateway_child:
+        # The gateway_mix gateway process (see gateway.GatewayProcess).
+        sys.path[:0] = [str(SRC), str(ROOT)]
+        from perfbench import gateway
+
+        return gateway.child_main(*args.gateway_child, traced=bool(args.trace))
     if args.setup_probe:
         return _setup_probe(args)
     if args.self_test:
