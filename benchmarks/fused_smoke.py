@@ -15,19 +15,17 @@ the operational invariants the parity pin promises:
 * pressures match the oracle within fp round-off (the dots reduce in
   tile order, the only permitted divergence) and repeated fused runs
   are **bit-identical** (the tile-ordered reduction is deterministic);
-* the backend path surfaces ``telemetry["fused"]`` (kernel backend,
-  tile shape, tiles per sweep);
-* the numpy and numba kernel backends agree when numba is importable
-  (skipped with a note otherwise), and requesting numba without numba
-  installed *falls back* to numpy with a telemetry note instead of
-  failing.
+* the backend path surfaces ``telemetry["fused"]`` (tile shape, tiles
+  per sweep);
+* ``engine="vectorized"`` *is* ``engine="fused"`` with a whole-grid
+  tile: pressure, residual history and counters are bitwise equal (both
+  are layouts of one driver over one kernel).
 
 Exits non-zero on any violated invariant, so CI can gate on it.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 
@@ -38,7 +36,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro.core.solver import WseMatrixFreeSolver  # noqa: E402
-from repro.fused import BACKEND_ENV, numba_available  # noqa: E402
 from repro.wse.specs import WSE2  # noqa: E402
 
 SPEC = WSE2.with_fabric(16, 16)
@@ -84,7 +81,7 @@ def main() -> int:
         if again.residual_history != first.residual_history:
             failures.append(f"tile {label}: residual history not repeatable")
         info = first.fused
-        print(f"fused_smoke: tile={label:<5} backend={info['backend']} "
+        print(f"fused_smoke: tile={label:<5} "
               f"tiles={info['tiles']} iters={first.iterations} "
               f"counters=oracle-exact deterministic=yes")
 
@@ -102,54 +99,26 @@ def main() -> int:
     else:
         if fused.get("tile") != [4, 10]:
             failures.append(f"backend telemetry tile odd: {fused.get('tile')}")
-        if fused.get("backend") not in ("numpy", "numba"):
-            failures.append(f"backend telemetry backend odd: {fused}")
         if fused.get("tiles") != 3:  # 12 rows / 4-row slabs
             failures.append(f"backend telemetry tiles odd: {fused.get('tiles')}")
 
-    # Kernel-backend cross-check: numpy vs numba when numba is present,
-    # otherwise the graceful-fallback contract.
-    saved = os.environ.get(BACKEND_ENV)
-    try:
-        if numba_available():
-            runs = {}
-            for backend_name in ("numpy", "numba"):
-                os.environ[BACKEND_ENV] = backend_name
-                runs[backend_name] = _solve_fused(problem, (4, 10))
-                if runs[backend_name].fused["backend"] != backend_name:
-                    failures.append(
-                        f"{BACKEND_ENV}={backend_name} ran "
-                        f"{runs[backend_name].fused['backend']}"
-                    )
-            if runs["numpy"].counters.to_dict() != runs["numba"].counters.to_dict():
-                failures.append("numpy/numba backends disagree on counters")
-            if not np.allclose(runs["numpy"].pressure, runs["numba"].pressure,
-                               rtol=1e-6, atol=1e-9):
-                failures.append("numpy/numba backends disagree on pressure")
-            print("fused_smoke: numpy/numba backends agree")
-        else:
-            os.environ[BACKEND_ENV] = "numba"
-            report = _solve_fused(problem, None)
-            if report.fused.get("backend") != "numpy":
-                failures.append(
-                    f"numba-less fallback ran {report.fused.get('backend')!r}"
-                )
-            if "note" not in report.fused:
-                failures.append("numba-less fallback carries no telemetry note")
-            print("fused_smoke: numba not importable — fallback note verified, "
-                  "numpy/numba agreement skipped")
-    finally:
-        if saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = saved
+    # The vectorized layout is the fused layout with one whole-grid tile.
+    whole = _solve_fused(problem, (problem.grid.nx, problem.grid.ny))
+    if not (
+        np.array_equal(whole.pressure, oracle.pressure)
+        and whole.residual_history == oracle.residual_history
+        and whole.counters.to_dict() == oracle.counters.to_dict()
+    ):
+        failures.append("vectorized != fused with a whole-grid tile")
+    else:
+        print("fused_smoke: vectorized == fused whole-grid tile (bitwise)")
 
     if failures:
         for line in failures:
             print(f"fused_smoke: FAIL {line}")
         return 1
     print("fused_smoke: PASS (3 tile regimes oracle-exact and "
-          "deterministic, backend telemetry intact)")
+          "deterministic, whole-grid tile bitwise vectorized)")
     return 0
 
 

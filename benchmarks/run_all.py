@@ -18,10 +18,10 @@ run, and a full-fabric 750×994 smoke row.
 
 ``batched_throughput`` rows measure Table-III-style weak-scaling
 *throughput* (problems/sec): the same scenario family solved serially on
-the vectorized engine (batch=1, the baseline) and as fused
-``(batch, nx, ny, nz)`` programs (batch=8/64) at 16×16 and 128×128
-fabrics.  ``speedup_vs_serial`` on the batch=64 row is the scale proof
-for batched execution (expected ≥ 3× at 16×16).
+the vectorized engine (batch=1, the baseline) and as the lanes of one
+batched program (batch=8/64) at 16×16 and 128×128 fabrics.
+``speedup_vs_serial`` records what batching saves per problem (shared
+charge packets and set-up; every lane still runs its own passes).
 
 ``transient_throughput`` rows measure the ``simulate()`` time-stepping
 path: warm- vs. cold-started CG on one realization (the ``warm`` row
@@ -49,9 +49,9 @@ generic tile) at 16×16 and 128×128.  Each fused row also records the
 oracle-parity booleans (``counters_match_serial`` etc. — the charge
 model is shared, so counters/trace/memory must be *exactly* the
 vectorized engine's) and the counter scalars (``flops``,
-``fabric_bytes``) that ``diff_bench.py`` gates on.  The 128×128 auto
-row's ``speedup_vs_serial`` is the scale proof for fusion (expected
-≥ 1.5× with the pure-NumPy backend).
+``fabric_bytes``) that ``diff_bench.py`` gates on.  Both sides run the
+same kernel (the vectorized layout is one whole-grid tile), so the
+128×128 auto row's ``speedup_vs_serial`` measures cache blocking alone.
 
 ``gateway_throughput`` rows (schema ``repro.bench_session/9``) measure
 the network tier (:mod:`repro.net`): the same fan-out as
@@ -70,9 +70,10 @@ scenarios (lognormal, channelized) for ``preconditioner`` none / jacobi
 ≥ 5×); iteration counts and the ``preconditioner`` field are
 deterministic and gated by ``diff_bench.py``.
 
-``--profile`` prints a per-phase host-time breakdown (stage / apply /
-dot / charge, vectorized vs fused — the fused engine collapses apply,
-axpy and dot into single tiled sweeps) instead of running the benches.
+``--profile`` prints a per-phase host-time breakdown of the CG
+driver's kernel passes for the vectorized (one whole-grid tile) and
+fused (auto tiles) layouts — warm medians with IQR over interleaved
+repeats — instead of running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -250,8 +251,7 @@ def run_batched_throughput(smoke: bool) -> list[dict]:
 def run_sharded_throughput(smoke: bool) -> list[dict]:
     """Sharded-engine throughput rows against the serial baseline.
 
-    The batched rows show fusion *losing* at 128×128 (the fused arrays
-    blow the cache); sharding attacks the same ceiling the other way —
+    Sharding attacks the 128×128 cache ceiling by splitting the grid —
     each shard's subgrid fits cache and the thread crew sweeps shards
     concurrently (NumPy releases the GIL).  Rows: the single-worker
     vectorized baseline, then 1/2/4 shards.  The 1-shard row isolates
@@ -362,11 +362,11 @@ def run_sharded_throughput(smoke: bool) -> list[dict]:
 def run_fused_throughput(smoke: bool) -> list[dict]:
     """Fused hot-loop engine throughput rows against the serial baseline.
 
-    The batched rows show fusion-across-problems losing at 128×128 (the
-    stacked arrays blow the cache); the fused engine attacks the same
-    ceiling *within* one problem — each CG phase runs as a single tiled
-    pass, so a tile's working set is touched once per iteration instead
-    of once per numpy op.  Rows: the serial-vectorized baseline, the
+    The fused layout attacks the 128×128 cache ceiling *within* one
+    problem — each CG phase runs as a single pass per tile, so a tile's
+    working set stays cache-resident across the phase's operations,
+    where the vectorized layout's one whole-grid tile streams the grid
+    once per numpy op.  Rows: the serial-vectorized baseline, the
     auto-picked slab tile, one explicit slab and one narrow generic
     tile (the strided fallback path).  Timing is interleaved per
     problem with a rotating lead config, exactly like the sharded rows,
@@ -457,7 +457,6 @@ def run_fused_throughput(smoke: bool) -> list[dict]:
                 "mode": "fixed_iterations",
                 "fixed_iterations": iters,
                 "fabric": f"{lateral}x{lateral}",
-                "fused_backend": None if fused is None else fused["backend"],
                 "fused_tile": None if fused is None else fused["tile"],
                 "tiles_per_iteration": None if fused is None else fused["tiles"],
                 "host_cpus": os.cpu_count(),
@@ -575,79 +574,83 @@ def run_precond_iterations(smoke: bool) -> list[dict]:
 
 
 def run_profile(smoke: bool) -> None:
-    """Per-phase host-time breakdown, vectorized vs fused (``--profile``).
+    """Per-phase host time of the CG driver's kernel passes (``--profile``).
 
-    Times engine construction (staging + coefficient prebuild), the hot
-    per-iteration phases, and the charge model's per-iteration packet
-    accounting.  The vectorized engine has separate apply and dot
-    phases; the fused engine collapses apply+dot into one tiled sweep
-    (``body_pass``) and axpy+dot into another (``update_pass``) — the
-    columns show exactly where the fusion win comes from.
+    ``"vectorized"`` and ``"fused"`` are layouts of one driver over one
+    kernel — a whole-grid tile vs auto-picked tiles — so both columns
+    time the same calls: staging (``create_engine``), the three passes
+    of a plain CG iteration, the per-lane charge composition, and a
+    whole fixed-iteration run per iteration.  Every repeat times each
+    phase once per layout, alternating which layout goes first; the
+    first repeat is a discarded warm-up, and each cell is the median
+    with its interquartile range.
     """
     import numpy as np
 
     from repro.core.solver import WseMatrixFreeSolver
+    from repro.solvers.state_machine import CGState
 
-    lateral, nz, iters, reps = (16, 2, 8, 20) if smoke else (128, 4, 24, 40)
+    lateral, nz, iters, reps = (16, 2, 8, 21) if smoke else (128, 4, 24, 41)
     problem = repro.scenario(
         "quarter_five_spot", nx=lateral, ny=lateral, nz=nz,
     ).build()
     fabric = WSE2.with_fabric(max(32, lateral), max(32, lateral))
+    layouts = ("vectorized", "fused")
 
-    def per_call_ms(fn, n):
-        start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        return (time.perf_counter() - start) / n * 1e3
-
-    phases: dict[str, dict[str, float]] = {}
-    for name in ("vectorized", "fused"):
-        start = time.perf_counter()
-        solver = WseMatrixFreeSolver(
+    def build(name):
+        return WseMatrixFreeSolver(
             problem, spec=fabric, engine=name, dtype=np.float32,
             rel_tol=None, fixed_iterations=iters,
-        )
-        stage_ms = (time.perf_counter() - start) * 1e3
-        eng = solver.engine
-        col = {"stage (construction)": stage_ms}
-        if name == "vectorized":
-            st = eng.st
-            col["apply (Jp sweep)"] = per_call_ms(lambda: eng._apply(st.p), reps)
-            col["dot (p.Jp)"] = per_call_ms(lambda: eng._dot(st.p, st.r), reps)
-        else:
-            bk = eng.backend
-            bk.init_pass()
-            col["fused sweep (apply+dot)"] = per_call_ms(bk.body_pass, reps)
-            col["fused update (axpy+dot)"] = per_call_ms(
-                lambda: bk.update_pass(0.5), reps
-            )
-        model = eng.model
-        col["charge (packet model/iter)"] = per_call_ms(
-            lambda: (model.charge_kernel(), model.charge_exchange(),
-                     model.charge_allreduce(), model.charge_allreduce()),
-            reps,
-        )
-        phases[name] = col
-        if name == "fused":
-            info = eng.fused_info()
-            print(f"  fused backend={info['backend']} "
-                  f"tile={info['tile'][0]}x{info['tile'][1]} "
-                  f"tiles={info['tiles']}")
+        ).engine
 
-    labels = [
-        "stage (construction)", "apply (Jp sweep)", "dot (p.Jp)",
-        "fused sweep (apply+dot)", "fused update (axpy+dot)",
-        "charge (packet model/iter)",
-    ]
-    print(f"\nprofile: per-phase host time, ms per call "
-          f"({lateral}x{lateral}x{nz}, {reps} reps)")
-    print(f"  {'phase':<28} {'vectorized':>12} {'fused':>12}")
-    for label in labels:
+    drivers = {name: build(name) for name in layouts}
+    for driver in drivers.values():
+        driver.lanes[0].kernel.init_pass()
+
+    def phases(name):
+        driver = drivers[name]
+        lane = driver.lanes[0]
+        kernel = lane.kernel
+        history = [1.0] * (iters + 1)
+        pressure = kernel.y
+        return {
+            "stage (create_engine)": lambda: build(name),
+            "body_pass (apply+dot)": kernel.body_pass,
+            "update_pass (axpy+dot)": lambda: kernel.update_pass(0.5),
+            "direction_pass": lambda: kernel.direction_pass(0.5),
+            "charge (per lane)": lambda: driver._report(
+                lane, iters, CGState.MAXITER, False, history, pressure
+            ),
+            "run / iteration": driver.run,
+        }
+
+    calls = {name: phases(name) for name in layouts}
+    samples = {name: {label: [] for label in calls[name]} for name in layouts}
+    for rep in range(reps):
+        order = layouts if rep % 2 == 0 else layouts[::-1]
+        for label in calls[layouts[0]]:
+            for name in order:
+                start = time.perf_counter()
+                calls[name][label]()
+                elapsed = (time.perf_counter() - start) * 1e3
+                if label == "run / iteration":
+                    elapsed /= iters
+                if rep:
+                    samples[name][label].append(elapsed)
+
+    kernel = drivers["fused"].lanes[0].kernel
+    tile = kernel.boxes[0]
+    print(f"\nprofile: warm host ms per call, median [IQR] over {reps - 1} "
+          f"interleaved repeats ({lateral}x{lateral}x{nz} float32; fused "
+          f"tile {tile[1] - tile[0]}x{tile[3] - tile[2]}, "
+          f"{len(kernel.boxes)} tiles)")
+    print(f"  {'phase':<24} {'vectorized':>22} {'fused':>22}")
+    for label in calls[layouts[0]]:
         cells = []
-        for name in ("vectorized", "fused"):
-            value = phases[name].get(label)
-            cells.append("-" if value is None else f"{value:.3f}")
-        print(f"  {label:<28} {cells[0]:>12} {cells[1]:>12}")
+        for name in layouts:
+            q1, med, q3 = np.percentile(samples[name][label], [25, 50, 75])
+            cells.append(f"{med:.3f} [{q1:.3f}-{q3:.3f}]")
+        print(f"  {label:<24} {cells[0]:>22} {cells[1]:>22}")
 
 
 def run_transient_throughput(smoke: bool) -> list[dict]:

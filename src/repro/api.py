@@ -1,22 +1,11 @@
-"""Legacy convenience API — superseded by :func:`repro.solve`.
+"""The canonical Fig. 5 problem builder.
 
-The original front door exposed one entry point per machine
-(``solve_reference`` / ``solve_on_wse`` / ``solve_on_gpu_model``), each
-returning its own report type.  Those functions remain as thin
-deprecation shims over the unified backend registry
-(:mod:`repro.backends`) and still return the legacy report objects, so
-existing callers keep working; new code should call::
-
-    result = repro.solve(problem_or_scenario, backend="wse", **options)
-
-``quarter_five_spot_problem`` stays as the canonical Fig. 5 problem
-builder (the ``quarter_five_spot`` scenario delegates to the same
-construction).
+:func:`quarter_five_spot_problem` builds the paper's quarter-five-spot
+problem (the ``quarter_five_spot`` scenario delegates to it).  Solving
+goes through :func:`repro.solve`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -24,8 +13,6 @@ from repro.mesh.grid import CartesianGrid3D
 from repro.mesh.geomodel import homogeneous_permeability
 from repro.mesh.wells import quarter_five_spot
 from repro.physics.darcy import SinglePhaseProblem, build_problem
-from repro.physics.simulation import NewtonReport
-from repro.solvers.cg import PAPER_TOLERANCE_RTR
 
 
 def quarter_five_spot_problem(
@@ -50,54 +37,3 @@ def quarter_five_spot_problem(
         production_pressure=production_pressure,
     )
     return build_problem(grid, perm, dirichlet, viscosity=viscosity)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solve_reference(
-    problem: SinglePhaseProblem,
-    *,
-    tol_rtr: float = PAPER_TOLERANCE_RTR,
-    max_iters: int = 10_000,
-) -> NewtonReport:
-    """Deprecated shim: solve with the NumPy reference backend.
-
-    Use ``repro.solve(problem, backend="reference")`` for the canonical
-    :class:`~repro.backends.SolveResult`.
-    """
-    _deprecated("solve_reference", 'repro.solve(problem, backend="reference")')
-    from repro.backends import get_backend
-
-    return get_backend("reference").solve_native(
-        problem, tol_rtr=tol_rtr, max_iters=max_iters
-    )
-
-
-def solve_on_wse(problem: SinglePhaseProblem, **kwargs):
-    """Deprecated shim: solve on the simulated dataflow fabric.
-
-    Use ``repro.solve(problem, backend="wse")`` for the canonical
-    :class:`~repro.backends.SolveResult`.
-    """
-    _deprecated("solve_on_wse", 'repro.solve(problem, backend="wse")')
-    from repro.backends import get_backend
-
-    return get_backend("wse").solve_native(problem, **kwargs)
-
-
-def solve_on_gpu_model(problem: SinglePhaseProblem, **kwargs):
-    """Deprecated shim: solve with the CUDA-like GPU reference model.
-
-    Use ``repro.solve(problem, backend="gpu")`` for the canonical
-    :class:`~repro.backends.SolveResult`.
-    """
-    _deprecated("solve_on_gpu_model", 'repro.solve(problem, backend="gpu")')
-    from repro.backends import get_backend
-
-    return get_backend("gpu").solve_native(problem, **kwargs)

@@ -296,11 +296,11 @@ class WseBackend:
     ) -> list[SimulationResult]:
         """Time-step many same-shape realizations together.
 
-        Every step is one fused ``(batch, nx, ny, nz)`` program with
-        per-lane accumulation/rhs/warm-start/tolerance and per-lane
-        convergence masking; each realization comes back as its own
+        Every step is one batched program, one lane per realization,
+        with per-lane accumulation/rhs/warm-start/tolerance and
+        convergence; each realization comes back as its own
         :class:`SimulationResult` whose per-step counters equal a serial
-        vectorized simulation of that realization alone.
+        simulation of that realization alone.
         """
         from repro.core.solver import simulate_reports_batch
 
@@ -350,18 +350,18 @@ class WseBackend:
     def solve_batch(
         self, problems: list[SinglePhaseProblem], spec: SolveSpec | None = None
     ) -> list[SolveResult]:
-        """Solve many independent problems as fused ``(batch, nx, ny,
-        nz)`` NumPy sweeps on the vectorized engine.
+        """Solve many independent same-shape problems as the lanes of
+        one batched program (vectorized or fused engine).
 
         All problems must share one grid shape.  ``machine.batch_size``
-        caps lanes per fused program (``None`` fuses everything);
+        caps lanes per program (``None`` puts everything in one);
         ``machine.engine`` may be omitted (batching implies
         ``"vectorized"``) but ``"event"`` is rejected.  Results come
-        back in input order; each carries ``telemetry["engine"] ==
-        "batched"`` plus a ``telemetry["batch"]`` record (fused-chunk
-        size and lane) so batched and serial results stay
+        back in input order; each carries ``telemetry["engine"]``
+        (``"batched"``/``"batched_fused"``) plus a ``telemetry["batch"]``
+        record (chunk size and lane) so batched and serial results stay
         distinguishable, and per-problem counters identical to a serial
-        vectorized solve of that problem.
+        solve of that problem.
         """
         from repro.core.solver import solve_batch
 

@@ -1,32 +1,35 @@
 """Fabric engine registry: how a :class:`CgProgram` gets executed.
 
-Three engines execute the same engine-agnostic program description
-(:mod:`repro.core.program`):
+Two executions of the same engine-agnostic program description
+(:mod:`repro.core.program`) exist:
 
 * ``"event"`` — the discrete-event oracle (one Python PE per fabric PE,
   one event per wavelet; cycle-accurate, byte-stable traces);
-* ``"vectorized"`` — whole-fabric NumPy array sweeps with an analytic
-  cycle/counter model (paper-scale fabrics, identical numerics and
-  instruction counts);
-* ``"sharded"`` — the vectorized numerics domain-decomposed across a
-  worker pool (threads or shared-memory processes) with real halo
-  exchange between shards and cross-shard dot-product reduction;
-  counters/traffic/memory stay exactly parity-pinned to the
-  single-shard vectorized engine;
-* ``"fused"`` — the vectorized numerics executed as one cache-blocked
-  pass per CG iteration (FV apply, axpys and dot partials fused per
-  lateral tile, optional numba backend); counters/traffic/memory stay
-  exactly parity-pinned to the vectorized engine.
+* :class:`~repro.core.cg_driver.CgDriver` — one CG loop over the tiled
+  array kernel (:class:`~repro.fused.kernels.FusedNumpyBackend`) with
+  an analytic cycle/counter model whose counters, traffic and memory
+  are exactly the oracle's.
+
+Every other engine name is a *layout* of the driver's kernel:
+
+* ``"vectorized"`` — one whole-grid tile (paper-scale fabrics);
+* ``"fused"`` — cache-sized tiles (auto-picked, or ``fused_tile``);
+* ``"sharded"`` — the grid split over a worker crew (threads or
+  shared-memory processes), one kernel per shard with real halo
+  exchange and shard-ordered dot reduction (``shard_shape``,
+  ``shard_workers``, optionally ``fused_tile`` inside each shard);
+* batched ``"vectorized"``/``"fused"`` — N same-shape problems, one
+  lane each (reported as ``"batched"``/``"batched_fused"``).
 
 Selection is declarative via ``MachineSpec(engine=...)``; the solver
-resolves the name here.  Engine construction is lazy per name so the
-default event path never imports the vectorized module and vice versa.
+resolves the name here.  Construction is lazy per name so the default
+event path never imports the array machinery and vice versa.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -46,9 +49,15 @@ DEFAULT_ENGINE = "event"
 SHARD_CAPABLE_ENGINES = ("sharded",)
 
 #: Engines that accept a cache-tile shape (``fused_tile``).  The sharded
-#: engine qualifies because its workers can run the fused kernel over
-#: their halo-extended slabs.  Aliases :data:`repro.spec.TILE_ENGINES`.
+#: engine qualifies because its per-shard kernels are tiled too.
+#: Aliases :data:`repro.spec.TILE_ENGINES`.
 TILE_CAPABLE_ENGINES = TILE_ENGINES
+
+#: Engines that can execute a ``batch > 1`` program.  The event oracle
+#: plays one wavelet at a time and cannot; the sharded engine spends its
+#: parallelism across the fabric, not across problems.  Asking either to
+#: batch is a configuration error, not a silent serialization.
+BATCH_CAPABLE_ENGINES = ("vectorized", "fused")
 
 
 def _unknown_engine_error(name: str) -> ConfigurationError:
@@ -65,8 +74,16 @@ class FabricEngine(Protocol):
 
     name: str
 
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
+    def run(self) -> EngineReport:
         ...
+
+
+def _check_tile(name: str, fused_tile) -> None:
+    if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
+        raise ConfigurationError(
+            f"fabric engine {name!r} is untiled; fused_tile requires "
+            f"one of {', '.join(TILE_CAPABLE_ENGINES)}"
+        )
 
 
 def create_engine(
@@ -95,48 +112,27 @@ def create_engine(
             f"shard_workers require one of "
             f"{', '.join(SHARD_CAPABLE_ENGINES)}"
         )
-    if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
-        raise ConfigurationError(
-            f"fabric engine {name!r} is untiled; fused_tile requires "
-            f"one of {', '.join(TILE_CAPABLE_ENGINES)}"
-        )
-    kwargs = dict(
-        spec=spec,
-        dtype=dtype,
-        simd_width=simd_width,
-        initial_pressure=initial_pressure,
-        accumulation=accumulation,
-        rhs=rhs,
-    )
+    _check_tile(name, fused_tile)
     if name == "event":
         from repro.core.event_engine import EventEngine
 
-        return EventEngine(problem, program, **kwargs)
-    if name == "sharded":
-        from repro.shard import ShardedVectorEngine
-
-        return ShardedVectorEngine(
-            problem,
-            program,
-            shard_shape=shard_shape if shard_shape is not None else (1, 1),
-            shard_workers=shard_workers,  # None -> the adaptive default
-            fused_tile=fused_tile,
-            **kwargs,
+        return EventEngine(
+            problem, program, spec=spec, dtype=dtype, simd_width=simd_width,
+            initial_pressure=initial_pressure, accumulation=accumulation,
+            rhs=rhs,
         )
-    if name == "fused":
-        from repro.fused import FusedVectorEngine
-
-        return FusedVectorEngine(problem, program, fused_tile=fused_tile, **kwargs)
-    from repro.wse.vector_engine import VectorEngine
-
-    return VectorEngine(problem, program, **kwargs)
-
-
-#: Engines that can execute a ``batch > 1`` program.  The event oracle
-#: plays one wavelet at a time and cannot; the sharded engine spends its
-#: parallelism across the fabric, not across problems.  Asking either to
-#: batch is a configuration error, not a silent serialization.
-BATCH_CAPABLE_ENGINES = ("vectorized", "fused")
+    if program.batch != 1:
+        raise ConfigurationError(
+            f"engine {name!r} runs single-problem programs; got batch="
+            f"{program.batch} (use create_batched_engine)"
+        )
+    return _layout(
+        name, [problem], program, spec=spec, dtype=dtype,
+        simd_width=simd_width, tol_rtrs=[program.tol_rtr],
+        guesses=[initial_pressure], accs=[accumulation], rhss=[rhs],
+        fused_tile=fused_tile, shard_shape=shard_shape,
+        shard_workers=shard_workers,
+    )
 
 
 def create_batched_engine(
@@ -153,10 +149,17 @@ def create_batched_engine(
     rhs=None,
     fused_tile=None,
 ):
-    """Instantiate the batched engine for one multi-problem solve.
+    """Instantiate the batched layout for one multi-problem solve.
 
     ``name`` follows the same vocabulary as :func:`create_engine`; only
-    :data:`BATCH_CAPABLE_ENGINES` are accepted."""
+    :data:`BATCH_CAPABLE_ENGINES` are accepted.  All problems must share
+    one grid shape; ``tol_rtrs`` supplies each lane's resolved absolute
+    tolerance (default ``program.tol_rtr``), and ``initial_pressure``/
+    ``accumulation``/``rhs`` accept one shared field or one per lane.
+    The returned driver's ``run_lanes()`` yields one report per problem,
+    exactly what a serial solve of that problem alone would produce."""
+    from repro.wse.vector_engine import normalize_guesses
+
     if name not in ENGINE_NAMES:
         raise _unknown_engine_error(name)
     if name not in BATCH_CAPABLE_ENGINES:
@@ -165,27 +168,93 @@ def create_batched_engine(
             f"execution requires one of "
             f"{', '.join(BATCH_CAPABLE_ENGINES)}"
         )
-    if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
+    _check_tile(name, fused_tile)
+    problems = list(problems)
+    if not problems:
+        raise ConfigurationError("batched engine needs at least one problem")
+    if program.batch != len(problems):
         raise ConfigurationError(
-            f"fabric engine {name!r} is untiled; fused_tile requires "
-            f"one of {', '.join(TILE_CAPABLE_ENGINES)}"
+            f"program.batch is {program.batch} but {len(problems)} "
+            f"problems were supplied"
         )
-    kwargs = dict(
-        spec=spec,
-        dtype=dtype,
-        simd_width=simd_width,
+    shapes = {p.grid.shape for p in problems}
+    if len(shapes) != 1:
+        raise ConfigurationError(
+            f"all problems in a batch must share one grid shape; got "
+            f"{sorted(shapes)}"
+        )
+    count, shape = len(problems), problems[0].grid.shape
+    if tol_rtrs is None:
+        tol_rtrs = [program.tol_rtr] * count
+    if len(tol_rtrs) != count:
+        raise ConfigurationError(
+            f"tol_rtrs has {len(tol_rtrs)} entries for a batch of {count}"
+        )
+    return _layout(
+        "batched" if name == "vectorized" else "batched_fused",
+        problems, program, spec=spec, dtype=dtype, simd_width=simd_width,
         tol_rtrs=tol_rtrs,
-        initial_pressure=initial_pressure,
-        accumulation=accumulation,
-        rhs=rhs,
+        guesses=normalize_guesses(initial_pressure, count, shape),
+        accs=normalize_guesses(accumulation, count, shape),
+        rhss=normalize_guesses(rhs, count, shape),
+        fused_tile=fused_tile,
     )
-    if name == "fused":
-        from repro.fused import BatchedFusedEngine
 
-        return BatchedFusedEngine(problems, program, fused_tile=fused_tile, **kwargs)
-    from repro.wse.vector_engine import BatchedVectorEngine
 
-    return BatchedVectorEngine(problems, program, **kwargs)
+def _layout(
+    name: str,
+    problems: Sequence[SinglePhaseProblem],
+    program: CgProgram,
+    *,
+    spec: WseSpecs,
+    dtype,
+    simd_width: int | None,
+    tol_rtrs,
+    guesses,
+    accs,
+    rhss,
+    fused_tile=None,
+    shard_shape=None,
+    shard_workers: str | None = None,
+):
+    """Stage every problem into a lane of the kernel ``name`` lays out,
+    and hand the lanes to one :class:`~repro.core.cg_driver.CgDriver`."""
+    from repro.core.cg_driver import CgDriver, Lane
+    from repro.core.mapping import ProblemMapping
+    from repro.fused.kernels import FusedNumpyBackend
+    from repro.fused.tiling import resolve_tile
+    from repro.wse.vector_engine import _memory_report, _stage_problem
+
+    dtype = np.dtype(dtype)
+    nx, ny, nz = problems[0].grid.shape
+    if name in ("vectorized", "batched"):
+        tile = (nx, ny)
+    else:
+        tile = resolve_tile(fused_tile, nx, ny, nz, dtype.itemsize)
+    lanes = []
+    for problem, tol, guess, acc, rhs in zip(problems, tol_rtrs, guesses, accs, rhss):
+        st = _stage_problem(problem, program, dtype, guess, accumulation=acc, rhs=rhs)
+        memory = _memory_report(spec, program, nz, dtype, st.kind_counts)
+        if name == "sharded":
+            from repro.shard import ShardedKernel
+
+            kernel = ShardedKernel(
+                st, program, dtype=dtype, shard_shape=shard_shape,
+                shard_workers=shard_workers, fused_tile=fused_tile,
+            )
+            lane = Lane(kernel, st, float(tol), memory, kernel.extras)
+        else:
+            kernel = FusedNumpyBackend(st, program, tile=tile, dtype=dtype)
+            lane = Lane(kernel, st, float(tol), memory)
+            if name in ("fused", "batched_fused"):
+                info = {"tile": list(tile), "tiles": len(kernel.boxes)}
+                lane.extras = lambda k, info=info: {"fused": dict(info)}
+        lanes.append(lane)
+    return CgDriver(
+        name, lanes, program, spec=spec,
+        simd_width=int(simd_width if simd_width is not None else spec.simd_width_f32),
+        mapping=ProblemMapping(problems[0].grid, spec),
+    )
 
 
 __all__ = [

@@ -32,7 +32,8 @@ class EventEngine:
     Construction stages the problem onto a freshly built fabric (the
     memory arena enforces the 48 KiB budget here, like an oversized CSL
     program failing to load); :meth:`run` plays the program to
-    completion and gathers the results.
+    completion and gathers the results.  ``fabric``, ``exchange``,
+    ``allreduce`` and ``kernel`` are the current staging's machinery.
     """
 
     name = "event"
@@ -49,7 +50,6 @@ class EventEngine:
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,
     ):
-        from repro.perf.memmodel import SCALAR_RESERVE_BYTES
         from repro.util.errors import ConfigurationError
 
         if program.batch != 1:
@@ -67,35 +67,12 @@ class EventEngine:
         self.program = program
         self.spec = spec
         self.mapping = ProblemMapping(problem.grid, spec)
-        self.fabric = Fabric(
-            spec,
-            width=problem.grid.nx,
-            height=problem.grid.ny,
-            dtype=np.dtype(dtype),
-            simd_width=simd_width,
-            # CG scalars, state-machine bookkeeping and stack live outside
-            # the column buffers; reserve them so the capacity model's
-            # max_depth is exactly the staging boundary (tested).
-            reserved_pe_bytes=SCALAR_RESERVE_BYTES,
-        )
-        self.colors = ColorAllocator(31)
-        self.exchange_colors = ExchangeColors.allocate(self.colors)
-        self.allreduce_colors = AllReduceColors.allocate(self.colors)
-        self.exchange = HaloExchange(self.fabric, self.exchange_colors, problem.grid.nz)
-        self.allreduce = AllReduce(self.fabric, self.allreduce_colors)
-        self.kernel = FvColumnKernel()
-        self.kernel_configs = stage_problem(
-            self.fabric,
-            problem,
-            self.mapping,
-            variant=program.variant,
-            reuse_buffers=program.reuse_buffers,
-            initial_pressure=initial_pressure,
-            jacobi=program.jacobi,
-            mg=program.mg,
-            accumulation=accumulation,
+        self._staging = dict(
+            dtype=np.dtype(dtype), simd_width=simd_width,
+            initial_pressure=initial_pressure, accumulation=accumulation,
             rhs=rhs,
         )
+        self._stage()
         self.mg_hierarchy = None
         self._mg_packet = None
         if program.mg:
@@ -129,12 +106,53 @@ class EventEngine:
                 ),
                 self.mg_hierarchy,
             )
+
+    def _stage(self) -> None:
+        """Build a fresh fabric and stage the problem onto it."""
+        from repro.perf.memmodel import SCALAR_RESERVE_BYTES
+
+        problem, program, kw = self.problem, self.program, self._staging
+        self.fabric = Fabric(
+            self.spec,
+            width=problem.grid.nx,
+            height=problem.grid.ny,
+            dtype=kw["dtype"],
+            simd_width=kw["simd_width"],
+            # CG scalars, state-machine bookkeeping and stack live outside
+            # the column buffers; reserve them so the capacity model's
+            # max_depth is exactly the staging boundary (tested).
+            reserved_pe_bytes=SCALAR_RESERVE_BYTES,
+        )
+        colors = ColorAllocator(31)
+        self.exchange = HaloExchange(
+            self.fabric, ExchangeColors.allocate(colors), problem.grid.nz
+        )
+        self.allreduce = AllReduce(self.fabric, AllReduceColors.allocate(colors))
+        self.kernel = FvColumnKernel()
+        self.kernel_configs = stage_problem(
+            self.fabric,
+            problem,
+            self.mapping,
+            variant=program.variant,
+            reuse_buffers=program.reuse_buffers,
+            initial_pressure=kw["initial_pressure"],
+            jacobi=program.jacobi,
+            mg=program.mg,
+            accumulation=kw["accumulation"],
+            rhs=kw["rhs"],
+        )
         if program.comm_only:
             for pe in self.fabric.iter_pes():
                 pe.suppress_fp = True
+        self._staged = True
 
     def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
-        """Run the distributed CG to completion (one shot per engine)."""
+        """Run the distributed CG to completion.  The fabric is spent by
+        a run, so a repeated run re-stages the problem first and reports
+        exactly what the first one did."""
+        if not self._staged:
+            self._stage()
+        self._staged = False
         cg = DataflowCG(
             self.fabric,
             self.exchange,

@@ -13,16 +13,16 @@ phases (§III-B..III-D):
 :class:`CgProgram` captures that cycle plus every knob that changes what
 the phases compute (kernel variant, buffer reuse, preconditioner,
 suppressed arithmetic, tolerances), *without* saying how the phases are
-executed.  Two engines consume it:
+executed.  Two executions consume it:
 
 * the event-driven engine (``repro.core.event_engine``) instantiates one
   :class:`~repro.wse.pe.ProcessingElement` per PE and plays the program
   as discrete wavelet events — the cycle-accurate oracle;
-* the vectorized engine (``repro.wse.vector_engine``) executes each
-  phase over the whole fabric as ``(nx, ny, nz)`` NumPy array sweeps —
-  the paper-scale path (Kronbichler & Kormann's observation that a
-  matrix-free operator is just structured array sweeps, applied to the
-  fabric itself).
+* the CG driver (``repro.core.cg_driver``) runs each phase as tiled
+  array passes over ``(nx, ny, nz)`` fields — the paper-scale path
+  (Kronbichler & Kormann's observation that a matrix-free operator is
+  just structured array sweeps, applied to the fabric itself); every
+  other engine name is a layout of it.
 
 Engines return an :class:`EngineReport`, the shared result vocabulary
 (solution + machine telemetry) that ``repro.core.solver`` republishes.
@@ -70,12 +70,12 @@ class CgProgram:
     selects the Table IV methodology (run exactly N steps, convergence
     check disabled); ``comm_only`` additionally suppresses arithmetic.
 
-    ``batch`` is the number of independent problems the program's phases
-    sweep per instruction: 1 is the classic single-problem program; a
-    larger batch asks the engine to execute every phase over a
-    ``(batch, nx, ny, nz)`` stack of problems at once, freezing lanes as
-    they converge.  Only the vectorized engine can honour ``batch > 1``
-    (the event-driven oracle plays one wavelet at a time and rejects it).
+    ``batch`` is the number of independent same-shape problems the
+    program runs: 1 is the classic single-problem program; a larger
+    batch runs one lane per problem, each stopping on its own
+    convergence.  Only the vectorized and fused layouts honour
+    ``batch > 1`` (the event-driven oracle plays one wavelet at a time
+    and rejects it).
 
     ``accumulation`` marks the transient program: the FV apply gains one
     fused multiply-add against the per-PE accumulation column
@@ -249,7 +249,7 @@ class EngineReport:
     The field vocabulary matches the event-driven oracle's native report
     (``WseSolveReport`` republishes it unchanged): solution, CG outcome,
     and the machine-level telemetry the benchmarks consume.  For the
-    vectorized engine, ``trace``/``counters``/``memory`` come from the
+    driver's layouts, ``trace``/``counters``/``memory`` come from the
     analytic model over the same ISA cost tables.
     """
 
@@ -266,9 +266,8 @@ class EngineReport:
     #: Sharded-execution extras (layout, worker mode, inter-shard link
     #: counters) — ``None`` for single-shard engines.  JSON-able.
     shard: dict | None = None
-    #: Fused hot-loop extras (kernel backend, tile shape, tiles per
-    #: iteration, optional fallback note) — ``None`` for untiled
-    #: engines.  JSON-able.
+    #: Fused hot-loop extras (tile shape, tiles per iteration) —
+    #: ``None`` for the other engines.  JSON-able.
     fused: dict | None = None
     #: Preconditioner telemetry for structured preconditioners (the mg
     #: hierarchy's per-level grids, smoothing sweeps, V-cycle count) —

@@ -2,10 +2,11 @@
 
 Builds the engine-agnostic :class:`~repro.core.program.CgProgram` from
 the paper's design knobs, hands it to a pluggable fabric engine
-(``engine="event"`` — the cycle-accurate discrete-event oracle — or
-``engine="vectorized"`` — whole-fabric NumPy sweeps for paper-scale
-fabrics), and reports both the solution and the machine-level telemetry
-(instruction counts, traffic, cycle makespan) the benchmarks consume.
+(``engine="event"`` — the cycle-accurate discrete-event oracle — or a
+layout of the array CG driver for paper-scale fabrics; see
+:mod:`repro.core.engines`), and reports both the solution and the
+machine-level telemetry (instruction counts, traffic, cycle makespan)
+the benchmarks consume.
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ class WseMatrixFreeSolver:
     * ``comm_only`` — §V-C's Table IV methodology (suppress FP, fixed
       iteration count);
     * ``dtype`` — fp32 (paper) or fp64 (tight numerical cross-checks);
-    * ``engine`` — ``"event"`` (default: per-PE discrete-event oracle),
-      ``"vectorized"`` (whole-fabric array execution with an analytic
-      cycle/counter model; same numerics and instruction counts, fabrics
-      the event engine cannot reach), or ``"sharded"`` (the vectorized
-      numerics domain-decomposed over a worker pool; accepts
-      ``shard_shape`` and ``shard_workers``), or ``"fused"`` (the
-      vectorized numerics as cache-blocked single-pass CG sweeps;
-      accepts ``fused_tile``, also honoured by ``"sharded"`` workers).
+    * ``engine`` — ``"event"`` (default: per-PE discrete-event oracle)
+      or a layout of the array CG driver, whose analytic cycle/counter
+      model reproduces the oracle's instruction counts on fabrics it
+      cannot reach: ``"vectorized"`` (one whole-grid tile), ``"fused"``
+      (cache-sized tiles; accepts ``fused_tile``) or ``"sharded"`` (the
+      grid split over a worker pool; accepts ``shard_shape``,
+      ``shard_workers`` and ``fused_tile``).  A repeated :meth:`solve`
+      re-stages the problem and returns an equal report.
     """
 
     def __init__(
@@ -220,14 +221,14 @@ class WseMatrixFreeSolver:
             fused_tile=fused_tile,
         )
         self.mapping = self.engine.mapping
+
+    def __getattr__(self, name: str):
         # Event-engine internals stay reachable for fabric inspection and
-        # the protocol-level tests (the vectorized engine has no per-PE
-        # machinery to expose).
-        self.fabric = getattr(self.engine, "fabric", None)
-        self.exchange = getattr(self.engine, "exchange", None)
-        self.allreduce = getattr(self.engine, "allreduce", None)
-        self.kernel = getattr(self.engine, "kernel", None)
-        self._kernel_configs = getattr(self.engine, "kernel_configs", None)
+        # the protocol-level tests, read through so they follow a
+        # re-staged fabric (the array layouts have no per-PE machinery).
+        if name in ("fabric", "exchange", "allreduce", "kernel"):
+            return getattr(self.__dict__.get("engine"), name, None)
+        raise AttributeError(name)
 
     @classmethod
     def for_problem(cls, problem: SinglePhaseProblem, **kwargs) -> "WseMatrixFreeSolver":
@@ -277,17 +278,16 @@ def solve_batch(
     rhs=None,
     fused_tile=None,
 ) -> list[WseSolveReport]:
-    """Solve many independent problems as fused ``(batch, nx, ny, nz)``
-    sweeps on the vectorized engine.
+    """Solve many independent same-shape problems as the lanes of one
+    batched layout (``engine="vectorized"`` or ``"fused"``).
 
     All problems must share one grid shape (heterogeneity fields and
     boundary conditions are free per problem).  ``rel_tol`` is resolved
     per problem, exactly as :class:`WseMatrixFreeSolver` would resolve
     it for a serial solve of that problem.  ``batch_size`` caps the
-    lanes per fused program (``None`` fuses everything); reports come
-    back in input order, one per problem, and each is identical —
-    iterates to fp round-off, counters exactly — to the report a serial
-    vectorized solve of that problem alone would produce.
+    lanes per program (``None`` puts everything in one); reports come
+    back in input order, one per problem, and each is exactly the report
+    a serial solve of that problem alone on ``engine`` would produce.
     """
     from repro.wse.vector_engine import normalize_guesses
 
@@ -360,7 +360,7 @@ def solve_batch(
             rhs=chunk_rhss if any(r is not None for r in chunk_rhss) else None,
             fused_tile=fused_tile,
         )
-        reports.extend(batched.run())
+        reports.extend(batched.run_lanes())
     return reports
 
 
@@ -498,15 +498,15 @@ def simulate_reports_batch(
     batch_size: int | None = None,
     fused_tile=None,
 ):
-    """Time-step ``N`` same-shape realizations together: one fused
-    ``(batch, nx, ny, nz)`` program per step, yielded as a list of
+    """Time-step ``N`` same-shape realizations together: one batched
+    program per step (one lane per realization), yielded as a list of
     per-lane :class:`EngineReport`\\ s in input order.
 
     Each lane carries its own accumulation diagonal, right-hand side,
-    warm-start state and resolved tolerance; per-lane convergence
-    masking inside the batched engine freezes lanes as they converge, so
-    every lane's per-step report is exactly what a serial vectorized
-    solve of that lane would have produced (fuzz-pinned).
+    warm-start state and resolved tolerance, and stops on its own
+    convergence, so every lane's per-step report is exactly what a
+    serial solve of that lane on ``engine`` would have produced
+    (fuzz-pinned).
     """
     from repro.physics.transient import TransientStepper
 

@@ -139,11 +139,11 @@ def solve_many(
     ``min(len(targets), os.cpu_count())``; ``n_workers=1`` runs serially
     in-process (no pool), which keeps tracebacks simple.
 
-    ``batch=True`` fuses compatible entries — same backend, spec and
+    ``batch=True`` runs compatible entries — same backend, spec and
     grid shape, a backend that can batch (the dataflow fabric with the
-    vectorized engine) — into single ``(batch, nx, ny, nz)`` NumPy
-    programs instead of fanning out one Python solve per entry;
-    ``machine.batch_size`` caps the lanes per fused program.  Entries
+    vectorized or fused engine) — as the lanes of one batched program
+    instead of fanning out one Python solve per entry;
+    ``machine.batch_size`` caps the lanes per program.  Entries
     that cannot batch fall back to serial execution.  Each result's
     ``telemetry["engine"]`` says which path produced it (``"batched"``
     vs ``"vectorized"``/``"event"``).
@@ -166,12 +166,12 @@ def solve_many(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     if batch:
         if n_workers is not None and n_workers != 1:
-            # Batched execution is single-process by design (one fused
-            # NumPy pipeline per group); silently dropping a requested
-            # pool width would be a lie.
+            # Batched execution is single-process by design (one batched
+            # program per group); silently dropping a requested pool
+            # width would be a lie.
             raise ConfigurationError(
                 "batch=True and n_workers are mutually exclusive: batched "
-                "execution fuses entries into single NumPy programs "
+                "execution runs entries as the lanes of one program "
                 "instead of fanning out workers"
             )
         executor = "batched"
@@ -353,10 +353,11 @@ def simulate_many(
 ) -> list[SimulationResult]:
     """Simulate a family of targets; results in input order.
 
-    ``batch=True`` time-steps every realization *together* — one fused
-    ``(batch, nx, ny, nz)`` program per step with per-lane convergence
-    masking (``machine.batch_size`` caps lanes per fused program) — and
-    requires a backend with ``simulate_batch`` (the dataflow fabric).
+    ``batch=True`` time-steps every realization *together* — one
+    batched program per step, one lane per realization, each lane
+    stopping on its own convergence (``machine.batch_size`` caps lanes
+    per program) — and requires a backend with ``simulate_batch`` (the
+    dataflow fabric).
     ``batch=False`` simulates each target serially.
     """
     solve_spec = _resolve_simulation_spec(spec, options)

@@ -1,29 +1,25 @@
-"""Fused cache-blocked hot-loop execution of the dataflow CG program.
+"""Cache-blocked tiled execution of the dataflow CG passes.
 
-The package behind ``MachineSpec(engine="fused")``: cache-tile
-selection (:mod:`repro.fused.tiling`), the tiled FV-apply kernel and
-the numpy/numba pass backends (:mod:`repro.fused.kernels`,
-:mod:`repro.fused.numba_backend`), and the engines themselves
-(:mod:`repro.fused.engine`).
+The kernel every non-event fabric engine runs: cache-tile selection
+(:mod:`repro.fused.tiling`) and the tiled FV apply plus the fused CG
+passes (:mod:`repro.fused.kernels`).  The CG loop itself lives in
+:class:`repro.core.cg_driver.CgDriver`; ``MachineSpec(engine="fused")``
+is the layout that runs this kernel with auto-picked tiles.
 """
 
-from repro.fused.engine import BatchedFusedEngine, FusedVectorEngine
-from repro.fused.kernels import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    numba_available,
-    resolve_backend,
+from repro.fused.kernels import FusedNumpyBackend, TiledApply
+from repro.fused.tiling import (
+    auto_tile,
+    normalize_fused_tile,
+    resolve_tile,
+    tile_boxes,
 )
-from repro.fused.tiling import auto_tile, normalize_fused_tile, tile_boxes
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "BatchedFusedEngine",
-    "FusedVectorEngine",
+    "FusedNumpyBackend",
+    "TiledApply",
     "auto_tile",
     "normalize_fused_tile",
-    "numba_available",
-    "resolve_backend",
+    "resolve_tile",
     "tile_boxes",
 ]

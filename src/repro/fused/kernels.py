@@ -1,101 +1,43 @@
-"""Tiled FV-apply kernel and the fused pass backends.
+"""Tiled FV-apply kernel and the fused CG passes.
 
 :class:`TiledApply` is the cache-blocked matrix-free operator: it
 computes the FV apply over one lateral tile at a time, reading the
-stencil input through a globally zero-padded ``(nx+2, ny+2, nz)`` buffer
-(pure shifted *slices* — no ``_shifted`` copies, no per-sweep
-allocation) and writing straight into the output array's tile view.
-Every tile's arithmetic mirrors
-:meth:`repro.shard.halo.ShardFields.apply` operand for operand — which
-itself mirrors ``_apply_fields`` — so the tiled result is **bitwise**
-equal to the whole-fabric sweep: tiling is a pure loop reorder over
-elementwise/stencil-local operations.  The sharded engine's workers
-reuse exactly this class over their halo-extended slabs when a
-``fused_tile`` is configured.
+stencil input through a zero-padded ``(nx+2, ny+2, nz)`` buffer (pure
+shifted *slices* — no ``_shifted`` copies, no per-sweep allocation) and
+writing straight into the output array's tile view.  Every tile's
+arithmetic mirrors :class:`~repro.core.fv_kernel.FvColumnKernel`
+operand for operand, so the tiled result is **bitwise** equal per
+element to the oracle's column sweep: tiling is a pure loop reorder over
+elementwise/stencil-local operations.
 
-:class:`FusedNumpyBackend` drives one CG solve's numerics as four tiled
-*passes* (init / body / update / direction): per tile it fuses the FV
-apply, the axpy updates and a float64 dot partial, then the engine sums
-the per-tile partials sequentially in row-major tile order — the shard
-engine's deterministic-reduction trick, so repeated runs are
-bit-identical while iterates stay within fp round-off of the vectorized
-oracle (the only divergence is the partial-sum order of the dots).
+:class:`FusedNumpyBackend` is the kernel every non-event fabric engine
+runs (:class:`~repro.core.cg_driver.CgDriver` drives it; the engines
+differ only in the tile shape and in who owns the grid): it executes one
+CG solve's numerics as tiled *passes* (init / body / update /
+direction, plus the multigrid split points).  Per tile it fuses the FV
+apply, the axpy updates and a float64 dot partial; the driver sums the
+per-tile partials sequentially in row-major tile order, so repeated runs
+are bit-identical.  A whole-grid tile is the vectorized engine; the
+sharded engine runs one backend per shard, with neighbour planes written
+into the pad ring of its ``x_ext``.
 
 Full-width tiles (``tile_y == ny``, what
 :func:`~repro.fused.tiling.auto_tile` picks) take a *slab fast path*:
 every work array's tile view is then a contiguous row slab, so the
 apply runs with construction-time precomputed effective coefficients
-and a flattened-column vertical sweep (the strided z-slice views that
-dominate the vectorized engine's apply cost run ~8x slower than the
-same arithmetic on contiguous buffers).  The fast path's boundary
-planes are save/restored around the flattened sweeps, keeping it
-bitwise equal to the strided reference.  Narrow tiles fall back to the
-general strided :class:`TiledApply` — same results, exercised by the
-fuzz suite.
-
-An optional numba backend (:mod:`repro.fused.numba_backend`) JIT-compiles
-the tile apply; it is detected at import time and selected via
-``REPRO_FUSED_BACKEND=numpy|numba`` (or automatically when available),
-falling back to numpy with a telemetry note when numba is absent.
+and a flattened-column vertical sweep (strided z-slice views run ~8x
+slower than the same arithmetic on contiguous buffers).  The fast
+path's boundary planes are save/restored around the flattened sweeps,
+keeping it bitwise equal to the strided :meth:`TiledApply.apply_tile`
+that narrow tiles run — the fuzz suite exercises both.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.core.fv_kernel import HALO_ORDER, KernelVariant
 from repro.fused.tiling import tile_boxes
-from repro.util.errors import ConfigurationError
-
-#: Kernel backends the fused engine understands (``"auto"`` picks numba
-#: when importable, numpy otherwise).
-BACKEND_NAMES = ("auto", "numpy", "numba")
-
-#: Environment override for the backend choice.
-BACKEND_ENV = "REPRO_FUSED_BACKEND"
-
-_NUMBA_AVAILABLE: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported (cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_AVAILABLE = True
-        except Exception:
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
-
-
-def resolve_backend(requested: str | None = None) -> tuple[str, str | None]:
-    """Resolve the kernel backend name and an optional telemetry note.
-
-    ``requested`` wins over the ``REPRO_FUSED_BACKEND`` environment
-    variable; ``None``/``"auto"`` picks numba when importable and numpy
-    otherwise.  Asking for numba without numba installed *falls back*
-    (with a note the telemetry carries) rather than failing — the numpy
-    tiled path is always available.
-    """
-    if requested is None:
-        requested = os.environ.get(BACKEND_ENV) or "auto"
-    requested = str(requested).lower()
-    if requested not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown fused backend {requested!r}; choose one of "
-            f"{', '.join(BACKEND_NAMES)} (or set {BACKEND_ENV})"
-        )
-    if requested == "numpy":
-        return "numpy", None
-    if numba_available():
-        return "numba", None
-    if requested == "numba":
-        return "numpy", "numba requested but not importable; using the numpy tiled backend"
-    return "numpy", None
 
 
 # -- the cache-blocked FV apply -----------------------------------------------
@@ -104,42 +46,31 @@ def resolve_backend(requested: str | None = None) -> tuple[str, str | None]:
 class TiledApply:
     """The matrix-free FV operator, one lateral tile at a time.
 
-    Construction takes the *owned-region* staged arrays (shape
-    ``(NX, NY, nz)`` — views are fine), the zero-padded stencil input
-    ``x_ext`` of shape ``(NX+2, NY+2, nz)``, the output array, and the
-    tile boxes; it prebuilds every per-tile operand view and the
-    max-tile-shaped scratch so :meth:`apply_tile` allocates nothing.
-    The pad ring of ``x_ext`` reproduces ``_shifted``'s zero halos
-    (edge planes are never written).
+    Construction takes a staging (:class:`~repro.wse.vector_engine._Staging`
+    — a whole grid or one shard of it; only its coefficient arrays and
+    Dirichlet masks are read), the zero-padded stencil input ``x_ext``
+    of shape ``(NX+2, NY+2, nz)``, the output array, and the tile boxes;
+    it prebuilds every per-tile operand view and the max-tile-shaped
+    scratch so :meth:`apply_tile` allocates nothing.  The pad ring of
+    ``x_ext`` reproduces ``_shifted``'s zero halos (edge planes are
+    never written).
     """
 
     def __init__(
         self,
+        st,
         *,
         x_ext: np.ndarray,
         out: np.ndarray,
         boxes,
         variant: KernelVariant,
         dtype: np.dtype,
-        coeff=None,
-        coeff_down=None,
-        coeff_up=None,
-        ups=None,
-        ups_down=None,
-        ups_up=None,
-        lam=None,
-        lam_nbr=None,
-        acc=None,
-        full_cols=None,
-        blend_mask=None,
-        has_full: bool = False,
-        has_partial: bool = False,
     ):
         self.variant = variant
         self.boxes = list(boxes)
-        self.has_full = has_full
-        self.has_partial = has_partial
-        self.has_acc = acc is not None
+        self.has_full = st.has_full
+        self.has_partial = st.has_partial
+        self.has_acc = st.acc is not None
         dtype = np.dtype(dtype)
         nz = x_ext.shape[2]
         self.nz = nz
@@ -147,11 +78,10 @@ class TiledApply:
         max_ty = max(y1 - y0 for _, _, y0, y1 in self.boxes)
         self.max_tile = (max_tx, max_ty)
 
-        # Max-tile scratch, sliced per tile below.  `diff`/`tmp` mirror
-        # ShardFields' `_diff`/`_tmp`; `vd`/`vt`/`vl` are the vertical
-        # scratch; `diff` doubles as the engines' axpy scratch (only
-        # live inside a single tile's step, exactly like the shard
-        # workers' reuse of `f._diff`).
+        # Max-tile scratch, sliced per tile below.  `diff`/`tmp` are the
+        # lateral scratch, `vd`/`vt`/`vl` the vertical scratch; `diff`
+        # doubles as the passes' axpy scratch (only live inside a single
+        # tile's step).
         shape = (max_tx, max_ty, nz)
         self._diff_full = np.empty(shape, dtype=dtype)
         self._tmp_full = np.empty(shape, dtype=dtype)
@@ -159,7 +89,7 @@ class TiledApply:
             vshape = (max_tx, max_ty, nz - 1)
             self._vd_full = np.empty(vshape, dtype=dtype)
             self._vt_full = np.empty(vshape, dtype=dtype)
-            self._vl_full = np.empty(vshape, dtype=dtype) if lam is not None else None
+            self._vl_full = np.empty(vshape, dtype=dtype) if st.lam is not None else None
 
         lo = (Ellipsis, slice(0, nz - 1))
         hi = (Ellipsis, slice(1, nz))
@@ -187,18 +117,20 @@ class TiledApply:
             )
             t["out"] = out[x0:x1, y0:y1]
             if variant is KernelVariant.PRECOMPUTED:
-                t["coeff"] = tuple(tview(coeff[port], box) for port in HALO_ORDER)
-                t["coeff_down"] = tview(coeff_down, box)
-                t["coeff_up"] = tview(coeff_up, box)
+                t["coeff"] = tuple(tview(st.coeff[port], box) for port in HALO_ORDER)
+                t["coeff_down"] = tview(st.coeff_down, box)
+                t["coeff_up"] = tview(st.coeff_up, box)
             else:
-                t["ups"] = tuple(tview(ups[port], box) for port in HALO_ORDER)
-                t["ups_down"] = tview(ups_down, box)
-                t["ups_up"] = tview(ups_up, box)
-                t["lam"] = tview(lam, box)
-                t["lam_nbr"] = tuple(tview(lam_nbr[port], box) for port in HALO_ORDER)
-            t["acc"] = tview(acc, box)
-            t["full_cols"] = tview(full_cols, box)
-            t["blend"] = tview(blend_mask, box)
+                t["ups"] = tuple(tview(st.ups[port], box) for port in HALO_ORDER)
+                t["ups_down"] = tview(st.ups_down, box)
+                t["ups_up"] = tview(st.ups_up, box)
+                t["lam"] = tview(st.lam, box)
+                t["lam_nbr"] = tuple(
+                    tview(st.lam_nbr[port], box) for port in HALO_ORDER
+                )
+            t["acc"] = tview(st.acc, box)
+            t["full_cols"] = tview(st.full_cols, box)
+            t["blend"] = tview(st.blend_mask, box)
             t["diff"] = self._diff_full[:tnx, :tny]
             t["tmp"] = self._tmp_full[:tnx, :tny]
             if nz >= 2:
@@ -218,9 +150,6 @@ class TiledApply:
                     t["lam_lo"], t["lam_hi"] = t["lam"][lo], t["lam"][hi]
             self._t.append(t)
 
-    def __len__(self) -> int:
-        return len(self.boxes)
-
     def diff_view(self, t: int) -> np.ndarray:
         """The tile's scratch buffer (free outside :meth:`apply_tile`)."""
         return self._t[t]["diff"]
@@ -228,9 +157,8 @@ class TiledApply:
     def apply_tile(self, t: int) -> np.ndarray:
         """FV apply over tile ``t``, written into the output tile view.
 
-        Mirrors :meth:`ShardFields.apply` operand for operand (which
-        mirrors ``_apply_fields``), so results are bitwise equal to the
-        untiled sweep.
+        Mirrors :class:`~repro.core.fv_kernel.FvColumnKernel` operand
+        for operand, so results are bitwise equal to an untiled sweep.
         """
         tv = self._t[t]
         x, out, diff, tmp = tv["x"], tv["out"], tv["diff"], tv["tmp"]
@@ -287,35 +215,6 @@ class TiledApply:
             out += diff
         return out
 
-    def apply(self) -> None:
-        """The whole-grid apply, tile by tile (the shard-composition
-        entry point — bitwise equal to an untiled sweep)."""
-        for t in range(len(self.boxes)):
-            self.apply_tile(t)
-
-
-def tiled_apply_from_staging(
-    st, variant: KernelVariant, *, x_ext: np.ndarray, out: np.ndarray, boxes,
-    dtype: np.dtype,
-) -> TiledApply:
-    """Build a :class:`TiledApply` over a staging's owned arrays.
-
-    ``st`` may be a global :class:`~repro.wse.vector_engine._Staging`
-    (fused engine) or any object exposing the same coefficient
-    attributes as owned-region arrays.
-    """
-    coeff = None if st.coeff is None else {p: st.coeff[p] for p in HALO_ORDER}
-    ups = None if st.ups is None else {p: st.ups[p] for p in HALO_ORDER}
-    lam_nbr = None if st.lam_nbr is None else {p: st.lam_nbr[p] for p in HALO_ORDER}
-    return TiledApply(
-        x_ext=x_ext, out=out, boxes=boxes, variant=variant, dtype=dtype,
-        coeff=coeff, coeff_down=st.coeff_down, coeff_up=st.coeff_up,
-        ups=ups, ups_down=st.ups_down, ups_up=st.ups_up,
-        lam=st.lam, lam_nbr=lam_nbr,
-        acc=st.acc, full_cols=st.full_cols, blend_mask=st.blend_mask,
-        has_full=st.has_full, has_partial=st.has_partial,
-    )
-
 
 # -- the fused pass backend ---------------------------------------------------
 
@@ -325,35 +224,37 @@ class FusedNumpyBackend:
 
     Owns one problem's work arrays (the staging's ``y``/``b``/``r``/
     ``z``/``p`` plus a padded stencil buffer refreshed from the pass's
-    source field before each apply sweep, shard-worker style) and
-    executes each CG phase as one pass over the tiles, returning
-    per-tile float64 dot partials in row-major tile order.  Always
-    available; the tests' parity baseline.
-    """
+    source field before each apply sweep) and executes each CG phase as
+    one pass over the tiles, returning per-tile float64 dot partials in
+    row-major tile order.  The pad ring of ``x_ext`` is never written
+    here: it stays zero at fabric edges (reproducing ``_shifted``) and a
+    shard worker writes its neighbours' boundary planes into it.
 
-    name = "numpy"
+    A kernel is a context manager so the driver can bracket a solve the
+    same way for every layout.  Entering re-stages the initial guess:
+    ``y`` is the only staged field a solve writes (every other work
+    array is rewritten by the init pass), so a repeated run starts from
+    exactly the state the first one did.
+    """
 
     def __init__(self, st, program, *, tile: tuple[int, int], dtype: np.dtype):
         self.jacobi = program.jacobi
-        self.mg = program.mg
         self.uses_z = program.uses_z
         dtype = np.dtype(dtype)
         nx, ny, nz = st.y.shape
         self.y, self.b, self.r, self.p = st.y, st.b, st.r, st.p
         self.z, self.inv_diag = st.z, st.inv_diag
+        self._y0 = st.y.copy()
         # The padded stencil buffer: filled from the pass's source field
-        # (y at init, p in the body) so stencil reads are pure slices —
-        # the pad ring stays zero forever, reproducing `_shifted`.
+        # (y at init, p in the body) so stencil reads are pure slices.
         self.x_ext = np.zeros((nx + 2, ny + 2, nz), dtype=dtype)
         self._inner = self.x_ext[1:-1, 1:-1, :]
         self.jx = np.empty((nx, ny, nz), dtype=dtype)
         self.boxes = tile_boxes(nx, ny, tile)
-        self.tiled = tiled_apply_from_staging(
-            st, program.variant, x_ext=self.x_ext, out=self.jx,
-            boxes=self.boxes, dtype=dtype,
+        self.tiled = TiledApply(
+            st, x_ext=self.x_ext, out=self.jx, boxes=self.boxes,
+            variant=program.variant, dtype=dtype,
         )
-        n_tiles = len(self.boxes)
-        self.n_tiles = n_tiles
         # Per-tile work views + float64 dot scratch (flat, so np.dot
         # sees contiguous buffers; the shaped views alias them for
         # allocation-free strided copies — same conversion, same BLAS
@@ -376,7 +277,7 @@ class FusedNumpyBackend:
                 "d64b": self._d64b[:cells].reshape(shape3),
                 "cells": cells,
             })
-        self._partials = np.zeros(n_tiles, dtype=np.float64)
+        self._partials = np.zeros(len(self.boxes), dtype=np.float64)
         # Full-width tiles get the contiguous slab fast path.
         self._use_slab = all(y0 == 0 and y1 == ny for _, _, y0, y1 in self.boxes)
         if self._use_slab:
@@ -503,18 +404,18 @@ class FusedNumpyBackend:
             np.multiply(s["blend"], diff, out=diff)
             out += diff
 
-    # -- apply dispatch -------------------------------------------------------
-
-    def _apply_tile(self, t: int) -> None:
-        """The narrow-tile FV apply step (the numba backend's override
-        point — everything else is already vectorized numpy)."""
-        self.tiled.apply_tile(t)
-
     def _apply(self, t: int, src: str) -> None:
         if self._use_slab:
             self._apply_slab(t, src)
         else:
-            self._apply_tile(t)
+            self.tiled.apply_tile(t)
+
+    def __enter__(self) -> "FusedNumpyBackend":
+        np.copyto(self.y, self._y0)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
 
     # -- per-tile dot (float64, deterministic row-major element order) --------
 
@@ -622,24 +523,4 @@ class FusedNumpyBackend:
         return partials
 
 
-def create_backend(
-    name: str, st, program, *, tile: tuple[int, int], dtype: np.dtype
-):
-    """Instantiate the resolved kernel backend (see :func:`resolve_backend`)."""
-    if name == "numba":
-        from repro.fused.numba_backend import FusedNumbaBackend
-
-        return FusedNumbaBackend(st, program, tile=tile, dtype=dtype)
-    return FusedNumpyBackend(st, program, tile=tile, dtype=dtype)
-
-
-__all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "FusedNumpyBackend",
-    "TiledApply",
-    "create_backend",
-    "numba_available",
-    "resolve_backend",
-    "tiled_apply_from_staging",
-]
+__all__ = ["FusedNumpyBackend", "TiledApply"]

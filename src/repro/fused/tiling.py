@@ -11,7 +11,7 @@ never split (a PE owns a whole column).
 Tile order is row-major over the tile grid and doubles as the engine's
 *deterministic reduction order*: per-tile float64 dot partials are summed
 sequentially in this order (the sharded engine's trick), so repeated runs
-are bit-identical regardless of backend or thread count.
+are bit-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -82,6 +82,15 @@ def auto_tile(nx: int, ny: int, nz: int, itemsize: int) -> tuple[int, int]:
     return (min(nx, rows), ny)
 
 
+def resolve_tile(fused_tile, nx: int, ny: int, nz: int, itemsize: int) -> tuple[int, int]:
+    """The tile a solve runs: the normalized ``fused_tile`` (or the
+    :func:`auto_tile` pick when it is ``None``), clamped to the grid."""
+    tile = normalize_fused_tile(fused_tile)
+    if tile is None:
+        tile = auto_tile(nx, ny, nz, itemsize)
+    return (min(tile[0], nx), min(tile[1], ny))
+
+
 def tile_boxes(
     nx: int, ny: int, tile: tuple[int, int]
 ) -> list[tuple[int, int, int, int]]:
@@ -100,4 +109,4 @@ def tile_boxes(
     return boxes
 
 
-__all__ = ["auto_tile", "normalize_fused_tile", "tile_boxes"]
+__all__ = ["auto_tile", "normalize_fused_tile", "resolve_tile", "tile_boxes"]

@@ -1,8 +1,8 @@
 """Admission control: group compatible queued requests into batch lanes.
 
-The economics: a fused ``(batch, nx, ny, nz)`` launch on the
-:class:`~repro.wse.vector_engine.BatchedVectorEngine` costs barely more
-than one lane's solve, so N concurrent requests that agree on *how* to
+The economics: a fused launch — one batched program on the
+:class:`~repro.core.cg_driver.CgDriver`, one lane per request — shares
+staging, charge packets and dispatch, so N concurrent requests that agree on *how* to
 solve (backend, full spec fingerprint — engine, tolerances, dtype, time
 schedule, everything) and on the grid shape should cost one launch even
 though their *targets* (permeability fields, boundary conditions)

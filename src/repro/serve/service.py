@@ -19,8 +19,8 @@ Request lifecycle (the order is the design):
    cost one solve.
 3. **admission** — genuinely new work enters the request queue; the
    admission controller groups compatible requests (same backend / spec
-   fingerprint / grid shape) into fused
-   :class:`~repro.wse.vector_engine.BatchedVectorEngine` lanes.
+   fingerprint / grid shape) into fused lanes: one batched program
+   on the :class:`~repro.core.cg_driver.CgDriver`, one lane each.
 4. **dispatch** — lanes run on a persistent worker pool (threads by
    default, processes for GIL-bound backends); failures classify
    through the retry taxonomy (:mod:`repro.serve.retry`) and retry with

@@ -734,8 +734,8 @@ class ExecutionPlan:
 
         Entries sharing (backend, spec fingerprint, grid shape) whose
         backend can batch (``solve_batch``) and whose spec doesn't pin
-        the event engine are solved as one fused ``(batch, nx, ny, nz)``
-        program per group, chunked by ``machine.batch_size``; everything
+        the event engine are solved as one batched program per group
+        (one lane per entry), chunked by ``machine.batch_size``; everything
         else falls back to per-entry serial execution, and per-entry
         error capture still holds (a failing group fails each of its
         entries, nothing else).  Per-entry ``elapsed_seconds`` is the

@@ -1,11 +1,11 @@
 """Sharded fabric execution: domain decomposition, halo exchange,
 worker crews and inter-shard link accounting.
 
-Entry point: :class:`ShardedVectorEngine`, registered behind
-``MachineSpec(engine="sharded")`` (see :mod:`repro.core.engines`).
+Entry point: :class:`ShardedKernel`, the kernel of the
+``MachineSpec(engine="sharded")`` layout (see :mod:`repro.core.engines`).
 """
 
-from repro.shard.engine import ShardedVectorEngine
+from repro.shard.kernel import ShardedKernel
 from repro.shard.layout import ShardBox, ShardLayout, normalize_shard_shape
 from repro.shard.links import (
     InterShardLinkModel,
@@ -23,7 +23,7 @@ __all__ = [
     "ShardBox",
     "ShardLayout",
     "ShardLinkCounters",
-    "ShardedVectorEngine",
+    "ShardedKernel",
     "normalize_shard_shape",
     "project_multiwafer",
 ]

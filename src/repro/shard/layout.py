@@ -9,8 +9,8 @@ Splits are balanced (``numpy.array_split`` semantics: the first
 divide the grid are first-class rather than an error.
 
 The layout is pure geometry: boxes, neighbour topology and boundary
-extents.  Halo buffers live in :mod:`repro.shard.halo`, the analytic
-link accounting in :mod:`repro.shard.links`.
+extents.  Halo mailboxes live in :mod:`repro.shard.workers`, the
+analytic link accounting in :mod:`repro.shard.links`.
 """
 
 from __future__ import annotations

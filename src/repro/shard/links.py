@@ -3,12 +3,12 @@
 Two layers:
 
 * :class:`InterShardLinkModel` — counts the *actual* traffic the sharded
-  engine moves between shards during a solve: one boundary plane per
+  layout moves between shards during a solve: one boundary plane per
   live boundary per halo exchange, plus the gather/broadcast scalars of
-  every cross-shard dot-product reduction.  Charged in lockstep with the
-  engine's rounds, so the counters are exact, not estimated.  On a
-  ``1x1`` layout every counter is zero — sharding a fabric onto one
-  worker moves nothing.
+  every cross-shard dot-product reduction.  Charged from the solve's
+  exchange and reduction counts, so the counters are exact, not
+  estimated.  On a ``1x1`` layout every counter is zero — sharding a
+  fabric onto one worker moves nothing.
 
 * :func:`project_multiwafer` — the ROADMAP's "what-if" study: extend the
   same link accounting to fabrics *larger than one wafer*, where each
@@ -56,7 +56,7 @@ class ShardLinkCounters:
 
 
 class InterShardLinkModel:
-    """Charge inter-shard traffic alongside the engine's rounds.
+    """Charge inter-shard traffic per halo exchange and reduction.
 
     A halo exchange moves each live boundary's plane in both directions
     (two messages of ``extent * nz`` elements); a reduction gathers one
@@ -74,20 +74,20 @@ class InterShardLinkModel:
         self._elems_per_exchange = 2 * sum(ext for _, _, ext in boundaries) * nz
         self.counters = ShardLinkCounters()
 
-    def charge_exchange(self) -> None:
+    def charge_exchange(self, count: int = 1) -> None:
         c = self.counters
-        c.exchanges += 1
-        c.halo_messages += self._messages_per_exchange
-        c.halo_bytes += self._elems_per_exchange * self.elem_bytes
+        c.exchanges += count
+        c.halo_messages += self._messages_per_exchange * count
+        c.halo_bytes += self._elems_per_exchange * self.elem_bytes * count
 
-    def charge_reduce(self) -> None:
+    def charge_reduce(self, count: int = 1) -> None:
         c = self.counters
-        c.reductions += 1
+        c.reductions += count
         n = self.layout.n_shards
         if n > 1:
             # Gather (n-1 partials to the root) + broadcast (n-1 totals).
-            c.reduce_messages += 2 * (n - 1)
-            c.reduce_bytes += 2 * (n - 1) * REDUCE_SCALAR_BYTES
+            c.reduce_messages += 2 * (n - 1) * count
+            c.reduce_bytes += 2 * (n - 1) * REDUCE_SCALAR_BYTES * count
 
     def to_dict(self) -> dict:
         return {

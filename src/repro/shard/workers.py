@@ -1,20 +1,15 @@
 """Shard workers and the pools ("crews") that run them.
 
-A :class:`ShardWorker` owns one shard's numerics; the coordinator
-(:class:`repro.shard.engine.ShardedVectorEngine`) drives all workers in
-lockstep *rounds* (named after :meth:`CgProgram.shard_rounds`): every
-round is a barrier — the coordinator dispatches it to every worker,
-collects every shard's partial dot product, reduces, and only then
-dispatches the next round.  Halo mailboxes are written at the end of one
-round and read at the start of a later one, so the barrier *is* the
-happens-before edge that makes the exchange race-free.
-
-Rounds are split into ``dispatch(name, scalar)`` / ``collect()`` halves
-so the coordinator can run its (pure-Python) charge-model bookkeeping
-*between* the two — overlapping with the workers' NumPy sweeps on the
-thread and process crews instead of serialising after them.  ``round()``
-is dispatch immediately followed by collect; ``collect()`` is the
-barrier either way.
+A :class:`ShardWorker` owns one shard's numerics: a
+:class:`~repro.fused.kernels.FusedNumpyBackend` over the shard's slice
+of the staging, whose ``x_ext`` pad ring takes the neighbours' boundary
+planes.  The :class:`~repro.shard.kernel.ShardedKernel` drives all
+workers in lockstep *rounds* (named after :meth:`CgProgram.shard_rounds`):
+every round is a barrier — it is dispatched to every worker and returns
+once every shard has handed back its dot partials.  Halo mailboxes are
+written at the end of one round and read at the start of a later one,
+so the barrier *is* the happens-before edge that makes the exchange
+race-free.
 
 Three crews share the worker code:
 
@@ -30,9 +25,9 @@ Three crews share the worker code:
   parallelism is memory-bandwidth-bound.
 
 Every crew guarantees **no orphaned workers**: threads and processes are
-daemonic, and ``close()`` (called by the engine in a ``finally``) joins
-them with a terminate fallback.  ``benchmarks/shard_smoke.py`` asserts
-this in CI.
+daemonic, and ``close()`` (called when the kernel's run ends, however it
+ends) joins them with a terminate fallback.  ``benchmarks/shard_smoke.py``
+asserts this in CI.
 """
 
 from __future__ import annotations
@@ -46,10 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fv_kernel import KernelVariant
-from repro.shard.halo import ShardFields
+from repro.core.program import CgProgram
+from repro.fused.kernels import FusedNumpyBackend
 from repro.shard.layout import DIRECTIONS, OPPOSITE, ShardBox, ShardLayout
 from repro.util.errors import ConfigurationError
+from repro.wse.vector_engine import staging_from_arrays
 
 #: Worker-pool modes the sharded engine accepts.
 CREW_MODES = ("serial", "thread", "process")
@@ -70,21 +66,23 @@ def default_crew(layout: ShardLayout) -> str:
 
 @dataclass(frozen=True)
 class WorkerParams:
-    """Per-solve scalars every worker needs (picklable — no arrays)."""
+    """Per-solve settings every worker needs (picklable — no arrays)."""
 
-    variant: KernelVariant
-    jacobi: bool
-    suppress: bool
+    program: CgProgram
     dtype: str
+    #: The *global* Dirichlet flags (see :func:`staging_from_arrays`).
     has_full: bool
     has_partial: bool
-    #: Cache-tile shape for the fused-kernel composition (``None`` keeps
-    #: the strided whole-slab sweep).
+    #: Cache-tile shape inside the shard (``None``: one whole-shard tile).
     fused_tile: tuple[int, int] | None = None
-    #: Multigrid preconditioning: workers push residual blocks to the
-    #: result board and read the coordinator's V-cycle output back from
-    #: it (the ``push``/``mg_*`` rounds).
-    mg: bool = False
+
+
+def _boundary_plane(field: np.ndarray, direction: str) -> np.ndarray:
+    """The one-cell boundary plane of ``field`` on side ``direction``."""
+    return {
+        "west": field[0, :, :], "east": field[-1, :, :],
+        "north": field[:, 0, :], "south": field[:, -1, :],
+    }[direction]
 
 
 class ShardWorker:
@@ -99,106 +97,87 @@ class ShardWorker:
         result: np.ndarray,
         params: WorkerParams,
     ):
-        self.box = box
-        self.params = params
-        self.fields = ShardFields(
-            arrays, box,
-            variant=params.variant, jacobi=params.jacobi,
+        program = params.program
+        self.mg = program.mg
+        st = staging_from_arrays(
+            arrays, program, (slice(box.x0, box.x1), slice(box.y0, box.y1)),
             has_full=params.has_full, has_partial=params.has_partial,
-            dtype=np.dtype(params.dtype),
-            fused_tile=params.fused_tile,
-            mg=params.mg,
         )
-        self.outbox = outboxes[box.index]
-        # My halo source in direction d is that neighbour's plane
-        # published *toward me* — its OPPOSITE[d] mailbox.
-        self.inboxes: dict[str, np.ndarray | None] = {
-            direction: (
-                outboxes[nbr][OPPOSITE[direction]] if nbr is not None else None
-            )
-            for direction, nbr in neighbors.items()
+        self.kernel = FusedNumpyBackend(
+            st, program, tile=params.fused_tile or (box.nx, box.ny),
+            dtype=np.dtype(params.dtype),
+        )
+        # The sides of the kernel's stencil-buffer pad ring (the corners
+        # are never read).  Fabric-edge sides stay zero forever, which
+        # reproduces `_shifted`'s zero halos.  My halo source in
+        # direction d is that neighbour's plane published *toward me* —
+        # its OPPOSITE[d] mailbox.
+        ext = self.kernel.x_ext
+        pads = {
+            "west": ext[0, 1:-1], "east": ext[-1, 1:-1],
+            "north": ext[1:-1, 0], "south": ext[1:-1, -1],
         }
-        self.result = result
-        self.jx: np.ndarray | None = None
+        self.halos = [
+            (pads[direction], outboxes[nbr][OPPOSITE[direction]])
+            for direction, nbr in neighbors.items()
+            if nbr is not None
+        ]
+        self.outbox = outboxes[box.index]
+        # The crew board: the gather target, and the mg residual/
+        # correction exchange with the coordinator's V-cycle.
+        self.board = result[box.x0:box.x1, box.y0:box.y1, :]
 
-    def _board(self) -> np.ndarray:
-        box = self.box
-        return self.result[box.x0:box.x1, box.y0:box.y1, :]
+    def _fill(self) -> None:
+        """Copy the neighbours' published planes into the pad ring."""
+        for pad, inbox in self.halos:
+            pad[...] = inbox
 
-    def round(self, name: str, scalar: float | None = None) -> float | None:
-        f = self.fields
-        jacobi, mg = self.params.jacobi, self.params.mg
-        suppress = self.params.suppress
-        box = self.box
-        if name == "gather":
-            self.result[box.x0:box.x1, box.y0:box.y1, :] = f.y
-            return None
-        if suppress:
-            # comm-only programs never touch the arithmetic; partial
-            # dots are zero exactly as on the single-shard engines.
-            return 0.0 if name in ("init", "body", "update") else None
+    def _publish(self, field: np.ndarray) -> None:
+        """Copy this shard's boundary planes into its mailboxes."""
+        for direction, plane in self.outbox.items():
+            plane[...] = _boundary_plane(field, direction)
+
+    def round(self, name: str, scalar: float | None = None) -> list | None:
+        """Run round ``name``; reducing rounds return the shard's dot
+        partials (tile order)."""
+        k = self.kernel
         if name == "stage":
-            f.publish(f.y, self.outbox)
-            return None
-        if name == "init":
-            f.fill(f.y, self.inboxes)
-            jx = f.apply()
-            np.subtract(f.b, jx, out=f.r, casting="unsafe")
-            if mg:
-                # The V-cycle is a host-assisted program construct: push
-                # the residual block to the board and wait for the
-                # coordinator's z ("mg_init" completes the phase).
-                self._board()[...] = f.r
-                return None
-            if jacobi:
-                np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
-                f.p[...] = f.z
-                local = f.dot(f.r, f.z)
-            else:
-                f.p[...] = f.r
-                local = f.dot(f.r, f.r)
-            # p is NOT published here: neighbours may still be filling
-            # their y halos from these same single-buffered mailbox
-            # planes — the coordinator runs the "publish" round after
-            # the init barrier.
-            return local
-        if name == "mg_init":
-            f.z[...] = self._board()
-            f.p[...] = f.z
-            return f.dot(f.r, f.z)
-        if name == "publish":
-            f.publish(f.p, self.outbox)
-            return None
-        if name == "body":
-            f.fill(f.p, self.inboxes)
-            self.jx = f.apply()
-            return f.dot(f.p, self.jx)
-        if name == "update":
-            # axpys through the fields' scratch (f._diff is only live
-            # inside apply) — `alpha * p` lands in the same dtype with
-            # the same rounding, minus the temporary.
-            alpha = scalar
-            np.multiply(f.p, alpha, out=f._diff, casting="unsafe")
-            f.y += f._diff
-            np.multiply(self.jx, -alpha, out=f._diff, casting="unsafe")
-            f.r += f._diff
-            if mg:
-                self._board()[...] = f.r
-                return None
-            if jacobi:
-                np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
-                return f.dot(f.r, f.z)
-            return f.dot(f.r, f.r)
-        if name == "mg_update":
-            f.z[...] = self._board()
-            return f.dot(f.r, f.z)
-        if name == "direction":
-            beta = scalar
-            np.multiply(f.p, beta, out=f.p, casting="unsafe")
-            f.p += f.z if (jacobi or mg) else f.r
-            f.publish(f.p, self.outbox)
-            return None
-        raise ConfigurationError(f"unknown shard round {name!r}")
+            self._publish(k.y)
+        elif name == "gather":
+            self.board[...] = k.y
+        elif name == "publish":
+            # p is published in its own round, after the init barrier:
+            # neighbours may still be filling their y halos from these
+            # same single-buffered mailbox planes.
+            self._publish(k.p)
+        elif name == "init":
+            self._fill()
+            if not self.mg:
+                return k.init_pass().tolist()
+            # The V-cycle is global: push r to the board and wait for
+            # the coordinator's z ("mg_init" completes the phase).
+            k.init_residual_pass()
+            self.board[...] = k.r
+        elif name == "mg_init":
+            k.z[...] = self.board
+            return k.mg_seed_pass().tolist()
+        elif name == "body":
+            self._fill()
+            return k.body_pass().tolist()
+        elif name == "update":
+            if not self.mg:
+                return k.update_pass(scalar).tolist()
+            k.update_axpy_pass(scalar)
+            self.board[...] = k.r
+        elif name == "mg_update":
+            k.z[...] = self.board
+            return k.mg_dot_pass().tolist()
+        elif name == "direction":
+            k.direction_pass(scalar)
+            self._publish(k.p)
+        else:
+            raise ConfigurationError(f"unknown shard round {name!r}")
+        return None
 
 
 def _build_outboxes(
@@ -227,13 +206,10 @@ class SerialCrew:
 
     def __init__(self, layout, arrays, params, nz, dtype):
         dtype = np.dtype(dtype)
-        shape = (layout.nx, layout.ny, nz)
-
-        def make(s, dt):
-            return np.zeros(s, dtype=dt)
-
-        self._result = np.zeros(shape, dtype=dtype)
-        outboxes = _build_outboxes(layout, nz, dtype, make)
+        self._result = np.zeros((layout.nx, layout.ny, nz), dtype=dtype)
+        outboxes = _build_outboxes(
+            layout, nz, dtype, lambda shape, dt: np.zeros(shape, dtype=dt)
+        )
         self._workers = [
             ShardWorker(
                 arrays, box, layout.neighbors(box), outboxes,
@@ -245,53 +221,33 @@ class SerialCrew:
     def start(self) -> None:
         self.round("stage")
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
-        # No workers to hand off to — run the round inline and let
-        # collect() hand back the results.
-        self._pending = [w.round(name, scalar) for w in self._workers]
-
-    def collect(self) -> list[float | None]:
-        pending, self._pending = self._pending, None
-        return pending
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
+    def round(self, name: str, scalar: float | None = None) -> list:
+        """Run one round on every shard; the per-shard results, in
+        shard order (returning is the barrier)."""
+        return [w.round(name, scalar) for w in self._workers]
 
     def board(self) -> np.ndarray:
-        """The shared full-grid scratch board (mg residual/correction
-        staging between barriers; also the gather target)."""
+        """The full-grid board (mg residual/correction staging between
+        barriers; also the gather target)."""
         return self._result
 
     def gather(self) -> np.ndarray:
         self.round("gather")
-        return self._result.copy()
+        return self.board().copy()
 
     def close(self) -> None:
         pass
 
 
-class ThreadCrew:
-    """Persistent daemon threads, one per shard, dispatched per round."""
+class ThreadCrew(SerialCrew):
+    """Persistent daemon threads, one per shard, dispatched per round
+    (queue hand-offs order the coordinator's board writes against the
+    workers' reads)."""
 
     mode = "thread"
 
     def __init__(self, layout, arrays, params, nz, dtype):
-        dtype = np.dtype(dtype)
-        shape = (layout.nx, layout.ny, nz)
-
-        def make(s, dt):
-            return np.zeros(s, dtype=dt)
-
-        self._result = np.zeros(shape, dtype=dtype)
-        outboxes = _build_outboxes(layout, nz, dtype, make)
-        self._workers = [
-            ShardWorker(
-                arrays, box, layout.neighbors(box), outboxes,
-                self._result, params,
-            )
-            for box in layout.boxes
-        ]
+        super().__init__(layout, arrays, params, nz, dtype)
         self._cmd: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in self._workers
         ]
@@ -318,14 +274,12 @@ class ThreadCrew:
     def start(self) -> None:
         for t in self._threads:
             t.start()
-        self.round("stage")
+        super().start()
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
+    def round(self, name: str, scalar: float | None = None) -> list:
         for q in self._cmd:
             q.put((name, scalar))
-
-    def collect(self) -> list[float | None]:
-        results: list[float | None] = [None] * len(self._workers)
+        results: list = [None] * len(self._workers)
         error: BaseException | None = None
         for _ in self._workers:
             i, status, payload = self._out.get()
@@ -336,19 +290,6 @@ class ThreadCrew:
         if error is not None:
             raise error
         return results
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
-
-    def board(self) -> np.ndarray:
-        """See :meth:`SerialCrew.board` (queue hand-offs order the
-        coordinator's board writes against the workers' reads)."""
-        return self._result
-
-    def gather(self) -> np.ndarray:
-        self.round("gather")
-        return self._result.copy()
 
     def close(self) -> None:
         for q in self._cmd:
@@ -396,7 +337,7 @@ def _process_main(conn, arrays_shm, box, neighbors, outbox_shm, result_shm, para
             conn.send(("err", traceback.format_exc()))
 
 
-class ProcessCrew:
+class ProcessCrew(SerialCrew):
     """One spawned process per shard over anonymous shared memory."""
 
     mode = "process"
@@ -411,18 +352,10 @@ class ProcessCrew:
             raw, meta = _shared_array(ctx, arr.shape, arr.dtype)
             _view(raw, meta)[...] = arr
             arrays_shm[key] = (raw, meta)
-        outbox_shm = []
-
-        def make_shm(shape, dt):
-            return _shared_array(ctx, shape, np.dtype(dt))
-
-        for box in layout.boxes:
-            planes = {}
-            for direction, _, _ in DIRECTIONS:
-                if layout.neighbor_index(box, direction) is not None:
-                    extent = box.ny if direction in ("west", "east") else box.nx
-                    planes[direction] = make_shm((extent, nz), dtype)
-            outbox_shm.append(planes)
+        outbox_shm = _build_outboxes(
+            layout, nz, dtype,
+            lambda shape, dt: _shared_array(ctx, shape, np.dtype(dt)),
+        )
         self._result_shm = _shared_array(ctx, (layout.nx, layout.ny, nz), dtype)
         self._procs = []
         self._conns = []
@@ -452,13 +385,10 @@ class ProcessCrew:
                 )
         self.round("stage")
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
-        self._round_name = name
+    def round(self, name: str, scalar: float | None = None) -> list:
         for conn in self._conns:
             conn.send((name, scalar))
-
-    def collect(self) -> list[float | None]:
-        results: list[float | None] = [None] * len(self._conns)
+        results: list = [None] * len(self._conns)
         error: str | None = None
         for i, conn in enumerate(self._conns):
             status, payload = conn.recv()
@@ -467,23 +397,13 @@ class ProcessCrew:
             else:
                 results[i] = payload
         if error is not None:
-            raise RuntimeError(
-                f"shard worker round {self._round_name!r} failed:\n{error}"
-            )
+            raise RuntimeError(f"shard worker round {name!r} failed:\n{error}")
         return results
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
 
     def board(self) -> np.ndarray:
         """See :meth:`SerialCrew.board` (the shared-memory view; pipe
         messages order writes against the children's reads)."""
         return _view(*self._result_shm)
-
-    def gather(self) -> np.ndarray:
-        self.round("gather")
-        return _view(*self._result_shm).copy()
 
     def close(self) -> None:
         for conn in self._conns:

@@ -322,9 +322,9 @@ class MachineSpec:
     * ``comm_only`` — Table IV methodology: suppress floating point
       (dataflow only, requires ``fixed_iterations``);
     * ``fixed_iterations`` — run exactly N CG steps (dataflow and GPU);
-    * ``batch_size`` — cap on problems fused per ``(batch, nx, ny, nz)``
-      program in batched execution (dataflow + vectorized engine only;
-      ``None`` fuses a whole compatible batch).  The event engine and
+    * ``batch_size`` — cap on lanes per batched program (dataflow
+      vectorized/fused engines only; ``None`` puts a whole compatible
+      batch in one program).  The event engine and
       the gpu/reference backends reject it.
     * ``shard_shape`` — ``(shards_x, shards_y)`` domain decomposition of
       the fabric for the sharded engine (an ``int`` means a 1-D

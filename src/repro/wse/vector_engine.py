@@ -1,54 +1,43 @@
-"""The vectorized whole-fabric engine: paper-scale execution.
+"""Staging, memory rehearsal and the analytic charge model of the
+array engines.
 
 The per-PE program is identical across the fabric (the premise of the
-paper's SPMD kernel), so instead of instantiating one Python
-:class:`~repro.wse.pe.ProcessingElement` per PE and one event per
-wavelet, this engine executes each phase of the
-:class:`~repro.core.program.CgProgram` over the *whole fabric at once*
-as ``(nx, ny, nz)`` NumPy array sweeps — the matrix-free observation
-(operator evaluation is structured array sweeps, Kronbichler & Kormann)
-applied to the machine simulation itself:
+paper's SPMD kernel), so every fabric engine except the event oracle
+executes each phase of the :class:`~repro.core.program.CgProgram` over
+whole arrays instead of one Python PE per fabric PE and one event per
+wavelet — the matrix-free observation (operator evaluation is
+structured array sweeps, Kronbichler & Kormann) applied to the machine
+simulation itself.  The numerics live in the tiled kernel
+(:mod:`repro.fused.kernels`) and the CG loop in
+:class:`~repro.core.cg_driver.CgDriver`; this module holds what they
+share:
 
-* **halo exchange** becomes four zero-padded slice shifts — the data
-  every PE's ``halo_W/E/N/S`` buffer would hold after a 4-step round;
-* **FV apply** mirrors ``FvColumnKernel`` instruction by instruction
-  (same operand order, so fp results are bit-identical per element);
-* **axpy/dot** are whole-array updates; dot products accumulate in
-  float64 (within round-off of the fabric's sequential per-PE chain);
-* **all-reduce** is exact in exact arithmetic — a single global sum.
-
-Fidelity is preserved through an *analytic* cycle/counter model
-(:class:`_ChargeModel`) charged from the same :mod:`repro.wse.isa` cost
-tables the event engine uses: instruction counts, FLOPs, memory and
-fabric traffic reproduce the event-driven oracle exactly (tested in
-``tests/test_engine_parity.py`` and fuzzed in
-``tests/test_engine_fuzz.py``); the makespan is a per-phase
-critical-path estimate rather than an event-accurate schedule.  Per-PE
-memory is enforced by rehearsing the exact staging allocation sequence
-against a real :class:`~repro.wse.memory.MemoryArena`, so oversized
-columns raise :class:`~repro.util.errors.PeOutOfMemory` exactly like
-the oracle.
-
-Two engines share the machinery:
-
-* :class:`VectorEngine` — one problem, ``(nx, ny, nz)`` sweeps;
-* :class:`BatchedVectorEngine` — many independent problems on one grid
-  shape, ``(batch, nx, ny, nz)`` sweeps with per-problem convergence
-  masking: converged lanes freeze (no further updates, no further
-  charges) while the rest keep iterating, and every lane gets its own
-  :class:`~repro.core.program.EngineReport` whose counters equal what a
-  serial vectorized solve of that problem alone would have produced.
+* **staging** — :func:`_stage_problem` lays one problem out as
+  ``(nx, ny, nz)`` field arrays plus the per-PE column classification;
+  :func:`staging_to_arrays` / :func:`staging_from_arrays` ship it to
+  shard workers as plain arrays;
+* **memory** — the event engine's per-PE allocation sequence is
+  rehearsed against a real :class:`~repro.wse.memory.MemoryArena`, so
+  oversized columns raise :class:`~repro.util.errors.PeOutOfMemory`
+  exactly like the oracle;
+* **charges** — :class:`_ChargeModel` is an *analytic* cycle/counter
+  model over the same :mod:`repro.wse.isa` cost tables the event engine
+  uses: instruction counts, FLOPs, memory and fabric traffic reproduce
+  the oracle exactly (tested in ``tests/test_engine_parity.py`` and
+  fuzzed in ``tests/test_engine_fuzz.py``); the makespan is a per-phase
+  critical-path estimate rather than an event-accurate schedule;
+* **packets** — :func:`build_init_packet` and
+  :func:`build_iteration_packets` play the charge sequence of INIT and
+  of one loop iteration once; the driver merges them per lane.
 
 What the model gives up: link-level contention, task skew between
 neighbouring PEs, and per-wavelet ordering.  What it buys: fabrics the
-event engine cannot reach — the full 750×994 wafer runs in seconds —
-and, batched, whole scenario families per NumPy pipeline.
+event engine cannot reach — the full 750×994 wafer runs in seconds.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +49,6 @@ from repro.core.fv_kernel import (
     COEFF_UP,
     DirichletKind,
     FvColumnKernel,
-    HALO_ORDER,
     KernelVariant,
     MOBILITY_BUFFER,
     MOBILITY_OWN,
@@ -70,8 +58,8 @@ from repro.core.fv_kernel import (
     UPSILON_UP,
 )
 from repro.core.host import CG_COLUMN_BUFFERS
-from repro.core.mapping import DIRECTION_FOR_PORT, ProblemMapping
-from repro.core.program import CgProgram, EngineReport
+from repro.core.mapping import DIRECTION_FOR_PORT
+from repro.core.program import CgProgram
 from repro.fv.transmissibility import compute_transmissibility
 from repro.mesh.grid import Direction
 from repro.physics.darcy import SinglePhaseProblem
@@ -90,9 +78,7 @@ def _shifted(field: np.ndarray, port: Port) -> np.ndarray:
     ``out[..., x, y, :] = field[..., x + dx, y + dy, :]`` with zeros
     where the neighbour is off-fabric — exactly the halo buffer contents
     after an exchange round (edge halos stay zero; the boundary
-    coefficient is zero anyway).  The lateral axes are the trailing
-    ``(nx, ny, nz)`` triple, so the same shift serves single-problem
-    fields and ``(batch, nx, ny, nz)`` stacks."""
+    coefficient is zero anyway)."""
     dx, dy = port.offset
     out = np.zeros_like(field)
     src = [slice(None)] * field.ndim
@@ -110,7 +96,7 @@ def normalize_guesses(initial_pressure, count: int, shape: tuple) -> list:
     """One initial guess per problem: ``None`` (problem defaults), a
     single shared field, or a per-problem stack/sequence (the multi-RHS
     transient case).  The single owner of this validation — the solver's
-    ``solve_batch`` and the batched engine both route through it."""
+    ``solve_batch`` and the batched layouts both route through it."""
     if initial_pressure is None:
         return [None] * count
     if isinstance(initial_pressure, np.ndarray):
@@ -135,13 +121,11 @@ def normalize_guesses(initial_pressure, count: int, shape: tuple) -> list:
 
 
 class _Staging:
-    """Staged field arrays + per-PE column classification.
+    """Staged ``(nx, ny, nz)`` field arrays + per-PE column classification.
 
-    Built per problem by :func:`_stage_problem` (trailing ``(nx, ny,
-    nz)`` axes); :func:`_stack_stagings` stacks several single-problem
-    stagings into one ``(batch, nx, ny, nz)`` staging for the batched
-    engine.  The numerics kernels (:func:`_apply_fields` and friends)
-    only touch attributes, so both layouts execute the same code."""
+    Built per problem by :func:`_stage_problem`, or per shard by
+    :func:`staging_from_arrays`; the kernel only touches attributes, so
+    a whole grid and one shard of it run the same code."""
 
     __slots__ = (
         "y", "b", "r", "p", "z", "inv_diag", "acc",
@@ -312,152 +296,47 @@ def staging_to_arrays(st: _Staging, program: CgProgram) -> dict[str, np.ndarray]
     return arrays
 
 
-def _gather_staging(st: _Staging, idx: np.ndarray, variant: KernelVariant) -> _Staging:
-    """The rows ``idx`` of a stacked staging, as a smaller staging.
+def staging_from_arrays(
+    arrays: dict[str, np.ndarray],
+    program: CgProgram,
+    owned: tuple[slice, slice],
+    *,
+    has_full: bool,
+    has_partial: bool,
+) -> _Staging:
+    """One shard's staging: :func:`staging_to_arrays` inverted over the
+    lateral window ``owned``, as contiguous copies plus fresh work
+    arrays.  ``has_full``/``has_partial`` stay the *global* flags — a
+    shard without partial columns still runs the (no-op) blend, so its
+    op sequence, and every ±0.0, matches a whole-grid sweep."""
 
-    Lets the batched engine run the FV operator over only the still-
-    active lanes once enough of the batch has converged (elementwise
-    results are identical; only frozen-lane work is skipped).  Gathers
-    just the arrays :func:`_apply_fields` reads."""
-    out = _Staging()
-    out.z = out.inv_diag = out.mg_hier = None
-    out.acc = None if st.acc is None else st.acc[idx]
-    out.coeff = out.coeff_down = out.coeff_up = None
-    out.ups = out.ups_down = out.ups_up = out.lam = out.lam_nbr = None
-    if variant is KernelVariant.PRECOMPUTED:
-        out.coeff = {port: arr[idx] for port, arr in st.coeff.items()}
-        out.coeff_down = st.coeff_down[idx]
-        out.coeff_up = st.coeff_up[idx]
-    else:
-        out.ups = {port: arr[idx] for port, arr in st.ups.items()}
-        out.ups_down = st.ups_down[idx]
-        out.ups_up = st.ups_up[idx]
-        out.lam = st.lam[idx]
-        out.lam_nbr = {port: arr[idx] for port, arr in st.lam_nbr.items()}
-    out.full_cols = st.full_cols[idx]
-    out.blend_mask = st.blend_mask[idx]
-    out.has_full = st.has_full
-    out.has_partial = st.has_partial
-    out.kind_counts = None
-    out.kernel_plans = None
-    return out
+    def local(name: str) -> np.ndarray:
+        return np.ascontiguousarray(arrays[name][owned])
 
-
-def _stack_stagings(stagings: Sequence[_Staging], program: CgProgram) -> _Staging:
-    """Stack per-problem stagings into one ``(batch, nx, ny, nz)`` staging."""
-    out = _Staging()
-
-    def stack(name: str):
-        return np.stack([getattr(s, name) for s in stagings])
-
-    for name in ("y", "b", "r", "p"):
-        setattr(out, name, stack(name))
-    out.z = out.inv_diag = out.mg_hier = None
-    out.acc = stack("acc") if program.accumulation else None
-    out.coeff = out.coeff_down = out.coeff_up = None
-    out.ups = out.ups_down = out.ups_up = out.lam = out.lam_nbr = None
+    st = _Staging()
+    # y is the one staged field a solve writes, so it is always a copy
+    # (a whole-grid window would otherwise alias the caller's array).
+    st.y, st.b = np.array(arrays["y"][owned]), local("b")
+    st.r, st.p = np.zeros_like(st.y), np.zeros_like(st.y)
+    st.z = np.zeros_like(st.y) if program.uses_z else None
+    st.inv_diag = local("inv_diag") if "inv_diag" in arrays else None
+    st.acc = local("acc") if "acc" in arrays else None
+    st.coeff = st.coeff_down = st.coeff_up = None
+    st.ups = st.ups_down = st.ups_up = st.lam = st.lam_nbr = None
     if program.variant is KernelVariant.PRECOMPUTED:
-        out.coeff = {
-            port: np.stack([s.coeff[port] for s in stagings]) for port in COEFF_BUFFER
-        }
-        out.coeff_down = stack("coeff_down")
-        out.coeff_up = stack("coeff_up")
+        st.coeff = {port: local(f"coeff_{port.name}") for port in COEFF_BUFFER}
+        st.coeff_down, st.coeff_up = local("coeff_down"), local("coeff_up")
     else:
-        out.ups = {
-            port: np.stack([s.ups[port] for s in stagings]) for port in UPSILON_BUFFER
+        st.ups = {port: local(f"ups_{port.name}") for port in UPSILON_BUFFER}
+        st.ups_down, st.ups_up = local("ups_down"), local("ups_up")
+        st.lam = local("lam")
+        st.lam_nbr = {
+            port: local(f"lam_nbr_{port.name}") for port in MOBILITY_BUFFER
         }
-        out.ups_down = stack("ups_down")
-        out.ups_up = stack("ups_up")
-        out.lam = stack("lam")
-        out.lam_nbr = {
-            port: np.stack([s.lam_nbr[port] for s in stagings])
-            for port in MOBILITY_BUFFER
-        }
-    if program.jacobi:
-        out.inv_diag = stack("inv_diag")
-        out.z = stack("z")
-    elif program.mg:
-        out.z = stack("z")
-    out.full_cols = stack("full_cols")
-    out.blend_mask = stack("blend_mask")
-    out.has_full = any(s.has_full for s in stagings)
-    out.has_partial = any(s.has_partial for s in stagings)
-    out.kind_counts = None  # per-lane; lives with each lane's charge model
-    out.kernel_plans = None
-    return out
-
-
-# -- the matrix-free operator over staged fields ------------------------------
-
-
-def _lateral_precomputed(st: _Staging, x: np.ndarray) -> np.ndarray:
-    out = None
-    for port in HALO_ORDER:
-        diff = x - _shifted(x, port)
-        if out is None:
-            out = st.coeff[port] * diff
-        else:
-            out += st.coeff[port] * diff
-    return out
-
-
-def _lateral_fused(st: _Staging, x: np.ndarray) -> np.ndarray:
-    out = None
-    for port in HALO_ORDER:
-        c = st.lam + st.lam_nbr[port]
-        np.multiply(c, 0.5, out=c, casting="unsafe")
-        np.multiply(c, st.ups[port], out=c, casting="unsafe")
-        diff = x - _shifted(x, port)
-        np.multiply(diff, c, out=diff, casting="unsafe")
-        if out is None:
-            out = diff.copy()
-        else:
-            out += diff
-    return out
-
-
-def _vertical(st: _Staging, variant: KernelVariant, x: np.ndarray, out: np.ndarray) -> None:
-    nz = x.shape[-1]
-    if nz < 2:
-        return
-    lo = (Ellipsis, slice(0, nz - 1))
-    hi = (Ellipsis, slice(1, nz))
-    diff_up = x[lo] - x[hi]
-    diff_down = x[hi] - x[lo]
-    if variant is KernelVariant.PRECOMPUTED:
-        out[lo] += st.coeff_up[lo] * diff_up
-        out[hi] += st.coeff_down[hi] * diff_down
-    else:
-        lam = st.lam
-        for rng, other, ups, diff in (
-            (lo, hi, st.ups_up, diff_up),
-            (hi, lo, st.ups_down, diff_down),
-        ):
-            lam2 = lam[rng] + lam[other]
-            np.multiply(lam2, 0.5, out=lam2, casting="unsafe")
-            np.multiply(lam2, ups[rng], out=lam2, casting="unsafe")
-            out[rng] += lam2 * diff
-
-
-def _apply_fields(st: _Staging, variant: KernelVariant, x: np.ndarray) -> np.ndarray:
-    """The matrix-free FV operator over the whole (possibly batched)
-    fabric.  Mirrors :class:`FvColumnKernel` instruction for instruction
-    (same operand order), so per-element fp results match the event
-    engine bit for bit."""
-    if variant is KernelVariant.PRECOMPUTED:
-        out = _lateral_precomputed(st, x)
-    else:
-        out = _lateral_fused(st, x)
-    _vertical(st, variant, x, out)
-    if st.acc is not None:
-        # Transient term (same operand order as the kernel's FMA; zero on
-        # Dirichlet rows, so the masks below are unaffected).
-        out += st.acc * x
-    if st.has_full:
-        out[st.full_cols] = x[st.full_cols]
-    if st.has_partial:
-        out += st.blend_mask * (x - out)
-    return out
+    st.full_cols, st.blend_mask = local("full_cols"), local("blend_mask")
+    st.has_full, st.has_partial = has_full, has_partial
+    st.kind_counts = st.kernel_plans = st.mg_hier = None
+    return st
 
 
 # -- memory model -------------------------------------------------------------
@@ -554,10 +433,10 @@ class _ChargeModel:
     """Analytic per-problem cycle/counter state over the ISA cost tables.
 
     One instance accumulates the charges of one problem's solve.  The
-    batched engine additionally uses throwaway instances as *charge
-    packets*: play a phase sequence once on a :meth:`fresh` model, then
-    :meth:`merge` the result into every lane that executed that sequence
-    — per-lane charges stay exactly what a serial solve of that lane
+    driver also uses throwaway instances as *charge packets*: play a
+    phase sequence once on a :meth:`fresh` model, then
+    :meth:`merge_scaled` the result into every lane that executed that
+    sequence — per-lane charges stay exactly what itemised charging
     would have recorded, at a fraction of the bookkeeping cost.
     """
 
@@ -666,7 +545,7 @@ class _ChargeModel:
     def charge_allreduce(self) -> None:
         """Charge one all-reduce round (three-step chain/broadcast
         protocol of §III-C); the reduced value itself is exact and
-        computed by the engine's numerics."""
+        computed by the kernel's numerics."""
         W, H = self.width, self.height
         row_sends = (W - 1) * H
         col_sends = H - 1
@@ -711,8 +590,8 @@ class _ChargeModel:
         Charges are additive, so replaying a per-iteration packet ``n``
         times equals one scaled merge — O(1) bookkeeping per lane
         instead of O(iterations).  State visits are *not* touched (their
-        order is iteration-interleaved; the batched engine reconstructs
-        the sequence explicitly)."""
+        order is iteration-interleaved; the driver reconstructs the
+        sequence explicitly)."""
         if n <= 0:
             return
         c, o = self.counters, packet.counters
@@ -741,229 +620,6 @@ class _ChargeModel:
         )
 
 
-# -- the serial (batch=1) engine ----------------------------------------------
-
-
-class VectorEngine:
-    """Whole-fabric array execution of the dataflow CG program.
-
-    Same constructor vocabulary as the event engine: the problem, the
-    program, and the machine staging knobs (spec, dtype, SIMD width,
-    initial guess).  Construction stages the field arrays and rehearses
-    the per-PE memory budget; :meth:`run` executes the CG.
-    """
-
-    name = "vectorized"
-
-    def __init__(
-        self,
-        problem: SinglePhaseProblem,
-        program: CgProgram,
-        *,
-        spec: WseSpecs,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        initial_pressure: np.ndarray | None = None,
-        accumulation: np.ndarray | None = None,
-        rhs: np.ndarray | None = None,
-    ):
-        if program.batch != 1:
-            raise ConfigurationError(
-                f"VectorEngine runs single-problem programs; got batch="
-                f"{program.batch} (use BatchedVectorEngine)"
-            )
-        self.problem = problem
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problem.grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
-        grid = problem.grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self.num_pes = self.width * self.height
-        self._suppress = program.comm_only
-
-        self.st = _stage_problem(
-            problem, program, self.dtype, initial_pressure,
-            accumulation=accumulation, rhs=rhs,
-        )
-        self._memory = _memory_report(
-            spec, program, self.depth, self.dtype, self.st.kind_counts
-        )
-        self.model = _ChargeModel(
-            width=self.width, height=self.height, depth=self.depth,
-            simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-            kind_counts=self.st.kind_counts, kernel_plans=self.st.kernel_plans,
-        )
-        self._mg_packet = None
-        if program.mg:
-            from repro.mg import build_mg_packet
-
-            self._mg_packet = build_mg_packet(self.model, self.st.mg_hier)
-        self._history: list[float] = []
-
-    # -- numerics -------------------------------------------------------------
-
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Global dot product, float64 accumulation."""
-        if self._suppress:
-            return 0.0
-        return float(
-            np.dot(a.reshape(-1).astype(np.float64), b.reshape(-1).astype(np.float64))
-        )
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._suppress:
-            return np.zeros_like(x)
-        return _apply_fields(self.st, self.program.variant, x)
-
-    def _allreduce(self, local_total: float) -> float:
-        """Charge one all-reduce round; return the global total (exact —
-        the chain sum is associative in exact arithmetic)."""
-        self.model.charge_allreduce()
-        return 0.0 if self._suppress else float(local_total)
-
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
-        """Execute the CG program; phase order and control flow replicate
-        the event engine's state machine exactly."""
-        program, st, m = self.program, self.st, self.model
-        y, b, r, p = st.y, st.b, st.r, st.p
-        jacobi, suppress = program.jacobi, self._suppress
-        mg = program.mg
-        if mg:
-            from repro.mg import mg_apply
-
-        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-        m.visit(CGState.INIT)
-        m.visit(CGState.EXCHANGE)
-        m.charge_exchange()
-        m.visit(CGState.COMPUTE_JX)
-        m.charge_kernel()
-        jx = self._apply(y)
-        m.vec(Op.FSUB)  # r = b - Jx
-        if not suppress:
-            np.subtract(b, jx, out=r, casting="unsafe")
-        if jacobi:
-            m.vec(Op.FMUL)  # z = r / diag
-            m.vec(Op.FMOV)  # p = z
-            if not suppress:
-                np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                p[...] = st.z
-            local = self._dot(r, st.z) if not suppress else 0.0
-        elif mg:
-            m.merge_scaled(self._mg_packet, 1)  # z = V-cycle(r)
-            m.vec(Op.FMOV)  # p = z
-            st.z[...] = mg_apply(st.mg_hier, r).astype(self.dtype)
-            p[...] = st.z
-            local = self._dot(r, st.z)
-        else:
-            m.vec(Op.FMOV)  # p = r
-            if not suppress:
-                p[...] = r
-            local = self._dot(r, r)
-        m.vec(Op.FMA)  # local dot
-        m.visit(CGState.DOT_RR)
-        rtr = self._allreduce(local)
-        self._history.append(rtr)
-
-        k = 0
-        terminal: CGState | None = None
-        while terminal is None:
-            m.visit(CGState.ITER_CHECK)
-            if program.check_convergence and rtr < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            if k >= program.iteration_limit:
-                terminal = (
-                    CGState.CONVERGED
-                    if (program.check_convergence and rtr < program.tol_rtr)
-                    else CGState.MAXITER
-                )
-                break
-
-            m.visit(CGState.EXCHANGE)
-            m.charge_exchange()
-            m.visit(CGState.COMPUTE_JX)
-            m.charge_kernel()
-            jx = self._apply(p)
-            m.vec(Op.FMA)  # local p^T Jp
-            m.visit(CGState.DOT_PAP)
-            pap = self._allreduce(self._dot(p, jx))
-
-            m.visit(CGState.COMPUTE_ALPHA)
-            if pap == 0.0:
-                if not suppress and program.check_convergence:
-                    raise ConfigurationError(
-                        "vectorized engine: p^T A p = 0 with live arithmetic"
-                    )
-                alpha = 0.0
-            else:
-                alpha = rtr / pap
-            m.scalar(4)  # scalar divide on the CE
-
-            m.visit(CGState.UPDATE_SOL)
-            m.vec(Op.FMA)  # y += alpha p
-            m.visit(CGState.UPDATE_RES)
-            m.vec(Op.FMA)  # r -= alpha Jp
-            if not suppress:
-                y += alpha * p
-                r += (-alpha) * jx
-            if jacobi:
-                m.vec(Op.FMUL)
-                if not suppress:
-                    np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                local = self._dot(r, st.z)
-            elif mg:
-                m.merge_scaled(self._mg_packet, 1)  # z = V-cycle(r)
-                st.z[...] = mg_apply(st.mg_hier, r).astype(self.dtype)
-                local = self._dot(r, st.z)
-            else:
-                local = self._dot(r, r)
-            m.vec(Op.FMA)
-            m.visit(CGState.DOT_RR)
-            rtr_new = self._allreduce(local)
-
-            k += 1
-            m.visit(CGState.THRES_CHECK)
-            self._history.append(rtr_new)
-            if program.check_convergence and rtr_new < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            m.visit(CGState.COMPUTE_BETA)
-            beta = (rtr_new / rtr) if rtr > 0 else 0.0
-            m.scalar(4)
-            m.visit(CGState.UPDATE_DIR)
-            m.vec(Op.FMUL)  # p *= beta
-            m.vec(Op.FADD)  # p += r (or z)
-            if not suppress:
-                np.multiply(p, beta, out=p, casting="unsafe")
-                p += st.z if (jacobi or mg) else r
-            rtr = rtr_new
-
-        m.visit(terminal)
-        converged = terminal is CGState.CONVERGED
-        m.finalize()
-        return EngineReport(
-            pressure=y.copy(),
-            iterations=k,
-            converged=converged,
-            residual_history=list(self._history),
-            trace=m.trace,
-            counters=m.counters,
-            elapsed_seconds=m.makespan / self.spec.clock_hz,
-            memory=dict(self._memory),
-            state_visits=list(m.state_visits),
-            engine=self.name,
-            preconditioner=(
-                st.mg_hier.telemetry(k + 1) if mg else None
-            ),
-        )
-
-
 # -- charge packets -----------------------------------------------------------
 
 
@@ -972,14 +628,12 @@ def build_init_packet(
 ) -> _ChargeModel:
     """Play the INIT phase's charge sequence once on a fresh model.
 
-    The sequence mirrors :meth:`VectorEngine.run`'s init statement for
-    statement; the played model is a reusable *packet* — merge it (via
+    The sequence mirrors the event oracle's INIT state for statement;
+    the played model is a reusable *packet* — merge it (via
     ``merge_scaled``) into any charge model with the same Dirichlet
-    histogram instead of re-itemising the charges.  Shared by the
-    batched and fused engines (the sharded engine charges its init
-    inline, interleaved with crew dispatch).  ``mg_packet`` (one V-cycle
-    of charges, from ``repro.mg.build_mg_packet``) replaces the Jacobi
-    FMUL when the program preconditions with multigrid."""
+    histogram instead of re-itemising the charges.  ``mg_packet`` (one
+    V-cycle of charges, from ``repro.mg.build_mg_packet``) replaces the
+    Jacobi FMUL when the program preconditions with multigrid."""
     init = model.fresh()
     init.visit(CGState.INIT)
     init.visit(CGState.EXCHANGE)
@@ -1007,10 +661,9 @@ def build_iteration_packets(
     """Play the loop's three charge segments once on fresh models.
 
     Returns ``(check, body, direction)`` packets whose sequences mirror
-    :meth:`VectorEngine.run`'s loop statement for statement — the charge
-    vocabulary every fabric engine shares (batched lanes, the sharded
-    coordinator and the fused hot loop all merge these same packets, so
-    counters/traffic/makespan agree exactly by construction)."""
+    the event oracle's loop states statement for statement — the charge
+    vocabulary of :class:`~repro.core.cg_driver.CgDriver`, so every
+    layout's counters/traffic/makespan agree exactly by construction."""
     check = model.fresh()
     check.visit(CGState.ITER_CHECK)
 
@@ -1046,368 +699,10 @@ def build_iteration_packets(
     return check, body, direction
 
 
-# -- the batched engine -------------------------------------------------------
-
-
-class BatchedVectorEngine:
-    """``(batch, nx, ny, nz)`` execution of one program over many problems.
-
-    All problems must share one grid *shape* (spacings, permeability and
-    boundary conditions are free per problem); the engine stacks their
-    stagings along a leading batch axis and sweeps every CG phase over
-    the whole stack at once.  Lanes freeze as they converge: a frozen
-    lane receives no further vector updates and no further charges, so
-    each lane's :class:`EngineReport` — iterates, residual history,
-    counters, traffic, cycles, memory — is exactly what a serial
-    :class:`VectorEngine` solve of that problem alone would produce
-    (pinned by ``tests/test_batched_engine.py`` and fuzzed in
-    ``tests/test_engine_fuzz.py``).
-
-    Charging uses *packets*: the per-iteration charge sequence of a lane
-    depends only on its Dirichlet-class histogram, so it is played once
-    per distinct histogram on a fresh :class:`_ChargeModel` and merged
-    into each lane per iteration — O(1) bookkeeping per lane-iteration
-    instead of replaying every instruction, which is where the batched
-    path's host-side throughput win comes from.
-
-    ``tol_rtrs`` supplies each lane's resolved absolute tolerance
-    (defaulting to ``program.tol_rtr``); ``initial_pressure`` accepts a
-    single shared guess or one per lane (multi-RHS transient studies).
-    """
-
-    name = "batched"
-
-    def __init__(
-        self,
-        problems: Sequence[SinglePhaseProblem],
-        program: CgProgram,
-        *,
-        spec: WseSpecs,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        tol_rtrs: Sequence[float] | None = None,
-        initial_pressure=None,
-        accumulation=None,
-        rhs=None,
-    ):
-        problems = list(problems)
-        if not problems:
-            raise ConfigurationError("batched engine needs at least one problem")
-        if program.batch != len(problems):
-            raise ConfigurationError(
-                f"program.batch is {program.batch} but {len(problems)} "
-                f"problems were supplied"
-            )
-        shapes = {p.grid.shape for p in problems}
-        if len(shapes) != 1:
-            raise ConfigurationError(
-                f"all problems in a batch must share one grid shape; got "
-                f"{sorted(shapes)}"
-            )
-        self.problems = problems
-        self.batch = len(problems)
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problems[0].grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
-        grid = problems[0].grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self.num_pes = self.width * self.height
-        self._suppress = program.comm_only
-
-        if tol_rtrs is None:
-            tol_rtrs = [program.tol_rtr] * self.batch
-        if len(tol_rtrs) != self.batch:
-            raise ConfigurationError(
-                f"tol_rtrs has {len(tol_rtrs)} entries for a batch of "
-                f"{self.batch}"
-            )
-        self._tols = [float(t) for t in tol_rtrs]
-
-        guesses = normalize_guesses(initial_pressure, self.batch, grid.shape)
-        accs = normalize_guesses(accumulation, self.batch, grid.shape)
-        rhss = normalize_guesses(rhs, self.batch, grid.shape)
-        stagings = [
-            _stage_problem(
-                problem, program, self.dtype, guess,
-                accumulation=acc, rhs=lane_rhs,
-            )
-            for problem, guess, acc, lane_rhs in zip(
-                problems, guesses, accs, rhss
-            )
-        ]
-        self.st = _stack_stagings(stagings, program)
-        self._memory = [
-            _memory_report(spec, program, self.depth, self.dtype, s.kind_counts)
-            for s in stagings
-        ]
-        self._models = [
-            _ChargeModel(
-                width=self.width, height=self.height, depth=self.depth,
-                simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-                kind_counts=s.kind_counts, kernel_plans=s.kernel_plans,
-            )
-            for s in stagings
-        ]
-        self._mg_hiers = [s.mg_hier for s in stagings]
-        self._mg_packet = None
-        if program.mg:
-            from repro.mg import build_mg_packet
-
-            # All lanes share the grid shape and the program's mg knobs,
-            # so one V-cycle packet serves the whole batch.
-            self._mg_packet = build_mg_packet(
-                self._models[0], stagings[0].mg_hier
-            )
-        # One packet set per distinct Dirichlet histogram (everything else
-        # in the charge sequence is shared across lanes).
-        self._packets: dict[tuple, dict[str, _ChargeModel]] = {}
-        self._lane_sig = []
-        for s, model in zip(stagings, self._models):
-            sig = tuple(sorted((k.name, v) for k, v in s.kind_counts.items()))
-            self._lane_sig.append(sig)
-            if sig not in self._packets:
-                self._packets[sig] = self._build_packets(model)
-
-
-    def _build_packets(self, model: _ChargeModel) -> dict[str, _ChargeModel]:
-        """Play each phase sequence once; the played models are the
-        per-iteration charge packets for every lane with this model's
-        Dirichlet histogram.  Sequences mirror :meth:`VectorEngine.run`
-        statement for statement."""
-        jacobi = self.program.jacobi
-        init = build_init_packet(model, jacobi, self._mg_packet)
-        check, body, direction = build_iteration_packets(
-            model, jacobi, self._mg_packet
-        )
-        return {"init": init, "check": check, "body": body, "direction": direction}
-
-    # -- numerics -------------------------------------------------------------
-
-    def _dot_rows(self, a: np.ndarray, b: np.ndarray) -> float:
-        """One lane's global dot product, float64 accumulation (same
-        flatten-and-accumulate order as the serial engine)."""
-        if self._suppress:
-            return 0.0
-        return float(
-            np.dot(a.reshape(-1).astype(np.float64), b.reshape(-1).astype(np.float64))
-        )
-
-    def _lane_dot(self, i: int, a: np.ndarray, b: np.ndarray) -> float:
-        if self._suppress:
-            return 0.0
-        return self._dot_rows(a[i], b[i])
-
-    def _lane_scalars(self, values: Sequence[float]) -> np.ndarray:
-        """Per-lane scalars as a broadcastable ``(lanes, 1, 1, 1)`` array
-        in the working dtype — elementwise identical to the serial
-        engine's python-float-times-array updates."""
-        return np.asarray(values, dtype=self.dtype).reshape((-1, 1, 1, 1))
-
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> list[EngineReport]:
-        """Execute the batched CG; per-lane control flow replicates the
-        serial vectorized engine (and therefore the event oracle)
-        exactly, with converged lanes frozen out of updates and charges.
-        """
-        program, st = self.program, self.st
-        B = self.batch
-        jacobi, suppress = program.jacobi, self._suppress
-        mg = program.mg
-        uses_z = jacobi or mg
-        if mg:
-            from repro.mg import mg_apply
-        models, tols = self._models, self._tols
-        packets = [self._packets[sig] for sig in self._lane_sig]
-        y, b, r, p = st.y, st.b, st.r, st.p
-
-        histories: list[list[float]] = [[] for _ in range(B)]
-        iters = [0] * B
-        terminal: list[CGState | None] = [None] * B
-        # Where each lane left the loop: at ITER_CHECK ("check": init
-        # convergence or the iteration limit) or at THRES_CHECK
-        # ("thres": converged right after an iteration's DOT_RR).  The
-        # distinction fixes how many check/direction packets the lane
-        # executed; charging is composed once per lane at the end.
-        terminal_at = ["check"] * B
-        rtr = [0.0] * B
-
-        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-        jx = None if suppress else _apply_fields(st, program.variant, y)
-        if not suppress:
-            np.subtract(b, jx, out=r, casting="unsafe")
-            if jacobi:
-                np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                p[...] = st.z
-            elif mg:
-                for i in range(B):
-                    st.z[i] = mg_apply(self._mg_hiers[i], r[i]).astype(self.dtype)
-                p[...] = st.z
-            else:
-                p[...] = r
-        for i in range(B):
-            local = self._lane_dot(i, r, st.z if uses_z else r)
-            rtr[i] = 0.0 if suppress else local
-            histories[i].append(rtr[i])
-
-        active = list(range(B))
-        while active:
-            survivors = []
-            for i in active:
-                if program.check_convergence and rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                elif iters[i] >= program.iteration_limit:
-                    terminal[i] = (
-                        CGState.CONVERGED
-                        if (program.check_convergence and rtr[i] < tols[i])
-                        else CGState.MAXITER
-                    )
-                else:
-                    survivors.append(i)
-            active = survivors
-            if not active:
-                break
-            idx = None if len(active) == B else np.asarray(active)
-
-            # The FV operator, with rows aligned to `active` order.  Once
-            # half the batch has frozen, sweep only the active lanes (a
-            # gather of the staged coefficient rows buys skipping the
-            # operator work on frozen lanes; elementwise results are
-            # identical either way).
-            if suppress:
-                jx_act = None
-            elif idx is None:
-                jx_act = _apply_fields(st, program.variant, p)
-            elif 2 * len(active) <= B:
-                sub = _gather_staging(st, idx, program.variant)
-                jx_act = _apply_fields(sub, program.variant, p[idx])
-            else:
-                jx_act = _apply_fields(st, program.variant, p)[idx]
-            alphas = []
-            for pos, i in enumerate(active):
-                pap = 0.0 if suppress else self._dot_rows(p[i], jx_act[pos])
-                if pap == 0.0:
-                    if not suppress and program.check_convergence:
-                        raise ConfigurationError(
-                            "vectorized engine: p^T A p = 0 with live "
-                            f"arithmetic (batch lane {i})"
-                        )
-                    alphas.append(0.0)
-                else:
-                    alphas.append(rtr[i] / pap)
-
-            if not suppress:
-                a = self._lane_scalars(alphas)
-                if idx is None:
-                    y += a * p
-                    r += (-a) * jx_act
-                    if jacobi:
-                        np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                else:
-                    y[idx] += a * p[idx]
-                    r[idx] += (-a) * jx_act
-                    if jacobi:
-                        st.z[idx] = r[idx] * st.inv_diag[idx]
-                if mg:
-                    for i in active:
-                        st.z[i] = mg_apply(
-                            self._mg_hiers[i], r[i]
-                        ).astype(self.dtype)
-
-            new_rtr = dict.fromkeys(active, 0.0)
-            for i in active:
-                local = self._lane_dot(i, r, st.z if uses_z else r)
-                new_rtr[i] = 0.0 if suppress else local
-                iters[i] += 1
-                histories[i].append(new_rtr[i])
-
-            survivors = []
-            for i in active:
-                if program.check_convergence and new_rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                    terminal_at[i] = "thres"
-                else:
-                    survivors.append(i)
-
-            if survivors and not suppress:
-                betas = [
-                    (new_rtr[i] / rtr[i]) if rtr[i] > 0 else 0.0 for i in survivors
-                ]
-                bv = self._lane_scalars(betas)
-                if len(survivors) == B:
-                    np.multiply(p, bv, out=p, casting="unsafe")
-                    p += st.z if uses_z else r
-                else:
-                    sidx = np.asarray(survivors)
-                    chunk = p[sidx]
-                    np.multiply(chunk, bv, out=chunk, casting="unsafe")
-                    chunk += (st.z if uses_z else r)[sidx]
-                    p[sidx] = chunk
-            for i in active:
-                rtr[i] = new_rtr[i]
-            active = survivors
-
-        reports = []
-        for i in range(B):
-            m = models[i]
-            pk = packets[i]
-            k = iters[i]
-            # Compose the lane's full charge stream: init, then k (or
-            # k+1) ITER_CHECKs, k loop bodies and the direction updates
-            # its terminal path implies — numerically identical to
-            # replaying every iteration, in O(1) merges.
-            if terminal_at[i] == "thres":
-                n_check, n_body, n_dir = k, k, k - 1
-            else:
-                n_check, n_body, n_dir = k + 1, k, k
-            m.merge_scaled(pk["init"], 1)
-            m.merge_scaled(pk["check"], n_check)
-            m.merge_scaled(pk["body"], n_body)
-            m.merge_scaled(pk["direction"], n_dir)
-            full_iter = (
-                pk["check"].state_visits
-                + pk["body"].state_visits
-                + pk["direction"].state_visits
-            )
-            visits = list(pk["init"].state_visits)
-            if terminal_at[i] == "thres":
-                visits += full_iter * (k - 1)
-                visits += pk["check"].state_visits + pk["body"].state_visits
-            else:
-                visits += full_iter * k
-                visits += pk["check"].state_visits
-            m.state_visits = visits
-            m.visit(terminal[i])
-            m.finalize()
-            reports.append(
-                EngineReport(
-                    pressure=np.array(y[i], copy=True),
-                    iterations=iters[i],
-                    converged=terminal[i] is CGState.CONVERGED,
-                    residual_history=histories[i],
-                    trace=m.trace,
-                    counters=m.counters,
-                    elapsed_seconds=m.makespan / self.spec.clock_hz,
-                    memory=dict(self._memory[i]),
-                    state_visits=list(m.state_visits),
-                    engine=self.name,
-                    preconditioner=(
-                        self._mg_hiers[i].telemetry(iters[i] + 1)
-                        if mg else None
-                    ),
-                )
-            )
-        return reports
-
-
 __all__ = [
-    "BatchedVectorEngine",
-    "VectorEngine",
     "build_init_packet",
     "build_iteration_packets",
+    "normalize_guesses",
+    "staging_from_arrays",
     "staging_to_arrays",
 ]

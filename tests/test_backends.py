@@ -2,9 +2,7 @@
 
 Covers the ISSUE-1 acceptance criteria: all three builtin backends return
 canonical `SolveResult`s whose pressure fields agree on a small
-quarter-five-spot; registry errors are self-diagnosing; the deprecated
-`repro.api.solve_*` shims warn and stay numerically equivalent to the new
-path.
+quarter-five-spot; registry errors are self-diagnosing.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import pytest
 
 import repro
 from helpers import make_problem
-from repro import api
 from repro.backends import (
     SolveResult,
     available_backends,
@@ -343,35 +340,6 @@ class TestFrontDoor:
     def test_solve_many_rejects_bad_workers(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
             repro.solve_many(["quarter_five_spot"], n_workers=0)
-
-
-class TestDeprecatedShims:
-    def test_solve_reference_warns_and_matches(self):
-        problem = make_problem(5, 4, 3, seed=11)
-        with pytest.warns(DeprecationWarning, match="solve_reference"):
-            legacy = api.solve_reference(problem)
-        new = repro.solve(problem, backend="reference")
-        np.testing.assert_allclose(legacy.pressure, new.pressure, atol=1e-12)
-        assert legacy.total_linear_iterations == new.iterations
-
-    def test_solve_on_wse_warns_and_matches(self):
-        problem = make_problem(4, 4, 2, seed=12)
-        options = dict(dtype=np.float64, rel_tol=1e-9, max_iters=1000)
-        with pytest.warns(DeprecationWarning, match="solve_on_wse"):
-            legacy = api.solve_on_wse(problem, **options)
-        new = repro.solve(problem, backend="wse", **options)
-        np.testing.assert_allclose(legacy.pressure, new.pressure, atol=1e-12)
-        assert legacy.iterations == new.iterations
-        assert legacy.converged and new.converged
-
-    def test_solve_on_gpu_model_warns_and_matches(self):
-        problem = make_problem(4, 4, 2, seed=13)
-        options = dict(dtype=np.float64, rel_tol=1e-9)
-        with pytest.warns(DeprecationWarning, match="solve_on_gpu_model"):
-            legacy = api.solve_on_gpu_model(problem, **options)
-        new = repro.solve(problem, backend="gpu", **options)
-        np.testing.assert_allclose(legacy.pressure, new.pressure, atol=1e-12)
-        assert legacy.iterations == new.iterations
 
 
 class TestSolveResult:

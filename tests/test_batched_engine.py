@@ -1,12 +1,11 @@
-"""Batched vectorized execution: ``(batch, nx, ny, nz)`` sweeps.
+"""Batched execution: N same-shape problems as the lanes of one program.
 
 The contract: a batched solve of N independent problems is
 *indistinguishable per problem* from N serial vectorized solves —
-iterates and residual histories to fp round-off (bitwise here: the lane
-arithmetic is elementwise identical), and op/traffic/cycle counters,
-memory statistics and state sequences exactly — while executing as one
-fused NumPy pipeline with per-problem convergence masking (converged
-lanes freeze while the rest keep iterating).
+iterates and residual histories bitwise (each lane runs the serial
+kernel), and op/traffic/cycle counters, memory statistics and state
+sequences exactly — with per-problem convergence (a converged lane gets
+no further passes or charges while the rest keep iterating).
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 
 from helpers import make_problem
 import repro
+from repro.core.engines import create_batched_engine, create_engine
 from repro.core.program import CgProgram
 from repro.core.solver import WseMatrixFreeSolver, solve_batch
 from repro.mesh.grid import CartesianGrid3D
@@ -21,7 +21,6 @@ from repro.physics.analytic import analytic_two_plane_solution
 from repro.physics.darcy import build_problem
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
-from repro.wse.vector_engine import BatchedVectorEngine
 
 SPEC = WSE2.with_fabric(32, 32)
 
@@ -135,7 +134,9 @@ class TestBatchedValidation:
             CgProgram(batch=0)
         problems = [make_problem(3, 3, 2, seed=s) for s in (0, 1)]
         with pytest.raises(ConfigurationError, match="batch"):
-            BatchedVectorEngine(problems, CgProgram(batch=3), spec=SPEC)
+            create_batched_engine(
+                "vectorized", problems, CgProgram(batch=3), spec=SPEC
+            )
 
     def test_event_engine_rejects_batched_program(self):
         from repro.core.event_engine import EventEngine
@@ -146,10 +147,11 @@ class TestBatchedValidation:
             solve_batch([make_problem(3, 3, 2)], spec=SPEC, engine="event")
 
     def test_vector_engine_rejects_batched_program(self):
-        from repro.wse.vector_engine import VectorEngine
-
-        with pytest.raises(ConfigurationError, match="batch"):
-            VectorEngine(make_problem(3, 3, 2), CgProgram(batch=2), spec=SPEC)
+        for name in ("vectorized", "fused", "sharded"):
+            with pytest.raises(ConfigurationError, match="create_batched_engine"):
+                create_engine(
+                    name, make_problem(3, 3, 2), CgProgram(batch=2), spec=SPEC
+                )
 
     def test_mismatched_grid_shapes_rejected(self):
         problems = [make_problem(3, 3, 2, seed=0), make_problem(4, 3, 2, seed=0)]

@@ -3,8 +3,7 @@
 The cross-engine *numerics* parity (fused vs. event/vectorized/sharded/
 batched, steady and transient) lives in ``tests/test_engine_fuzz.py``;
 this file pins the machinery around it: tile selection and validation,
-backend resolution (including the graceful numba fallback), the
-``fused_tile`` spec knob's round-trip and engine gating, the bitwise
+the ``fused_tile`` spec knob's round-trip and engine gating, the bitwise
 loop-reorder property of :class:`TiledApply`, telemetry plumbing, and
 the sharded-worker composition.
 """
@@ -23,16 +22,8 @@ from repro.core.engines import (
 from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram
 from repro.core.solver import WseMatrixFreeSolver
-from repro.fused import (
-    BACKEND_ENV,
-    FusedVectorEngine,
-    auto_tile,
-    normalize_fused_tile,
-    numba_available,
-    resolve_backend,
-    tile_boxes,
-)
-from repro.fused.kernels import FusedNumpyBackend, create_backend
+from repro.fused import auto_tile, normalize_fused_tile, tile_boxes
+from repro.fused.kernels import FusedNumpyBackend
 from repro.spec import MachineSpec, SolveSpec, TILE_ENGINES
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
@@ -83,48 +74,6 @@ def test_tile_boxes_partition_the_grid_in_row_major_order():
         cover[x0:x1, y0:y1] += 1
     assert (cover == 1).all()
     assert boxes == sorted(boxes)  # row-major: the deterministic dot order
-
-
-# -- backend resolution -------------------------------------------------------
-
-
-def test_resolve_backend_numpy_is_always_available():
-    assert resolve_backend("numpy") == ("numpy", None)
-
-
-def test_resolve_backend_numba_falls_back_gracefully():
-    name, note = resolve_backend("numba")
-    if numba_available():
-        assert (name, note) == ("numba", None)
-    else:
-        assert name == "numpy"
-        assert "numba" in note
-
-
-def test_resolve_backend_auto_and_env(monkeypatch):
-    expected = "numba" if numba_available() else "numpy"
-    assert resolve_backend("auto")[0] == expected
-    assert resolve_backend(None)[0] == expected
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert resolve_backend(None) == ("numpy", None)
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    assert resolve_backend(None)[0] == expected
-
-
-def test_resolve_backend_rejects_unknown_names():
-    with pytest.raises(ConfigurationError, match="unknown fused backend"):
-        resolve_backend("cython")
-
-
-def test_fallback_note_reaches_the_telemetry(monkeypatch):
-    if numba_available():  # pragma: no cover - environment-dependent
-        pytest.skip("numba importable; the fallback note cannot occur")
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    report = WseMatrixFreeSolver(
-        make_problem(4, 4, 2), engine="fused", spec=SPEC, rel_tol=1e-6
-    ).solve()
-    assert report.fused["backend"] == "numpy"
-    assert "numba" in report.fused["note"]
 
 
 # -- the spec knob ------------------------------------------------------------
@@ -183,9 +132,9 @@ def test_engine_registry_gates_the_tile_knob():
 
 def test_fused_engine_rejects_batched_programs():
     problem = make_problem(4, 4, 2)
-    with pytest.raises(ConfigurationError, match="BatchedFusedEngine"):
-        FusedVectorEngine(
-            problem, CgProgram(fixed_iterations=2, batch=2), spec=SPEC
+    with pytest.raises(ConfigurationError, match="create_batched_engine"):
+        create_engine(
+            "fused", problem, CgProgram(fixed_iterations=2, batch=2), spec=SPEC
         )
 
 
@@ -247,14 +196,18 @@ def test_numpy_backend_slab_and_generic_paths_agree():
     np.testing.assert_array_equal(fast.r, slow.r)
 
 
-def test_create_backend_dispatch():
+def test_layouts_differ_only_in_the_kernel_tile():
+    """``"vectorized"`` and ``"fused"`` are layouts of one kernel: the
+    driver runs a FusedNumpyBackend either way, over one whole-grid tile
+    or over the requested tiles."""
     problem = make_problem(4, 4, 2)
     program = CgProgram(fixed_iterations=2)
-    st = _stage_problem(problem, program, np.dtype(np.float32), None)
-    backend = create_backend(
-        "numpy", st, program, tile=(2, 2), dtype=np.dtype(np.float32)
-    )
-    assert backend.name == "numpy" and backend.n_tiles == 4
+    whole = create_engine("vectorized", problem, program, spec=SPEC)
+    tiled = create_engine("fused", problem, program, spec=SPEC, fused_tile=2)
+    (vec_lane,), (fused_lane,) = whole.lanes, tiled.lanes
+    assert type(vec_lane.kernel) is type(fused_lane.kernel) is FusedNumpyBackend
+    assert vec_lane.kernel.boxes == [(0, 4, 0, 4)]
+    assert len(fused_lane.kernel.boxes) == 4
 
 
 # -- telemetry and report plumbing --------------------------------------------
@@ -268,8 +221,7 @@ def test_fused_report_and_backend_telemetry():
     ).solve()
     assert report.engine == "fused"
     assert report.fused["tile"] == [4, 5]
-    assert report.fused["tiles"] == 2
-    assert report.fused["backend"] in ("numpy", "numba")
+    assert report.fused == {"tile": [4, 5], "tiles": 2}
     result = repro.solve(
         problem,
         backend="wse",
@@ -292,22 +244,36 @@ def test_fused_report_and_backend_telemetry():
 
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_sharded_workers_run_the_fused_kernel_bitwise(variant):
-    """``fused_tile`` on the sharded engine re-routes every worker's FV
-    sweep through :class:`TiledApply` over its halo-extended slab — a
-    pure loop reorder, so the whole solve (pressure, counters, trace,
-    link accounting) is bitwise the untiled sharded solve."""
+    """``fused_tile`` on the sharded layout tiles every worker's kernel
+    and reduces its dot partials per tile, as the fused layout does.
+    The sweeps are a pure loop reorder, so against the untiled sharded
+    solve the charges and link accounting are exact and the iterates
+    agree to round-off (only the partial-sum order differs); a ``1x1``
+    layout with tile T is bitwise the fused layout with tile T."""
     problem = make_problem(8, 7, 3, seed=6)
-    kwargs = dict(
-        spec=SPEC, variant=variant, jacobi=True, rel_tol=1e-6,
-        shard_shape=(2, 3), engine="sharded",
+    kwargs = dict(spec=SPEC, variant=variant, jacobi=True, rel_tol=1e-6)
+    sharded = dict(kwargs, engine="sharded", shard_shape=(2, 3))
+    plain = WseMatrixFreeSolver(problem, **sharded).solve()
+    tiled = WseMatrixFreeSolver(problem, fused_tile=(3, 2), **sharded).solve()
+    np.testing.assert_allclose(tiled.pressure, plain.pressure, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(
+        tiled.residual_history, plain.residual_history, rtol=1e-4
     )
-    plain = WseMatrixFreeSolver(problem, **kwargs).solve()
-    tiled = WseMatrixFreeSolver(problem, fused_tile=(3, 2), **kwargs).solve()
-    np.testing.assert_array_equal(tiled.pressure, plain.pressure)
     assert tiled.iterations == plain.iterations
-    assert tiled.residual_history == plain.residual_history
     assert tiled.counters.to_dict() == plain.counters.to_dict()
     assert tiled.trace.to_dict() == plain.trace.to_dict()
     assert tiled.shard["links"] == plain.shard["links"]
     assert tiled.shard["fused_tile"] == [3, 2]
     assert plain.shard["fused_tile"] is None
+
+    single = WseMatrixFreeSolver(
+        problem, engine="sharded", shard_shape=(1, 1), fused_tile=(3, 2),
+        **kwargs,
+    ).solve()
+    fused = WseMatrixFreeSolver(
+        problem, engine="fused", fused_tile=(3, 2), **kwargs
+    ).solve()
+    np.testing.assert_array_equal(single.pressure, fused.pressure)
+    assert single.residual_history == fused.residual_history
+    assert single.counters.to_dict() == fused.counters.to_dict()
+    assert single.state_visits == fused.state_visits

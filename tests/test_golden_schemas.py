@@ -63,12 +63,7 @@ def _report_payload(report) -> dict:
         "memory": report.memory,
     }
     if report.fused is not None:
-        # Pin everything except the backend, which is environment-
-        # dependent (numba when importable) — the note rides with it.
-        payload["fused"] = {
-            k: v for k, v in report.fused.items()
-            if k not in ("backend", "note")
-        }
+        payload["fused"] = dict(report.fused)
     return payload
 
 
