@@ -663,8 +663,8 @@ def run_transient_throughput(smoke: bool) -> list[dict]:
       over total warm), the measured payoff of carrying each step's
       pressure into the next step's CG;
     * batched lanes — ``count`` same-shape realizations time-stepped
-      together as fused ``(batch, nx, ny, nz)`` programs at batch=1/8/64,
-      recording steps/sec (``count × n_steps / host_seconds``) and
+      together as batched programs of batch=1/8/64 lanes, recording
+      steps/sec (``count × n_steps / host_seconds``) and
       ``speedup_vs_serial``.
     """
     if smoke:

@@ -13,8 +13,8 @@ than 100 solves:
   cache (fingerprint = target + spec + backend, so a hit is *identity*,
   not heuristics),
 * the ~10 genuinely distinct requests agree on backend / spec / grid
-  shape, so admission control fuses them into batched vector-engine
-  lanes — close to one launch for all of them.
+  shape and pin a batch-capable engine, so admission control fuses them
+  into batched lanes — close to one launch for all of them.
 
 The run record printed at the end is the service's own accounting
 (`run.json`), not demo bookkeeping.
@@ -48,7 +48,9 @@ async def main() -> None:
         repro.scenario("lognormal_reservoir", nx=16, ny=16, nz=4, seed=seed)
         for seed in range(N_DISTINCT)
     ]
-    spec = repro.SolveSpec.from_kwargs(rel_tol=1e-7)
+    # Only the vectorized/fused engines batch; an unset engine is the
+    # event oracle, and its requests would each run solo.
+    spec = repro.SolveSpec.from_kwargs(engine="vectorized", rel_tol=1e-7)
 
     records_root = tempfile.mkdtemp(prefix="repro-serve-demo-")
     start = time.perf_counter()

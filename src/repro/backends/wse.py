@@ -55,17 +55,31 @@ class WseBackend:
     }
 
     @staticmethod
-    def _require_batch_capable(engine: str | None) -> None:
-        """Reject multi-problem entry points on single-problem engines
-        (an unset engine defaults to ``"vectorized"`` when batching)."""
-        from repro.core.engines import BATCH_CAPABLE_ENGINES
+    def can_batch(spec: SolveSpec) -> bool:
+        """The one fusability rule: whether ``spec``'s engine can run
+        several problems as the lanes of one program.
 
-        if (engine or "vectorized") not in BATCH_CAPABLE_ENGINES:
-            raise ConfigurationError(
-                f"engine {engine!r} runs one problem at a time; batched "
-                f"execution requires one of "
-                f"{', '.join(BATCH_CAPABLE_ENGINES)} (or an unset engine)"
-            )
+        An unset engine is :data:`~repro.core.engines.DEFAULT_ENGINE`
+        (the event oracle), exactly as :meth:`solve` resolves it, so a
+        spec means the same engine batched or alone.  The batching
+        planner (:func:`repro.session.plan_lanes`) asks this; the
+        multi-problem entry points refuse specs it rejects.
+        """
+        from repro.core.engines import BATCH_CAPABLE_ENGINES, DEFAULT_ENGINE
+
+        return (spec.machine.engine or DEFAULT_ENGINE) in BATCH_CAPABLE_ENGINES
+
+    def _refuse_unbatchable(self, spec: SolveSpec, what: str) -> None:
+        if self.can_batch(spec):
+            return
+        from repro.core.engines import BATCH_CAPABLE_ENGINES, DEFAULT_ENGINE
+
+        raise ConfigurationError(
+            f"{what} needs a batch-capable engine "
+            f"({', '.join(BATCH_CAPABLE_ENGINES)}); engine="
+            f"{(spec.machine.engine or DEFAULT_ENGINE)!r} plays one problem "
+            f"at a time (set engine='vectorized' or engine='fused')"
+        )
 
     def solve_native(self, problem: SinglePhaseProblem, **options: Any):
         """Run the solve and return the legacy ``WseSolveReport``."""
@@ -162,22 +176,8 @@ class WseBackend:
 
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
         spec = coerce_spec(spec)
-        machine = spec.machine
-        if machine.batch_size is not None:
-            from repro.core.engines import BATCH_CAPABLE_ENGINES
-
-            # In a single solve the engine default is the event oracle,
-            # which plays one problem at a time and cannot honour a
-            # batching knob; the sharded engine spends its parallelism
-            # across the fabric, not across problems.
-            if (machine.engine or "event") not in BATCH_CAPABLE_ENGINES:
-                raise ConfigurationError(
-                    f"machine.batch_size needs a batch-capable engine "
-                    f"({', '.join(BATCH_CAPABLE_ENGINES)}); engine="
-                    f"{(machine.engine or 'event')!r} plays one problem "
-                    f"at a time (set engine='vectorized' or "
-                    f"engine='fused', or drop batch_size)"
-                )
+        if spec.machine.batch_size is not None:
+            self._refuse_unbatchable(spec, "machine.batch_size")
         if spec.time is not None:
             # Transient study: one signature for steady and time-dependent
             # targets — the simulation folds into a canonical SolveResult
@@ -308,26 +308,22 @@ class WseBackend:
         problems = list(problems)
         if not problems:
             return []
-        machine = spec.machine
-        self._require_batch_capable(machine.engine)
+        self._refuse_unbatchable(spec, "batched execution")
         time, options = self._transient_options(spec)
-        options["engine"] = machine.engine or "vectorized"
         dts, times = time.dts(), time.times()
-        n = len(problems)
-        size = machine.batch_size or n
+        batches = _batch_records(len(problems), spec.machine.batch_size)
         lane_steps: list[list[StepResult]] = [[] for _ in problems]
         step_lists = simulate_reports_batch(
             problems,
             dts=dts,
             start_step=start_step,
             states=states,
-            batch_size=machine.batch_size,
+            batch_size=spec.machine.batch_size,
             **options,
         )
         for offset, reports in enumerate(step_lists):
             idx = start_step + offset
             for lane, report in enumerate(reports):
-                chunk_start = (lane // size) * size
                 lane_steps[lane].append(
                     self._step_from_report(
                         report,
@@ -335,12 +331,7 @@ class WseBackend:
                         step=idx + 1,
                         time=times[idx],
                         dt=dts[idx],
-                        extra_telemetry={
-                            "batch": {
-                                "size": min(size, n - chunk_start),
-                                "lane": lane - chunk_start,
-                            },
-                        },
+                        extra_telemetry={"batch": dict(batches[lane])},
                     )
                 )
         return [
@@ -355,9 +346,9 @@ class WseBackend:
 
         All problems must share one grid shape.  ``machine.batch_size``
         caps lanes per program (``None`` puts everything in one);
-        ``machine.engine`` may be omitted (batching implies
-        ``"vectorized"``) but ``"event"`` is rejected.  Results come
-        back in input order; each carries ``telemetry["engine"]``
+        ``machine.engine`` must pass :meth:`can_batch` — an unset engine
+        is the event oracle and is refused like ``"event"``.  Results
+        come back in input order; each carries ``telemetry["engine"]``
         (``"batched"``/``"batched_fused"``) plus a ``telemetry["batch"]``
         record (chunk size and lane) so batched and serial results stay
         distinguishable, and per-problem counters identical to a serial
@@ -369,8 +360,7 @@ class WseBackend:
         problems = list(problems)
         if not problems:
             return []
-        machine = spec.machine
-        self._require_batch_capable(machine.engine)
+        self._refuse_unbatchable(spec, "batched execution")
         if spec.time is not None:
             # Batched transient: N realizations time-step together; each
             # folds into its own canonical SolveResult.
@@ -378,28 +368,24 @@ class WseBackend:
                 sim.as_solve_result()
                 for sim in self.simulate_batch(problems, spec)
             ]
-        options = dict(self._native_options(spec))
-        options["engine"] = machine.engine or "vectorized"
         reports = solve_batch(
-            problems, batch_size=machine.batch_size, **options
+            problems, batch_size=spec.machine.batch_size,
+            **self._native_options(spec),
         )
-        # Chunk boundaries are deterministic (input order, fixed chunk
-        # width), so each report's fused-chunk size and lane follow from
-        # its index.
-        n = len(problems)
-        size = machine.batch_size or n
-        results: list[SolveResult] = []
-        for index, report in enumerate(reports):
-            chunk_start = (index // size) * size
-            results.append(
-                self._result_from_report(
-                    report, spec,
-                    extra_telemetry={
-                        "batch": {
-                            "size": min(size, n - chunk_start),
-                            "lane": index - chunk_start,
-                        },
-                    },
-                )
-            )
-        return results
+        batches = _batch_records(len(problems), spec.machine.batch_size)
+        return [
+            self._result_from_report(report, spec, extra_telemetry={"batch": batch})
+            for report, batch in zip(reports, batches)
+        ]
+
+
+def _batch_records(n: int, batch_size: int | None) -> list[dict[str, int]]:
+    """Each lane's ``telemetry["batch"]`` record: the size of its chunk
+    and its lane within it.  Chunks are ``batch_size`` consecutive
+    problems in input order (``None``: one chunk), exactly as
+    :func:`repro.core.solver.solve_batch` cuts them."""
+    size = batch_size or n
+    return [
+        {"size": min(size, n - index // size * size), "lane": index % size}
+        for index in range(n)
+    ]

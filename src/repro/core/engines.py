@@ -14,8 +14,8 @@ Every other engine name is a *layout* of the driver's kernel:
 
 * ``"vectorized"`` — one whole-grid tile (paper-scale fabrics);
 * ``"fused"`` — cache-sized tiles (auto-picked, or ``fused_tile``);
-* ``"sharded"`` — the grid split over a worker crew (threads or
-  shared-memory processes), one kernel per shard with real halo
+* ``"sharded"`` — the grid split over a worker crew (serial or
+  threads), one kernel per shard with real halo
   exchange and shard-ordered dot reduction (``shard_shape``,
   ``shard_workers``, optionally ``fused_tile`` inside each shard);
 * batched ``"vectorized"``/``"fused"`` — N same-shape problems, one

@@ -9,11 +9,11 @@ One signature for every machine and every workload::
 
 ``solve`` accepts a built :class:`SinglePhaseProblem`, a bound
 :class:`Scenario`, or a registered scenario name.  Configuration travels
-as a typed :class:`~repro.spec.SolveSpec`; the legacy flat-kwarg form
-(``repro.solve(..., dtype=..., rel_tol=...)``) still works as a
-deprecation shim — kwargs are validated through
-:meth:`SolveSpec.from_kwargs` (typos raise ``ConfigurationError``) under
-a :class:`DeprecationWarning`.
+as a typed :class:`~repro.spec.SolveSpec`, or as flat keyword options
+(``repro.solve(..., dtype=..., rel_tol=...)``) validated through
+:meth:`SolveSpec.from_kwargs` (typos raise ``ConfigurationError``) —
+every front door resolves both forms through
+:func:`repro.spec.resolve_spec`.
 
 ``solve_many`` routes through a :class:`~repro.session.Session` plan, so
 one raising entry no longer loses the rest of the batch: every entry
@@ -23,8 +23,7 @@ stores and process fan-out, use :class:`repro.Session` directly.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.backends import (
     SimulationResult,
@@ -32,12 +31,10 @@ from repro.backends import (
     StepResult,
     get_backend,
 )
-from repro.gpu.specs import GpuSpecs
 from repro.physics.darcy import SinglePhaseProblem
 from repro.scenarios.base import Scenario, scenario as _bind_scenario
-from repro.spec import SolveSpec
+from repro.spec import SolveSpec, resolve_spec
 from repro.util.errors import ConfigurationError, SolveErrorGroup
-from repro.wse.specs import WseSpecs
 
 
 def _resolve_problem(target: Any) -> SinglePhaseProblem:
@@ -51,48 +48,6 @@ def _resolve_problem(target: Any) -> SinglePhaseProblem:
         f"cannot solve {target!r}: expected a SinglePhaseProblem, a "
         f"Scenario, or a registered scenario name"
     )
-
-
-def _warn_kwargs_deprecated() -> None:
-    warnings.warn(
-        "passing flat keyword options to repro.solve/solve_many is "
-        "deprecated; build a typed spec with repro.SolveSpec.from_kwargs(...) "
-        "and pass it as spec=...",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_spec(spec: Any, options: dict[str, Any]) -> SolveSpec:
-    """Coerce the ``spec=`` argument plus legacy kwargs into a SolveSpec.
-
-    ``spec`` may be a :class:`SolveSpec`, a ``SolveSpec.to_dict()``
-    mapping, ``None``, or — for back compatibility with the PR-1
-    vocabulary where ``spec=`` meant the *machine* spec — a
-    :class:`WseSpecs`/:class:`GpuSpecs`, which is folded into the legacy
-    kwargs.  Legacy kwargs are validated (unknown keys raise) and warn.
-    """
-    if isinstance(spec, (WseSpecs, GpuSpecs)):
-        options = dict(options, spec=spec)
-        spec = None
-    if isinstance(spec, SolveSpec) or isinstance(spec, Mapping):
-        if options:
-            raise ConfigurationError(
-                f"pass configuration either as spec=... or as keyword "
-                f"options, not both (got spec plus "
-                f"{', '.join(sorted(options))})"
-            )
-        return spec if isinstance(spec, SolveSpec) else SolveSpec.from_dict(spec)
-    if spec is not None:
-        raise ConfigurationError(
-            f"spec must be a SolveSpec, a SolveSpec.to_dict() mapping, a "
-            f"machine spec (WseSpecs/GpuSpecs), or None; got "
-            f"{type(spec).__name__}"
-        )
-    if options:
-        _warn_kwargs_deprecated()
-        return SolveSpec.from_kwargs(**options)
-    return SolveSpec()
 
 
 def solve(
@@ -116,9 +71,9 @@ def solve(
     spec:
         A :class:`~repro.spec.SolveSpec` (or its ``to_dict()`` form).
     options:
-        Deprecated flat-kwarg configuration (``tol_rtr``, ``rel_tol``,
-        ``max_iters``, ``dtype``, machine knobs …); validated through
-        :meth:`SolveSpec.from_kwargs` and folded into the spec.
+        Flat keyword configuration (``tol_rtr``, ``rel_tol``,
+        ``max_iters``, ``dtype``, machine knobs …) instead of ``spec``;
+        validated through :meth:`SolveSpec.from_kwargs`.
     """
     solve_spec = resolve_spec(spec, options)
     return get_backend(backend).solve(_resolve_problem(target), solve_spec)
@@ -139,14 +94,15 @@ def solve_many(
     ``min(len(targets), os.cpu_count())``; ``n_workers=1`` runs serially
     in-process (no pool), which keeps tracebacks simple.
 
-    ``batch=True`` runs compatible entries — same backend, spec and
-    grid shape, a backend that can batch (the dataflow fabric with the
-    vectorized or fused engine) — as the lanes of one batched program
-    instead of fanning out one Python solve per entry;
-    ``machine.batch_size`` caps the lanes per program.  Entries
-    that cannot batch fall back to serial execution.  Each result's
-    ``telemetry["engine"]`` says which path produced it (``"batched"``
-    vs ``"vectorized"``/``"event"``).
+    ``batch=True`` runs the lanes of :func:`repro.session.plan_lanes` —
+    entries sharing backend, spec and grid shape on a backend that can
+    batch them (the dataflow fabric with ``engine="vectorized"`` or
+    ``"fused"``; an unset engine is the event oracle) — as one batched
+    program each instead of fanning out one Python solve per entry;
+    ``machine.batch_size`` caps the lanes per program.  Entries that
+    cannot batch, and lanes of one, fall back to serial execution.  Each
+    result's ``telemetry["engine"]`` says which path produced it
+    (``"batched"`` vs ``"vectorized"``/``"event"``).
 
     Execution routes through an :class:`~repro.session.ExecutionPlan`, so
     errors are captured per entry: every entry runs to completion, then a
@@ -200,27 +156,9 @@ def solve_many(
 # -- transient simulation ----------------------------------------------------
 
 
-def _resolve_simulation_spec(spec: Any, options: dict[str, Any]) -> SolveSpec:
-    """Like :func:`resolve_spec`, but flat kwargs are first-class sugar
-    (``repro.simulate(target, n_steps=12, dt=2.0)``), not a deprecation
-    shim, and the resulting spec must carry a time schedule."""
-    if isinstance(spec, (SolveSpec, Mapping)):
-        if options:
-            raise ConfigurationError(
-                f"pass configuration either as spec=... or as keyword "
-                f"options, not both (got spec plus "
-                f"{', '.join(sorted(options))})"
-            )
-        solve_spec = (
-            spec if isinstance(spec, SolveSpec) else SolveSpec.from_dict(spec)
-        )
-    elif spec is not None:
-        raise ConfigurationError(
-            f"spec must be a SolveSpec, a SolveSpec.to_dict() mapping, or "
-            f"None; got {type(spec).__name__}"
-        )
-    else:
-        solve_spec = SolveSpec.from_kwargs(**options)
+def _simulation_spec(spec: Any, options: dict[str, Any]) -> SolveSpec:
+    """:func:`resolve_spec`, and the result must carry a time schedule."""
+    solve_spec = resolve_spec(spec, options)
     if solve_spec.time is None:
         raise ConfigurationError(
             "simulate needs a time schedule: set spec.time to a TimeSpec "
@@ -253,7 +191,7 @@ def simulate_steps(
     completes, so monitors can watch the pressure front move without
     holding the whole stack.
     """
-    solve_spec = _resolve_simulation_spec(spec, options)
+    solve_spec = _simulation_spec(spec, options)
     backend_obj = _transient_backend(backend)
     return backend_obj.simulate(_resolve_problem(target), solve_spec)
 
@@ -287,7 +225,7 @@ def simulate(
     """
     from repro.session import ResultStore, entry_fingerprint
 
-    solve_spec = _resolve_simulation_spec(spec, options)
+    solve_spec = _simulation_spec(spec, options)
     backend_obj = _transient_backend(backend)
     problem = _resolve_problem(target)
     tspec = solve_spec.time
@@ -360,7 +298,7 @@ def simulate_many(
     dataflow fabric).
     ``batch=False`` simulates each target serially.
     """
-    solve_spec = _resolve_simulation_spec(spec, options)
+    solve_spec = _simulation_spec(spec, options)
     backend_obj = _transient_backend(backend)
     items = list(targets)
     if not items:

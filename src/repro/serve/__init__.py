@@ -22,13 +22,7 @@ Quickstart::
     asyncio.run(main())
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    GroupKey,
-    Lane,
-    can_fuse,
-    group_key,
-)
+from repro.serve.admission import AdmissionController, Lane
 from repro.serve.cache import ResultCache
 from repro.serve.queue import QueueClosed, RequestQueue, SolveRequest
 from repro.serve.records import (
@@ -49,7 +43,6 @@ __all__ = [
     "AdmissionController",
     "DEFAULT_RETRYABLE",
     "FAILURE_CATEGORIES",
-    "GroupKey",
     "Lane",
     "POOLS",
     "QueueClosed",
@@ -61,9 +54,7 @@ __all__ = [
     "ServiceConfig",
     "SolveRequest",
     "SolveService",
-    "can_fuse",
     "classify_failure",
-    "group_key",
     "load_attempts",
     "load_run_record",
 ]

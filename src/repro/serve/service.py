@@ -18,9 +18,10 @@ Request lifecycle (the order is the design):
    solving *attaches* to that request; N identical concurrent requests
    cost one solve.
 3. **admission** — genuinely new work enters the request queue; the
-   admission controller groups compatible requests (same backend / spec
-   fingerprint / grid shape) into fused lanes: one batched program
-   on the :class:`~repro.core.cg_driver.CgDriver`, one lane each.
+   admission controller cuts each burst into the lanes of
+   :func:`repro.session.plan_lanes` (same backend / spec fingerprint /
+   grid shape, on an engine that can batch): one batched program on
+   the :class:`~repro.core.cg_driver.CgDriver` per lane of several.
 4. **dispatch** — lanes run on a persistent worker pool (threads by
    default, processes for GIL-bound backends); failures classify
    through the retry taxonomy (:mod:`repro.serve.retry`) and retry with
@@ -63,7 +64,7 @@ from repro.serve.queue import (
 from repro.serve.records import RunRecorder
 from repro.serve.retry import RetryPolicy, classify_failure
 from repro.session import ResultStore, plan_entry
-from repro.spec import SolveSpec, coerce_spec
+from repro.spec import SolveSpec, resolve_spec
 from repro.util.errors import ConfigurationError
 
 POOLS = ("thread", "process")
@@ -76,8 +77,6 @@ class ServiceConfig:
     n_workers: int = 4
     pool: str = "thread"
     admission_window: float = 0.005
-    max_lane_width: int | None = None
-    speculative_after: float | None = None
     cache_bytes: int = DEFAULT_CACHE_BYTES
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     jitter_seed: int | None = None
@@ -91,18 +90,12 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"unknown pool {self.pool!r}; choose one of {', '.join(POOLS)}"
             )
-        if self.speculative_after is not None and self.speculative_after < 0:
-            raise ConfigurationError(
-                f"speculative_after must be >= 0, got {self.speculative_after}"
-            )
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "n_workers": self.n_workers,
             "pool": self.pool,
             "admission_window": self.admission_window,
-            "max_lane_width": self.max_lane_width,
-            "speculative_after": self.speculative_after,
             "cache_bytes": self.cache_bytes,
             "retry": {
                 "max_attempts": self.retry.max_attempts,
@@ -190,11 +183,7 @@ class SolveService:
             records, run_id=run_id, config=self.config.to_dict(),
             metrics=self.metrics,
         )
-        self._admission = AdmissionController(
-            window=self.config.admission_window,
-            max_lane_width=self.config.max_lane_width,
-            speculative_after=self.config.speculative_after,
-        )
+        self._admission = AdmissionController(window=self.config.admission_window)
         self._rng = Random(self.config.jitter_seed)
         self._queue: RequestQueue | None = None
         self._admission_task: asyncio.Task | None = None
@@ -298,7 +287,7 @@ class SolveService:
         run record say which.
         """
         self._require_started()
-        solve_spec = self._resolve_spec(spec, options)
+        solve_spec = resolve_spec(spec, options)
         get_backend(backend)  # fail fast on a typo'd backend
         entry = plan_entry(target, solve_spec, backend)
         problem = entry.build_problem(self._problem_cache)
@@ -360,7 +349,7 @@ class SolveService:
         first missing step.
         """
         self._require_started()
-        solve_spec = self._resolve_spec(spec, options)
+        solve_spec = resolve_spec(spec, options)
         if solve_spec.time is None:
             raise ConfigurationError(
                 "stream needs a time schedule: set spec.time to a TimeSpec "
@@ -646,18 +635,6 @@ class SolveService:
                 "the service is not started; use 'async with SolveService(...)' "
                 "or 'await service.start()'"
             )
-
-    @staticmethod
-    def _resolve_spec(spec: Any, options: Mapping[str, Any]) -> SolveSpec:
-        if spec is not None and options:
-            raise ConfigurationError(
-                f"pass configuration either as spec=... or as keyword "
-                f"options, not both (got spec plus "
-                f"{', '.join(sorted(options))})"
-            )
-        if options:
-            return SolveSpec.from_kwargs(**options)
-        return coerce_spec(spec)
 
     def _record_outcome_on_done(
         self, future: "asyncio.Future[SolveResult]", request_id: int, tier: str

@@ -37,6 +37,7 @@ import json
 import os
 import pickle
 import shutil
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -398,7 +399,7 @@ class ResultStore:
     def save(self, entry: PlanEntry, result: SolveResult) -> None:
         """Persist one completed entry (manifest rewritten atomically)."""
         fingerprint = entry.fingerprint
-        np.savez_compressed(
+        _write_npz(
             self.root / f"{fingerprint}.npz",
             pressure=result.pressure,
             residual_history=np.asarray(result.residual_history, dtype=np.float64),
@@ -505,11 +506,9 @@ class ResultStore:
                 f"simulation store for {fingerprint[:12]} has {completed} "
                 f"step(s); cannot append step {step.step}"
             )
-        directory = self._steps_dir(fingerprint)
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".tmp-{step.step:05d}.npz"
-        np.savez_compressed(
-            tmp,
+        self._steps_dir(fingerprint).mkdir(parents=True, exist_ok=True)
+        _write_npz(
+            self._step_path(fingerprint, step.step),
             pressure=step.pressure,
             residual_history=np.asarray(step.residual_history, dtype=np.float64),
             iterations=np.int64(step.iterations),
@@ -518,9 +517,10 @@ class ResultStore:
             dt=np.float64(step.dt),
             elapsed=np.float64(step.elapsed_seconds),
         )
-        os.replace(tmp, self._step_path(fingerprint, step.step))
         key = self._steps_key(fingerprint)
         with self._mutex:
+            if self.simulation_steps_completed(fingerprint) >= step.step:
+                return  # a racing producer appended this step first
             record = dict(self._manifest.get(key, {}))
             record.update(meta or {})
             record.update(
@@ -602,6 +602,20 @@ class ResultStore:
             self._deleted.clear()
 
 
+def _write_npz(path: Path, **arrays: Any) -> None:
+    """Write ``arrays`` as an NPZ through a unique temp file beside
+    ``path``, then rename it into place: a reader never sees a partial
+    payload, and concurrent writers never share a temp file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 # -- the plan ----------------------------------------------------------------
 
 
@@ -650,9 +664,11 @@ class ExecutionPlan:
         ----------
         executor:
             ``"serial"`` (in-process loop), ``"thread"`` (default;
-            NumPy releases the GIL in the hot kernels), or ``"process"``
+            NumPy releases the GIL in the hot kernels), ``"process"``
             (true parallelism; entries and results cross a pickle
-            boundary, so live telemetry objects must be picklable).
+            boundary, so live telemetry objects must be picklable), or
+            ``"batched"`` (the lanes of :func:`plan_lanes`, one batched
+            program per lane of several entries).
         n_workers:
             Pool width; defaults to ``min(len(pending), cpu_count)``.
         on_result:
@@ -730,57 +746,79 @@ class ExecutionPlan:
         cache: dict[str, SinglePhaseProblem] | None,
         finish: Callable[[int, tuple], None],
     ) -> None:
-        """The ``executor="batched"`` path: fuse compatible entries.
+        """The ``executor="batched"`` path: run :func:`plan_lanes`' lanes.
 
-        Entries sharing (backend, spec fingerprint, grid shape) whose
-        backend can batch (``solve_batch``) and whose spec doesn't pin
-        the event engine are solved as one batched program per group
-        (one lane per entry), chunked by ``machine.batch_size``; everything
-        else falls back to per-entry serial execution, and per-entry
-        error capture still holds (a failing group fails each of its
-        entries, nothing else).  Per-entry ``elapsed_seconds`` is the
-        group wall clock amortized over its members.
+        A lane of several entries is one ``solve_batch`` call (chunked
+        by ``machine.batch_size``); a lane of one runs as a serial solve.
+        Per-entry error capture still holds (a failing lane fails each of
+        its entries, nothing else), and a fused entry's
+        ``elapsed_seconds`` is the lane wall clock amortized over its
+        members.
         """
-        groups: dict[tuple, list[tuple[int, SinglePhaseProblem]]] = {}
-        spec_fps: dict[int, str] = {}  # plans share spec objects; hash once
+        built: list[tuple[int, SinglePhaseProblem]] = []
         for i in pending:
-            entry = self.entries[i]
             start = time.perf_counter()
             try:
-                backend = get_backend(entry.backend)
-                batchable = (
-                    hasattr(backend, "solve_batch")
-                    and entry.spec.machine.engine != "event"
-                )
-                if not batchable:
-                    finish(i, _execute_entry(entry, cache))
-                    continue
-                problem = entry.build_problem(cache)
+                get_backend(self.entries[i].backend)  # fails this entry only
+                built.append((i, self.entries[i].build_problem(cache)))
             except Exception as exc:  # noqa: BLE001 - per-entry capture
                 finish(i, (None, exc, time.perf_counter() - start))
+        lanes = plan_lanes([(self.entries[i], problem) for i, problem in built])
+        for lane in lanes:
+            members = [built[k][0] for k in lane]
+            if len(members) == 1:
+                finish(members[0], _execute_entry(self.entries[members[0]], cache))
                 continue
-            fp = spec_fps.get(id(entry.spec))
-            if fp is None:
-                fp = spec_fps[id(entry.spec)] = entry.spec.fingerprint()
-            key = (entry.backend, fp, problem.grid.shape)
-            groups.setdefault(key, []).append((i, problem))
-
-        for (backend_name, _fp, _shape), members in groups.items():
-            spec = self.entries[members[0][0]].spec
+            entry = self.entries[members[0]]
             start = time.perf_counter()
             try:
-                results = get_backend(backend_name).solve_batch(
-                    [problem for _, problem in members], spec
+                results = get_backend(entry.backend).solve_batch(
+                    [built[k][1] for k in lane], entry.spec
                 )
+                outcomes = [(result, None) for result in results]
             except Exception as exc:  # noqa: BLE001 - per-entry capture
-                elapsed = time.perf_counter() - start
-                for i, _ in members:
-                    finish(i, (None, exc, elapsed / len(members)))
-                continue
-            elapsed = time.perf_counter() - start
-            share = elapsed / len(members)
-            for (i, _), result in zip(members, results):
-                finish(i, (result, None, share))
+                outcomes = [(None, exc)] * len(members)
+            share = (time.perf_counter() - start) / len(members)
+            for i, (result, error) in zip(members, outcomes):
+                finish(i, (result, error, share))
+
+
+def _fusable(backend: Any, spec: SolveSpec) -> bool:
+    """Whether ``backend`` can run ``spec`` as a lane of a batched
+    program: it has ``solve_batch``, and its own fusability rule
+    (``can_batch``, the wse backend's) accepts the spec.  Backends
+    without a rule batch whenever they can."""
+    if not hasattr(backend, "solve_batch"):
+        return False
+    rule = getattr(backend, "can_batch", None)
+    return rule is None or rule(spec)
+
+
+def plan_lanes(
+    items: Sequence[tuple[PlanEntry, SinglePhaseProblem]],
+) -> list[list[int]]:
+    """The one batching rule: which items share one batched program.
+
+    Groups item indices by (backend, spec fingerprint, grid shape) in
+    first-arrival order — the spec fingerprint covers every solve knob
+    except the target, so one key means "these can share a launch".
+    An item whose backend cannot batch its spec gets a lane of its own,
+    and a lane of one member runs solo.  Both ``executor="batched"`` and
+    the service's admission controller dispatch exactly these lanes;
+    ``machine.batch_size`` chunking happens inside ``solve_batch``.
+    """
+    fingerprints: dict[int, str] = {}  # plans share spec objects; hash once
+    lanes: dict[Any, list[int]] = {}
+    for index, (entry, problem) in enumerate(items):
+        if not _fusable(get_backend(entry.backend), entry.spec):
+            lanes[("solo", index)] = [index]
+            continue
+        fingerprint = fingerprints.get(id(entry.spec))
+        if fingerprint is None:
+            fingerprint = fingerprints[id(entry.spec)] = entry.spec.fingerprint()
+        key = (entry.backend, fingerprint, tuple(problem.grid.shape))
+        lanes.setdefault(key, []).append(index)
+    return list(lanes.values())
 
 
 class Session:
@@ -910,5 +948,6 @@ __all__ = [
     "Session",
     "entry_fingerprint",
     "plan_entry",
+    "plan_lanes",
     "resolve_target",
 ]

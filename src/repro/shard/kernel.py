@@ -47,10 +47,10 @@ class ShardedKernel:
     """The CG passes of one problem, run as rounds of a shard crew.
 
     ``shard_shape`` is an ``(sx, sy)`` pair or an int for a 1-D split;
-    ``shard_workers`` is ``"serial"``, ``"thread"`` or ``"process"``
-    (``None`` picks :func:`~repro.shard.workers.default_crew`).  The
-    crew lives for one driver run: entering the kernel spawns it and
-    publishes the ``y`` planes, leaving it joins every worker.
+    ``shard_workers`` is ``"serial"`` or ``"thread"`` (``None`` picks
+    :func:`~repro.shard.workers.default_crew`).  The crew lives for one
+    driver run: entering the kernel spawns it and publishes the ``y``
+    planes, leaving it joins every worker.
     """
 
     def __init__(

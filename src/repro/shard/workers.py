@@ -11,32 +11,23 @@ written at the end of one round and read at the start of a later one,
 so the barrier *is* the happens-before edge that makes the exchange
 race-free.
 
-Three crews share the worker code:
+Two crews share the worker code:
 
 * ``serial`` — an in-process loop (deterministic baseline, tests);
 * ``thread`` — persistent daemon threads over the coordinator's own
   arrays (NumPy releases the GIL inside the sweeps, so shards genuinely
-  overlap; zero-copy staging — the default);
-* ``process`` — one ``multiprocessing`` process per shard over
-  shared-memory buffers (``RawArray``: staged fields, halo mailboxes and
-  the gathered result live in anonymous shared mappings inherited by the
-  children — no files, no named segments to leak).  Pays a per-solve
-  spawn cost; wins only when sweeps are large enough that thread-level
-  parallelism is memory-bandwidth-bound.
+  overlap; zero-copy staging — the default).
 
-Every crew guarantees **no orphaned workers**: threads and processes are
-daemonic, and ``close()`` (called when the kernel's run ends, however it
-ends) joins them with a terminate fallback.  ``benchmarks/shard_smoke.py``
-asserts this in CI.
+Every crew guarantees **no orphaned workers**: threads are daemonic, and
+``close()`` (called when the kernel's run ends, however it ends) joins
+them.  ``benchmarks/shard_smoke.py`` asserts this in CI.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import queue
 import threading
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +39,7 @@ from repro.util.errors import ConfigurationError
 from repro.wse.vector_engine import staging_from_arrays
 
 #: Worker-pool modes the sharded engine accepts.
-CREW_MODES = ("serial", "thread", "process")
+CREW_MODES = ("serial", "thread")
 
 
 def default_crew(layout: ShardLayout) -> str:
@@ -66,7 +57,7 @@ def default_crew(layout: ShardLayout) -> str:
 
 @dataclass(frozen=True)
 class WorkerParams:
-    """Per-solve settings every worker needs (picklable — no arrays)."""
+    """Per-solve settings every worker needs."""
 
     program: CgProgram
     dtype: str
@@ -181,17 +172,16 @@ class ShardWorker:
 
 
 def _build_outboxes(
-    layout: ShardLayout, nz: int, dtype: np.dtype, make
+    layout: ShardLayout, nz: int, dtype: np.dtype
 ) -> list[dict[str, np.ndarray]]:
-    """One mailbox plane per live (shard, direction); ``make(shape)``
-    allocates (numpy for serial/thread, shared memory for process)."""
+    """One zeroed mailbox plane per live (shard, direction)."""
     out: list[dict[str, np.ndarray]] = []
     for box in layout.boxes:
         planes: dict[str, np.ndarray] = {}
         for direction, _, _ in DIRECTIONS:
             if layout.neighbor_index(box, direction) is not None:
                 extent = box.ny if direction in ("west", "east") else box.nx
-                planes[direction] = make((extent, nz), dtype)
+                planes[direction] = np.zeros((extent, nz), dtype=dtype)
         out.append(planes)
     return out
 
@@ -207,9 +197,7 @@ class SerialCrew:
     def __init__(self, layout, arrays, params, nz, dtype):
         dtype = np.dtype(dtype)
         self._result = np.zeros((layout.nx, layout.ny, nz), dtype=dtype)
-        outboxes = _build_outboxes(
-            layout, nz, dtype, lambda shape, dt: np.zeros(shape, dtype=dt)
-        )
+        outboxes = _build_outboxes(layout, nz, dtype)
         self._workers = [
             ShardWorker(
                 arrays, box, layout.neighbors(box), outboxes,
@@ -299,143 +287,16 @@ class ThreadCrew(SerialCrew):
                 t.join(timeout=5.0)
 
 
-def _shared_array(ctx, shape, dtype: np.dtype):
-    """An anonymous shared-memory ndarray (inherited, never named —
-    nothing to unlink, nothing to orphan)."""
-    n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    raw = ctx.RawArray("b", max(n, 1))
-    return raw, (tuple(int(v) for v in shape), dtype.str)
-
-
-def _view(raw, meta) -> np.ndarray:
-    shape, dtype_str = meta
-    return np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
-
-
-def _process_main(conn, arrays_shm, box, neighbors, outbox_shm, result_shm, params):
-    """Child entry point: rebuild shared views, then serve rounds."""
-    try:
-        arrays = {k: _view(raw, meta) for k, (raw, meta) in arrays_shm.items()}
-        outboxes = [
-            {d: _view(raw, meta) for d, (raw, meta) in planes.items()}
-            for planes in outbox_shm
-        ]
-        result = _view(*result_shm)
-        worker = ShardWorker(arrays, box, neighbors, outboxes, result, params)
-        conn.send(("ready", None))
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        return
-    while True:
-        msg = conn.recv()
-        if msg is None:
-            return
-        name, scalar = msg
-        try:
-            conn.send(("ok", worker.round(name, scalar)))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-
-
-class ProcessCrew(SerialCrew):
-    """One spawned process per shard over anonymous shared memory."""
-
-    mode = "process"
-
-    def __init__(self, layout, arrays, params, nz, dtype):
-        dtype = np.dtype(dtype)
-        ctx = mp.get_context("spawn")
-        # Stage every global array into shared memory (children slice
-        # out their shards at construction).
-        arrays_shm = {}
-        for key, arr in arrays.items():
-            raw, meta = _shared_array(ctx, arr.shape, arr.dtype)
-            _view(raw, meta)[...] = arr
-            arrays_shm[key] = (raw, meta)
-        outbox_shm = _build_outboxes(
-            layout, nz, dtype,
-            lambda shape, dt: _shared_array(ctx, shape, np.dtype(dt)),
-        )
-        self._result_shm = _shared_array(ctx, (layout.nx, layout.ny, nz), dtype)
-        self._procs = []
-        self._conns = []
-        for box in layout.boxes:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_process_main,
-                args=(
-                    child, arrays_shm, box, layout.neighbors(box),
-                    outbox_shm, self._result_shm, params,
-                ),
-                daemon=True,
-                name=f"shard-worker-{box.index}",
-            )
-            self._procs.append(proc)
-            self._conns.append(parent)
-
-    def start(self) -> None:
-        for proc in self._procs:
-            proc.start()
-        for conn in self._conns:
-            status, payload = conn.recv()
-            if status == "err":
-                self.close()
-                raise ConfigurationError(
-                    f"shard worker failed to start:\n{payload}"
-                )
-        self.round("stage")
-
-    def round(self, name: str, scalar: float | None = None) -> list:
-        for conn in self._conns:
-            conn.send((name, scalar))
-        results: list = [None] * len(self._conns)
-        error: str | None = None
-        for i, conn in enumerate(self._conns):
-            status, payload = conn.recv()
-            if status == "err":
-                error = error or payload
-            else:
-                results[i] = payload
-        if error is not None:
-            raise RuntimeError(f"shard worker round {name!r} failed:\n{error}")
-        return results
-
-    def board(self) -> np.ndarray:
-        """See :meth:`SerialCrew.board` (the shared-memory view; pipe
-        messages order writes against the children's reads)."""
-        return _view(*self._result_shm)
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            conn.close()
-
-
-_CREWS = {"serial": SerialCrew, "thread": ThreadCrew, "process": ProcessCrew}
+_CREWS = {"serial": SerialCrew, "thread": ThreadCrew}
 
 
 def create_crew(mode: str, layout, arrays, params, nz, dtype):
-    if mode not in _CREWS:
-        raise ConfigurationError(
-            f"unknown shard worker mode {mode!r}; choose one of "
-            f"{', '.join(CREW_MODES)}"
-        )
+    """The ``mode`` crew (one of :data:`CREW_MODES`) over ``layout``."""
     return _CREWS[mode](layout, arrays, params, nz, dtype)
 
 
 __all__ = [
     "CREW_MODES",
-    "ProcessCrew",
     "SerialCrew",
     "ShardWorker",
     "ThreadCrew",

@@ -310,10 +310,12 @@ class MachineSpec:
     * ``spec`` — the hardware description: a :class:`WseSpecs` for the
       dataflow backend, a :class:`GpuSpecs` for the GPU model;
     * ``engine`` — fabric execution engine (dataflow only):
-      ``"event"`` (per-PE discrete-event oracle, cycle-accurate) or
-      ``"vectorized"`` (whole-fabric NumPy sweeps with an analytic
-      cycle/counter model — paper-scale fabrics).  Omitting it keeps
-      today's behaviour (``"event"``);
+      ``"event"`` (per-PE discrete-event oracle, cycle-accurate; the
+      default when omitted), ``"vectorized"`` (whole-fabric NumPy sweeps
+      with an analytic cycle/counter model — paper-scale fabrics),
+      ``"fused"`` (the same sweeps over cache-sized tiles) or
+      ``"sharded"`` (the grid split over a worker crew).  Only
+      ``"vectorized"`` and ``"fused"`` batch;
     * ``simd_width`` — §III-E.3 DSD vectorization (dataflow only);
     * ``block_shape`` — CUDA thread-block shape (GPU only);
     * ``variant`` — kernel variant name, e.g. ``"precomputed"`` or
@@ -324,8 +326,8 @@ class MachineSpec:
     * ``fixed_iterations`` — run exactly N CG steps (dataflow and GPU);
     * ``batch_size`` — cap on lanes per batched program (dataflow
       vectorized/fused engines only; ``None`` puts a whole compatible
-      batch in one program).  The event engine and
-      the gpu/reference backends reject it.
+      batch in one program).  The other engines, an unset engine
+      included, and the gpu/reference backends reject it.
     * ``shard_shape`` — ``(shards_x, shards_y)`` domain decomposition of
       the fabric for the sharded engine (an ``int`` means a 1-D
       ``(n, 1)`` split).  Requires ``engine="sharded"``; the layout is
@@ -761,6 +763,25 @@ def coerce_spec(spec: Any) -> SolveSpec:
     )
 
 
+def resolve_spec(spec: Any, options: Mapping[str, Any]) -> SolveSpec:
+    """The Python front doors' one spec resolver.
+
+    ``spec=`` (anything :func:`coerce_spec` accepts) or flat keyword
+    options (first-class sugar for :meth:`SolveSpec.from_kwargs`), not
+    both.  ``repro.solve``/``solve_many``/``simulate*`` and the service's
+    ``submit``/``stream`` all resolve through here.
+    """
+    if spec is not None and options:
+        raise ConfigurationError(
+            f"pass configuration either as spec=... or as keyword "
+            f"options, not both (got spec plus "
+            f"{', '.join(sorted(options))})"
+        )
+    if options:
+        return SolveSpec.from_kwargs(**options)
+    return coerce_spec(spec)
+
+
 __all__ = [
     "FABRIC_ENGINES",
     "KWARG_MAP",
@@ -777,4 +798,5 @@ __all__ = [
     "TimeSpec",
     "ToleranceSpec",
     "coerce_spec",
+    "resolve_spec",
 ]

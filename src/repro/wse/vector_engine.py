@@ -267,10 +267,8 @@ def _stage_problem(
 def staging_to_arrays(st: _Staging, program: CgProgram) -> dict[str, np.ndarray]:
     """Flatten a staged problem into named field arrays.
 
-    The sharded engine ships a solve to its workers as this dict (plain
-    arrays copy into shared-memory buffers; a :class:`_Staging` object
-    does not), and each worker rebuilds its shard's staging from the
-    slices it owns.  Only construction-time fields are included — the
+    The sharded engine hands a solve to its workers as this dict, and
+    each worker rebuilds its shard's staging from the slices it owns.  Only construction-time fields are included — the
     work arrays (``r``, ``p``, ``z``) are per-shard local state.
     """
     arrays: dict[str, np.ndarray] = {"y": st.y, "b": st.b}

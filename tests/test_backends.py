@@ -136,14 +136,12 @@ class TestStrictOptions:
     @pytest.mark.parametrize("backend", ["reference", "wse", "gpu"])
     def test_typo_rejected_with_suggestion(self, parity_problem, backend):
         with pytest.raises(ConfigurationError, match="tol_rtr"):
-            with pytest.warns(DeprecationWarning):
-                repro.solve(parity_problem, backend=backend, tol_rt=1e-9)
+            repro.solve(parity_problem, backend=backend, tol_rt=1e-9)
 
     @pytest.mark.parametrize("backend", ["reference", "wse", "gpu"])
     def test_unknown_option_rejected(self, parity_problem, backend):
         with pytest.raises(ConfigurationError, match="unknown solve option"):
-            with pytest.warns(DeprecationWarning):
-                repro.solve(parity_problem, backend=backend, warp_factor=9)
+            repro.solve(parity_problem, backend=backend, warp_factor=9)
 
     def test_machine_knobs_are_backend_checked(self, parity_problem):
         # SIMD width belongs to the dataflow fabric, not the GPU or host.
@@ -281,27 +279,28 @@ class TestTimeKind:
 
 
 class TestLegacyKwargs:
-    """The flat-kwarg path stays usable under DeprecationWarning."""
+    """Flat keyword options are first-class sugar for a SolveSpec."""
 
-    def test_kwargs_warn_and_match_spec_path(self, parity_problem):
-        with pytest.warns(DeprecationWarning, match="SolveSpec"):
-            legacy = repro.solve(
-                parity_problem, backend="reference",
-                dtype=np.float64, rel_tol=1e-9, max_iters=2000,
-            )
+    def test_kwargs_match_spec_path(self, parity_problem):
+        legacy = repro.solve(
+            parity_problem, backend="reference",
+            dtype=np.float64, rel_tol=1e-9, max_iters=2000,
+        )
         new = repro.solve(parity_problem, backend="reference", spec=TIGHT)
         np.testing.assert_allclose(legacy.pressure, new.pressure, atol=1e-12)
 
-    def test_machine_spec_kwarg_still_accepted(self):
+    def test_machine_spec_kwarg_rejected(self):
+        # spec= is a SolveSpec; the machine target lives in machine.spec.
         from repro.wse.specs import WSE2
 
         problem = repro.scenario("quarter_five_spot", nx=4, ny=4, nz=2).build()
-        with pytest.warns(DeprecationWarning):
-            result = repro.solve(
+        with pytest.raises(ConfigurationError, match="SolveSpec"):
+            repro.solve(problem, backend="wse", spec=WSE2.with_fabric(8, 8))
+        with pytest.raises(ConfigurationError, match="not both"):
+            repro.solve(
                 problem, backend="wse", spec=WSE2.with_fabric(8, 8),
                 dtype=np.float32, fixed_iterations=3,
             )
-        assert result.iterations == 3
 
     def test_spec_plus_kwargs_rejected(self, parity_problem):
         with pytest.raises(ConfigurationError, match="not both"):

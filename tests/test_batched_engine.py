@@ -246,11 +246,12 @@ class TestBatchedSessionIntegration:
         )
         serial = plan.run(executor="serial")
         assert [r.engine for r in serial] == ["vectorized", "event", None]
+        sibling = make_problem(4, 4, 2, seed=2)
         batched = session.plan(
-            [(problem, vec, "wse"), (problem, ev, "wse")]
+            [(problem, vec, "wse"), (problem, ev, "wse"), (sibling, vec, "wse")]
         ).run(executor="batched")
         # vectorized entries fuse; event-pinned entries fall back serially.
-        assert [r.engine for r in batched] == ["batched", "event"]
+        assert [r.engine for r in batched] == ["batched", "event", "batched"]
 
     def test_batched_groups_split_by_shape_and_spec(self):
         spec = repro.SolveSpec.from_kwargs(
@@ -265,8 +266,31 @@ class TestBatchedSessionIntegration:
             executor="batched"
         )
         assert [r.ok for r in results] == [True, True, True]
-        sizes = [r.result.telemetry["batch"]["size"] for r in results]
-        assert sizes == [2, 2, 1]
+        sizes = [r.result.telemetry.get("batch", {}).get("size") for r in results]
+        # A group of one runs solo.
+        assert sizes == [2, 2, None]
+        assert [r.engine for r in results] == ["batched", "batched", "vectorized"]
+
+    def test_unset_engine_runs_solo_on_the_event_oracle(self):
+        targets = [
+            repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=3, seed=s)
+            for s in (1, 2)
+        ]
+        spec = repro.SolveSpec.from_kwargs(rel_tol=1e-7)
+        results = repro.Session().plan(targets, spec, backend="wse").run(
+            executor="batched"
+        )
+        assert [r.engine for r in results] == ["event", "event"]
+        assert all("batch" not in r.result.telemetry for r in results)
+
+    def test_solve_batch_refuses_unset_engine(self):
+        backend = repro.backends.get_backend("wse")
+        spec = repro.SolveSpec.from_kwargs(spec=SPEC)
+        problems = [make_problem(3, 3, 2, seed=s) for s in range(2)]
+        with pytest.raises(ConfigurationError, match="batch-capable"):
+            backend.solve_batch(problems, spec)
+        with pytest.raises(ConfigurationError, match="batch-capable"):
+            backend.simulate_batch(problems, spec.with_options(n_steps=1))
 
     def test_batched_group_error_captured_per_entry(self):
         """A group whose solve raises fails each member entry, not the

@@ -2,7 +2,7 @@
 
 Covers the metrics registry and its Prometheus rendering, RFC 6455
 framing fed at awkward byte offsets, the wire codecs (including the
-bit-exact SolveResult round trip), speculative admission, the
+bit-exact SolveResult round trip), the admission window, the
 multi-writer-safe ResultStore, and end-to-end HTTP/WebSocket exchanges
 against a live gateway — including a connection killed mid-transient
 that resumes over the wire, and the three-surface counter agreement
@@ -260,7 +260,7 @@ class TestWireCodecs:
         assert wire.status_for_error(RuntimeError("x")) == 500
 
 
-# -- speculative admission ----------------------------------------------------
+# -- the admission window ----------------------------------------------------
 
 
 def _request(problem, *, backend="wse", spec=SPEC, age=0.0):
@@ -273,19 +273,19 @@ def _request(problem, *, backend="wse", spec=SPEC, age=0.0):
 
 class TestSpeculativeAdmission:
     def test_fresh_burst_keeps_the_window(self):
-        controller = AdmissionController(window=0.01, speculative_after=10.0)
+        controller = AdmissionController(window=0.01)
         linger = controller.linger_for([_request(make_problem(3, 3, 2))])
         assert linger == pytest.approx(0.01, abs=0.005)
 
     def test_stale_burst_launches_immediately(self):
-        controller = AdmissionController(window=5.0, speculative_after=0.05)
+        controller = AdmissionController(window=0.05)
         linger = controller.linger_for(
             [_request(make_problem(3, 3, 2), age=10.0)]
         )
         assert linger == 0.0
 
     def test_oldest_member_governs(self):
-        controller = AdmissionController(window=5.0, speculative_after=0.2)
+        controller = AdmissionController(window=0.2)
         burst = [
             _request(make_problem(3, 3, 2), age=0.0),
             _request(make_problem(4, 3, 2), age=0.15),
@@ -293,13 +293,12 @@ class TestSpeculativeAdmission:
         assert controller.linger_for(burst) == pytest.approx(0.05, abs=0.02)
 
     def test_stale_lane_never_waits_a_full_window(self):
-        # The satellite's acceptance check: with an absurd 10 s window, a
-        # request that has already overstayed its speculative budget must
-        # dispatch without lingering.
+        # With an absurd 10 s window, a request that has already waited
+        # past its window must dispatch without lingering.
         async def scenario_run():
-            controller = AdmissionController(window=10.0, speculative_after=0.05)
+            controller = AdmissionController(window=10.0)
             queue = RequestQueue()
-            queue.put(_request(make_problem(3, 3, 2), age=1.0))
+            queue.put(_request(make_problem(3, 3, 2), age=11.0))
             start = time.perf_counter()
             lanes = await asyncio.wait_for(controller.collect(queue), timeout=2.0)
             elapsed = time.perf_counter() - start
@@ -310,11 +309,9 @@ class TestSpeculativeAdmission:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            AdmissionController(speculative_after=-1.0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(speculative_after=-0.5)
-        assert ServiceConfig(speculative_after=0.1).to_dict()[
-            "speculative_after"
+            AdmissionController(window=-1.0)
+        assert ServiceConfig(admission_window=0.1).to_dict()[
+            "admission_window"
         ] == 0.1
 
 
@@ -395,6 +392,52 @@ class TestResultStoreMultiWriter:
         assert store.simulation_steps_completed(fingerprint) == 1
         store.clear_simulation(fingerprint)
         assert store.simulation_steps_completed(fingerprint) == 0
+
+    def test_duplicate_step_append_race_is_a_no_op(self, tmp_path, monkeypatch):
+        # Two producers append step 2 of one fingerprint and both finish
+        # their temp writes before either renames: the loser must return
+        # quietly, not crash on a temp file the winner renamed away.
+        store = ResultStore(tmp_path)
+        fingerprint = "e" * 8
+
+        def step(n):
+            return StepResult(
+                step=n, time=0.5 * n, dt=0.5,
+                pressure=np.full((2, 2, 2), float(n)), iterations=1,
+                converged=True, residual_history=[0.1], elapsed_seconds=0.0,
+                backend="wse", telemetry={},
+            )
+
+        store.save_simulation_step(fingerprint, step(1), meta={"n_steps": 3})
+        both_written = threading.Barrier(2)
+        savez = np.savez_compressed
+
+        def savez_then_wait(*args, **kwargs):
+            savez(*args, **kwargs)
+            both_written.wait(timeout=10)
+
+        monkeypatch.setattr(np, "savez_compressed", savez_then_wait)
+        errors: list[BaseException] = []
+
+        def append():
+            try:
+                store.save_simulation_step(fingerprint, step(2))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=append) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        monkeypatch.undo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.simulation_steps_completed(fingerprint) == 2
+        [first, second] = store.load_simulation_steps(fingerprint)
+        np.testing.assert_array_equal(second.pressure, step(2).pressure)
+        leftovers = [p.name for p in (tmp_path / f"{fingerprint}.steps").iterdir()]
+        assert sorted(leftovers) == ["00001.npz", "00002.npz"]
 
     def test_file_lock_reentrant_and_released(self, tmp_path):
         lock = FileLock(tmp_path / "x.lock")

@@ -304,7 +304,10 @@ def _request(problem, *, backend="wse", spec=SPEC):
 
 class TestAdmission:
     def test_same_key_requests_fuse_into_one_lane(self):
-        requests = [_request(make_problem(4, 3, 2, seed=s)) for s in range(3)]
+        spec = SPEC.with_options(engine="vectorized")
+        requests = [
+            _request(make_problem(4, 3, 2, seed=s), spec=spec) for s in range(3)
+        ]
         [lane] = AdmissionController().partition(requests)
         assert lane.fused and lane.size == 3
 
@@ -325,11 +328,13 @@ class TestAdmission:
         lanes = AdmissionController().partition(requests)
         assert len(lanes) == 2 and not any(lane.fused for lane in lanes)
 
-    def test_max_lane_width_chunks(self):
-        requests = [_request(make_problem(4, 3, 2, seed=s)) for s in range(5)]
-        lanes = AdmissionController(max_lane_width=2).partition(requests)
-        assert [lane.size for lane in lanes] == [2, 2, 1]
-        assert [lane.fused for lane in lanes] == [True, True, False]
+    def test_unset_wse_engine_never_fuses(self):
+        # An unset engine is the event oracle, batched or alone, so the
+        # same fingerprint never means two different engines.
+        requests = [_request(make_problem(3, 3, 2, seed=s)) for s in range(2)]
+        lanes = AdmissionController().partition(requests)
+        assert [lane.size for lane in lanes] == [1, 1]
+        assert not any(lane.fused for lane in lanes)
 
 
 class TestRequestQueue:
@@ -662,6 +667,7 @@ class TestServiceEndToEnd:
         fused batched launch and 56 cache/dedup hits, verified from the
         durable run record."""
         problems = [make_problem(4, 4, 3, seed=s) for s in range(8)]
+        spec = SPEC.with_options(engine="vectorized")
 
         async def main():
             async with SolveService(
@@ -669,7 +675,7 @@ class TestServiceEndToEnd:
                 admission_window=0.02,
             ) as svc:
                 futures = [
-                    svc.submit(problems[i % 8], backend="wse", spec=SPEC)
+                    svc.submit(problems[i % 8], backend="wse", spec=spec)
                     for i in range(64)
                 ]
                 results = await asyncio.gather(*futures)
@@ -696,6 +702,34 @@ class TestServiceEndToEnd:
             np.testing.assert_array_equal(
                 results[i].pressure, results[i % 8].pressure
             )
+
+    def test_unset_engine_requests_match_solo_solves(self, tmp_path):
+        """Two unset-engine wse requests in one admission window run solo
+        on the event oracle: each answer is exactly ``repro.solve`` of
+        the same target and spec."""
+        targets = [
+            repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=3, seed=s)
+            for s in (1, 2)
+        ]
+
+        async def main():
+            async with SolveService(
+                records=tmp_path / "runs", admission_window=0.05,
+            ) as svc:
+                futures = [
+                    svc.submit(t, backend="wse", spec=SPEC) for t in targets
+                ]
+                results = await asyncio.gather(*futures)
+                return results, svc.recorder.run_dir
+
+        results, run_dir = run(main())
+        assert load_run_record(run_dir)["summary"]["batched_launches"] == 0
+        for target, result in zip(targets, results):
+            alone = repro.solve(target, backend="wse", spec=SPEC)
+            assert result.telemetry["engine"] == "event"
+            np.testing.assert_array_equal(result.pressure, alone.pressure)
+            assert result.iterations == alone.iterations
+            assert result.telemetry["counters"] == alone.telemetry["counters"]
 
     def test_warm_store_serves_new_service_from_cache(self, tmp_path):
         problem = make_problem(4, 3, 2)

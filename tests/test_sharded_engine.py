@@ -4,11 +4,11 @@ accounting, multi-wafer projection, and the spec/backend plumbing.
 The parity *sweep* (event vs. vectorized vs. batched vs. sharded over
 random shapes and layouts) lives in ``tests/test_engine_fuzz.py``; this
 file pins the pieces: exact layout arithmetic, bitwise crew equivalence
-(serial == thread == process for a fixed layout), hand-checked link
+(serial == thread for a fixed layout), hand-checked link
 counters, orphan-free worker pools, and the ``MachineSpec`` round trip.
 """
 
-import multiprocessing as mp
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from repro.shard import (
     project_multiwafer,
 )
 from repro.spec import FABRIC_ENGINES, MachineSpec, SolveSpec
-from repro.util.errors import ConfigurationError, SolveErrorGroup
+from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
 
 SPEC = WSE2.with_fabric(8, 8)
@@ -92,36 +92,36 @@ class TestShardLayout:
 
 
 class TestCrewParity:
-    def test_serial_thread_process_bitwise_equal(self):
+    def test_serial_thread_bitwise_equal(self):
         """A fixed layout must produce bit-identical solves on every
         worker pool: rounds are barriers and reductions fold in shard
         order, so parallelism cannot reorder any float."""
         problem = make_problem(6, 5, 3, seed=9)
-        reports = {
-            workers: _solver(
+        base, rep = (
+            _solver(
                 problem, engine="sharded", shard_shape=(3, 2),
                 shard_workers=workers,
             ).solve()
-            for workers in ("serial", "thread", "process")
-        }
-        base = reports["serial"]
-        for workers in ("thread", "process"):
-            rep = reports[workers]
-            np.testing.assert_array_equal(rep.pressure, base.pressure)
-            assert rep.iterations == base.iterations
-            assert rep.residual_history == base.residual_history
-            assert rep.counters.to_dict() == base.counters.to_dict()
-            assert rep.shard["links"] == base.shard["links"]
+            for workers in ("serial", "thread")
+        )
+        np.testing.assert_array_equal(rep.pressure, base.pressure)
+        assert rep.iterations == base.iterations
+        assert rep.residual_history == base.residual_history
+        assert rep.counters.to_dict() == base.counters.to_dict()
+        assert rep.shard["links"] == base.shard["links"]
 
     def test_no_orphaned_workers(self):
-        """Process crews must leave nothing behind — CI smokes this too
+        """Thread crews must leave nothing behind — CI smokes this too
         (``benchmarks/shard_smoke.py``)."""
         problem = make_problem(4, 4, 2, seed=1)
         _solver(
             problem, engine="sharded", shard_shape=(2, 2),
-            shard_workers="process",
+            shard_workers="thread",
         ).solve()
-        assert mp.active_children() == []
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("shard-worker-")
+        ]
 
     def test_single_shard_matches_vectorized_bitwise(self):
         problem = make_problem(5, 4, 2, seed=3)
@@ -140,8 +140,9 @@ class TestCrewParity:
 
     def test_unknown_worker_mode_rejected(self):
         problem = make_problem(4, 4, 2)
-        with pytest.raises(ConfigurationError, match="serial, thread, process"):
-            _solver(problem, engine="sharded", shard_workers="gpu")
+        for mode in ("gpu", "process"):
+            with pytest.raises(ConfigurationError, match="of serial, thread$"):
+                _solver(problem, engine="sharded", shard_workers=mode)
 
 
 # -- link accounting ----------------------------------------------------------
@@ -280,10 +281,18 @@ class TestSpecPlumbing:
         assert "shard" not in vec.telemetry
 
     def test_fused_batch_rejects_sharded(self):
+        # The sharded engine cannot batch, so a batched plan runs each
+        # entry solo — exactly the serial sharded solves.
         problems = [make_problem(4, 4, 2, seed=s) for s in range(2)]
         spec = SolveSpec.from_kwargs(spec=SPEC, engine="sharded")
-        with pytest.raises(SolveErrorGroup, match="one problem at a time"):
-            repro.solve_many(problems, backend="wse", batch=True, spec=spec)
+        batched = repro.solve_many(problems, backend="wse", batch=True, spec=spec)
+        serial = repro.solve_many(problems, backend="wse", n_workers=1, spec=spec)
+        for b, s in zip(batched, serial):
+            assert b.telemetry["engine"] == "sharded"
+            assert "batch" not in b.telemetry
+            np.testing.assert_array_equal(b.pressure, s.pressure)
+            assert b.iterations == s.iterations
+            assert b.telemetry["counters"] == s.telemetry["counters"]
 
     def test_batch_size_rejects_sharded(self):
         problem = make_problem(4, 4, 2)

@@ -165,7 +165,7 @@ class TestErrorPickling:
             assert isinstance(clone, RuntimeError)
             assert "Unpicklable" in str(clone) and "kaboom" in str(clone)
         finally:
-            pass  # registry is process-local; the throwaway name is inert
+            repro.backends.unregister_backend(ExplodingBackend.name)
 
     def test_library_errors_cross_a_real_process_pool(self):
         """End-to-end: a ConvergenceError raised in a worker process
