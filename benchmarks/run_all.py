@@ -45,7 +45,7 @@ sharded execution — shard subgrids fit cache and sweep concurrently.
 the fused cache-blocked hot-loop engine (``engine="fused"``) against
 the same serial-vectorized baseline, interleaved per problem like the
 sharded rows: a tile sweep (auto slab, an explicit slab, a narrow
-generic tile) at 16×16 and 128×128.  Each fused row also records the
+staged tile) at 16×16 and 128×128.  Each fused row also records the
 oracle-parity booleans (``counters_match_serial`` etc. — the charge
 model is shared, so counters/trace/memory must be *exactly* the
 vectorized engine's) and the counter scalars (``flops``,
@@ -71,9 +71,10 @@ scenarios (lognormal, channelized) for ``preconditioner`` none / jacobi
 deterministic and gated by ``diff_bench.py``.
 
 ``--profile`` prints a per-phase host-time breakdown of the CG
-driver's kernel passes for the vectorized (one whole-grid tile) and
-fused (auto tiles) layouts — warm medians with IQR over interleaved
-repeats — instead of running the benches.
+driver's kernel passes for the vectorized (one whole-grid tile), fused
+(auto tiles) and narrow-tile fused (square tiles of a quarter of the
+grid side, staged through contiguous scratch) layouts — warm medians
+with IQR over interleaved repeats — instead of running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -367,8 +368,8 @@ def run_fused_throughput(smoke: bool) -> list[dict]:
     working set stays cache-resident across the phase's operations,
     where the vectorized layout's one whole-grid tile streams the grid
     once per numpy op.  Rows: the serial-vectorized baseline, the
-    auto-picked slab tile, one explicit slab and one narrow generic
-    tile (the strided fallback path).  Timing is interleaved per
+    auto-picked slab tile, one explicit slab and one narrow tile (staged
+    through contiguous scratch into the same apply).  Timing is interleaved per
     problem with a rotating lead config, exactly like the sharded rows,
     and ``speedup_vs_serial`` is the median of the per-problem paired
     ratios.
@@ -577,13 +578,15 @@ def run_profile(smoke: bool) -> None:
     """Per-phase host time of the CG driver's kernel passes (``--profile``).
 
     ``"vectorized"`` and ``"fused"`` are layouts of one driver over one
-    kernel — a whole-grid tile vs auto-picked tiles — so both columns
-    time the same calls: staging (``create_engine``), the three passes
+    kernel — a whole-grid tile, auto-picked slabs, and narrow tiles of
+    ``lateral // 4`` square (the staged-tile case, whose copy into and
+    out of contiguous scratch shows in ``body_pass``) — so every column
+    times the same calls: staging (``create_engine``), the three passes
     of a plain CG iteration, the per-lane charge composition, and a
     whole fixed-iteration run per iteration.  Every repeat times each
-    phase once per layout, alternating which layout goes first; the
-    first repeat is a discarded warm-up, and each cell is the median
-    with its interquartile range.
+    phase once per layout, rotating which layout goes first; the first
+    repeat is a discarded warm-up, and each cell is the median with its
+    interquartile range.
     """
     import numpy as np
 
@@ -595,12 +598,18 @@ def run_profile(smoke: bool) -> None:
         "quarter_five_spot", nx=lateral, ny=lateral, nz=nz,
     ).build()
     fabric = WSE2.with_fabric(max(32, lateral), max(32, lateral))
-    layouts = ("vectorized", "fused")
+    narrow = (lateral // 4, lateral // 4)
+    layouts = ("vectorized", "fused", f"fused {narrow[0]}x{narrow[1]}")
+    engines = {
+        "vectorized": dict(engine="vectorized"),
+        "fused": dict(engine="fused"),
+        layouts[2]: dict(engine="fused", fused_tile=narrow),
+    }
 
     def build(name):
         return WseMatrixFreeSolver(
-            problem, spec=fabric, engine=name, dtype=np.float32,
-            rel_tol=None, fixed_iterations=iters,
+            problem, spec=fabric, dtype=np.float32, rel_tol=None,
+            fixed_iterations=iters, **engines[name],
         ).engine
 
     drivers = {name: build(name) for name in layouts}
@@ -627,7 +636,8 @@ def run_profile(smoke: bool) -> None:
     calls = {name: phases(name) for name in layouts}
     samples = {name: {label: [] for label in calls[name]} for name in layouts}
     for rep in range(reps):
-        order = layouts if rep % 2 == 0 else layouts[::-1]
+        lead = rep % len(layouts)
+        order = layouts[lead:] + layouts[:lead]
         for label in calls[layouts[0]]:
             for name in order:
                 start = time.perf_counter()
@@ -642,15 +652,15 @@ def run_profile(smoke: bool) -> None:
     tile = kernel.boxes[0]
     print(f"\nprofile: warm host ms per call, median [IQR] over {reps - 1} "
           f"interleaved repeats ({lateral}x{lateral}x{nz} float32; fused "
-          f"tile {tile[1] - tile[0]}x{tile[3] - tile[2]}, "
+          f"auto tile {tile[1] - tile[0]}x{tile[3] - tile[2]}, "
           f"{len(kernel.boxes)} tiles)")
-    print(f"  {'phase':<24} {'vectorized':>22} {'fused':>22}")
+    print(f"  {'phase':<24}" + "".join(f" {name:>22}" for name in layouts))
     for label in calls[layouts[0]]:
         cells = []
         for name in layouts:
             q1, med, q3 = np.percentile(samples[name][label], [25, 50, 75])
             cells.append(f"{med:.3f} [{q1:.3f}-{q3:.3f}]")
-        print(f"  {label:<24} {cells[0]:>22} {cells[1]:>22}")
+        print(f"  {label:<24}" + "".join(f" {cell:>22}" for cell in cells))
 
 
 def run_transient_throughput(smoke: bool) -> list[dict]:
@@ -1021,8 +1031,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-workers", type=int, default=None)
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase host-time breakdown "
-                             "(stage/apply/dot/charge, vectorized vs "
-                             "fused) and exit without running the benches")
+                             "(stage/apply/dot/charge; vectorized, fused "
+                             "and narrow-tile fused) and exit without "
+                             "running the benches")
     args = parser.parse_args(argv)
 
     if args.profile:

@@ -18,33 +18,34 @@ from repro.wse.specs import WseSpecs
 
 
 class WseBackend:
-    """Matrix-free CG on the event-driven fabric simulator.
+    """Matrix-free CG on the simulated dataflow fabric.
 
     Consumes a :class:`~repro.spec.SolveSpec`: ``machine.spec`` is the
     :class:`WseSpecs` target (default :data:`WSE2`, the full 750×994 CS-2
     fabric, so any simulator-scale grid fits), ``machine.engine`` selects
     the fabric execution engine (``"event"``, the per-PE discrete-event
-    oracle and the default; ``"vectorized"``, whole-fabric NumPy
-    sweeps for paper-scale fabrics; ``"sharded"``, the vectorized
-    numerics domain-decomposed over a worker pool — ``shard_shape``
-    picks the decomposition; or ``"fused"``, the vectorized numerics
-    as cache-blocked single-pass CG sweeps — ``fused_tile`` picks the
-    tile, and also routes sharded workers through the tiled kernel),
-    plus the dataflow design knobs
+    oracle and the default; or a layout of the one array CG driver:
+    ``"vectorized"``, one whole-grid tile for paper-scale fabrics;
+    ``"fused"``, cache-sized tiles — ``fused_tile`` picks the tile; or
+    ``"sharded"``, the grid split over a serial or thread crew —
+    ``shard_shape`` picks the decomposition and ``fused_tile`` tiles
+    each shard), plus the dataflow design knobs
     ``simd_width`` (§III-E.3), ``variant`` (precomputed ``c = Υλ`` vs.
     in-kernel mobility fusion), ``reuse_buffers`` (§III-E.1),
     ``comm_only``/``fixed_iterations`` (§V-C's Table IV methodology) and
     ``preconditioner`` — ``"jacobi"`` (purely PE-local diagonal scaling)
     or ``"mg"`` (host-assisted geometric multigrid V-cycle, charged
     through the shared packet builders; ``mg_levels`` /
-    ``mg_smoother_iters`` tune the hierarchy).
+    ``mg_smoother_iters`` tune the hierarchy).  The knobs go to
+    :mod:`repro.core.solver`, whose one builder turns them into the
+    program every engine runs.
     ``block_shape`` belongs to the GPU and is rejected here.
     """
 
     name = "wse"
 
     #: This backend answers ``spec.time`` natively: the transient kernel
-    #: (accumulation FMA) runs on either fabric engine, batched included.
+    #: (accumulation FMA) runs on every fabric engine, batched included.
     supports_transient = True
 
     #: MachineSpec knobs this backend honours.

@@ -13,10 +13,14 @@ Composes the `repro.wse` simulator into the system of §III:
 * `program`     — the engine-agnostic CG program description (phases:
                   halo exchange, FV apply, axpy/dot, all-reduce);
 * `engines`     — the pluggable engine registry: ``"event"`` (per-PE
-                  discrete-event oracle) / ``"vectorized"`` (whole-fabric
-                  NumPy sweeps, `repro.wse.vector_engine`);
+                  discrete-event oracle) and the array layouts
+                  ``"vectorized"``, ``"fused"`` and ``"sharded"`` (plus
+                  batched lanes) of one CG driver;
+* `cg_driver`   — :class:`CgDriver`, the one CG loop of every array
+                  layout, over the tiled kernel of `repro.fused`;
 * `event_engine`— the event-driven engine composition;
-* `solver`      — :class:`WseMatrixFreeSolver`, the public entry point;
+* `solver`      — :class:`WseMatrixFreeSolver` and the batched/transient
+                  entry points, all forwarding to one builder;
 * `host`        — memcpy-style host staging (outside kernel timing, §IV/V).
 """
 

@@ -78,7 +78,17 @@ class FabricEngine(Protocol):
         ...
 
 
-def _check_tile(name: str, fused_tile) -> None:
+def _check_layout(name: str, shard_shape, shard_workers, fused_tile) -> None:
+    if name not in ENGINE_NAMES:
+        raise _unknown_engine_error(name)
+    if name not in SHARD_CAPABLE_ENGINES and (
+        shard_shape is not None or shard_workers is not None
+    ):
+        raise ConfigurationError(
+            f"fabric engine {name!r} is single-shard; shard_shape/"
+            f"shard_workers require one of "
+            f"{', '.join(SHARD_CAPABLE_ENGINES)}"
+        )
     if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
         raise ConfigurationError(
             f"fabric engine {name!r} is untiled; fused_tile requires "
@@ -102,17 +112,7 @@ def create_engine(
     fused_tile=None,
 ) -> FabricEngine:
     """Instantiate the engine ``name`` for one solve (staging included)."""
-    if name not in ENGINE_NAMES:
-        raise _unknown_engine_error(name)
-    if name not in SHARD_CAPABLE_ENGINES and (
-        shard_shape is not None or shard_workers is not None
-    ):
-        raise ConfigurationError(
-            f"fabric engine {name!r} is single-shard; shard_shape/"
-            f"shard_workers require one of "
-            f"{', '.join(SHARD_CAPABLE_ENGINES)}"
-        )
-    _check_tile(name, fused_tile)
+    _check_layout(name, shard_shape, shard_workers, fused_tile)
     if name == "event":
         from repro.core.event_engine import EventEngine
 
@@ -147,6 +147,8 @@ def create_batched_engine(
     initial_pressure=None,
     accumulation=None,
     rhs=None,
+    shard_shape=None,
+    shard_workers: str | None = None,
     fused_tile=None,
 ):
     """Instantiate the batched layout for one multi-problem solve.
@@ -160,15 +162,13 @@ def create_batched_engine(
     exactly what a serial solve of that problem alone would produce."""
     from repro.wse.vector_engine import normalize_guesses
 
-    if name not in ENGINE_NAMES:
-        raise _unknown_engine_error(name)
+    _check_layout(name, shard_shape, shard_workers, fused_tile)
     if name not in BATCH_CAPABLE_ENGINES:
         raise ConfigurationError(
             f"fabric engine {name!r} runs one problem at a time; batched "
             f"execution requires one of "
             f"{', '.join(BATCH_CAPABLE_ENGINES)}"
         )
-    _check_tile(name, fused_tile)
     problems = list(problems)
     if not problems:
         raise ConfigurationError("batched engine needs at least one problem")

@@ -136,8 +136,7 @@ class EventEngine:
             variant=program.variant,
             reuse_buffers=program.reuse_buffers,
             initial_pressure=kw["initial_pressure"],
-            jacobi=program.jacobi,
-            mg=program.mg,
+            preconditioner=program.preconditioner,
             accumulation=kw["accumulation"],
             rhs=kw["rhs"],
         )

@@ -55,8 +55,7 @@ def stage_problem(
     variant: KernelVariant = KernelVariant.PRECOMPUTED,
     reuse_buffers: bool = True,
     initial_pressure: np.ndarray | None = None,
-    jacobi: bool = False,
-    mg: bool = False,
+    preconditioner: str = "none",
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
 ) -> dict[tuple[int, int], PeKernelConfig]:
@@ -111,6 +110,7 @@ def stage_problem(
     coeff_down = problem.coefficients.cell_view(Direction.DOWN)
     coeff_up = problem.coefficients.cell_view(Direction.UP)
 
+    jacobi = preconditioner == "jacobi"
     if jacobi:
         # Jacobi scaling is purely PE-local: each PE stores 1/diag(J+A)
         # for its own column (Dirichlet rows have unit diagonal; the
@@ -138,7 +138,7 @@ def stage_problem(
             pe.memory.alloc(name, nz, dtype=dtype)
         if not reuse_buffers:
             pe.memory.alloc("scratch", nz, dtype=dtype)
-        if jacobi or mg:
+        if preconditioner != "none":
             # Both preconditioners hold the preconditioned residual in a
             # ``z`` column; only Jacobi needs a PE-local inverse diagonal
             # (the mg V-cycle is a host-assisted program construct).

@@ -87,7 +87,6 @@ class CgProgram:
 
     variant: KernelVariant = KernelVariant.PRECOMPUTED
     reuse_buffers: bool = True
-    jacobi: bool = False
     comm_only: bool = False
     tol_rtr: float = 2e-10
     max_iters: int = 10_000
@@ -95,8 +94,7 @@ class CgProgram:
     batch: int = 1
     accumulation: bool = False
     #: Which preconditioner the recurrence applies: ``"none"``,
-    #: ``"jacobi"`` (PE-local diagonal scaling; kept in sync with the
-    #: legacy ``jacobi`` flag both ways), or ``"mg"`` (host-assisted
+    #: ``"jacobi"`` (PE-local diagonal scaling), or ``"mg"`` (host-assisted
     #: geometric multigrid V-cycle; per-level work charged analytically
     #: through ``repro.mg.charges`` so every engine stays oracle-pinned).
     preconditioner: str = "none"
@@ -110,17 +108,6 @@ class CgProgram:
             raise ConfigurationError(
                 f"unknown preconditioner {self.preconditioner!r}; choose "
                 f"one of 'none', 'jacobi', 'mg'"
-            )
-        # Bidirectional sync with the legacy boolean so older call sites
-        # (CgProgram(jacobi=True)) and new ones (preconditioner="jacobi")
-        # describe the same program.
-        if self.jacobi and self.preconditioner == "none":
-            object.__setattr__(self, "preconditioner", "jacobi")
-        elif self.preconditioner == "jacobi" and not self.jacobi:
-            object.__setattr__(self, "jacobi", True)
-        elif self.preconditioner == "mg" and self.jacobi:
-            raise ConfigurationError(
-                "jacobi=True conflicts with preconditioner='mg'"
             )
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise ConfigurationError("fixed_iterations must be >= 1")
@@ -147,6 +134,12 @@ class CgProgram:
                 f"mg_smoother_iters must be in [1, 8], got "
                 f"{self.mg_smoother_iters}"
             )
+
+    @property
+    def jacobi(self) -> bool:
+        """True when the program preconditions with the PE-local inverse
+        diagonal."""
+        return self.preconditioner == "jacobi"
 
     @property
     def mg(self) -> bool:

@@ -1,17 +1,21 @@
-"""Public dataflow solver: :class:`WseMatrixFreeSolver`.
+"""Public dataflow solver: :class:`WseMatrixFreeSolver`, :func:`solve_batch`
+and the transient :func:`simulate_reports` / :func:`simulate_reports_batch`.
 
-Builds the engine-agnostic :class:`~repro.core.program.CgProgram` from
-the paper's design knobs, hands it to a pluggable fabric engine
-(``engine="event"`` — the cycle-accurate discrete-event oracle — or a
-layout of the array CG driver for paper-scale fabrics; see
-:mod:`repro.core.engines`), and reports both the solution and the
-machine-level telemetry (instruction counts, traffic, cycle makespan)
-the benchmarks consume.
+Every entry point forwards to one private builder, :func:`_build`: it
+resolves each system's tolerance, builds the one engine-agnostic
+:class:`~repro.core.program.CgProgram` from the paper's design knobs
+(:class:`_Knobs`, the knob list and its defaults), and stages the engine
+— :func:`~repro.core.engines.create_engine` for one problem (the
+cycle-accurate ``"event"`` oracle or a layout of the array CG driver),
+:func:`~repro.core.engines.create_batched_engine` for a batched chunk.
+Engines report the solution together with the machine-level telemetry
+(instruction counts, traffic, cycle makespan) the benchmarks consume.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,27 +27,12 @@ from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2, WseSpecs
 
 
-def resolve_preconditioner(
-    preconditioner: str | None, jacobi: bool
-) -> str:
-    """Collapse the legacy ``jacobi`` flag and the ``preconditioner``
-    name into one canonical name (``"none"``/``"jacobi"``/``"mg"``)."""
-    if preconditioner is None:
-        return "jacobi" if jacobi else "none"
-    if preconditioner == "jacobi" or not jacobi:
-        return preconditioner
-    raise ConfigurationError(
-        f"jacobi=True conflicts with preconditioner={preconditioner!r}"
-    )
-
-
 def resolve_tolerance(
     problem: SinglePhaseProblem,
     *,
     tol_rtr: float = 2e-10,
     rel_tol: float | None = None,
-    jacobi: bool = False,
-    preconditioner: str | None = None,
+    preconditioner: str = "none",
     mg_levels: int | None = None,
     mg_smoother_iters: int | None = None,
     initial_pressure: np.ndarray | None = None,
@@ -53,9 +42,11 @@ def resolve_tolerance(
     """The absolute ε on the global ``r^T r`` the device applies.
 
     ``rel_tol`` is scaled from the initial residual host-side (the
-    device still applies a single absolute ε, as the paper does).  For
-    transient steps, pass the step's ``accumulation`` diagonal and
-    ``rhs`` so the scale comes from the residual of the actual system
+    device still applies a single absolute ε, as the paper does).  The
+    scale comes from the guess the device actually starts from: staging
+    applies the Dirichlet values to ``initial_pressure``, and so does
+    this.  For transient steps, pass the step's ``accumulation`` diagonal
+    and ``rhs`` so the scale comes from the residual of the actual system
     ``(J + A) p = rhs`` the device is about to solve.
 
     Preconditioned programs check ε against ``r^T z = r^T M^{-1} r``,
@@ -65,12 +56,11 @@ def resolve_tolerance(
     tol = float(tol_rtr)
     if rel_tol is None:
         return tol
-    precond = resolve_preconditioner(preconditioner, jacobi)
-    p0 = (
-        problem.initial_pressure(dtype=np.float64)
-        if initial_pressure is None
-        else np.asarray(initial_pressure, dtype=np.float64)
-    )
+    if initial_pressure is None:
+        p0 = problem.initial_pressure(dtype=np.float64)
+    else:
+        p0 = np.array(initial_pressure, dtype=np.float64)
+        problem.dirichlet.apply_to(p0)
     if accumulation is None:
         r0 = problem.residual(p0)
     else:
@@ -84,14 +74,14 @@ def resolve_tolerance(
         r0 = np.asarray(rhs, dtype=np.float64) - (
             jx + accumulation.astype(np.float64) * p0
         )
-    if precond == "jacobi":
+    if preconditioner == "jacobi":
         # The device checks ε against r^T z = r^T M^{-1} r.
         diag = problem.coefficients.diagonal.astype(np.float64).copy()
         if accumulation is not None:
             diag += accumulation.astype(np.float64)
         diag[problem.dirichlet.mask] = 1.0
         scale = float(np.vdot(r0, r0 / diag).real)
-    elif precond == "mg":
+    elif preconditioner == "mg":
         from repro.mg import hierarchy_for_problem, mg_apply
 
         hier = hierarchy_for_problem(
@@ -113,113 +103,170 @@ def resolve_tolerance(
 WseSolveReport = EngineReport
 
 
+@dataclass(frozen=True)
+class _Knobs:
+    """The fabric knobs every entry point accepts, with their defaults.
+
+    * ``spec`` — the :class:`WseSpecs` fabric (default the full CS-2);
+    * ``dtype`` — fp32 (paper) or fp64 (tight numerical cross-checks);
+    * ``simd_width`` — §III-E.3 vectorization (2 = DSD SIMD, 1 = scalar);
+    * ``variant`` — precomputed ``c = Υλ`` vs. in-kernel mobility fusion;
+    * ``reuse_buffers`` — §III-E.1 memory-saving on/off;
+    * ``tol_rtr``/``rel_tol``/``max_iters`` — the stopping rule (see
+      :func:`resolve_tolerance`);
+    * ``comm_only``/``fixed_iterations`` — §V-C's Table IV methodology
+      (suppress FP, fixed iteration count);
+    * ``preconditioner`` — ``"none"``, ``"jacobi"`` or ``"mg"``, with
+      ``mg_levels``/``mg_smoother_iters`` tuning the hierarchy;
+    * ``shard_shape``/``shard_workers`` — the ``"sharded"`` layout;
+    * ``fused_tile`` — the cache tile of the ``"fused"`` and
+      ``"sharded"`` layouts.
+    """
+
+    spec: WseSpecs = WSE2
+    dtype: Any = np.float32
+    simd_width: int | None = None
+    variant: KernelVariant | str = KernelVariant.PRECOMPUTED
+    reuse_buffers: bool = True
+    tol_rtr: float = 2e-10
+    rel_tol: float | None = None
+    max_iters: int = 10_000
+    comm_only: bool = False
+    fixed_iterations: int | None = None
+    preconditioner: str = "none"
+    mg_levels: int | None = None
+    mg_smoother_iters: int | None = None
+    shard_shape: Any = None
+    shard_workers: str | None = None
+    fused_tile: Any = None
+
+
+def _build(
+    engine: str,
+    problems: Sequence[SinglePhaseProblem],
+    guesses: Sequence,
+    accs: Sequence,
+    rhss: Sequence,
+    knobs: _Knobs,
+    *,
+    batched: bool,
+):
+    """Resolve every system's tolerance, build the one program and stage
+    the engine: ``create_engine`` for one problem, ``create_batched_engine``
+    (one lane per problem) when ``batched``."""
+    tols = [
+        resolve_tolerance(
+            problem,
+            tol_rtr=knobs.tol_rtr,
+            rel_tol=knobs.rel_tol,
+            preconditioner=knobs.preconditioner,
+            mg_levels=knobs.mg_levels,
+            mg_smoother_iters=knobs.mg_smoother_iters,
+            initial_pressure=guess,
+            accumulation=acc,
+            rhs=rhs,
+        )
+        for problem, guess, acc, rhs in zip(problems, guesses, accs, rhss)
+    ]
+    program = CgProgram(
+        variant=KernelVariant(knobs.variant),
+        reuse_buffers=knobs.reuse_buffers,
+        preconditioner=knobs.preconditioner,
+        mg_levels=knobs.mg_levels,
+        mg_smoother_iters=(
+            2 if knobs.mg_smoother_iters is None else int(knobs.mg_smoother_iters)
+        ),
+        comm_only=knobs.comm_only,
+        tol_rtr=float(knobs.tol_rtr) if batched else tols[0],
+        max_iters=int(knobs.max_iters),
+        fixed_iterations=knobs.fixed_iterations,
+        batch=len(problems),
+        accumulation=any(acc is not None for acc in accs),
+    )
+    # Engine construction stages the problems (and enforces the 48 KiB
+    # per-PE budget), exactly as loading an oversized CSL program would
+    # fail before the run.
+    layout = dict(
+        spec=knobs.spec,
+        dtype=np.dtype(knobs.dtype),
+        simd_width=knobs.simd_width,
+        shard_shape=knobs.shard_shape,
+        shard_workers=knobs.shard_workers,
+        fused_tile=knobs.fused_tile,
+    )
+    if not batched:
+        return create_engine(
+            engine, problems[0], program, initial_pressure=guesses[0],
+            accumulation=accs[0], rhs=rhss[0], **layout,
+        )
+    return create_batched_engine(
+        engine, problems, program, tol_rtrs=tols, initial_pressure=guesses,
+        accumulation=accs, rhs=rhss, **layout,
+    )
+
+
+def _run(
+    engine: str,
+    problems: Sequence[SinglePhaseProblem],
+    guesses: Sequence,
+    accs: Sequence,
+    rhss: Sequence,
+    knobs: _Knobs,
+    *,
+    batched: bool,
+    batch_size: int | None = None,
+) -> list[EngineReport]:
+    """One report per problem, in order: a serial run of the single
+    problem, or batched chunks of at most ``batch_size`` lanes."""
+    if not batched:
+        return [_build(engine, problems, guesses, accs, rhss, knobs, batched=False).run()]
+    if batch_size is not None and batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    size = batch_size or len(problems)
+    reports: list[EngineReport] = []
+    for start in range(0, len(problems), size):
+        chunk = slice(start, start + size)
+        lanes = _build(
+            engine, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
+            knobs, batched=True,
+        )
+        reports.extend(lanes.run_lanes())
+    return reports
+
+
 class WseMatrixFreeSolver:
     """Matrix-free FV pressure solver on the simulated dataflow machine.
 
     Use :meth:`for_problem` to build one from a
     :class:`~repro.physics.darcy.SinglePhaseProblem`; then :meth:`solve`.
 
-    Parameters mirror the paper's design knobs:
-
-    * ``variant`` — precomputed ``c = Υλ`` vs. in-kernel mobility fusion;
-    * ``reuse_buffers`` — §III-E.1 memory-saving on/off;
-    * ``simd_width`` — §III-E.3 vectorization (2 = DSD SIMD, 1 = scalar);
-    * ``comm_only`` — §V-C's Table IV methodology (suppress FP, fixed
-      iteration count);
-    * ``dtype`` — fp32 (paper) or fp64 (tight numerical cross-checks);
-    * ``engine`` — ``"event"`` (default: per-PE discrete-event oracle)
-      or a layout of the array CG driver, whose analytic cycle/counter
-      model reproduces the oracle's instruction counts on fabrics it
-      cannot reach: ``"vectorized"`` (one whole-grid tile), ``"fused"``
-      (cache-sized tiles; accepts ``fused_tile``) or ``"sharded"`` (the
-      grid split over a worker pool; accepts ``shard_shape``,
-      ``shard_workers`` and ``fused_tile``).  A repeated :meth:`solve`
-      re-stages the problem and returns an equal report.
+    ``engine`` is ``"event"`` (default: per-PE discrete-event oracle) or
+    a layout of the array CG driver, whose analytic cycle/counter model
+    reproduces the oracle's instruction counts on fabrics it cannot
+    reach: ``"vectorized"`` (one whole-grid tile), ``"fused"``
+    (cache-sized tiles) or ``"sharded"`` (the grid split over a worker
+    crew).  ``initial_pressure`` seeds the CG (Dirichlet values applied
+    on top); ``accumulation``/``rhs`` stage one transient step.  Every
+    other keyword is a fabric knob (see :class:`_Knobs`).  A repeated
+    :meth:`solve` re-stages the problem and returns an equal report.
     """
 
     def __init__(
         self,
         problem: SinglePhaseProblem,
         *,
-        spec: WseSpecs = WSE2,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        variant: KernelVariant | str = KernelVariant.PRECOMPUTED,
-        reuse_buffers: bool = True,
-        tol_rtr: float = 2e-10,
-        rel_tol: float | None = None,
-        max_iters: int = 10_000,
-        comm_only: bool = False,
-        fixed_iterations: int | None = None,
-        initial_pressure: np.ndarray | None = None,
-        jacobi: bool = False,
-        preconditioner: str | None = None,
-        mg_levels: int | None = None,
-        mg_smoother_iters: int | None = None,
         engine: str = DEFAULT_ENGINE,
+        initial_pressure: np.ndarray | None = None,
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,
-        shard_shape=None,
-        shard_workers: str | None = None,
-        fused_tile=None,
+        **knobs,
     ):
-        if isinstance(variant, str):
-            variant = KernelVariant(variant)
         self.problem = problem
-        self.spec = spec
-        self.dtype = np.dtype(dtype)
-        self.variant = variant
-        self.reuse_buffers = reuse_buffers
-        self.tol_rtr = float(tol_rtr)
-        self.rel_tol = rel_tol
-        self.max_iters = int(max_iters)
-        self.comm_only = comm_only
-        self.fixed_iterations = fixed_iterations
-        self.initial_pressure = initial_pressure
-        self.simd_width = simd_width
-        self.preconditioner = resolve_preconditioner(preconditioner, jacobi)
-        self.jacobi = self.preconditioner == "jacobi"
-        self.mg_levels = mg_levels
-        self.mg_smoother_iters = mg_smoother_iters
-        self.engine_name = engine
-        self.accumulation = accumulation
-        self.rhs = rhs
-        self.shard_shape = shard_shape
-        self.shard_workers = shard_workers
-        self.fused_tile = fused_tile
-
-        self.program = CgProgram(
-            variant=variant,
-            reuse_buffers=reuse_buffers,
-            jacobi=self.jacobi,
-            preconditioner=self.preconditioner,
-            mg_levels=mg_levels,
-            mg_smoother_iters=(
-                2 if mg_smoother_iters is None else int(mg_smoother_iters)
-            ),
-            comm_only=comm_only,
-            tol_rtr=self._resolved_tolerance(),
-            max_iters=self.max_iters,
-            fixed_iterations=fixed_iterations,
-            accumulation=accumulation is not None,
+        self.engine = _build(
+            engine, [problem], [initial_pressure], [accumulation], [rhs],
+            _Knobs(**knobs), batched=False,
         )
-        # Engine construction stages the problem (and enforces the 48 KiB
-        # per-PE budget), exactly as loading an oversized CSL program
-        # would fail before the run.
-        self.engine = create_engine(
-            engine,
-            problem,
-            self.program,
-            spec=spec,
-            dtype=self.dtype,
-            simd_width=simd_width,
-            initial_pressure=initial_pressure,
-            accumulation=accumulation,
-            rhs=rhs,
-            shard_shape=shard_shape,
-            shard_workers=shard_workers,
-            fused_tile=fused_tile,
-        )
+        self.program = self.engine.program
         self.mapping = self.engine.mapping
 
     def __getattr__(self, name: str):
@@ -235,20 +282,6 @@ class WseMatrixFreeSolver:
         """Build a solver sized exactly to the problem's lateral grid."""
         return cls(problem, **kwargs)
 
-    def _resolved_tolerance(self) -> float:
-        """See :func:`resolve_tolerance` (shared with the batched path)."""
-        return resolve_tolerance(
-            self.problem,
-            tol_rtr=self.tol_rtr,
-            rel_tol=self.rel_tol,
-            preconditioner=self.preconditioner,
-            mg_levels=self.mg_levels,
-            mg_smoother_iters=self.mg_smoother_iters,
-            initial_pressure=self.initial_pressure,
-            accumulation=self.accumulation,
-            rhs=self.rhs,
-        )
-
     def solve(self) -> WseSolveReport:
         """Run the dataflow CG to completion and gather the results."""
         return self.engine.run()
@@ -257,26 +290,12 @@ class WseMatrixFreeSolver:
 def solve_batch(
     problems: Sequence[SinglePhaseProblem],
     *,
-    spec: WseSpecs = WSE2,
-    dtype=np.float32,
-    simd_width: int | None = None,
-    variant: KernelVariant | str = KernelVariant.PRECOMPUTED,
-    reuse_buffers: bool = True,
-    tol_rtr: float = 2e-10,
-    rel_tol: float | None = None,
-    max_iters: int = 10_000,
-    comm_only: bool = False,
-    fixed_iterations: int | None = None,
-    initial_pressure=None,
-    jacobi: bool = False,
-    preconditioner: str | None = None,
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
     engine: str = "vectorized",
     batch_size: int | None = None,
+    initial_pressure=None,
     accumulation=None,
     rhs=None,
-    fused_tile=None,
+    **knobs,
 ) -> list[WseSolveReport]:
     """Solve many independent same-shape problems as the lanes of one
     batched layout (``engine="vectorized"`` or ``"fused"``).
@@ -285,233 +304,125 @@ def solve_batch(
     boundary conditions are free per problem).  ``rel_tol`` is resolved
     per problem, exactly as :class:`WseMatrixFreeSolver` would resolve
     it for a serial solve of that problem.  ``batch_size`` caps the
-    lanes per program (``None`` puts everything in one); reports come
-    back in input order, one per problem, and each is exactly the report
-    a serial solve of that problem alone on ``engine`` would produce.
+    lanes per program (``None`` puts everything in one);
+    ``initial_pressure``/``accumulation``/``rhs`` take one shared field
+    or one per problem.  Reports come back in input order, one per
+    problem, and each is exactly the report a serial solve of that
+    problem alone on ``engine`` would produce.
     """
     from repro.wse.vector_engine import normalize_guesses
 
     problems = list(problems)
     if not problems:
         return []
-    if isinstance(variant, str):
-        variant = KernelVariant(variant)
-    if batch_size is not None and batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    precond = resolve_preconditioner(preconditioner, jacobi)
-    guesses = normalize_guesses(
-        initial_pressure, len(problems), problems[0].grid.shape
+    count, shape = len(problems), problems[0].grid.shape
+    return _run(
+        engine,
+        problems,
+        normalize_guesses(initial_pressure, count, shape),
+        normalize_guesses(accumulation, count, shape),
+        normalize_guesses(rhs, count, shape),
+        _Knobs(**knobs),
+        batched=True,
+        batch_size=batch_size,
     )
-    accs = normalize_guesses(accumulation, len(problems), problems[0].grid.shape)
-    rhss = normalize_guesses(rhs, len(problems), problems[0].grid.shape)
-    size = batch_size if batch_size is not None else len(problems)
-    reports: list[WseSolveReport] = []
-    for start in range(0, len(problems), size):
-        chunk = problems[start : start + size]
-        chunk_guesses = guesses[start : start + size]
-        chunk_accs = accs[start : start + size]
-        chunk_rhss = rhss[start : start + size]
-        tols = [
-            resolve_tolerance(
-                problem,
-                tol_rtr=tol_rtr,
-                rel_tol=rel_tol,
-                preconditioner=precond,
-                mg_levels=mg_levels,
-                mg_smoother_iters=mg_smoother_iters,
-                initial_pressure=guess,
-                accumulation=acc,
-                rhs=lane_rhs,
-            )
-            for problem, guess, acc, lane_rhs in zip(
-                chunk, chunk_guesses, chunk_accs, chunk_rhss
-            )
-        ]
-        program = CgProgram(
-            variant=variant,
-            reuse_buffers=reuse_buffers,
-            jacobi=precond == "jacobi",
-            preconditioner=precond,
-            mg_levels=mg_levels,
-            mg_smoother_iters=(
-                2 if mg_smoother_iters is None else int(mg_smoother_iters)
-            ),
-            comm_only=comm_only,
-            tol_rtr=float(tol_rtr),
-            max_iters=int(max_iters),
-            fixed_iterations=fixed_iterations,
-            batch=len(chunk),
-            accumulation=accumulation is not None,
-        )
-        batched = create_batched_engine(
-            engine,
-            chunk,
-            program,
-            spec=spec,
-            dtype=np.dtype(dtype),
-            simd_width=simd_width,
-            tol_rtrs=tols,
-            initial_pressure=chunk_guesses if any(
-                g is not None for g in chunk_guesses
-            ) else None,
-            accumulation=chunk_accs if any(
-                a is not None for a in chunk_accs
-            ) else None,
-            rhs=chunk_rhss if any(r is not None for r in chunk_rhss) else None,
-            fused_tile=fused_tile,
-        )
-        reports.extend(batched.run_lanes())
-    return reports
 
 
 # -- transient time stepping --------------------------------------------------
 
 
-def simulate_reports(
-    problem: SinglePhaseProblem,
+def _simulate(
+    problems: list[SinglePhaseProblem],
+    states: Sequence,
     *,
+    engine: str,
+    batched: bool,
     dts: Sequence[float],
     porosity: float = 0.2,
     total_compressibility: float = 1e-4,
     initial_condition="problem",
     warm_start: bool = True,
     start_step: int = 0,
+    batch_size: int | None = None,
+    **knobs,
+):
+    """The one stepping loop: N :class:`TransientStepper`\\ s advanced
+    together, one engine solve per step (serial for N = 1, one batched
+    program otherwise), yielding each step's reports in input order."""
+    from repro.physics.transient import TransientStepper
+
+    knobs = _Knobs(**knobs)
+    steppers = [
+        TransientStepper(
+            problem,
+            dts=dts,
+            porosity=porosity,
+            total_compressibility=total_compressibility,
+            initial_condition=initial_condition,
+            warm_start=warm_start,
+            start_step=start_step,
+            state=state,
+            state_dtype=np.dtype(knobs.dtype),
+        )
+        for problem, state in zip(problems, states)
+    ]
+    for index in steppers[0].pending():
+        accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
+        reports = _run(
+            engine, problems, guesses, accs, rhss, knobs,
+            batched=batched, batch_size=batch_size,
+        )
+        for stepper, report in zip(steppers, reports):
+            stepper.advance(report.pressure)
+        yield reports
+
+
+def simulate_reports(
+    problem: SinglePhaseProblem,
+    *,
     state: np.ndarray | None = None,
-    spec: WseSpecs = WSE2,
-    dtype=np.float32,
-    simd_width: int | None = None,
-    variant: KernelVariant | str = KernelVariant.PRECOMPUTED,
-    reuse_buffers: bool = True,
-    tol_rtr: float = 2e-10,
-    rel_tol: float | None = None,
-    max_iters: int = 10_000,
-    fixed_iterations: int | None = None,
-    jacobi: bool = False,
-    preconditioner: str | None = None,
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
     engine: str = DEFAULT_ENGINE,
-    shard_shape=None,
-    shard_workers: str | None = None,
-    fused_tile=None,
+    **options,
 ):
     """Backward-Euler time stepping on the fabric: one engine solve per
     step, yielded as :class:`EngineReport`\\ s.
 
     Every step solves ``(J + A) p^{n+1} = A p^n + b_D`` with ``A = diag(φ
     c_t V / Δt)`` staged into the engine's transient kernel — the same
-    program on either engine, so per-step counters and traffic stay
-    parity-exact between ``"event"`` and ``"vectorized"`` (fuzz-pinned).
-    ``warm_start`` starts each step's CG from the previous step's
-    pressure; otherwise every step restarts from the initial condition
-    (step 1 is identical either way).  ``start_step``/``state`` resume an
-    interrupted schedule: skip the first ``start_step`` entries of
-    ``dts`` and carry ``state`` as the last completed step's pressure.
+    program on every engine, so per-step counters and traffic stay
+    parity-exact between ``"event"`` and the array layouts (fuzz-pinned).
+    ``options`` are the schedule (``dts``, ``porosity``,
+    ``total_compressibility``, ``initial_condition``) plus the fabric
+    knobs.  ``warm_start`` starts each step's CG from the previous
+    step's pressure; otherwise every step restarts from the initial
+    condition (step 1 is identical either way).  ``start_step``/``state``
+    resume an interrupted schedule: skip the first ``start_step`` entries
+    of ``dts`` and carry ``state`` as the last completed step's pressure.
     """
-    from repro.physics.transient import TransientStepper
-
-    if isinstance(variant, str):
-        variant = KernelVariant(variant)
-    precond = resolve_preconditioner(preconditioner, jacobi)
-    np_dtype = np.dtype(dtype)
-    stepper = TransientStepper(
-        problem,
-        dts=dts,
-        porosity=porosity,
-        total_compressibility=total_compressibility,
-        initial_condition=initial_condition,
-        warm_start=warm_start,
-        start_step=start_step,
-        state=state,
-        state_dtype=np_dtype,
-    )
-    for index in stepper.pending():
-        acc, rhs, x0 = stepper.begin(index)
-        tol = resolve_tolerance(
-            problem,
-            tol_rtr=tol_rtr,
-            rel_tol=rel_tol,
-            preconditioner=precond,
-            mg_levels=mg_levels,
-            mg_smoother_iters=mg_smoother_iters,
-            initial_pressure=x0,
-            accumulation=acc,
-            rhs=rhs,
-        )
-        program = CgProgram(
-            variant=variant,
-            reuse_buffers=reuse_buffers,
-            jacobi=precond == "jacobi",
-            preconditioner=precond,
-            mg_levels=mg_levels,
-            mg_smoother_iters=(
-                2 if mg_smoother_iters is None else int(mg_smoother_iters)
-            ),
-            tol_rtr=tol,
-            max_iters=int(max_iters),
-            fixed_iterations=fixed_iterations,
-            accumulation=True,
-        )
-        step_engine = create_engine(
-            engine,
-            problem,
-            program,
-            spec=spec,
-            dtype=np_dtype,
-            simd_width=simd_width,
-            initial_pressure=x0,
-            accumulation=acc,
-            rhs=rhs,
-            shard_shape=shard_shape,
-            shard_workers=shard_workers,
-            fused_tile=fused_tile,
-        )
-        report = step_engine.run()
-        stepper.advance(report.pressure)
-        yield report
+    for reports in _simulate(
+        [problem], [state], engine=engine, batched=False, **options
+    ):
+        yield reports[0]
 
 
 def simulate_reports_batch(
     problems: Sequence[SinglePhaseProblem],
     *,
-    dts: Sequence[float],
-    porosity: float = 0.2,
-    total_compressibility: float = 1e-4,
-    initial_condition="problem",
-    warm_start: bool = True,
-    start_step: int = 0,
     states: Sequence[np.ndarray] | None = None,
-    spec: WseSpecs = WSE2,
-    dtype=np.float32,
-    simd_width: int | None = None,
-    variant: KernelVariant | str = KernelVariant.PRECOMPUTED,
-    reuse_buffers: bool = True,
-    tol_rtr: float = 2e-10,
-    rel_tol: float | None = None,
-    max_iters: int = 10_000,
-    fixed_iterations: int | None = None,
-    jacobi: bool = False,
-    preconditioner: str | None = None,
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
     engine: str = "vectorized",
-    batch_size: int | None = None,
-    fused_tile=None,
+    **options,
 ):
     """Time-step ``N`` same-shape realizations together: one batched
-    program per step (one lane per realization), yielded as a list of
-    per-lane :class:`EngineReport`\\ s in input order.
+    program per step (one lane per realization, at most ``batch_size``
+    per program), yielded as a list of per-lane :class:`EngineReport`\\ s
+    in input order.
 
     Each lane carries its own accumulation diagonal, right-hand side,
     warm-start state and resolved tolerance, and stops on its own
     convergence, so every lane's per-step report is exactly what a
     serial solve of that lane on ``engine`` would have produced
-    (fuzz-pinned).
+    (fuzz-pinned).  ``options`` are :func:`simulate_reports`'.
     """
-    from repro.physics.transient import TransientStepper
-
-    if isinstance(variant, str):
-        variant = KernelVariant(variant)
     problems = list(problems)
     if not problems:
         return
@@ -519,45 +430,10 @@ def simulate_reports_batch(
         raise ConfigurationError(
             f"states has {len(states)} entries for {len(problems)} problems"
         )
-    np_dtype = np.dtype(dtype)
-    steppers = [
-        TransientStepper(
-            pr,
-            dts=dts,
-            porosity=porosity,
-            total_compressibility=total_compressibility,
-            initial_condition=initial_condition,
-            warm_start=warm_start,
-            start_step=start_step,
-            state=None if states is None else states[lane],
-            state_dtype=np_dtype,
-        )
-        for lane, pr in enumerate(problems)
-    ]
-    for index in steppers[0].pending():
-        pieces = [stepper.begin(index) for stepper in steppers]
-        reports = solve_batch(
-            problems,
-            spec=spec,
-            dtype=np_dtype,
-            simd_width=simd_width,
-            variant=variant,
-            reuse_buffers=reuse_buffers,
-            tol_rtr=tol_rtr,
-            rel_tol=rel_tol,
-            max_iters=max_iters,
-            fixed_iterations=fixed_iterations,
-            initial_pressure=[x0 for _, _, x0 in pieces],
-            jacobi=jacobi,
-            preconditioner=preconditioner,
-            mg_levels=mg_levels,
-            mg_smoother_iters=mg_smoother_iters,
-            engine=engine,
-            batch_size=batch_size,
-            accumulation=[acc for acc, _, _ in pieces],
-            rhs=[rhs for _, rhs, _ in pieces],
-            fused_tile=fused_tile,
-        )
-        for stepper, report in zip(steppers, reports):
-            stepper.advance(report.pressure)
-        yield reports
+    yield from _simulate(
+        problems,
+        [None] * len(problems) if states is None else states,
+        engine=engine,
+        batched=True,
+        **options,
+    )

@@ -2,13 +2,20 @@
 
 :class:`TiledApply` is the cache-blocked matrix-free operator: it
 computes the FV apply over one lateral tile at a time, reading the
-stencil input through a zero-padded ``(nx+2, ny+2, nz)`` buffer (pure
-shifted *slices* — no ``_shifted`` copies, no per-sweep allocation) and
-writing straight into the output array's tile view.  Every tile's
-arithmetic mirrors :class:`~repro.core.fv_kernel.FvColumnKernel`
-operand for operand, so the tiled result is **bitwise** equal per
-element to the oracle's column sweep: tiling is a pure loop reorder over
-elementwise/stencil-local operations.
+stencil neighbours through a zero-padded ``(nx+2, ny+2, nz)`` buffer
+(pure shifted *slices* — no ``_shifted`` copies, no per-sweep
+allocation).  Every tile runs one apply body on contiguous buffers:
+construction-time effective face coefficients, and vertical sweeps over
+the flattened tile (strided z-slice views run ~8x slower than the same
+arithmetic on contiguous buffers).  A full-width row slab — what
+:func:`~repro.fused.tiling.auto_tile` picks — is contiguous already and
+is swept in place; any other tile is *staged*: its source is copied into
+contiguous scratch, the apply writes contiguous scratch, and the result
+is copied into the output's tile view.  The arithmetic mirrors
+:class:`~repro.core.fv_kernel.FvColumnKernel` operand for operand, so
+the tiled result is **bitwise** equal per element to the oracle's column
+sweep: tiling is a pure loop reorder over elementwise/stencil-local
+operations.
 
 :class:`FusedNumpyBackend` is the kernel every non-event fabric engine
 runs (:class:`~repro.core.cg_driver.CgDriver` drives it; the engines
@@ -20,16 +27,6 @@ per-tile partials sequentially in row-major tile order, so repeated runs
 are bit-identical.  A whole-grid tile is the vectorized engine; the
 sharded engine runs one backend per shard, with neighbour planes written
 into the pad ring of its ``x_ext``.
-
-Full-width tiles (``tile_y == ny``, what
-:func:`~repro.fused.tiling.auto_tile` picks) take a *slab fast path*:
-every work array's tile view is then a contiguous row slab, so the
-apply runs with construction-time precomputed effective coefficients
-and a flattened-column vertical sweep (strided z-slice views run ~8x
-slower than the same arithmetic on contiguous buffers).  The fast
-path's boundary planes are save/restored around the flattened sweeps,
-keeping it bitwise equal to the strided :meth:`TiledApply.apply_tile`
-that narrow tiles run — the fuzz suite exercises both.
 """
 
 from __future__ import annotations
@@ -43,6 +40,46 @@ from repro.fused.tiling import tile_boxes
 # -- the cache-blocked FV apply -----------------------------------------------
 
 
+def _face_coefficients(st, variant: KernelVariant, tile, dtype: np.dtype):
+    """One tile's effective face coefficients as contiguous arrays: the
+    four lateral faces in :data:`HALO_ORDER`, then the up and down faces
+    flattened for the z sweeps (``up[k]`` couples flat cell ``k`` to
+    ``k + 1``, ``down[k]`` cell ``k + 1`` to ``k``).
+
+    The effective coefficient of a face is iteration-invariant; for
+    ``FUSED_MOBILITY`` it is computed here once with the exact reference
+    op sequence, so downstream arithmetic sees bitwise what a per-apply
+    recomputation would feed it.  Flat entries that cross a column
+    boundary are never consumed (see :meth:`TiledApply.apply`)."""
+    if variant is KernelVariant.PRECOMPUTED:
+        lateral = tuple(tile(st.coeff[port]) for port in HALO_ORDER)
+        up, down = tile(st.coeff_up), tile(st.coeff_down)
+    else:
+        lam = tile(st.lam)
+
+        def mobility_face(lam_a, lam_b, ups):
+            c = np.empty(lam_a.shape, dtype=dtype)
+            np.add(lam_a, lam_b, out=c)
+            np.multiply(c, 0.5, out=c, casting="unsafe")
+            np.multiply(c, ups, out=c, casting="unsafe")
+            return c
+
+        lateral = tuple(
+            mobility_face(lam, tile(st.lam_nbr[port]), tile(st.ups[port]))
+            for port in HALO_ORDER
+        )
+        lo, hi = (Ellipsis, slice(0, -1)), (Ellipsis, slice(1, None))
+        up = np.zeros(lam.shape, dtype=dtype)
+        down = np.zeros(lam.shape, dtype=dtype)
+        up[lo] = mobility_face(lam[lo], lam[hi], tile(st.ups_up)[lo])
+        down[hi] = mobility_face(lam[hi], lam[lo], tile(st.ups_down)[hi])
+    return (
+        lateral,
+        np.ascontiguousarray(up.reshape(-1)[:-1]),
+        np.ascontiguousarray(down.reshape(-1)[1:]),
+    )
+
+
 class TiledApply:
     """The matrix-free FV operator, one lateral tile at a time.
 
@@ -50,10 +87,10 @@ class TiledApply:
     — a whole grid or one shard of it; only its coefficient arrays and
     Dirichlet masks are read), the zero-padded stencil input ``x_ext``
     of shape ``(NX+2, NY+2, nz)``, the output array, and the tile boxes;
-    it prebuilds every per-tile operand view and the max-tile-shaped
-    scratch so :meth:`apply_tile` allocates nothing.  The pad ring of
-    ``x_ext`` reproduces ``_shifted``'s zero halos (edge planes are
-    never written).
+    it prebuilds every tile's contiguous coefficients and operand views
+    and the max-tile scratch so :meth:`apply` allocates nothing.  The
+    pad ring of ``x_ext`` reproduces ``_shifted``'s zero halos (edge
+    planes are never written).
     """
 
     def __init__(
@@ -66,143 +103,110 @@ class TiledApply:
         variant: KernelVariant,
         dtype: np.dtype,
     ):
-        self.variant = variant
         self.boxes = list(boxes)
         self.has_full = st.has_full
         self.has_partial = st.has_partial
         self.has_acc = st.acc is not None
         dtype = np.dtype(dtype)
-        nz = x_ext.shape[2]
+        ny, nz = out.shape[1], out.shape[2]
         self.nz = nz
-        max_tx = max(x1 - x0 for x0, x1, _, _ in self.boxes)
-        max_ty = max(y1 - y0 for _, _, y0, y1 in self.boxes)
-        self.max_tile = (max_tx, max_ty)
+        shapes = [(x1 - x0, y1 - y0, nz) for x0, x1, y0, y1 in self.boxes]
+        staged = [(y0, y1) != (0, ny) for _, _, y0, y1 in self.boxes]
+        max_cells = max(tx * ty * nz for tx, ty, _ in shapes)
+        max_staged = max(
+            (tx * ty * nz for (tx, ty, _), s in zip(shapes, staged) if s),
+            default=0,
+        )
 
-        # Max-tile scratch, sliced per tile below.  `diff`/`tmp` are the
-        # lateral scratch, `vd`/`vt`/`vl` the vertical scratch; `diff`
-        # doubles as the passes' axpy scratch (only live inside a single
-        # tile's step).
-        shape = (max_tx, max_ty, nz)
-        self._diff_full = np.empty(shape, dtype=dtype)
-        self._tmp_full = np.empty(shape, dtype=dtype)
-        if nz >= 2:
-            vshape = (max_tx, max_ty, nz - 1)
-            self._vd_full = np.empty(vshape, dtype=dtype)
-            self._vt_full = np.empty(vshape, dtype=dtype)
-            self._vl_full = np.empty(vshape, dtype=dtype) if st.lam is not None else None
-
-        lo = (Ellipsis, slice(0, nz - 1))
-        hi = (Ellipsis, slice(1, nz))
-
-        def tview(arr, box):
-            x0, x1, y0, y1 = box
-            return None if arr is None else arr[x0:x1, y0:y1]
+        # Flat max-tile scratch, reshaped per tile so every tile's view is
+        # contiguous.  `diff`/`tmp` are the lateral scratch (`diff` doubles
+        # as the passes' axpy scratch, only live inside a single tile's
+        # step), `vd`/`vt` the flattened z sweeps', `plane` the boundary
+        # plane a z sweep saves and restores, `xs`/`os` a staged tile's
+        # source and output.
+        diff = np.empty(max_cells, dtype=dtype)
+        tmp = np.empty(max_cells, dtype=dtype)
+        vd = np.empty(max_cells - 1, dtype=dtype)
+        vt = np.empty(max_cells - 1, dtype=dtype)
+        plane = np.empty(max_cells // nz, dtype=dtype)
+        xs = np.empty(max_staged, dtype=dtype)
+        os_ = np.empty(max_staged, dtype=dtype)
 
         self._t: list[dict] = []
-        for box in self.boxes:
+        for box, shape, is_staged in zip(self.boxes, shapes, staged):
             x0, x1, y0, y1 = box
-            tnx, tny = x1 - x0, y1 - y0
-            t: dict = {}
-            # Stencil input: the tile's owned window of x_ext, plus the
-            # four shifted windows (each reads into the pad ring or a
-            # neighbouring tile's owned cells — same global field state).
-            t["x"] = x_ext[x0 + 1:x1 + 1, y0 + 1:y1 + 1, :]
-            t["shift"] = tuple(
-                x_ext[
-                    x0 + 1 + port.offset[0]:x1 + 1 + port.offset[0],
-                    y0 + 1 + port.offset[1]:y1 + 1 + port.offset[1],
-                    :,
-                ]
-                for port in HALO_ORDER
-            )
-            t["out"] = out[x0:x1, y0:y1]
-            if variant is KernelVariant.PRECOMPUTED:
-                t["coeff"] = tuple(tview(st.coeff[port], box) for port in HALO_ORDER)
-                t["coeff_down"] = tview(st.coeff_down, box)
-                t["coeff_up"] = tview(st.coeff_up, box)
-            else:
-                t["ups"] = tuple(tview(st.ups[port], box) for port in HALO_ORDER)
-                t["ups_down"] = tview(st.ups_down, box)
-                t["ups_up"] = tview(st.ups_up, box)
-                t["lam"] = tview(st.lam, box)
-                t["lam_nbr"] = tuple(
-                    tview(st.lam_nbr[port], box) for port in HALO_ORDER
-                )
-            t["acc"] = tview(st.acc, box)
-            t["full_cols"] = tview(st.full_cols, box)
-            t["blend"] = tview(st.blend_mask, box)
-            t["diff"] = self._diff_full[:tnx, :tny]
-            t["tmp"] = self._tmp_full[:tnx, :tny]
-            if nz >= 2:
-                t["vd"] = self._vd_full[:tnx, :tny]
-                t["vt"] = self._vt_full[:tnx, :tny]
-                t["vl"] = (
-                    None if self._vl_full is None else self._vl_full[:tnx, :tny]
-                )
-                t["x_lo"], t["x_hi"] = t["x"][lo], t["x"][hi]
-                t["out_lo"], t["out_hi"] = t["out"][lo], t["out"][hi]
-                if variant is KernelVariant.PRECOMPUTED:
-                    t["cup_lo"] = t["coeff_up"][lo]
-                    t["cdn_hi"] = t["coeff_down"][hi]
-                else:
-                    t["ups_up_lo"] = t["ups_up"][lo]
-                    t["ups_dn_hi"] = t["ups_down"][hi]
-                    t["lam_lo"], t["lam_hi"] = t["lam"][lo], t["lam"][hi]
-            self._t.append(t)
+            cells = shape[0] * shape[1] * nz
+
+            def tile(arr):
+                return None if arr is None else np.ascontiguousarray(arr[x0:x1, y0:y1])
+
+            lateral, up, down = _face_coefficients(st, variant, tile, dtype)
+            view = out[x0:x1, y0:y1]
+            self._t.append({
+                # The four shifted stencil windows of x_ext (each reads the
+                # pad ring or a neighbouring tile's cells — the same global
+                # field state).
+                "shift": tuple(
+                    x_ext[
+                        x0 + 1 + port.offset[0]:x1 + 1 + port.offset[0],
+                        y0 + 1 + port.offset[1]:y1 + 1 + port.offset[1],
+                        :,
+                    ]
+                    for port in HALO_ORDER
+                ),
+                "ceff": lateral, "cup": up, "cdn": down,
+                "acc": tile(st.acc),
+                "full_cols": tile(st.full_cols),
+                "blend": tile(st.blend_mask),
+                "out": view,
+                "xs": xs[:cells].reshape(shape) if is_staged else None,
+                "work": os_[:cells].reshape(shape) if is_staged else view,
+                "diff": diff[:cells].reshape(shape),
+                "tmp": tmp[:cells].reshape(shape),
+                "vd": vd[:cells - 1], "vt": vt[:cells - 1],
+                "plane": plane[:cells // nz].reshape(shape[:2]),
+            })
 
     def diff_view(self, t: int) -> np.ndarray:
-        """The tile's scratch buffer (free outside :meth:`apply_tile`)."""
+        """The tile's scratch buffer (free outside :meth:`apply`)."""
         return self._t[t]["diff"]
 
-    def apply_tile(self, t: int) -> np.ndarray:
-        """FV apply over tile ``t``, written into the output tile view.
+    def apply(self, t: int, x: np.ndarray) -> None:
+        """FV apply over tile ``t`` of the source field whose tile view
+        is ``x`` (the field ``x_ext`` holds), written into the output's
+        tile view.
 
         Mirrors :class:`~repro.core.fv_kernel.FvColumnKernel` operand
         for operand, so results are bitwise equal to an untiled sweep.
         """
         tv = self._t[t]
-        x, out, diff, tmp = tv["x"], tv["out"], tv["diff"], tv["tmp"]
-        if self.variant is KernelVariant.PRECOMPUTED:
-            for i in range(4):
-                np.subtract(x, tv["shift"][i], out=diff)
-                if i == 0:
-                    np.multiply(tv["coeff"][i], diff, out=out)
-                else:
-                    np.multiply(tv["coeff"][i], diff, out=tmp)
-                    out += tmp
-        else:
-            c = tmp
-            for i in range(4):
-                np.add(tv["lam"], tv["lam_nbr"][i], out=c)
-                np.multiply(c, 0.5, out=c, casting="unsafe")
-                np.multiply(c, tv["ups"][i], out=c, casting="unsafe")
-                np.subtract(x, tv["shift"][i], out=diff)
-                np.multiply(diff, c, out=diff, casting="unsafe")
-                if i == 0:
-                    out[...] = diff
-                else:
-                    out += diff
-        if self.nz >= 2:
-            vd, vt = tv["vd"], tv["vt"]
-            if self.variant is KernelVariant.PRECOMPUTED:
-                np.subtract(tv["x_lo"], tv["x_hi"], out=vd)
-                np.multiply(tv["cup_lo"], vd, out=vt)
-                tv["out_lo"] += vt
-                np.subtract(tv["x_hi"], tv["x_lo"], out=vd)
-                np.multiply(tv["cdn_hi"], vd, out=vt)
-                tv["out_hi"] += vt
+        if tv["xs"] is not None:
+            np.copyto(tv["xs"], x)
+            x = tv["xs"]
+        out, diff, tmp, ceff = tv["work"], tv["diff"], tv["tmp"], tv["ceff"]
+        for i in range(4):
+            np.subtract(x, tv["shift"][i], out=diff)
+            if i == 0:
+                np.multiply(ceff[i], diff, out=out)
             else:
-                vl = tv["vl"]
-                for rng, other, ups in (
-                    ("lo", "hi", tv["ups_up_lo"]),
-                    ("hi", "lo", tv["ups_dn_hi"]),
-                ):
-                    np.subtract(tv[f"x_{rng}"], tv[f"x_{other}"], out=vd)
-                    np.add(tv[f"lam_{rng}"], tv[f"lam_{other}"], out=vl)
-                    np.multiply(vl, 0.5, out=vl, casting="unsafe")
-                    np.multiply(vl, ups, out=vl, casting="unsafe")
-                    np.multiply(vl, vd, out=vt)
-                    tv[f"out_{rng}"] += vt
+                np.multiply(ceff[i], diff, out=tmp)
+                out += tmp
+        if self.nz >= 2:
+            # Flattened z sweeps over the whole tile.  Elements that cross
+            # a column boundary compute garbage into the boundary planes;
+            # saving the plane a sweep must not touch and restoring it
+            # afterwards leaves exactly the per-column sweep's state.
+            xf, outf = x.reshape(-1), out.reshape(-1)
+            vd, vt, plane = tv["vd"], tv["vt"], tv["plane"]
+            for keep, src, nbr, coeff, dst in (
+                (out[:, :, -1], xf[:-1], xf[1:], tv["cup"], outf[:-1]),
+                (out[:, :, 0], xf[1:], xf[:-1], tv["cdn"], outf[1:]),
+            ):
+                np.copyto(plane, keep)
+                np.subtract(src, nbr, out=vd)
+                np.multiply(coeff, vd, out=vt)
+                dst += vt
+                np.copyto(keep, plane)
         if self.has_acc:
             np.multiply(tv["acc"], x, out=diff)
             out += diff
@@ -213,7 +217,8 @@ class TiledApply:
             np.subtract(x, out, out=diff)
             np.multiply(tv["blend"], diff, out=diff)
             out += diff
-        return out
+        if tv["xs"] is not None:
+            np.copyto(tv["out"], out)
 
 
 # -- the fused pass backend ---------------------------------------------------
@@ -278,137 +283,6 @@ class FusedNumpyBackend:
                 "cells": cells,
             })
         self._partials = np.zeros(len(self.boxes), dtype=np.float64)
-        # Full-width tiles get the contiguous slab fast path.
-        self._use_slab = all(y0 == 0 and y1 == ny for _, _, y0, y1 in self.boxes)
-        if self._use_slab:
-            self._build_slab_path(program.variant, dtype, nx, ny, nz)
-
-    # -- the contiguous slab fast path ----------------------------------------
-
-    def _build_slab_path(self, variant, dtype, nx, ny, nz) -> None:
-        """Precompute per-slab effective coefficients and flattened
-        vertical-coefficient buffers.
-
-        The effective coefficient of a face is iteration-invariant (for
-        ``FUSED_MOBILITY`` it is computed here once with the exact
-        reference op sequence, so downstream arithmetic sees bitwise
-        what a per-apply recomputation would feed it); the vertical
-        coefficients are laid out flat so the z sweeps run on contiguous
-        buffers.  Entries of the flat buffers that cross a column
-        boundary are never consumed: the boundary planes are
-        save/restored around the flattened sweeps."""
-        max_tx = self.tiled.max_tile[0]
-        self._plane_a = np.empty((max_tx, ny), dtype=dtype)
-        self._plane_b = np.empty((max_tx, ny), dtype=dtype)
-        if nz >= 2:
-            max_cells = max_tx * ny * nz
-            self._vdf = np.empty(max_cells - 1, dtype=dtype)
-            self._vtf = np.empty(max_cells - 1, dtype=dtype)
-        self._slabs = []
-        for ti, (box, t) in enumerate(zip(self.boxes, self.tiled._t)):
-            x0, x1 = box[0], box[1]
-            sl = (slice(x0, x1),)
-            tnx = x1 - x0
-            cells = tnx * ny * nz
-            s: dict = {
-                "src": {"y": self.y[sl], "p": self.p[sl]},
-                "out": self.jx[sl],
-                "outf": self.jx[sl].reshape(-1),
-                "cells": cells,
-                "diff": self.tiled._diff_full[:tnx],
-                "tmp": self.tiled._tmp_full[:tnx],
-                "plane_a": self._plane_a[:tnx],
-                "plane_b": self._plane_b[:tnx],
-                "shift": t["shift"],
-                "acc": t["acc"],
-                "full_cols": t["full_cols"],
-                "blend": t["blend"],
-            }
-            if variant is KernelVariant.PRECOMPUTED:
-                s["ceff"] = tuple(np.ascontiguousarray(c) for c in t["coeff"])
-                cup = np.ascontiguousarray(t["coeff_up"])
-                cdn = np.ascontiguousarray(t["coeff_down"])
-            else:
-                ceff = []
-                for i in range(4):
-                    c = np.empty((tnx, ny, nz), dtype=dtype)
-                    np.add(t["lam"], t["lam_nbr"][i], out=c)
-                    np.multiply(c, 0.5, out=c, casting="unsafe")
-                    np.multiply(c, t["ups"][i], out=c, casting="unsafe")
-                    ceff.append(c)
-                s["ceff"] = tuple(ceff)
-                cup = np.zeros((tnx, ny, nz), dtype=dtype)
-                cdn = np.zeros((tnx, ny, nz), dtype=dtype)
-                if nz >= 2:
-                    lo = (Ellipsis, slice(0, nz - 1))
-                    hi = (Ellipsis, slice(1, nz))
-                    vl = np.empty((tnx, ny, nz - 1), dtype=dtype)
-                    np.add(t["lam"][lo], t["lam"][hi], out=vl)
-                    np.multiply(vl, 0.5, out=vl, casting="unsafe")
-                    np.multiply(vl, t["ups_up"][lo], out=vl, casting="unsafe")
-                    cup[lo] = vl
-                    np.add(t["lam"][hi], t["lam"][lo], out=vl)
-                    np.multiply(vl, 0.5, out=vl, casting="unsafe")
-                    np.multiply(vl, t["ups_down"][hi], out=vl, casting="unsafe")
-                    cdn[hi] = vl
-            if nz >= 2:
-                s["cupf"] = np.ascontiguousarray(cup.reshape(-1)[: cells - 1])
-                s["cdnf"] = np.ascontiguousarray(cdn.reshape(-1)[1:])
-            self._slabs.append(s)
-
-    def _apply_slab(self, t: int, src: str) -> None:
-        """The contiguous-slab FV apply: identical arithmetic to
-        :meth:`TiledApply.apply_tile`, reordered onto contiguous
-        buffers — bitwise-equal results, pinned by the fuzz suite."""
-        s = self._slabs[t]
-        x, out, diff, tmp = s["src"][src], s["out"], s["diff"], s["tmp"]
-        ceff = s["ceff"]
-        for i in range(4):
-            np.subtract(x, s["shift"][i], out=diff)
-            if i == 0:
-                np.multiply(ceff[i], diff, out=out)
-            else:
-                np.multiply(ceff[i], diff, out=tmp)
-                out += tmp
-        nz = self.tiled.nz
-        if nz >= 2:
-            # Flattened z sweeps over the whole slab.  Elements that
-            # cross a column boundary compute garbage into the boundary
-            # planes; saving the plane a sweep must not touch and
-            # restoring it afterwards leaves the state exactly where the
-            # strided lo/hi reference sweeps put it.
-            xf = x.reshape(-1)
-            outf = s["outf"]
-            n1 = s["cells"] - 1
-            vd, vt = self._vdf[:n1], self._vtf[:n1]
-            plane = s["plane_a"]
-            np.copyto(plane, out[:, :, nz - 1])
-            np.subtract(xf[:-1], xf[1:], out=vd)
-            np.multiply(s["cupf"], vd, out=vt)
-            outf[:n1] += vt
-            np.copyto(out[:, :, nz - 1], plane)
-            plane = s["plane_b"]
-            np.copyto(plane, out[:, :, 0])
-            np.subtract(xf[1:], xf[:-1], out=vd)
-            np.multiply(s["cdnf"], vd, out=vt)
-            outf[1:] += vt
-            np.copyto(out[:, :, 0], plane)
-        if self.tiled.has_acc:
-            np.multiply(s["acc"], x, out=diff)
-            out += diff
-        if self.tiled.has_full:
-            fc = s["full_cols"]
-            out[fc] = x[fc]
-        if self.tiled.has_partial:
-            np.subtract(x, out, out=diff)
-            np.multiply(s["blend"], diff, out=diff)
-            out += diff
-
-    def _apply(self, t: int, src: str) -> None:
-        if self._use_slab:
-            self._apply_slab(t, src)
-        else:
-            self.tiled.apply_tile(t)
 
     def __enter__(self) -> "FusedNumpyBackend":
         np.copyto(self.y, self._y0)
@@ -435,7 +309,7 @@ class FusedNumpyBackend:
         np.copyto(self._inner, self.y)
         partials = self._partials
         for t, tv in enumerate(self._views):
-            self._apply(t, "y")
+            self.tiled.apply(t, tv["y"])
             np.subtract(tv["b"], tv["jx"], out=tv["r"], casting="unsafe")
             if jacobi:
                 np.multiply(tv["r"], tv["inv_diag"], out=tv["z"], casting="unsafe")
@@ -451,7 +325,7 @@ class FusedNumpyBackend:
         np.copyto(self._inner, self.p)
         partials = self._partials
         for t, tv in enumerate(self._views):
-            self._apply(t, "p")
+            self.tiled.apply(t, tv["p"])
             partials[t] = self._dot(tv, tv["p"], tv["jx"])
         return partials
 
@@ -494,7 +368,7 @@ class FusedNumpyBackend:
         """INIT, first half: per tile ``jx = A y``, ``r = b - jx``."""
         np.copyto(self._inner, self.y)
         for t, tv in enumerate(self._views):
-            self._apply(t, "y")
+            self.tiled.apply(t, tv["y"])
             np.subtract(tv["b"], tv["jx"], out=tv["r"], casting="unsafe")
 
     def mg_seed_pass(self) -> np.ndarray:

@@ -16,9 +16,7 @@ are bit-identical regardless of thread count.
 
 from __future__ import annotations
 
-import re
-
-from repro.util.errors import ConfigurationError
+from repro.spec import normalize_fused_tile
 
 #: Lateral working-set arrays one fused sweep touches per cell (stencil
 #: input + output + 4..6 coefficient columns + y/b/r/z/inv_diag + masks);
@@ -28,50 +26,14 @@ _ARRAYS_PER_CELL = 14
 #: Target per-tile working set: comfortably inside a desktop L2.
 _TARGET_TILE_BYTES = 512 * 1024
 
-_TILE_STRING = re.compile(r"^\s*(\d+)\s*[xX,]\s*(\d+)\s*$")
-
-
-def normalize_fused_tile(value) -> tuple[int, int] | None:
-    """Coerce a tile spec to a ``(tile_x, tile_y)`` pair.
-
-    Accepts ``None`` (auto-pick), a positive int (square tile), a
-    two-sequence of positive ints, or a ``"16x16"``-style string (the
-    CLI/env spelling).  Anything else raises :class:`ConfigurationError`.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        match = _TILE_STRING.match(value)
-        if not match:
-            raise ConfigurationError(
-                f"fused_tile string must look like '16x16', got {value!r}"
-            )
-        value = (int(match.group(1)), int(match.group(2)))
-    if isinstance(value, bool):
-        raise ConfigurationError(f"fused_tile must be an int or pair, got {value!r}")
-    if isinstance(value, int):
-        value = (value, value)
-    try:
-        tile = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"fused_tile must be a positive int, a (tile_x, tile_y) pair, "
-            f"or a '16x16' string, got {value!r}"
-        ) from None
-    if len(tile) != 2 or any(v < 1 for v in tile):
-        raise ConfigurationError(
-            f"fused_tile must be two positive integers, got {value!r}"
-        )
-    return tile
-
 
 def auto_tile(nx: int, ny: int, nz: int, itemsize: int) -> tuple[int, int]:
     """Pick a tile shape from the grid and dtype.
 
     Always picks a *full-width row slab* ``(rows, ny)``: slab tiles keep
-    every work array's tile view contiguous, which is what unlocks the
-    numpy backend's fast apply path (see
-    :class:`~repro.fused.kernels.FusedNumpyBackend`).  The row count
+    every work array's tile view contiguous, so the apply sweeps them in
+    place instead of staging them through contiguous scratch (see
+    :class:`~repro.fused.kernels.TiledApply`).  The row count
     targets ``_TARGET_TILE_BYTES`` of working set per tile (``~14``
     arrays × ``nz`` × ``itemsize`` bytes per lateral cell), clamped to
     the grid; small grids come back as one whole-grid tile — per-tile

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.spec import normalize_shard_shape
 from repro.util.errors import ConfigurationError
 
 #: The four lateral directions, as (attribute, dx, dy) in fabric
@@ -70,28 +69,6 @@ class ShardBox:
     def columns(self) -> int:
         """PE columns (lateral cells) this shard owns."""
         return self.nx * self.ny
-
-
-def normalize_shard_shape(shard_shape) -> tuple[int, int]:
-    """``int`` → 1-D ``(n, 1)``; otherwise a validated 2-tuple."""
-    if isinstance(shard_shape, (int, np.integer)) and not isinstance(
-        shard_shape, bool
-    ):
-        shape = (int(shard_shape), 1)
-    else:
-        try:
-            shape = tuple(int(v) for v in shard_shape)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"shard_shape must be a positive int or a "
-                f"(shards_x, shards_y) pair, got {shard_shape!r}"
-            ) from None
-    if len(shape) != 2 or any(v < 1 for v in shape):
-        raise ConfigurationError(
-            f"shard_shape must be a positive int or a (shards_x, shards_y) "
-            f"pair of positive integers, got {shard_shape!r}"
-        )
-    return shape
 
 
 @dataclass(frozen=True)

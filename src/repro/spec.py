@@ -61,10 +61,14 @@ MG_MAX_LEVELS = 10
 MG_MAX_SMOOTHER_ITERS = 8
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_optional_int(name: str, value: Any, minimum: int) -> int | None:
     if value is None:
         return None
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
@@ -299,6 +303,62 @@ FABRIC_ENGINES = ("event", "vectorized", "sharded", "fused")
 TILE_ENGINES = ("fused", "sharded")
 
 
+def normalize_shard_shape(shard_shape) -> tuple[int, int]:
+    """``int`` → 1-D ``(n, 1)``; otherwise a validated 2-tuple."""
+    if _is_int(shard_shape):
+        shape = (int(shard_shape), 1)
+    else:
+        try:
+            shape = tuple(int(v) for v in shard_shape)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"shard_shape must be a positive int or a "
+                f"(shards_x, shards_y) pair, got {shard_shape!r}"
+            ) from None
+    if len(shape) != 2 or any(v < 1 for v in shape):
+        raise ConfigurationError(
+            f"shard_shape must be a positive int or a (shards_x, shards_y) "
+            f"pair of positive integers, got {shard_shape!r}"
+        )
+    return shape
+
+
+_TILE_STRING = re.compile(r"^\s*(\d+)\s*[xX,]\s*(\d+)\s*$")
+
+
+def normalize_fused_tile(value) -> tuple[int, int] | None:
+    """Coerce a tile spec to a ``(tile_x, tile_y)`` pair.
+
+    Accepts ``None`` (auto-pick), a positive int (square tile; numpy
+    integers included), a two-sequence of positive ints, or a
+    ``"16x16"``-style string (the CLI/env spelling).  Anything else
+    raises :class:`ConfigurationError`.
+    """
+    if value is None:
+        return None
+    if isinstance(value, str):
+        match = _TILE_STRING.match(value)
+        if not match:
+            raise ConfigurationError(
+                f"fused_tile string must look like '16x16', got {value!r}"
+            )
+        value = (int(match.group(1)), int(match.group(2)))
+    if _is_int(value):
+        value = (value, value)
+    try:
+        tile = tuple(int(v) for v in value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"fused_tile must be a positive int, a (tile_x, tile_y) pair, "
+            f"or a '16x16' string, got {value!r}"
+        ) from None
+    if len(tile) != 2 or any(v < 1 for v in tile):
+        raise ConfigurationError(
+            f"fused_tile must be two positive integers, got {value!r}"
+        )
+    return tile
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """Machine-level execution knobs.
@@ -394,57 +454,18 @@ class MachineSpec:
             self, "batch_size", _check_optional_int("batch_size", self.batch_size, 1)
         )
         if self.shard_shape is not None:
-            raw = self.shard_shape
-            if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool):
-                shape = (int(raw), 1)
-            else:
-                try:
-                    shape = tuple(int(v) for v in raw)
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"shard_shape must be a positive int or a "
-                        f"(shards_x, shards_y) pair, got {raw!r}"
-                    ) from None
-            if len(shape) != 2 or any(v < 1 for v in shape):
-                raise ConfigurationError(
-                    f"shard_shape must be a positive int or a "
-                    f"(shards_x, shards_y) pair of positive integers, got "
-                    f"{raw!r}"
-                )
-            object.__setattr__(self, "shard_shape", shape)
+            object.__setattr__(
+                self, "shard_shape", normalize_shard_shape(self.shard_shape)
+            )
             if self.engine != "sharded":
                 raise ConfigurationError(
                     f"shard_shape configures the sharded engine; set "
                     f"engine='sharded' (got engine={self.engine!r})"
                 )
         if self.fused_tile is not None:
-            raw = self.fused_tile
-            if isinstance(raw, str):
-                # The CLI/env spelling — same grammar as
-                # repro.fused.tiling.normalize_fused_tile.
-                match = re.match(r"^\s*(\d+)\s*[xX,]\s*(\d+)\s*$", raw)
-                if not match:
-                    raise ConfigurationError(
-                        f"fused_tile string must look like '16x16', got {raw!r}"
-                    )
-                raw = (int(match.group(1)), int(match.group(2)))
-            if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool):
-                tile = (int(raw), int(raw))
-            else:
-                try:
-                    tile = tuple(int(v) for v in raw)
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"fused_tile must be a positive int or a "
-                        f"(tile_x, tile_y) pair, got {raw!r}"
-                    ) from None
-            if len(tile) != 2 or any(v < 1 for v in tile):
-                raise ConfigurationError(
-                    f"fused_tile must be a positive int or a "
-                    f"(tile_x, tile_y) pair of positive integers, got "
-                    f"{raw!r}"
-                )
-            object.__setattr__(self, "fused_tile", tile)
+            object.__setattr__(
+                self, "fused_tile", normalize_fused_tile(self.fused_tile)
+            )
             if self.engine not in TILE_ENGINES:
                 raise ConfigurationError(
                     f"fused_tile configures the tiled engines; set engine "
@@ -798,5 +819,7 @@ __all__ = [
     "TimeSpec",
     "ToleranceSpec",
     "coerce_spec",
+    "normalize_fused_tile",
+    "normalize_shard_shape",
     "resolve_spec",
 ]

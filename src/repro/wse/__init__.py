@@ -18,11 +18,13 @@ and transfer costs follow a documented cost model, not RTL).  All paper-
 scale timing claims are produced by `repro.perf.timemodel`, which this
 simulator cross-validates at small scale.
 
-Two execution engines share this machine model (see `repro.core.engines`):
-the event-driven oracle built from `fabric`/`pe`/`router`, and the
-vectorized whole-fabric engine in `vector_engine` (imported lazily — not
-re-exported here — which executes the same program as NumPy array sweeps
-with an analytic cycle/counter model over the same `isa` costs).
+Every fabric engine shares this machine model (see `repro.core.engines`):
+the event-driven oracle is built from `fabric`/`pe`/`router`; the array
+layouts run the same program as NumPy sweeps
+(`repro.core.cg_driver` over `repro.fused`), and `vector_engine`
+(imported lazily — not re-exported here) holds what they share: problem
+staging, the memory rehearsal and the analytic cycle/counter model over
+the same `isa` costs.
 """
 
 from repro.wse.specs import WseSpecs, WSE2

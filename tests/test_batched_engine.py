@@ -78,7 +78,7 @@ class TestBatchedParity:
         "kwargs",
         [
             dict(variant="fused_mobility"),
-            dict(jacobi=True),
+            dict(preconditioner="jacobi"),
             dict(reuse_buffers=False),
             dict(simd_width=1, fixed_iterations=4, rel_tol=None),
             dict(dtype=np.float32, fixed_iterations=5, rel_tol=None),

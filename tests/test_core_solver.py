@@ -207,6 +207,23 @@ class TestSolverMechanics:
         with pytest.raises(ConfigurationError, match="does not match"):
             stage_problem(fabric, problem, ProblemMapping(problem.grid, SPEC))
 
+    def test_guess_violating_dirichlet_scales_rel_tol_like_its_staged_form(self):
+        """Staging applies the Dirichlet values to a supplied guess, so
+        the device starts a zero guess and the same guess with those
+        values applied from one field.  ``rel_tol`` must scale from that
+        field too: both guesses give bitwise-equal reports."""
+        problem = repro.scenario("quarter_five_spot", nx=16, ny=16, nz=8).build()
+        zero = np.zeros(problem.grid.shape)
+        applied = problem.initial_pressure(dtype=np.float64)
+        raw, staged = (
+            wse_solve(problem, engine="vectorized", rel_tol=1e-6, initial_pressure=guess)
+            for guess in (zero, applied)
+        )
+        assert raw.iterations == staged.iterations
+        assert raw.residual_history == staged.residual_history
+        np.testing.assert_array_equal(raw.pressure, staged.pressure)
+        assert raw.counters.to_dict() == staged.counters.to_dict()
+
     def test_elapsed_seconds_positive_and_scaled(self):
         problem = make_problem(3, 3, 2, seed=8)
         report = wse_solve(problem)

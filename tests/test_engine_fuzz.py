@@ -104,7 +104,7 @@ def _draw_case(case: int):
     kwargs = dict(
         spec=SPEC,
         variant=str(rng.choice(["precomputed", "fused_mobility"])),
-        jacobi=bool(rng.random() < 0.3),
+        preconditioner="jacobi" if rng.random() < 0.3 else "none",
         reuse_buffers=bool(rng.random() < 0.8),
         simd_width=int(rng.choice([1, 2, 3])),
     )
@@ -140,11 +140,10 @@ def _draw_case(case: int):
         fused_tile = None
     # Preconditioner draws ride after the tile draws (same append-at-
     # the-end contract): a quarter of the cases upgrade to the geometric
-    # multigrid preconditioner — overriding the legacy `jacobi` draw,
-    # whose bit was already consumed above — except comm-only cases
+    # multigrid preconditioner — overriding the jacobi/none draw, whose
+    # bit was already consumed above — except comm-only cases
     # (comm_only + mg is rejected by the program).
     if rng.random() < 0.25 and not kwargs.get("comm_only"):
-        kwargs["jacobi"] = False
         kwargs["preconditioner"] = "mg"
         kwargs["mg_levels"] = (
             int(rng.integers(2, 4)) if rng.random() < 0.5 else None
@@ -364,7 +363,7 @@ def _draw_transient_case(case: int):
     kwargs = dict(
         spec=SPEC,
         variant=str(rng.choice(["precomputed", "fused_mobility"])),
-        jacobi=bool(rng.random() < 0.3),
+        preconditioner="jacobi" if rng.random() < 0.3 else "none",
         reuse_buffers=bool(rng.random() < 0.8),
         simd_width=int(rng.choice([1, 2, 3])),
         dtype=np.float64,
@@ -549,13 +548,13 @@ def test_fuzz_is_deterministic():
 
 def test_fuzz_spans_the_knob_space():
     """Sanity on the generator: across the 50 cases, both kernel
-    variants, both preconditioner settings, converging and fixed modes,
+    variants, all three preconditioners, converging and fixed modes,
     and a comm-only case all occur (the suite actually covers what it
     claims to cover)."""
     cases = [_draw_case(i) for i in range(N_CASES)]
     drawn = [c[3] for c in cases]
     assert {k["variant"] for k in drawn} == {"precomputed", "fused_mobility"}
-    assert {k["jacobi"] for k in drawn} == {False, True}
+    assert {k["preconditioner"] for k in drawn} == {"none", "jacobi", "mg"}
     assert any(k.get("fixed_iterations") for k in drawn)
     assert any(k.get("rel_tol") for k in drawn)
     assert any(k.get("comm_only") for k in drawn)

@@ -154,7 +154,7 @@ class TestProgramVariantParity:
 
     def test_jacobi_preconditioner(self):
         problem = make_problem(5, 4, 3, seed=9)
-        event, vector = solve_both(problem, jacobi=True, rel_tol=1e-9)
+        event, vector = solve_both(problem, preconditioner="jacobi", rel_tol=1e-9)
         assert event.iterations == vector.iterations
         np.testing.assert_allclose(vector.pressure, event.pressure, atol=1e-9)
         assert_counter_parity(event, vector)

@@ -4,8 +4,8 @@ The cross-engine *numerics* parity (fused vs. event/vectorized/sharded/
 batched, steady and transient) lives in ``tests/test_engine_fuzz.py``;
 this file pins the machinery around it: tile selection and validation,
 the ``fused_tile`` spec knob's round-trip and engine gating, the bitwise
-loop-reorder property of :class:`TiledApply`, telemetry plumbing, and
-the sharded-worker composition.
+loop-reorder property of :class:`TiledApply` (slab and staged tiles run
+one apply), telemetry plumbing, and the sharded-worker composition.
 """
 
 import numpy as np
@@ -24,6 +24,10 @@ from repro.core.program import CgProgram
 from repro.core.solver import WseMatrixFreeSolver
 from repro.fused import auto_tile, normalize_fused_tile, tile_boxes
 from repro.fused.kernels import FusedNumpyBackend
+from repro.mesh.grid import CartesianGrid3D
+from repro.physics.analytic import analytic_two_plane_solution
+from repro.physics.darcy import build_problem
+from repro.physics.transient import build_accumulation
 from repro.spec import MachineSpec, SolveSpec, TILE_ENGINES
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
@@ -43,6 +47,7 @@ def test_normalize_fused_tile_accepts_the_documented_spellings():
     assert normalize_fused_tile("16x16") == (16, 16)
     assert normalize_fused_tile("8X4") == (8, 4)
     assert normalize_fused_tile(" 8 , 4 ") == (8, 4)
+    assert normalize_fused_tile(np.int64(16)) == (16, 16)
 
 
 @pytest.mark.parametrize(
@@ -141,10 +146,14 @@ def test_fused_engine_rejects_batched_programs():
 # -- the bitwise loop-reorder property ----------------------------------------
 
 
-def _staged_apply(problem, program, boxes_tile):
-    """One FV apply of the staged ``y`` through a fresh backend tiled by
-    ``boxes_tile``; returns the ``jx`` array."""
-    st = _stage_problem(problem, program, np.dtype(np.float32), None)
+def _staged_apply(problem, program, boxes_tile, accumulation=None):
+    """One FV apply of a staged seeded random ``y`` (Dirichlet values
+    applied, so every cell carries data) through a fresh backend tiled
+    by ``boxes_tile``; returns the ``jx`` array."""
+    guess = np.random.default_rng(5).uniform(-1.0, 1.0, problem.grid.shape)
+    st = _stage_problem(
+        problem, program, np.dtype(np.float32), guess, accumulation=accumulation
+    )
     backend = FusedNumpyBackend(
         st, program, tile=boxes_tile, dtype=np.dtype(np.float32)
     )
@@ -152,48 +161,48 @@ def _staged_apply(problem, program, boxes_tile):
     return backend.jx.copy()
 
 
+def _partial_dirichlet_problem():
+    """A Dirichlet z-plane makes every column PARTIAL (built as
+    ``test_partial_dirichlet_column`` builds it)."""
+    grid = CartesianGrid3D(7, 5, 4)
+    dirichlet, _ = analytic_two_plane_solution(grid, 2, 2.0, 0.0)
+    return build_problem(grid, 10.0, dirichlet)
+
+
 @pytest.mark.parametrize("variant", list(KernelVariant))
 @pytest.mark.parametrize("jacobi", [False, True])
 def test_tiled_apply_is_a_pure_loop_reorder(variant, jacobi):
     """The same staged problem swept under different tilings — narrow
-    tiles, full-width slabs, the whole grid — produces bitwise-identical
-    ``Jx``: tiling only reorders elementwise/stencil-local work."""
-    problem = make_problem(7, 5, 3, seed=11)
-    program = CgProgram(variant=variant, jacobi=jacobi, fixed_iterations=2)
-    whole = _staged_apply(problem, program, (7, 5))
-    for tile in [(2, 2), (3, 5), (7, 1), (1, 5), (4, 3)]:
-        np.testing.assert_array_equal(
-            _staged_apply(problem, program, tile), whole, err_msg=str(tile)
+    (staged) tiles, full-width slabs, the whole grid — produces
+    bitwise-identical ``Jx``: tiling only reorders elementwise/
+    stencil-local work.  The inputs reach every branch of the one
+    apply: the z sweep and its absence (``nz = 1``), the accumulation
+    FMA of a transient program, and the partial-Dirichlet blend."""
+    transient = make_problem(7, 5, 3, seed=13)
+    inputs = [
+        ("plain", make_problem(7, 5, 3, seed=11), None),
+        ("nz=1", make_problem(7, 5, 1, seed=12), None),
+        (
+            "transient", transient,
+            build_accumulation(
+                transient, porosity=0.2, total_compressibility=1e-2, dt=0.5
+            ),
+        ),
+        ("partial Dirichlet", _partial_dirichlet_problem(), None),
+    ]
+    for name, problem, acc in inputs:
+        program = CgProgram(
+            variant=variant,
+            preconditioner="jacobi" if jacobi else "none",
+            fixed_iterations=2,
+            accumulation=acc is not None,
         )
-
-
-def test_numpy_backend_slab_and_generic_paths_agree():
-    """A full-width slab tile takes the contiguous fast path; forcing the
-    same tiling down the generic strided path must not change a bit."""
-    problem = make_problem(8, 6, 3, seed=4)
-    program = CgProgram(
-        variant=KernelVariant.FUSED_MOBILITY, jacobi=True, fixed_iterations=3
-    )
-    dtype = np.dtype(np.float32)
-    fast = FusedNumpyBackend(
-        _stage_problem(problem, program, dtype, None), program,
-        tile=(3, 6), dtype=dtype,
-    )
-    slow = FusedNumpyBackend(
-        _stage_problem(problem, program, dtype, None), program,
-        tile=(3, 6), dtype=dtype,
-    )
-    assert fast._use_slab
-    slow._use_slab = False
-    for pass_a, pass_b in [
-        (fast.init_pass(), slow.init_pass()),
-        (fast.body_pass(), slow.body_pass()),
-        (fast.update_pass(0.25), slow.update_pass(0.25)),
-    ]:
-        np.testing.assert_array_equal(pass_a, pass_b)
-    np.testing.assert_array_equal(fast.jx, slow.jx)
-    np.testing.assert_array_equal(fast.y, slow.y)
-    np.testing.assert_array_equal(fast.r, slow.r)
+        whole = _staged_apply(problem, program, (7, 5), acc)
+        for tile in [(2, 2), (3, 5), (7, 1), (1, 5), (4, 3)]:
+            np.testing.assert_array_equal(
+                _staged_apply(problem, program, tile, acc), whole,
+                err_msg=f"{name} {tile}",
+            )
 
 
 def test_layouts_differ_only_in_the_kernel_tile():
@@ -251,7 +260,9 @@ def test_sharded_workers_run_the_fused_kernel_bitwise(variant):
     agree to round-off (only the partial-sum order differs); a ``1x1``
     layout with tile T is bitwise the fused layout with tile T."""
     problem = make_problem(8, 7, 3, seed=6)
-    kwargs = dict(spec=SPEC, variant=variant, jacobi=True, rel_tol=1e-6)
+    kwargs = dict(
+        spec=SPEC, variant=variant, preconditioner="jacobi", rel_tol=1e-6
+    )
     sharded = dict(kwargs, engine="sharded", shard_shape=(2, 3))
     plain = WseMatrixFreeSolver(problem, **sharded).solve()
     tiled = WseMatrixFreeSolver(problem, fused_tile=(3, 2), **sharded).solve()

@@ -27,7 +27,7 @@ class TestJacobiDataflow:
         ref = repro.solve(problem)
         report = WseMatrixFreeSolver(
             problem, spec=SPEC, dtype=np.float64, rel_tol=1e-9,
-            max_iters=3000, jacobi=True,
+            max_iters=3000, preconditioner="jacobi",
         ).solve()
         assert report.converged
         np.testing.assert_allclose(report.pressure, ref.pressure, atol=2e-6)
@@ -39,7 +39,7 @@ class TestJacobiDataflow:
         ).solve()
         pcg = WseMatrixFreeSolver(
             problem, spec=SPEC, dtype=np.float64, rel_tol=1e-8,
-            max_iters=5000, jacobi=True,
+            max_iters=5000, preconditioner="jacobi",
         ).solve()
         assert plain.converged and pcg.converged
         assert pcg.iterations < plain.iterations / 2
@@ -54,7 +54,7 @@ class TestJacobiDataflow:
         ).solve()
         pcg = WseMatrixFreeSolver(
             problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters,
-            jacobi=True,
+            preconditioner="jacobi",
         ).solve()
         assert pcg.trace.total_messages == plain.trace.total_messages
         assert pcg.trace.total_wavelets == plain.trace.total_wavelets
@@ -69,7 +69,7 @@ class TestJacobiDataflow:
         ).solve()
         pcg = WseMatrixFreeSolver(
             problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters,
-            jacobi=True,
+            preconditioner="jacobi",
         ).solve()
         extra = pcg.counters.flops - plain.counters.flops
         num_pes = 16
@@ -80,7 +80,9 @@ class TestJacobiDataflow:
     def test_memory_overhead_two_columns(self):
         problem = make_problem(4, 4, 8, seed=12)
         plain = WseMatrixFreeSolver(problem, spec=SPEC, fixed_iterations=1)
-        pcg = WseMatrixFreeSolver(problem, spec=SPEC, fixed_iterations=1, jacobi=True)
+        pcg = WseMatrixFreeSolver(
+            problem, spec=SPEC, fixed_iterations=1, preconditioner="jacobi"
+        )
         diff = (
             pcg.fabric.pe(1, 1).memory.used_bytes
             - plain.fabric.pe(1, 1).memory.used_bytes
@@ -92,7 +94,7 @@ class TestJacobiDataflow:
         ref = repro.solve(problem)
         report = WseMatrixFreeSolver(
             problem, spec=SPEC, dtype=np.float32, rel_tol=1e-5,
-            max_iters=5000, jacobi=True,
+            max_iters=5000, preconditioner="jacobi",
         ).solve()
         assert report.converged
         np.testing.assert_allclose(report.pressure, ref.pressure, atol=5e-3)
