@@ -23,13 +23,18 @@ asserts the operational invariants:
   coarse_solve}`` record, with ``cycles == iterations + 1`` (one
   V-cycle seeds the solve, one per iteration);
 * **cross-backend agreement** — the reference solver's MG path and the
-  fabric engine's agree on the pressure field.
+  fabric engine's agree on the pressure field;
+* **one hierarchy build per solve** — the front-door wse solve (with
+  ``rel_tol`` set, so tolerance resolution and staging both need ``M``)
+  and the reference solve each build exactly one V-cycle hierarchy,
+  counted by wrapping ``repro.mg``'s two builders.
 
 Exits non-zero on any violated invariant, so CI can gate on it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
 
@@ -39,6 +44,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
+import repro.mg  # noqa: E402
 from repro.core.solver import WseMatrixFreeSolver  # noqa: E402
 from repro.wse.specs import WSE2  # noqa: E402
 
@@ -65,6 +71,32 @@ def _telemetry_ok(tele, iterations, failures, label):
                         f"{tele.get('coarse_solve')!r}")
     if not isinstance(tele.get("smoother_iters"), int):
         failures.append(f"{label}: smoother_iters missing")
+
+
+@contextlib.contextmanager
+def _hierarchy_builds():
+    """Count calls to ``repro.mg``'s two hierarchy builders (wrapped the
+    way ``perfbench/tracing.py`` hooks them); restored on exit."""
+    calls: list[str] = []
+    originals = {
+        name: getattr(repro.mg, name)
+        for name in ("build_hierarchy", "hierarchy_for_problem")
+    }
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name, original in originals.items():
+        setattr(repro.mg, name, counting(name, original))
+    try:
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(repro.mg, name, original)
 
 
 def main() -> int:
@@ -138,17 +170,25 @@ def main() -> int:
         for engine, ok in sorted(parity.items())))
 
     # -- front door + cross-backend agreement ----------------------------
-    wse = repro.solve(
-        problem, backend="wse",
-        spec=repro.SolveSpec.from_kwargs(
-            spec=SPEC, dtype="float64", engine="vectorized",
-            preconditioner="mg", rel_tol=1e-9, max_iters=20_000,
-        ),
-    )
-    ref = repro.solve(
-        problem, backend="reference",
-        spec=repro.SolveSpec.from_kwargs(preconditioner="mg"),
-    )
+    with _hierarchy_builds() as wse_builds:
+        wse = repro.solve(
+            problem, backend="wse",
+            spec=repro.SolveSpec.from_kwargs(
+                spec=SPEC, dtype="float64", engine="vectorized",
+                preconditioner="mg", rel_tol=1e-9, max_iters=20_000,
+            ),
+        )
+    with _hierarchy_builds() as ref_builds:
+        ref = repro.solve(
+            problem, backend="reference",
+            spec=repro.SolveSpec.from_kwargs(preconditioner="mg"),
+        )
+    for label, builds in (("wse", wse_builds), ("reference", ref_builds)):
+        if len(builds) != 1:
+            failures.append(f"{label} mg solve built {len(builds)} "
+                            f"hierarchies, not 1")
+    print(f"mg_smoke: hierarchy builds per solve: wse={len(wse_builds)} "
+          f"reference={len(ref_builds)}")
     _telemetry_ok(wse.telemetry.get("preconditioner"), wse.iterations,
                   failures, "wse front door")
     if not isinstance(ref.telemetry.get("preconditioner"), dict):
@@ -162,7 +202,8 @@ def main() -> int:
             print(f"mg_smoke: FAIL {line}")
         return 1
     print(f"mg_smoke: PASS ({reduction:.1f}x iteration reduction, 4-engine "
-          f"parity, telemetry shape verified)")
+          f"parity, telemetry shape verified, one hierarchy build per "
+          f"solve)")
     return 0
 
 

@@ -11,7 +11,7 @@ from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
 from repro.physics.simulation import NewtonReport, newton_solve
 from repro.solvers.cg import PAPER_TOLERANCE_RTR, conjugate_gradient
-from repro.solvers.preconditioning import linear_solver_for, operator_diagonal
+from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.spec import SolveSpec, coerce_spec
 from repro.util.errors import ConfigurationError
 
@@ -23,10 +23,11 @@ class ReferenceBackend:
     :func:`repro.physics.simulation.newton_solve` (``rel_tol`` is the
     cross-backend spelling of the relative tolerance, forwarded as
     ``newton_rtol``), ``precision.dtype`` defaults to float64, and
-    ``preconditioner`` swaps the inner linear solver — ``"jacobi"`` for
-    the diagonally scaled CG, ``"mg"`` for the geometric-multigrid
-    PCG.  Machine knobs (fabric specs, SIMD widths,
-    block shapes) are rejected — there is no machine here.
+    ``preconditioner`` names the ``M`` the host CG applies — built once
+    per solve or step by
+    :func:`~repro.solvers.preconditioning.build_preconditioner`, which
+    also supplies the telemetry entry.  Machine knobs (fabric specs,
+    SIMD widths, block shapes) are rejected — there is no machine here.
     """
 
     name = "reference"
@@ -49,9 +50,7 @@ class ReferenceBackend:
             options.setdefault("newton_rtol", float(rel_tol))
         return newton_solve(problem, **options)
 
-    def _native_options(
-        self, problem: SinglePhaseProblem, spec: SolveSpec
-    ) -> dict[str, Any]:
+    def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
         options: dict[str, Any] = {
             "tol_rtr": (
@@ -65,32 +64,19 @@ class ReferenceBackend:
             options["newton_rtol"] = spec.tolerance.rel_tol
         if spec.tolerance.max_iters is not None:
             options["max_iters"] = spec.tolerance.max_iters
-        if spec.preconditioner != "none":
-            options["linear_solver"] = linear_solver_for(
-                problem,
-                spec.preconditioner,
-                mg_levels=spec.mg_levels,
-                mg_smoother_iters=spec.mg_smoother_iters,
-            )
         return options
 
-    def _precond_telemetry(
-        self, problem: SinglePhaseProblem, spec: SolveSpec, cycles: int
-    ):
-        """The telemetry ``preconditioner`` entry: the plain spec string
-        for none/jacobi, the structured multigrid record (level shapes,
-        sweeps, V-cycle count) for mg — the same shape the fabric
-        engines' reports carry."""
-        if spec.preconditioner != "mg":
-            return spec.preconditioner
-        from repro.mg import hierarchy_for_problem
-
-        return hierarchy_for_problem(
+    @staticmethod
+    def _preconditioner(
+        problem: SinglePhaseProblem, spec: SolveSpec, accumulation=None
+    ) -> Preconditioner:
+        return build_preconditioner(
             problem,
-            accumulation=None,
-            levels=spec.mg_levels,
-            smoother_iters=spec.mg_smoother_iters,
-        ).telemetry(cycles)
+            spec.preconditioner,
+            accumulation=accumulation,
+            mg_levels=spec.mg_levels,
+            mg_smoother_iters=spec.mg_smoother_iters,
+        )
 
     def simulate(
         self,
@@ -103,12 +89,12 @@ class ReferenceBackend:
         """Stream the backward-Euler steps of ``spec.time``.
 
         Each step solves ``(J + A) p^{n+1} = A p^n + b_D`` with the host
-        CG on the existing :class:`~repro.physics.transient.TransientOperator`
-        (Jacobi-scaled when the spec says so); warm starts carry the
-        previous step's pressure into the next CG.
+        CG on the existing :class:`~repro.physics.transient.TransientOperator`,
+        preconditioned by the step's own ``M`` (built with the step's
+        accumulation diagonal); warm starts carry the previous step's
+        pressure into the next CG.
         """
         from repro.physics.transient import TransientOperator, TransientStepper
-        from repro.solvers.jacobi import jacobi_preconditioned_cg
 
         spec = coerce_spec(spec)
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
@@ -130,11 +116,6 @@ class ReferenceBackend:
             if spec.tolerance.max_iters is not None
             else 10_000
         )
-        jacobi = spec.preconditioner == "jacobi"
-        mg = spec.preconditioner == "mg"
-        if mg:
-            from repro.mg import hierarchy_for_problem, mg_preconditioned_cg
-
         times = tspec.times()
         # The reference works in one precision throughout (float64 by
         # default), so accumulation/rhs arithmetic stays in that dtype.
@@ -159,29 +140,13 @@ class ReferenceBackend:
             if rel_tol is not None:
                 r0 = rhs - operator(x0)
                 tol = max(tol, rel_tol**2 * float(np.vdot(r0, r0).real))
-            hier = None
-            if jacobi:
-                diagonal = operator_diagonal(problem, dtype=dtype) + acc
-                result = jacobi_preconditioned_cg(
-                    operator, diagonal, rhs, x0, tol_rtr=tol, max_iters=max_iters
-                )
-            elif mg:
-                # The step's hierarchy folds the backward-Euler diagonal
-                # into every level, preconditioning the actual (J + A)
-                # system being solved.
-                hier = hierarchy_for_problem(
-                    problem,
-                    accumulation=acc,
-                    levels=spec.mg_levels,
-                    smoother_iters=spec.mg_smoother_iters,
-                )
-                result = mg_preconditioned_cg(
-                    operator, hier, rhs, x0, tol_rtr=tol, max_iters=max_iters
-                )
-            else:
-                result = conjugate_gradient(
-                    operator, rhs, x0=x0, tol_rtr=tol, max_iters=max_iters
-                )
+            # M folds the backward-Euler diagonal in, preconditioning the
+            # actual (J + A) system being solved.
+            precondition = self._preconditioner(problem, spec, acc)
+            result = conjugate_gradient(
+                operator, rhs, x0=x0, tol_rtr=tol, max_iters=max_iters,
+                precondition=None if precondition.name == "none" else precondition,
+            )
             p = result.x
             problem.dirichlet.apply_to(p)
             stepper.advance(p)
@@ -197,10 +162,8 @@ class ReferenceBackend:
                 backend=self.name,
                 telemetry={
                     "time_kind": "wall_clock",
-                    "preconditioner": (
-                        hier.telemetry(result.iterations + 1)
-                        if hier is not None
-                        else spec.preconditioner
+                    "preconditioner": precondition.telemetry(
+                        result.iterations + 1
                     ),
                 },
             )
@@ -218,9 +181,14 @@ class ReferenceBackend:
                 },
             )
             return sim.as_solve_result()
-        options = self._native_options(problem, spec)
+        options = self._native_options(spec)
+        precondition = self._preconditioner(problem, spec)
         start = time.perf_counter()
-        report = self.solve_native(problem, **options)
+        report = self.solve_native(
+            problem,
+            precondition=None if precondition.name == "none" else precondition,
+            **options,
+        )
         elapsed = time.perf_counter() - start
         history: list[float] = []
         for linear in report.linear_results:
@@ -238,7 +206,7 @@ class ReferenceBackend:
             backend=self.name,
             telemetry={
                 "time_kind": "wall_clock",
-                "preconditioner": self._precond_telemetry(problem, spec, cycles),
+                "preconditioner": precondition.telemetry(cycles),
                 "newton_iterations": report.newton_iterations,
                 "newton_residual_norms": list(report.residual_norms),
                 "linear_results": list(report.linear_results),

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.program import CgProgram, EngineReport
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.preconditioning import Preconditioner
 from repro.spec import FABRIC_ENGINES, TILE_ENGINES
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WseSpecs
@@ -107,11 +108,14 @@ def create_engine(
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
+    precondition: Preconditioner | None = None,
     shard_shape=None,
     shard_workers: str | None = None,
     fused_tile=None,
 ) -> FabricEngine:
-    """Instantiate the engine ``name`` for one solve (staging included)."""
+    """Instantiate the engine ``name`` for one solve (staging included).
+    ``precondition`` is the system's built ``M`` (default: the
+    program's, built at staging)."""
     _check_layout(name, shard_shape, shard_workers, fused_tile)
     if name == "event":
         from repro.core.event_engine import EventEngine
@@ -119,7 +123,7 @@ def create_engine(
         return EventEngine(
             problem, program, spec=spec, dtype=dtype, simd_width=simd_width,
             initial_pressure=initial_pressure, accumulation=accumulation,
-            rhs=rhs,
+            rhs=rhs, precondition=precondition,
         )
     if program.batch != 1:
         raise ConfigurationError(
@@ -130,6 +134,7 @@ def create_engine(
         name, [problem], program, spec=spec, dtype=dtype,
         simd_width=simd_width, tol_rtrs=[program.tol_rtr],
         guesses=[initial_pressure], accs=[accumulation], rhss=[rhs],
+        preconditions=[precondition],
         fused_tile=fused_tile, shard_shape=shard_shape,
         shard_workers=shard_workers,
     )
@@ -147,6 +152,7 @@ def create_batched_engine(
     initial_pressure=None,
     accumulation=None,
     rhs=None,
+    preconditions=None,
     shard_shape=None,
     shard_workers: str | None = None,
     fused_tile=None,
@@ -156,7 +162,8 @@ def create_batched_engine(
     ``name`` follows the same vocabulary as :func:`create_engine`; only
     :data:`BATCH_CAPABLE_ENGINES` are accepted.  All problems must share
     one grid shape; ``tol_rtrs`` supplies each lane's resolved absolute
-    tolerance (default ``program.tol_rtr``), and ``initial_pressure``/
+    tolerance (default ``program.tol_rtr``) and ``preconditions`` each
+    lane's built ``M`` (default: built at staging); ``initial_pressure``/
     ``accumulation``/``rhs`` accept one shared field or one per lane.
     The returned driver's ``run_lanes()`` yields one report per problem,
     exactly what a serial solve of that problem alone would produce."""
@@ -186,10 +193,13 @@ def create_batched_engine(
     count, shape = len(problems), problems[0].grid.shape
     if tol_rtrs is None:
         tol_rtrs = [program.tol_rtr] * count
-    if len(tol_rtrs) != count:
-        raise ConfigurationError(
-            f"tol_rtrs has {len(tol_rtrs)} entries for a batch of {count}"
-        )
+    if preconditions is None:
+        preconditions = [None] * count
+    for label, values in (("tol_rtrs", tol_rtrs), ("preconditions", preconditions)):
+        if len(values) != count:
+            raise ConfigurationError(
+                f"{label} has {len(values)} entries for a batch of {count}"
+            )
     return _layout(
         "batched" if name == "vectorized" else "batched_fused",
         problems, program, spec=spec, dtype=dtype, simd_width=simd_width,
@@ -197,6 +207,7 @@ def create_batched_engine(
         guesses=normalize_guesses(initial_pressure, count, shape),
         accs=normalize_guesses(accumulation, count, shape),
         rhss=normalize_guesses(rhs, count, shape),
+        preconditions=preconditions,
         fused_tile=fused_tile,
     )
 
@@ -213,6 +224,7 @@ def _layout(
     guesses,
     accs,
     rhss,
+    preconditions,
     fused_tile=None,
     shard_shape=None,
     shard_workers: str | None = None,
@@ -232,8 +244,13 @@ def _layout(
     else:
         tile = resolve_tile(fused_tile, nx, ny, nz, dtype.itemsize)
     lanes = []
-    for problem, tol, guess, acc, rhs in zip(problems, tol_rtrs, guesses, accs, rhss):
-        st = _stage_problem(problem, program, dtype, guess, accumulation=acc, rhs=rhs)
+    for problem, tol, guess, acc, rhs, precondition in zip(
+        problems, tol_rtrs, guesses, accs, rhss, preconditions
+    ):
+        st = _stage_problem(
+            problem, program, dtype, guess, accumulation=acc, rhs=rhs,
+            precondition=precondition,
+        )
         memory = _memory_report(spec, program, nz, dtype, st.kind_counts)
         if name == "sharded":
             from repro.shard import ShardedKernel

@@ -21,6 +21,7 @@ from repro.core.host import fabric_memory_report, gather_field, stage_problem
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.preconditioning import Preconditioner
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
 from repro.wse.specs import WseSpecs
@@ -34,6 +35,8 @@ class EventEngine:
     program failing to load); :meth:`run` plays the program to
     completion and gathers the results.  ``fabric``, ``exchange``,
     ``allreduce`` and ``kernel`` are the current staging's machinery.
+    ``precondition`` is the system's built ``M`` (default: the
+    program's, built here); every staging reuses it.
     """
 
     name = "event"
@@ -49,6 +52,7 @@ class EventEngine:
         initial_pressure: np.ndarray | None = None,
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,
+        precondition: Preconditioner | None = None,
     ):
         from repro.util.errors import ConfigurationError
 
@@ -67,25 +71,20 @@ class EventEngine:
         self.program = program
         self.spec = spec
         self.mapping = ProblemMapping(problem.grid, spec)
+        if precondition is None:
+            precondition = program.preconditioner_for(problem, accumulation)
         self._staging = dict(
             dtype=np.dtype(dtype), simd_width=simd_width,
             initial_pressure=initial_pressure, accumulation=accumulation,
-            rhs=rhs,
+            rhs=rhs, precondition=precondition,
         )
         self._stage()
-        self.mg_hierarchy = None
+        self.mg_hierarchy = precondition.hierarchy
         self._mg_packet = None
         if program.mg:
-            from repro.mg import build_hierarchy, build_mg_packet
+            from repro.mg import build_mg_packet
             from repro.wse.vector_engine import _ChargeModel
 
-            self.mg_hierarchy = build_hierarchy(
-                problem.coefficients,
-                problem.dirichlet.mask,
-                accumulation=accumulation,
-                levels=program.mg_levels,
-                smoother_iters=program.mg_smoother_iters,
-            )
             # The V-cycle's fabric cost is charged from the same analytic
             # packet the vectorized engine merges (only machine
             # parameters are read, so counters/traffic agree exactly).
@@ -136,7 +135,7 @@ class EventEngine:
             variant=program.variant,
             reuse_buffers=program.reuse_buffers,
             initial_pressure=kw["initial_pressure"],
-            preconditioner=program.preconditioner,
+            precondition=kw["precondition"],
             accumulation=kw["accumulation"],
             rhs=kw["rhs"],
         )

@@ -29,6 +29,7 @@ from repro.fv.mobility import compute_face_mobility
 from repro.fv.transmissibility import compute_transmissibility
 from repro.mesh.grid import Direction
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError
 from repro.wse.fabric import Fabric
 from repro.wse.router import Port
@@ -55,7 +56,7 @@ def stage_problem(
     variant: KernelVariant = KernelVariant.PRECOMPUTED,
     reuse_buffers: bool = True,
     initial_pressure: np.ndarray | None = None,
-    preconditioner: str = "none",
+    precondition: Preconditioner = Preconditioner(),
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
 ) -> dict[tuple[int, int], PeKernelConfig]:
@@ -66,10 +67,11 @@ def stage_problem(
     as an oversized CSL program would fail to fit.
 
     ``accumulation`` stages the transient diagonal ``a = φ c_t V / Δt``
-    (zero on Dirichlet rows) into every PE's ``acc`` column and folds it
-    into the Jacobi diagonal; ``rhs`` overrides the staged right-hand
-    side ``b`` on interior rows (the transient ``A p^n`` term — Dirichlet
-    rows always carry ``p^D`` regardless).
+    (zero on Dirichlet rows) into every PE's ``acc`` column; ``rhs``
+    overrides the staged right-hand side ``b`` on interior rows (the
+    transient ``A p^n`` term — Dirichlet rows always carry ``p^D``
+    regardless); ``precondition`` is the system's built ``M`` (default:
+    none).
     """
     grid = problem.grid
     if (grid.nx, grid.ny) != (fabric.width, fabric.height):
@@ -110,16 +112,11 @@ def stage_problem(
     coeff_down = problem.coefficients.cell_view(Direction.DOWN)
     coeff_up = problem.coefficients.cell_view(Direction.UP)
 
-    jacobi = preconditioner == "jacobi"
+    jacobi = precondition.diagonal is not None
     if jacobi:
         # Jacobi scaling is purely PE-local: each PE stores 1/diag(J+A)
-        # for its own column (Dirichlet rows have unit diagonal; the
-        # accumulation term is zero there, so the order is immaterial).
-        diag = problem.coefficients.diagonal.astype(np.float64).copy()
-        if accumulation is not None:
-            diag += accumulation.astype(np.float64)
-        diag[problem.dirichlet.mask] = 1.0
-        inv_diag = (1.0 / diag).astype(dtype)
+        # for its own column.
+        inv_diag = (1.0 / precondition.diagonal).astype(dtype)
 
     if variant is KernelVariant.FUSED_MOBILITY:
         trans = compute_transmissibility(grid, problem.permeability, dtype=np.float64)
@@ -138,7 +135,7 @@ def stage_problem(
             pe.memory.alloc(name, nz, dtype=dtype)
         if not reuse_buffers:
             pe.memory.alloc("scratch", nz, dtype=dtype)
-        if preconditioner != "none":
+        if precondition.name != "none":
             # Both preconditioners hold the preconditioned residual in a
             # ``z`` column; only Jacobi needs a PE-local inverse diagonal
             # (the mg V-cycle is a host-assisted program construct).

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fv_kernel import KernelVariant
+from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.solvers.state_machine import CGState
 from repro.util.errors import ConfigurationError
 from repro.wse.trace import FabricTrace, PerfCounters
@@ -151,6 +152,20 @@ class CgProgram:
         """True when the recurrence carries a preconditioned residual
         column ``z`` (any preconditioner except ``"none"``)."""
         return self.preconditioner != "none"
+
+    def preconditioner_for(
+        self, problem, accumulation: np.ndarray | None = None
+    ) -> Preconditioner:
+        """This program's ``M`` for one system: the solver builds it once
+        per system and hands it to every consumer, and staging calls this
+        for a direct caller that passed none."""
+        return build_preconditioner(
+            problem,
+            self.preconditioner,
+            accumulation=accumulation,
+            mg_levels=self.mg_levels,
+            mg_smoother_iters=self.mg_smoother_iters,
+        )
 
     @property
     def check_convergence(self) -> bool:

@@ -2,9 +2,11 @@
 and the transient :func:`simulate_reports` / :func:`simulate_reports_batch`.
 
 Every entry point forwards to one private builder, :func:`_build`: it
-resolves each system's tolerance, builds the one engine-agnostic
-:class:`~repro.core.program.CgProgram` from the paper's design knobs
-(:class:`_Knobs`, the knob list and its defaults), and stages the engine
+builds the one engine-agnostic :class:`~repro.core.program.CgProgram`
+from the paper's design knobs (:class:`_Knobs`, the knob list and its
+defaults), builds each system's preconditioner ``M`` once (see
+:func:`~repro.solvers.preconditioning.build_preconditioner`), resolves
+each system's tolerance from it, and stages the engine with it
 — :func:`~repro.core.engines.create_engine` for one problem (the
 cycle-accurate ``"event"`` oracle or a layout of the array CG driver),
 :func:`~repro.core.engines.create_batched_engine` for a batched chunk.
@@ -14,7 +16,7 @@ Engines report the solution together with the machine-level telemetry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,77 +24,55 @@ import numpy as np
 from repro.core.engines import DEFAULT_ENGINE, create_batched_engine, create_engine
 from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram, EngineReport
+from repro.fv.operator import apply_jx
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2, WseSpecs
 
 
 def resolve_tolerance(
     problem: SinglePhaseProblem,
+    precondition: Preconditioner,
     *,
     tol_rtr: float = 2e-10,
     rel_tol: float | None = None,
-    preconditioner: str = "none",
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
 ) -> float:
-    """The absolute ε on the global ``r^T r`` the device applies.
+    """The absolute ε on the global ``r^T z`` the device applies.
 
-    ``rel_tol`` is scaled from the initial residual host-side (the
-    device still applies a single absolute ε, as the paper does).  The
-    scale comes from the guess the device actually starts from: staging
-    applies the Dirichlet values to ``initial_pressure``, and so does
-    this.  For transient steps, pass the step's ``accumulation`` diagonal
-    and ``rhs`` so the scale comes from the residual of the actual system
-    ``(J + A) p = rhs`` the device is about to solve.
+    ``rel_tol`` is scaled host-side from the initial residual of the
+    system the device is about to solve (the device still applies a
+    single absolute ε, as the paper does): ``r0 = b − (J + A) p0``, where
+    ``b`` is ``rhs`` (zero when steady) with ``p^D`` on the Dirichlet
+    rows, ``A`` the optional transient ``accumulation`` diagonal, and
+    ``p0`` the guess staging starts from (``initial_pressure`` with the
+    Dirichlet values applied).  A transient step needs its ``rhs``.
 
-    Preconditioned programs check ε against ``r^T z = r^T M^{-1} r``,
-    so the scale is the *preconditioned* initial residual norm (the
-    inverse diagonal for Jacobi, one V-cycle for mg).
+    The programs check ε against ``r^T z = r^T M^{-1} r``, so the scale
+    is ``r0^T M^{-1} r0`` with the system's built ``precondition``
+    (``z = r`` without one).
     """
     tol = float(tol_rtr)
     if rel_tol is None:
         return tol
+    if accumulation is not None and rhs is None:
+        raise ConfigurationError("transient tolerance resolution needs the step rhs")
+    dirichlet = problem.dirichlet
     if initial_pressure is None:
         p0 = problem.initial_pressure(dtype=np.float64)
     else:
         p0 = np.array(initial_pressure, dtype=np.float64)
-        problem.dirichlet.apply_to(p0)
-    if accumulation is None:
-        r0 = problem.residual(p0)
-    else:
-        from repro.fv.operator import apply_jx
-
-        if rhs is None:
-            raise ConfigurationError(
-                "transient tolerance resolution needs the step rhs"
-            )
-        jx = apply_jx(problem.coefficients, problem.dirichlet, p0)
-        r0 = np.asarray(rhs, dtype=np.float64) - (
-            jx + accumulation.astype(np.float64) * p0
-        )
-    if preconditioner == "jacobi":
-        # The device checks ε against r^T z = r^T M^{-1} r.
-        diag = problem.coefficients.diagonal.astype(np.float64).copy()
-        if accumulation is not None:
-            diag += accumulation.astype(np.float64)
-        diag[problem.dirichlet.mask] = 1.0
-        scale = float(np.vdot(r0, r0 / diag).real)
-    elif preconditioner == "mg":
-        from repro.mg import hierarchy_for_problem, mg_apply
-
-        hier = hierarchy_for_problem(
-            problem,
-            accumulation=accumulation,
-            levels=mg_levels,
-            smoother_iters=mg_smoother_iters,
-        )
-        scale = float(np.vdot(r0, mg_apply(hier, r0)).real)
-    else:
-        scale = float(np.vdot(r0, r0).real)
+        dirichlet.apply_to(p0)
+    b = np.zeros(p0.shape) if rhs is None else np.array(rhs, dtype=np.float64)
+    b[dirichlet.mask] = dirichlet.values[dirichlet.mask]
+    jx = apply_jx(problem.coefficients, dirichlet, p0)
+    if accumulation is not None:
+        jx += accumulation.astype(np.float64) * p0
+    r0 = b - jx
+    scale = float(np.vdot(r0, precondition(r0)).real)
     return max(tol, rel_tol**2 * scale)
 
 #: Everything a dataflow solve produces: the solution field gathered from
@@ -151,23 +131,10 @@ def _build(
     *,
     batched: bool,
 ):
-    """Resolve every system's tolerance, build the one program and stage
-    the engine: ``create_engine`` for one problem, ``create_batched_engine``
-    (one lane per problem) when ``batched``."""
-    tols = [
-        resolve_tolerance(
-            problem,
-            tol_rtr=knobs.tol_rtr,
-            rel_tol=knobs.rel_tol,
-            preconditioner=knobs.preconditioner,
-            mg_levels=knobs.mg_levels,
-            mg_smoother_iters=knobs.mg_smoother_iters,
-            initial_pressure=guess,
-            accumulation=acc,
-            rhs=rhs,
-        )
-        for problem, guess, acc, rhs in zip(problems, guesses, accs, rhss)
-    ]
+    """Build the one program, then each system's ``M`` (once) and
+    tolerance, and stage the engine with both: ``create_engine`` for one
+    problem, ``create_batched_engine`` (one lane per problem) when
+    ``batched``."""
     program = CgProgram(
         variant=KernelVariant(knobs.variant),
         reuse_buffers=knobs.reuse_buffers,
@@ -177,12 +144,30 @@ def _build(
             2 if knobs.mg_smoother_iters is None else int(knobs.mg_smoother_iters)
         ),
         comm_only=knobs.comm_only,
-        tol_rtr=float(knobs.tol_rtr) if batched else tols[0],
+        tol_rtr=float(knobs.tol_rtr),
         max_iters=int(knobs.max_iters),
         fixed_iterations=knobs.fixed_iterations,
         batch=len(problems),
         accumulation=any(acc is not None for acc in accs),
     )
+    preconditions = [
+        program.preconditioner_for(problem, acc)
+        for problem, acc in zip(problems, accs)
+    ]
+    tols = [
+        resolve_tolerance(
+            problem,
+            precondition,
+            tol_rtr=knobs.tol_rtr,
+            rel_tol=knobs.rel_tol,
+            initial_pressure=guess,
+            accumulation=acc,
+            rhs=rhs,
+        )
+        for problem, precondition, guess, acc, rhs in zip(
+            problems, preconditions, guesses, accs, rhss
+        )
+    ]
     # Engine construction stages the problems (and enforces the 48 KiB
     # per-PE budget), exactly as loading an oversized CSL program would
     # fail before the run.
@@ -196,12 +181,13 @@ def _build(
     )
     if not batched:
         return create_engine(
-            engine, problems[0], program, initial_pressure=guesses[0],
-            accumulation=accs[0], rhs=rhss[0], **layout,
+            engine, problems[0], replace(program, tol_rtr=tols[0]),
+            initial_pressure=guesses[0], accumulation=accs[0], rhs=rhss[0],
+            precondition=preconditions[0], **layout,
         )
     return create_batched_engine(
         engine, problems, program, tol_rtrs=tols, initial_pressure=guesses,
-        accumulation=accs, rhs=rhss, **layout,
+        accumulation=accs, rhs=rhss, preconditions=preconditions, **layout,
     )
 
 

@@ -69,6 +69,25 @@ def apply_jx(
     return out
 
 
+def operator_diagonal(
+    coeffs: FluxCoefficients,
+    dirichlet: DirichletSet | None,
+    accumulation: np.ndarray | None = None,
+) -> np.ndarray:
+    """The float64 diagonal of ``J + A`` — the Jacobi preconditioner.
+
+    Interior rows carry the flux-coefficient diagonal plus the optional
+    transient accumulation diagonal ``A``; rows in ``T_D`` are identity
+    (``(Jx)_K = x_K``), exactly as :func:`apply_jx` evaluates them.
+    """
+    diag = coeffs.diagonal.astype(np.float64)
+    if accumulation is not None:
+        diag += np.asarray(accumulation, dtype=np.float64)
+    if dirichlet is not None:
+        diag[dirichlet.mask] = 1.0
+    return diag
+
+
 class MatrixFreeOperator:
     """Callable operator wrapper with a scipy ``LinearOperator`` view.
 
@@ -110,7 +129,4 @@ class MatrixFreeOperator:
 
     def diagonal_flat(self) -> np.ndarray:
         """Operator diagonal as a flat vector (Jacobi-scaling extension)."""
-        diag = self.coeffs.diagonal.astype(np.float64).copy()
-        if self.dirichlet is not None and not self.dirichlet.is_empty:
-            diag[self.dirichlet.mask] = 1.0
-        return diag.reshape(-1)
+        return operator_diagonal(self.coeffs, self.dirichlet).reshape(-1)

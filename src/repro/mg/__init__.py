@@ -4,13 +4,15 @@
 same preconditioned-CG recurrence on the reference solver and every
 fabric engine, with the V-cycle's per-level work charged analytically
 (``repro.mg.charges``) so counters/traffic/memory stay oracle-pinned.
+:func:`repro.solvers.preconditioning.build_preconditioner` builds one
+hierarchy per linear system; the reference path runs it through
+:func:`repro.solvers.cg.conjugate_gradient`'s ``precondition=``.
 
 * :mod:`repro.mg.hierarchy` — level construction (lateral 2×2 Galerkin
   aggregation of the FV face coefficients);
 * :mod:`repro.mg.cycle` — the float64 V-cycle ``z = M⁻¹ r``;
 * :mod:`repro.mg.charges` — the per-V-cycle charge packet the engines
-  merge at every preconditioner application;
-* :mod:`repro.mg.pcg` — the reference-path MG-PCG driver.
+  merge at every preconditioner application.
 """
 
 from repro.mg.charges import build_mg_packet, merge_mg_packet
@@ -28,7 +30,6 @@ from repro.mg.hierarchy import (
     prolong,
     restrict,
 )
-from repro.mg.pcg import mg_preconditioned_cg
 
 __all__ = [
     "DEFAULT_OMEGA",
@@ -42,7 +43,6 @@ __all__ = [
     "level_apply",
     "merge_mg_packet",
     "mg_apply",
-    "mg_preconditioned_cg",
     "planned_level_shapes",
     "prolong",
     "restrict",

@@ -5,7 +5,7 @@ solves it exactly — but the paper frames the linear solve inside a Newton
 update (Eq. 5), "a key preliminary step towards ... nonlinear multiphase
 flow".  We keep that structure: :func:`newton_solve` iterates Newton steps
 (converging in one for this physics, tested), each step solving
-``J δp = -r`` with a pluggable linear solver.
+``J δp = -r`` with the reference CG, optionally preconditioned.
 
 Tolerances
 ----------
@@ -29,8 +29,6 @@ from repro.fv.residual import compute_residual
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.cg import CGResult, conjugate_gradient, PAPER_TOLERANCE_RTR
 from repro.util.errors import ConvergenceError
-
-LinearSolver = Callable[..., CGResult]
 
 
 @dataclass
@@ -65,7 +63,7 @@ def solve_pressure(
     *,
     tol_rtr: float = PAPER_TOLERANCE_RTR,
     max_iters: int = 10_000,
-    linear_solver: LinearSolver | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     dtype=np.float64,
 ) -> NewtonReport:
     """One-Newton-step pressure solve (the paper's experiment shape).
@@ -77,7 +75,7 @@ def solve_pressure(
         problem,
         tol_rtr=tol_rtr,
         max_iters=max_iters,
-        linear_solver=linear_solver,
+        precondition=precondition,
         dtype=dtype,
     )
 
@@ -87,7 +85,7 @@ def newton_solve(
     *,
     tol_rtr: float = PAPER_TOLERANCE_RTR,
     max_iters: int = 10_000,
-    linear_solver: LinearSolver | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     max_newton: int = 10,
     newton_tol: float = 0.0,
     newton_rtol: float | None = None,
@@ -104,9 +102,11 @@ def newton_solve(
         Baseline absolute tolerance / iteration cap for the inner linear
         solver (the effective inner tolerance also adapts to the Newton
         threshold, see module docstring).
-    linear_solver:
-        Callable with the :func:`conjugate_gradient` signature; defaults to
-        the reference CG.
+    precondition:
+        Optional ``r -> M^{-1} r`` the inner :func:`conjugate_gradient`
+        applies (see
+        :func:`~repro.solvers.preconditioning.build_preconditioner`);
+        ``None`` runs plain CG.
     max_newton:
         Newton step cap.
     newton_tol:
@@ -122,7 +122,6 @@ def newton_solve(
         Working precision for pressure/rhs vectors (float64 default for the
         reference; pass float32 for paper-fidelity runs).
     """
-    solver = linear_solver or conjugate_gradient
     operator = problem.operator()
     if initial_pressure is None:
         p = problem.initial_pressure(dtype=dtype)
@@ -159,7 +158,10 @@ def newton_solve(
         r = compute_residual(problem.coefficients, problem.dirichlet, p)
         rhs = (-r).astype(dtype)
         inner_tol = max(tol_rtr, 1e-2 * threshold)
-        result = solver(operator, rhs, tol_rtr=inner_tol, max_iters=max_iters)
+        result = conjugate_gradient(
+            operator, rhs, tol_rtr=inner_tol, max_iters=max_iters,
+            precondition=precondition,
+        )
         report.linear_results.append(result)
         p += result.x.astype(dtype)
         # Newton preserves Dirichlet values exactly (δp = 0 there), but

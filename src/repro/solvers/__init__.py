@@ -1,19 +1,21 @@
 """Krylov solvers.
 
 * :func:`conjugate_gradient` — the reference implementation of the paper's
-  Algorithm 1 (plain CG, ``r^T r < ε`` convergence check, fp32-friendly).
+  Algorithm 1 (``r^T r < ε`` convergence check, fp32-friendly), plain or
+  preconditioned through ``precondition=M``.
+* :func:`build_preconditioner` — the one builder of a linear system's
+  ``M`` (``"none"``, Jacobi diagonal scaling — the documented extension —
+  or the multigrid V-cycle), shared by the host and the fabric engines.
 * :class:`CGStateMachine` — the same algorithm expressed as the 14-state
   event-driven machine of §III-D; the dataflow implementation in
   ``repro.core.cg_dataflow`` drives the identical state graph.
 * :func:`scipy_cg_baseline` — independent cross-check via scipy.
-* Optional Jacobi (diagonal) scaling as the documented extension.
 """
 
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.state_machine import CGState, CGStateMachine, CG_NUM_STATES
 from repro.solvers.baseline import scipy_cg_baseline, dense_direct_solve
-from repro.solvers.jacobi import jacobi_preconditioned_cg
-from repro.solvers.preconditioning import linear_solver_for, operator_diagonal
+from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 
 __all__ = [
     "CGResult",
@@ -23,7 +25,6 @@ __all__ = [
     "CG_NUM_STATES",
     "scipy_cg_baseline",
     "dense_direct_solve",
-    "jacobi_preconditioned_cg",
-    "linear_solver_for",
-    "operator_diagonal",
+    "Preconditioner",
+    "build_preconditioner",
 ]

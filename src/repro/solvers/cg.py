@@ -4,7 +4,10 @@ The paper's pseudo-code (in its notation: ``x`` is the *search direction*,
 ``y`` the solution iterate) is standard CG with the convergence check
 ``r^T r < ε`` — an absolute tolerance on the *squared* residual norm; the
 evaluation uses ``ε = 2e-10``.  We keep that convention (exposed as
-``tol_rtr``) and also offer a relative variant for convenience.
+``tol_rtr``) and also offer a relative variant for convenience.  An
+optional ``precondition`` callable (``r -> M^{-1} r``) turns the same
+loop into preconditioned CG; convergence is still checked on the
+unpreconditioned ``r^T r``.
 
 All vector math is done in NumPy with in-place updates (no per-iteration
 allocations), following the HPC guide idioms.
@@ -63,6 +66,7 @@ def conjugate_gradient(
     max_iters: int = 10_000,
     callback: Callable[[int, float], None] | None = None,
     raise_on_fail: bool = False,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
     """Solve ``A x = b`` for SPD ``A`` given as a callable.
 
@@ -88,6 +92,10 @@ def conjugate_gradient(
     raise_on_fail:
         Raise :class:`ConvergenceError` instead of returning a
         non-converged result.
+    precondition:
+        Optional ``r -> M^{-1} r`` for SPD ``M`` (e.g. a
+        :class:`~repro.solvers.preconditioning.Preconditioner`); its
+        result is cast to ``b``'s dtype.  ``None`` runs plain CG.
     """
     b = np.asarray(b)
     if x0 is None:
@@ -109,7 +117,14 @@ def conjugate_gradient(
     if rtr < threshold:
         return CGResult(x, 0, True, history)
 
-    p = r.copy()  # search direction (the paper's "x")
+    # z = M^{-1} r; without a preconditioner z is r itself and r^T z is
+    # r^T r, so plain CG pays no extra copy or dot.
+    if precondition is None:
+        z, rz = r, rtr
+    else:
+        z = precondition(r).astype(b.dtype)
+        rz = float(np.vdot(r, z).real)
+    p = z.copy()  # search direction (the paper's "x")
     Ap = np.empty_like(b)
     k = 0
     converged = False
@@ -124,21 +139,26 @@ def conjugate_gradient(
                 iterations=k,
                 residual_norm=rtr,
             )
-        alpha = rtr / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * Ap
-        rtr_new = float(np.vdot(r, r).real)
-        history.append(rtr_new)
+        rtr = float(np.vdot(r, r).real)
+        history.append(rtr)
         k += 1
         if callback is not None:
-            callback(k, rtr_new)
-        if rtr_new < threshold:
+            callback(k, rtr)
+        if rtr < threshold:
             converged = True
             break
-        beta = rtr_new / rtr
+        if precondition is None:
+            rz_new = rtr
+        else:
+            z[...] = precondition(r)
+            rz_new = float(np.vdot(r, z).real)
+        beta = rz_new / rz
         p *= beta
-        p += r
-        rtr = rtr_new
+        p += z
+        rz = rz_new
 
     if not converged and raise_on_fail:
         raise ConvergenceError(

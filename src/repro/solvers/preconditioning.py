@@ -1,111 +1,98 @@
-"""Spec-driven linear-solver (preconditioner) selection.
+"""One preconditioner per linear system: :func:`build_preconditioner`.
 
 The :class:`~repro.spec.SolveSpec` names a preconditioner
-(``"none"``/``"jacobi"``/``"mg"``); this module turns that name into the
-concrete linear solver a backend's driver loop calls.  For the reference
-Newton driver that means a callable with the
-:func:`conjugate_gradient` signature; diagonal scaling binds the
-problem's operator diagonal (with identity Dirichlet rows, matching the
-dataflow implementation) into a closure over
-:func:`jacobi_preconditioned_cg`, and ``"mg"`` binds a geometric
-multigrid hierarchy into :func:`repro.mg.pcg.mg_preconditioned_cg`.
+(``"none"``/``"jacobi"``/``"mg"``); this module is the one place that
+turns that name into the system's ``M``.  Every consumer takes the
+built :class:`Preconditioner` as data: the fabric solver scales
+``rel_tol`` by ``r0^T M^{-1} r0`` and stages it (the inverse diagonal
+for Jacobi, the V-cycle hierarchy for mg), and the host reference runs
+:func:`~repro.solvers.cg.conjugate_gradient` with ``precondition=M``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.fv.operator import operator_diagonal
 from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.cg import PAPER_TOLERANCE_RTR, CGResult, conjugate_gradient
-from repro.solvers.jacobi import jacobi_preconditioned_cg
 from repro.util.errors import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.mg.hierarchy import MgHierarchy
 
-def operator_diagonal(problem: SinglePhaseProblem, dtype=np.float64) -> np.ndarray:
-    """The diagonal of the matrix-free operator ``J``.
 
-    Interior rows carry the flux-coefficient diagonal; Dirichlet rows are
-    identity (``(Jx)_K = x_K`` on ``T_D``), exactly as the dataflow
-    backend scales them.
+@dataclass(frozen=True, eq=False)
+class Preconditioner:
+    """One linear system's ``M``.
+
+    ``diagonal`` is the float64 ``diag(J + A)`` with identity Dirichlet
+    rows (``"jacobi"``); ``hierarchy`` is the V-cycle hierarchy
+    (``"mg"``); ``"none"`` carries neither.  Calling it gives the float64
+    ``M^{-1} r``.
     """
-    diag = problem.coefficients.diagonal.astype(dtype).copy()
-    diag[problem.dirichlet.mask] = 1.0
-    return diag
+
+    name: str = "none"
+    diagonal: np.ndarray | None = None
+    hierarchy: MgHierarchy | None = None
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        if self.diagonal is not None:
+            return r / self.diagonal
+        if self.hierarchy is not None:
+            # Looked up per call, so wrappers installed on repro.mg apply.
+            from repro.mg import mg_apply
+
+            return mg_apply(self.hierarchy, r)
+        return np.asarray(r, dtype=np.float64)
+
+    def telemetry(self, cycles: int):
+        """The ``preconditioner`` telemetry entry: the name for
+        none/jacobi, the structured multigrid record (level shapes,
+        sweeps, ``cycles`` V-cycles) for mg."""
+        if self.hierarchy is None:
+            return self.name
+        return self.hierarchy.telemetry(cycles)
 
 
-def _fold_rel_tol(operator, b, x0, options: dict) -> None:
-    """Resolve a ``rel_tol`` option into the absolute ``tol_rtr``.
-
-    The preconditioned solvers converge on the unpreconditioned
-    ``r^T r`` but take only an absolute threshold, so a relative
-    tolerance is scaled host-side from the initial residual — the same
-    resolution ``core/solver.py:resolve_tolerance`` performs for the
-    fabric engines.  Silently dropping the knob instead (the old
-    behaviour) made ``rel_tol`` + a preconditioner converge to a
-    different tolerance than plain CG given the same options.
-    """
-    rel_tol = options.pop("rel_tol", None)
-    if rel_tol is None:
-        return
-    b = np.asarray(b)
-    if x0 is None:
-        r0 = np.asarray(b, dtype=np.float64)
-    else:
-        r0 = np.asarray(b, dtype=np.float64) - np.asarray(
-            operator(np.asarray(x0, dtype=b.dtype)), dtype=np.float64
-        )
-    scale = float(np.vdot(r0, r0).real)
-    tol = float(options.get("tol_rtr", PAPER_TOLERANCE_RTR))
-    options["tol_rtr"] = max(tol, float(rel_tol) ** 2 * scale)
-
-
-def linear_solver_for(
+def build_preconditioner(
     problem: SinglePhaseProblem,
-    preconditioner: str,
+    name: str = "none",
     *,
+    accumulation: np.ndarray | None = None,
     mg_levels: int | None = None,
     mg_smoother_iters: int | None = None,
-):
-    """The reference linear solver implementing ``preconditioner``.
-
-    Returns a callable usable as ``newton_solve(..., linear_solver=...)``.
-    The mg knobs mirror the spec's ``mg_levels``/``mg_smoother_iters``
-    and are only meaningful with ``preconditioner="mg"``.
-    """
-    if preconditioner == "none":
-        return conjugate_gradient
-    if preconditioner == "jacobi":
-        diagonal = operator_diagonal(problem)
-
-        def _jacobi_cg(operator, b, x0=None, **options: Any) -> CGResult:
-            # Drop driver knobs the preconditioned solver does not take,
-            # but *resolve* rel_tol into the absolute threshold first —
-            # popping it unseen left the solve at the default tolerance.
-            _fold_rel_tol(operator, b, x0, options)
-            options.pop("callback", None)
-            options.pop("raise_on_fail", None)
-            return jacobi_preconditioned_cg(
-                operator, diagonal.astype(np.asarray(b).dtype), b, x0, **options
-            )
-
-        return _jacobi_cg
-    if preconditioner == "mg":
-        from repro.mg import hierarchy_for_problem, mg_preconditioned_cg
-
-        hierarchy = hierarchy_for_problem(
-            problem,
-            accumulation=None,
-            levels=mg_levels,
-            smoother_iters=mg_smoother_iters,
+) -> Preconditioner:
+    """Build ``M`` for ``(J + A) p = b``, ``A`` the optional transient
+    ``accumulation`` diagonal.  The mg knobs tune the hierarchy and are
+    only meaningful with ``name="mg"``."""
+    if name == "none":
+        return Preconditioner()
+    if name == "jacobi":
+        return Preconditioner(
+            name,
+            diagonal=operator_diagonal(
+                problem.coefficients, problem.dirichlet, accumulation
+            ),
         )
+    if name == "mg":
+        # Looked up per build, so wrappers installed on repro.mg count it.
+        import repro.mg
 
-        def _mg_cg(operator, b, x0=None, **options: Any) -> CGResult:
-            _fold_rel_tol(operator, b, x0, options)
-            options.pop("callback", None)
-            options.pop("raise_on_fail", None)
-            return mg_preconditioned_cg(operator, hierarchy, b, x0, **options)
+        return Preconditioner(
+            name,
+            hierarchy=repro.mg.hierarchy_for_problem(
+                problem,
+                accumulation=accumulation,
+                levels=mg_levels,
+                smoother_iters=mg_smoother_iters,
+            ),
+        )
+    raise ConfigurationError(
+        f"unknown preconditioner {name!r}; choose one of 'none', 'jacobi', 'mg'"
+    )
 
-        return _mg_cg
-    raise ConfigurationError(f"unknown preconditioner {preconditioner!r}")
+
+__all__ = ["Preconditioner", "build_preconditioner"]

@@ -63,6 +63,7 @@ from repro.core.program import CgProgram
 from repro.fv.transmissibility import compute_transmissibility
 from repro.mesh.grid import Direction
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.preconditioning import Preconditioner
 from repro.solvers.state_machine import CGState
 from repro.util.errors import ConfigurationError
 from repro.wse.isa import Op, vector_cycles
@@ -160,13 +161,16 @@ def _stage_problem(
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
+    precondition: Preconditioner | None = None,
 ) -> _Staging:
     """Stage one problem's field arrays (the whole-fabric analogue of
     ``stage_problem`` on the event fabric).
 
     ``accumulation`` is the transient diagonal ``a = φ c_t V / Δt``
     (required iff ``program.accumulation``); ``rhs`` overrides the
-    interior right-hand side (Dirichlet rows always carry ``p^D``)."""
+    interior right-hand side (Dirichlet rows always carry ``p^D``);
+    ``precondition`` is the system's built ``M`` (default: the
+    program's, built here)."""
     st = _Staging()
     grid = problem.grid
     if program.accumulation != (accumulation is not None):
@@ -194,7 +198,7 @@ def _stage_problem(
     st.b[problem.dirichlet.mask] = problem.dirichlet.values[problem.dirichlet.mask]
     st.r = np.zeros(grid.shape, dtype=dtype)
     st.p = np.zeros(grid.shape, dtype=dtype)
-    st.z = None
+    st.z = np.zeros(grid.shape, dtype=dtype) if program.uses_z else None
     st.inv_diag = None
     st.acc = None if accumulation is None else accumulation.astype(dtype)
     st.coeff = st.coeff_down = st.coeff_up = None
@@ -218,27 +222,13 @@ def _stage_problem(
         st.lam = np.full(grid.shape, 1.0 / problem.viscosity, dtype=dtype)
         st.lam_nbr = {port: _shifted(st.lam, port) for port in MOBILITY_BUFFER}
 
-    st.mg_hier = None
+    if precondition is None:
+        precondition = program.preconditioner_for(problem, accumulation)
     if program.jacobi:
-        diag = problem.coefficients.diagonal.astype(np.float64).copy()
-        if accumulation is not None:
-            diag += accumulation.astype(np.float64)
-        diag[problem.dirichlet.mask] = 1.0
-        st.inv_diag = (1.0 / diag).astype(dtype)
-        st.z = np.zeros(grid.shape, dtype=dtype)
-    elif program.mg:
-        # The V-cycle hierarchy is a host-side float64 construct (like
-        # resolved tolerances); only the z column lives on the fabric.
-        from repro.mg import build_hierarchy
-
-        st.z = np.zeros(grid.shape, dtype=dtype)
-        st.mg_hier = build_hierarchy(
-            problem.coefficients,
-            problem.dirichlet.mask,
-            accumulation=accumulation,
-            levels=program.mg_levels,
-            smoother_iters=program.mg_smoother_iters,
-        )
+        st.inv_diag = (1.0 / precondition.diagonal).astype(dtype)
+    # The V-cycle hierarchy is a host-side float64 construct (like
+    # resolved tolerances); only the z column lives on the fabric.
+    st.mg_hier = precondition.hierarchy
 
     col_all, partial_cols, kind_counts = _classify_columns(problem)
     st.full_cols = col_all

@@ -203,21 +203,25 @@ class TestPreconditionerSpec:
         assert jac.converged
 
     def test_jacobi_solver_honours_rel_tol(self):
-        """Regression: ``linear_solver_for``'s jacobi closure used to
-        ``pop`` ``rel_tol`` and discard it, so the preconditioned path
-        silently fell back to the default absolute tolerance while plain
-        CG and the fabric engines honoured the knob."""
+        """Regression: the Jacobi-preconditioned host CG once dropped
+        ``rel_tol`` and silently fell back to the default absolute
+        tolerance while plain CG and the fabric engines honoured the
+        knob."""
         from repro.fv.residual import compute_residual
         from repro.solvers.cg import conjugate_gradient
-        from repro.solvers.preconditioning import linear_solver_for
+        from repro.solvers.preconditioning import build_preconditioner
 
         problem = make_problem(8, 7, 3, seed=23)
         operator = problem.operator()
         p0 = problem.initial_pressure(dtype=np.float64)
         rhs = -compute_residual(problem.coefficients, problem.dirichlet, p0)
-        solver = linear_solver_for(problem, "jacobi")
-        loose = solver(operator, rhs, rel_tol=1e-3, max_iters=2000)
-        tight = solver(operator, rhs, rel_tol=1e-10, max_iters=2000)
+        jacobi = build_preconditioner(problem, "jacobi")
+        loose = conjugate_gradient(
+            operator, rhs, rel_tol=1e-3, max_iters=2000, precondition=jacobi
+        )
+        tight = conjugate_gradient(
+            operator, rhs, rel_tol=1e-10, max_iters=2000, precondition=jacobi
+        )
         assert loose.converged and tight.converged
         # Dropping the knob made both runs identical; resolving it must
         # let the loose request stop earlier.

@@ -224,6 +224,29 @@ class TestSolverMechanics:
         np.testing.assert_array_equal(raw.pressure, staged.pressure)
         assert raw.counters.to_dict() == staged.counters.to_dict()
 
+    def test_rel_tol_scales_from_the_staged_rhs_system(self):
+        """A steady solve with ``rhs`` stages ``J p = b`` with ``b = rhs``
+        and ``p^D`` on the Dirichlet rows; ``rel_tol`` must scale from
+        that system's initial residual, not the zero-rhs one:
+        ``tol_rtr = rel_tol² ‖b − J p0‖²``."""
+        from repro.fv.operator import apply_jx
+
+        problem = make_problem(8, 8, 3, seed=3)
+        rhs = 10.0 * np.random.default_rng(0).uniform(-1.0, 1.0, problem.grid.shape)
+        rel_tol = 1e-6
+        solver = WseMatrixFreeSolver(
+            problem, engine="vectorized", spec=SPEC, dtype=np.float64,
+            rel_tol=rel_tol, rhs=rhs,
+        )
+        mask = problem.dirichlet.mask
+        b = rhs.copy()
+        b[mask] = problem.dirichlet.values[mask]
+        p0 = problem.initial_pressure(dtype=np.float64)
+        r0 = b - apply_jx(problem.coefficients, problem.dirichlet, p0)
+        assert solver.program.tol_rtr == pytest.approx(
+            rel_tol**2 * float(np.vdot(r0, r0)), rel=1e-12
+        )
+
     def test_elapsed_seconds_positive_and_scaled(self):
         problem = make_problem(3, 3, 2, seed=8)
         report = wse_solve(problem)

@@ -152,7 +152,9 @@ def _staged_apply(problem, program, boxes_tile, accumulation=None):
     by ``boxes_tile``; returns the ``jx`` array."""
     guess = np.random.default_rng(5).uniform(-1.0, 1.0, problem.grid.shape)
     st = _stage_problem(
-        problem, program, np.dtype(np.float32), guess, accumulation=accumulation
+        problem, program, np.dtype(np.float32), guess,
+        accumulation=accumulation,
+        precondition=program.preconditioner_for(problem, accumulation),
     )
     backend = FusedNumpyBackend(
         st, program, tile=boxes_tile, dtype=np.dtype(np.float32)

@@ -13,21 +13,24 @@ import numpy as np
 import pytest
 
 from helpers import make_problem
+import repro
+from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
 from repro.mg import (
     MAX_MG_LEVELS,
     build_hierarchy,
     hierarchy_for_problem,
     level_apply,
     mg_apply,
-    mg_preconditioned_cg,
     planned_level_shapes,
     prolong,
     restrict,
 )
 from repro.mg.cycle import _smooth
 from repro.solvers.cg import conjugate_gradient
+from repro.solvers.preconditioning import build_preconditioner
 from repro.spec import SolveSpec
 from repro.util.errors import ConfigurationError
+from repro.wse.specs import WSE2
 
 
 def _masked_random(shape, mask, seed):
@@ -235,10 +238,12 @@ class TestVCycle:
         from repro.fv.residual import compute_residual
 
         b = -compute_residual(problem.coefficients, problem.dirichlet, p0)
-        hier = hierarchy_for_problem(problem)
         tol = 1e-10 * float(np.vdot(b, b).real)
         plain = conjugate_gradient(op, b, tol_rtr=tol, max_iters=5000)
-        mg = mg_preconditioned_cg(op, hier, b, tol_rtr=tol, max_iters=5000)
+        mg = conjugate_gradient(
+            op, b, tol_rtr=tol, max_iters=5000,
+            precondition=build_preconditioner(problem, "mg"),
+        )
         assert plain.converged and mg.converged
         assert mg.iterations * 5 <= plain.iterations
         # f32 operator arithmetic floors how closely the two agree.
@@ -288,7 +293,66 @@ class TestSpecKnobs:
     def test_unknown_preconditioner_rejected(self):
         with pytest.raises(ConfigurationError, match="preconditioner"):
             SolveSpec.from_kwargs(preconditioner="ilu")
-        from repro.solvers.preconditioning import linear_solver_for
-
         with pytest.raises(ConfigurationError, match="ilu"):
-            linear_solver_for(make_problem(3, 3, 2, seed=1), "ilu")
+            build_preconditioner(make_problem(3, 3, 2, seed=1), "ilu")
+
+
+#: A converging mg solve: ``rel_tol`` set, so tolerance resolution and
+#: staging both need the hierarchy.
+MG_SOLVE = dict(
+    spec=WSE2.with_fabric(8, 8), dtype=np.float64, preconditioner="mg",
+    rel_tol=1e-6,
+)
+
+
+class TestOneHierarchyBuildPerSystem:
+    """Each linear system builds its V-cycle hierarchy exactly once, and
+    tolerance resolution, staging and telemetry share that build."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count calls to both public hierarchy builders, wrapped on
+        ``repro.mg`` the way ``perfbench/tracing.py`` hooks them."""
+        import repro.mg
+
+        calls = []
+
+        def counting(original):
+            def counted(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("build_hierarchy", "hierarchy_for_problem"):
+            monkeypatch.setattr(repro.mg, name, counting(getattr(repro.mg, name)))
+        return calls
+
+    @pytest.mark.parametrize("engine", ["event", "vectorized", "fused", "sharded"])
+    def test_serial_solve(self, builds, engine):
+        problem = make_problem(4, 4, 2, seed=5)
+        report = WseMatrixFreeSolver(problem, engine=engine, **MG_SOLVE).solve()
+        assert report.converged
+        assert len(builds) == 1
+
+    def test_one_per_batched_lane(self, builds):
+        problems = [make_problem(4, 4, 2, seed=seed) for seed in (5, 6, 7)]
+        reports = solve_batch(problems, engine="vectorized", **MG_SOLVE)
+        assert all(report.converged for report in reports)
+        assert len(builds) == 3
+
+    def test_one_per_simulation_step(self, builds):
+        problem = make_problem(4, 4, 2, seed=5)
+        steps = list(simulate_reports(
+            problem, engine="vectorized", dts=[1.0, 2.0, 2.0], **MG_SOLVE
+        ))
+        assert len(steps) == 3
+        assert len(builds) == 3
+
+    def test_reference_solve(self, builds):
+        result = repro.solve(
+            make_problem(4, 4, 2, seed=5), backend="reference",
+            spec=SolveSpec.from_kwargs(preconditioner="mg"),
+        )
+        assert result.telemetry["preconditioner"]["kind"] == "mg"
+        assert len(builds) == 1

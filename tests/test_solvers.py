@@ -15,7 +15,6 @@ from repro.fv.assembly import assemble_jacobian
 from repro.fv.operator import MatrixFreeOperator
 from repro.solvers.baseline import dense_direct_solve, scipy_cg_baseline
 from repro.solvers.cg import CGResult, conjugate_gradient
-from repro.solvers.jacobi import jacobi_preconditioned_cg
 from repro.solvers.state_machine import (
     CG_NUM_STATES,
     CG_TRANSITIONS,
@@ -241,7 +240,9 @@ class TestJacobiPCG:
         A, b = _spd_system(seed=13)
         diag = np.diag(A).copy()
         plain = conjugate_gradient(lambda v: A @ v, b, tol_rtr=1e-20)
-        pcg = jacobi_preconditioned_cg(lambda v: A @ v, diag, b, tol_rtr=1e-20)
+        pcg = conjugate_gradient(
+            lambda v: A @ v, b, tol_rtr=1e-20, precondition=lambda r: r / diag
+        )
         assert pcg.converged
         np.testing.assert_allclose(pcg.x, plain.x, rtol=1e-6)
 
@@ -255,23 +256,33 @@ class TestJacobiPCG:
         A = np.diag(scales) @ A @ np.diag(scales)  # badly scaled
         b = rng.standard_normal(n)
         plain = conjugate_gradient(lambda v: A @ v, b, rel_tol=1e-10, max_iters=4000)
-        pcg = jacobi_preconditioned_cg(
-            lambda v: A @ v, np.diag(A).copy(), b, tol_rtr=plain.final_rtr
+        diag = np.diag(A).copy()
+        pcg = conjugate_gradient(
+            lambda v: A @ v, b, tol_rtr=plain.final_rtr,
+            precondition=lambda r: r / diag,
         )
         assert pcg.converged
         assert pcg.iterations < plain.iterations
 
-    def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValidationError):
-            jacobi_preconditioned_cg(lambda v: v, np.zeros(3), np.ones(3))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            jacobi_preconditioned_cg(lambda v: v, np.ones(4), np.ones(3))
-
     def test_zero_rhs(self):
-        result = jacobi_preconditioned_cg(lambda v: v, np.ones(3), np.zeros(3))
+        diag = np.ones(3)
+        result = conjugate_gradient(
+            lambda v: v, np.zeros(3), precondition=lambda r: r / diag
+        )
         assert result.converged and result.iterations == 0
+
+    def test_identity_preconditioner_is_plain_cg_bitwise(self):
+        """``M = I`` through the preconditioned branch reproduces plain
+        CG bit for bit: the branch runs Algorithm 1's recurrence with
+        ``z = M^{-1} r`` in place of ``r``, and nothing else."""
+        A, b = _spd_system(seed=19)
+        plain = conjugate_gradient(lambda v: A @ v, b, rel_tol=1e-10)
+        identity = conjugate_gradient(
+            lambda v: A @ v, b, rel_tol=1e-10, precondition=lambda r: r
+        )
+        assert identity.iterations == plain.iterations > 0
+        assert identity.residual_history == plain.residual_history
+        np.testing.assert_array_equal(identity.x, plain.x)
 
 
 class TestSolverAgreementOnFvProblem:
