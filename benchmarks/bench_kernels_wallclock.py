@@ -71,7 +71,8 @@ def test_bench_reference_cg(benchmark, medium_problem):
 def test_bench_wse_simulator_solve(benchmark):
     problem = repro.scenario("quarter_five_spot", nx=6, ny=6, nz=6).build()
     spec = repro.SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32, fixed_iterations=5,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
+        fixed_iterations=5,
     )
 
     def _solve():

@@ -51,7 +51,8 @@ def _simulate_scaling():
     laterals = (3, 5, 8)
     family = weak_scaling_family(laterals=laterals, nz=nz)
     spec = repro.SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32, fixed_iterations=iters,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
+        fixed_iterations=iters,
     )
     plan = repro.Session().plan(family, spec, backend="wse")
     reports = [er.result for er in plan.run(executor="serial")]

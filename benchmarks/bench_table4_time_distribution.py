@@ -52,7 +52,8 @@ def test_table4_simulator_methodology(benchmark):
 def _comm_share(nz: int) -> float:
     sc = repro.scenario("quarter_five_spot", nx=5, ny=5, nz=nz)
     full_spec = repro.SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32, fixed_iterations=5
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
+        fixed_iterations=5,
     )
     plan = repro.Session().plan(
         [(sc, full_spec), (sc, full_spec.with_options(comm_only=True))],

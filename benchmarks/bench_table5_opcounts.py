@@ -62,7 +62,8 @@ def _measured_counts():
         repro.scenario("quarter_five_spot", nx=4, ny=4, nz=8),
         backend="wse",
         spec=repro.SolveSpec.from_kwargs(
-            spec=WSE2.with_fabric(32, 32), dtype=np.float32, fixed_iterations=3,
+            spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
+            fixed_iterations=3,
         ),
     )
     return result.telemetry["counters"]

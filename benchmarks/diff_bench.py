@@ -23,6 +23,11 @@ noise — the tool **exits 1** when:
   ``memory_match_serial`` / ``pressure_close_serial`` — these hold on
   every machine, so this gate applies even against a mismatched
   baseline);
+* a table's set of row engines differs from the baseline's
+  (:func:`table_engines`).  Which engine a table runs on does not
+  depend on grid size, so this gate also applies smoke against full:
+  the paper tables must stay on the cycle-accurate ``"event"`` oracle
+  whatever the library's default engine is;
 * the runs are like-for-like (same smoke/full shape) and a matched
   row's non-timing fields drift: exact for counter scalars, iteration
   counts, convergence flags and layout knobs
@@ -89,6 +94,16 @@ def load_rows(path: pathlib.Path, *, by_scenario: bool) -> dict[str, dict]:
         else:
             rows.setdefault(record["table"], record)
     return rows
+
+
+def table_engines(path: pathlib.Path) -> dict[str, list]:
+    """Each table's sorted engines over its non-error rows (``None``
+    for rows of a backend without fabric engines)."""
+    engines: dict[str, set] = {}
+    for record in json.loads(path.read_text()).get("results", []):
+        if "error" not in record:
+            engines.setdefault(record["table"], set()).add(record.get("engine"))
+    return {table: sorted(found, key=str) for table, found in engines.items()}
 
 
 def format_row(cells: list[str], widths: list[int]) -> str:
@@ -229,6 +244,17 @@ def main(argv: list[str] | None = None) -> int:
         for key in PARITY_KEYS:
             if key in record and record[key] is not True:
                 gate_failures.append(f"{label}: {key} is {record[key]!r}")
+
+    # The engine a table runs on is independent of grid size, so it is
+    # compared on every run, smoke against full included.
+    base_engines = table_engines(args.baseline)
+    cur_engines = table_engines(args.current)
+    for table in sorted(set(base_engines) & set(cur_engines)):
+        if base_engines[table] != cur_engines[table]:
+            gate_failures.append(
+                f"{table}: engine {base_engines[table]!r} -> "
+                f"{cur_engines[table]!r}"
+            )
 
     # Like-for-like runs replay identical deterministic workloads, so
     # every non-timing field must survive the PR (band fields within

@@ -23,13 +23,14 @@ class WseBackend:
     Consumes a :class:`~repro.spec.SolveSpec`: ``machine.spec`` is the
     :class:`WseSpecs` target (default :data:`WSE2`, the full 750×994 CS-2
     fabric, so any simulator-scale grid fits), ``machine.engine`` selects
-    the fabric execution engine (``"event"``, the per-PE discrete-event
-    oracle and the default; or a layout of the one array CG driver:
-    ``"vectorized"``, one whole-grid tile for paper-scale fabrics;
-    ``"fused"``, cache-sized tiles — ``fused_tile`` picks the tile; or
-    ``"sharded"``, the grid split over a serial or thread crew —
-    ``shard_shape`` picks the decomposition and ``fused_tile`` tiles
-    each shard), plus the dataflow design knobs
+    the fabric execution engine (a layout of the one array CG driver:
+    ``"fused"``, cache-sized tiles — ``fused_tile`` picks the tile — and
+    the default, see :meth:`resolve`; ``"vectorized"``, one whole-grid
+    tile for paper-scale fabrics; or ``"sharded"``, the grid split over
+    a serial or thread crew — ``shard_shape`` picks the decomposition
+    and ``fused_tile`` tiles each shard; or ``"event"``, the per-PE
+    discrete-event oracle, as an explicit opt-in), plus the dataflow
+    design knobs
     ``simd_width`` (§III-E.3), ``variant`` (precomputed ``c = Υλ`` vs.
     in-kernel mobility fusion), ``reuse_buffers`` (§III-E.1),
     ``comm_only``/``fixed_iterations`` (§V-C's Table IV methodology) and
@@ -56,30 +57,44 @@ class WseBackend:
     }
 
     @staticmethod
-    def can_batch(spec: SolveSpec) -> bool:
-        """The one fusability rule: whether ``spec``'s engine can run
-        several problems as the lanes of one program.
+    def resolve(spec: SolveSpec) -> SolveSpec:
+        """``spec`` with an unset ``machine.engine`` filled in from
+        :data:`~repro.core.engines.DEFAULT_ENGINE` (a spec that names
+        its engine comes back as the same object).
 
-        An unset engine is :data:`~repro.core.engines.DEFAULT_ENGINE`
-        (the event oracle), exactly as :meth:`solve` resolves it, so a
-        spec means the same engine batched or alone.  The batching
-        planner (:func:`repro.session.plan_lanes`) asks this; the
-        multi-problem entry points refuse specs it rejects.
+        The one place an unset engine gets its meaning: every entry
+        point here resolves first, and :func:`repro.session.plan_entry`
+        fingerprints the resolved spec, so an unset request is keyed,
+        stored and fused exactly like one naming the default engine.
         """
-        from repro.core.engines import BATCH_CAPABLE_ENGINES, DEFAULT_ENGINE
+        if spec.machine.engine is not None:
+            return spec
+        from repro.core.engines import DEFAULT_ENGINE
 
-        return (spec.machine.engine or DEFAULT_ENGINE) in BATCH_CAPABLE_ENGINES
+        return spec.with_options(engine=DEFAULT_ENGINE)
+
+    @classmethod
+    def can_batch(cls, spec: SolveSpec) -> bool:
+        """The one fusability rule: whether ``spec``'s engine (resolved
+        by :meth:`resolve`) can run several problems as the lanes of one
+        program.  The batching planner
+        (:func:`repro.session.plan_lanes`) asks this; the multi-problem
+        entry points refuse specs it rejects.
+        """
+        from repro.core.engines import BATCH_CAPABLE_ENGINES
+
+        return cls.resolve(spec).machine.engine in BATCH_CAPABLE_ENGINES
 
     def _refuse_unbatchable(self, spec: SolveSpec, what: str) -> None:
         if self.can_batch(spec):
             return
-        from repro.core.engines import BATCH_CAPABLE_ENGINES, DEFAULT_ENGINE
+        from repro.core.engines import BATCH_CAPABLE_ENGINES
 
         raise ConfigurationError(
             f"{what} needs a batch-capable engine "
             f"({', '.join(BATCH_CAPABLE_ENGINES)}); engine="
-            f"{(spec.machine.engine or DEFAULT_ENGINE)!r} plays one problem "
-            f"at a time (set engine='vectorized' or engine='fused')"
+            f"{spec.machine.engine!r} plays one problem at a time (set "
+            f"engine='fused' or engine='vectorized')"
         )
 
     def solve_native(self, problem: SinglePhaseProblem, **options: Any):
@@ -106,8 +121,7 @@ class WseBackend:
             options["mg_smoother_iters"] = spec.mg_smoother_iters
         if machine.spec is not None:
             options["spec"] = machine.spec
-        if machine.engine is not None:
-            options["engine"] = machine.engine
+        options["engine"] = machine.engine
         if machine.simd_width is not None:
             options["simd_width"] = machine.simd_width
         if machine.variant is not None:
@@ -176,7 +190,7 @@ class WseBackend:
         )
 
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
-        spec = coerce_spec(spec)
+        spec = self.resolve(coerce_spec(spec))
         if spec.machine.batch_size is not None:
             self._refuse_unbatchable(spec, "machine.batch_size")
         if spec.time is not None:
@@ -247,11 +261,6 @@ class WseBackend:
         sim.telemetry.update(
             time_kind="simulated_device",
             preconditioner=spec.preconditioner,
-            engine=(
-                sim.steps[0].telemetry.get("engine")
-                if sim.steps
-                else spec.machine.engine
-            ),
             warm_start=spec.time.warm_start,
         )
         return sim
@@ -275,7 +284,7 @@ class WseBackend:
         """
         from repro.core.solver import simulate_reports
 
-        spec = coerce_spec(spec)
+        spec = self.resolve(coerce_spec(spec))
         time, options = self._transient_options(spec)
         dts, times = time.dts(), time.times()
         reports = simulate_reports(
@@ -305,7 +314,7 @@ class WseBackend:
         """
         from repro.core.solver import simulate_reports_batch
 
-        spec = coerce_spec(spec)
+        spec = self.resolve(coerce_spec(spec))
         problems = list(problems)
         if not problems:
             return []
@@ -348,7 +357,8 @@ class WseBackend:
         All problems must share one grid shape.  ``machine.batch_size``
         caps lanes per program (``None`` puts everything in one);
         ``machine.engine`` must pass :meth:`can_batch` — an unset engine
-        is the event oracle and is refused like ``"event"``.  Results
+        resolves to ``"fused"`` and batches, ``"event"`` and
+        ``"sharded"`` are refused.  Results
         come back in input order; each carries ``telemetry["engine"]``
         (``"batched"``/``"batched_fused"``) plus a ``telemetry["batch"]``
         record (chunk size and lane) so batched and serial results stay
@@ -357,7 +367,7 @@ class WseBackend:
         """
         from repro.core.solver import solve_batch
 
-        spec = coerce_spec(spec)
+        spec = self.resolve(coerce_spec(spec))
         problems = list(problems)
         if not problems:
             return []

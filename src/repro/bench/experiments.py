@@ -160,7 +160,7 @@ def table4_simulator_rows(nx: int = 6, ny: int = 6, nz: int = 8,
     assembly builds the problem exactly once."""
     sc = scenario("quarter_five_spot", nx=nx, ny=ny, nz=nz)
     full_spec = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
         fixed_iterations=iterations,
     )
     comm_spec = full_spec.with_options(comm_only=True)
@@ -273,7 +273,7 @@ def _small_problem(nx=5, ny=5, nz=6):
 def ablation_simd(iterations: int = 6) -> list[list[Any]]:
     """§III-E.3: DSD vectorization on/off (SIMD width 2 vs 1)."""
     base = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
         fixed_iterations=iterations,
     )
     problem = _small_problem()
@@ -299,7 +299,7 @@ def ablation_simd(iterations: int = 6) -> list[list[Any]]:
 def ablation_buffer_reuse(iterations: int = 4) -> list[list[Any]]:
     """§III-E.1: memory footprint and max depth with/without reuse."""
     base = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
         fixed_iterations=iterations,
     )
     problem = _small_problem()
@@ -327,7 +327,7 @@ def ablation_comm_overlap(iterations: int = 6) -> list[list[Any]]:
     and the aggregate compute-critical-path cycles.
     """
     full_spec = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
         fixed_iterations=iterations,
     )
     problem = _small_problem(6, 6, 8)
@@ -378,7 +378,7 @@ def ablation_jacobi(rel_tol: float = 1e-8) -> list[list[Any]]:
         "quarter_five_spot", nx=6, ny=5, nz=3, permeability=perm
     ).build()
     base = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float64,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float64, engine="event",
         rel_tol=rel_tol, max_iters=5000,
     )
     rows = []
@@ -402,7 +402,7 @@ def ablation_kernel_variant(iterations: int = 4) -> list[list[Any]]:
     """Precomputed c = Υλ vs. in-kernel mobility fusion: flops and
     memory footprint trade."""
     base = SolveSpec.from_kwargs(
-        spec=WSE2.with_fabric(32, 32), dtype=np.float32,
+        spec=WSE2.with_fabric(32, 32), dtype=np.float32, engine="event",
         fixed_iterations=iterations,
     )
     problem = _small_problem()

@@ -22,8 +22,12 @@ Every other engine name is a *layout* of the driver's kernel:
   lane each (reported as ``"batched"``/``"batched_fused"``).
 
 Selection is declarative via ``MachineSpec(engine=...)``; the solver
-resolves the name here.  Construction is lazy per name so the default
-event path never imports the array machinery and vice versa.
+resolves the name here.  An unset engine means :data:`DEFAULT_ENGINE`,
+the ``"fused"`` layout: the wse backend fills it in before anything
+reads the spec, so ``"event"`` is an explicit opt-in for oracle work
+(the paper's cycle-accurate tables and the fabric's own tests).
+Construction is lazy per name so the event oracle never imports the
+array machinery and vice versa.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ from repro.wse.specs import WseSpecs
 #: Aliases :data:`repro.spec.FABRIC_ENGINES` — one source of truth.
 ENGINE_NAMES = FABRIC_ENGINES
 
-DEFAULT_ENGINE = "event"
+#: What an unset ``MachineSpec.engine`` means — the only place the
+#: default is spelled (``WseBackend.resolve`` and every entry point of
+#: :mod:`repro.core.solver` read it from here).
+DEFAULT_ENGINE = "fused"
 
 #: Engines that accept a shard layout (``shard_shape``/``shard_workers``).
 SHARD_CAPABLE_ENGINES = ("sharded",)

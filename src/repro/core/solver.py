@@ -226,15 +226,18 @@ class WseMatrixFreeSolver:
     Use :meth:`for_problem` to build one from a
     :class:`~repro.physics.darcy.SinglePhaseProblem`; then :meth:`solve`.
 
-    ``engine`` is ``"event"`` (default: per-PE discrete-event oracle) or
-    a layout of the array CG driver, whose analytic cycle/counter model
-    reproduces the oracle's instruction counts on fabrics it cannot
-    reach: ``"vectorized"`` (one whole-grid tile), ``"fused"``
-    (cache-sized tiles) or ``"sharded"`` (the grid split over a worker
-    crew).  ``initial_pressure`` seeds the CG (Dirichlet values applied
-    on top); ``accumulation``/``rhs`` stage one transient step.  Every
-    other keyword is a fabric knob (see :class:`_Knobs`).  A repeated
-    :meth:`solve` re-stages the problem and returns an equal report.
+    ``engine`` is a layout of the array CG driver, whose analytic
+    cycle/counter model reproduces the oracle's instruction counts:
+    ``"fused"`` (cache-sized tiles; the default,
+    :data:`~repro.core.engines.DEFAULT_ENGINE`), ``"vectorized"`` (one
+    whole-grid tile) or ``"sharded"`` (the grid split over a worker
+    crew); or ``"event"``, the per-PE discrete-event oracle that the
+    paper's cycle-accurate tables and fabric inspection
+    (``solver.fabric``) need.  ``initial_pressure`` seeds the CG
+    (Dirichlet values applied on top); ``accumulation``/``rhs`` stage
+    one transient step.  Every other keyword is a fabric knob (see
+    :class:`_Knobs`).  A repeated :meth:`solve` re-stages the problem
+    and returns an equal report.
     """
 
     def __init__(
@@ -276,7 +279,7 @@ class WseMatrixFreeSolver:
 def solve_batch(
     problems: Sequence[SinglePhaseProblem],
     *,
-    engine: str = "vectorized",
+    engine: str = DEFAULT_ENGINE,
     batch_size: int | None = None,
     initial_pressure=None,
     accumulation=None,
@@ -284,7 +287,8 @@ def solve_batch(
     **knobs,
 ) -> list[WseSolveReport]:
     """Solve many independent same-shape problems as the lanes of one
-    batched layout (``engine="vectorized"`` or ``"fused"``).
+    batched layout (``engine="fused"``, the default, or
+    ``"vectorized"``).
 
     All problems must share one grid shape (heterogeneity fields and
     boundary conditions are free per problem).  ``rel_tol`` is resolved
@@ -395,7 +399,7 @@ def simulate_reports_batch(
     problems: Sequence[SinglePhaseProblem],
     *,
     states: Sequence[np.ndarray] | None = None,
-    engine: str = "vectorized",
+    engine: str = DEFAULT_ENGINE,
     **options,
 ):
     """Time-step ``N`` same-shape realizations together: one batched

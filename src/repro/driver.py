@@ -96,13 +96,15 @@ def solve_many(
 
     ``batch=True`` runs the lanes of :func:`repro.session.plan_lanes` —
     entries sharing backend, spec and grid shape on a backend that can
-    batch them (the dataflow fabric with ``engine="vectorized"`` or
-    ``"fused"``; an unset engine is the event oracle) — as one batched
+    batch them (the dataflow fabric with ``engine="fused"``, which an
+    unset engine resolves to, or ``"vectorized"``) — as one batched
     program each instead of fanning out one Python solve per entry;
     ``machine.batch_size`` caps the lanes per program.  Entries that
-    cannot batch, and lanes of one, fall back to serial execution.  Each
-    result's ``telemetry["engine"]`` says which path produced it
-    (``"batched"`` vs ``"vectorized"``/``"event"``).
+    cannot batch (``engine="event"`` or ``"sharded"``), and lanes of
+    one, fall back to serial execution.  Each result's
+    ``telemetry["engine"]`` says which path produced it
+    (``"batched_fused"`` vs ``"fused"``, ``"batched"`` vs
+    ``"vectorized"``).
 
     Execution routes through an :class:`~repro.session.ExecutionPlan`, so
     errors are captured per entry: every entry runs to completion, then a

@@ -900,7 +900,13 @@ def plan_entry(
     The same resolution and content fingerprint :meth:`Session.plan`
     assigns, usable standalone — the serving tier builds entries this way
     so its cache keys and store records match in-process plans exactly.
+    A backend with a ``resolve`` rule (the wse backend's, which fills in
+    an unset engine) resolves ``spec`` first, so the entry carries and
+    fingerprints the spec that will actually run.
     """
+    resolve = getattr(get_backend(backend), "resolve", None)
+    if resolve is not None:
+        spec = resolve(spec)
     scenario, problem = resolve_target(target)
     target_payload = _target_payload(scenario, problem)
     return PlanEntry(
@@ -922,16 +928,9 @@ def plan_entry(
 
 def entry_fingerprint(target: Any, spec: SolveSpec, backend: str) -> str:
     """The content identity of one (target, spec, backend) entry — the
-    same digest :meth:`Session.plan` assigns, usable standalone (e.g. by
+    :func:`plan_entry` digest, usable standalone (e.g. by
     ``repro.simulate``'s store/resume path)."""
-    scenario, problem = resolve_target(target)
-    return _digest(
-        {
-            "target": _target_payload(scenario, problem),
-            "spec": spec.to_dict(),
-            "backend": backend,
-        }
-    )
+    return plan_entry(target, spec, backend).fingerprint
 
 
 def _digest(payload: Mapping[str, Any]) -> str:

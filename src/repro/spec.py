@@ -291,8 +291,9 @@ MACHINE_FIELDS = (
 )
 
 #: Fabric execution engines the dataflow backend offers (``None`` keeps
-#: the backend default, the event-driven oracle).  The single source of
-#: truth: ``repro.core.engines.ENGINE_NAMES`` aliases this tuple.
+#: the backend default, ``repro.core.engines.DEFAULT_ENGINE``: the fused
+#: layout).  The single source of truth: ``repro.core.engines.ENGINE_NAMES``
+#: aliases this tuple.
 FABRIC_ENGINES = ("event", "vectorized", "sharded", "fused")
 
 #: Engines whose sweeps are cache-tiled and therefore honour the
@@ -370,12 +371,14 @@ class MachineSpec:
     * ``spec`` — the hardware description: a :class:`WseSpecs` for the
       dataflow backend, a :class:`GpuSpecs` for the GPU model;
     * ``engine`` — fabric execution engine (dataflow only):
-      ``"event"`` (per-PE discrete-event oracle, cycle-accurate; the
-      default when omitted), ``"vectorized"`` (whole-fabric NumPy sweeps
-      with an analytic cycle/counter model — paper-scale fabrics),
-      ``"fused"`` (the same sweeps over cache-sized tiles) or
-      ``"sharded"`` (the grid split over a worker crew).  Only
-      ``"vectorized"`` and ``"fused"`` batch;
+      ``"fused"`` (NumPy sweeps over cache-sized tiles with an analytic
+      cycle/counter model; the default when omitted, resolved by the
+      dataflow backend before the spec is fingerprinted),
+      ``"vectorized"`` (the same sweeps over one whole-fabric tile —
+      paper-scale fabrics), ``"sharded"`` (the grid split over a worker
+      crew) or ``"event"`` (per-PE discrete-event oracle,
+      cycle-accurate; an explicit opt-in).  Only ``"fused"`` and
+      ``"vectorized"`` batch;
     * ``simd_width`` — §III-E.3 DSD vectorization (dataflow only);
     * ``block_shape`` — CUDA thread-block shape (GPU only);
     * ``variant`` — kernel variant name, e.g. ``"precomputed"`` or
@@ -385,9 +388,9 @@ class MachineSpec:
       (dataflow only, requires ``fixed_iterations``);
     * ``fixed_iterations`` — run exactly N CG steps (dataflow and GPU);
     * ``batch_size`` — cap on lanes per batched program (dataflow
-      vectorized/fused engines only; ``None`` puts a whole compatible
-      batch in one program).  The other engines, an unset engine
-      included, and the gpu/reference backends reject it.
+      fused/vectorized engines only, an unset engine included; ``None``
+      puts a whole compatible batch in one program).  The other engines
+      and the gpu/reference backends reject it.
     * ``shard_shape`` — ``(shards_x, shards_y)`` domain decomposition of
       the fabric for the sharded engine (an ``int`` means a 1-D
       ``(n, 1)`` split).  Requires ``engine="sharded"``; the layout is

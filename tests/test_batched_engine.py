@@ -57,7 +57,8 @@ class TestBatchedParity:
         serials = [serial_report(p) for p in problems]
         assert len({s.iterations for s in serials}) > 1  # staggered freeze
         reports = solve_batch(
-            problems, spec=SPEC, dtype=np.float64, rel_tol=1e-10, max_iters=2000
+            problems, engine="vectorized", spec=SPEC, dtype=np.float64,
+            rel_tol=1e-10, max_iters=2000,
         )
         assert len(reports) == 8
         for serial, lane in zip(serials, reports):
@@ -168,7 +169,7 @@ class TestBatchedValidation:
             solve_batch([make_problem(3, 3, 2)], spec=SPEC, batch_size=0)
 
     def test_single_solve_rejects_batch_size_on_event_engine(self):
-        spec = repro.SolveSpec.from_kwargs(spec=SPEC, batch_size=4)
+        spec = repro.SolveSpec.from_kwargs(spec=SPEC, engine="event", batch_size=4)
         with pytest.raises(ConfigurationError, match="batch_size"):
             repro.solve(make_problem(3, 3, 2), backend="wse", spec=spec)
         # vectorized single solves tolerate the knob (it gates fan-out).
@@ -271,26 +272,34 @@ class TestBatchedSessionIntegration:
         assert sizes == [2, 2, None]
         assert [r.engine for r in results] == ["batched", "batched", "vectorized"]
 
-    def test_unset_engine_runs_solo_on_the_event_oracle(self):
+    def test_unset_engine_runs_as_one_fused_lane(self):
+        """An unset engine resolves to ``DEFAULT_ENGINE`` ("fused")
+        before the plan is keyed, so unset entries fuse into one lane
+        exactly as ``engine="fused"`` entries do."""
         targets = [
             repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=3, seed=s)
             for s in (1, 2)
         ]
         spec = repro.SolveSpec.from_kwargs(rel_tol=1e-7)
-        results = repro.Session().plan(targets, spec, backend="wse").run(
-            executor="batched"
-        )
-        assert [r.engine for r in results] == ["event", "event"]
-        assert all("batch" not in r.result.telemetry for r in results)
+        plan = repro.Session().plan(targets, spec, backend="wse")
+        assert [e.spec.machine.engine for e in plan] == ["fused", "fused"]
+        results = plan.run(executor="batched")
+        assert [r.engine for r in results] == ["batched_fused"] * 2
+        assert [r.result.telemetry["batch"]["size"] for r in results] == [2, 2]
 
-    def test_solve_batch_refuses_unset_engine(self):
+    def test_solve_batch_accepts_unset_engine(self):
         backend = repro.backends.get_backend("wse")
         spec = repro.SolveSpec.from_kwargs(spec=SPEC)
         problems = [make_problem(3, 3, 2, seed=s) for s in range(2)]
-        with pytest.raises(ConfigurationError, match="batch-capable"):
-            backend.solve_batch(problems, spec)
-        with pytest.raises(ConfigurationError, match="batch-capable"):
-            backend.simulate_batch(problems, spec.with_options(n_steps=1))
+        solved = backend.solve_batch(problems, spec)
+        assert [r.telemetry["engine"] for r in solved] == ["batched_fused"] * 2
+        simulated = backend.simulate_batch(problems, spec.with_options(n_steps=1))
+        assert [s.telemetry["engine"] for s in simulated] == ["batched_fused"] * 2
+        event = spec.with_options(engine="event")
+        with pytest.raises(ConfigurationError, match="batch-capable.*'event'"):
+            backend.solve_batch(problems, event)
+        with pytest.raises(ConfigurationError, match="batch-capable.*'event'"):
+            backend.simulate_batch(problems, event.with_options(n_steps=1))
 
     def test_batched_group_error_captured_per_entry(self):
         """A group whose solve raises fails each member entry, not the

@@ -14,6 +14,7 @@ from repro.bench.experiments import (
     PAPER_ITERS,
     TABLE2_PAPER,
     TABLE3_PAPER,
+    ablation_comm_overlap,
     ablation_matrix_free_memory,
     fig5_field,
     fig6_charts,
@@ -21,6 +22,7 @@ from repro.bench.experiments import (
     table2_rows,
     table3_rows,
     table4_rows,
+    table4_simulator_rows,
     table5_rows,
     table5_simulator_rows,
 )
@@ -84,6 +86,21 @@ class TestTable4:
         assert movement[4] == pytest.approx(6.27, abs=0.3)
         assert computation[4] == pytest.approx(93.73, abs=0.3)
         assert total[2] == pytest.approx(0.0542, rel=0.01)
+
+
+class TestSimulatorMethodology:
+    """§V-C's comm-only methodology measures the cycle-accurate event
+    oracle, whatever the library's default engine is: these cycle
+    counts are the oracle's, and any other engine's analytic makespan
+    moves them."""
+
+    def test_table4_simulator_cycles_are_the_oracles(self):
+        rows = table4_simulator_rows(6, 6, 8, 4)
+        assert [row[1] for row in rows] == [742, 434, 1176]
+
+    def test_comm_overlap_cycles_are_the_oracles(self):
+        rows = ablation_comm_overlap(4)
+        assert [row[1] for row in rows] == [1176, 742, 589, 1331, 155]
 
 
 class TestTable5:

@@ -31,6 +31,8 @@ SPEC = WSE2.with_fabric(32, 32)
 
 
 def wse_solve(problem, **kwargs):
+    """A solve on the per-PE event oracle unless ``engine`` says otherwise."""
+    kwargs.setdefault("engine", "event")
     kwargs.setdefault("spec", SPEC)
     kwargs.setdefault("dtype", np.float64)
     kwargs.setdefault("rel_tol", 1e-10)

@@ -199,10 +199,14 @@ class TestVectorEngineBehaviour:
         backend registry."""
         problem = make_problem(4, 4, 2, seed=1)
         base = repro.SolveSpec.from_kwargs(spec=SPEC, dtype="float64", rel_tol=1e-9)
-        event = repro.solve(problem, backend="wse", spec=base)
+        default = repro.solve(problem, backend="wse", spec=base)
+        event = repro.solve(
+            problem, backend="wse", spec=base.with_options(engine="event")
+        )
         vector = repro.solve(
             problem, backend="wse", spec=base.with_options(engine="vectorized")
         )
+        assert default.telemetry["engine"] == "fused"  # DEFAULT_ENGINE
         assert event.telemetry["engine"] == "event"
         assert vector.telemetry["engine"] == "vectorized"
         assert vector.iterations == event.iterations

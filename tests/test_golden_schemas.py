@@ -41,7 +41,7 @@ SOLVE = dict(spec=SPEC, dtype=np.float32, rel_tol=None, fixed_iterations=3)
 def _canonical_report(engine: str):
     problem = make_problem(**CASE)
     if engine == "batched":
-        return solve_batch([problem], **SOLVE)[0]
+        return solve_batch([problem], engine="vectorized", **SOLVE)[0]
     if engine == "fused":
         return WseMatrixFreeSolver(
             problem, engine="fused", fused_tile=2, **SOLVE
@@ -96,7 +96,7 @@ def test_backend_telemetry_schema_pinned():
     what ResultStore manifests and bench JSON actually serialize."""
     problem = make_problem(**CASE)
     spec = repro.SolveSpec.from_kwargs(
-        spec=SPEC, dtype="float32", fixed_iterations=3
+        spec=SPEC, dtype="float32", engine="event", fixed_iterations=3
     )
     result = repro.solve(problem, backend="wse", spec=spec)
     payload = {

@@ -33,8 +33,8 @@ class TestEndToEndFlows:
         perm = lognormal_permeability(grid, seed=11, sigma_log=1.2)
         problem = api.quarter_five_spot_problem(7, 6, 4, permeability=perm)
         report = WseMatrixFreeSolver(
-            problem, spec=WSE2.with_fabric(8, 8), dtype=np.float64,
-            rel_tol=1e-9, max_iters=3000,
+            problem, spec=WSE2.with_fabric(8, 8), engine="event",
+            dtype=np.float64, rel_tol=1e-9, max_iters=3000,
         ).solve()
         assert report.converged
         # Maximum principle.
@@ -48,12 +48,13 @@ class TestEndToEndFlows:
     def test_solver_reuse_of_one_problem(self):
         """Two solver instances over the same problem are independent."""
         problem = make_problem(4, 4, 3, seed=5)
-        a = WseMatrixFreeSolver(
-            problem, spec=WSE2.with_fabric(8, 8), dtype=np.float64, rel_tol=1e-8
-        ).solve()
-        b = WseMatrixFreeSolver(
-            problem, spec=WSE2.with_fabric(8, 8), dtype=np.float64, rel_tol=1e-8
-        ).solve()
+        a, b = (
+            WseMatrixFreeSolver(
+                problem, spec=WSE2.with_fabric(8, 8), engine="event",
+                dtype=np.float64, rel_tol=1e-8,
+            ).solve()
+            for _ in range(2)
+        )
         np.testing.assert_array_equal(a.pressure, b.pressure)
         assert a.iterations == b.iterations
 
@@ -63,8 +64,8 @@ class TestEndToEndFlows:
         problem = make_problem(4, 3, 3, seed=6)
         reports = [
             WseMatrixFreeSolver(
-                problem, spec=WSE2.with_fabric(8, 8), dtype=np.float32,
-                fixed_iterations=3,
+                problem, spec=WSE2.with_fabric(8, 8), engine="event",
+                dtype=np.float32, fixed_iterations=3,
             ).solve()
             for _ in range(2)
         ]
@@ -86,7 +87,9 @@ class TestFailureModes:
 
         depth = PeMemoryModel().max_depth()
         problem = api.quarter_five_spot_problem(2, 2, depth)
-        solver = WseMatrixFreeSolver(problem, spec=WSE2.with_fabric(4, 4))
+        solver = WseMatrixFreeSolver(
+            problem, spec=WSE2.with_fabric(4, 4), engine="event"
+        )
         assert solver.fabric.pe(0, 0).memory.used_bytes <= 48 * 1024
 
     def test_grid_wider_than_fabric(self):

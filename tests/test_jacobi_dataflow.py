@@ -12,6 +12,9 @@ from repro.mesh.grid import CartesianGrid3D
 from repro.wse.specs import WSE2
 
 SPEC = WSE2.with_fabric(32, 32)
+#: The Jacobi extension's claims (PE-local scaling, no extra traffic, two
+#: extra columns per PE) are checked on the per-PE event oracle.
+ORACLE = dict(spec=SPEC, engine="event")
 
 
 def _hard_problem():
@@ -26,7 +29,7 @@ class TestJacobiDataflow:
         problem = make_problem(5, 4, 3, seed=9)
         ref = repro.solve(problem)
         report = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float64, rel_tol=1e-9,
+            problem, **ORACLE, dtype=np.float64, rel_tol=1e-9,
             max_iters=3000, preconditioner="jacobi",
         ).solve()
         assert report.converged
@@ -35,10 +38,10 @@ class TestJacobiDataflow:
     def test_cuts_iterations_on_badly_scaled_problem(self):
         problem = _hard_problem()
         plain = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float64, rel_tol=1e-8, max_iters=5000
+            problem, **ORACLE, dtype=np.float64, rel_tol=1e-8, max_iters=5000
         ).solve()
         pcg = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float64, rel_tol=1e-8,
+            problem, **ORACLE, dtype=np.float64, rel_tol=1e-8,
             max_iters=5000, preconditioner="jacobi",
         ).solve()
         assert plain.converged and pcg.converged
@@ -50,10 +53,10 @@ class TestJacobiDataflow:
         problem = make_problem(4, 4, 3, seed=10)
         iters = 4
         plain = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters
+            problem, **ORACLE, dtype=np.float32, fixed_iterations=iters
         ).solve()
         pcg = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters,
+            problem, **ORACLE, dtype=np.float32, fixed_iterations=iters,
             preconditioner="jacobi",
         ).solve()
         assert pcg.trace.total_messages == plain.trace.total_messages
@@ -65,10 +68,10 @@ class TestJacobiDataflow:
         problem = make_problem(4, 4, 4, seed=11)
         iters = 3
         plain = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters
+            problem, **ORACLE, dtype=np.float32, fixed_iterations=iters
         ).solve()
         pcg = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float32, fixed_iterations=iters,
+            problem, **ORACLE, dtype=np.float32, fixed_iterations=iters,
             preconditioner="jacobi",
         ).solve()
         extra = pcg.counters.flops - plain.counters.flops
@@ -79,9 +82,9 @@ class TestJacobiDataflow:
 
     def test_memory_overhead_two_columns(self):
         problem = make_problem(4, 4, 8, seed=12)
-        plain = WseMatrixFreeSolver(problem, spec=SPEC, fixed_iterations=1)
+        plain = WseMatrixFreeSolver(problem, **ORACLE, fixed_iterations=1)
         pcg = WseMatrixFreeSolver(
-            problem, spec=SPEC, fixed_iterations=1, preconditioner="jacobi"
+            problem, **ORACLE, fixed_iterations=1, preconditioner="jacobi"
         )
         diff = (
             pcg.fabric.pe(1, 1).memory.used_bytes
@@ -93,7 +96,7 @@ class TestJacobiDataflow:
         problem = _hard_problem()
         ref = repro.solve(problem)
         report = WseMatrixFreeSolver(
-            problem, spec=SPEC, dtype=np.float32, rel_tol=1e-5,
+            problem, **ORACLE, dtype=np.float32, rel_tol=1e-5,
             max_iters=5000, preconditioner="jacobi",
         ).solve()
         assert report.converged

@@ -328,13 +328,20 @@ class TestAdmission:
         lanes = AdmissionController().partition(requests)
         assert len(lanes) == 2 and not any(lane.fused for lane in lanes)
 
-    def test_unset_wse_engine_never_fuses(self):
-        # An unset engine is the event oracle, batched or alone, so the
-        # same fingerprint never means two different engines.
-        requests = [_request(make_problem(3, 3, 2, seed=s)) for s in range(2)]
-        lanes = AdmissionController().partition(requests)
-        assert [lane.size for lane in lanes] == [1, 1]
-        assert not any(lane.fused for lane in lanes)
+    def test_unset_wse_engine_fuses_like_fused(self):
+        # An unset engine resolves to the default "fused" before the
+        # entry is fingerprinted, so unset and explicit requests share
+        # one key and fuse into one lane.
+        problems = [make_problem(3, 3, 2, seed=s) for s in range(3)]
+        explicit = SPEC.with_options(engine="fused")
+        requests = [
+            _request(problems[0]),
+            _request(problems[1], spec=explicit),
+            _request(problems[2]),
+        ]
+        assert requests[0].entry.spec == requests[1].entry.spec
+        [lane] = AdmissionController().partition(requests)
+        assert lane.fused and lane.size == 3
 
 
 class TestRequestQueue:
@@ -704,9 +711,11 @@ class TestServiceEndToEnd:
             )
 
     def test_unset_engine_requests_match_solo_solves(self, tmp_path):
-        """Two unset-engine wse requests in one admission window run solo
-        on the event oracle: each answer is exactly ``repro.solve`` of
-        the same target and spec."""
+        """Two unset-engine wse requests in one admission window resolve
+        to the default fused engine and share one batched launch; each
+        answer is still exactly ``repro.solve`` of the same target and
+        spec (a ``batched_fused`` lane is bitwise the solo ``fused``
+        solve)."""
         targets = [
             repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=3, seed=s)
             for s in (1, 2)
@@ -723,13 +732,15 @@ class TestServiceEndToEnd:
                 return results, svc.recorder.run_dir
 
         results, run_dir = run(main())
-        assert load_run_record(run_dir)["summary"]["batched_launches"] == 0
+        assert load_run_record(run_dir)["summary"]["batched_launches"] == 1
         for target, result in zip(targets, results):
             alone = repro.solve(target, backend="wse", spec=SPEC)
-            assert result.telemetry["engine"] == "event"
+            assert alone.telemetry["engine"] == "fused"
+            assert result.telemetry["engine"] == "batched_fused"
             np.testing.assert_array_equal(result.pressure, alone.pressure)
             assert result.iterations == alone.iterations
             assert result.telemetry["counters"] == alone.telemetry["counters"]
+            assert result.telemetry["trace"] == alone.telemetry["trace"]
 
     def test_warm_store_serves_new_service_from_cache(self, tmp_path):
         problem = make_problem(4, 3, 2)

@@ -9,13 +9,22 @@ plan and keeps its signature.
 
 from __future__ import annotations
 
+import asyncio
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro
-from repro.backends import register_backend, unregister_backend
+from repro.backends import SolveResult, register_backend, unregister_backend
 from repro.scenarios import weak_scaling_family
-from repro.session import PlanEntryResult, ResultStore, Session
+from repro.session import (
+    PlanEntryResult,
+    ResultStore,
+    Session,
+    entry_fingerprint,
+    plan_entry,
+)
 from repro.spec import SolveSpec
 from repro.util.errors import ConfigurationError, ConvergenceError
 
@@ -206,6 +215,84 @@ class TestResultStore:
     def test_load_unknown_fingerprint_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no entry"):
             ResultStore(tmp_path / "empty").load("deadbeef")
+
+
+class TestResolvedEngineFingerprint:
+    """An entry is fingerprinted with the engine that will run it: an
+    unset wse engine resolves to the default ``"fused"`` first."""
+
+    FIXED_SPEC = SolveSpec.from_kwargs(rel_tol=1e-7)
+    #: What the unset wse entry digested to while it meant the event oracle.
+    EVENT_ERA = "2701f5f822998f033b0476eda8e9924e6df515bb5d1f0ea8ecd049017ced5036"
+    FUSED = "6f761635b474a261d199bdc6fa038607edd685ea80214218544eb7c83dc709dc"
+    REFERENCE = "bda3115409ba0de0387cf3bd6b2a0894ff6178004d79798899061f8906969d90"
+
+    @staticmethod
+    def target():
+        return repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=3, seed=1)
+
+    def test_unset_wse_engine_fingerprints_as_explicit_fused(self):
+        unset = plan_entry(self.target(), self.FIXED_SPEC, "wse")
+        fused = plan_entry(
+            self.target(), self.FIXED_SPEC.with_options(engine="fused"), "wse"
+        )
+        assert unset.fingerprint == fused.fingerprint == self.FUSED
+        assert unset.spec.machine.engine == "fused"
+        reference = plan_entry(self.target(), self.FIXED_SPEC, "reference")
+        assert reference.fingerprint == self.REFERENCE
+        assert reference.spec is self.FIXED_SPEC
+
+    def test_explicit_engine_spec_keeps_its_identity(self):
+        spec = self.FIXED_SPEC.with_options(engine="event")
+        assert plan_entry(self.target(), spec, "wse").spec is spec
+
+    @pytest.mark.parametrize("backend", ["wse", "reference"])
+    def test_entry_fingerprint_is_the_plan_entry_digest(self, backend):
+        assert entry_fingerprint(self.target(), self.FIXED_SPEC, backend) == (
+            plan_entry(self.target(), self.FIXED_SPEC, backend).fingerprint
+        )
+
+    def _event_era_store(self, root) -> ResultStore:
+        """A store holding a stale answer under the event-era digest."""
+        store = ResultStore(root)
+        entry = replace(
+            plan_entry(self.target(), self.FIXED_SPEC, "wse"),
+            spec=self.FIXED_SPEC, fingerprint=self.EVENT_ERA,
+        )
+        stale = SolveResult(
+            pressure=np.full((4, 4, 3), 42.0), iterations=0, converged=True,
+            residual_history=[0.0], elapsed_seconds=0.0, backend="wse",
+            telemetry={"engine": "event"},
+        )
+        store.save(entry, stale)
+        assert store.has(self.EVENT_ERA)
+        return store
+
+    def test_event_era_result_is_not_served_by_a_session(self, tmp_path):
+        store = self._event_era_store(tmp_path / "store")
+        [er] = Session(store=store).plan(
+            [self.target()], self.FIXED_SPEC, backend="wse"
+        ).run(executor="serial")
+        assert er.ok and not er.from_store
+        assert er.engine == "fused"
+        assert not np.any(er.result.pressure == 42.0)
+
+    def test_event_era_result_is_not_served_by_the_service(self, tmp_path):
+        from repro.serve import SolveService
+
+        store = self._event_era_store(tmp_path / "store")
+
+        async def main():
+            async with SolveService(store=store, records=tmp_path / "runs") as svc:
+                result = await svc.submit(
+                    self.target(), backend="wse", spec=self.FIXED_SPEC
+                )
+                return result, svc.stats()
+
+        result, stats = asyncio.run(main())
+        assert stats["executed"] == 1 and stats["cache_hits_store"] == 0
+        assert result.telemetry["engine"] == "fused"
+        assert not np.any(result.pressure == 42.0)
 
 
 class TestSolveManyCompat:

@@ -124,7 +124,7 @@ class TestFabricTrace:
 
         report = WseMatrixFreeSolver(
             make_problem(3, 3, 2, seed=0), spec=WSE2.with_fabric(4, 4),
-            dtype=np.float32, fixed_iterations=2,
+            engine="event", dtype=np.float32, fixed_iterations=2,
         ).solve()
         trace = report.trace
         assert trace.makespan_cycles > 0
