@@ -34,7 +34,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    # scipy>=1.12: the baseline solver passes ``rtol=`` to scipy's cg.
+    install_requires=["numpy>=1.24", "scipy>=1.12"],
     extras_require={
         "test": ["pytest>=7", "hypothesis>=6"],
     },

@@ -167,7 +167,7 @@ class DataflowCG:
         r = np.zeros((self.fabric.width, self.fabric.height, nz), dtype=np.float64)
         for peer, _ in waiting:
             r[peer.x, peer.y, :] = peer.host_read("r")
-        z = mg_apply(self.mg_hierarchy, r).astype(self.fabric.dtype)
+        z = mg_apply(self.mg_hierarchy, r)  # host_write casts each column
         self.mg_applies += 1
         now = self.fabric.now
         for peer, peer_cont in waiting:

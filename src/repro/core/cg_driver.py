@@ -175,7 +175,6 @@ class CgDriver:
             from repro.mg import mg_apply
 
             hier = lane.staging.mg_hier
-            dtype = lane.staging.y.dtype
         check = program.check_convergence
         history: list[float] = []
         with lane.kernel as kernel:
@@ -184,7 +183,7 @@ class CgDriver:
                 rtr = 0.0
             elif mg:
                 kernel.init_residual_pass()
-                kernel.z[...] = mg_apply(hier, kernel.r).astype(dtype)
+                np.copyto(kernel.z, mg_apply(hier, kernel.r), casting="same_kind")
                 rtr = _reduce(kernel.mg_seed_pass())
             else:
                 rtr = _reduce(kernel.init_pass())
@@ -213,7 +212,7 @@ class CgDriver:
                     rtr_new = 0.0
                 elif mg:
                     kernel.update_axpy_pass(alpha)
-                    kernel.z[...] = mg_apply(hier, kernel.r).astype(dtype)
+                    np.copyto(kernel.z, mg_apply(hier, kernel.r), casting="same_kind")
                     rtr_new = _reduce(kernel.mg_dot_pass())
                 else:
                     rtr_new = _reduce(kernel.update_pass(alpha))

@@ -67,6 +67,45 @@ class FluxCoefficients:
         return self.cx.dtype
 
 
+def cell_faces(faces, shape: tuple[int, int, int], dtype=None):
+    """The three internal-face arrays (shapes ``(nx−1, ny, nz)``,
+    ``(nx, ny−1, nz)``, ``(nx, ny, nz−1)``) in the per-cell layout:
+    grid-shaped, each cell's face to its upper neighbour, zero on the
+    last plane where there is none (``cell_view`` towards EAST, NORTH,
+    UP)."""
+    out = []
+    for axis, f in enumerate(faces):
+        cell = np.zeros(shape, dtype=dtype or f.dtype)
+        index = [slice(None)] * 3
+        index[axis] = slice(0, -1)
+        cell[tuple(index)] = f
+        out.append(cell)
+    return tuple(out)
+
+
+def diagonal_from_faces(faces) -> np.ndarray:
+    """The float64 row sums ``Σ c`` of three per-cell face arrays
+    (:func:`cell_faces`).
+
+    On the C-order flattened grid each axis is a shift by its stride
+    (``ny·nz``, ``nz``, ``1``).  Per axis x, y, z, each face is added
+    to the cell below it, then to the cell above it; the zero faces of
+    the last planes add nothing.  The one diagonal assembly: the flux
+    coefficients and every multigrid level sum their faces here.
+    """
+    shape = faces[0].shape
+    diagonal = np.zeros(shape, dtype=np.float64)
+    flat = diagonal.reshape(-1)
+    n = flat.size
+    stride = n
+    for axis, c in enumerate(faces):
+        stride //= shape[axis]
+        f = c.reshape(-1)[: n - stride]
+        flat[: n - stride] += f
+        flat[stride:] += f
+    return diagonal
+
+
 def build_flux_coefficients(
     grid: CartesianGrid3D,
     permeability: np.ndarray,
@@ -95,14 +134,7 @@ def build_flux_coefficients(
     for axis in range(3):
         faces.append((trans.axis(axis) * mob.axis(axis)).astype(dtype))
 
-    diagonal = np.zeros(grid.shape, dtype=np.float64)
-    for axis, c in enumerate(faces):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        diagonal[tuple(lo)] += c
-        diagonal[tuple(hi)] += c
+    diagonal = diagonal_from_faces(cell_faces(faces, grid.shape))
     return FluxCoefficients(grid, *faces, diagonal.astype(dtype))
 
 
@@ -118,12 +150,5 @@ def coefficients_from_faces(
         (trans.axis(axis).astype(np.float64) * mob.axis(axis)).astype(dtype)
         for axis in range(3)
     ]
-    diagonal = np.zeros(grid.shape, dtype=np.float64)
-    for axis, c in enumerate(faces):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        diagonal[tuple(lo)] += c
-        diagonal[tuple(hi)] += c
+    diagonal = diagonal_from_faces(cell_faces(faces, grid.shape))
     return FluxCoefficients(grid, *faces, diagonal.astype(dtype))

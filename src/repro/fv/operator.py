@@ -1,4 +1,4 @@
-"""The matrix-free operator ``x -> Jx`` (Eq. 6) — vectorized NumPy reference.
+"""The matrix-free operator ``x -> Jx`` (Eq. 6) — the one host FV apply.
 
 This is the numerical ground truth the dataflow and GPU implementations are
 validated against.  With the outflow-positive sign convention,
@@ -9,15 +9,107 @@ validated against.  With the outflow-positive sign convention,
 where ``c_KL = Υ_KL λ_KL``.  J is SPD on the subspace of vectors vanishing
 on ``T_D`` (the Krylov subspace CG explores when the initial guess honours
 the Dirichlet values — a tested invariant).
+
+:class:`FlatStencil` is the only host-side evaluation of this stencil.
+:func:`apply_jx` builds one per call, and through it run
+``compute_residual`` and the tolerance resolution
+(``repro.core.solver.resolve_tolerance``); :class:`MatrixFreeOperator`,
+``TransientOperator`` and every multigrid level keep one built stencil
+each.  The fabric kernel's tiled apply is the only other evaluation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fv.coefficients import FluxCoefficients
+from repro.fv.coefficients import FluxCoefficients, cell_faces
 from repro.mesh.boundary import DirichletSet
 from repro.util.errors import ValidationError
+
+
+class FlatStencil:
+    """``out = diag·x − Σ couplings`` over the C-order flattened field.
+
+    Built once from three grid-shaped face arrays, one per axis, in the
+    per-cell layout of :func:`repro.fv.coefficients.cell_faces` (each
+    cell's face to its upper neighbour, zero on the last plane where
+    there is none — the layout a PE stores), a diagonal and an optional
+    identity-row ``mask``.  On the flattened field each axis is one
+    contiguous 1-D shift by its stride (``ny·nz``, ``nz``, ``1``), and
+    the first ``n − stride`` entries of its flat face array are exactly
+    the couplings, zero where the shift wraps (``j = ny−1`` for y,
+    ``k = nz−1`` for z; the x shift never wraps).  An axis of extent 1
+    is skipped.  Every row is evaluated in the order of the 3-D slice
+    form — ``diag·x``, then per axis x, y, z the upper neighbour and the
+    lower neighbour, then masked rows take ``x`` — so results are
+    bitwise those of that form.  Products are formed in
+    ``np.result_type(faces, x)``.
+
+    :meth:`apply` reuses one scratch vector, so an instance must not be
+    applied from two threads at once.
+    """
+
+    def __init__(self, faces, diagonal: np.ndarray, mask: np.ndarray | None = None):
+        self.diagonal = np.ascontiguousarray(diagonal)
+        self.shape = self.diagonal.shape
+        self.faces = tuple(np.ascontiguousarray(f) for f in faces)
+        self.dtype = np.result_type(*self.faces)
+        self._diagonal = self.diagonal.reshape(-1)
+        self._mask = (
+            np.ascontiguousarray(mask, dtype=bool).reshape(-1)
+            if mask is not None and mask.any() else None
+        )
+        n = self.diagonal.size
+        self._shifts = []  # per axis of extent > 1: (stride, flat faces)
+        stride = n
+        for axis, f in enumerate(self.faces):
+            stride //= self.shape[axis]
+            if f.shape != self.shape:
+                raise ValidationError(f"axis-{axis} faces {f.shape} != grid {self.shape}")
+            if self.shape[axis] > 1:
+                self._shifts.append((stride, f.reshape(-1)[: n - stride]))
+        self._tmp: np.ndarray | None = None
+
+    @classmethod
+    def from_coefficients(
+        cls, coeffs: FluxCoefficients, dirichlet: DirichletSet | None
+    ) -> "FlatStencil":
+        """The stencil of ``J`` with the identity rows of ``T_D``."""
+        return cls(
+            cell_faces((coeffs.cx, coeffs.cy, coeffs.cz), coeffs.grid.shape),
+            coeffs.diagonal, None if dirichlet is None else dirichlet.mask,
+        )
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stencil applied to ``x`` (grid-shaped), into ``out``.
+
+        ``out`` defaults to a new array of ``x``'s dtype; nothing else is
+        allocated once the products' dtype has been seen.
+        """
+        x = np.asarray(x)
+        if x.shape != self.shape:
+            raise ValidationError(f"x shape {x.shape} != grid {self.shape}")
+        if out is None:
+            out = np.empty(self.shape, dtype=x.dtype)
+        elif out.shape != x.shape:
+            raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
+        elif not out.flags.c_contiguous:
+            raise ValidationError("out must be C-contiguous")
+        xf, of = x.reshape(-1), out.reshape(-1)
+        np.multiply(self._diagonal, xf, out=of)
+        dtype = np.result_type(self.dtype, x.dtype)
+        if self._tmp is None or self._tmp.dtype != dtype:
+            self._tmp = np.empty(xf.size, dtype)
+        for s, f in self._shifts:
+            m = xf.size - s
+            t = self._tmp[:m]
+            np.multiply(f, xf[s:], out=t)
+            np.subtract(of[:m], t, out=of[:m])
+            np.multiply(f, xf[:m], out=t)
+            np.subtract(of[s:], t, out=of[s:])
+        if self._mask is not None:
+            np.copyto(of, xf, where=self._mask)
+        return out
 
 
 def apply_jx(
@@ -38,35 +130,11 @@ def apply_jx(
     x:
         Input field, shape ``grid.shape``.
     out:
-        Optional output array (same shape/dtype) for allocation-free loops.
+        Optional output array (same shape).  Each call builds the
+        stencil; a loop applies one built :class:`FlatStencil` (as
+        :class:`MatrixFreeOperator` does).
     """
-    grid = coeffs.grid
-    x = np.asarray(x)
-    if x.shape != grid.shape:
-        raise ValidationError(f"x shape {x.shape} != grid {grid.shape}")
-    if out is None:
-        out = np.empty_like(x)
-    elif out.shape != x.shape:
-        raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
-
-    # Diagonal term: D_K * x_K.
-    np.multiply(coeffs.diagonal, x, out=out)
-
-    # Off-diagonal terms: subtract c * x_neighbor for both orientations of
-    # every internal face (one face couples two rows symmetrically).
-    for axis in range(3):
-        c = coeffs.axis(axis)
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        lo_t, hi_t = tuple(lo), tuple(hi)
-        out[lo_t] -= c * x[hi_t]
-        out[hi_t] -= c * x[lo_t]
-
-    if dirichlet is not None and not dirichlet.is_empty:
-        np.copyto(out, x, where=dirichlet.mask)
-    return out
+    return FlatStencil.from_coefficients(coeffs, dirichlet).apply(x, out)
 
 
 def operator_diagonal(
@@ -102,13 +170,14 @@ class MatrixFreeOperator:
         self.coeffs = coeffs
         self.dirichlet = dirichlet
         self.grid = coeffs.grid
+        self._stencil = FlatStencil.from_coefficients(coeffs, dirichlet)
         self._scratch: np.ndarray | None = None
         #: Number of operator applications performed (profiling aid).
         self.num_applications = 0
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self.num_applications += 1
-        return apply_jx(self.coeffs, self.dirichlet, x, out=out)
+        return self._stencil.apply(x, out)
 
     def apply_flat(self, x_flat: np.ndarray) -> np.ndarray:
         """Flat-vector interface (for scipy and dense comparisons)."""

@@ -25,7 +25,6 @@ from repro.mg.hierarchy import (
     MgLevel,
     build_hierarchy,
     hierarchy_for_problem,
-    level_apply,
     planned_level_shapes,
     prolong,
     restrict,
@@ -40,7 +39,6 @@ __all__ = [
     "build_hierarchy",
     "build_mg_packet",
     "hierarchy_for_problem",
-    "level_apply",
     "merge_mg_packet",
     "mg_apply",
     "planned_level_shapes",

@@ -12,6 +12,13 @@ hierarchy, so the resulting ``z`` column is bitwise identical across
 engines before the single cast into the working dtype — which is what
 keeps the event/vectorized/sharded/fused iterates in lockstep.
 
+Every level applies its operator through the one host stencil
+(:class:`repro.fv.operator.FlatStencil`) and works in the scratch its
+:class:`~repro.mg.hierarchy.MgLevel` allocated at build time, so a cycle
+allocates only the ``z`` it returns.  The first pre-smoothing sweep
+starts from ``z = 0`` and is evaluated as ``z = (r·D⁻¹)·ω``, which is
+what ``z += ((r − A·0)·D⁻¹)·ω`` computes, without applying ``A``.
+
 Masked (Dirichlet) cells are kept exactly zero throughout: the input
 residual is zero there (the engine invariant), restriction zeroes coarse
 masked cells, prolongation zeroes fine ones, and the smoother update is
@@ -26,53 +33,61 @@ from repro.mg.hierarchy import (
     COARSE_FALLBACK_SWEEPS,
     MgHierarchy,
     MgLevel,
-    level_apply,
     prolong,
     restrict,
 )
 
 
-def _smooth(
-    level: MgLevel, z: np.ndarray, r: np.ndarray, omega: float, sweeps: int
-) -> np.ndarray:
-    """``sweeps`` damped-Jacobi updates ``z += ω D⁻¹ (r − A z)``."""
+def _smooth(level: MgLevel, omega: float, sweeps: int) -> None:
+    """``sweeps`` damped-Jacobi updates ``z += ω D⁻¹ (rhs − A z)`` of
+    ``level.z``."""
+    z, az = level.z, level.az
     for _ in range(sweeps):
-        az = level_apply(level, z)
-        np.subtract(r, az, out=az)
+        level.op.apply(z, out=az)
+        np.subtract(level.rhs, az, out=az)
         az *= level.inv_diag
         az *= omega
         z += az
-    return z
 
 
-def _coarse_solve(hier: MgHierarchy, level: MgLevel, r: np.ndarray) -> np.ndarray:
-    if level.dense_inv is not None:
-        z = (level.dense_inv @ r.reshape(-1)).reshape(level.shape)
-        z[level.mask] = 0.0  # keep the zero-on-mask invariant exact
-        return z
-    z = np.zeros_like(r)
-    return _smooth(level, z, r, hier.omega, COARSE_FALLBACK_SWEEPS)
+def _smooth_from_zero(level: MgLevel, omega: float, sweeps: int) -> None:
+    """:func:`_smooth` from ``z = 0``; the first sweep needs no ``A·z``."""
+    np.multiply(level.rhs, level.inv_diag, out=level.z)
+    level.z *= omega
+    _smooth(level, omega, sweeps - 1)
 
 
-def _v_cycle(hier: MgHierarchy, index: int, r: np.ndarray) -> np.ndarray:
+def _v_cycle(hier: MgHierarchy, index: int) -> None:
+    """Solve ``levels[index]`` approximately: ``rhs`` in, ``z`` out."""
     level = hier.levels[index]
     if index == len(hier.levels) - 1:
-        return _coarse_solve(hier, level, r)
-    z = np.zeros_like(r)
-    _smooth(level, z, r, hier.omega, hier.smoother_iters)
-    resid = r - level_apply(level, z)
+        if level.dense_inv is not None:
+            np.matmul(level.dense_inv, level.rhs.reshape(-1), out=level.z.reshape(-1))
+            np.copyto(level.z, 0.0, where=level.mask)  # keep zero-on-mask exact
+        else:
+            _smooth_from_zero(level, hier.omega, COARSE_FALLBACK_SWEEPS)
+        return
+    _smooth_from_zero(level, hier.omega, hier.smoother_iters)
+    resid = level.op.apply(level.z, out=level.az)
+    np.subtract(level.rhs, resid, out=resid)
     coarse = hier.levels[index + 1]
-    rc = restrict(level, coarse, resid)
-    zc = _v_cycle(hier, index + 1, rc)
-    z += prolong(level, zc)
-    _smooth(level, z, r, hier.omega, hier.smoother_iters)
-    return z
+    restrict(level, coarse, resid, out=coarse.rhs)
+    _v_cycle(hier, index + 1)
+    level.z += prolong(level, coarse.z, out=level.az)
+    _smooth(level, hier.omega, hier.smoother_iters)
 
 
 def mg_apply(hier: MgHierarchy, r: np.ndarray) -> np.ndarray:
-    """One V-cycle applied to ``r``; float64 in, float64 out."""
-    r64 = np.asarray(r, dtype=np.float64)
-    return _v_cycle(hier, 0, r64)
+    """One V-cycle applied to ``r``; float64 in, float64 out.
+
+    The returned array belongs to the caller.  The cycle itself runs in
+    the hierarchy's scratch, so two calls on one hierarchy must not
+    overlap.
+    """
+    fine = hier.levels[0]
+    np.copyto(fine.rhs, r)
+    _v_cycle(hier, 0)
+    return fine.z.copy()
 
 
 __all__ = ["mg_apply"]

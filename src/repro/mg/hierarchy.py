@@ -17,6 +17,10 @@ full z-column — with **piecewise-constant Galerkin** coarse operators:
   level is the variational (RAP) coarse operator for piecewise-constant
   transfer and the V-cycle stays symmetric positive definite.
 
+Every level's operator is the one host stencil
+(:class:`repro.fv.operator.FlatStencil`); coarsening pair-sums its
+per-cell faces directly.
+
 Restriction is the aggregate sum, prolongation its exact adjoint
 (injection); a coarse cell is masked when *any* fine cell in its
 aggregate is masked, and residuals/corrections are kept exactly zero on
@@ -29,10 +33,12 @@ must produce bitwise-identical ``z`` columns on every engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fv.coefficients import cell_faces, diagonal_from_faces
+from repro.fv.operator import FlatStencil
 from repro.util.errors import ConfigurationError
 
 #: Hard cap on hierarchy depth (mirrored by ``spec.MG_MAX_LEVELS``).
@@ -54,12 +60,15 @@ DENSE_SOLVE_MAX_CELLS = 4096
 COARSE_FALLBACK_SWEEPS = 8
 
 
-def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
+def _pair_sum(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum adjacent index pairs along ``axis`` (odd tail rides alone)."""
     n = a.shape[axis]
     even = [slice(None)] * a.ndim
     even[axis] = slice(0, None, 2)
-    out = a[tuple(even)].copy()
+    if out is None:
+        out = a[tuple(even)].copy()
+    else:
+        np.copyto(out, a[tuple(even)])
     if n > 1:
         odd = [slice(None)] * a.ndim
         odd[axis] = slice(1, None, 2)
@@ -86,17 +95,37 @@ def _pair_any(mask: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass
 class MgLevel:
-    """One level's operator: face coefficients, diagonals, mask."""
+    """One level: its operator, diagonals and mask, and V-cycle scratch.
 
-    shape: tuple[int, int, int]
-    fx: np.ndarray  # (nx-1, ny, nz) float64
-    fy: np.ndarray  # (nx, ny-1, nz) float64
-    fz: np.ndarray  # (nx, ny, nz-1) float64
+    ``op`` holds the level's per-cell faces, its diagonal
+    ``Σ faces + acc`` with 1.0 on masked rows, and the mask as identity
+    rows.  The float64 scratch is allocated once with the level and
+    holds no reference back to the hierarchy:
+
+    * ``rhs`` — the level's right-hand side (level 0: the copy of the
+      ``r`` the V-cycle is applied to; coarser: the restricted residual);
+    * ``z`` — the level's correction; ``az`` — ``A·z`` and the residual;
+    * ``half`` — the residual pair-summed along x on its way down.
+    """
+
+    op: FlatStencil
     acc: np.ndarray  # (nx, ny, nz) float64 accumulation diagonal
     mask: np.ndarray  # (nx, ny, nz) bool — identity rows
-    diag: np.ndarray  # (nx, ny, nz) float64, 1.0 on masked rows
     inv_diag: np.ndarray  # 1 / diag
     dense_inv: np.ndarray | None = None  # coarsest-level exact inverse
+    rhs: np.ndarray = field(init=False, repr=False)
+    z: np.ndarray = field(init=False, repr=False)
+    az: np.ndarray = field(init=False, repr=False)
+    half: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        nx, ny, nz = self.shape
+        self.rhs, self.z, self.az = (np.empty(self.shape) for _ in range(3))
+        self.half = np.empty((-(-nx // 2), ny, nz))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.op.shape
 
     @property
     def cells(self) -> int:
@@ -104,58 +133,34 @@ class MgLevel:
         return nx * ny * nz
 
 
-def level_apply(level: MgLevel, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix-free apply of this level's operator (identity masked rows).
-
-    Mirrors ``repro.fv.operator.apply_jx``: ``out = diag·z`` minus the
-    symmetric neighbour couplings over internal faces, then masked rows
-    pass ``z`` through unchanged.
-    """
-    if out is None:
-        out = np.empty_like(z)
-    np.multiply(level.diag, z, out=out)
-    for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
-        if f.size == 0:
-            continue
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        out[lo] -= f * z[hi]
-        out[hi] -= f * z[lo]
-    np.copyto(out, z, where=level.mask)
-    return out
-
-
-def restrict(fine_level: MgLevel, coarse_level: MgLevel, r: np.ndarray) -> np.ndarray:
+def restrict(
+    fine_level: MgLevel,
+    coarse_level: MgLevel,
+    r: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Aggregate-sum restriction; zero on masked coarse cells."""
-    rc = _pair_sum(_pair_sum(r, 0), 1)
-    rc[coarse_level.mask] = 0.0
+    rc = _pair_sum(_pair_sum(r, 0, fine_level.half), 1, out)
+    np.copyto(rc, 0.0, where=coarse_level.mask)
     return rc
 
 
-def prolong(fine_level: MgLevel, zc: np.ndarray) -> np.ndarray:
+def prolong(
+    fine_level: MgLevel, zc: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Injection prolongation (adjoint of :func:`restrict`); zero on
     masked fine cells."""
     nx, ny, _ = fine_level.shape
-    zf = np.repeat(np.repeat(zc, 2, axis=0)[:nx], 2, axis=1)[:, :ny]
-    zf = np.ascontiguousarray(zf)
-    zf[fine_level.mask] = 0.0
+    zf = np.empty(fine_level.shape) if out is None else out
+    zf[0::2, 0::2] = zc
+    zf[1::2, 0::2] = zc[: nx // 2]
+    zf[:, 1::2] = zf[:, 0::2][:, : ny // 2]
+    np.copyto(zf, 0.0, where=fine_level.mask)
     return zf
 
 
-def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
-    diag = np.zeros(shape, dtype=np.float64)
-    for axis, f in ((0, fx), (1, fy), (2, fz)):
-        if f.size == 0:
-            continue
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        diag[tuple(lo)] += f
-        diag[tuple(hi)] += f
+def _level(faces, acc: np.ndarray, mask: np.ndarray) -> MgLevel:
+    diag = diagonal_from_faces(faces)
     diag += acc
     diag[mask] = 1.0
     if not np.all(diag > 0):
@@ -165,23 +170,27 @@ def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
             "non-positive row"
         )
     return MgLevel(
-        shape=shape, fx=fx, fy=fy, fz=fz, acc=acc, mask=mask,
-        diag=diag, inv_diag=1.0 / diag,
+        op=FlatStencil(faces, diag, mask), acc=acc, mask=mask,
+        inv_diag=1.0 / diag,
     )
 
 
 def _coarsen(fine: MgLevel) -> MgLevel:
-    nxf, nyf, nzf = fine.shape
-    nxc, nyc = -(-nxf // 2), -(-nyf // 2)
+    nxf, nyf, nz = fine.shape
+    shape = (-(-nxf // 2), -(-nyf // 2), nz)
+    cx, cy, cz = fine.op.faces
     # Cross-aggregate faces are the odd-index fine faces (between fine
     # cells 2I+1 and 2I+2, i.e. between aggregates I and I+1), summed
-    # over the perpendicular lateral pairing.
-    fxc = _pair_sum(fine.fx[1::2], 1)
-    fyc = _pair_sum(fine.fy[:, 1::2], 0)
-    fzc = _pair_sum(_pair_sum(fine.fz, 0), 1)
+    # over the perpendicular lateral pairing.  A fine cell without an
+    # upper neighbour carries a zero face, and so does its aggregate.
+    fxc = np.zeros(shape)
+    _pair_sum(cx[1::2], 1, out=fxc[: nxf // 2])
+    fyc = np.zeros(shape)
+    _pair_sum(cy[:, 1::2], 0, out=fyc[:, : nyf // 2])
+    fzc = _pair_sum(_pair_sum(cz, 0), 1)
     acc = _pair_sum(_pair_sum(fine.acc, 0), 1)
     mask = _pair_any(_pair_any(fine.mask, 0), 1)
-    return _level_from_parts(fxc, fyc, fzc, acc, mask, (nxc, nyc, nzf))
+    return _level((fxc, fyc, fzc), acc, mask)
 
 
 def planned_level_shapes(
@@ -208,21 +217,15 @@ def _dense_matrix(level: MgLevel) -> np.ndarray:
     rows *and* zeroed masked columns — the operator restricted to the
     zero-on-mask subspace, which is where CG's residuals live)."""
     n = level.cells
-    idx = np.arange(n).reshape(level.shape)
-    a = np.zeros((n, n), dtype=np.float64)
-    a[idx.ravel(), idx.ravel()] = level.diag.ravel()
-    for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
-        if f.size == 0:
-            continue
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        rows = idx[tuple(lo)].ravel()
-        cols = idx[tuple(hi)].ravel()
-        vals = f.ravel()
-        a[rows, cols] -= vals
-        a[cols, rows] -= vals
+    a = np.diag(level.op.diagonal.reshape(-1))
+    stride = n
+    for axis, f in enumerate(level.op.faces):
+        # Flat neighbours K and K + stride; a wrapped pair's face is 0.
+        stride //= level.shape[axis]
+        k = np.arange(n - stride)
+        vals = f.reshape(-1)[: n - stride]
+        a[k, k + stride] -= vals
+        a[k + stride, k] -= vals
     m = level.mask.ravel()
     a[m, :] = 0.0
     a[:, m] = 0.0
@@ -233,7 +236,12 @@ def _dense_matrix(level: MgLevel) -> np.ndarray:
 
 @dataclass
 class MgHierarchy:
-    """A full V-cycle hierarchy plus the smoothing schedule."""
+    """A full V-cycle hierarchy plus the smoothing schedule.
+
+    A hierarchy belongs to one linear system and is not shared across
+    threads: :func:`repro.mg.mg_apply` runs in its levels' scratch, so
+    two V-cycles on one hierarchy must not overlap.
+    """
 
     levels: tuple[MgLevel, ...]
     smoother_iters: int = DEFAULT_SMOOTHER_ITERS
@@ -286,6 +294,11 @@ def build_hierarchy(
     levels / smoother_iters / omega:
         Schedule knobs; ``None`` means the defaults above.
     """
+    iters = DEFAULT_SMOOTHER_ITERS if smoother_iters is None else int(smoother_iters)
+    if not 1 <= iters <= 8:
+        raise ConfigurationError(
+            f"mg smoother_iters must be in [1, 8], got {iters}"
+        )
     shape = tuple(int(v) for v in dirichlet_mask.shape)
     mask = np.asarray(dirichlet_mask, dtype=bool)
     acc = (
@@ -293,26 +306,13 @@ def build_hierarchy(
         if accumulation is None
         else np.asarray(accumulation, dtype=np.float64).reshape(shape).copy()
     )
-    fine = _level_from_parts(
-        coefficients.cx.astype(np.float64),
-        coefficients.cy.astype(np.float64),
-        coefficients.cz.astype(np.float64),
-        acc,
-        mask,
-        shape,
-    )
-    shapes = planned_level_shapes(shape, levels)
-    built = [fine]
-    for _ in shapes[1:]:
+    faces = (coefficients.cx, coefficients.cy, coefficients.cz)
+    built = [_level(cell_faces(faces, shape, np.float64), acc, mask)]
+    for _ in planned_level_shapes(shape, levels)[1:]:
         built.append(_coarsen(built[-1]))
     coarsest = built[-1]
     if coarsest.cells <= DENSE_SOLVE_MAX_CELLS:
         coarsest.dense_inv = np.linalg.inv(_dense_matrix(coarsest))
-    iters = DEFAULT_SMOOTHER_ITERS if smoother_iters is None else int(smoother_iters)
-    if not 1 <= iters <= 8:
-        raise ConfigurationError(
-            f"mg smoother_iters must be in [1, 8], got {iters}"
-        )
     return MgHierarchy(tuple(built), smoother_iters=iters, omega=float(omega))
 
 
@@ -343,7 +343,6 @@ __all__ = [
     "MgLevel",
     "build_hierarchy",
     "hierarchy_for_problem",
-    "level_apply",
     "planned_level_shapes",
     "prolong",
     "restrict",

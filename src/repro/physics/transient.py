@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fv.operator import apply_jx
+from repro.fv.operator import FlatStencil
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.util.errors import ConfigurationError
@@ -37,9 +37,15 @@ class TransientOperator:
 
     problem: SinglePhaseProblem
     accumulation: np.ndarray  # diag(φ c_t V / Δt), zero on Dirichlet rows
+    _stencil: FlatStencil = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._stencil = FlatStencil.from_coefficients(
+            self.problem.coefficients, self.problem.dirichlet
+        )
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = apply_jx(self.problem.coefficients, self.problem.dirichlet, x, out=out)
+        out = self._stencil.apply(x, out)
         # Dirichlet rows stay identity: the accumulation array is zeroed
         # there at construction.
         out += self.accumulation * x

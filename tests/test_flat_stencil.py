@@ -1,0 +1,196 @@
+"""The one host stencil and the V-cycle on it, pinned element for
+element against the 3-D slice forms in ``stencil_reference``.
+
+The flat stencil reorders no arithmetic, so every comparison here is
+``np.array_equal``, never a tolerance: odd lateral sizes, columns of
+extent 1 along each axis, partial and empty Dirichlet masks, float32 and
+float64 coefficients and inputs, with and without the transient
+accumulation, and a capped hierarchy whose coarsest level is smoothed
+instead of solved.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import stencil_reference as ref
+from repro.fv.coefficients import build_flux_coefficients
+from repro.fv.operator import FlatStencil, MatrixFreeOperator, apply_jx
+from repro.mesh.boundary import DirichletSet
+from repro.mesh.geomodel import lognormal_permeability
+from repro.mesh.grid import CartesianGrid3D
+from repro.mg import build_hierarchy, mg_apply
+from repro.mg import hierarchy as mg_hierarchy
+from repro.physics.darcy import build_problem
+from repro.physics.transient import TransientOperator
+from repro.util.errors import ValidationError
+
+#: Odd lateral sizes, nz = 1, and nx = 1 / ny = 1 / nx = ny = 1 columns.
+SHAPES = [(13, 9, 4), (6, 5, 1), (1, 7, 3), (7, 1, 3), (1, 1, 5), (4, 4, 4)]
+DTYPES = [np.float32, np.float64]
+
+
+def _coefficients(shape, dtype, seed=0):
+    grid = CartesianGrid3D(*shape)
+    perm = lognormal_permeability(grid, seed=seed, sigma_log=0.7)
+    return build_flux_coefficients(grid, perm, dtype=dtype)
+
+
+def _mask(shape, seed=0):
+    """About a fifth of the cells, and always the first one."""
+    mask = np.random.default_rng(seed).random(shape) < 0.2
+    mask[0, 0, 0] = True
+    return mask
+
+
+def _dirichlet(grid, kind):
+    if kind == "none":
+        return None
+    mask = _mask(grid.shape) if kind == "partial" else None
+    values = np.random.default_rng(7).standard_normal(grid.shape)
+    return DirichletSet(grid, mask, values)
+
+
+def _field(shape, dtype, seed=1):
+    return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+
+
+class TestApply:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("coeff_dtype", DTYPES)
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    @pytest.mark.parametrize("dirichlet", ["none", "empty", "partial"])
+    def test_apply_jx_equals_slice_loop(self, shape, coeff_dtype, x_dtype, dirichlet):
+        coeffs = _coefficients(shape, coeff_dtype)
+        dset = _dirichlet(coeffs.grid, dirichlet)
+        x = _field(shape, x_dtype)
+        expected = ref.apply_jx_slices(coeffs, dset, x)
+        got = apply_jx(coeffs, dset, x)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        for out_dtype in DTYPES:  # into a caller's buffer of either precision
+            out = np.empty(shape, out_dtype)
+            assert apply_jx(coeffs, dset, x, out=out) is out
+            np.testing.assert_array_equal(
+                out, ref.apply_jx_slices(coeffs, dset, x, out=np.empty(shape, out_dtype))
+            )
+
+    def test_strided_input(self):
+        """A non-contiguous ``x`` is read in C order."""
+        coeffs = _coefficients((13, 9, 4), np.float32)
+        dset = _dirichlet(coeffs.grid, "partial")
+        x = np.asfortranarray(_field((13, 9, 4), np.float64))
+        np.testing.assert_array_equal(
+            apply_jx(coeffs, dset, x), ref.apply_jx_slices(coeffs, dset, x)
+        )
+
+    def test_one_stencil_serves_both_precisions(self):
+        """A built operator applied to float32, float64, then float32
+        again matches the slice loop every time."""
+        coeffs = _coefficients((13, 9, 4), np.float32)
+        dset = _dirichlet(coeffs.grid, "partial")
+        op = MatrixFreeOperator(coeffs, dset)
+        for dtype in (np.float32, np.float64, np.float32):
+            x = _field((13, 9, 4), dtype, seed=3)
+            np.testing.assert_array_equal(op(x), ref.apply_jx_slices(coeffs, dset, x))
+
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    def test_transient_operator(self, x_dtype):
+        grid = CartesianGrid3D(13, 9, 4)
+        perm = lognormal_permeability(grid, seed=2, sigma_log=0.7)
+        problem = build_problem(grid, perm, _dirichlet(grid, "partial"))
+        acc = np.random.default_rng(4).random(grid.shape).astype(np.float32)
+        acc[problem.dirichlet.mask] = 0.0
+        op = TransientOperator(problem, acc)
+        for seed in (5, 6):
+            x = _field(grid.shape, x_dtype, seed=seed)
+            expected = ref.apply_jx_slices(problem.coefficients, problem.dirichlet, x)
+            expected += acc * x
+            np.testing.assert_array_equal(op(x), expected)
+
+    def test_shape_checks(self):
+        coeffs = _coefficients((4, 4, 4), np.float32)
+        with pytest.raises(ValidationError, match="x shape"):
+            apply_jx(coeffs, None, np.zeros((4, 4, 3)))
+        with pytest.raises(ValidationError, match="out shape"):
+            apply_jx(coeffs, None, np.zeros((4, 4, 4)), out=np.zeros((4, 4)))
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            apply_jx(coeffs, None, np.zeros((4, 4, 4)), out=np.zeros((4, 4, 4), order="F"))
+        with pytest.raises(ValidationError, match="faces"):
+            FlatStencil((coeffs.cx, coeffs.cy, coeffs.cz), coeffs.diagonal)
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_flux_diagonal_equals_slice_loop(self, shape, dtype):
+        coeffs = _coefficients(shape, dtype)
+        faces = (coeffs.cx, coeffs.cy, coeffs.cz)
+        expected = ref.diagonal_slices(faces, coeffs.grid.shape).astype(dtype)
+        assert coeffs.diagonal.dtype == expected.dtype
+        np.testing.assert_array_equal(coeffs.diagonal, expected)
+
+
+MG_SHAPES = [(13, 9, 4), (12, 10, 4), (6, 5, 1), (1, 8, 3), (8, 1, 3)]
+
+
+def _assert_same_hierarchy(hier, expected):
+    assert hier.level_shapes() == [list(level.shape) for level in expected.levels]
+    for level, want in zip(hier.levels, expected.levels):
+        for got_f, want_f in zip(ref.internal_faces(level.op.faces), (want.fx, want.fy, want.fz)):
+            np.testing.assert_array_equal(got_f, want_f)
+        np.testing.assert_array_equal(level.op.diagonal, want.diag)
+        np.testing.assert_array_equal(level.inv_diag, want.inv_diag)
+        np.testing.assert_array_equal(level.acc, want.acc)
+        np.testing.assert_array_equal(level.mask, want.mask)
+        assert (level.dense_inv is None) == (want.dense_inv is None)
+        if want.dense_inv is not None:
+            np.testing.assert_array_equal(level.dense_inv, want.dense_inv)
+
+
+def _assert_same_cycles(hier, expected, mask, seeds=(8, 9)):
+    for seed in seeds:
+        for dtype in DTYPES:
+            r = _field(mask.shape, dtype, seed=seed)
+            r[mask] = 0.0
+            got = mg_apply(hier, r)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, ref.mg_apply(expected, r))
+
+
+class TestVCycle:
+    @pytest.mark.parametrize("shape", MG_SHAPES)
+    @pytest.mark.parametrize("coeff_dtype", DTYPES)
+    @pytest.mark.parametrize("accumulation", [False, True])
+    def test_mg_apply_equals_reference(self, shape, coeff_dtype, accumulation):
+        coeffs = _coefficients(shape, coeff_dtype)
+        mask = _mask(shape)
+        acc = np.random.default_rng(3).random(shape) * 0.5 if accumulation else None
+        hier = build_hierarchy(coeffs, mask, accumulation=acc)
+        expected = ref.build_hierarchy(coeffs, mask, accumulation=acc)
+        _assert_same_hierarchy(hier, expected)
+        _assert_same_cycles(hier, expected, mask)
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_smoother_sweeps(self, iters):
+        coeffs = _coefficients((13, 9, 4), np.float32)
+        mask = _mask((13, 9, 4))
+        hier = build_hierarchy(coeffs, mask, smoother_iters=iters)
+        expected = ref.build_hierarchy(coeffs, mask, smoother_iters=iters)
+        _assert_same_cycles(hier, expected, mask)
+
+    @pytest.mark.parametrize("accumulation", [False, True])
+    def test_capped_levels_smooth_the_coarsest(self, monkeypatch, accumulation):
+        """A capped hierarchy whose coarsest level is too big for the
+        dense solve falls back to smoothing sweeps there."""
+        monkeypatch.setattr(mg_hierarchy, "DENSE_SOLVE_MAX_CELLS", 8)
+        shape = (13, 9, 4)
+        coeffs = _coefficients(shape, np.float32)
+        mask = _mask(shape)
+        acc = np.full(shape, 0.2) if accumulation else None
+        hier = build_hierarchy(coeffs, mask, accumulation=acc, levels=2)
+        expected = ref.build_hierarchy(coeffs, mask, accumulation=acc, levels=2)
+        assert hier.telemetry(1)["coarse_solve"] == "smooth"
+        _assert_same_hierarchy(hier, expected)
+        _assert_same_cycles(hier, expected, mask)

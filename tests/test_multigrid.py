@@ -9,28 +9,41 @@ positive contraction, and the spec knobs validate/round-trip.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import make_problem
+from stencil_reference import internal_faces
 import repro
 from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
 from repro.mg import (
     MAX_MG_LEVELS,
     build_hierarchy,
     hierarchy_for_problem,
-    level_apply,
     mg_apply,
     planned_level_shapes,
     prolong,
     restrict,
 )
-from repro.mg.cycle import _smooth
+from repro.mg import hierarchy as mg_hierarchy
+from repro.mg.cycle import _smooth, _smooth_from_zero
 from repro.solvers.cg import conjugate_gradient
 from repro.solvers.preconditioning import build_preconditioner
 from repro.spec import SolveSpec
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
+
+
+def _sweeps(level, omega, z, r, sweeps):
+    """``sweeps`` smoother updates of ``z`` towards ``A z = r``, run in
+    the level's scratch; returns the new ``z``."""
+    level.rhs[...] = r
+    level.z[...] = z
+    _smooth(level, omega, sweeps)
+    return level.z.copy()
 
 
 def _masked_random(shape, mask, seed):
@@ -78,7 +91,7 @@ class TestLevelConstruction:
         # The problem's coefficients are float32; the hierarchy promotes
         # them to float64, so agreement is at f32 resolution.
         np.testing.assert_allclose(
-            level_apply(fine, x), problem.operator()(x), rtol=2e-5, atol=1e-3
+            fine.op.apply(x), problem.operator()(x), rtol=2e-5, atol=1e-3
         )
 
     def test_coarse_diag_is_row_sum(self, hierarchy):
@@ -86,9 +99,7 @@ class TestLevelConstruction:
         faces plus the accumulation (identity on masked rows)."""
         for level in hierarchy.levels:
             expected = level.acc.copy()
-            for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
-                if f.size == 0:
-                    continue
+            for axis, f in enumerate(internal_faces(level.op.faces)):
                 lo = [slice(None)] * 3
                 hi = [slice(None)] * 3
                 lo[axis] = slice(0, -1)
@@ -96,8 +107,18 @@ class TestLevelConstruction:
                 expected[tuple(lo)] += f
                 expected[tuple(hi)] += f
             expected[level.mask] = 1.0
-            np.testing.assert_allclose(level.diag, expected, rtol=1e-13)
-            assert np.all(level.diag > 0)
+            np.testing.assert_allclose(level.op.diagonal, expected, rtol=1e-13)
+            assert np.all(level.op.diagonal > 0)
+
+    def test_faces_vanish_where_no_upper_neighbour(self, hierarchy):
+        """Each level's per-cell faces are zero on the last plane of
+        their axis: the flat stencil reads them as the couplings its
+        shift would wrap across."""
+        for level in hierarchy.levels:
+            fx, fy, fz = level.op.faces
+            assert not fx[-1].any()
+            assert not fy[:, -1].any()
+            assert not fz[:, :, -1].any()
 
     def test_masks_propagate_by_aggregate(self, hierarchy):
         fine, coarse = hierarchy.levels[0], hierarchy.levels[1]
@@ -171,18 +192,28 @@ class TestSmoother:
         r = _masked_random(level.shape, level.mask, seed=4)
         z = (level.dense_inv @ r.reshape(-1)).reshape(level.shape)
         z[level.mask] = 0.0
-        out = _smooth(level, z.copy(), r, hier.omega, sweeps=3)
+        out = _sweeps(level, hier.omega, z, r, sweeps=3)
         np.testing.assert_allclose(out, z, atol=1e-10)
 
     def test_sweep_reduces_residual(self, hierarchy):
         level = hierarchy.levels[0]
         r = _masked_random(level.shape, level.mask, seed=5)
-        z0 = np.zeros_like(r)
-        z1 = _smooth(level, z0.copy(), r, hierarchy.omega, sweeps=1)
-        z2 = _smooth(level, z1.copy(), r, hierarchy.omega, sweeps=1)
-        res1 = np.linalg.norm(r - level_apply(level, z1))
-        res2 = np.linalg.norm(r - level_apply(level, z2))
+        z1 = _sweeps(level, hierarchy.omega, np.zeros_like(r), r, sweeps=1)
+        z2 = _sweeps(level, hierarchy.omega, z1, r, sweeps=1)
+        res1 = np.linalg.norm(r - level.op.apply(z1))
+        res2 = np.linalg.norm(r - level.op.apply(z2))
         assert res2 < res1 < np.linalg.norm(r)
+
+    def test_first_sweep_from_zero_skips_the_apply(self, hierarchy):
+        """From ``z = 0`` the first sweep is ``(r·D⁻¹)·ω``: bitwise what
+        a full sweep computes, without applying ``A`` to zero."""
+        level = hierarchy.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=11)
+        full = _sweeps(level, hierarchy.omega, np.zeros_like(r), r, sweeps=2)
+        level.rhs[...] = r
+        level.z[...] = np.nan  # the shortcut must not read the old z
+        _smooth_from_zero(level, hierarchy.omega, 2)
+        np.testing.assert_array_equal(level.z, full)
 
 
 class TestVCycle:
@@ -224,6 +255,41 @@ class TestVCycle:
         assert z1.dtype == np.float64
         np.testing.assert_array_equal(z1, z2)
 
+    def test_result_belongs_to_the_caller(self, hierarchy):
+        """The next V-cycle on the same hierarchy leaves the last
+        result alone: its scratch is not handed out."""
+        level = hierarchy.levels[0]
+        r1 = _masked_random(level.shape, level.mask, seed=12)
+        r2 = _masked_random(level.shape, level.mask, seed=13)
+        z1 = mg_apply(hierarchy, r1)
+        kept = z1.copy()
+        z2 = mg_apply(hierarchy, r2)
+        np.testing.assert_array_equal(z1, kept)
+        assert not np.shares_memory(z1, z2)
+        assert not any(
+            np.shares_memory(z1, a)
+            for lvl in hierarchy.levels
+            for a in (lvl.rhs, lvl.z, lvl.az, lvl.half)
+        )
+
+    def test_dropped_hierarchy_is_freed_without_the_cycle_collector(self, problem):
+        """Nothing in a hierarchy refers back to it, so reference
+        counting frees it (and its scratch) when the last reference
+        goes; a cycle would keep every step's hierarchy alive until the
+        cyclic collector ran."""
+        gc.disable()
+        try:
+            hier = hierarchy_for_problem(
+                problem, accumulation=np.full(problem.dirichlet.mask.shape, 0.3)
+            )
+            level = hier.levels[0]
+            mg_apply(hier, _masked_random(level.shape, level.mask, seed=14))
+            alive = weakref.ref(hier)
+            del hier, level
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_masked_cells_stay_zero(self, hierarchy):
         level = hierarchy.levels[0]
         r = _masked_random(level.shape, level.mask, seed=10)
@@ -249,11 +315,24 @@ class TestVCycle:
         # f32 operator arithmetic floors how closely the two agree.
         np.testing.assert_allclose(mg.x, plain.x, atol=1e-4)
 
-    def test_smoother_iters_validated(self, problem):
+    def test_smoother_iters_validated(self, problem, monkeypatch):
+        """A bad ``smoother_iters`` is rejected before any level is
+        built."""
+        coarsened = []
+
+        def counting(fine):
+            coarsened.append(fine.shape)
+            return coarsen(fine)
+
+        coarsen = mg_hierarchy._coarsen
+        monkeypatch.setattr(mg_hierarchy, "_coarsen", counting)
         with pytest.raises(ConfigurationError, match="smoother_iters"):
             hierarchy_for_problem(problem, smoother_iters=0)
         with pytest.raises(ConfigurationError, match="smoother_iters"):
             hierarchy_for_problem(problem, smoother_iters=9)
+        assert coarsened == []
+        hierarchy_for_problem(problem, smoother_iters=8)
+        assert coarsened  # the counter does see a real build
 
 
 class TestSpecKnobs:
