@@ -5,9 +5,9 @@ Usage::
     PYTHONPATH=src python benchmarks/fused_smoke.py
 
 Runs the fused hot-loop engine over the tile regimes a deployment hits
-(auto-picked slab, an explicit slab, a narrow tile — staged through
-contiguous scratch into the same apply) and asserts the operational
-invariants the parity pin promises:
+(auto-picked slab, an explicit slab, a narrow tile — its padded window
+copied into contiguous scratch for the same apply) and asserts the
+operational invariants the parity pin promises:
 
 * counters, fabric trace, memory report, state visits, iteration count
   and simulated elapsed time are **exactly** the vectorized oracle's —
@@ -40,8 +40,8 @@ from repro.core.solver import WseMatrixFreeSolver  # noqa: E402
 from repro.wse.specs import WSE2  # noqa: E402
 
 SPEC = WSE2.with_fabric(16, 16)
-#: Auto slab, explicit full-width slab (swept in place), narrow tile (the
-#: staged-tile case: copied into contiguous scratch, applied, copied out).
+#: Auto slab, explicit full-width slab (read in place), narrow tile (the
+#: staged-tile case: its padded window copied into contiguous scratch).
 TILES = (None, (4, 10), (5, 3))
 SOLVE = dict(spec=SPEC, dtype=np.float32, rel_tol=None, fixed_iterations=8)
 

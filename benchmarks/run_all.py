@@ -29,9 +29,9 @@ deterministic and gated by ``diff_bench.py``.
 ``--profile`` prints a per-phase host-time breakdown of the CG
 driver's kernel passes at 128×128×4 for the vectorized (one whole-grid
 tile), fused (auto tiles) and narrow-tile fused (square tiles of a
-quarter of the grid side, staged through contiguous scratch) layouts —
-warm medians with IQR over interleaved repeats — instead of running the
-benches.
+quarter of the grid side, each copying its padded window into scratch)
+layouts — warm medians with IQR over interleaved repeats — instead of
+running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -203,11 +203,13 @@ def run_profile() -> None:
 
     ``"vectorized"`` and ``"fused"`` are layouts of one driver over one
     kernel — a whole-grid tile, auto-picked slabs, and narrow tiles of
-    ``lateral // 4`` square (the staged-tile case, whose copy into and
-    out of contiguous scratch shows in ``body_pass``) — so every column
-    times the same calls: staging (``create_engine``), the three passes
-    of a plain CG iteration, the per-lane charge composition, and a
-    whole fixed-iteration run per iteration.  Every repeat times each
+    ``lateral // 4`` square (the staged-tile case, whose copy of its
+    padded stencil window into scratch shows in ``body_pass``) — so
+    every column times the same calls: staging (``create_engine``), the
+    three passes of a plain CG iteration (the stacked apply and the
+    ``p·jx`` dot; the ``[y; r]`` block update and the ``r·r`` dot; the
+    direction update), the per-lane charge composition, and a whole
+    fixed-iteration run per iteration.  Every repeat times each
     phase once per layout, rotating which layout goes first; the first
     repeat is a discarded warm-up, and each cell is the median with its
     interquartile range.

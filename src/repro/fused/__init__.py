@@ -2,9 +2,9 @@
 
 The kernel every non-event fabric engine runs: cache-tile selection
 (:mod:`repro.fused.tiling`) and the tiled FV apply plus the fused CG
-passes (:mod:`repro.fused.kernels`).  Every tile runs one apply body on
-contiguous buffers — full-width row slabs in place, other tiles staged
-through contiguous scratch.  The CG loop itself lives in
+passes (:mod:`repro.fused.kernels`).  Every tile runs one stacked apply
+over a contiguous window of the padded stencil buffer — full-width row
+slabs in place, other tiles through a copy of their padded window.  The CG loop itself lives in
 :class:`repro.core.cg_driver.CgDriver`; ``MachineSpec(engine="fused")``
 is the layout that runs this kernel with auto-picked tiles.
 """

@@ -11,16 +11,18 @@ never split (a PE owns a whole column).
 Tile order is row-major over the tile grid and doubles as the engine's
 *deterministic reduction order*: per-tile float64 dot partials are summed
 sequentially in this order (the sharded engine's trick), so repeated runs
-are bit-identical regardless of thread count.
+are bit-identical regardless of thread count.  So the tile also fixes
+the bits of every answer.
 """
 
 from __future__ import annotations
 
 from repro.spec import normalize_fused_tile
 
-#: Lateral working-set arrays one fused sweep touches per cell (stencil
-#: input + output + 4..6 coefficient columns + y/b/r/z/inv_diag + masks);
-#: deliberately on the generous side so the auto-picked tile errs small.
+#: Lateral working-set arrays per cell a tile is sized for, on the
+#: generous side so the auto-picked tile errs small.  A tile-size
+#: constant, not a recount of the kernel's buffers: changing it moves
+#: the tile (18×128 at 128×128×4 float32), and so the answers' bits.
 _ARRAYS_PER_CELL = 14
 
 #: Target per-tile working set: comfortably inside a desktop L2.
@@ -30,9 +32,9 @@ _TARGET_TILE_BYTES = 512 * 1024
 def auto_tile(nx: int, ny: int, nz: int, itemsize: int) -> tuple[int, int]:
     """Pick a tile shape from the grid and dtype.
 
-    Always picks a *full-width row slab* ``(rows, ny)``: slab tiles keep
-    every work array's tile view contiguous, so the apply sweeps them in
-    place instead of staging them through contiguous scratch (see
+    Always picks a *full-width row slab* ``(rows, ny)``: a slab's padded
+    window is one contiguous block of the stencil buffer, so the apply
+    reads it in place instead of copying it into scratch (see
     :class:`~repro.fused.kernels.TiledApply`).  The row count
     targets ``_TARGET_TILE_BYTES`` of working set per tile (``~14``
     arrays × ``nz`` × ``itemsize`` bytes per lateral cell), clamped to

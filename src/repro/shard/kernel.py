@@ -83,7 +83,6 @@ class ShardedKernel:
         self._params = WorkerParams(
             program=program,
             dtype=self.dtype.str,
-            has_full=st.has_full,
             has_partial=st.has_partial,
             fused_tile=self.fused_tile,
         )

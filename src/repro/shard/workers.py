@@ -61,8 +61,7 @@ class WorkerParams:
 
     program: CgProgram
     dtype: str
-    #: The *global* Dirichlet flags (see :func:`staging_from_arrays`).
-    has_full: bool
+    #: The *global* partial-Dirichlet flag (see :func:`staging_from_arrays`).
     has_partial: bool
     #: Cache-tile shape inside the shard (``None``: one whole-shard tile).
     fused_tile: tuple[int, int] | None = None
@@ -92,7 +91,7 @@ class ShardWorker:
         self.mg = program.mg
         st = staging_from_arrays(
             arrays, program, (slice(box.x0, box.x1), slice(box.y0, box.y1)),
-            has_full=params.has_full, has_partial=params.has_partial,
+            has_partial=params.has_partial,
         )
         self.kernel = FusedNumpyBackend(
             st, program, tile=params.fused_tile or (box.nx, box.ny),

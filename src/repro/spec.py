@@ -347,17 +347,18 @@ def normalize_fused_tile(value) -> tuple[int, int] | None:
     if _is_int(value):
         value = (value, value)
     try:
-        tile = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
+        tile = tuple(value)
+    except TypeError:
         raise ConfigurationError(
             f"fused_tile must be a positive int, a (tile_x, tile_y) pair, "
             f"or a '16x16' string, got {value!r}"
         ) from None
-    if len(tile) != 2 or any(v < 1 for v in tile):
+    # The tile fixes the dot-partial order, so an entry is never rounded.
+    if len(tile) != 2 or not all(_is_int(v) and v >= 1 for v in tile):
         raise ConfigurationError(
             f"fused_tile must be two positive integers, got {value!r}"
         )
-    return tile
+    return (int(tile[0]), int(tile[1]))
 
 
 @dataclass(frozen=True)

@@ -129,10 +129,10 @@ class _Staging:
     a whole grid and one shard of it run the same code."""
 
     __slots__ = (
-        "y", "b", "r", "p", "z", "inv_diag", "acc",
+        "y", "b", "z", "inv_diag", "acc",
         "coeff", "coeff_down", "coeff_up",
         "ups", "ups_down", "ups_up", "lam", "lam_nbr",
-        "full_cols", "blend_mask", "has_full", "has_partial",
+        "full_cols", "blend_mask", "has_partial",
         "kind_counts", "kernel_plans", "mg_hier",
     )
 
@@ -196,8 +196,6 @@ def _stage_problem(
         else np.asarray(rhs, dtype=dtype).copy()
     )
     st.b[problem.dirichlet.mask] = problem.dirichlet.values[problem.dirichlet.mask]
-    st.r = np.zeros(grid.shape, dtype=dtype)
-    st.p = np.zeros(grid.shape, dtype=dtype)
     st.z = np.zeros(grid.shape, dtype=dtype) if program.uses_z else None
     st.inv_diag = None
     st.acc = None if accumulation is None else accumulation.astype(dtype)
@@ -236,7 +234,6 @@ def _stage_problem(
         partial_cols[:, :, None], problem.dirichlet.mask, False
     ).astype(dtype)
     st.kind_counts = kind_counts
-    st.has_full = kind_counts[DirichletKind.FULL] > 0
     st.has_partial = kind_counts[DirichletKind.PARTIAL] > 0
     st.kernel_plans = {
         kind: FvColumnKernel.instruction_plan(
@@ -258,8 +255,10 @@ def staging_to_arrays(st: _Staging, program: CgProgram) -> dict[str, np.ndarray]
     """Flatten a staged problem into named field arrays.
 
     The sharded engine hands a solve to its workers as this dict, and
-    each worker rebuilds its shard's staging from the slices it owns.  Only construction-time fields are included — the
-    work arrays (``r``, ``p``, ``z``) are per-shard local state.
+    each worker rebuilds its shard's staging from the slices it owns.
+    Only construction-time fields are included — the work arrays
+    (``z``, and the kernel's ``r``, ``p``, ``jx``) are per-shard local
+    state.
     """
     arrays: dict[str, np.ndarray] = {"y": st.y, "b": st.b}
     if st.inv_diag is not None:
@@ -289,23 +288,20 @@ def staging_from_arrays(
     program: CgProgram,
     owned: tuple[slice, slice],
     *,
-    has_full: bool,
     has_partial: bool,
 ) -> _Staging:
     """One shard's staging: :func:`staging_to_arrays` inverted over the
-    lateral window ``owned``, as contiguous copies plus fresh work
-    arrays.  ``has_full``/``has_partial`` stay the *global* flags — a
-    shard without partial columns still runs the (no-op) blend, so its
-    op sequence, and every ±0.0, matches a whole-grid sweep."""
+    lateral window ``owned``, as contiguous arrays plus a fresh ``z``
+    (``y`` is only read: the kernel copies it into its own block).
+    ``has_partial`` stays the *global* flag — a shard without partial
+    columns still runs the (no-op) blend, so its op sequence, and every
+    ±0.0, matches a whole-grid sweep."""
 
     def local(name: str) -> np.ndarray:
         return np.ascontiguousarray(arrays[name][owned])
 
     st = _Staging()
-    # y is the one staged field a solve writes, so it is always a copy
-    # (a whole-grid window would otherwise alias the caller's array).
-    st.y, st.b = np.array(arrays["y"][owned]), local("b")
-    st.r, st.p = np.zeros_like(st.y), np.zeros_like(st.y)
+    st.y, st.b = local("y"), local("b")
     st.z = np.zeros_like(st.y) if program.uses_z else None
     st.inv_diag = local("inv_diag") if "inv_diag" in arrays else None
     st.acc = local("acc") if "acc" in arrays else None
@@ -322,7 +318,7 @@ def staging_from_arrays(
             port: local(f"lam_nbr_{port.name}") for port in MOBILITY_BUFFER
         }
     st.full_cols, st.blend_mask = local("full_cols"), local("blend_mask")
-    st.has_full, st.has_partial = has_full, has_partial
+    st.has_partial = has_partial
     st.kind_counts = st.kernel_plans = st.mg_hier = None
     return st
 

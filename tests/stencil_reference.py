@@ -1,4 +1,4 @@
-"""Reference implementations the flat host stencil is pinned against.
+"""Reference implementations the library's stencils are pinned against.
 
 These are the 3-D slice forms of the FV apply and of the multigrid
 V-cycle, kept as plain loops over whole-array slices: ``apply_jx`` as a
@@ -8,6 +8,12 @@ at every step, plus the diagonal as a slice loop.
 ``tests/test_flat_stencil.py`` requires the library's ``FlatStencil``
 apply, ``diagonal_from_faces`` and ``repro.mg.mg_apply`` to equal them
 element for element.
+
+:class:`TiledApply` is the fabric kernel's tiled apply in its
+per-direction form: one shifted window per lateral port, flattened z
+sweeps that save and restore a boundary plane, and a boolean-mask
+Dirichlet copy.  ``tests/test_tiled_apply.py`` requires
+``repro.fused.kernels.TiledApply`` to equal it element for element.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.fv_kernel import HALO_ORDER, KernelVariant
 from repro.mg import hierarchy as mg_hierarchy
 from repro.mg.hierarchy import (
     COARSE_FALLBACK_SWEEPS,
@@ -258,3 +265,144 @@ def _v_cycle(hier, index, r):
 def mg_apply(hier, r):
     """One reference V-cycle; float64 in, float64 out."""
     return _v_cycle(hier, 0, np.asarray(r, dtype=np.float64))
+
+
+# -- the fabric kernel's tiled apply, per direction ---------------------------
+
+
+def _face_coefficients(st, variant, tile, dtype):
+    """One tile's effective face coefficients as contiguous arrays: the
+    four lateral faces in ``HALO_ORDER``, then the up and down faces
+    flattened for the z sweeps (``up[k]`` couples flat cell ``k`` to
+    ``k + 1``, ``down[k]`` cell ``k + 1`` to ``k``)."""
+    if variant is KernelVariant.PRECOMPUTED:
+        lateral = tuple(tile(st.coeff[port]) for port in HALO_ORDER)
+        up, down = tile(st.coeff_up), tile(st.coeff_down)
+    else:
+        lam = tile(st.lam)
+
+        def mobility_face(lam_a, lam_b, ups):
+            c = np.empty(lam_a.shape, dtype=dtype)
+            np.add(lam_a, lam_b, out=c)
+            np.multiply(c, 0.5, out=c, casting="unsafe")
+            np.multiply(c, ups, out=c, casting="unsafe")
+            return c
+
+        lateral = tuple(
+            mobility_face(lam, tile(st.lam_nbr[port]), tile(st.ups[port]))
+            for port in HALO_ORDER
+        )
+        lo, hi = (Ellipsis, slice(0, -1)), (Ellipsis, slice(1, None))
+        up = np.zeros(lam.shape, dtype=dtype)
+        down = np.zeros(lam.shape, dtype=dtype)
+        up[lo] = mobility_face(lam[lo], lam[hi], tile(st.ups_up)[lo])
+        down[hi] = mobility_face(lam[hi], lam[lo], tile(st.ups_down)[hi])
+    return (
+        lateral,
+        np.ascontiguousarray(up.reshape(-1)[:-1]),
+        np.ascontiguousarray(down.reshape(-1)[1:]),
+    )
+
+
+class TiledApply:
+    """The tiled FV apply, one port at a time: ``x_ext`` is the padded
+    stencil input, ``out`` the output, ``boxes`` the tile boxes.  A
+    full-width slab is swept in place; any other tile is copied into
+    contiguous scratch, applied there and copied out."""
+
+    def __init__(self, st, *, x_ext, out, boxes, variant, dtype):
+        self.boxes = list(boxes)
+        self.has_full = bool(st.full_cols.any())
+        self.has_partial = st.has_partial
+        self.has_acc = st.acc is not None
+        dtype = np.dtype(dtype)
+        ny, nz = out.shape[1], out.shape[2]
+        self.nz = nz
+        shapes = [(x1 - x0, y1 - y0, nz) for x0, x1, y0, y1 in self.boxes]
+        staged = [(y0, y1) != (0, ny) for _, _, y0, y1 in self.boxes]
+        max_cells = max(tx * ty * nz for tx, ty, _ in shapes)
+        max_staged = max(
+            (tx * ty * nz for (tx, ty, _), s in zip(shapes, staged) if s),
+            default=0,
+        )
+        diff = np.empty(max_cells, dtype=dtype)
+        tmp = np.empty(max_cells, dtype=dtype)
+        vd = np.empty(max_cells - 1, dtype=dtype)
+        vt = np.empty(max_cells - 1, dtype=dtype)
+        plane = np.empty(max_cells // nz, dtype=dtype)
+        xs = np.empty(max_staged, dtype=dtype)
+        os_ = np.empty(max_staged, dtype=dtype)
+
+        self._t = []
+        for box, shape, is_staged in zip(self.boxes, shapes, staged):
+            x0, x1, y0, y1 = box
+            cells = shape[0] * shape[1] * nz
+
+            def tile(arr):
+                return None if arr is None else np.ascontiguousarray(arr[x0:x1, y0:y1])
+
+            lateral, up, down = _face_coefficients(st, variant, tile, dtype)
+            view = out[x0:x1, y0:y1]
+            self._t.append({
+                "shift": tuple(
+                    x_ext[
+                        x0 + 1 + port.offset[0]:x1 + 1 + port.offset[0],
+                        y0 + 1 + port.offset[1]:y1 + 1 + port.offset[1],
+                        :,
+                    ]
+                    for port in HALO_ORDER
+                ),
+                "ceff": lateral, "cup": up, "cdn": down,
+                "acc": tile(st.acc),
+                "full_cols": tile(st.full_cols),
+                "blend": tile(st.blend_mask),
+                "out": view,
+                "xs": xs[:cells].reshape(shape) if is_staged else None,
+                "work": os_[:cells].reshape(shape) if is_staged else view,
+                "diff": diff[:cells].reshape(shape),
+                "tmp": tmp[:cells].reshape(shape),
+                "vd": vd[:cells - 1], "vt": vt[:cells - 1],
+                "plane": plane[:cells // nz].reshape(shape[:2]),
+            })
+
+    def apply(self, t, x):
+        """FV apply over tile ``t`` of the field whose tile view is
+        ``x`` (the field ``x_ext`` holds), into the output's tile view."""
+        tv = self._t[t]
+        if tv["xs"] is not None:
+            np.copyto(tv["xs"], x)
+            x = tv["xs"]
+        out, diff, tmp, ceff = tv["work"], tv["diff"], tv["tmp"], tv["ceff"]
+        for i in range(4):
+            np.subtract(x, tv["shift"][i], out=diff)
+            if i == 0:
+                np.multiply(ceff[i], diff, out=out)
+            else:
+                np.multiply(ceff[i], diff, out=tmp)
+                out += tmp
+        if self.nz >= 2:
+            # Flattened z sweeps: elements that cross a column boundary
+            # write into the boundary plane, which is saved and restored.
+            xf, outf = x.reshape(-1), out.reshape(-1)
+            vd, vt, plane = tv["vd"], tv["vt"], tv["plane"]
+            for keep, src, nbr, coeff, dst in (
+                (out[:, :, -1], xf[:-1], xf[1:], tv["cup"], outf[:-1]),
+                (out[:, :, 0], xf[1:], xf[:-1], tv["cdn"], outf[1:]),
+            ):
+                np.copyto(plane, keep)
+                np.subtract(src, nbr, out=vd)
+                np.multiply(coeff, vd, out=vt)
+                dst += vt
+                np.copyto(keep, plane)
+        if self.has_acc:
+            np.multiply(tv["acc"], x, out=diff)
+            out += diff
+        if self.has_full:
+            fc = tv["full_cols"]
+            out[fc] = x[fc]
+        if self.has_partial:
+            np.subtract(x, out, out=diff)
+            np.multiply(tv["blend"], diff, out=diff)
+            out += diff
+        if tv["xs"] is not None:
+            np.copyto(tv["out"], out)

@@ -105,6 +105,15 @@ def test_fused_tile_spec_round_trip_and_fingerprint():
     assert text.fingerprint() == spec.fingerprint()
     with pytest.raises(ConfigurationError, match="look like '16x16'"):
         MachineSpec(engine="fused", fused_tile="8 by 4")
+    # Entries are integers: the tile fixes the dot order, so a float or
+    # a bool is refused on both the kwargs and the wire path, never
+    # truncated.
+    for bad in [(2.5, 3), (True, 4)]:
+        with pytest.raises(ConfigurationError, match="two positive integers"):
+            SolveSpec.from_kwargs(engine="fused", fused_tile=bad)
+        wire = dict(payload, machine=dict(payload["machine"], fused_tile=list(bad)))
+        with pytest.raises(ConfigurationError, match="two positive integers"):
+            SolveSpec.from_dict(wire)
 
 
 def test_fused_tile_requires_a_tiled_engine():
