@@ -27,7 +27,11 @@ asserts the operational invariants:
 * **one hierarchy build per solve** — the front-door wse solve (with
   ``rel_tol`` set, so tolerance resolution and staging both need ``M``)
   and the reference solve each build exactly one V-cycle hierarchy,
-  counted by wrapping ``repro.mg``'s two builders.
+  counted by wrapping ``repro.mg``'s two builders;
+* **one hierarchy build per Δt** — a 3-step ``repro.simulate`` with
+  ``dt=[1.0, 2.0, 2.0]`` builds exactly two hierarchies on the wse
+  backend (fused engine) and on the reference backend: the two steps at
+  Δt = 2 share one ``M``.
 
 Exits non-zero on any violated invariant, so CI can gate on it.
 """
@@ -197,13 +201,33 @@ def main() -> int:
         failures.append("reference and wse mg solves disagree on pressure")
     print("mg_smoke: reference/wse mg pressures agree, telemetry intact")
 
+    # -- one hierarchy build per Δt in a simulation ----------------------
+    schedule = dict(preconditioner="mg", n_steps=3, dt=[1.0, 2.0, 2.0])
+    sim_builds = {}
+    for backend, knobs in (
+        ("wse", dict(spec=SPEC, dtype="float64", engine="fused", rel_tol=1e-9)),
+        ("reference", {}),
+    ):
+        with _hierarchy_builds() as builds:
+            sim = repro.simulate(
+                problem, backend=backend,
+                spec=repro.SolveSpec.from_kwargs(**schedule, **knobs),
+            )
+        sim_builds[backend] = len(builds)
+        if len(sim.steps) != 3 or len(builds) != 2:
+            failures.append(f"{backend} mg simulation over dts 1, 2, 2 built "
+                            f"{len(builds)} hierarchies in {len(sim.steps)} "
+                            f"steps, not 2 in 3")
+    print(f"mg_smoke: hierarchy builds per simulation (dts 1, 2, 2): "
+          f"wse={sim_builds['wse']} reference={sim_builds['reference']}")
+
     if failures:
         for line in failures:
             print(f"mg_smoke: FAIL {line}")
         return 1
     print(f"mg_smoke: PASS ({reduction:.1f}x iteration reduction, 4-engine "
           f"parity, telemetry shape verified, one hierarchy build per "
-          f"solve)")
+          f"solve and per simulation dt)")
     return 0
 
 

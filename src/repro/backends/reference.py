@@ -24,7 +24,7 @@ class ReferenceBackend:
     cross-backend spelling of the relative tolerance, forwarded as
     ``newton_rtol``), ``precision.dtype`` defaults to float64, and
     ``preconditioner`` names the ``M`` the host CG applies — built once
-    per solve or step by
+    per solve, or per Δt of a simulation, by
     :func:`~repro.solvers.preconditioning.build_preconditioner`, which
     also supplies the telemetry entry.  Machine knobs (fabric specs,
     SIMD widths, block shapes) are rejected — there is no machine here.
@@ -90,9 +90,10 @@ class ReferenceBackend:
 
         Each step solves ``(J + A) p^{n+1} = A p^n + b_D`` with the host
         CG on the existing :class:`~repro.physics.transient.TransientOperator`,
-        preconditioned by the step's own ``M`` (built with the step's
+        preconditioned by the step's ``M`` (built with the step's
         accumulation diagonal); warm starts carry the previous step's
-        pressure into the next CG.
+        pressure into the next CG.  The operator and ``M`` are rebuilt
+        when ``stepper.begin`` returns a new accumulation (once per Δt).
         """
         from repro.physics.transient import TransientOperator, TransientStepper
 
@@ -132,17 +133,20 @@ class ReferenceBackend:
             acc_dtype=dtype,
             rhs_dtype=dtype,
         )
+        built = None  # the accumulation the operator and M are for
         for idx in stepper.pending():
             start = time.perf_counter()
             acc, rhs, x0 = stepper.begin(idx)
-            operator = TransientOperator(problem, acc)
+            if acc is not built:
+                built = acc
+                operator = TransientOperator(problem, acc)
+                # M folds the backward-Euler diagonal in, preconditioning
+                # the actual (J + A) system being solved.
+                precondition = self._preconditioner(problem, spec, acc)
             tol = float(tol_rtr)
             if rel_tol is not None:
                 r0 = rhs - operator(x0)
                 tol = max(tol, rel_tol**2 * float(np.vdot(r0, r0).real))
-            # M folds the backward-Euler diagonal in, preconditioning the
-            # actual (J + A) system being solved.
-            precondition = self._preconditioner(problem, spec, acc)
             result = conjugate_gradient(
                 operator, rhs, x0=x0, tol_rtr=tol, max_iters=max_iters,
                 precondition=None if precondition.name == "none" else precondition,

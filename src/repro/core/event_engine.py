@@ -88,23 +88,13 @@ class EventEngine:
             # The V-cycle's fabric cost is charged from the same analytic
             # packet the vectorized engine merges (only machine
             # parameters are read, so counters/traffic agree exactly).
-            self._mg_packet = build_mg_packet(
-                _ChargeModel(
-                    width=self.fabric.width,
-                    height=self.fabric.height,
-                    depth=problem.grid.nz,
-                    simd_width=(
-                        int(simd_width)
-                        if simd_width is not None
-                        else spec.simd_width_f32
-                    ),
-                    spec=spec,
-                    suppress=False,
-                    kind_counts={},
-                    kernel_plans={},
-                ),
-                self.mg_hierarchy,
+            simd = spec.simd_width_f32 if simd_width is None else int(simd_width)
+            machine = _ChargeModel(
+                width=self.fabric.width, height=self.fabric.height,
+                depth=problem.grid.nz, simd_width=simd, spec=spec,
+                suppress=False, kind_counts={}, kernel_plans={},
             )
+            self._mg_packet = build_mg_packet(machine, self.mg_hierarchy)
 
     def _stage(self) -> None:
         """Build a fresh fabric and stage the problem onto it."""

@@ -5,11 +5,12 @@ Every entry point forwards to one private builder, :func:`_build`: it
 builds the one engine-agnostic :class:`~repro.core.program.CgProgram`
 from the paper's design knobs (:class:`_Knobs`, the knob list and its
 defaults), builds each system's preconditioner ``M`` once (see
-:func:`~repro.solvers.preconditioning.build_preconditioner`), resolves
-each system's tolerance from it, and stages the engine with it
-— :func:`~repro.core.engines.create_engine` for one problem (the
-cycle-accurate ``"event"`` oracle or a layout of the array CG driver),
-:func:`~repro.core.engines.create_batched_engine` for a batched chunk.
+:func:`~repro.solvers.preconditioning.build_preconditioner`; once per
+Δt in a simulation), resolves each system's tolerance from it, and
+stages the engine with it — :func:`~repro.core.engines.create_engine`
+for one problem (the cycle-accurate ``"event"`` oracle or a layout of
+the array CG driver), :func:`~repro.core.engines.create_batched_engine`
+for a batched chunk.
 Engines report the solution together with the machine-level telemetry
 (instruction counts, traffic, cycle makespan) the benchmarks consume.
 """
@@ -120,6 +121,24 @@ class _Knobs:
     shard_workers: str | None = None
     fused_tile: Any = None
 
+    def program(self, batch: int, accumulation: bool) -> CgProgram:
+        """The one engine-agnostic program these knobs describe."""
+        return CgProgram(
+            variant=KernelVariant(self.variant),
+            reuse_buffers=self.reuse_buffers,
+            preconditioner=self.preconditioner,
+            mg_levels=self.mg_levels,
+            mg_smoother_iters=(
+                2 if self.mg_smoother_iters is None else int(self.mg_smoother_iters)
+            ),
+            comm_only=self.comm_only,
+            tol_rtr=float(self.tol_rtr),
+            max_iters=int(self.max_iters),
+            fixed_iterations=self.fixed_iterations,
+            batch=batch,
+            accumulation=accumulation,
+        )
+
 
 def _build(
     engine: str,
@@ -130,30 +149,18 @@ def _build(
     knobs: _Knobs,
     *,
     batched: bool,
+    preconditions: Sequence[Preconditioner] | None = None,
 ):
-    """Build the one program, then each system's ``M`` (once) and
-    tolerance, and stage the engine with both: ``create_engine`` for one
-    problem, ``create_batched_engine`` (one lane per problem) when
-    ``batched``."""
-    program = CgProgram(
-        variant=KernelVariant(knobs.variant),
-        reuse_buffers=knobs.reuse_buffers,
-        preconditioner=knobs.preconditioner,
-        mg_levels=knobs.mg_levels,
-        mg_smoother_iters=(
-            2 if knobs.mg_smoother_iters is None else int(knobs.mg_smoother_iters)
-        ),
-        comm_only=knobs.comm_only,
-        tol_rtr=float(knobs.tol_rtr),
-        max_iters=int(knobs.max_iters),
-        fixed_iterations=knobs.fixed_iterations,
-        batch=len(problems),
-        accumulation=any(acc is not None for acc in accs),
-    )
-    preconditions = [
-        program.preconditioner_for(problem, acc)
-        for problem, acc in zip(problems, accs)
-    ]
+    """Build the one program, then each system's ``M`` (unless
+    ``preconditions`` brings them) and tolerance, and stage the engine
+    with both: ``create_engine`` for one problem,
+    ``create_batched_engine`` (one lane per problem) when ``batched``."""
+    program = knobs.program(len(problems), any(acc is not None for acc in accs))
+    if preconditions is None:
+        preconditions = [
+            program.preconditioner_for(problem, acc)
+            for problem, acc in zip(problems, accs)
+        ]
     tols = [
         resolve_tolerance(
             problem,
@@ -201,11 +208,13 @@ def _run(
     *,
     batched: bool,
     batch_size: int | None = None,
+    preconditions: Sequence[Preconditioner] | None = None,
 ) -> list[EngineReport]:
     """One report per problem, in order: a serial run of the single
     problem, or batched chunks of at most ``batch_size`` lanes."""
     if not batched:
-        return [_build(engine, problems, guesses, accs, rhss, knobs, batched=False).run()]
+        return [_build(engine, problems, guesses, accs, rhss, knobs, batched=False,
+                       preconditions=preconditions).run()]
     if batch_size is not None and batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     size = batch_size or len(problems)
@@ -215,6 +224,7 @@ def _run(
         lanes = _build(
             engine, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
             knobs, batched=True,
+            preconditions=None if preconditions is None else preconditions[chunk],
         )
         reports.extend(lanes.run_lanes())
     return reports
@@ -338,7 +348,9 @@ def _simulate(
 ):
     """The one stepping loop: N :class:`TransientStepper`\\ s advanced
     together, one engine solve per step (serial for N = 1, one batched
-    program otherwise), yielding each step's reports in input order."""
+    program otherwise), yielding each step's reports in input order.
+    ``begin`` returns the same accumulation array while Δt holds, so a
+    lane builds its ``M`` once per Δt."""
     from repro.physics.transient import TransientStepper
 
     knobs = _Knobs(**knobs)
@@ -356,11 +368,15 @@ def _simulate(
         )
         for problem, state in zip(problems, states)
     ]
+    program = knobs.program(len(problems), accumulation=True)
+    built = [(None, None)] * len(steppers)  # per lane: (accumulation, its M)
     for index in steppers[0].pending():
         accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
+        built = [(acc, m) if acc is last else (acc, program.preconditioner_for(p, acc))
+                 for (last, m), p, acc in zip(built, problems, accs)]
         reports = _run(
-            engine, problems, guesses, accs, rhss, knobs,
-            batched=batched, batch_size=batch_size,
+            engine, problems, guesses, accs, rhss, knobs, batched=batched,
+            batch_size=batch_size, preconditions=[m for _, m in built],
         )
         for stepper, report in zip(steppers, reports):
             stepper.advance(report.pressure)

@@ -45,8 +45,10 @@ class FlatStencil:
     bitwise those of that form.  Products are formed in
     ``np.result_type(faces, x)``.
 
-    :meth:`apply` reuses one scratch vector, so an instance must not be
-    applied from two threads at once.
+    :meth:`apply` is :meth:`run` on the operands :meth:`bind` returns
+    for one ``x → out`` pair; a multigrid level binds its ``z → az`` once,
+    at build.  Bound forms of one dtype share one scratch vector, so an
+    instance must not be applied from two threads at once.
     """
 
     def __init__(self, faces, diagonal: np.ndarray, mask: np.ndarray | None = None):
@@ -55,9 +57,8 @@ class FlatStencil:
         self.faces = tuple(np.ascontiguousarray(f) for f in faces)
         self.dtype = np.result_type(*self.faces)
         self._diagonal = self.diagonal.reshape(-1)
-        self._mask = (
-            np.ascontiguousarray(mask, dtype=bool).reshape(-1)
-            if mask is not None and mask.any() else None
+        self._rows = (
+            np.flatnonzero(mask) if mask is not None and mask.any() else None
         )
         n = self.diagonal.size
         self._shifts = []  # per axis of extent > 1: (stride, flat faces)
@@ -80,6 +81,39 @@ class FlatStencil:
             coeffs.diagonal, None if dirichlet is None else dirichlet.mask,
         )
 
+    def bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
+        """The operands of ``out = S x``; ``out`` must be C-contiguous,
+        and a bound form follows ``x`` only if ``x`` is too."""
+        if x.shape != self.shape:
+            raise ValidationError(f"x shape {x.shape} != grid {self.shape}")
+        if out.shape != x.shape:
+            raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
+        if not out.flags.c_contiguous:
+            raise ValidationError("out must be C-contiguous")
+        xf, of, n = x.reshape(-1), out.reshape(-1), x.size
+        dtype = np.result_type(self.dtype, x.dtype)
+        if self._tmp is None or self._tmp.dtype != dtype:
+            self._tmp = np.empty(n, dtype)
+        shifts = tuple(
+            (f, xf[s:], of[: n - s], xf[: n - s], of[s:], self._tmp[: n - s])
+            for s, f in self._shifts
+        )
+        return self._diagonal, xf, of, shifts, self._rows
+
+    @staticmethod
+    def run(bound: tuple) -> None:
+        """Evaluate a :meth:`bind` form: ``diag·x``, then per axis the
+        upper and the lower neighbour, then the identity rows."""
+        diagonal, xf, of, shifts, rows = bound
+        np.multiply(diagonal, xf, out=of)
+        for f, x_up, of_lo, x_lo, of_up, t in shifts:
+            np.multiply(f, x_up, out=t)
+            np.subtract(of_lo, t, out=of_lo)
+            np.multiply(f, x_lo, out=t)
+            np.subtract(of_up, t, out=of_up)
+        if rows is not None:
+            of[rows] = xf[rows]
+
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stencil applied to ``x`` (grid-shaped), into ``out``.
 
@@ -87,28 +121,9 @@ class FlatStencil:
         allocated once the products' dtype has been seen.
         """
         x = np.asarray(x)
-        if x.shape != self.shape:
-            raise ValidationError(f"x shape {x.shape} != grid {self.shape}")
         if out is None:
             out = np.empty(self.shape, dtype=x.dtype)
-        elif out.shape != x.shape:
-            raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
-        elif not out.flags.c_contiguous:
-            raise ValidationError("out must be C-contiguous")
-        xf, of = x.reshape(-1), out.reshape(-1)
-        np.multiply(self._diagonal, xf, out=of)
-        dtype = np.result_type(self.dtype, x.dtype)
-        if self._tmp is None or self._tmp.dtype != dtype:
-            self._tmp = np.empty(xf.size, dtype)
-        for s, f in self._shifts:
-            m = xf.size - s
-            t = self._tmp[:m]
-            np.multiply(f, xf[s:], out=t)
-            np.subtract(of[:m], t, out=of[:m])
-            np.multiply(f, xf[:m], out=t)
-            np.subtract(of[s:], t, out=of[s:])
-        if self._mask is not None:
-            np.copyto(of, xf, where=self._mask)
+        self.run(self.bind(x, out))
         return out
 
 

@@ -26,8 +26,6 @@ from repro.mg.hierarchy import (
     build_hierarchy,
     hierarchy_for_problem,
     planned_level_shapes,
-    prolong,
-    restrict,
 )
 
 __all__ = [
@@ -42,6 +40,4 @@ __all__ = [
     "merge_mg_packet",
     "mg_apply",
     "planned_level_shapes",
-    "prolong",
-    "restrict",
 ]

@@ -5,11 +5,11 @@ the identical float64 V-cycle (``repro.mg.cycle.mg_apply``) host-side,
 so what distinguishes engines is only *where* the charges land — and
 they must land identically, or the event/vectorized/sharded/fused
 parity pinning breaks.  This module builds ONE charge packet per
-program (a throwaway ``_ChargeModel``-compatible object holding exactly
-one V-cycle's instruction counts, memory/fabric traffic and critical
-path) that every engine merges at every preconditioner application
-(``iterations + 1`` applications per solve: INIT plus one per
-UPDATE_RES).
+hierarchy and machine (a ``_ChargeModel``-compatible object holding
+exactly one V-cycle's instruction counts, memory/fabric traffic and
+critical path) that every engine merges at every preconditioner
+application (``iterations + 1`` applications per solve: INIT plus one
+per UPDATE_RES).
 
 The per-level cost recipe mirrors ``cycle.py`` statement for statement,
 charged on a *per-level* model whose fabric dimensions are that level's
@@ -65,10 +65,19 @@ def build_mg_packet(model, hierarchy: MgHierarchy):
 
     ``model`` is the engine's fine-grid charge model (only its machine
     parameters — dims, SIMD width, spec — are read); the returned packet
-    is a fresh model of the same class, mergeable with ``merge_scaled``.
+    is a model of the same class, mergeable with ``merge_scaled``.  It
+    is built once per hierarchy and machine, kept in
+    ``hierarchy.packets``, and only read by the engines that share it.
     """
     cls = type(model)
+    key = (cls, model.width, model.height, model.depth, model.simd_width,
+           model.spec, model.suppress)
+    if key not in hierarchy.packets:
+        hierarchy.packets[key] = _packet(cls, model, hierarchy)
+    return hierarchy.packets[key]
 
+
+def _packet(cls, model, hierarchy: MgHierarchy):
     def level_model(shape):
         return cls(
             width=shape[0], height=shape[1], depth=shape[2],

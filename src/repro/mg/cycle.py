@@ -12,81 +12,97 @@ hierarchy, so the resulting ``z`` column is bitwise identical across
 engines before the single cast into the working dtype — which is what
 keeps the event/vectorized/sharded/fused iterates in lockstep.
 
-Every level applies its operator through the one host stencil
-(:class:`repro.fv.operator.FlatStencil`) and works in the scratch its
-:class:`~repro.mg.hierarchy.MgLevel` allocated at build time, so a cycle
-allocates only the ``z`` it returns.  The first pre-smoothing sweep
-starts from ``z = 0`` and is evaluated as ``z = (r·D⁻¹)·ω``, which is
-what ``z += ((r − A·0)·D⁻¹)·ω`` computes, without applying ``A``.
+A cycle issues nothing but its ufunc calls, on the views each
+:class:`~repro.mg.hierarchy.MgLevel` bound at build (the one host
+stencil, :class:`repro.fv.operator.FlatStencil`, on the level's scratch,
+its flat vectors and its transfers), and allocates only the ``z`` it
+returns.  The first pre-smoothing sweep starts from ``z = 0`` and is
+evaluated as ``z = (r·D⁻¹)·ω``, which is what
+``z += ((r − A·0)·D⁻¹)·ω`` computes, without applying ``A``.
 
 Masked (Dirichlet) cells are kept exactly zero throughout: the input
 residual is zero there (the engine invariant), restriction zeroes coarse
-masked cells, prolongation zeroes fine ones, and the smoother update is
-zero wherever ``r`` and ``z`` both are.
+masked cells, and the smoother update is zero wherever ``r`` and ``z``
+both are.  So a coarse level ends its cycle holding exactly +0.0 on its
+masked cells, which is what prolongation adds to a masked fine cell.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mg.hierarchy import (
-    COARSE_FALLBACK_SWEEPS,
-    MgHierarchy,
-    MgLevel,
-    prolong,
-    restrict,
-)
+from repro.fv.operator import FlatStencil
+from repro.mg.hierarchy import COARSE_FALLBACK_SWEEPS, MgHierarchy, MgLevel
+from repro.util.errors import ValidationError
 
 
-def _smooth(level: MgLevel, omega: float, sweeps: int) -> None:
+def _relax(level: MgLevel, omega: float, sweeps: int, from_zero: bool = False) -> None:
     """``sweeps`` damped-Jacobi updates ``z += ω D⁻¹ (rhs − A z)`` of
-    ``level.z``."""
-    z, az = level.z, level.az
+    ``level.z``; ``from_zero`` starts from ``z = 0``, where the first
+    sweep needs no ``A·z``."""
+    rhs, z, az, inv_diag = level.flat
+    if from_zero:
+        np.multiply(rhs, inv_diag, out=z)
+        np.multiply(z, omega, out=z)
+        sweeps -= 1
     for _ in range(sweeps):
-        level.op.apply(z, out=az)
-        np.subtract(level.rhs, az, out=az)
-        az *= level.inv_diag
-        az *= omega
-        z += az
+        FlatStencil.run(level.apply_z)
+        np.subtract(rhs, az, out=az)
+        np.multiply(az, inv_diag, out=az)
+        np.multiply(az, omega, out=az)
+        np.add(z, az, out=z)
 
 
-def _smooth_from_zero(level: MgLevel, omega: float, sweeps: int) -> None:
-    """:func:`_smooth` from ``z = 0``; the first sweep needs no ``A·z``."""
-    np.multiply(level.rhs, level.inv_diag, out=level.z)
-    level.z *= omega
-    _smooth(level, omega, sweeps - 1)
-
-
-def _v_cycle(hier: MgHierarchy, index: int) -> None:
-    """Solve ``levels[index]`` approximately: ``rhs`` in, ``z`` out."""
-    level = hier.levels[index]
-    if index == len(hier.levels) - 1:
-        if level.dense_inv is not None:
-            np.matmul(level.dense_inv, level.rhs.reshape(-1), out=level.z.reshape(-1))
-            np.copyto(level.z, 0.0, where=level.mask)  # keep zero-on-mask exact
+def _restrict(level: MgLevel, coarse: MgLevel) -> None:
+    """``coarse.rhs = R·level.az``, zero on masked coarse cells."""
+    for a, b, out in level.restriction:
+        if b is None:
+            np.copyto(out, a)
         else:
-            _smooth_from_zero(level, hier.omega, COARSE_FALLBACK_SWEEPS)
-        return
-    _smooth_from_zero(level, hier.omega, hier.smoother_iters)
-    resid = level.op.apply(level.z, out=level.az)
-    np.subtract(level.rhs, resid, out=resid)
-    coarse = hier.levels[index + 1]
-    restrict(level, coarse, resid, out=coarse.rhs)
-    _v_cycle(hier, index + 1)
-    level.z += prolong(level, coarse.z, out=level.az)
-    _smooth(level, hier.omega, hier.smoother_iters)
+            np.add(a, b, out=out)
+    rhs = coarse.flat[0]
+    rhs[coarse.rows] = 0.0
+
+
+def _prolong(level: MgLevel) -> None:
+    """``level.z += P zc``, ``zc`` the next coarser level's ``z``."""
+    for z, zc in level.prolongation:
+        np.add(z, zc, out=z)
+
+
+def _v_cycle(hier: MgHierarchy) -> None:
+    """Solve ``levels[0]`` approximately: ``rhs`` in, ``z`` out."""
+    levels, omega, sweeps = hier.levels, hier.omega, hier.smoother_iters
+    for level, coarse in zip(levels, levels[1:]):
+        _relax(level, omega, sweeps, from_zero=True)
+        rhs, _, az, _ = level.flat
+        FlatStencil.run(level.apply_z)
+        np.subtract(rhs, az, out=az)
+        _restrict(level, coarse)
+    coarsest = levels[-1]
+    if coarsest.dense_inv is not None:
+        rhs, z, _, _ = coarsest.flat
+        np.matmul(coarsest.dense_inv, rhs, out=z)
+        z[coarsest.rows] = 0.0  # keep zero-on-mask exact
+    else:
+        _relax(coarsest, omega, COARSE_FALLBACK_SWEEPS, from_zero=True)
+    for level in reversed(levels[:-1]):
+        _prolong(level)
+        _relax(level, omega, sweeps)
 
 
 def mg_apply(hier: MgHierarchy, r: np.ndarray) -> np.ndarray:
-    """One V-cycle applied to ``r``; float64 in, float64 out.
+    """One V-cycle applied to a grid-shaped ``r``; float64 in and out.
 
     The returned array belongs to the caller.  The cycle itself runs in
     the hierarchy's scratch, so two calls on one hierarchy must not
     overlap.
     """
     fine = hier.levels[0]
+    if np.shape(r) != fine.shape:
+        raise ValidationError(f"r shape {np.shape(r)} != grid {fine.shape}")
     np.copyto(fine.rhs, r)
-    _v_cycle(hier, 0)
+    _v_cycle(hier)
     return fine.z.copy()
 
 

@@ -24,7 +24,8 @@ per-cell faces directly.
 Restriction is the aggregate sum, prolongation its exact adjoint
 (injection); a coarse cell is masked when *any* fine cell in its
 aggregate is masked, and residuals/corrections are kept exactly zero on
-masked cells — the invariant the engine operator relies on.
+masked cells — the invariant the engine operator relies on.  Each level
+binds its V-cycle operands, transfers included, at build (:class:`MgLevel`).
 
 Everything here is float64 regardless of the engine's working precision:
 the V-cycle is a host-assisted construct (like tolerance resolution) and
@@ -61,51 +62,37 @@ COARSE_FALLBACK_SWEEPS = 8
 
 
 def _pair_sum(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum adjacent index pairs along ``axis`` (odd tail rides alone)."""
-    n = a.shape[axis]
-    even = [slice(None)] * a.ndim
-    even[axis] = slice(0, None, 2)
+    """Sum adjacent index pairs along ``axis`` (odd tail rides alone); on
+    a boolean ``a`` the sum is a logical or."""
+    lead = (slice(None),) * axis
+    even = a[lead + (slice(0, None, 2),)]
     if out is None:
-        out = a[tuple(even)].copy()
+        out = even.copy()
     else:
-        np.copyto(out, a[tuple(even)])
-    if n > 1:
-        odd = [slice(None)] * a.ndim
-        odd[axis] = slice(1, None, 2)
-        head = [slice(None)] * a.ndim
-        head[axis] = slice(0, n // 2)
-        out[tuple(head)] += a[tuple(odd)]
-    return out
-
-
-def _pair_any(mask: np.ndarray, axis: int) -> np.ndarray:
-    """Logical-or of adjacent index pairs along ``axis``."""
-    n = mask.shape[axis]
-    even = [slice(None)] * mask.ndim
-    even[axis] = slice(0, None, 2)
-    out = mask[tuple(even)].copy()
-    if n > 1:
-        odd = [slice(None)] * mask.ndim
-        odd[axis] = slice(1, None, 2)
-        head = [slice(None)] * mask.ndim
-        head[axis] = slice(0, n // 2)
-        out[tuple(head)] |= mask[tuple(odd)]
+        np.copyto(out, even)
+    out[lead + (slice(0, a.shape[axis] // 2),)] += a[lead + (slice(1, None, 2),)]
     return out
 
 
 @dataclass
 class MgLevel:
-    """One level: its operator, diagonals and mask, and V-cycle scratch.
+    """One level: its operator, diagonals and mask, and the V-cycle's
+    scratch and operands, bound once at build.
 
     ``op`` holds the level's per-cell faces, its diagonal
     ``Σ faces + acc`` with 1.0 on masked rows, and the mask as identity
-    rows.  The float64 scratch is allocated once with the level and
-    holds no reference back to the hierarchy:
+    rows.  The float64 scratch is allocated once with the level:
 
     * ``rhs`` — the level's right-hand side (level 0: the copy of the
       ``r`` the V-cycle is applied to; coarser: the restricted residual);
     * ``z`` — the level's correction; ``az`` — ``A·z`` and the residual;
     * ``half`` — the residual pair-summed along x on its way down.
+
+    The rest are operands bound to that scratch, none referring back to
+    a level: ``rows``, the masked cells as a flat index; ``flat``, flat
+    views of ``rhs``, ``z``, ``az`` and ``inv_diag``; ``apply_z``, ``op``
+    bound to ``z → az``; and, on all but the coarsest level, the
+    transfers (:func:`_bind_transfers`).
     """
 
     op: FlatStencil
@@ -117,11 +104,21 @@ class MgLevel:
     z: np.ndarray = field(init=False, repr=False)
     az: np.ndarray = field(init=False, repr=False)
     half: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    flat: tuple = field(init=False, repr=False)
+    apply_z: tuple = field(init=False, repr=False)
+    restriction: tuple = field(init=False, repr=False, default=())
+    prolongation: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self) -> None:
         nx, ny, nz = self.shape
         self.rhs, self.z, self.az = (np.empty(self.shape) for _ in range(3))
         self.half = np.empty((-(-nx // 2), ny, nz))
+        self.rows = np.flatnonzero(self.mask)
+        self.flat = tuple(
+            a.reshape(-1) for a in (self.rhs, self.z, self.az, self.inv_diag)
+        )
+        self.apply_z = self.op.bind(self.z, self.az)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -133,30 +130,31 @@ class MgLevel:
         return nx * ny * nz
 
 
-def restrict(
-    fine_level: MgLevel,
-    coarse_level: MgLevel,
-    r: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Aggregate-sum restriction; zero on masked coarse cells."""
-    rc = _pair_sum(_pair_sum(r, 0, fine_level.half), 1, out)
-    np.copyto(rc, 0.0, where=coarse_level.mask)
-    return rc
-
-
-def prolong(
-    fine_level: MgLevel, zc: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Injection prolongation (adjoint of :func:`restrict`); zero on
-    masked fine cells."""
-    nx, ny, _ = fine_level.shape
-    zf = np.empty(fine_level.shape) if out is None else out
-    zf[0::2, 0::2] = zc
-    zf[1::2, 0::2] = zc[: nx // 2]
-    zf[:, 1::2] = zf[:, 0::2][:, : ny // 2]
-    np.copyto(zf, 0.0, where=fine_level.mask)
-    return zf
+def _bind_transfers(fine: MgLevel, coarse: MgLevel) -> None:
+    """Bind ``fine``'s transfers; ``coarse`` cell ``(I, J)`` aggregates
+    fine cells ``2I, 2I+1`` by ``2J, 2J+1``.  ``restriction`` holds
+    ``(a, b, out)`` steps from ``az`` through ``half`` into
+    ``coarse.rhs``: ``out = a + b`` over the pairs, x then y, or
+    ``out = a`` (``b`` is ``None``) for an odd tail.  ``prolongation``
+    holds ``(z, coarse z)`` view pairs to add, one broadcast pair when
+    both lateral extents are even."""
+    nx, ny, _ = fine.shape
+    hx, hy = nx // 2, ny // 2
+    r, half, rc = fine.az, fine.half, coarse.rhs
+    steps = [
+        (r[0 : 2 * hx : 2], r[1 : 2 * hx : 2], half[:hx]),
+        (r[2 * hx :], None, half[hx:]),
+        (half[:, 0 : 2 * hy : 2], half[:, 1 : 2 * hy : 2], rc[:, :hy]),
+        (half[:, 2 * hy :], None, rc[:, hy:]),
+    ]
+    fine.restriction = tuple(step for step in steps if step[2].size)
+    z, zc = fine.z, coarse.z
+    if nx % 2 == 0 and ny % 2 == 0:
+        pairs = [(z.reshape(hx, 2, hy, 2, -1), zc[:, None, :, None, :])]
+    else:  # per parity (i, j), fine cells 2I + i, 2J + j
+        pairs = [(z[i::2, j::2], zc[: (nx + 1 - i) // 2, : (ny + 1 - j) // 2])
+                 for i in (0, 1) for j in (0, 1)]
+    fine.prolongation = tuple(pair for pair in pairs if pair[0].size)
 
 
 def _level(faces, acc: np.ndarray, mask: np.ndarray) -> MgLevel:
@@ -189,8 +187,10 @@ def _coarsen(fine: MgLevel) -> MgLevel:
     _pair_sum(cy[:, 1::2], 0, out=fyc[:, : nyf // 2])
     fzc = _pair_sum(_pair_sum(cz, 0), 1)
     acc = _pair_sum(_pair_sum(fine.acc, 0), 1)
-    mask = _pair_any(_pair_any(fine.mask, 0), 1)
-    return _level((fxc, fyc, fzc), acc, mask)
+    mask = _pair_sum(_pair_sum(fine.mask, 0), 1)
+    coarse = _level((fxc, fyc, fzc), acc, mask)
+    _bind_transfers(fine, coarse)
+    return coarse
 
 
 def planned_level_shapes(
@@ -226,11 +226,9 @@ def _dense_matrix(level: MgLevel) -> np.ndarray:
         vals = f.reshape(-1)[: n - stride]
         a[k, k + stride] -= vals
         a[k + stride, k] -= vals
-    m = level.mask.ravel()
-    a[m, :] = 0.0
-    a[:, m] = 0.0
-    where = np.flatnonzero(m)
-    a[where, where] = 1.0
+    a[level.rows, :] = 0.0
+    a[:, level.rows] = 0.0
+    a[level.rows, level.rows] = 1.0
     return a
 
 
@@ -240,16 +238,15 @@ class MgHierarchy:
 
     A hierarchy belongs to one linear system and is not shared across
     threads: :func:`repro.mg.mg_apply` runs in its levels' scratch, so
-    two V-cycles on one hierarchy must not overlap.
+    two V-cycles on one hierarchy must not overlap.  ``packets`` keeps
+    its V-cycle charge packets, one per machine
+    (:func:`repro.mg.build_mg_packet`).
     """
 
     levels: tuple[MgLevel, ...]
     smoother_iters: int = DEFAULT_SMOOTHER_ITERS
     omega: float = DEFAULT_OMEGA
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.levels[0].shape
+    packets: dict = field(default_factory=dict, init=False, repr=False)
 
     def level_shapes(self) -> list[list[int]]:
         return [list(level.shape) for level in self.levels]
@@ -290,7 +287,8 @@ def build_hierarchy(
     accumulation:
         Optional transient accumulation diagonal (fine grid).  The
         hierarchy must be rebuilt when it changes (per-Δt), exactly like
-        the Jacobi inverse diagonal.
+        the Jacobi inverse diagonal; a simulation builds one per Δt and
+        reuses it while Δt holds.
     levels / smoother_iters / omega:
         Schedule knobs; ``None`` means the defaults above.
     """
@@ -344,6 +342,4 @@ __all__ = [
     "build_hierarchy",
     "hierarchy_for_problem",
     "planned_level_shapes",
-    "prolong",
-    "restrict",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.fv.operator import operator_diagonal
 from repro.physics.darcy import SinglePhaseProblem
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 if TYPE_CHECKING:
     from repro.mg.hierarchy import MgHierarchy
@@ -31,7 +31,7 @@ class Preconditioner:
     ``diagonal`` is the float64 ``diag(J + A)`` with identity Dirichlet
     rows (``"jacobi"``); ``hierarchy`` is the V-cycle hierarchy
     (``"mg"``); ``"none"`` carries neither.  Calling it gives the float64
-    ``M^{-1} r``.
+    ``M^{-1} r``; a Jacobi or mg ``r`` must be grid-shaped.
     """
 
     name: str = "none"
@@ -40,6 +40,10 @@ class Preconditioner:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if self.diagonal is not None:
+            if np.shape(r) != self.diagonal.shape:
+                raise ValidationError(
+                    f"r shape {np.shape(r)} != grid {self.diagonal.shape}"
+                )
             return r / self.diagonal
         if self.hierarchy is not None:
             # Looked up per call, so wrappers installed on repro.mg apply.

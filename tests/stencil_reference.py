@@ -6,8 +6,8 @@ per-axis ``lo``/``hi`` slice loop, and a self-contained hierarchy whose
 level operator, smoother, transfers and V-cycle allocate fresh arrays
 at every step, plus the diagonal as a slice loop.
 ``tests/test_flat_stencil.py`` requires the library's ``FlatStencil``
-apply, ``diagonal_from_faces`` and ``repro.mg.mg_apply`` to equal them
-element for element.
+apply, ``diagonal_from_faces``, the V-cycle's bound transfers and
+``repro.mg.mg_apply`` to equal them element for element.
 
 :class:`TiledApply` is the fabric kernel's tiled apply in its
 per-direction form: one shifted window per lateral port, flattened z

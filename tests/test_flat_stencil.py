@@ -22,6 +22,7 @@ from repro.mesh.geomodel import lognormal_permeability
 from repro.mesh.grid import CartesianGrid3D
 from repro.mg import build_hierarchy, mg_apply
 from repro.mg import hierarchy as mg_hierarchy
+from repro.mg.cycle import _prolong, _restrict
 from repro.physics.darcy import build_problem
 from repro.physics.transient import TransientOperator
 from repro.util.errors import ValidationError
@@ -171,6 +172,33 @@ class TestVCycle:
         expected = ref.build_hierarchy(coeffs, mask, accumulation=acc)
         _assert_same_hierarchy(hier, expected)
         _assert_same_cycles(hier, expected, mask)
+
+    @pytest.mark.parametrize("shape", MG_SHAPES)
+    def test_bound_transfers_equal_reference(self, shape):
+        """Every level's bound restriction gives the reference ``R r``,
+        and its bound prolongation the reference ``z + P zc``, bit for
+        bit (sign bits included), for a ``zc`` zero on masked coarse
+        cells as every coarse level holds it after its cycle."""
+        coeffs = _coefficients(shape, np.float64)
+        mask = _mask(shape)
+        hier = build_hierarchy(coeffs, mask)
+        expected = ref.build_hierarchy(coeffs, mask)
+        rng = np.random.default_rng(10)
+        pairs = zip(hier.levels, hier.levels[1:], expected.levels, expected.levels[1:])
+        for fine, coarse, ref_fine, ref_coarse in pairs:
+            r = rng.standard_normal(fine.shape)
+            fine.az[...] = r
+            _restrict(fine, coarse)
+            want = ref.restrict(ref_fine, ref_coarse, r)
+            assert coarse.rhs.tobytes() == want.tobytes()
+            z = rng.standard_normal(fine.shape)
+            z[::3] = -0.0
+            zc = rng.standard_normal(coarse.shape)
+            zc[coarse.mask] = 0.0
+            fine.z[...] = z
+            coarse.z[...] = zc
+            _prolong(fine)
+            assert fine.z.tobytes() == (z + ref.prolong(ref_fine, zc)).tobytes()
 
     @pytest.mark.parametrize("iters", [1, 3])
     def test_smoother_sweeps(self, iters):

@@ -2,9 +2,10 @@
 
 Pins the numerical contract the engines rely on: level construction is
 the variational (Galerkin) coarse operator for piecewise-constant
-transfer, restriction/prolongation are exact adjoints, the damped-Jacobi
-smoother holds the exact solution fixed, one V-cycle is a symmetric
-positive contraction, and the spec knobs validate/round-trip.
+transfer, the bound restriction/prolongation are exact adjoints, the
+damped-Jacobi smoother holds the exact solution fixed, one V-cycle is a
+symmetric positive contraction, the spec knobs validate/round-trip, and
+every linear system (every Δt of a simulation) builds one hierarchy.
 """
 
 from __future__ import annotations
@@ -18,22 +19,26 @@ import pytest
 from helpers import make_problem
 from stencil_reference import internal_faces
 import repro
-from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
+from repro.core.solver import (
+    WseMatrixFreeSolver,
+    simulate_reports,
+    simulate_reports_batch,
+    solve_batch,
+)
 from repro.mg import (
     MAX_MG_LEVELS,
     build_hierarchy,
     hierarchy_for_problem,
     mg_apply,
     planned_level_shapes,
-    prolong,
-    restrict,
 )
 from repro.mg import hierarchy as mg_hierarchy
-from repro.mg.cycle import _smooth, _smooth_from_zero
+from repro.mg.cycle import _prolong, _relax, _restrict
+from repro.physics.transient import TransientStepper
 from repro.solvers.cg import conjugate_gradient
 from repro.solvers.preconditioning import build_preconditioner
 from repro.spec import SolveSpec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from repro.wse.specs import WSE2
 
 
@@ -42,8 +47,24 @@ def _sweeps(level, omega, z, r, sweeps):
     the level's scratch; returns the new ``z``."""
     level.rhs[...] = r
     level.z[...] = z
-    _smooth(level, omega, sweeps)
+    _relax(level, omega, sweeps)
     return level.z.copy()
+
+
+def _restricted(fine, coarse, r):
+    """``R r`` through the bound restriction (``r`` enters as the fine
+    level's residual ``az``)."""
+    fine.az[...] = r
+    _restrict(fine, coarse)
+    return coarse.rhs.copy()
+
+
+def _prolonged(fine, coarse, zc):
+    """``P zc`` through the bound prolongation, added to ``z = 0``."""
+    fine.z[...] = 0.0
+    coarse.z[...] = zc
+    _prolong(fine)
+    return fine.z.copy()
 
 
 def _masked_random(shape, mask, seed):
@@ -157,25 +178,41 @@ class TestTransfers:
         fine, coarse = hierarchy.levels[0], hierarchy.levels[1]
         r = _masked_random(fine.shape, fine.mask, seed=1)
         zc = _masked_random(coarse.shape, coarse.mask, seed=2)
-        lhs = float(np.vdot(restrict(fine, coarse, r), zc).real)
-        rhs = float(np.vdot(r, prolong(fine, zc)).real)
+        lhs = float(np.vdot(_restricted(fine, coarse, r), zc).real)
+        rhs = float(np.vdot(r, _prolonged(fine, coarse, zc)).real)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_restrict_zeroes_masked_coarse_cells(self, hierarchy):
         fine, coarse = hierarchy.levels[0], hierarchy.levels[1]
         r = np.ones(fine.shape)
-        rc = restrict(fine, coarse, r)
+        rc = _restricted(fine, coarse, r)
         assert np.all(rc[coarse.mask] == 0.0)
 
     def test_prolong_zeroes_masked_fine_cells(self, hierarchy):
+        """A coarse correction that is zero on masked coarse cells (what
+        every coarse level holds after its cycle, see below) adds
+        nothing to a masked fine cell: its aggregate is masked."""
         fine, coarse = hierarchy.levels[0], hierarchy.levels[1]
-        zf = prolong(fine, np.ones(coarse.shape))
+        zf = _prolonged(fine, coarse, np.where(coarse.mask, 0.0, 1.0))
         assert np.all(zf[fine.mask] == 0.0)
+
+    def test_coarse_corrections_are_plus_zero_on_masked_cells(self, hierarchy):
+        """After a V-cycle every coarse level's ``z`` is exactly +0.0 on
+        its masked cells, sign bit included, even for an ``r`` that is
+        not zero on the fine mask: so adding it to the fine ``z`` is
+        bitwise adding the zeroed copy."""
+        level = hierarchy.levels[0]
+        r = np.random.default_rng(15).standard_normal(level.shape)
+        mg_apply(hierarchy, r)
+        for coarse in hierarchy.levels[1:]:
+            held = coarse.z[coarse.mask]
+            assert held.size
+            assert np.all(held == 0.0) and not np.signbit(held).any()
 
     def test_restrict_is_aggregate_sum(self, hierarchy):
         fine, coarse = hierarchy.levels[0], hierarchy.levels[1]
         r = _masked_random(fine.shape, fine.mask, seed=3)
-        rc = restrict(fine, coarse, r)
+        rc = _restricted(fine, coarse, r)
         i, j = 0, 0  # first unmasked aggregate
         while coarse.mask[i, j, 0]:
             j += 1
@@ -212,7 +249,7 @@ class TestSmoother:
         full = _sweeps(level, hierarchy.omega, np.zeros_like(r), r, sweeps=2)
         level.rhs[...] = r
         level.z[...] = np.nan  # the shortcut must not read the old z
-        _smooth_from_zero(level, hierarchy.omega, 2)
+        _relax(level, hierarchy.omega, 2, from_zero=True)
         np.testing.assert_array_equal(level.z, full)
 
 
@@ -289,6 +326,19 @@ class TestVCycle:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_misshaped_residual_is_rejected(self):
+        """A residual that is not grid-shaped raises instead of
+        broadcasting through ``M``."""
+        problem = make_problem(8, 8, 2, seed=3)
+        hier = hierarchy_for_problem(problem)
+        with pytest.raises(ValidationError, match="r shape"):
+            mg_apply(hier, np.ones((8, 2)))
+        for name in ("mg", "jacobi"):
+            precondition = build_preconditioner(problem, name)
+            with pytest.raises(ValidationError, match="r shape"):
+                precondition(np.ones((8, 2)))
+            assert precondition(np.ones((8, 8, 2))).shape == (8, 8, 2)
 
     def test_masked_cells_stay_zero(self, hierarchy):
         level = hierarchy.levels[0]
@@ -386,7 +436,9 @@ MG_SOLVE = dict(
 
 class TestOneHierarchyBuildPerSystem:
     """Each linear system builds its V-cycle hierarchy exactly once, and
-    tolerance resolution, staging and telemetry share that build."""
+    tolerance resolution, staging and telemetry share that build; a
+    simulation builds one per Δt, since its steps at one Δt share the
+    operator."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -421,12 +473,85 @@ class TestOneHierarchyBuildPerSystem:
         assert len(builds) == 3
 
     def test_one_per_simulation_step(self, builds):
+        """One per Δt: the two steps at Δt = 2 share one build."""
         problem = make_problem(4, 4, 2, seed=5)
         steps = list(simulate_reports(
             problem, engine="vectorized", dts=[1.0, 2.0, 2.0], **MG_SOLVE
         ))
         assert len(steps) == 3
+        assert len(builds) == 2
+
+    def test_one_per_lane_and_dt_in_a_batched_simulation(self, builds):
+        problems = [make_problem(4, 4, 2, seed=seed) for seed in (5, 6)]
+        steps = list(simulate_reports_batch(
+            problems, engine="fused", dts=[1.0, 2.0, 2.0], **MG_SOLVE
+        ))
+        assert len(steps) == 3 and all(len(lanes) == 2 for lanes in steps)
+        assert len(builds) == 4
+
+    def test_one_per_dt_in_a_reference_simulation(self, builds):
+        sim = repro.simulate(
+            make_problem(4, 4, 2, seed=5), backend="reference",
+            spec=SolveSpec.from_kwargs(
+                preconditioner="mg", n_steps=3, dt=[1.0, 2.0, 2.0]
+            ),
+        )
+        assert len(sim.steps) == 3
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("engine", ["fused", "event"])
+    def test_steps_equal_fresh_solves_of_their_systems(self, builds, engine):
+        """Each step of a simulation that reuses ``M`` (and its charge
+        packet) across equal Δt equals, byte for byte, a standalone
+        solve of that step's system with everything built afresh."""
+        problem = make_problem(4, 4, 2, seed=5)
+        dts = [1.0, 2.0, 2.0, 1.0]
+        steps = list(simulate_reports(problem, engine=engine, dts=dts, **MG_SOLVE))
         assert len(builds) == 3
+        stepper = TransientStepper(problem, dts=dts)
+        for index, step in zip(stepper.pending(), steps):
+            acc, rhs, guess = stepper.begin(index)
+            fresh = WseMatrixFreeSolver(
+                problem, engine=engine, initial_pressure=guess,
+                accumulation=acc, rhs=rhs, **MG_SOLVE,
+            ).solve()
+            assert step.pressure.tobytes() == fresh.pressure.tobytes()
+            assert step.iterations == fresh.iterations
+            assert step.converged == fresh.converged
+            assert step.residual_history == fresh.residual_history
+            assert step.counters.to_dict() == fresh.counters.to_dict()
+            assert step.trace.to_dict() == fresh.trace.to_dict()
+            assert step.preconditioner == fresh.preconditioner
+            stepper.advance(fresh.pressure)
+
+    def test_one_charge_packet_per_hierarchy_and_machine(self):
+        """A hierarchy keeps one V-cycle packet per machine: the same
+        machine gets the same packet back, another machine its own, and
+        each equals a packet built on a fresh hierarchy."""
+        from repro.mg import build_mg_packet
+        from repro.wse.vector_engine import _ChargeModel
+
+        problem = make_problem(4, 4, 2, seed=5)
+        hier = hierarchy_for_problem(problem)
+
+        def machine(width, simd_width):
+            return _ChargeModel(
+                width=width, height=4, depth=2, simd_width=simd_width,
+                spec=WSE2, suppress=False, kind_counts={}, kernel_plans={},
+            )
+
+        packets = {}
+        for width, simd in ((4, 2), (4, 1), (8, 2)):
+            packet = build_mg_packet(machine(width, simd), hier)
+            assert build_mg_packet(machine(width, simd), hier) is packet
+            fresh = build_mg_packet(machine(width, simd), hierarchy_for_problem(problem))
+            assert packet is not fresh
+            assert packet.counters.to_dict() == fresh.counters.to_dict()
+            assert packet.trace.to_dict() == fresh.trace.to_dict()
+            assert packet.num_pes == fresh.num_pes == width * 4
+            packets[width, simd] = packet
+        assert len({id(p) for p in packets.values()}) == 3
+        assert packets[4, 2].counters.to_dict() != packets[4, 1].counters.to_dict()
 
     def test_reference_solve(self, builds):
         result = repro.solve(
