@@ -11,13 +11,17 @@ asserts the operational invariants:
   MG-preconditioned CG converges to the *same* resolved tolerance as
   the unpreconditioned run in ≥ 5× fewer iterations (the paper-facing
   scale proof the ``precond_iterations`` bench rows record);
-* **engine parity** — one fixed-iteration MG program run on the event,
-  vectorized, sharded and fused engines produces exactly equal
+* **engine parity** — one fixed-iteration float32 MG program run on the
+  event, vectorized, sharded and fused engines produces exactly equal
   counters, fabric trace, memory report and per-state visit counts
   (event idle cycles excepted — the oracle's idle bookkeeping is
   per-PE), with pressures within fp round-off: the V-cycle is charged
   through the same packet builders everywhere, so preconditioning must
   not unpin a single count;
+* **working precision** — the V-cycle runs in the solve's ``dtype``:
+  the float32 parity runs build float32 hierarchies (every level), the
+  float64 front-door and simulation runs float64 ones, and the
+  reference backend float64 ones;
 * **telemetry shape** — every MG run surfaces the structured
   ``preconditioner={kind, levels, smoother_iters, omega, cycles,
   coarse_solve}`` record, with ``cycles == iterations + 1`` (one
@@ -79,23 +83,26 @@ def _telemetry_ok(tele, iterations, failures, label):
 
 @contextlib.contextmanager
 def _hierarchy_builds():
-    """Count calls to ``repro.mg``'s two hierarchy builders (wrapped the
-    way ``perfbench/tracing.py`` hooks them); restored on exit."""
+    """Record one entry per call to ``repro.mg``'s two hierarchy builders
+    (wrapped the way ``perfbench/tracing.py`` hooks them): the dtype
+    names of the returned hierarchy's levels, ``/``-joined.  Restored
+    on exit."""
     calls: list[str] = []
     originals = {
         name: getattr(repro.mg, name)
         for name in ("build_hierarchy", "hierarchy_for_problem")
     }
 
-    def counting(name, original):
+    def counting(original):
         def counted(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+            hier = original(*args, **kwargs)
+            calls.append("/".join(sorted({lvl.op.dtype.name for lvl in hier.levels})))
+            return hier
 
         return counted
 
     for name, original in originals.items():
-        setattr(repro.mg, name, counting(name, original))
+        setattr(repro.mg, name, counting(original))
     try:
         yield calls
     finally:
@@ -130,10 +137,11 @@ def main() -> int:
     # -- engine parity on one fixed-iteration MG program -----------------
     pinned = dict(spec=SPEC, dtype=np.float32, rel_tol=None,
                   fixed_iterations=6, preconditioner="mg")
-    runs = {
-        engine: WseMatrixFreeSolver(problem, engine=engine, **pinned).solve()
-        for engine in ("event", "vectorized", "sharded", "fused")
-    }
+    with _hierarchy_builds() as parity_builds:
+        runs = {
+            engine: WseMatrixFreeSolver(problem, engine=engine, **pinned).solve()
+            for engine in ("event", "vectorized", "sharded", "fused")
+        }
     oracle = runs["vectorized"]
     parity = {}
     for engine, report in runs.items():
@@ -191,6 +199,9 @@ def main() -> int:
         if len(builds) != 1:
             failures.append(f"{label} mg solve built {len(builds)} "
                             f"hierarchies, not 1")
+    precision = {"parity": (parity_builds, "float32"),
+                 "wse front door": (wse_builds, "float64"),
+                 "reference": (ref_builds, "float64")}
     print(f"mg_smoke: hierarchy builds per solve: wse={len(wse_builds)} "
           f"reference={len(ref_builds)}")
     _telemetry_ok(wse.telemetry.get("preconditioner"), wse.iterations,
@@ -214,6 +225,7 @@ def main() -> int:
                 spec=repro.SolveSpec.from_kwargs(**schedule, **knobs),
             )
         sim_builds[backend] = len(builds)
+        precision[f"{backend} simulation"] = (builds, "float64")
         if len(sim.steps) != 3 or len(builds) != 2:
             failures.append(f"{backend} mg simulation over dts 1, 2, 2 built "
                             f"{len(builds)} hierarchies in {len(sim.steps)} "
@@ -221,13 +233,23 @@ def main() -> int:
     print(f"mg_smoke: hierarchy builds per simulation (dts 1, 2, 2): "
           f"wse={sim_builds['wse']} reference={sim_builds['reference']}")
 
+    # -- the V-cycle runs in the solve's working precision ---------------
+    for label, (builds, want) in precision.items():
+        if not builds or set(builds) != {want}:
+            failures.append(f"{label} runs built hierarchies in {builds}, "
+                            f"not all {want}")
+    print("mg_smoke: hierarchy dtypes: " + ", ".join(
+        f"{label}={'+'.join(sorted(set(builds)))} x{len(builds)}"
+        for label, (builds, _) in precision.items()))
+
     if failures:
         for line in failures:
             print(f"mg_smoke: FAIL {line}")
         return 1
     print(f"mg_smoke: PASS ({reduction:.1f}x iteration reduction, 4-engine "
-          f"parity, telemetry shape verified, one hierarchy build per "
-          f"solve and per simulation dt)")
+          f"float32 parity, telemetry shape verified, one hierarchy build "
+          f"per solve and per simulation dt, each in the solve's working "
+          f"precision)")
     return 0
 
 

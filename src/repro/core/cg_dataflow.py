@@ -147,8 +147,10 @@ class DataflowCG:
 
     def _mg_submit(self, pe: ProcessingElement, cont: Callable[[], None]) -> None:
         """Park ``pe`` at the V-cycle barrier; the last arrival runs the
-        (host-assisted, float64) V-cycle over the gathered residual and
-        resumes every PE with its ``z`` column written back.
+        (host-assisted) V-cycle over the gathered residual and resumes
+        every PE with its ``z`` column written back.  The float64 gather
+        casts exactly into the hierarchy's dtype, so ``z`` is bitwise the
+        array engines'.
 
         The numerical work happens host-side — like tolerance resolution,
         it is a *program-level* construct shared verbatim by every engine

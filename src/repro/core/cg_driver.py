@@ -183,7 +183,7 @@ class CgDriver:
                 rtr = 0.0
             elif mg:
                 kernel.init_residual_pass()
-                np.copyto(kernel.z, mg_apply(hier, kernel.r), casting="same_kind")
+                mg_apply(hier, kernel.r, out=kernel.z)
                 rtr = _reduce(kernel.mg_seed_pass())
             else:
                 rtr = _reduce(kernel.init_pass())
@@ -212,7 +212,7 @@ class CgDriver:
                     rtr_new = 0.0
                 elif mg:
                     kernel.update_axpy_pass(alpha)
-                    np.copyto(kernel.z, mg_apply(hier, kernel.r), casting="same_kind")
+                    mg_apply(hier, kernel.r, out=kernel.z)
                     rtr_new = _reduce(kernel.mg_dot_pass())
                 else:
                     rtr_new = _reduce(kernel.update_pass(alpha))

@@ -72,7 +72,7 @@ class EventEngine:
         self.spec = spec
         self.mapping = ProblemMapping(problem.grid, spec)
         if precondition is None:
-            precondition = program.preconditioner_for(problem, accumulation)
+            precondition = program.preconditioner_for(problem, accumulation, dtype)
         self._staging = dict(
             dtype=np.dtype(dtype), simd_width=simd_width,
             initial_pressure=initial_pressure, accumulation=accumulation,

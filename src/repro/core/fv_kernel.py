@@ -14,7 +14,9 @@ masked update.
 Two kernel variants:
 
 * ``precomputed`` (default): each PE stores the six per-cell products
-  ``c = Υ λ`` — numerically identical to the host reference operator;
+  ``c = Υ λ`` and sums ``c·(x − x_nbr)``; the host reference operator
+  multiplies ``x`` by the float32-rounded face sum
+  (``FluxCoefficients.diagonal``), so the two agree only to that rounding;
 * ``fused_mobility``: each PE stores transmissibilities and *mobility
   columns* separately and evaluates ``Υ · ½(λ_K + λ_L)`` in-kernel — the
   multiphase-ready path with higher arithmetic intensity (the paper's

@@ -154,17 +154,18 @@ class CgProgram:
         return self.preconditioner != "none"
 
     def preconditioner_for(
-        self, problem, accumulation: np.ndarray | None = None
+        self, problem, accumulation: np.ndarray | None = None, dtype=np.float64
     ) -> Preconditioner:
-        """This program's ``M`` for one system: the solver builds it once
-        per system and hands it to every consumer, and staging calls this
-        for a direct caller that passed none."""
+        """This program's ``M`` for one system, its V-cycle in ``dtype``:
+        the solver builds it once per system and hands it to every
+        consumer, and staging calls this for a caller that passed none."""
         return build_preconditioner(
             problem,
             self.preconditioner,
             accumulation=accumulation,
             mg_levels=self.mg_levels,
             mg_smoother_iters=self.mg_smoother_iters,
+            dtype=dtype,
         )
 
     @property

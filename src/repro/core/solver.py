@@ -158,7 +158,7 @@ def _build(
     program = knobs.program(len(problems), any(acc is not None for acc in accs))
     if preconditions is None:
         preconditions = [
-            program.preconditioner_for(problem, acc)
+            program.preconditioner_for(problem, acc, knobs.dtype)
             for problem, acc in zip(problems, accs)
         ]
     tols = [
@@ -372,8 +372,11 @@ def _simulate(
     built = [(None, None)] * len(steppers)  # per lane: (accumulation, its M)
     for index in steppers[0].pending():
         accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
-        built = [(acc, m) if acc is last else (acc, program.preconditioner_for(p, acc))
-                 for (last, m), p, acc in zip(built, problems, accs)]
+        built = [
+            (acc, m) if acc is last
+            else (acc, program.preconditioner_for(p, acc, knobs.dtype))
+            for (last, m), p, acc in zip(built, problems, accs)
+        ]
         reports = _run(
             engine, problems, guesses, accs, rhss, knobs, batched=batched,
             batch_size=batch_size, preconditions=[m for _, m in built],

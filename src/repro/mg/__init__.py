@@ -9,8 +9,8 @@ hierarchy per linear system; the reference path runs it through
 :func:`repro.solvers.cg.conjugate_gradient`'s ``precondition=``.
 
 * :mod:`repro.mg.hierarchy` — level construction (lateral 2×2 Galerkin
-  aggregation of the FV face coefficients);
-* :mod:`repro.mg.cycle` — the float64 V-cycle ``z = M⁻¹ r``;
+  aggregation of the FV face coefficients) in the working precision;
+* :mod:`repro.mg.cycle` — the V-cycle ``z = M⁻¹ r``, in that precision;
 * :mod:`repro.mg.charges` — the per-V-cycle charge packet the engines
   merge at every preconditioner application.
 """

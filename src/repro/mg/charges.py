@@ -1,8 +1,9 @@
 """Analytic charge packets for the multigrid V-cycle.
 
 The mg preconditioner is a *program-level* construct: every engine runs
-the identical float64 V-cycle (``repro.mg.cycle.mg_apply``) host-side,
-so what distinguishes engines is only *where* the charges land — and
+the identical V-cycle (``repro.mg.cycle.mg_apply``) host-side, in the
+solve's working precision, so what distinguishes engines is only
+*where* the charges land — and
 they must land identically, or the event/vectorized/sharded/fused
 parity pinning breaks.  This module builds ONE charge packet per
 hierarchy and machine (a ``_ChargeModel``-compatible object holding

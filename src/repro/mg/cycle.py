@@ -6,16 +6,16 @@ around a variational coarse-grid correction, exact solve on the coarsest
 level), so ``M⁻¹`` is symmetric positive definite and the PCG recurrence
 stays a genuine CG.
 
-All arithmetic is float64, independent of the engine's working
+The arithmetic runs in the hierarchy's dtype, the solve's working
 precision: every engine calls this exact function with the exact same
-hierarchy, so the resulting ``z`` column is bitwise identical across
-engines before the single cast into the working dtype — which is what
-keeps the event/vectorized/sharded/fused iterates in lockstep.
+hierarchy on the same residual, so the resulting ``z`` column is
+bitwise identical across engines — which is what keeps the
+event/vectorized/sharded/fused iterates in lockstep.
 
 A cycle issues nothing but its ufunc calls, on the views each
 :class:`~repro.mg.hierarchy.MgLevel` bound at build (the one host
 stencil, :class:`repro.fv.operator.FlatStencil`, on the level's scratch,
-its flat vectors and its transfers), and allocates only the ``z`` it
+its flat vectors and its transfers), and allocates at most the ``z`` it
 returns.  The first pre-smoothing sweep starts from ``z = 0`` and is
 evaluated as ``z = (r·D⁻¹)·ω``, which is what
 ``z += ((r − A·0)·D⁻¹)·ω`` computes, without applying ``A``.
@@ -91,19 +91,26 @@ def _v_cycle(hier: MgHierarchy) -> None:
         _relax(level, omega, sweeps)
 
 
-def mg_apply(hier: MgHierarchy, r: np.ndarray) -> np.ndarray:
-    """One V-cycle applied to a grid-shaped ``r``; float64 in and out.
+def mg_apply(
+    hier: MgHierarchy, r: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One V-cycle applied to a grid-shaped ``r``, in the hierarchy's
+    dtype; ``z`` is cast into ``out`` if given, else returned new.
 
-    The returned array belongs to the caller.  The cycle itself runs in
-    the hierarchy's scratch, so two calls on one hierarchy must not
-    overlap.
+    The result belongs to the caller.  The cycle itself runs in the
+    hierarchy's scratch, so two calls on one hierarchy must not overlap.
     """
     fine = hier.levels[0]
     if np.shape(r) != fine.shape:
         raise ValidationError(f"r shape {np.shape(r)} != grid {fine.shape}")
-    np.copyto(fine.rhs, r)
+    if out is not None and np.shape(out) != fine.shape:
+        raise ValidationError(f"out shape {np.shape(out)} != grid {fine.shape}")
+    np.copyto(fine.rhs, r, casting="same_kind")
     _v_cycle(hier)
-    return fine.z.copy()
+    if out is None:
+        return fine.z.copy()
+    np.copyto(out, fine.z, casting="same_kind")
+    return out
 
 
 __all__ = ["mg_apply"]

@@ -27,9 +27,10 @@ aggregate is masked, and residuals/corrections are kept exactly zero on
 masked cells — the invariant the engine operator relies on.  Each level
 binds its V-cycle operands, transfers included, at build (:class:`MgLevel`).
 
-Everything here is float64 regardless of the engine's working precision:
-the V-cycle is a host-assisted construct (like tolerance resolution) and
-must produce bitwise-identical ``z`` columns on every engine.
+A hierarchy is built in one ``dtype``, the solve's working precision:
+sums, diagonals and inverses are formed in float64 and cast once into
+it.  Every engine of one dtype runs the V-cycle on the same hierarchy,
+so ``z`` is bitwise identical across engines.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class MgLevel:
 
     ``op`` holds the level's per-cell faces, its diagonal
     ``Σ faces + acc`` with 1.0 on masked rows, and the mask as identity
-    rows.  The float64 scratch is allocated once with the level:
+    rows, in the level's dtype (``op.dtype``).  The scratch is
+    allocated once with the level, in that dtype:
 
     * ``rhs`` — the level's right-hand side (level 0: the copy of the
       ``r`` the V-cycle is applied to; coarser: the restricted residual);
@@ -112,8 +114,9 @@ class MgLevel:
 
     def __post_init__(self) -> None:
         nx, ny, nz = self.shape
-        self.rhs, self.z, self.az = (np.empty(self.shape) for _ in range(3))
-        self.half = np.empty((-(-nx // 2), ny, nz))
+        dtype = self.op.dtype
+        self.rhs, self.z, self.az = (np.empty(self.shape, dtype) for _ in range(3))
+        self.half = np.empty((-(-nx // 2), ny, nz), dtype)
         self.rows = np.flatnonzero(self.mask)
         self.flat = tuple(
             a.reshape(-1) for a in (self.rhs, self.z, self.az, self.inv_diag)
@@ -157,7 +160,8 @@ def _bind_transfers(fine: MgLevel, coarse: MgLevel) -> None:
     fine.prolongation = tuple(pair for pair in pairs if pair[0].size)
 
 
-def _level(faces, acc: np.ndarray, mask: np.ndarray) -> MgLevel:
+def _level(faces, acc: np.ndarray, mask: np.ndarray, dtype) -> MgLevel:
+    """The level of float64 ``faces`` and ``acc``, cast into ``dtype``."""
     diag = diagonal_from_faces(faces)
     diag += acc
     diag[mask] = 1.0
@@ -167,16 +171,17 @@ def _level(faces, acc: np.ndarray, mask: np.ndarray) -> MgLevel:
             "level; the problem's coefficients/accumulation produce a "
             "non-positive row"
         )
+    faces = tuple(np.asarray(f, dtype) for f in faces)
     return MgLevel(
-        op=FlatStencil(faces, diag, mask), acc=acc, mask=mask,
-        inv_diag=1.0 / diag,
+        op=FlatStencil(faces, np.asarray(diag, dtype), mask), acc=acc, mask=mask,
+        inv_diag=np.asarray(1.0 / diag, dtype),
     )
 
 
 def _coarsen(fine: MgLevel) -> MgLevel:
     nxf, nyf, nz = fine.shape
     shape = (-(-nxf // 2), -(-nyf // 2), nz)
-    cx, cy, cz = fine.op.faces
+    cx, cy, cz = (np.asarray(f, np.float64) for f in fine.op.faces)
     # Cross-aggregate faces are the odd-index fine faces (between fine
     # cells 2I+1 and 2I+2, i.e. between aggregates I and I+1), summed
     # over the perpendicular lateral pairing.  A fine cell without an
@@ -188,7 +193,7 @@ def _coarsen(fine: MgLevel) -> MgLevel:
     fzc = _pair_sum(_pair_sum(cz, 0), 1)
     acc = _pair_sum(_pair_sum(fine.acc, 0), 1)
     mask = _pair_sum(_pair_sum(fine.mask, 0), 1)
-    coarse = _level((fxc, fyc, fzc), acc, mask)
+    coarse = _level((fxc, fyc, fzc), acc, mask, fine.op.dtype)
     _bind_transfers(fine, coarse)
     return coarse
 
@@ -215,9 +220,9 @@ def planned_level_shapes(
 def _dense_matrix(level: MgLevel) -> np.ndarray:
     """The level operator as a dense symmetric matrix (identity masked
     rows *and* zeroed masked columns — the operator restricted to the
-    zero-on-mask subspace, which is where CG's residuals live)."""
+    zero-on-mask subspace, which is where CG's residuals live), in float64."""
     n = level.cells
-    a = np.diag(level.op.diagonal.reshape(-1))
+    a = np.diag(level.op.diagonal.reshape(-1).astype(np.float64))
     stride = n
     for axis, f in enumerate(level.op.faces):
         # Flat neighbours K and K + stride; a wrapped pair's face is 0.
@@ -274,6 +279,7 @@ def build_hierarchy(
     levels: int | None = None,
     smoother_iters: int | None = None,
     omega: float = DEFAULT_OMEGA,
+    dtype=np.float64,
 ) -> MgHierarchy:
     """Build the hierarchy from the engine's own operator ingredients.
 
@@ -281,7 +287,7 @@ def build_hierarchy(
     ----------
     coefficients:
         A :class:`repro.fv.coefficients.FluxCoefficients` (any dtype;
-        promoted to float64 here).
+        promoted to float64 for the build).
     dirichlet_mask:
         Boolean identity-row mask, fine-grid shaped.
     accumulation:
@@ -291,6 +297,8 @@ def build_hierarchy(
         reuses it while Δt holds.
     levels / smoother_iters / omega:
         Schedule knobs; ``None`` means the defaults above.
+    dtype:
+        The levels' dtype, the V-cycle's: the solve's working precision.
     """
     iters = DEFAULT_SMOOTHER_ITERS if smoother_iters is None else int(smoother_iters)
     if not 1 <= iters <= 8:
@@ -305,12 +313,13 @@ def build_hierarchy(
         else np.asarray(accumulation, dtype=np.float64).reshape(shape).copy()
     )
     faces = (coefficients.cx, coefficients.cy, coefficients.cz)
-    built = [_level(cell_faces(faces, shape, np.float64), acc, mask)]
+    built = [_level(cell_faces(faces, shape, np.float64), acc, mask, dtype)]
     for _ in planned_level_shapes(shape, levels)[1:]:
         built.append(_coarsen(built[-1]))
     coarsest = built[-1]
     if coarsest.cells <= DENSE_SOLVE_MAX_CELLS:
-        coarsest.dense_inv = np.linalg.inv(_dense_matrix(coarsest))
+        dense_inv = np.linalg.inv(_dense_matrix(coarsest))
+        coarsest.dense_inv = dense_inv.astype(coarsest.op.dtype, copy=False)
     return MgHierarchy(tuple(built), smoother_iters=iters, omega=float(omega))
 
 
@@ -320,6 +329,7 @@ def hierarchy_for_problem(
     accumulation: np.ndarray | None = None,
     levels: int | None = None,
     smoother_iters: int | None = None,
+    dtype=np.float64,
 ) -> MgHierarchy:
     """Convenience wrapper taking a ``SinglePhaseProblem``."""
     return build_hierarchy(
@@ -328,6 +338,7 @@ def hierarchy_for_problem(
         accumulation=accumulation,
         levels=levels,
         smoother_iters=smoother_iters,
+        dtype=dtype,
     )
 
 

@@ -30,8 +30,9 @@ class Preconditioner:
 
     ``diagonal`` is the float64 ``diag(J + A)`` with identity Dirichlet
     rows (``"jacobi"``); ``hierarchy`` is the V-cycle hierarchy
-    (``"mg"``); ``"none"`` carries neither.  Calling it gives the float64
-    ``M^{-1} r``; a Jacobi or mg ``r`` must be grid-shaped.
+    (``"mg"``), in the solve's working precision; ``"none"`` carries
+    neither.  Calling it gives ``M^{-1} r``, in the hierarchy's dtype for
+    mg, else float64; a Jacobi or mg ``r`` must be grid-shaped.
     """
 
     name: str = "none"
@@ -68,10 +69,11 @@ def build_preconditioner(
     accumulation: np.ndarray | None = None,
     mg_levels: int | None = None,
     mg_smoother_iters: int | None = None,
+    dtype=np.float64,
 ) -> Preconditioner:
     """Build ``M`` for ``(J + A) p = b``, ``A`` the optional transient
-    ``accumulation`` diagonal.  The mg knobs tune the hierarchy and are
-    only meaningful with ``name="mg"``."""
+    ``accumulation`` diagonal.  The mg knobs and ``dtype`` (the V-cycle's
+    precision) tune the hierarchy; only ``name="mg"`` reads them."""
     if name == "none":
         return Preconditioner()
     if name == "jacobi":
@@ -92,6 +94,7 @@ def build_preconditioner(
                 accumulation=accumulation,
                 levels=mg_levels,
                 smoother_iters=mg_smoother_iters,
+                dtype=dtype,
             ),
         )
     raise ConfigurationError(

@@ -221,11 +221,11 @@ def _stage_problem(
         st.lam_nbr = {port: _shifted(st.lam, port) for port in MOBILITY_BUFFER}
 
     if precondition is None:
-        precondition = program.preconditioner_for(problem, accumulation)
+        precondition = program.preconditioner_for(problem, accumulation, dtype)
     if program.jacobi:
         st.inv_diag = (1.0 / precondition.diagonal).astype(dtype)
-    # The V-cycle hierarchy is a host-side float64 construct (like
-    # resolved tolerances); only the z column lives on the fabric.
+    # The V-cycle hierarchy is a host-side construct in the working dtype
+    # (like resolved tolerances); only the z column lives on the fabric.
     st.mg_hier = precondition.hierarchy
 
     col_all, partial_cols, kind_counts = _classify_columns(problem)

@@ -4,8 +4,10 @@ Pins the numerical contract the engines rely on: level construction is
 the variational (Galerkin) coarse operator for piecewise-constant
 transfer, the bound restriction/prolongation are exact adjoints, the
 damped-Jacobi smoother holds the exact solution fixed, one V-cycle is a
-symmetric positive contraction, the spec knobs validate/round-trip, and
-every linear system (every Δt of a simulation) builds one hierarchy.
+symmetric positive contraction in float64 and in float32, a hierarchy
+is built in the solve's working precision, the spec knobs
+validate/round-trip, and every linear system (every Δt of a simulation)
+builds one hierarchy.
 """
 
 from __future__ import annotations
@@ -84,6 +86,53 @@ def problem():
 @pytest.fixture(scope="module")
 def hierarchy(problem):
     return hierarchy_for_problem(problem, accumulation=None)
+
+
+@pytest.fixture(scope="module")
+def hierarchy32(problem):
+    return hierarchy_for_problem(problem, dtype=np.float32)
+
+
+#: Float32 rounding, the bound a float32 V-cycle is held to.
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def _assert_contracts(problem, hier):
+    """The stationary MG iteration contracts the residual hard — this is
+    what buys the CG iteration reduction."""
+    level = hier.levels[0]
+    op = problem.operator()
+    b = _masked_random(level.shape, level.mask, seed=6)
+    x = np.zeros_like(b)
+    r = b.copy()
+    norms = [np.linalg.norm(r)]
+    for _ in range(5):
+        x += mg_apply(hier, r)
+        r = b - op(x)
+        r[level.mask] = 0.0
+        norms.append(np.linalg.norm(r))
+    # Monotone contraction, with the first V-cycle alone knocking
+    # off ~an order of magnitude on this heterogeneous field.
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+    assert norms[1] < 0.2 * norms[0]
+    assert norms[-1] < 0.05 * norms[0]
+
+
+def _symmetry_pair(hier):
+    """``(M⁻¹u)·v`` and ``u·(M⁻¹v)`` for masked random ``u``, ``v``."""
+    level = hier.levels[0]
+    u = _masked_random(level.shape, level.mask, seed=7)
+    v = _masked_random(level.shape, level.mask, seed=8)
+    uv = float(np.vdot(mg_apply(hier, u), v).real)
+    vu = float(np.vdot(u, mg_apply(hier, v)).real)
+    return uv, vu
+
+
+def _assert_masked_cells_stay_zero(hier):
+    level = hier.levels[0]
+    r = _masked_random(level.shape, level.mask, seed=10)
+    z = mg_apply(hier, r)
+    assert np.all(z[level.mask] == 0.0)
 
 
 class TestLevelConstruction:
@@ -255,33 +304,12 @@ class TestSmoother:
 
 class TestVCycle:
     def test_contraction(self, problem, hierarchy):
-        """The stationary MG iteration must contract the residual hard —
-        this is what buys the CG iteration reduction."""
-        level = hierarchy.levels[0]
-        op = problem.operator()
-        b = _masked_random(level.shape, level.mask, seed=6)
-        x = np.zeros_like(b)
-        r = b.copy()
-        norms = [np.linalg.norm(r)]
-        for _ in range(5):
-            x += mg_apply(hierarchy, r)
-            r = b - op(x)
-            r[level.mask] = 0.0
-            norms.append(np.linalg.norm(r))
-        # Monotone contraction, with the first V-cycle alone knocking
-        # off ~an order of magnitude on this heterogeneous field.
-        assert all(b < a for a, b in zip(norms, norms[1:]))
-        assert norms[1] < 0.2 * norms[0]
-        assert norms[-1] < 0.05 * norms[0]
+        _assert_contracts(problem, hierarchy)
 
     def test_symmetry(self, hierarchy):
         """M⁻¹ must be symmetric on the mask-zero subspace or the PCG
         recurrence is not a CG."""
-        level = hierarchy.levels[0]
-        u = _masked_random(level.shape, level.mask, seed=7)
-        v = _masked_random(level.shape, level.mask, seed=8)
-        uv = float(np.vdot(mg_apply(hierarchy, u), v).real)
-        vu = float(np.vdot(u, mg_apply(hierarchy, v)).real)
+        uv, vu = _symmetry_pair(hierarchy)
         assert uv == pytest.approx(vu, rel=1e-11)
 
     def test_float64_and_deterministic(self, hierarchy):
@@ -341,10 +369,7 @@ class TestVCycle:
             assert precondition(np.ones((8, 8, 2))).shape == (8, 8, 2)
 
     def test_masked_cells_stay_zero(self, hierarchy):
-        level = hierarchy.levels[0]
-        r = _masked_random(level.shape, level.mask, seed=10)
-        z = mg_apply(hierarchy, r)
-        assert np.all(z[level.mask] == 0.0)
+        _assert_masked_cells_stay_zero(hierarchy)
 
     def test_pcg_beats_plain_cg(self, problem):
         """The headline: MG-PCG needs far fewer iterations at the same
@@ -383,6 +408,76 @@ class TestVCycle:
         assert coarsened == []
         hierarchy_for_problem(problem, smoother_iters=8)
         assert coarsened  # the counter does see a real build
+
+
+class TestWorkingPrecision:
+    """A hierarchy built in float32 holds its operators and scratch in
+    float32, so its V-cycle runs in float32: the same contraction,
+    symmetry and zero-on-mask invariants, at float32 rounding."""
+
+    def test_every_level_is_float32(self, hierarchy32):
+        for level in hierarchy32.levels:
+            arrays = (
+                *level.op.faces, level.op.diagonal, level.inv_diag,
+                level.rhs, level.z, level.az, level.half,
+            )
+            assert all(a.dtype == np.float32 for a in arrays)
+            assert level.acc.dtype == np.float64  # built from, not run in
+        assert hierarchy32.levels[-1].dense_inv.dtype == np.float32
+        level = hierarchy32.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=9)
+        assert mg_apply(hierarchy32, r).dtype == np.float32
+
+    def test_shapes_and_schedule_match_float64(self, hierarchy, hierarchy32):
+        assert hierarchy32.level_shapes() == hierarchy.level_shapes()
+        assert hierarchy32.telemetry(5) == hierarchy.telemetry(5)
+        for lo, hi in zip(hierarchy32.levels, hierarchy.levels):
+            np.testing.assert_array_equal(lo.mask, hi.mask)
+
+    def test_deterministic(self, hierarchy32):
+        """Bitwise reruns, and a float32 ``r`` gathered into float64 (the
+        event oracle's V-cycle barrier) gives the array engines' ``z``."""
+        level = hierarchy32.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=9).astype(np.float32)
+        z = mg_apply(hierarchy32, r)
+        np.testing.assert_array_equal(z, mg_apply(hierarchy32, r))
+        np.testing.assert_array_equal(z, mg_apply(hierarchy32, r.astype(np.float64)))
+
+    def test_masked_cells_stay_zero(self, hierarchy32):
+        _assert_masked_cells_stay_zero(hierarchy32)
+
+    def test_contraction(self, problem, hierarchy32):
+        _assert_contracts(problem, hierarchy32)
+
+    def test_symmetry(self, hierarchy32):
+        uv, vu = _symmetry_pair(hierarchy32)
+        assert uv == pytest.approx(vu, rel=16 * F32_EPS)
+
+    def test_agrees_with_float64_to_float32_rounding(self, hierarchy, hierarchy32):
+        level = hierarchy.levels[0]
+        for seed in (16, 17, 18):
+            r = _masked_random(level.shape, level.mask, seed=seed)
+            z64 = mg_apply(hierarchy, r)
+            z32 = mg_apply(hierarchy32, r)
+            gap = np.max(np.abs(z32 - z64))
+            assert gap <= 8 * F32_EPS * np.max(np.abs(z64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_takes_the_result(self, problem, dtype):
+        """``out=`` receives bitwise the ``z`` a fresh result holds, and
+        is what ``mg_apply`` returns."""
+        hier = hierarchy_for_problem(problem, dtype=dtype)
+        level = hier.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=19).astype(np.float32)
+        z = np.full(level.shape, np.nan, dtype=np.float32)
+        assert mg_apply(hier, r, out=z) is z
+        np.testing.assert_array_equal(z, mg_apply(hier, r).astype(np.float32))
+
+    def test_misshaped_out_is_rejected(self, hierarchy32):
+        level = hierarchy32.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=20)
+        with pytest.raises(ValidationError, match="out shape"):
+            mg_apply(hierarchy32, r, out=np.zeros(level.shape[:2], np.float32))
 
 
 class TestSpecKnobs:
@@ -442,7 +537,7 @@ class TestOneHierarchyBuildPerSystem:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Count calls to both public hierarchy builders, wrapped on
+        """The hierarchies both public builders return, wrapped on
         ``repro.mg`` the way ``perfbench/tracing.py`` hooks them."""
         import repro.mg
 
@@ -450,8 +545,9 @@ class TestOneHierarchyBuildPerSystem:
 
         def counting(original):
             def counted(*args, **kwargs):
-                calls.append(original.__name__)
-                return original(*args, **kwargs)
+                hier = original(*args, **kwargs)
+                calls.append(hier)
+                return hier
 
             return counted
 
@@ -560,3 +656,33 @@ class TestOneHierarchyBuildPerSystem:
         )
         assert result.telemetry["preconditioner"]["kind"] == "mg"
         assert len(builds) == 1
+
+    @staticmethod
+    def _dtypes(hier):
+        """The dtypes a captured hierarchy's levels are built in."""
+        return {level.op.dtype for level in hier.levels}
+
+    def test_solves_build_in_their_working_precision(self, builds):
+        """The solve's ``dtype`` knob is the hierarchy's: a float32 solve
+        runs a float32 V-cycle, a float64 solve a float64 one, and the
+        reference backend's ``M`` is float64 whatever the spec's."""
+        problem = make_problem(4, 4, 2, seed=5)
+        for dtype in (np.float32, np.float64):
+            report = WseMatrixFreeSolver(
+                problem, engine="fused", **{**MG_SOLVE, "dtype": dtype},
+            ).solve()
+            assert report.converged
+        repro.solve(problem, backend="reference", spec=SolveSpec.from_kwargs(
+            preconditioner="mg", dtype="float32",
+        ))
+        assert [self._dtypes(hier) for hier in builds] == [
+            {np.dtype(np.float32)}, {np.dtype(np.float64)}, {np.dtype(np.float64)},
+        ]
+
+    def test_float32_simulation_builds_float32(self, builds):
+        steps = list(simulate_reports(
+            make_problem(4, 4, 2, seed=5), engine="fused", dts=[1.0, 2.0],
+            **{**MG_SOLVE, "dtype": np.float32},
+        ))
+        assert len(steps) == 2 and len(builds) == 2
+        assert all(self._dtypes(hier) == {np.dtype(np.float32)} for hier in builds)
