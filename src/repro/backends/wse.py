@@ -26,9 +26,11 @@ class WseBackend:
     the fabric execution engine (a layout of the one array CG driver:
     ``"fused"``, cache-sized tiles — ``fused_tile`` picks the tile — and
     the default, see :meth:`resolve`; ``"vectorized"``, one whole-grid
-    tile for paper-scale fabrics; or ``"sharded"``, the grid split over
-    a serial or thread crew — ``shard_shape`` picks the decomposition
-    and ``fused_tile`` tiles each shard; or ``"event"``, the per-PE
+    tile for paper-scale fabrics; or ``"sharded"``, a fabric decomposed
+    into shards whose tiles run shard by shard — ``shard_shape`` picks
+    the decomposition, ``fused_tile`` tiles each shard, and
+    ``telemetry["shard"]`` reports the inter-shard traffic; or
+    ``"event"``, the per-PE
     discrete-event oracle, as an explicit opt-in), plus the dataflow
     design knobs
     ``simd_width`` (§III-E.3), ``variant`` (precomputed ``c = Υλ`` vs.

@@ -8,7 +8,7 @@ and an engine is a *layout* of the kernel it drives (chosen in
 * ``"vectorized"`` — one lane, one whole-grid tile;
 * ``"fused"`` — one lane, cache-sized tiles;
 * ``"batched"`` / ``"batched_fused"`` — N such lanes;
-* ``"sharded"`` — one lane whose kernel runs crew rounds over shards.
+* ``"sharded"`` — one lane, each shard's tiles in shard order.
 
 The driver owns what the layouts share: INIT and the loop, the
 convergence checks (a converged lane gets no further passes and no
@@ -31,12 +31,13 @@ fixed order, which makes every layout bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
+from repro.fused.kernels import FusedNumpyBackend
 from repro.solvers.state_machine import CGState
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WseSpecs
@@ -48,32 +49,6 @@ from repro.wse.vector_engine import (
 )
 
 
-class Kernel(Protocol):
-    """The passes one lane's numerics expose to the driver.
-
-    Reducing passes return float64 dot partials in a fixed order.  ``r``
-    and ``z`` are the global residual fields the multigrid V-cycle reads
-    and writes between ``init_residual_pass``/``mg_seed_pass`` and
-    ``update_axpy_pass``/``mg_dot_pass``; ``y`` is the solution.  The
-    driver enters a kernel for the duration of one run.
-    """
-
-    y: np.ndarray
-    r: np.ndarray
-    z: np.ndarray | None
-
-    def __enter__(self) -> "Kernel": ...
-    def __exit__(self, *exc) -> None: ...
-    def init_pass(self) -> Iterable[float]: ...
-    def init_residual_pass(self) -> None: ...
-    def mg_seed_pass(self) -> Iterable[float]: ...
-    def body_pass(self) -> Iterable[float]: ...
-    def update_pass(self, alpha: float) -> Iterable[float]: ...
-    def update_axpy_pass(self, alpha: float) -> None: ...
-    def mg_dot_pass(self) -> Iterable[float]: ...
-    def direction_pass(self, beta: float) -> None: ...
-
-
 def _no_extras(iterations: int) -> dict:
     return {}
 
@@ -83,11 +58,12 @@ class Lane:
     """One problem of a layout.
 
     ``staging`` supplies the charge model's Dirichlet histogram and
-    kernel plans plus the mg hierarchy; ``extras`` maps the lane's
-    iteration count to the layout's extra :class:`EngineReport` fields
-    (``fused``/``shard`` telemetry)."""
+    kernel plans, the initial guess every run starts from, and the mg
+    hierarchy; ``extras`` maps the lane's iteration count to the
+    layout's extra :class:`EngineReport` fields (``fused``/``shard``
+    telemetry)."""
 
-    kernel: Kernel
+    kernel: FusedNumpyBackend
     staging: _Staging
     tol_rtr: float
     memory: dict
@@ -177,54 +153,56 @@ class CgDriver:
             hier = lane.staging.mg_hier
         check = program.check_convergence
         history: list[float] = []
-        with lane.kernel as kernel:
-            # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-            if suppress:
-                rtr = 0.0
-            elif mg:
-                kernel.init_residual_pass()
-                mg_apply(hier, kernel.r, out=kernel.z)
-                rtr = _reduce(kernel.mg_seed_pass())
-            else:
-                rtr = _reduce(kernel.init_pass())
-            history.append(rtr)
+        kernel = lane.kernel
+        # Every run starts from the staged guess.
+        np.copyto(kernel.y, lane.staging.y)
+        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
+        if suppress:
+            rtr = 0.0
+        elif mg:
+            kernel.init_residual_pass()
+            mg_apply(hier, kernel.r, out=kernel.z)
+            rtr = _reduce(kernel.mg_seed_pass())
+        else:
+            rtr = _reduce(kernel.init_pass())
+        history.append(rtr)
 
-            k = 0
-            at_thres = False  # left the loop at THRES_CHECK, not ITER_CHECK
-            while True:
-                if check and rtr < lane.tol_rtr:
-                    terminal = CGState.CONVERGED
-                    break
-                if k >= program.iteration_limit:
-                    terminal = CGState.MAXITER
-                    break
-                pap = 0.0 if suppress else _reduce(kernel.body_pass())
-                if pap == 0.0:
-                    if not suppress and check:
-                        raise ConfigurationError(
-                            f"{self.name} engine: p^T A p = 0 with live "
-                            f"arithmetic"
-                        )
-                    alpha = 0.0
-                else:
-                    alpha = rtr / pap
-                if suppress:
-                    rtr_new = 0.0
-                elif mg:
-                    kernel.update_axpy_pass(alpha)
-                    mg_apply(hier, kernel.r, out=kernel.z)
-                    rtr_new = _reduce(kernel.mg_dot_pass())
-                else:
-                    rtr_new = _reduce(kernel.update_pass(alpha))
-                k += 1
-                history.append(rtr_new)
-                if check and rtr_new < lane.tol_rtr:
-                    terminal, at_thres = CGState.CONVERGED, True
-                    break
-                if not suppress:
-                    kernel.direction_pass((rtr_new / rtr) if rtr > 0 else 0.0)
-                rtr = rtr_new
-            pressure = np.array(kernel.y, copy=True)
+        k = 0
+        at_thres = False  # left the loop at THRES_CHECK, not ITER_CHECK
+        while True:
+            if check and rtr < lane.tol_rtr:
+                terminal = CGState.CONVERGED
+                break
+            if k >= program.iteration_limit:
+                terminal = CGState.MAXITER
+                break
+            pap = 0.0 if suppress else _reduce(kernel.body_pass())
+            if pap == 0.0:
+                if not suppress and check:
+                    raise ConfigurationError(
+                        f"{self.name} engine: p^T A p = 0 with live "
+                        f"arithmetic"
+                    )
+                alpha = 0.0
+            else:
+                alpha = rtr / pap
+            if suppress:
+                rtr_new = 0.0
+            elif mg:
+                kernel.update_axpy_pass(alpha)
+                mg_apply(hier, kernel.r, out=kernel.z)
+                rtr_new = _reduce(kernel.mg_dot_pass())
+            else:
+                rtr_new = _reduce(kernel.update_pass(alpha))
+            k += 1
+            history.append(rtr_new)
+            if check and rtr_new < lane.tol_rtr:
+                terminal, at_thres = CGState.CONVERGED, True
+                break
+            if not suppress:
+                kernel.direction_pass((rtr_new / rtr) if rtr > 0 else 0.0)
+            rtr = rtr_new
+        pressure = np.array(kernel.y, copy=True)
         return self._report(lane, k, terminal, at_thres, history, pressure)
 
     def _report(
@@ -272,4 +250,4 @@ class CgDriver:
         )
 
 
-__all__ = ["CgDriver", "Kernel", "Lane"]
+__all__ = ["CgDriver", "Lane"]

@@ -14,12 +14,15 @@ Every other engine name is a *layout* of the driver's kernel:
 
 * ``"vectorized"`` — one whole-grid tile (paper-scale fabrics);
 * ``"fused"`` — cache-sized tiles (auto-picked, or ``fused_tile``);
-* ``"sharded"`` — the grid split over a worker crew (serial or
-  threads), one kernel per shard with real halo
-  exchange and shard-ordered dot reduction (``shard_shape``,
-  ``shard_workers``, optionally ``fused_tile`` inside each shard);
+* ``"sharded"`` — a fabric decomposed into shards (``shard_shape``):
+  each shard is one tile, or its own ``fused_tile`` tiles, and the
+  tiles run shard by shard, so dot partials fold in shard order and
+  then in tile order within a shard; the lane reports the inter-shard
+  traffic the decomposition moves (:func:`~repro.shard.shard_telemetry`);
 * batched ``"vectorized"``/``"fused"`` — N same-shape problems, one
   lane each (reported as ``"batched"``/``"batched_fused"``).
+
+Every layout is the same kernel over a different list of tile boxes.
 
 Selection is declarative via ``MachineSpec(engine=...)``; the solver
 resolves the name here.  An unset engine means :data:`DEFAULT_ENGINE`,
@@ -53,18 +56,19 @@ ENGINE_NAMES = FABRIC_ENGINES
 #: :mod:`repro.core.solver` read it from here).
 DEFAULT_ENGINE = "fused"
 
-#: Engines that accept a shard layout (``shard_shape``/``shard_workers``).
+#: Engines that accept a shard layout (``shard_shape``).
 SHARD_CAPABLE_ENGINES = ("sharded",)
 
 #: Engines that accept a cache-tile shape (``fused_tile``).  The sharded
-#: engine qualifies because its per-shard kernels are tiled too.
+#: engine qualifies because it tiles each shard.
 #: Aliases :data:`repro.spec.TILE_ENGINES`.
 TILE_CAPABLE_ENGINES = TILE_ENGINES
 
 #: Engines that can execute a ``batch > 1`` program.  The event oracle
-#: plays one wavelet at a time and cannot; the sharded engine spends its
-#: parallelism across the fabric, not across problems.  Asking either to
-#: batch is a configuration error, not a silent serialization.
+#: plays one wavelet at a time and cannot; the sharded layout models one
+#: decomposed fabric per solve, and batched lanes of it are not built.
+#: Asking either to batch is a configuration error, not a silent
+#: serialization.
 BATCH_CAPABLE_ENGINES = ("vectorized", "fused")
 
 
@@ -86,16 +90,13 @@ class FabricEngine(Protocol):
         ...
 
 
-def _check_layout(name: str, shard_shape, shard_workers, fused_tile) -> None:
+def _check_layout(name: str, shard_shape, fused_tile) -> None:
     if name not in ENGINE_NAMES:
         raise _unknown_engine_error(name)
-    if name not in SHARD_CAPABLE_ENGINES and (
-        shard_shape is not None or shard_workers is not None
-    ):
+    if name not in SHARD_CAPABLE_ENGINES and shard_shape is not None:
         raise ConfigurationError(
-            f"fabric engine {name!r} is single-shard; shard_shape/"
-            f"shard_workers require one of "
-            f"{', '.join(SHARD_CAPABLE_ENGINES)}"
+            f"fabric engine {name!r} is single-shard; shard_shape "
+            f"requires one of {', '.join(SHARD_CAPABLE_ENGINES)}"
         )
     if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
         raise ConfigurationError(
@@ -117,13 +118,12 @@ def create_engine(
     rhs: np.ndarray | None = None,
     precondition: Preconditioner | None = None,
     shard_shape=None,
-    shard_workers: str | None = None,
     fused_tile=None,
 ) -> FabricEngine:
     """Instantiate the engine ``name`` for one solve (staging included).
     ``precondition`` is the system's built ``M`` (default: the
     program's, built at staging)."""
-    _check_layout(name, shard_shape, shard_workers, fused_tile)
+    _check_layout(name, shard_shape, fused_tile)
     if name == "event":
         from repro.core.event_engine import EventEngine
 
@@ -143,7 +143,6 @@ def create_engine(
         guesses=[initial_pressure], accs=[accumulation], rhss=[rhs],
         preconditions=[precondition],
         fused_tile=fused_tile, shard_shape=shard_shape,
-        shard_workers=shard_workers,
     )
 
 
@@ -161,7 +160,6 @@ def create_batched_engine(
     rhs=None,
     preconditions=None,
     shard_shape=None,
-    shard_workers: str | None = None,
     fused_tile=None,
 ):
     """Instantiate the batched layout for one multi-problem solve.
@@ -176,7 +174,7 @@ def create_batched_engine(
     exactly what a serial solve of that problem alone would produce."""
     from repro.wse.vector_engine import normalize_guesses
 
-    _check_layout(name, shard_shape, shard_workers, fused_tile)
+    _check_layout(name, shard_shape, fused_tile)
     if name not in BATCH_CAPABLE_ENGINES:
         raise ConfigurationError(
             f"fabric engine {name!r} runs one problem at a time; batched "
@@ -234,22 +232,43 @@ def _layout(
     preconditions,
     fused_tile=None,
     shard_shape=None,
-    shard_workers: str | None = None,
 ):
-    """Stage every problem into a lane of the kernel ``name`` lays out,
-    and hand the lanes to one :class:`~repro.core.cg_driver.CgDriver`."""
+    """Stage every problem into a lane of the kernel over the tile boxes
+    ``name`` lays out, and hand the lanes to one
+    :class:`~repro.core.cg_driver.CgDriver`."""
     from repro.core.cg_driver import CgDriver, Lane
     from repro.core.mapping import ProblemMapping
     from repro.fused.kernels import FusedNumpyBackend
-    from repro.fused.tiling import resolve_tile
+    from repro.fused.tiling import normalize_fused_tile, resolve_tile, tile_boxes
     from repro.wse.vector_engine import _memory_report, _stage_problem
 
     dtype = np.dtype(dtype)
     nx, ny, nz = problems[0].grid.shape
-    if name in ("vectorized", "batched"):
-        tile = (nx, ny)
+    extras = None
+    if name == "sharded":
+        from repro.shard import ShardLayout, shard_telemetry
+
+        layout = ShardLayout.build(
+            shard_shape if shard_shape is not None else (1, 1), nx, ny
+        )
+        tile = normalize_fused_tile(fused_tile)
+        boxes = layout.tile_boxes(tile)
+
+        def extras(k):
+            return {"shard": shard_telemetry(
+                layout, nz, dtype.itemsize, k, fused_tile=tile, mg=program.mg
+            )}
     else:
-        tile = resolve_tile(fused_tile, nx, ny, nz, dtype.itemsize)
+        if name in ("vectorized", "batched"):
+            tile = (nx, ny)
+        else:
+            tile = resolve_tile(fused_tile, nx, ny, nz, dtype.itemsize)
+        boxes = tile_boxes(nx, ny, tile)
+        if name in ("fused", "batched_fused"):
+            info = {"tile": list(tile), "tiles": len(boxes)}
+
+            def extras(k):
+                return {"fused": dict(info)}
     lanes = []
     for problem, tol, guess, acc, rhs, precondition in zip(
         problems, tol_rtrs, guesses, accs, rhss, preconditions
@@ -259,20 +278,10 @@ def _layout(
             precondition=precondition,
         )
         memory = _memory_report(spec, program, nz, dtype, st.kind_counts)
-        if name == "sharded":
-            from repro.shard import ShardedKernel
-
-            kernel = ShardedKernel(
-                st, program, dtype=dtype, shard_shape=shard_shape,
-                shard_workers=shard_workers, fused_tile=fused_tile,
-            )
-            lane = Lane(kernel, st, float(tol), memory, kernel.extras)
-        else:
-            kernel = FusedNumpyBackend(st, program, tile=tile, dtype=dtype)
-            lane = Lane(kernel, st, float(tol), memory)
-            if name in ("fused", "batched_fused"):
-                info = {"tile": list(tile), "tiles": len(kernel.boxes)}
-                lane.extras = lambda k, info=info: {"fused": dict(info)}
+        kernel = FusedNumpyBackend(st, program, boxes=boxes, dtype=dtype)
+        lane = Lane(kernel, st, float(tol), memory)
+        if extras is not None:
+            lane.extras = extras
         lanes.append(lane)
     return CgDriver(
         name, lanes, program, spec=spec,

@@ -188,68 +188,6 @@ class CgProgram:
         """Phase names in execution order (introspection/docs)."""
         return [phase.value for phase in self.phases]
 
-    def shard_rounds(self) -> tuple["ShardRound", ...]:
-        """The program's phases regrouped into coordinator-dispatched
-        rounds for domain-sharded execution.
-
-        A sharded engine cannot interleave phases freely: every halo
-        exchange needs the previous round's boundary planes published,
-        and every reduction is a barrier.  The rounds below are the
-        minimal barrier structure of one CG cycle — ``init`` then
-        ``publish`` run once, then ``body`` → ``update`` → ``direction``
-        repeat; ``stage`` and ``gather`` bracket the solve.
-        ``repro.shard`` dispatches worker rounds under exactly these
-        names.
-
-        A round never both *reads* the halo mailboxes and *writes* them
-        (that is why ``publish`` is split out of ``init``): each mailbox
-        plane is single-buffered, so a round that published while its
-        neighbours were still filling would race with them — the
-        round-barrier structure is the entire synchronization story.
-        """
-        return (
-            ShardRound("stage", (), publishes=True, reduces=False),
-            ShardRound(
-                "init",
-                (Phase.HALO_EXCHANGE, Phase.FV_APPLY, Phase.AXPY_DOT,
-                 Phase.ALLREDUCE),
-                publishes=False, reduces=True,
-            ),
-            ShardRound("publish", (), publishes=True, reduces=False),
-            ShardRound(
-                "body",
-                (Phase.HALO_EXCHANGE, Phase.FV_APPLY, Phase.AXPY_DOT,
-                 Phase.ALLREDUCE),
-                publishes=False, reduces=True,
-            ),
-            ShardRound(
-                "update", (Phase.AXPY_DOT, Phase.ALLREDUCE),
-                publishes=False, reduces=True,
-            ),
-            ShardRound(
-                "direction", (Phase.AXPY_DOT,),
-                publishes=True, reduces=False,
-            ),
-            ShardRound("gather", (), publishes=False, reduces=False),
-        )
-
-
-@dataclass(frozen=True)
-class ShardRound:
-    """One coordinator-dispatched round of the sharded program.
-
-    ``phases`` are the :class:`Phase` members the round executes on every
-    shard; ``publishes`` marks rounds that end by publishing boundary
-    planes into the halo mailboxes (consumed by the *next* exchange);
-    ``reduces`` marks rounds whose per-shard partial dot products the
-    coordinator folds into one global scalar.
-    """
-
-    name: str
-    phases: tuple[Phase, ...]
-    publishes: bool = False
-    reduces: bool = False
-
 
 @dataclass
 class EngineReport:
@@ -272,8 +210,9 @@ class EngineReport:
     memory: dict[str, float]
     state_visits: list[CGState] = field(default_factory=list)
     engine: str = "event"
-    #: Sharded-execution extras (layout, worker mode, inter-shard link
-    #: counters) — ``None`` for single-shard engines.  JSON-able.
+    #: Sharded-layout extras (layout, inter-shard link counters, tile,
+    #: and with mg the modeled V-cycle host traffic) — ``None`` for the
+    #: other engines.  JSON-able.
     shard: dict | None = None
     #: Fused hot-loop extras (tile shape, tiles per iteration) —
     #: ``None`` for the other engines.  JSON-able.
@@ -284,4 +223,4 @@ class EngineReport:
     preconditioner: dict | None = None
 
 
-__all__ = ["CG_PHASES", "CgProgram", "EngineReport", "Phase", "ShardRound"]
+__all__ = ["CG_PHASES", "CgProgram", "EngineReport", "Phase"]

@@ -99,7 +99,7 @@ class _Knobs:
       (suppress FP, fixed iteration count);
     * ``preconditioner`` — ``"none"``, ``"jacobi"`` or ``"mg"``, with
       ``mg_levels``/``mg_smoother_iters`` tuning the hierarchy;
-    * ``shard_shape``/``shard_workers`` — the ``"sharded"`` layout;
+    * ``shard_shape`` — the ``"sharded"`` layout's decomposition;
     * ``fused_tile`` — the cache tile of the ``"fused"`` and
       ``"sharded"`` layouts.
     """
@@ -118,7 +118,6 @@ class _Knobs:
     mg_levels: int | None = None
     mg_smoother_iters: int | None = None
     shard_shape: Any = None
-    shard_workers: str | None = None
     fused_tile: Any = None
 
     def program(self, batch: int, accumulation: bool) -> CgProgram:
@@ -183,7 +182,6 @@ def _build(
         dtype=np.dtype(knobs.dtype),
         simd_width=knobs.simd_width,
         shard_shape=knobs.shard_shape,
-        shard_workers=knobs.shard_workers,
         fused_tile=knobs.fused_tile,
     )
     if not batched:
@@ -240,8 +238,8 @@ class WseMatrixFreeSolver:
     cycle/counter model reproduces the oracle's instruction counts:
     ``"fused"`` (cache-sized tiles; the default,
     :data:`~repro.core.engines.DEFAULT_ENGINE`), ``"vectorized"`` (one
-    whole-grid tile) or ``"sharded"`` (the grid split over a worker
-    crew); or ``"event"``, the per-PE discrete-event oracle that the
+    whole-grid tile) or ``"sharded"`` (a fabric decomposed into shards,
+    its tiles swept shard by shard); or ``"event"``, the per-PE discrete-event oracle that the
     paper's cycle-accurate tables and fabric inspection
     (``solver.fabric``) need.  ``initial_pressure`` seeds the CG
     (Dirichlet values applied on top); ``accumulation``/``rhs`` stage

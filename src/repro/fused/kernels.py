@@ -26,10 +26,10 @@ CG solve's numerics as tiled *passes* (init / body / update /
 direction, plus the multigrid split points).  Per tile it fuses the FV
 apply, the two axpys as one block update ``[y; r] += [α; −α]·[p; jx]``
 and a float64 dot partial; the driver sums the per-tile partials
-sequentially in row-major tile order, so repeated runs are
-bit-identical.  A whole-grid tile is the vectorized engine; the sharded
-engine runs one backend per shard, with neighbour planes written into
-the pad ring of its ``x_ext``.
+sequentially in tile order, so repeated runs are bit-identical.  A
+whole-grid tile is the vectorized engine, row-major cache tiles the
+fused engine, and shard-major tiles (each shard's own tiles, shard by
+shard) the sharded engine.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.core.fv_kernel import HALO_ORDER, KernelVariant
-from repro.fused.tiling import tile_boxes
 
 
 # -- the cache-blocked FV apply -----------------------------------------------
@@ -82,15 +81,17 @@ def _face_coefficients(st, variant: KernelVariant, tile, dtype: np.dtype):
 class TiledApply:
     """The matrix-free FV operator, one lateral tile at a time.
 
-    Construction takes a staging (:class:`~repro.wse.vector_engine._Staging`
-    — a whole grid or one shard of it; only its coefficient arrays and
-    Dirichlet masks are read), the zero-padded stencil input ``x_ext``
-    of shape ``(NX+2, NY+2, nz)``, the output array, and the tile
-    boxes.  It builds every tile's coefficient stack, window views and
-    Dirichlet indices once, so :meth:`apply` only does arithmetic and
-    copies.  The pad ring of ``x_ext`` reproduces ``_shifted``'s zero
-    halos at fabric edges; a shard worker writes its neighbours'
-    boundary planes into it.
+    Construction takes a staging (:class:`~repro.wse.vector_engine._Staging`;
+    only its coefficient arrays and Dirichlet masks are read), the
+    zero-padded stencil input ``x_ext`` of shape ``(NX+2, NY+2, nz)``,
+    the output array, and the tile boxes.  It builds every tile's
+    coefficient stack, window views and Dirichlet indices once, so
+    :meth:`apply` only does arithmetic and copies.  A tile's padded
+    window reads its neighbours' boundary planes straight from
+    ``x_ext`` (the pad ring at fabric edges, kept zero by
+    :class:`FusedNumpyBackend` to reproduce ``_shifted``); the window's
+    corners reach only pad positions of the result, whose coefficients
+    are zero and which are discarded.
     """
 
     def __init__(
@@ -208,25 +209,22 @@ class FusedNumpyBackend:
     """Pure-NumPy tiled execution of the fused CG passes.
 
     Owns one problem's work arrays and executes each CG phase as one
-    pass over the tiles, returning per-tile float64 dot partials in
-    row-major tile order.  ``y`` and ``r`` are the two rows of one
-    block, ``p`` and ``jx`` of another, so the update's two axpys are
-    one multiply and one add per tile; ``b``, ``z`` and ``inv_diag`` are
-    the staging's.  The padded stencil buffer ``x_ext`` is refreshed
-    from the pass's source field before each apply sweep.  Its pad ring
-    is never written here: it stays zero at fabric edges (reproducing
-    ``_shifted``) and a shard worker writes its neighbours' boundary
-    planes into it.
+    pass over the tiles, returning per-tile float64 dot partials in tile
+    order.  ``y`` and ``r`` are the two rows of one block, ``p`` and
+    ``jx`` of another, so the update's two axpys are one multiply and
+    one add per tile; ``b``, ``z`` and ``inv_diag`` are the staging's.  The padded stencil buffer ``x_ext`` is refreshed
+    from the pass's source field before each apply sweep; its pad ring
+    is never written, so it stays zero (reproducing ``_shifted``).
 
-    A kernel is a context manager so the driver can bracket a solve the
-    same way for every layout.  ``y`` is seeded from the staging at
-    construction (a shard crew publishes its planes before any solve
-    starts) and again on entering, so a repeated run starts from exactly
-    the state the first one did; every other work array is rewritten by
-    the init pass.
+    ``boxes`` are the ``(x0, x1, y0, y1)`` tiles, in the order their dot
+    partials are returned; each layout lays them out (see
+    :mod:`repro.core.engines`).  ``y`` is seeded from the staging at
+    construction; the driver seeds it again at the start of every run,
+    so a repeated run starts from exactly the state the first one did.
+    Every other work array is rewritten by the init pass.
     """
 
-    def __init__(self, st, program, *, tile: tuple[int, int], dtype: np.dtype):
+    def __init__(self, st, program, *, boxes, dtype: np.dtype):
         self.jacobi = program.jacobi
         self.uses_z = program.uses_z
         dtype = np.dtype(dtype)
@@ -235,7 +233,6 @@ class FusedNumpyBackend:
         self._pj = np.zeros((2, nx, ny, nz), dtype=dtype)
         self.y, self.r = self._yr
         self.p, self.jx = self._pj
-        self._y0 = st.y
         np.copyto(self.y, st.y)
         self.b, self.z, self.inv_diag = st.b, st.z, st.inv_diag
         # (α, −α) for the update's [y; r] += [α; −α]·[p; jx], in the work
@@ -245,7 +242,7 @@ class FusedNumpyBackend:
         # (y at init, p in the body) so stencil reads are pure slices.
         self.x_ext = np.zeros((nx + 2, ny + 2, nz), dtype=dtype)
         self._inner = self.x_ext[1:-1, 1:-1, :]
-        self.boxes = tile_boxes(nx, ny, tile)
+        self.boxes = list(boxes)
         self.tiled = TiledApply(
             st, x_ext=self.x_ext, out=self.jx, boxes=self.boxes,
             variant=program.variant, dtype=dtype,
@@ -278,13 +275,6 @@ class FusedNumpyBackend:
                 "cells": cells,
             })
         self._partials = np.zeros(len(self.boxes), dtype=np.float64)
-
-    def __enter__(self) -> "FusedNumpyBackend":
-        np.copyto(self.y, self._y0)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
 
     # -- per-tile dot (float64, deterministic row-major element order) --------
 

@@ -1,29 +1,30 @@
-"""Sharded fabric execution: domain decomposition, halo exchange,
-worker crews and inter-shard link accounting.
+"""The sharded layout: a fabric decomposed into shards, and the traffic
+the decomposition moves.
 
-Entry point: :class:`ShardedKernel`, the kernel of the
-``MachineSpec(engine="sharded")`` layout (see :mod:`repro.core.engines`).
+:class:`ShardLayout` splits the lateral grid into rectangular shards;
+``MachineSpec(engine="sharded")`` runs the one fused kernel over its
+tiles in shard-major order (see :mod:`repro.core.engines`), and
+:func:`shard_telemetry` charges :class:`InterShardLinkModel` from the
+solve's counts.  :func:`project_multiwafer` extends the same link
+accounting to fabrics larger than one wafer.
 """
 
-from repro.shard.kernel import ShardedKernel
 from repro.shard.layout import ShardBox, ShardLayout, normalize_shard_shape
 from repro.shard.links import (
     InterShardLinkModel,
     MultiWaferLink,
     ShardLinkCounters,
     project_multiwafer,
+    shard_telemetry,
 )
-from repro.shard.workers import CREW_MODES, default_crew
 
 __all__ = [
-    "CREW_MODES",
-    "default_crew",
     "InterShardLinkModel",
     "MultiWaferLink",
     "ShardBox",
     "ShardLayout",
     "ShardLinkCounters",
-    "ShardedKernel",
     "normalize_shard_shape",
     "project_multiwafer",
+    "shard_telemetry",
 ]

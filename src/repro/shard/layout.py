@@ -8,15 +8,17 @@ Splits are balanced (``numpy.array_split`` semantics: the first
 ``n % parts`` shards get one extra plane), so shard counts that do not
 divide the grid are first-class rather than an error.
 
-The layout is pure geometry: boxes, neighbour topology and boundary
-extents.  Halo mailboxes live in :mod:`repro.shard.workers`, the
-analytic link accounting in :mod:`repro.shard.links`.
+The layout is pure geometry: boxes, neighbour topology, boundary
+extents, and the shard-major tile boxes the sharded layout's kernel
+sweeps (:meth:`ShardLayout.tile_boxes`).  The analytic link accounting
+lives in :mod:`repro.shard.links`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.fused.tiling import tile_boxes
 from repro.spec import normalize_shard_shape
 from repro.util.errors import ConfigurationError
 
@@ -29,9 +31,6 @@ DIRECTIONS = (
     ("north", 0, -1),
     ("south", 0, 1),
 )
-
-#: direction -> the direction a neighbour publishes toward us.
-OPPOSITE = {"west": "east", "east": "west", "north": "south", "south": "north"}
 
 
 def _split(n: int, parts: int) -> list[tuple[int, int]]:
@@ -141,6 +140,25 @@ class ShardLayout:
                 out.append((box.index, south, box.nx))
         return out
 
+    def tile_boxes(
+        self, tile: tuple[int, int] | None = None
+    ) -> list[tuple[int, int, int, int]]:
+        """The kernel's ``(x0, x1, y0, y1)`` tile boxes, shard-major.
+
+        Shards come in index order; each contributes its own
+        :func:`~repro.fused.tiling.tile_boxes` over ``tile`` (one tile
+        per shard when ``None``), offset to the shard's origin.  The
+        list order is the dot-reduction order: shard order, then tile
+        order within a shard.
+        """
+        return [
+            (box.x0 + x0, box.x0 + x1, box.y0 + y0, box.y0 + y1)
+            for box in self.boxes
+            for x0, x1, y0, y1 in tile_boxes(
+                box.nx, box.ny, tile or (box.nx, box.ny)
+            )
+        ]
+
     def to_dict(self) -> dict:
         return {
             "shards_x": self.shards_x,
@@ -153,7 +171,6 @@ class ShardLayout:
 
 __all__ = [
     "DIRECTIONS",
-    "OPPOSITE",
     "ShardBox",
     "ShardLayout",
     "normalize_shard_shape",

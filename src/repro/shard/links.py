@@ -2,13 +2,13 @@
 
 Two layers:
 
-* :class:`InterShardLinkModel` — counts the *actual* traffic the sharded
-  layout moves between shards during a solve: one boundary plane per
-  live boundary per halo exchange, plus the gather/broadcast scalars of
-  every cross-shard dot-product reduction.  Charged from the solve's
-  exchange and reduction counts, so the counters are exact, not
-  estimated.  On a ``1x1`` layout every counter is zero — sharding a
-  fabric onto one worker moves nothing.
+* :class:`InterShardLinkModel` — counts the traffic a fabric decomposed
+  as the sharded layout moves between its shards during a solve: one
+  boundary plane per live boundary per halo exchange, plus the
+  gather/broadcast scalars of every cross-shard dot-product reduction.
+  It is charged from the solve's exchange and reduction counts
+  (:func:`shard_telemetry`), so the counters follow the run exactly.
+  On a ``1x1`` layout every counter is zero — one shard moves nothing.
 
 * :func:`project_multiwafer` — the ROADMAP's "what-if" study: extend the
   same link accounting to fabrics *larger than one wafer*, where each
@@ -97,6 +97,38 @@ class InterShardLinkModel:
         }
 
 
+def shard_telemetry(
+    layout: ShardLayout,
+    nz: int,
+    elem_bytes: int,
+    iterations: int,
+    *,
+    fused_tile: tuple[int, int] | None,
+    mg: bool,
+) -> dict:
+    """``EngineReport.shard`` for a sharded solve of ``iterations`` steps.
+
+    The links carry one halo exchange at INIT and one per iteration, and
+    one reduction at INIT and two (``p·Jp``, ``r·z``) per iteration.
+    With mg, ``mg_host_bytes`` is the modeled V-cycle host traffic of a
+    decomposed fabric: each V-cycle gathers ``r`` to the host and
+    scatters ``z`` back.  Its fabric-side cost is in the driver's mg
+    packet, and the link model stays untouched.
+    """
+    links = InterShardLinkModel(layout, nz, elem_bytes)
+    links.charge_exchange(iterations + 1)
+    links.charge_reduce(2 * iterations + 1)
+    shard = {
+        "layout": layout.to_dict(),
+        "links": links.to_dict(),
+        "fused_tile": None if fused_tile is None else list(fused_tile),
+    }
+    if mg:
+        cells = layout.nx * layout.ny * nz
+        shard["mg_host_bytes"] = 2 * (iterations + 1) * cells * elem_bytes
+    return shard
+
+
 # -- multi-wafer what-if projection -------------------------------------------
 
 
@@ -149,8 +181,8 @@ def project_multiwafer(
             raise ConfigurationError(f"wafer counts must be >= 1, got {w}")
         layout = ShardLayout.build((w, 1), w * W, H)
         links = InterShardLinkModel(layout, nz, elem_bytes)
-        # One exchange + two reductions per iteration (plus the init
-        # round's, amortized into `iterations` here).
+        # One exchange + two reductions per iteration (plus INIT's,
+        # amortized into `iterations` here).
         links.charge_exchange()
         links.charge_reduce()
         links.charge_reduce()
@@ -160,10 +192,13 @@ def project_multiwafer(
         else:
             # Seams transfer concurrently (each wafer drives its own
             # cables), so the exchange costs one seam's bidirectional
-            # payload; the reduce chain pays one hop per seam crossed.
+            # payload; the two reductions' gather/broadcast messages
+            # cross the cable one after another.
             seam_payload = 2 * H * nz * elem_bytes
             exchange_t = link.transfer_time(seam_payload)
-            reduce_t = 2 * (w - 1) * link.transfer_time(2 * REDUCE_SCALAR_BYTES)
+            reduce_t = per_iter.reduce_messages * link.transfer_time(
+                REDUCE_SCALAR_BYTES
+            )
             link_iter = exchange_t + reduce_t
         total_iter = compute_iter + link_iter
         rows.append({
@@ -189,4 +224,5 @@ __all__ = [
     "REDUCE_SCALAR_BYTES",
     "ShardLinkCounters",
     "project_multiwafer",
+    "shard_telemetry",
 ]

@@ -298,30 +298,27 @@ FABRIC_ENGINES = ("event", "vectorized", "sharded", "fused")
 
 #: Engines whose sweeps are cache-tiled and therefore honour the
 #: ``fused_tile`` knob: the fused hot-loop engine itself, and the sharded
-#: engine (whose workers run the same tiled kernel over their
-#: halo-extended slabs).  ``repro.core.engines.TILE_CAPABLE_ENGINES``
-#: aliases this tuple.
+#: engine (which tiles each shard).
+#: ``repro.core.engines.TILE_CAPABLE_ENGINES`` aliases this tuple.
 TILE_ENGINES = ("fused", "sharded")
 
 
 def normalize_shard_shape(shard_shape) -> tuple[int, int]:
-    """``int`` → 1-D ``(n, 1)``; otherwise a validated 2-tuple."""
-    if _is_int(shard_shape):
-        shape = (int(shard_shape), 1)
-    else:
-        try:
-            shape = tuple(int(v) for v in shard_shape)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"shard_shape must be a positive int or a "
-                f"(shards_x, shards_y) pair, got {shard_shape!r}"
-            ) from None
-    if len(shape) != 2 or any(v < 1 for v in shape):
+    """``int`` → 1-D ``(n, 1)``; otherwise a validated 2-tuple.
+
+    Like :func:`normalize_fused_tile`, an entry is never rounded: the
+    layout fixes the dot-partial order, so a float, bool or string
+    entry raises :class:`ConfigurationError`."""
+    try:
+        shape = (shard_shape, 1) if _is_int(shard_shape) else tuple(shard_shape)
+    except TypeError:
+        shape = ()
+    if len(shape) != 2 or not all(_is_int(v) and v >= 1 for v in shape):
         raise ConfigurationError(
             f"shard_shape must be a positive int or a (shards_x, shards_y) "
             f"pair of positive integers, got {shard_shape!r}"
         )
-    return shape
+    return (int(shape[0]), int(shape[1]))
 
 
 _TILE_STRING = re.compile(r"^\s*(\d+)\s*[xX,]\s*(\d+)\s*$")
@@ -376,8 +373,9 @@ class MachineSpec:
       cycle/counter model; the default when omitted, resolved by the
       dataflow backend before the spec is fingerprinted),
       ``"vectorized"`` (the same sweeps over one whole-fabric tile —
-      paper-scale fabrics), ``"sharded"`` (the grid split over a worker
-      crew) or ``"event"`` (per-PE discrete-event oracle,
+      paper-scale fabrics), ``"sharded"`` (a fabric decomposed into
+      shards, its tiles swept shard by shard, with the inter-shard
+      traffic reported) or ``"event"`` (per-PE discrete-event oracle,
       cycle-accurate; an explicit opt-in).  Only ``"fused"`` and
       ``"vectorized"`` batch;
     * ``simd_width`` — §III-E.3 DSD vectorization (dataflow only);

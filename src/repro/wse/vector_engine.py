@@ -14,8 +14,6 @@ share:
 
 * **staging** — :func:`_stage_problem` lays one problem out as
   ``(nx, ny, nz)`` field arrays plus the per-PE column classification;
-  :func:`staging_to_arrays` / :func:`staging_from_arrays` ship it to
-  shard workers as plain arrays;
 * **memory** — the event engine's per-PE allocation sequence is
   rehearsed against a real :class:`~repro.wse.memory.MemoryArena`, so
   oversized columns raise :class:`~repro.util.errors.PeOutOfMemory`
@@ -124,9 +122,10 @@ def normalize_guesses(initial_pressure, count: int, shape: tuple) -> list:
 class _Staging:
     """Staged ``(nx, ny, nz)`` field arrays + per-PE column classification.
 
-    Built per problem by :func:`_stage_problem`, or per shard by
-    :func:`staging_from_arrays`; the kernel only touches attributes, so
-    a whole grid and one shard of it run the same code."""
+    Built per problem by :func:`_stage_problem`, over the whole grid:
+    every layout's kernel reads its tiles as windows of these arrays,
+    so ``has_partial`` is the whole grid's flag, and a tile without
+    partial columns still runs the (no-op) blend."""
 
     __slots__ = (
         "y", "b", "z", "inv_diag", "acc",
@@ -248,78 +247,6 @@ def _stage_problem(
         for kind, count in kind_counts.items()
         if count > 0
     }
-    return st
-
-
-def staging_to_arrays(st: _Staging, program: CgProgram) -> dict[str, np.ndarray]:
-    """Flatten a staged problem into named field arrays.
-
-    The sharded engine hands a solve to its workers as this dict, and
-    each worker rebuilds its shard's staging from the slices it owns.
-    Only construction-time fields are included — the work arrays
-    (``z``, and the kernel's ``r``, ``p``, ``jx``) are per-shard local
-    state.
-    """
-    arrays: dict[str, np.ndarray] = {"y": st.y, "b": st.b}
-    if st.inv_diag is not None:
-        arrays["inv_diag"] = st.inv_diag
-    if st.acc is not None:
-        arrays["acc"] = st.acc
-    if program.variant is KernelVariant.PRECOMPUTED:
-        for port in COEFF_BUFFER:
-            arrays[f"coeff_{port.name}"] = st.coeff[port]
-        arrays["coeff_down"] = st.coeff_down
-        arrays["coeff_up"] = st.coeff_up
-    else:
-        for port in UPSILON_BUFFER:
-            arrays[f"ups_{port.name}"] = st.ups[port]
-        arrays["ups_down"] = st.ups_down
-        arrays["ups_up"] = st.ups_up
-        arrays["lam"] = st.lam
-        for port in MOBILITY_BUFFER:
-            arrays[f"lam_nbr_{port.name}"] = st.lam_nbr[port]
-    arrays["full_cols"] = st.full_cols
-    arrays["blend_mask"] = st.blend_mask
-    return arrays
-
-
-def staging_from_arrays(
-    arrays: dict[str, np.ndarray],
-    program: CgProgram,
-    owned: tuple[slice, slice],
-    *,
-    has_partial: bool,
-) -> _Staging:
-    """One shard's staging: :func:`staging_to_arrays` inverted over the
-    lateral window ``owned``, as contiguous arrays plus a fresh ``z``
-    (``y`` is only read: the kernel copies it into its own block).
-    ``has_partial`` stays the *global* flag — a shard without partial
-    columns still runs the (no-op) blend, so its op sequence, and every
-    ±0.0, matches a whole-grid sweep."""
-
-    def local(name: str) -> np.ndarray:
-        return np.ascontiguousarray(arrays[name][owned])
-
-    st = _Staging()
-    st.y, st.b = local("y"), local("b")
-    st.z = np.zeros_like(st.y) if program.uses_z else None
-    st.inv_diag = local("inv_diag") if "inv_diag" in arrays else None
-    st.acc = local("acc") if "acc" in arrays else None
-    st.coeff = st.coeff_down = st.coeff_up = None
-    st.ups = st.ups_down = st.ups_up = st.lam = st.lam_nbr = None
-    if program.variant is KernelVariant.PRECOMPUTED:
-        st.coeff = {port: local(f"coeff_{port.name}") for port in COEFF_BUFFER}
-        st.coeff_down, st.coeff_up = local("coeff_down"), local("coeff_up")
-    else:
-        st.ups = {port: local(f"ups_{port.name}") for port in UPSILON_BUFFER}
-        st.ups_down, st.ups_up = local("ups_down"), local("ups_up")
-        st.lam = local("lam")
-        st.lam_nbr = {
-            port: local(f"lam_nbr_{port.name}") for port in MOBILITY_BUFFER
-        }
-    st.full_cols, st.blend_mask = local("full_cols"), local("blend_mask")
-    st.has_partial = has_partial
-    st.kind_counts = st.kernel_plans = st.mg_hier = None
     return st
 
 
@@ -687,6 +614,4 @@ __all__ = [
     "build_init_packet",
     "build_iteration_packets",
     "normalize_guesses",
-    "staging_from_arrays",
-    "staging_to_arrays",
 ]

@@ -27,7 +27,7 @@ LAYOUTS = [
     ("fused", {}),
     ("fused", {"fused_tile": (2, 3)}),
     ("sharded", {"shard_shape": (2, 2)}),
-    ("sharded", {"shard_shape": (2, 1), "shard_workers": "thread"}),
+    ("sharded", {"shard_shape": (2, 1)}),
 ]
 
 

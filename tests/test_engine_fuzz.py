@@ -127,7 +127,6 @@ def _draw_case(case: int):
         int(rng.integers(1, problem.grid.nx + 1)),
         int(rng.integers(1, problem.grid.ny + 1)),
     )
-    shard_workers = "thread" if case % 5 == 0 else "serial"
     # Fused-tile draws ride after the shard draws (same append-at-the-end
     # contract).  Tiles range over the full [1, n] axis, so narrow
     # generic tiles, full-width slabs (the fast path) and whole-grid
@@ -149,17 +148,15 @@ def _draw_case(case: int):
             int(rng.integers(2, 4)) if rng.random() < 0.5 else None
         )
         kwargs["mg_smoother_iters"] = int(rng.integers(1, 3))
-    return seed, problem, sibling, kwargs, shard_shape, shard_workers, fused_tile
+    return seed, problem, sibling, kwargs, shard_shape, fused_tile
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_fuzz_engine_parity(case):
-    (
-        seed, problem, sibling, kwargs, shard_shape, shard_workers, fused_tile,
-    ) = _draw_case(case)
+    seed, problem, sibling, kwargs, shard_shape, fused_tile = _draw_case(case)
     ctx = (
         f"[fuzz case {case}: seed={seed}, grid={problem.grid.shape}, "
-        f"shards={shard_shape}/{shard_workers}, tile={fused_tile}, "
+        f"shards={shard_shape}, tile={fused_tile}, "
         f"knobs={ {k: v for k, v in kwargs.items() if k != 'spec'} }]"
     )
     event = WseMatrixFreeSolver(problem, engine="event", **kwargs).solve()
@@ -215,8 +212,7 @@ def test_fuzz_engine_parity(case):
     # fixed iteration count the charge sequence is identical, so every
     # counter is pinned exactly.
     sharded = WseMatrixFreeSolver(
-        problem, engine="sharded", shard_shape=shard_shape,
-        shard_workers=shard_workers, **kwargs,
+        problem, engine="sharded", shard_shape=shard_shape, **kwargs,
     ).solve()
     assert sharded.engine == "sharded", ctx
     assert sharded.memory == vector.memory, ctx
@@ -259,9 +255,7 @@ def test_fuzz_fused_engine_parity(case):
     lane and run-to-run determinism).  The only fp divergence is the
     tile-ordered dot reduction — the sharded engine's contract — so
     fixed-iteration runs pin every counter exactly."""
-    (
-        seed, problem, sibling, kwargs, _shard_shape, _workers, fused_tile,
-    ) = _draw_case(case)
+    seed, problem, sibling, kwargs, _shard_shape, fused_tile = _draw_case(case)
     ctx = (
         f"[fused fuzz case {case}: seed={seed}, grid={problem.grid.shape}, "
         f"tile={fused_tile}, "
@@ -380,7 +374,6 @@ def _draw_transient_case(case: int):
         int(rng.integers(1, problem.grid.nx + 1)),
         int(rng.integers(1, problem.grid.ny + 1)),
     )
-    shard_workers = "thread" if case % 4 == 0 else "serial"
     # Appended after the shard draws: the fused leg's cache tile.
     fused_tile = (
         int(rng.integers(1, problem.grid.nx + 1)),
@@ -388,9 +381,7 @@ def _draw_transient_case(case: int):
     )
     if case % 3 == 0:
         fused_tile = None
-    return (
-        seed, problem, sibling, kwargs, shard_shape, shard_workers, fused_tile
-    )
+    return seed, problem, sibling, kwargs, shard_shape, fused_tile
 
 
 @pytest.mark.parametrize("case", range(N_TRANSIENT_CASES))
@@ -400,13 +391,13 @@ def test_fuzz_transient_engine_parity(case):
     sequences exactly, at every backward-Euler step."""
     from repro.core.solver import simulate_reports, simulate_reports_batch
 
-    (
-        seed, problem, sibling, kwargs, shard_shape, shard_workers, fused_tile,
-    ) = _draw_transient_case(case)
+    seed, problem, sibling, kwargs, shard_shape, fused_tile = (
+        _draw_transient_case(case)
+    )
     ctx = (
         f"[transient fuzz case {case}: seed={seed}, "
         f"grid={problem.grid.shape}, "
-        f"shards={shard_shape}/{shard_workers}, tile={fused_tile}, "
+        f"shards={shard_shape}, tile={fused_tile}, "
         f"knobs={ {k: v for k, v in kwargs.items() if k != 'spec'} }]"
     )
     event = list(simulate_reports(problem, engine="event", **kwargs))
@@ -462,8 +453,7 @@ def test_fuzz_transient_engine_parity(case):
     # so per-step states agree to fp round-off and iteration counts stay
     # within the tolerance-crossing jitter; memory rehearsal is exact.
     sharded = list(simulate_reports(
-        problem, engine="sharded", shard_shape=shard_shape,
-        shard_workers=shard_workers, **kwargs,
+        problem, engine="sharded", shard_shape=shard_shape, **kwargs,
     ))
     assert len(sharded) == len(vector), ctx
     for step, (vec, sh) in enumerate(zip(vector, sharded), start=1):
@@ -535,15 +525,15 @@ def test_transient_iterations_drop_monotonically_with_dt():
 def test_fuzz_is_deterministic():
     """The reproduction contract: redrawing a case yields the same
     problem and knobs (so the seed in a failure message is sufficient)."""
-    seed_a, problem_a, _, kwargs_a, shard_a, workers_a, tile_a = _draw_case(7)
-    seed_b, problem_b, _, kwargs_b, shard_b, workers_b, tile_b = _draw_case(7)
+    seed_a, problem_a, _, kwargs_a, shard_a, tile_a = _draw_case(7)
+    seed_b, problem_b, _, kwargs_b, shard_b, tile_b = _draw_case(7)
     assert seed_a == seed_b
     np.testing.assert_array_equal(problem_a.permeability, problem_b.permeability)
     np.testing.assert_array_equal(problem_a.dirichlet.mask, problem_b.dirichlet.mask)
     assert {k: v for k, v in kwargs_a.items() if k != "spec"} == {
         k: v for k, v in kwargs_b.items() if k != "spec"
     }
-    assert (shard_a, workers_a, tile_a) == (shard_b, workers_b, tile_b)
+    assert (shard_a, tile_a) == (shard_b, tile_b)
 
 
 def test_fuzz_spans_the_knob_space():
@@ -579,8 +569,7 @@ def test_fuzz_spans_the_knob_space():
         (sx > 1 and g.nx % sx) or (sy > 1 and g.ny % sy)
         for (sx, sy), g in zip(shards, grids)
     )
-    assert {c[5] for c in cases} == {"serial", "thread"}
-    tiles = [c[6] for c in cases]
+    tiles = [c[5] for c in cases]
     assert any(t is None for t in tiles)  # the auto-picked tile
     assert any(  # full-width slabs: the contiguous fast path
         t is not None and t[1] == g.ny for t, g in zip(tiles, grids)

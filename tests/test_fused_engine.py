@@ -165,8 +165,10 @@ def _staged_apply(problem, program, boxes_tile, accumulation=None):
         accumulation=accumulation,
         precondition=program.preconditioner_for(problem, accumulation),
     )
+    nx, ny, _ = problem.grid.shape
     backend = FusedNumpyBackend(
-        st, program, tile=boxes_tile, dtype=np.dtype(np.float32)
+        st, program, boxes=tile_boxes(nx, ny, boxes_tile),
+        dtype=np.dtype(np.float32),
     )
     backend.init_pass()
     return backend.jx.copy()
@@ -264,8 +266,8 @@ def test_fused_report_and_backend_telemetry():
 
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_sharded_workers_run_the_fused_kernel_bitwise(variant):
-    """``fused_tile`` on the sharded layout tiles every worker's kernel
-    and reduces its dot partials per tile, as the fused layout does.
+    """``fused_tile`` on the sharded layout tiles every shard and
+    reduces its dot partials per tile, as the fused layout does.
     The sweeps are a pure loop reorder, so against the untiled sharded
     solve the charges and link accounting are exact and the iterates
     agree to round-off (only the partial-sum order differs); a ``1x1``

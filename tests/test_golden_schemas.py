@@ -46,6 +46,10 @@ def _canonical_report(engine: str):
         return WseMatrixFreeSolver(
             problem, engine="fused", fused_tile=2, **SOLVE
         ).solve()
+    if engine == "sharded":
+        return WseMatrixFreeSolver(
+            problem, engine="sharded", shard_shape=(2, 2), **SOLVE
+        ).solve()
     return WseMatrixFreeSolver(problem, engine=engine, **SOLVE).solve()
 
 
@@ -64,6 +68,8 @@ def _report_payload(report) -> dict:
     }
     if report.fused is not None:
         payload["fused"] = dict(report.fused)
+    if report.shard is not None:
+        payload["shard"] = dict(report.shard)
     return payload
 
 
@@ -85,7 +91,9 @@ def _check_against_golden(name: str, payload: dict):
     )
 
 
-@pytest.mark.parametrize("engine", ["event", "vectorized", "batched", "fused"])
+@pytest.mark.parametrize(
+    "engine", ["event", "vectorized", "batched", "fused", "sharded"]
+)
 def test_engine_report_schema_pinned(engine):
     report = _canonical_report(engine)
     _check_against_golden(f"engine_report_{engine}", _report_payload(report))
@@ -165,7 +173,7 @@ def test_goldens_are_committed_and_loadable():
     expected = [
         "engine_report_event", "engine_report_vectorized",
         "engine_report_batched", "engine_report_fused",
-        "backend_telemetry_wse", "simulation_result",
+        "engine_report_sharded", "backend_telemetry_wse", "simulation_result",
     ]
     if BLESS:
         pytest.skip("blessing run")

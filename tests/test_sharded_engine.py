@@ -1,14 +1,12 @@
-"""The sharded engine subsystem: layout geometry, crew parity, link
-accounting, multi-wafer projection, and the spec/backend plumbing.
+"""The sharded layout: layout geometry, its bits, link accounting,
+multi-wafer projection, and the spec/backend plumbing.
 
 The parity *sweep* (event vs. vectorized vs. batched vs. sharded over
 random shapes and layouts) lives in ``tests/test_engine_fuzz.py``; this
-file pins the pieces: exact layout arithmetic, bitwise crew equivalence
-(serial == thread for a fixed layout), hand-checked link
-counters, orphan-free worker pools, and the ``MachineSpec`` round trip.
+file pins the pieces: exact layout arithmetic, shard-major tiles that
+are bitwise the fused layout's, hand-checked link counters, and the
+``MachineSpec`` round trip.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,11 +17,12 @@ from repro.core.engines import SHARD_CAPABLE_ENGINES, create_engine
 from repro.core.solver import WseMatrixFreeSolver
 from repro.shard import (
     InterShardLinkModel,
+    MultiWaferLink,
     ShardLayout,
-    default_crew,
     normalize_shard_shape,
     project_multiwafer,
 )
+from repro.shard.links import REDUCE_SCALAR_BYTES
 from repro.spec import FABRIC_ENGINES, MachineSpec, SolveSpec
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
@@ -83,53 +82,48 @@ class TestShardLayout:
             ShardLayout.build((5, 1), 4, 4)
 
     def test_bad_shapes_rejected(self):
-        for bad in ((0, 2), (2, 0), (1, 2, 3), "nope", -1):
+        # An entry is never rounded or coerced: the layout fixes the
+        # dot-partial order, and so the bits of the answer.
+        for bad in (
+            (0, 2), (2, 0), (1, 2, 3), "nope", -1, (2.5, 3), (True, 2),
+            ("2", 1), 2.0, None,
+        ):
             with pytest.raises(ConfigurationError):
                 normalize_shard_shape(bad)
+        assert normalize_shard_shape((np.int64(2), 3)) == (2, 3)
+
+    def test_from_dict_rejects_non_integer_entries(self):
+        """The gateway's JSON path: a float entry raises instead of
+        truncating to ``(2, 1)``."""
+        with pytest.raises(ConfigurationError, match="shard_shape"):
+            SolveSpec.from_dict(
+                {"machine": {"engine": "sharded", "shard_shape": [2.7, 1]}}
+            )
+        spec = SolveSpec.from_dict(
+            {"machine": {"engine": "sharded", "shard_shape": [2, 1]}}
+        )
+        assert spec.machine.shard_shape == (2, 1)
+
+    def test_tile_boxes_are_shard_major(self):
+        """Each shard's own tiles, offset to its origin, shard by shard."""
+        layout = ShardLayout.build((2, 2), 5, 4)  # x (3, 2), y (2, 2)
+        assert layout.tile_boxes() == [
+            (0, 3, 0, 2), (0, 3, 2, 4), (3, 5, 0, 2), (3, 5, 2, 4),
+        ]
+        assert layout.tile_boxes((2, 5)) == [
+            (0, 2, 0, 2), (2, 3, 0, 2), (0, 2, 2, 4), (2, 3, 2, 4),
+            (3, 5, 0, 2), (3, 5, 2, 4),
+        ]
 
 
-# -- crew parity --------------------------------------------------------------
+# -- layout parity ------------------------------------------------------------
 
 
 class TestCrewParity:
-    def test_serial_thread_bitwise_equal(self):
-        """A fixed layout must produce bit-identical solves on every
-        worker pool: rounds are barriers and reductions fold in shard
-        order, so parallelism cannot reorder any float."""
-        problem = make_problem(6, 5, 3, seed=9)
-        base, rep = (
-            _solver(
-                problem, engine="sharded", shard_shape=(3, 2),
-                shard_workers=workers,
-            ).solve()
-            for workers in ("serial", "thread")
-        )
-        np.testing.assert_array_equal(rep.pressure, base.pressure)
-        assert rep.iterations == base.iterations
-        assert rep.residual_history == base.residual_history
-        assert rep.counters.to_dict() == base.counters.to_dict()
-        assert rep.shard["links"] == base.shard["links"]
-
-    def test_no_orphaned_workers(self):
-        """Thread crews must leave nothing behind — CI smokes this too
-        (``benchmarks/shard_smoke.py``)."""
-        problem = make_problem(4, 4, 2, seed=1)
-        _solver(
-            problem, engine="sharded", shard_shape=(2, 2),
-            shard_workers="thread",
-        ).solve()
-        assert not [
-            t.name for t in threading.enumerate()
-            if t.name.startswith("shard-worker-")
-        ]
-
     def test_single_shard_matches_vectorized_bitwise(self):
         problem = make_problem(5, 4, 2, seed=3)
         vec = _solver(problem, engine="vectorized").solve()
-        sh = _solver(
-            problem, engine="sharded", shard_shape=(1, 1),
-            shard_workers="serial",
-        ).solve()
+        sh = _solver(problem, engine="sharded", shard_shape=(1, 1)).solve()
         np.testing.assert_array_equal(sh.pressure, vec.pressure)
         assert sh.iterations == vec.iterations
         assert sh.residual_history == vec.residual_history
@@ -138,11 +132,48 @@ class TestCrewParity:
         assert sh.state_visits == vec.state_visits
         assert sh.memory == vec.memory
 
-    def test_unknown_worker_mode_rejected(self):
-        problem = make_problem(4, 4, 2)
-        for mode in ("gpu", "process"):
-            with pytest.raises(ConfigurationError, match="of serial, thread$"):
-                _solver(problem, engine="sharded", shard_workers=mode)
+
+#: Layouts that divide their grid: each shard is one tile of the fused
+#: layout's row-major tiling, and shard order is that tiling's order.
+DIVIDING_LAYOUTS = [
+    ((8, 6, 3), (2, 3)), ((8, 6, 3), (4, 1)), ((8, 6, 3), (1, 2)),
+    ((12, 10, 2), (3, 5)), ((12, 10, 2), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preconditioner", ["none", "jacobi", "mg"])
+@pytest.mark.parametrize(
+    "grid, shards", DIVIDING_LAYOUTS,
+    ids=[f"{g[0]}x{g[1]}x{g[2]}-{s[0]}x{s[1]}" for g, s in DIVIDING_LAYOUTS],
+)
+def test_dividing_layout_is_bitwise_the_fused_tiling(
+    grid, shards, preconditioner, dtype
+):
+    """A layout that divides the grid, without ``fused_tile``, is the
+    fused layout with tile ``(nx/sx, ny/sy)``, bit for bit."""
+    nx, ny, nz = grid
+    problem = make_problem(nx, ny, nz, seed=4)
+    kw = dict(
+        spec=WSE2.with_fabric(16, 16), dtype=dtype,
+        preconditioner=preconditioner, max_iters=3000,
+        rel_tol=1e-8 if dtype == np.float64 else 1e-5,
+    )
+    sh = WseMatrixFreeSolver(
+        problem, engine="sharded", shard_shape=shards, **kw
+    ).solve()
+    fu = WseMatrixFreeSolver(
+        problem, engine="fused",
+        fused_tile=(nx // shards[0], ny // shards[1]), **kw,
+    ).solve()
+    assert sh.pressure.dtype == fu.pressure.dtype
+    np.testing.assert_array_equal(sh.pressure, fu.pressure)
+    assert sh.iterations == fu.iterations
+    assert sh.residual_history == fu.residual_history
+    assert sh.counters.to_dict() == fu.counters.to_dict()
+    assert sh.trace.to_dict() == fu.trace.to_dict()
+    assert sh.memory == fu.memory
+    assert sh.state_visits == fu.state_visits
 
 
 # -- link accounting ----------------------------------------------------------
@@ -177,7 +208,7 @@ class TestLinkAccounting:
         problem = make_problem(6, 4, 2, seed=5)
         rep = _solver(
             problem, engine="sharded", shard_shape=(2, 1),
-            shard_workers="serial", rel_tol=None, fixed_iterations=4,
+            rel_tol=None, fixed_iterations=4,
         ).solve()
         links = rep.shard["links"]
         # One exchange at init plus one per iteration; the init round
@@ -203,6 +234,17 @@ class TestLinkAccounting:
             assert r["total_s"] == pytest.approx(
                 (r["compute_s_per_iter"] + r["link_s_per_iter"]) * 10
             )
+
+    def test_multiwafer_link_time_hand_checked(self):
+        """w=2 at the defaults: one seam's bidirectional halo
+        (2 x 994 x 922 x 4 B) plus the link model's 4(w-1) = 4 reduce
+        messages of one 8 B scalar each, serialized over the cable."""
+        (row,) = project_multiwafer((2,))
+        link = MultiWaferLink()
+        seam = link.transfer_time(2 * 994 * 922 * 4)
+        reduce = 4 * link.transfer_time(REDUCE_SCALAR_BYTES)
+        assert row["link_s_per_iter"] == pytest.approx(seam + reduce, rel=1e-12)
+        assert row["link_s_per_iter"] == pytest.approx(78.31776e-6, rel=1e-6)
 
     def test_multiwafer_rejects_bad_count(self):
         with pytest.raises(ConfigurationError, match=">= 1"):
@@ -259,11 +301,6 @@ class TestSpecPlumbing:
             ),
         )
         shard = result.telemetry["shard"]
-        # The engine default adapts to the host: threads only when the
-        # shards can actually sweep concurrently.
-        assert shard["workers"] == default_crew(
-            ShardLayout.build((2, 2), 6, 5)
-        )
         assert shard["layout"]["shards_x"] == 2
         assert shard["layout"]["shards_y"] == 2
         assert sum(shard["layout"]["columns_per_shard"]) == 6 * 5
@@ -299,23 +336,6 @@ class TestSpecPlumbing:
         spec = SolveSpec.from_kwargs(spec=SPEC, engine="sharded", batch_size=2)
         with pytest.raises(ConfigurationError, match="batch-capable"):
             repro.solve(problem, backend="wse", spec=spec)
-
-    def test_shard_rounds_description(self):
-        """The program's round description matches what the engine
-        dispatches: publish is its own barrier-separated round (a round
-        never both reads and writes the mailboxes)."""
-        program = _solver(make_problem(4, 4, 2), engine="vectorized").program
-        rounds = program.shard_rounds()
-        names = [r.name for r in rounds]
-        assert names == [
-            "stage", "init", "publish", "body", "update", "direction",
-            "gather",
-        ]
-        by_name = {r.name: r for r in rounds}
-        assert by_name["init"].reduces and not by_name["init"].publishes
-        assert by_name["publish"].publishes and not by_name["publish"].reduces
-        assert by_name["body"].reduces and by_name["update"].reduces
-        assert by_name["direction"].publishes and not by_name["direction"].reduces
 
 
 # -- transient ----------------------------------------------------------------
