@@ -21,7 +21,9 @@ Composes the `repro.wse` simulator into the system of §III:
 * `event_engine`— the event-driven engine composition;
 * `solver`      — :class:`WseMatrixFreeSolver` and the batched/transient
                   entry points, all forwarding to one builder;
-* `host`        — memcpy-style host staging (outside kernel timing, §IV/V).
+* `host`        — memcpy-style host staging (outside kernel timing, §IV/V):
+                  the one staging every engine reads, the PE column
+                  inventory and the memory rehearsal.
 """
 
 from repro.core.mapping import ProblemMapping, PORT_FOR_DIRECTION

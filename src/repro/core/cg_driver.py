@@ -20,8 +20,11 @@ iteration: the iteration-invariant packets
 :func:`~repro.wse.vector_engine.build_iteration_packets`) are merged
 once per lane at the end, scaled by how often the lane's terminal path
 ran each segment — so counters, traffic, makespan and state visits are
-exactly what the event oracle records.  Every run builds its own charge
-models and histories, so every report owns its data.
+exactly what the event oracle records.  A lane's staging
+(:class:`~repro.core.host._Staging`) is the one the oracle loads its
+PEs from, so both read one copy of each system's data.  Every run
+builds its own charge models and histories, so every report owns its
+data.
 
 Lanes are independent problems, so they run one after another; the
 per-tile dot partials a kernel returns are summed sequentially in a
@@ -35,6 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.host import _Staging
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
 from repro.fused.kernels import FusedNumpyBackend
@@ -43,7 +47,6 @@ from repro.util.errors import ConfigurationError
 from repro.wse.specs import WseSpecs
 from repro.wse.vector_engine import (
     _ChargeModel,
-    _Staging,
     build_init_packet,
     build_iteration_packets,
 )

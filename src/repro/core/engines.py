@@ -35,7 +35,6 @@ array machinery and vice versa.
 
 from __future__ import annotations
 
-import difflib
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.core.program import CgProgram, EngineReport
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.preconditioning import Preconditioner
 from repro.spec import FABRIC_ENGINES, TILE_ENGINES
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, unknown_name_error
 from repro.wse.specs import WseSpecs
 
 #: Engine names MachineSpec.engine accepts (None defers to the default).
@@ -72,15 +71,6 @@ TILE_CAPABLE_ENGINES = TILE_ENGINES
 BATCH_CAPABLE_ENGINES = ("vectorized", "fused")
 
 
-def _unknown_engine_error(name: str) -> ConfigurationError:
-    close = difflib.get_close_matches(str(name), ENGINE_NAMES, n=1, cutoff=0.5)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return ConfigurationError(
-        f"unknown fabric engine {name!r}{hint} "
-        f"(valid engines: {', '.join(ENGINE_NAMES)})"
-    )
-
-
 class FabricEngine(Protocol):
     """What the solver needs from an engine (structural typing)."""
 
@@ -92,7 +82,7 @@ class FabricEngine(Protocol):
 
 def _check_layout(name: str, shard_shape, fused_tile) -> None:
     if name not in ENGINE_NAMES:
-        raise _unknown_engine_error(name)
+        raise unknown_name_error("fabric engine", name, ENGINE_NAMES, "engines")
     if name not in SHARD_CAPABLE_ENGINES and shard_shape is not None:
         raise ConfigurationError(
             f"fabric engine {name!r} is single-shard; shard_shape "
@@ -172,7 +162,7 @@ def create_batched_engine(
     ``accumulation``/``rhs`` accept one shared field or one per lane.
     The returned driver's ``run_lanes()`` yields one report per problem,
     exactly what a serial solve of that problem alone would produce."""
-    from repro.wse.vector_engine import normalize_guesses
+    from repro.core.host import normalize_guesses
 
     _check_layout(name, shard_shape, fused_tile)
     if name not in BATCH_CAPABLE_ENGINES:
@@ -235,12 +225,14 @@ def _layout(
 ):
     """Stage every problem into a lane of the kernel over the tile boxes
     ``name`` lays out, and hand the lanes to one
-    :class:`~repro.core.cg_driver.CgDriver`."""
+    :class:`~repro.core.cg_driver.CgDriver`.  A lane's staging and
+    memory report come from :mod:`repro.core.host`, the staging and PE
+    column inventory the event oracle loads its PEs from."""
     from repro.core.cg_driver import CgDriver, Lane
+    from repro.core.host import _memory_report, _stage_problem
     from repro.core.mapping import ProblemMapping
     from repro.fused.kernels import FusedNumpyBackend
     from repro.fused.tiling import normalize_fused_tile, resolve_tile, tile_boxes
-    from repro.wse.vector_engine import _memory_report, _stage_problem
 
     dtype = np.dtype(dtype)
     nx, ny, nz = problems[0].grid.shape

@@ -6,7 +6,10 @@ the original one-engine solver did, and plays the
 :class:`~repro.core.program.CgProgram` as discrete wavelet events.  Every
 message, switch advance and DSD instruction is simulated individually,
 so traces and counters are byte-stable against the pre-engine code — the
-reference the vectorized engine is verified against.
+reference the vectorized engine is verified against.  Its PEs are
+loaded from the same staging and PE column inventory as the array
+layouts (:mod:`repro.core.host`), so both read one copy of each
+system's data and report the same per-PE memory by construction.
 """
 
 from __future__ import annotations
@@ -17,11 +20,17 @@ from repro.core.allreduce import AllReduce, AllReduceColors
 from repro.core.cg_dataflow import DataflowCG
 from repro.core.exchange import ExchangeColors, HaloExchange
 from repro.core.fv_kernel import FvColumnKernel
-from repro.core.host import fabric_memory_report, gather_field, stage_problem
+from repro.core.host import (
+    _stage_problem,
+    fabric_memory_report,
+    gather_field,
+    stage_problem,
+)
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.preconditioning import Preconditioner
+from repro.util.errors import ConfigurationError
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
 from repro.wse.specs import WseSpecs
@@ -30,13 +39,16 @@ from repro.wse.specs import WseSpecs
 class EventEngine:
     """Discrete-event execution of the dataflow CG program.
 
-    Construction stages the problem onto a freshly built fabric (the
-    memory arena enforces the 48 KiB budget here, like an oversized CSL
-    program failing to load); :meth:`run` plays the program to
-    completion and gathers the results.  ``fabric``, ``exchange``,
-    ``allreduce`` and ``kernel`` are the current staging's machinery.
-    ``precondition`` is the system's built ``M`` (default: the
-    program's, built here); every staging reuses it.
+    Construction stages the problem once (``staging``, the
+    :func:`~repro.core.host._stage_problem` every array layout builds
+    too) and loads it onto a freshly built fabric: each PE allocates its
+    :func:`~repro.core.host.pe_columns` and copies in its column of the
+    staged arrays (the memory arena enforces the 48 KiB budget here,
+    like an oversized CSL program failing to load).  :meth:`run` plays
+    the program to completion and gathers the results.  ``fabric``,
+    ``exchange``, ``allreduce`` and ``kernel`` are the current fabric's
+    machinery.  ``precondition`` is the system's built ``M`` (default:
+    the program's, built at staging).
     """
 
     name = "event"
@@ -54,32 +66,23 @@ class EventEngine:
         rhs: np.ndarray | None = None,
         precondition: Preconditioner | None = None,
     ):
-        from repro.util.errors import ConfigurationError
-
         if program.batch != 1:
             raise ConfigurationError(
                 f"the event-driven engine plays one problem at a time; got "
                 f"batch={program.batch} (batched execution needs the "
                 f"vectorized engine)"
             )
-        if program.accumulation != (accumulation is not None):
-            raise ConfigurationError(
-                "program.accumulation and the staged accumulation array "
-                "must be supplied together"
-            )
         self.problem = problem
         self.program = program
         self.spec = spec
+        self.simd_width = simd_width
         self.mapping = ProblemMapping(problem.grid, spec)
-        if precondition is None:
-            precondition = program.preconditioner_for(problem, accumulation, dtype)
-        self._staging = dict(
-            dtype=np.dtype(dtype), simd_width=simd_width,
-            initial_pressure=initial_pressure, accumulation=accumulation,
-            rhs=rhs, precondition=precondition,
+        self.staging = _stage_problem(
+            problem, program, np.dtype(dtype), initial_pressure,
+            accumulation=accumulation, rhs=rhs, precondition=precondition,
         )
-        self._stage()
-        self.mg_hierarchy = precondition.hierarchy
+        self._load()
+        self.mg_hierarchy = self.staging.mg_hier
         self._mg_packet = None
         if program.mg:
             from repro.mg import build_mg_packet
@@ -96,51 +99,37 @@ class EventEngine:
             )
             self._mg_packet = build_mg_packet(machine, self.mg_hierarchy)
 
-    def _stage(self) -> None:
-        """Build a fresh fabric and stage the problem onto it."""
+    def _load(self) -> None:
+        """Build a fresh fabric and load the staging onto it."""
         from repro.perf.memmodel import SCALAR_RESERVE_BYTES
 
-        problem, program, kw = self.problem, self.program, self._staging
+        grid = self.problem.grid
+        # CG scalars, state-machine bookkeeping and stack live outside
+        # the column buffers; reserve them so the capacity model's
+        # max_depth is exactly the staging boundary (tested).
         self.fabric = Fabric(
-            self.spec,
-            width=problem.grid.nx,
-            height=problem.grid.ny,
-            dtype=kw["dtype"],
-            simd_width=kw["simd_width"],
-            # CG scalars, state-machine bookkeeping and stack live outside
-            # the column buffers; reserve them so the capacity model's
-            # max_depth is exactly the staging boundary (tested).
-            reserved_pe_bytes=SCALAR_RESERVE_BYTES,
+            self.spec, width=grid.nx, height=grid.ny, dtype=self.staging.y.dtype,
+            simd_width=self.simd_width, reserved_pe_bytes=SCALAR_RESERVE_BYTES,
         )
         colors = ColorAllocator(31)
         self.exchange = HaloExchange(
-            self.fabric, ExchangeColors.allocate(colors), problem.grid.nz
+            self.fabric, ExchangeColors.allocate(colors), grid.nz
         )
         self.allreduce = AllReduce(self.fabric, AllReduceColors.allocate(colors))
         self.kernel = FvColumnKernel()
-        self.kernel_configs = stage_problem(
-            self.fabric,
-            problem,
-            self.mapping,
-            variant=program.variant,
-            reuse_buffers=program.reuse_buffers,
-            initial_pressure=kw["initial_pressure"],
-            precondition=kw["precondition"],
-            accumulation=kw["accumulation"],
-            rhs=kw["rhs"],
-        )
-        if program.comm_only:
+        self.kernel_configs = stage_problem(self.fabric, self.staging, self.program)
+        if self.program.comm_only:
             for pe in self.fabric.iter_pes():
                 pe.suppress_fp = True
-        self._staged = True
+        self._loaded = True
 
     def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
         """Run the distributed CG to completion.  The fabric is spent by
-        a run, so a repeated run re-stages the problem first and reports
-        exactly what the first one did."""
-        if not self._staged:
-            self._stage()
-        self._staged = False
+        a run, so a repeated run loads the staging onto a fresh fabric
+        first and reports exactly what the first one did."""
+        if not self._loaded:
+            self._load()
+        self._loaded = False
         cg = DataflowCG(
             self.fabric,
             self.exchange,

@@ -17,7 +17,7 @@ Engines report the solution together with the machine-level telemetry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.core.program import CgProgram, EngineReport
 from repro.fv.operator import apply_jx
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.preconditioning import Preconditioner
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, unknown_name_error
 from repro.wse.specs import WSE2, WseSpecs
 
 
@@ -50,7 +50,9 @@ def resolve_tolerance(
     ``b`` is ``rhs`` (zero when steady) with ``p^D`` on the Dirichlet
     rows, ``A`` the optional transient ``accumulation`` diagonal, and
     ``p0`` the guess staging starts from (``initial_pressure`` with the
-    Dirichlet values applied).  A transient step needs its ``rhs``.
+    Dirichlet values applied) — both from
+    :meth:`~repro.physics.darcy.SinglePhaseProblem.system_vectors`, as
+    staging builds them.  A transient step needs its ``rhs``.
 
     The programs check ε against ``r^T z = r^T M^{-1} r``, so the scale
     is ``r0^T M^{-1} r0`` with the system's built ``precondition``
@@ -61,15 +63,11 @@ def resolve_tolerance(
         return tol
     if accumulation is not None and rhs is None:
         raise ConfigurationError("transient tolerance resolution needs the step rhs")
-    dirichlet = problem.dirichlet
-    if initial_pressure is None:
-        p0 = problem.initial_pressure(dtype=np.float64)
-    else:
-        p0 = np.array(initial_pressure, dtype=np.float64)
-        dirichlet.apply_to(p0)
-    b = np.zeros(p0.shape) if rhs is None else np.array(rhs, dtype=np.float64)
-    b[dirichlet.mask] = dirichlet.values[dirichlet.mask]
-    jx = apply_jx(problem.coefficients, dirichlet, p0)
+    p0, b = problem.system_vectors(
+        np.float64, initial_pressure=initial_pressure, accumulation=accumulation,
+        rhs=rhs,
+    )
+    jx = apply_jx(problem.coefficients, problem.dirichlet, p0)
     if accumulation is not None:
         jx += accumulation.astype(np.float64) * p0
     r0 = b - jx
@@ -120,6 +118,16 @@ class _Knobs:
     shard_shape: Any = None
     fused_tile: Any = None
 
+    @classmethod
+    def parse(cls, options: dict) -> "_Knobs":
+        """The knobs ``options`` name; an unknown name raises
+        :class:`ConfigurationError` naming the closest knob."""
+        valid = [f.name for f in fields(cls)]
+        for key in options:
+            if key not in valid:
+                raise unknown_name_error("fabric knob", key, valid, "knobs")
+        return cls(**options)
+
     def program(self, batch: int, accumulation: bool) -> CgProgram:
         """The one engine-agnostic program these knobs describe."""
         return CgProgram(
@@ -150,10 +158,13 @@ def _build(
     batched: bool,
     preconditions: Sequence[Preconditioner] | None = None,
 ):
-    """Build the one program, then each system's ``M`` (unless
-    ``preconditions`` brings them) and tolerance, and stage the engine
-    with both: ``create_engine`` for one problem,
-    ``create_batched_engine`` (one lane per problem) when ``batched``."""
+    """Check each system's ``accumulation``/``rhs`` shapes, build the
+    one program, then each system's ``M`` (unless ``preconditions``
+    brings them) and tolerance, and stage the engine with both:
+    ``create_engine`` for one problem, ``create_batched_engine`` (one
+    lane per problem) when ``batched``."""
+    for problem, acc, rhs in zip(problems, accs, rhss):
+        problem.check_system_shapes(acc, rhs)
     program = knobs.program(len(problems), any(acc is not None for acc in accs))
     if preconditions is None:
         preconditions = [
@@ -244,7 +255,8 @@ class WseMatrixFreeSolver:
     (``solver.fabric``) need.  ``initial_pressure`` seeds the CG
     (Dirichlet values applied on top); ``accumulation``/``rhs`` stage
     one transient step.  Every other keyword is a fabric knob (see
-    :class:`_Knobs`).  A repeated :meth:`solve` re-stages the problem
+    :class:`_Knobs`; an unknown one is a :class:`ConfigurationError`).
+    A repeated :meth:`solve` starts again from the staging built once
     and returns an equal report.
     """
 
@@ -261,7 +273,7 @@ class WseMatrixFreeSolver:
         self.problem = problem
         self.engine = _build(
             engine, [problem], [initial_pressure], [accumulation], [rhs],
-            _Knobs(**knobs), batched=False,
+            _Knobs.parse(knobs), batched=False,
         )
         self.program = self.engine.program
         self.mapping = self.engine.mapping
@@ -269,7 +281,7 @@ class WseMatrixFreeSolver:
     def __getattr__(self, name: str):
         # Event-engine internals stay reachable for fabric inspection and
         # the protocol-level tests, read through so they follow a
-        # re-staged fabric (the array layouts have no per-PE machinery).
+        # rebuilt fabric (the array layouts have no per-PE machinery).
         if name in ("fabric", "exchange", "allreduce", "kernel"):
             return getattr(self.__dict__.get("engine"), name, None)
         raise AttributeError(name)
@@ -308,7 +320,7 @@ def solve_batch(
     problem, and each is exactly the report a serial solve of that
     problem alone on ``engine`` would produce.
     """
-    from repro.wse.vector_engine import normalize_guesses
+    from repro.core.host import normalize_guesses
 
     problems = list(problems)
     if not problems:
@@ -320,7 +332,7 @@ def solve_batch(
         normalize_guesses(initial_pressure, count, shape),
         normalize_guesses(accumulation, count, shape),
         normalize_guesses(rhs, count, shape),
-        _Knobs(**knobs),
+        _Knobs.parse(knobs),
         batched=True,
         batch_size=batch_size,
     )
@@ -351,7 +363,7 @@ def _simulate(
     lane builds its ``M`` once per Δt."""
     from repro.physics.transient import TransientStepper
 
-    knobs = _Knobs(**knobs)
+    knobs = _Knobs.parse(knobs)
     steppers = [
         TransientStepper(
             problem,

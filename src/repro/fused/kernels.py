@@ -81,15 +81,16 @@ def _face_coefficients(st, variant: KernelVariant, tile, dtype: np.dtype):
 class TiledApply:
     """The matrix-free FV operator, one lateral tile at a time.
 
-    Construction takes a staging (:class:`~repro.wse.vector_engine._Staging`;
-    only its coefficient arrays and Dirichlet masks are read), the
-    zero-padded stencil input ``x_ext`` of shape ``(NX+2, NY+2, nz)``,
-    the output array, and the tile boxes.  It builds every tile's
-    coefficient stack, window views and Dirichlet indices once, so
-    :meth:`apply` only does arithmetic and copies.  A tile's padded
-    window reads its neighbours' boundary planes straight from
-    ``x_ext`` (the pad ring at fabric edges, kept zero by
-    :class:`FusedNumpyBackend` to reproduce ``_shifted``); the window's
+    Construction takes a staging (:class:`~repro.core.host._Staging`,
+    the one every engine reads; only its coefficient arrays and
+    Dirichlet masks are read), the zero-padded stencil input ``x_ext``
+    of shape ``(NX+2, NY+2, nz)``, the output array, and the tile
+    boxes.  It builds every tile's coefficient stack, window views and
+    Dirichlet indices once, so :meth:`apply` only does arithmetic and
+    copies.  A tile's padded window reads its neighbours' boundary
+    planes straight from ``x_ext`` (the pad ring at fabric edges, kept
+    zero by :class:`FusedNumpyBackend` to reproduce
+    :func:`~repro.core.host._shifted`); the window's
     corners reach only pad positions of the result, whose coefficients
     are zero and which are discarded.
     """

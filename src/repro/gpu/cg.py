@@ -107,33 +107,18 @@ class GpuCGSolver:
         }
         mask = dirichlet_mask_for(problem.dirichlet)
         self._mask = None if mask is None else self.device.htod(mask, dtype=bool)
-        if initial_pressure is None:
-            y0 = problem.initial_pressure(dtype=self.dtype)
-        else:
-            y0 = np.array(initial_pressure, dtype=self.dtype, copy=True)
-            problem.dirichlet.apply_to(y0)
-        self._y = self.device.htod(y0)
         # Transient staging: the accumulation diagonal rides on-device
         # like a seventh coefficient array; the rhs carries A p^n on
         # interior rows (Dirichlet rows always hold p^D).
-        if accumulation is not None and accumulation.shape != grid.shape:
-            raise ConfigurationError(
-                f"accumulation shape {accumulation.shape} != grid {grid.shape}"
-            )
-        if rhs is not None and rhs.shape != grid.shape:
-            raise ConfigurationError(
-                f"rhs shape {rhs.shape} != grid {grid.shape}"
-            )
+        y0, b = problem.system_vectors(
+            self.dtype, initial_pressure=initial_pressure,
+            accumulation=accumulation, rhs=rhs,
+        )
+        self._y = self.device.htod(y0)
         self._acc = (
             None if accumulation is None
             else self.device.htod(accumulation, dtype=self.dtype)
         )
-        b = (
-            np.zeros(grid.shape, dtype=self.dtype)
-            if rhs is None
-            else np.asarray(rhs, dtype=self.dtype).copy()
-        )
-        b[problem.dirichlet.mask] = problem.dirichlet.values[problem.dirichlet.mask]
         self._b = self.device.htod(b)
         self._r = self.device.alloc_like(grid.shape, dtype=self.dtype)
         self._p = self.device.alloc_like(grid.shape, dtype=self.dtype)

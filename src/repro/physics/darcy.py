@@ -64,6 +64,39 @@ class SinglePhaseProblem:
         self.dirichlet.apply_to(p)
         return p
 
+    def check_system_shapes(self, accumulation=None, rhs=None) -> None:
+        """Reject a transient ``accumulation`` diagonal or a right-hand
+        side that is not grid-shaped."""
+        for name, array in (("accumulation", accumulation), ("rhs", rhs)):
+            if array is not None and array.shape != self.grid.shape:
+                raise ConfigurationError(
+                    f"{name} shape {array.shape} != grid {self.grid.shape}"
+                )
+
+    def system_vectors(
+        self, dtype, *, initial_pressure=None, accumulation=None, rhs=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The guess ``p0`` and right-hand side ``b`` a solver of
+        ``(J [+ A]) p = b`` starts from, in ``dtype``.
+
+        ``p0`` is a copy of ``initial_pressure`` (default: zero) with the
+        Dirichlet values applied; ``b`` is ``rhs`` (default: zero, the
+        steady system) with ``p^D`` on the Dirichlet rows.  The shapes of
+        ``rhs`` and ``accumulation`` are checked first."""
+        self.check_system_shapes(accumulation, rhs)
+        if initial_pressure is None:
+            p0 = self.initial_pressure(dtype=dtype)
+        else:
+            p0 = np.array(initial_pressure, dtype=dtype, copy=True)
+            self.dirichlet.apply_to(p0)
+        b = (
+            np.zeros(self.grid.shape, dtype=dtype)
+            if rhs is None
+            else np.asarray(rhs, dtype=dtype).copy()
+        )
+        b[self.dirichlet.mask] = self.dirichlet.values[self.dirichlet.mask]
+        return p0, b
+
 
 def build_problem(
     grid: CartesianGrid3D,

@@ -232,7 +232,6 @@ def simulate_transient(
     """
     if num_steps < 1:
         raise ConfigurationError("num_steps must be >= 1")
-    grid = problem.grid
     acc = build_accumulation(
         problem,
         porosity=porosity,
@@ -241,15 +240,9 @@ def simulate_transient(
     )
     operator = TransientOperator(problem, acc)
 
-    if initial_pressure is None:
-        p = problem.initial_pressure(dtype=np.float64)
-    else:
-        p = np.array(initial_pressure, dtype=np.float64, copy=True)
-        problem.dirichlet.apply_to(p)
-
-    b_dirichlet = np.zeros(grid.shape, dtype=np.float64)
-    mask = problem.dirichlet.mask
-    b_dirichlet[mask] = problem.dirichlet.values[mask]
+    p, b_dirichlet = problem.system_vectors(
+        np.float64, initial_pressure=initial_pressure
+    )
 
     report = TransientReport()
     report.pressures.append(p.copy())

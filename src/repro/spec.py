@@ -32,7 +32,6 @@ exactly what configuration produced each result).
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import json
 import re
@@ -42,7 +41,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.gpu.specs import GpuSpecs
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, unknown_name_error
 from repro.wse.specs import WseSpecs
 
 #: Working precisions the machines support (fp32 on-device, fp64 checks).
@@ -420,13 +419,8 @@ class MachineSpec:
                 f"{type(self.spec).__name__}"
             )
         if self.engine is not None and self.engine not in FABRIC_ENGINES:
-            close = difflib.get_close_matches(
-                str(self.engine), FABRIC_ENGINES, n=1, cutoff=0.5
-            )
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigurationError(
-                f"unknown fabric engine {self.engine!r}{hint} "
-                f"(valid engines: {', '.join(FABRIC_ENGINES)})"
+            raise unknown_name_error(
+                "fabric engine", self.engine, FABRIC_ENGINES, "engines"
             )
         object.__setattr__(
             self, "simd_width", _check_optional_int("simd_width", self.simd_width, 1)
@@ -519,15 +513,6 @@ KWARG_MAP: dict[str, tuple[str, str]] = {
 }
 
 
-def _unknown_key_error(key: str) -> ConfigurationError:
-    valid = sorted(KWARG_MAP)
-    close = difflib.get_close_matches(key, valid, n=1, cutoff=0.5)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return ConfigurationError(
-        f"unknown solve option {key!r}{hint} (valid options: {', '.join(valid)})"
-    )
-
-
 @dataclass(frozen=True)
 class SolveSpec:
     """The complete, validated configuration of one solve.
@@ -615,7 +600,9 @@ class SolveSpec:
         top: dict[str, Any] = {}
         for key, value in kwargs.items():
             if key not in KWARG_MAP:
-                raise _unknown_key_error(key)
+                raise unknown_name_error(
+                    "solve option", key, sorted(KWARG_MAP), "options"
+                )
             section, fname = KWARG_MAP[key]
             if key == "jacobi":
                 top["preconditioner"] = "jacobi" if value else "none"

@@ -7,6 +7,7 @@ accidentally swallowing genuine programming errors.
 
 from __future__ import annotations
 
+import difflib
 import sys
 
 
@@ -66,6 +67,16 @@ class PeOutOfMemory(ReproError):
 
 class RoutingError(ReproError):
     """A wavelet could not be routed (bad color, missing route, dead link)."""
+
+
+def unknown_name_error(kind: str, name, valid, plural: str) -> ConfigurationError:
+    """A :class:`ConfigurationError` for the unknown ``kind`` ``name``:
+    it suggests the closest of ``valid`` and lists them all."""
+    close = difflib.get_close_matches(str(name), list(valid), n=1, cutoff=0.5)
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    return ConfigurationError(
+        f"unknown {kind} {name!r}{hint} (valid {plural}: {', '.join(valid)})"
+    )
 
 
 def _group_message(message: str, errors) -> str:

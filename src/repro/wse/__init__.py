@@ -22,9 +22,9 @@ Every fabric engine shares this machine model (see `repro.core.engines`):
 the event-driven oracle is built from `fabric`/`pe`/`router`; the array
 layouts run the same program as NumPy sweeps
 (`repro.core.cg_driver` over `repro.fused`), and `vector_engine`
-(imported lazily — not re-exported here) holds what they share: problem
-staging, the memory rehearsal and the analytic cycle/counter model over
-the same `isa` costs.
+(imported lazily — not re-exported here) holds their analytic
+cycle/counter model over the same `isa` costs.  Every engine stages
+from `repro.core.host`.
 """
 
 from repro.wse.specs import WseSpecs, WSE2

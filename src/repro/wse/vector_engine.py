@@ -1,5 +1,4 @@
-"""Staging, memory rehearsal and the analytic charge model of the
-array engines.
+"""The analytic charge model of the array engines.
 
 The per-PE program is identical across the fabric (the premise of the
 paper's SPMD kernel), so every fabric engine except the event oracle
@@ -8,16 +7,11 @@ whole arrays instead of one Python PE per fabric PE and one event per
 wavelet — the matrix-free observation (operator evaluation is
 structured array sweeps, Kronbichler & Kormann) applied to the machine
 simulation itself.  The numerics live in the tiled kernel
-(:mod:`repro.fused.kernels`) and the CG loop in
-:class:`~repro.core.cg_driver.CgDriver`; this module holds what they
-share:
+(:mod:`repro.fused.kernels`), the CG loop in
+:class:`~repro.core.cg_driver.CgDriver`, and the staging and memory
+rehearsal every engine shares in :mod:`repro.core.host`; this module
+holds what the driver charges:
 
-* **staging** — :func:`_stage_problem` lays one problem out as
-  ``(nx, ny, nz)`` field arrays plus the per-PE column classification;
-* **memory** — the event engine's per-PE allocation sequence is
-  rehearsed against a real :class:`~repro.wse.memory.MemoryArena`, so
-  oversized columns raise :class:`~repro.util.errors.PeOutOfMemory`
-  exactly like the oracle;
 * **charges** — :class:`_ChargeModel` is an *analytic* cycle/counter
   model over the same :mod:`repro.wse.isa` cost tables the event engine
   uses: instruction counts, FLOPs, memory and fabric traffic reproduce
@@ -35,306 +29,10 @@ event engine cannot reach — the full 750×994 wafer runs in seconds.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
-from repro.core.exchange import HALO_BUFFER
-from repro.core.fv_kernel import (
-    ACCUMULATION_BUFFER,
-    COEFF_BUFFER,
-    COEFF_DOWN,
-    COEFF_UP,
-    DirichletKind,
-    FvColumnKernel,
-    KernelVariant,
-    MOBILITY_BUFFER,
-    MOBILITY_OWN,
-    PeKernelConfig,
-    UPSILON_BUFFER,
-    UPSILON_DOWN,
-    UPSILON_UP,
-)
-from repro.core.host import CG_COLUMN_BUFFERS
-from repro.core.mapping import DIRECTION_FOR_PORT
-from repro.core.program import CgProgram
-from repro.fv.transmissibility import compute_transmissibility
-from repro.mesh.grid import Direction
-from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.preconditioning import Preconditioner
 from repro.solvers.state_machine import CGState
-from repro.util.errors import ConfigurationError
 from repro.wse.isa import Op, vector_cycles
-from repro.wse.memory import MemoryArena
-from repro.wse.router import Port
 from repro.wse.specs import WseSpecs
 from repro.wse.trace import FabricTrace, PerfCounters
-
-
-def _shifted(field: np.ndarray, port: Port) -> np.ndarray:
-    """The neighbour column every PE would receive on ``port``.
-
-    ``out[..., x, y, :] = field[..., x + dx, y + dy, :]`` with zeros
-    where the neighbour is off-fabric — exactly the halo buffer contents
-    after an exchange round (edge halos stay zero; the boundary
-    coefficient is zero anyway)."""
-    dx, dy = port.offset
-    out = np.zeros_like(field)
-    src = [slice(None)] * field.ndim
-    dst = [slice(None)] * field.ndim
-    for axis, d in ((-3, dx), (-2, dy)):
-        if d == -1:
-            dst[axis], src[axis] = slice(1, None), slice(None, -1)
-        elif d == 1:
-            dst[axis], src[axis] = slice(None, -1), slice(1, None)
-    out[tuple(dst)] = field[tuple(src)]
-    return out
-
-
-def normalize_guesses(initial_pressure, count: int, shape: tuple) -> list:
-    """One initial guess per problem: ``None`` (problem defaults), a
-    single shared field, or a per-problem stack/sequence (the multi-RHS
-    transient case).  The single owner of this validation — the solver's
-    ``solve_batch`` and the batched layouts both route through it."""
-    if initial_pressure is None:
-        return [None] * count
-    if isinstance(initial_pressure, np.ndarray):
-        if initial_pressure.shape == shape:
-            return [initial_pressure] * count
-        if initial_pressure.shape == (count,) + shape:
-            return list(initial_pressure)
-        raise ConfigurationError(
-            f"initial_pressure shape {initial_pressure.shape} matches "
-            f"neither the grid {shape} nor the batch {(count,) + shape}"
-        )
-    guesses = list(initial_pressure)
-    if len(guesses) != count:
-        raise ConfigurationError(
-            f"initial_pressure has {len(guesses)} entries for {count} "
-            f"problems"
-        )
-    return guesses
-
-
-# -- problem staging ----------------------------------------------------------
-
-
-class _Staging:
-    """Staged ``(nx, ny, nz)`` field arrays + per-PE column classification.
-
-    Built per problem by :func:`_stage_problem`, over the whole grid:
-    every layout's kernel reads its tiles as windows of these arrays,
-    so ``has_partial`` is the whole grid's flag, and a tile without
-    partial columns still runs the (no-op) blend."""
-
-    __slots__ = (
-        "y", "b", "z", "inv_diag", "acc",
-        "coeff", "coeff_down", "coeff_up",
-        "ups", "ups_down", "ups_up", "lam", "lam_nbr",
-        "full_cols", "blend_mask", "has_partial",
-        "kind_counts", "kernel_plans", "mg_hier",
-    )
-
-
-def _classify_columns(problem: SinglePhaseProblem) -> tuple:
-    """Column histogram over DirichletKind + the full/blend masks."""
-    mask = problem.dirichlet.mask
-    col_any = mask.any(axis=2)
-    col_all = mask.all(axis=2)
-    partial_cols = col_any & ~col_all
-    num_pes = mask.shape[0] * mask.shape[1]
-    kind_counts = {
-        DirichletKind.FULL: int(np.count_nonzero(col_all)),
-        DirichletKind.PARTIAL: int(np.count_nonzero(partial_cols)),
-    }
-    kind_counts[DirichletKind.NONE] = (
-        num_pes - kind_counts[DirichletKind.FULL] - kind_counts[DirichletKind.PARTIAL]
-    )
-    return col_all, partial_cols, kind_counts
-
-
-def _stage_problem(
-    problem: SinglePhaseProblem,
-    program: CgProgram,
-    dtype: np.dtype,
-    initial_pressure: np.ndarray | None = None,
-    accumulation: np.ndarray | None = None,
-    rhs: np.ndarray | None = None,
-    precondition: Preconditioner | None = None,
-) -> _Staging:
-    """Stage one problem's field arrays (the whole-fabric analogue of
-    ``stage_problem`` on the event fabric).
-
-    ``accumulation`` is the transient diagonal ``a = φ c_t V / Δt``
-    (required iff ``program.accumulation``); ``rhs`` overrides the
-    interior right-hand side (Dirichlet rows always carry ``p^D``);
-    ``precondition`` is the system's built ``M`` (default: the
-    program's, built here)."""
-    st = _Staging()
-    grid = problem.grid
-    if program.accumulation != (accumulation is not None):
-        raise ConfigurationError(
-            "program.accumulation and the staged accumulation array must "
-            "be supplied together"
-        )
-    if accumulation is not None and accumulation.shape != grid.shape:
-        raise ConfigurationError(
-            f"accumulation shape {accumulation.shape} != grid {grid.shape}"
-        )
-    if rhs is not None and rhs.shape != grid.shape:
-        raise ConfigurationError(f"rhs shape {rhs.shape} != grid {grid.shape}")
-    if initial_pressure is None:
-        p0 = problem.initial_pressure(dtype=dtype)
-    else:
-        p0 = np.array(initial_pressure, dtype=dtype, copy=True)
-        problem.dirichlet.apply_to(p0)
-    st.y = p0
-    st.b = (
-        np.zeros(grid.shape, dtype=dtype)
-        if rhs is None
-        else np.asarray(rhs, dtype=dtype).copy()
-    )
-    st.b[problem.dirichlet.mask] = problem.dirichlet.values[problem.dirichlet.mask]
-    st.z = np.zeros(grid.shape, dtype=dtype) if program.uses_z else None
-    st.inv_diag = None
-    st.acc = None if accumulation is None else accumulation.astype(dtype)
-    st.coeff = st.coeff_down = st.coeff_up = None
-    st.ups = st.ups_down = st.ups_up = st.lam = st.lam_nbr = None
-
-    if program.variant is KernelVariant.PRECOMPUTED:
-        st.coeff = {
-            port: problem.coefficients.cell_view(DIRECTION_FOR_PORT[port]).astype(dtype)
-            for port in COEFF_BUFFER
-        }
-        st.coeff_down = problem.coefficients.cell_view(Direction.DOWN).astype(dtype)
-        st.coeff_up = problem.coefficients.cell_view(Direction.UP).astype(dtype)
-    else:
-        trans = compute_transmissibility(grid, problem.permeability, dtype=np.float64)
-        st.ups = {
-            port: trans.cell_view(DIRECTION_FOR_PORT[port], dtype=dtype)
-            for port in UPSILON_BUFFER
-        }
-        st.ups_down = trans.cell_view(Direction.DOWN, dtype=dtype)
-        st.ups_up = trans.cell_view(Direction.UP, dtype=dtype)
-        st.lam = np.full(grid.shape, 1.0 / problem.viscosity, dtype=dtype)
-        st.lam_nbr = {port: _shifted(st.lam, port) for port in MOBILITY_BUFFER}
-
-    if precondition is None:
-        precondition = program.preconditioner_for(problem, accumulation, dtype)
-    if program.jacobi:
-        st.inv_diag = (1.0 / precondition.diagonal).astype(dtype)
-    # The V-cycle hierarchy is a host-side construct in the working dtype
-    # (like resolved tolerances); only the z column lives on the fabric.
-    st.mg_hier = precondition.hierarchy
-
-    col_all, partial_cols, kind_counts = _classify_columns(problem)
-    st.full_cols = col_all
-    st.blend_mask = np.where(
-        partial_cols[:, :, None], problem.dirichlet.mask, False
-    ).astype(dtype)
-    st.kind_counts = kind_counts
-    st.has_partial = kind_counts[DirichletKind.PARTIAL] > 0
-    st.kernel_plans = {
-        kind: FvColumnKernel.instruction_plan(
-            PeKernelConfig(
-                depth=grid.nz,
-                dirichlet=kind,
-                variant=program.variant,
-                reuse_buffers=program.reuse_buffers,
-                accumulation=program.accumulation,
-            )
-        )
-        for kind, count in kind_counts.items()
-        if count > 0
-    }
-    return st
-
-
-# -- memory model -------------------------------------------------------------
-
-
-@lru_cache(maxsize=128)
-def _rehearse_bytes(
-    pe_memory_bytes: int,
-    variant: KernelVariant,
-    reuse_buffers: bool,
-    jacobi: bool,
-    mg: bool,
-    accumulation: bool,
-    nz: int,
-    dtype_name: str,
-    with_mask: bool,
-) -> int:
-    """Replay the event engine's per-PE allocation sequence.
-
-    One rehearsal per column class (with/without ``bc_mask``) against a
-    real :class:`MemoryArena` reproduces both the capacity enforcement
-    (:class:`PeOutOfMemory` at construction, like an oversized CSL
-    program) and the high-water statistics exactly.  Cached by exactly
-    the arguments that determine the layout (not the whole program —
-    per-problem resolved tolerances must not defeat the cache), so a
-    batch of problems or a sweep of solves pays for at most two
-    rehearsals per configuration.
-    """
-    from repro.perf.memmodel import SCALAR_RESERVE_BYTES
-
-    dtype = np.dtype(dtype_name)
-    arena = MemoryArena(pe_memory_bytes, reserved_bytes=SCALAR_RESERVE_BYTES)
-    for name in HALO_BUFFER.values():  # HaloExchange allocates first
-        arena.alloc(name, nz, dtype=dtype)
-    for name in CG_COLUMN_BUFFERS:
-        arena.alloc(name, nz, dtype=dtype)
-    if not reuse_buffers:
-        arena.alloc("scratch", nz, dtype=dtype)
-    if jacobi or mg:
-        arena.alloc("z", nz, dtype=dtype)
-    if jacobi:
-        arena.alloc("inv_diag", nz, dtype=dtype)
-    if accumulation:
-        arena.alloc(ACCUMULATION_BUFFER, nz, dtype=dtype)
-    if variant is KernelVariant.PRECOMPUTED:
-        for name in COEFF_BUFFER.values():
-            arena.alloc(name, nz, dtype=dtype)
-        arena.alloc(COEFF_DOWN, nz, dtype=dtype)
-        arena.alloc(COEFF_UP, nz, dtype=dtype)
-    else:
-        for name in UPSILON_BUFFER.values():
-            arena.alloc(name, nz, dtype=dtype)
-        arena.alloc(UPSILON_DOWN, nz, dtype=dtype)
-        arena.alloc(UPSILON_UP, nz, dtype=dtype)
-        arena.alloc(MOBILITY_OWN, nz, dtype=dtype)
-        arena.alloc("lam_scratch", nz, dtype=dtype)
-        for name in MOBILITY_BUFFER.values():
-            arena.alloc(name, nz, dtype=dtype)
-    if with_mask:
-        arena.alloc("bc_mask", nz, dtype=dtype)
-    return arena.used_bytes
-
-
-def _memory_report(
-    spec: WseSpecs, program: CgProgram, nz: int, dtype: np.dtype, kind_counts: dict
-) -> dict[str, float]:
-    """Per-PE memory statistics for one problem's staging."""
-    num_pes = sum(kind_counts.values())
-
-    def rehearse(with_mask: bool) -> int:
-        return _rehearse_bytes(
-            spec.pe_memory_bytes, program.variant, program.reuse_buffers,
-            program.jacobi, program.mg, program.accumulation, nz, dtype.name,
-            with_mask,
-        )
-
-    base_bytes = rehearse(False)
-    n_partial = kind_counts[DirichletKind.PARTIAL]
-    mask_bytes = rehearse(True) if n_partial else base_bytes
-    high = max(base_bytes, mask_bytes) if n_partial else base_bytes
-    mean = (n_partial * mask_bytes + (num_pes - n_partial) * base_bytes) / num_pes
-    return {
-        "max_high_water": float(high),
-        "mean_high_water": float(mean),
-        "max_used": float(high),
-        "capacity": float(spec.pe_memory_bytes),
-    }
 
 
 # -- the analytic cycle/counter model -----------------------------------------
@@ -613,5 +311,4 @@ def build_iteration_packets(
 __all__ = [
     "build_init_packet",
     "build_iteration_packets",
-    "normalize_guesses",
 ]

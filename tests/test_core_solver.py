@@ -17,7 +17,7 @@ from repro.core.fv_kernel import (
     KernelVariant,
     PeKernelConfig,
 )
-from repro.core.solver import WseMatrixFreeSolver
+from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
 from repro.mesh.geomodel import channelized_permeability, layered_permeability
 from repro.mesh.grid import CartesianGrid3D
 from repro.physics.analytic import analytic_two_plane_solution
@@ -201,13 +201,15 @@ class TestSolverMechanics:
 
     def test_fabric_grid_mismatch_rejected(self):
         problem = make_problem(3, 3, 2)
-        from repro.core.host import stage_problem
-        from repro.core.mapping import ProblemMapping
+        from repro.core.host import _stage_problem, stage_problem
+        from repro.core.program import CgProgram
         from repro.wse.fabric import Fabric
 
+        program = CgProgram()
+        st = _stage_problem(problem, program, np.dtype(np.float32))
         fabric = Fabric(SPEC, width=2, height=2)
         with pytest.raises(ConfigurationError, match="does not match"):
-            stage_problem(fabric, problem, ProblemMapping(problem.grid, SPEC))
+            stage_problem(fabric, st, program)
 
     def test_guess_violating_dirichlet_scales_rel_tol_like_its_staged_form(self):
         """Staging applies the Dirichlet values to a supplied guess, so
@@ -255,6 +257,63 @@ class TestSolverMechanics:
         assert report.elapsed_seconds == pytest.approx(
             report.trace.makespan_cycles / SPEC.clock_hz
         )
+
+    def test_unknown_fabric_knob_names_the_closest(self):
+        """Every entry point rejects a misspelled knob the way the front
+        door rejects a misspelled option: a ConfigurationError with a
+        suggestion, not a TypeError naming a private class."""
+        problem = make_problem(4, 4, 2)
+        entries = {
+            "solver": lambda **kw: WseMatrixFreeSolver(problem, **kw),
+            "solve_batch": lambda **kw: solve_batch([problem, problem], **kw),
+            "simulate_reports": lambda **kw: next(
+                simulate_reports(problem, dts=[1.0], **kw)
+            ),
+        }
+        for name, entry in entries.items():
+            with pytest.raises(
+                ConfigurationError, match="'max_iter'; did you mean 'max_iters'"
+            ):
+                entry(max_iter=3)
+            with pytest.raises(ConfigurationError, match="'shard_workers'"):
+                entry(shard_workers="thread")
+
+
+class TestSystemShapes:
+    """A mis-shaped ``rhs`` or ``accumulation`` is a ConfigurationError
+    on every path: the shapes are checked before the preconditioner and
+    the tolerance are built from them."""
+
+    KNOBS = {
+        "plain": {},
+        "rel_tol": {"rel_tol": 1e-6},
+        "jacobi": {"preconditioner": "jacobi"},
+        "mg": {"preconditioner": "mg"},
+    }
+
+    @pytest.mark.parametrize("knobs", list(KNOBS))
+    @pytest.mark.parametrize("field", ["rhs", "accumulation"])
+    @pytest.mark.parametrize("engine", ["event", "fused"])
+    def test_serial(self, engine, field, knobs):
+        problem = make_problem(4, 4, 2)
+        bad = np.ones((4, 4, 3))
+        with pytest.raises(ConfigurationError, match=f"{field} shape"):
+            WseMatrixFreeSolver(
+                problem, engine=engine, spec=SPEC, **{field: bad}, **self.KNOBS[knobs]
+            )
+
+    @pytest.mark.parametrize("knobs", list(KNOBS))
+    @pytest.mark.parametrize("field", ["rhs", "accumulation"])
+    @pytest.mark.parametrize("engine", ["event", "fused"])
+    def test_batched(self, engine, field, knobs):
+        """One bad lane fails the batch, whichever engine was asked."""
+        problems = [make_problem(4, 4, 2, seed=seed) for seed in (0, 1)]
+        fields = [np.ones((4, 4, 2)), np.ones((4, 4, 3))]
+        with pytest.raises(ConfigurationError, match=f"{field} shape"):
+            solve_batch(
+                problems, engine=engine, spec=SPEC, **{field: fields},
+                **self.KNOBS[knobs],
+            )
 
 
 class TestKernelOpCounts:

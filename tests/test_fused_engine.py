@@ -20,6 +20,7 @@ from repro.core.engines import (
     create_engine,
 )
 from repro.core.fv_kernel import KernelVariant
+from repro.core.host import _stage_problem
 from repro.core.program import CgProgram
 from repro.core.solver import WseMatrixFreeSolver
 from repro.fused import auto_tile, normalize_fused_tile, tile_boxes
@@ -31,7 +32,6 @@ from repro.physics.transient import build_accumulation
 from repro.spec import MachineSpec, SolveSpec, TILE_ENGINES
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2
-from repro.wse.vector_engine import _stage_problem
 
 SPEC = WSE2.with_fabric(8, 8)
 

@@ -19,6 +19,7 @@ import pytest
 
 import stencil_reference as ref
 from repro.core.fv_kernel import KernelVariant
+from repro.core.host import _stage_problem
 from repro.core.program import CgProgram
 from repro.fused.kernels import TiledApply
 from repro.fused.tiling import tile_boxes
@@ -26,7 +27,6 @@ from repro.mesh.boundary import DirichletSet
 from repro.mesh.grid import CartesianGrid3D
 from repro.physics.darcy import build_problem
 from repro.physics.transient import build_accumulation
-from repro.wse.vector_engine import _stage_problem
 
 #: Odd lateral sizes, nz = 1, and nx = 1 / ny = 1 columns.
 SHAPES = [(9, 7, 4), (6, 5, 1), (1, 7, 3), (7, 1, 3), (5, 6, 2)]
