@@ -1,4 +1,5 @@
-"""One SHA-256 over the answers of every fabric engine on a fixed corpus.
+"""One SHA-256 over the answers of every fabric engine and every host
+stencil path on a fixed corpus.
 
 Usage::
 
@@ -17,6 +18,15 @@ Jacobi and mg preconditioning, float32 and float64, steady solves (with
 and without a guess and a right-hand side) and two-step transient
 simulations, on problems with full and partial-Dirichlet columns; it
 adds one ``comm_only`` run and two ``PeOutOfMemory`` cases per engine.
+
+The host stencil (``repro.fv.operator.FlatStencil``) is covered on its
+own too: reference-backend steady solves and two-step simulations with
+no, Jacobi and mg preconditioning in float32 and float64 (pressure,
+iterations, ``converged``, residual history, Newton and mg telemetry;
+not their wall-clock time), and the arrays ``apply_jx``,
+``compute_residual``, ``MatrixFreeOperator``, ``TransientOperator`` and
+``mg_apply`` return with ``out=None``, on odd lateral sizes and
+``nz = 1`` with partial-Dirichlet masks, for float32 and float64 inputs.
 ``--cases`` prints one short digest per case too, to find the first
 case two trees disagree on.
 
@@ -39,15 +49,20 @@ import time
 import numpy as np
 
 import repro
+from repro.backends.base import SolveResult, StepResult
 from repro.core.solver import (
     WseMatrixFreeSolver,
     simulate_reports,
     simulate_reports_batch,
     solve_batch,
 )
+from repro.fv.operator import MatrixFreeOperator, apply_jx
+from repro.fv.residual import compute_residual
 from repro.mesh.boundary import DirichletSet
 from repro.mesh.grid import CartesianGrid3D
+from repro.mg import build_hierarchy, mg_apply
 from repro.physics.darcy import build_problem
+from repro.physics.transient import TransientOperator
 from repro.util.errors import PeOutOfMemory
 from repro.wse.specs import WSE2
 
@@ -65,6 +80,8 @@ OOM_CASES = (
     (1000, {}),
     (600, dict(variant="fused_mobility", reuse_buffers=False, preconditioner="jacobi")),
 )
+#: Host stencil grids: odd lateral sizes, and one plane (nz = 1).
+STENCIL_SHAPES = ((7, 5, 3), (9, 3, 1), (5, 6, 2))
 
 
 def problem(shape, seed):
@@ -101,7 +118,29 @@ def canon(value):
     return value
 
 
+def digest_bytes(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
 def fingerprint(report) -> dict:
+    """A fabric report's answers, a host result's answers without its
+    wall-clock time, or an array's dtype, shape and bytes."""
+    if isinstance(report, np.ndarray):
+        return canon({"dtype": report.dtype.str, "shape": report.shape,
+                      "bytes": digest_bytes(report)})
+    if isinstance(report, (SolveResult, StepResult)):
+        telemetry = report.telemetry
+        return canon({
+            "backend": report.backend,
+            "pressure_dtype": report.pressure.dtype.str,
+            "pressure": digest_bytes(report.pressure),
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "residual_history": list(report.residual_history),
+            "preconditioner": telemetry.get("preconditioner"),
+            "newton_iterations": telemetry.get("newton_iterations"),
+            "newton_residual_norms": telemetry.get("newton_residual_norms"),
+        })
     pressure = np.ascontiguousarray(report.pressure)
     return canon({
         "engine": report.engine,
@@ -202,6 +241,57 @@ def cases():
             yield f"batched-{engine}/oom/{depth}", batched(
                 [problem((2, 2, depth), 0)] * 2, engine, rel_tol=None, **cfg
             ), PeOutOfMemory
+
+    yield from host_cases(deep, flat)
+
+
+def host_cases(deep, flat):
+    """The reference backend's solves and simulations, and the host
+    stencil's direct outputs, as ``(label, run, None)``."""
+    for pc in PRECONDITIONERS:
+        for dt in DTYPES:
+            tag = f"{pc}/{np.dtype(dt).name}"
+            spec = dict(dtype=dt, rel_tol=1e-6, preconditioner=pc)
+            for grid, p in (("deep", deep), ("flat", flat)):
+                yield f"reference/{grid}/{tag}", (
+                    lambda p=p, spec=spec: [repro.solve(p, backend="reference", **spec)]
+                ), None
+            yield f"reference/simulate/{tag}", (
+                lambda spec=spec: list(repro.simulate_steps(
+                    deep, backend="reference", n_steps=2, dt=(0.5, 2.0), **spec
+                ))
+            ), None
+
+    for shape in STENCIL_SHAPES:
+        p = problem(shape, 2)
+        coeffs, dirichlet = p.coefficients, p.dirichlet
+        rng = np.random.default_rng(11)
+        xs = [rng.standard_normal(shape).astype(dt) for dt in DTYPES]
+        acc = rng.uniform(0.1, 1.0, shape)
+        acc[dirichlet.mask] = 0.0
+        label = "x".join(map(str, shape))
+        yield f"apply_jx/{label}", (lambda c=coeffs, d=dirichlet, xs=xs: [
+            apply_jx(c, dset, x) for dset in (None, d) for x in xs
+        ]), None
+        yield f"compute_residual/{label}", (lambda c=coeffs, d=dirichlet, xs=xs: [
+            compute_residual(c, d, x) for x in xs
+        ]), None
+        yield f"MatrixFreeOperator/{label}", (
+            lambda op=MatrixFreeOperator(coeffs, dirichlet), xs=xs: [
+                y for x in xs for y in (op(x), op.apply_flat(x.reshape(-1)))
+            ]
+        ), None
+        yield f"TransientOperator/{label}", (lambda p=p, acc=acc, xs=xs: [
+            TransientOperator(p, acc.astype(x.dtype))(x) for x in xs
+        ]), None
+        for dt in DTYPES:
+            yield f"mg_apply/{label}/{np.dtype(dt).name}", (
+                lambda c=coeffs, d=dirichlet, acc=acc, xs=xs, dt=dt: [
+                    mg_apply(build_hierarchy(c, d.mask, accumulation=a, dtype=dt),
+                             np.where(d.mask, 0.0, x).astype(x.dtype))
+                    for a in (None, acc) for x in xs
+                ]
+            ), None
 
 
 def main(argv=None) -> int:

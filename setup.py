@@ -34,7 +34,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # scipy>=1.12: the baseline solver passes ``rtol=`` to scipy's cg.
+    # scipy>=1.12: the baseline solver passes ``rtol=`` to scipy's cg, and
+    # the host stencil runs scipy.sparse's compiled DIA mat-vec
+    # (``_sparsetools.dia_matvec``; tests/test_flat_stencil.py pins it).
     install_requires=["numpy>=1.24", "scipy>=1.12"],
     extras_require={
         "test": ["pytest>=7", "hypothesis>=6"],

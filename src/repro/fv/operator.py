@@ -21,6 +21,8 @@ each.  The fabric kernel's tiled apply is the only other evaluation.
 from __future__ import annotations
 
 import numpy as np
+# Private: ``dia_array @ x`` runs the same kernel on a new +0.0-filled result.
+from scipy.sparse import _sparsetools
 
 from repro.fv.coefficients import FluxCoefficients, cell_faces
 from repro.mesh.boundary import DirichletSet
@@ -28,48 +30,71 @@ from repro.util.errors import ValidationError
 
 
 class FlatStencil:
-    """``out = diag·x − Σ couplings`` over the C-order flattened field.
+    """``out = diag·x − Σ couplings`` over the C-order flattened field,
+    as one sweep of SciPy's compiled DIA mat-vec.
 
     Built once from three grid-shaped face arrays, one per axis, in the
     per-cell layout of :func:`repro.fv.coefficients.cell_faces` (each
     cell's face to its upper neighbour, zero on the last plane where
     there is none — the layout a PE stores), a diagonal and an optional
-    identity-row ``mask``.  On the flattened field each axis is one
-    contiguous 1-D shift by its stride (``ny·nz``, ``nz``, ``1``), and
-    the first ``n − stride`` entries of its flat face array are exactly
-    the couplings, zero where the shift wraps (``j = ny−1`` for y,
-    ``k = nz−1`` for z; the x shift never wraps).  An axis of extent 1
-    is skipped.  Every row is evaluated in the order of the 3-D slice
-    form — ``diag·x``, then per axis x, y, z the upper neighbour and the
-    lower neighbour, then masked rows take ``x`` — so results are
-    bitwise those of that form.  Products are formed in
-    ``np.result_type(faces, x)``.
+    identity-row ``mask``.  On the flattened field an axis of stride
+    ``s`` (``ny·nz``, ``nz``, ``1``) couples cells ``i`` and ``i + s``
+    through the first ``n − s`` flat faces, zero where the shift wraps
+    (``j = ny−1``, ``k = nz−1``).  Per product dtype the stencil is laid
+    out once as DIA rows ``[diag, x-up, x-low, y-up, y-low, z-up,
+    z-low]`` (none for an axis of extent 1) at offsets ``(0, +s, −s,
+    …)``, couplings negated.  The kernel adds one row at a time into
+    ``out`` filled with −0.0, so each row sees the 3-D slice form's
+    operations in its order, then masked rows take ``x``.  As
+    ``a + (−f)·x`` is bitwise ``a − f·x`` and ``−0.0 + t`` is ``t``, the
+    results are bitwise that form's, except that the zero coupling
+    across a wrap, which the slice form skips, turns a running −0.0
+    into +0.0 where the wrapped-to ``x`` is negative or −0.0.
+
+    Products are formed in ``P = np.result_type(faces, diagonal, x,
+    out)``.  When ``x`` and ``out`` are of dtype ``P`` the sweep reads
+    ``x`` and writes ``out`` in place; otherwise it runs in ``P`` on a
+    widened copy of ``x`` and rounds into ``out`` once.
 
     :meth:`apply` is :meth:`run` on the operands :meth:`bind` returns
     for one ``x → out`` pair; a multigrid level binds its ``z → az`` once,
-    at build.  Bound forms of one dtype share one scratch vector, so an
-    instance must not be applied from two threads at once.
+    at build.  Bound forms share no scratch: threads may apply one
+    instance at once, but one bound form runs on one thread at a time.
     """
 
     def __init__(self, faces, diagonal: np.ndarray, mask: np.ndarray | None = None):
         self.diagonal = np.ascontiguousarray(diagonal)
         self.shape = self.diagonal.shape
         self.faces = tuple(np.ascontiguousarray(f) for f in faces)
-        self.dtype = np.result_type(*self.faces)
-        self._diagonal = self.diagonal.reshape(-1)
+        self.dtype = np.result_type(*self.faces, self.diagonal)
+        for axis, f in enumerate(self.faces):
+            if f.shape != self.shape:
+                raise ValidationError(f"axis-{axis} faces {f.shape} != grid {self.shape}")
         self._rows = (
             np.flatnonzero(mask) if mask is not None and mask.any() else None
         )
-        n = self.diagonal.size
-        self._shifts = []  # per axis of extent > 1: (stride, flat faces)
-        stride = n
-        for axis, f in enumerate(self.faces):
-            stride //= self.shape[axis]
-            if f.shape != self.shape:
-                raise ValidationError(f"axis-{axis} faces {f.shape} != grid {self.shape}")
-            if self.shape[axis] > 1:
-                self._shifts.append((stride, f.reshape(-1)[: n - stride]))
-        self._tmp: np.ndarray | None = None
+        self._sweeps: dict = {}  # product dtype -> dia_matvec's leading operands
+
+    def _sweep(self, dtype: np.dtype) -> tuple:
+        """``dia_matvec``'s operands ahead of ``x`` and ``out``, in
+        ``dtype``: ``(n, n, len(offsets), n, offsets, data)``."""
+        sweep = self._sweeps.get(dtype)
+        if sweep is None:
+            n = stride = self.diagonal.size
+            data = np.empty((1 + 2 * sum(e > 1 for e in self.shape), n), dtype)
+            data[0] = self.diagonal.reshape(-1)
+            offsets = [0]
+            for extent, f in zip(self.shape, self.faces):
+                stride //= extent
+                if extent > 1:  # DIA holds column j's entry at data[k, j]
+                    up, low = data[len(offsets)], data[len(offsets) + 1]
+                    np.negative(f.reshape(-1), out=low)
+                    up[:stride] = 0.0
+                    up[stride:] = low[: n - stride]
+                    offsets += [stride, -stride]
+            sweep = (n, n, len(offsets), n, np.array(offsets, np.int32), data)
+            self._sweeps[dtype] = sweep
+        return sweep
 
     @classmethod
     def from_coefficients(
@@ -90,35 +115,29 @@ class FlatStencil:
             raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
         if not out.flags.c_contiguous:
             raise ValidationError("out must be C-contiguous")
-        xf, of, n = x.reshape(-1), out.reshape(-1), x.size
-        dtype = np.result_type(self.dtype, x.dtype)
-        if self._tmp is None or self._tmp.dtype != dtype:
-            self._tmp = np.empty(n, dtype)
-        shifts = tuple(
-            (f, xf[s:], of[: n - s], xf[: n - s], of[s:], self._tmp[: n - s])
-            for s, f in self._shifts
-        )
-        return self._diagonal, xf, of, shifts, self._rows
+        xf, of = x.reshape(-1), out.reshape(-1)
+        dtype = np.result_type(self.dtype, x.dtype, out.dtype)
+        y = of if x.dtype == out.dtype == dtype else np.empty(x.size, dtype)
+        return self._sweep(dtype), xf, y, of, self._rows
 
     @staticmethod
     def run(bound: tuple) -> None:
-        """Evaluate a :meth:`bind` form: ``diag·x``, then per axis the
-        upper and the lower neighbour, then the identity rows."""
-        diagonal, xf, of, shifts, rows = bound
-        np.multiply(diagonal, xf, out=of)
-        for f, x_up, of_lo, x_lo, of_up, t in shifts:
-            np.multiply(f, x_up, out=t)
-            np.subtract(of_lo, t, out=of_lo)
-            np.multiply(f, x_lo, out=t)
-            np.subtract(of_up, t, out=of_up)
+        """Evaluate a :meth:`bind` form: one DIA sweep from −0.0, then
+        the identity rows."""
+        sweep, xf, y, of, rows = bound
+        mixed = y is not of
+        y.fill(-0.0)  # -0.0 + t is t; a +0.0 start would turn a lone -0.0 into +0.0
+        _sparsetools.dia_matvec(*sweep, xf.astype(y.dtype) if mixed else xf, y)
+        if mixed:
+            np.copyto(of, y, casting="same_kind")
         if rows is not None:
             of[rows] = xf[rows]
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stencil applied to ``x`` (grid-shaped), into ``out``.
 
-        ``out`` defaults to a new array of ``x``'s dtype; nothing else is
-        allocated once the products' dtype has been seen.
+        ``out`` defaults to a new array of ``x``'s dtype; with one dtype
+        throughout, nothing else is allocated once the rows are laid out.
         """
         x = np.asarray(x)
         if out is None:

@@ -114,12 +114,12 @@ class GpuCGSolver:
             self.dtype, initial_pressure=initial_pressure,
             accumulation=accumulation, rhs=rhs,
         )
-        self._y = self.device.htod(y0)
+        self._y = self.device.htod(y0, dtype=self.dtype)
         self._acc = (
             None if accumulation is None
             else self.device.htod(accumulation, dtype=self.dtype)
         )
-        self._b = self.device.htod(b)
+        self._b = self.device.htod(b, dtype=self.dtype)
         self._r = self.device.alloc_like(grid.shape, dtype=self.dtype)
         self._p = self.device.alloc_like(grid.shape, dtype=self.dtype)
         self._Ap = self.device.alloc_like(grid.shape, dtype=self.dtype)

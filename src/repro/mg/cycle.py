@@ -12,12 +12,12 @@ hierarchy on the same residual, so the resulting ``z`` column is
 bitwise identical across engines — which is what keeps the
 event/vectorized/sharded/fused iterates in lockstep.
 
-A cycle issues nothing but its ufunc calls, on the views each
-:class:`~repro.mg.hierarchy.MgLevel` bound at build (the one host
-stencil, :class:`repro.fv.operator.FlatStencil`, on the level's scratch,
-its flat vectors and its transfers), and allocates at most the ``z`` it
-returns.  The first pre-smoothing sweep starts from ``z = 0`` and is
-evaluated as ``z = (r·D⁻¹)·ω``, which is what
+A cycle issues its ufunc calls and one compiled sweep per stencil
+apply (:class:`repro.fv.operator.FlatStencil`, its DIA rows laid out
+with the level), on the views each :class:`~repro.mg.hierarchy.MgLevel`
+bound at build, and allocates at most the ``z`` it returns.  The first
+pre-smoothing sweep starts from ``z = 0`` and is evaluated as
+``z = (r·D⁻¹)·ω``, which is what
 ``z += ((r − A·0)·D⁻¹)·ω`` computes, without applying ``A``.
 
 Masked (Dirichlet) cells are kept exactly zero throughout: the input

@@ -93,8 +93,9 @@ class MgLevel:
     The rest are operands bound to that scratch, none referring back to
     a level: ``rows``, the masked cells as a flat index; ``flat``, flat
     views of ``rhs``, ``z``, ``az`` and ``inv_diag``; ``apply_z``, ``op``
-    bound to ``z → az``; and, on all but the coarsest level, the
-    transfers (:func:`_bind_transfers`).
+    bound to ``z → az`` (its DIA rows laid out here, once; each
+    ``FlatStencil.run`` is one compiled sweep); and, on all but the
+    coarsest level, the transfers (:func:`_bind_transfers`).
     """
 
     op: FlatStencil

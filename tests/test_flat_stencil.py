@@ -1,18 +1,22 @@
-"""The one host stencil and the V-cycle on it, pinned element for
-element against the 3-D slice forms in ``stencil_reference``.
+"""The one host stencil and the V-cycle on it, pinned bit for bit
+against the 3-D slice forms in ``stencil_reference``.
 
-The flat stencil reorders no arithmetic, so every comparison here is
-``np.array_equal``, never a tolerance: odd lateral sizes, columns of
-extent 1 along each axis, partial and empty Dirichlet masks, float32 and
-float64 coefficients and inputs, with and without the transient
-accumulation, and a capped hierarchy whose coarsest level is smoothed
-instead of solved.
+The flat stencil's DIA sweep reorders no arithmetic, so every comparison
+here is of dtype, shape and bit patterns (``np.array_equal`` would take
+−0.0 for +0.0), never a tolerance: odd lateral sizes, columns of extent
+1 along each axis, partial and empty Dirichlet masks, float32 and
+float64 coefficients and inputs, signed-zero inputs, with and without
+the transient accumulation, and a capped hierarchy whose coarsest level
+is smoothed instead of solved.  With mixed dtypes the sweep runs in the
+widest and rounds into ``out`` once, so there the slice form runs in
+that dtype and is cast once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools, dia_array
 
 import stencil_reference as ref
 from repro.fv.coefficients import build_flux_coefficients
@@ -57,6 +61,23 @@ def _field(shape, dtype, seed=1):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
+def _slice_loop(coeffs, dset, x, out_dtype):
+    """The slice loop run in the widest dtype of the coefficients, ``x``
+    and ``out``, then cast once into ``out_dtype``."""
+    wide = np.result_type(coeffs.dtype, x.dtype, out_dtype)
+    out = np.empty(x.shape, wide)
+    return ref.apply_jx_slices(coeffs, dset, x.astype(wide), out=out).astype(out_dtype)
+
+
+def _assert_bits(got, want):
+    """Equal dtype, shape and bit patterns, so −0.0 is not +0.0."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    uint = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(uint), np.ascontiguousarray(want).view(uint)
+    )
+
+
 class TestApply:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("coeff_dtype", DTYPES)
@@ -66,25 +87,57 @@ class TestApply:
         coeffs = _coefficients(shape, coeff_dtype)
         dset = _dirichlet(coeffs.grid, dirichlet)
         x = _field(shape, x_dtype)
-        expected = ref.apply_jx_slices(coeffs, dset, x)
-        got = apply_jx(coeffs, dset, x)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+        _assert_bits(apply_jx(coeffs, dset, x), _slice_loop(coeffs, dset, x, x_dtype))
         for out_dtype in DTYPES:  # into a caller's buffer of either precision
             out = np.empty(shape, out_dtype)
             assert apply_jx(coeffs, dset, x, out=out) is out
-            np.testing.assert_array_equal(
-                out, ref.apply_jx_slices(coeffs, dset, x, out=np.empty(shape, out_dtype))
-            )
+            _assert_bits(out, _slice_loop(coeffs, dset, x, out_dtype))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_signed_zeros(self, shape, dtype):
+        """``x`` is +0.0 but for −0.0 on a checkerboard of unmasked
+        cells: every row there sums −0.0 terms only, so the slice loop
+        returns −0.0, and so must the sweep (a +0.0 start gives +0.0).
+
+        The flat form also adds a ``±0·x`` term across each flat wrap
+        (``j = ny−1`` to the next x plane, ``k = nz−1`` to the next
+        column), where the slice loop has none; the −0.0 cells stay off
+        the upper side of a wrap, so no wrap joins two −0.0 cells."""
+        coeffs = _coefficients(shape, dtype)
+        dset = _dirichlet(coeffs.grid, "partial")
+        i, j, k = np.indices(shape)
+        _, ny, nz = shape
+        neg = ((i + j + k) % 2 == 1) & (j < max(ny - 1, 1)) & (k < max(nz - 1, 1))
+        x = np.zeros(shape, dtype)
+        x[neg & ~dset.mask] = -0.0
+        expected = ref.apply_jx_slices(coeffs, dset, x)
+        assert np.signbit(expected).any()
+        _assert_bits(apply_jx(coeffs, dset, x), expected)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_private_dia_kernel_equals_public_product(self, dtype):
+        """The stencil's operands through ``_sparsetools.dia_matvec`` give
+        what SciPy's public ``dia_array @ x`` gives, bit for bit, on an
+        ``x`` with no zero entries (the public product starts from
+        +0.0): a SciPy release that changes the private kernel fails
+        here by name."""
+        coeffs = _coefficients((13, 9, 4), dtype)
+        op = FlatStencil.from_coefficients(coeffs, None)
+        x = _field((13, 9, 4), dtype, seed=4)
+        x[x == 0] = 1.0
+        n, _, _, _, offsets, data = op._sweep(np.dtype(dtype))
+        got = np.full(n, -0.0, dtype)
+        _sparsetools.dia_matvec(n, n, len(offsets), n, offsets, data, x.reshape(-1), got)
+        _assert_bits(got, dia_array((data, offsets), shape=(n, n)) @ x.reshape(-1))
+        _assert_bits(op.apply(x).reshape(-1), got)
 
     def test_strided_input(self):
         """A non-contiguous ``x`` is read in C order."""
         coeffs = _coefficients((13, 9, 4), np.float32)
         dset = _dirichlet(coeffs.grid, "partial")
         x = np.asfortranarray(_field((13, 9, 4), np.float64))
-        np.testing.assert_array_equal(
-            apply_jx(coeffs, dset, x), ref.apply_jx_slices(coeffs, dset, x)
-        )
+        _assert_bits(apply_jx(coeffs, dset, x), ref.apply_jx_slices(coeffs, dset, x))
 
     def test_one_stencil_serves_both_precisions(self):
         """A built operator applied to float32, float64, then float32
@@ -94,7 +147,7 @@ class TestApply:
         op = MatrixFreeOperator(coeffs, dset)
         for dtype in (np.float32, np.float64, np.float32):
             x = _field((13, 9, 4), dtype, seed=3)
-            np.testing.assert_array_equal(op(x), ref.apply_jx_slices(coeffs, dset, x))
+            _assert_bits(op(x), ref.apply_jx_slices(coeffs, dset, x))
 
     @pytest.mark.parametrize("x_dtype", DTYPES)
     def test_transient_operator(self, x_dtype):
@@ -108,7 +161,7 @@ class TestApply:
             x = _field(grid.shape, x_dtype, seed=seed)
             expected = ref.apply_jx_slices(problem.coefficients, problem.dirichlet, x)
             expected += acc * x
-            np.testing.assert_array_equal(op(x), expected)
+            _assert_bits(op(x), expected)
 
     def test_shape_checks(self):
         coeffs = _coefficients((4, 4, 4), np.float32)
@@ -155,9 +208,7 @@ def _assert_same_cycles(hier, expected, mask, seeds=(8, 9)):
         for dtype in DTYPES:
             r = _field(mask.shape, dtype, seed=seed)
             r[mask] = 0.0
-            got = mg_apply(hier, r)
-            assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, ref.mg_apply(expected, r))
+            _assert_bits(mg_apply(hier, r), ref.mg_apply(expected, r))
 
 
 class TestVCycle:

@@ -146,6 +146,21 @@ class TestGpuCG:
         assert report.converged
         np.testing.assert_allclose(report.pressure, ref.pressure, atol=2e-6)
 
+    def test_float64_solve_iterates_in_float64(self):
+        """A float64 solve stages its iterate and right-hand side in
+        float64: the pressure is float64 and agrees with a float64
+        fabric solve, which applies the same ``Σ c (x_K − x_L)``
+        operator, far inside float32 rounding."""
+        problem = make_problem(8, 8, 2, seed=1)
+        spec = repro.SolveSpec.from_kwargs(dtype=np.float64, rel_tol=1e-12)
+        want = repro.solve(problem, backend="wse", spec=spec).pressure
+        for got in (
+            GpuCGSolver(problem, dtype=np.float64, rel_tol=1e-12).solve().pressure,
+            repro.solve(problem, backend="gpu", spec=spec).pressure,
+        ):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
     def test_fp32_mode(self):
         problem = make_problem(8, 8, 4, seed=5)
         ref = repro.solve(problem)
