@@ -15,9 +15,13 @@ expected failure contributes its exception type and message.
 
 The corpus crosses both kernel variants, buffer reuse on and off, no,
 Jacobi and mg preconditioning, float32 and float64, steady solves (with
-and without a guess and a right-hand side) and two-step transient
+and without a guess and a right-hand side) and four-step transient
 simulations, on problems with full and partial-Dirichlet columns; it
 adds one ``comm_only`` run and two ``PeOutOfMemory`` cases per engine.
+The fabric simulations repeat each Δt (``dts=[0.5, 0.5, 2.0, 2.0]``),
+so every engine's second step of a Δt runs re-staged rather than
+freshly built; the batched ones run both as one program and as one
+program per lane (``batch_size=1``, two chunk engines).
 
 The host stencil (``repro.fv.operator.FlatStencil``) is covered on its
 own too: reference-backend steady solves and two-step simulations with
@@ -80,6 +84,9 @@ OOM_CASES = (
     (1000, {}),
     (600, dict(variant="fused_mobility", reuse_buffers=False, preconditioner="jacobi")),
 )
+#: The fabric simulations' schedule: each Δt twice, so a step runs on a
+#: re-staged engine as well as on a freshly built one.
+STEPPED_DTS = [0.5, 0.5, 2.0, 2.0]
 #: Host stencil grids: odd lateral sizes, and one plane (nz = 1).
 STENCIL_SHAPES = ((7, 5, 3), (9, 3, 1), (5, 6, 2))
 
@@ -193,12 +200,12 @@ def cases():
         return lambda: solve_batch(problems, engine=engine, **knobs)
 
     def stepped(engine, **knobs):
-        knobs = {"spec": SPEC, "rel_tol": 1e-6, "dts": [0.5, 2.0],
+        knobs = {"spec": SPEC, "rel_tol": 1e-6, "dts": STEPPED_DTS,
                  **LAYOUT.get(engine, {}), **knobs}
         return lambda: list(simulate_reports(deep, engine=engine, **knobs))
 
     def stepped_batch(engine, **knobs):
-        knobs = {"spec": SPEC, "rel_tol": 1e-6, "dts": [0.5, 2.0],
+        knobs = {"spec": SPEC, "rel_tol": 1e-6, "dts": STEPPED_DTS,
                  **LAYOUT.get(engine, {}), **knobs}
         return lambda: [
             report
@@ -236,6 +243,9 @@ def cases():
             ), None
             yield f"batched-{engine}/simulate/{pc}", stepped_batch(
                 engine, preconditioner=pc
+            ), None
+            yield f"batched-{engine}/simulate/{pc}/batch_size=1", stepped_batch(
+                engine, preconditioner=pc, batch_size=1
             ), None
         for depth, cfg in OOM_CASES:
             yield f"batched-{engine}/oom/{depth}", batched(

@@ -35,7 +35,11 @@ asserts the operational invariants:
 * **one hierarchy build per Δt** — a 3-step ``repro.simulate`` with
   ``dt=[1.0, 2.0, 2.0]`` builds exactly two hierarchies on the wse
   backend (fused engine) and on the reference backend: the two steps at
-  Δt = 2 share one ``M``.
+  Δt = 2 share one ``M``;
+* **one engine build per Δt** — the same wse simulation builds exactly
+  two engines, counted by wrapping ``repro.core.solver``'s
+  ``create_engine`` and ``create_batched_engine``: the second step at
+  Δt = 2 re-stages the first one's engine.
 
 Exits non-zero on any violated invariant, so CI can gate on it.
 """
@@ -52,6 +56,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
+import repro.core.solver  # noqa: E402
 import repro.mg  # noqa: E402
 from repro.core.solver import WseMatrixFreeSolver  # noqa: E402
 from repro.wse.specs import WSE2  # noqa: E402
@@ -82,32 +87,46 @@ def _telemetry_ok(tele, iterations, failures, label):
 
 
 @contextlib.contextmanager
-def _hierarchy_builds():
-    """Record one entry per call to ``repro.mg``'s two hierarchy builders
-    (wrapped the way ``perfbench/tracing.py`` hooks them): the dtype
-    names of the returned hierarchy's levels, ``/``-joined.  Restored
-    on exit."""
+def _calls(module, names, record):
+    """Wrap ``module``'s functions ``names`` the way ``perfbench/tracing.py``
+    hooks them and yield a list that gets ``record(args, result)`` per
+    call.  Restored on exit."""
     calls: list[str] = []
-    originals = {
-        name: getattr(repro.mg, name)
-        for name in ("build_hierarchy", "hierarchy_for_problem")
-    }
+    originals = {name: getattr(module, name) for name in names}
 
     def counting(original):
         def counted(*args, **kwargs):
-            hier = original(*args, **kwargs)
-            calls.append("/".join(sorted({lvl.op.dtype.name for lvl in hier.levels})))
-            return hier
+            result = original(*args, **kwargs)
+            calls.append(record(args, result))
+            return result
 
         return counted
 
     for name, original in originals.items():
-        setattr(repro.mg, name, counting(original))
+        setattr(module, name, counting(original))
     try:
         yield calls
     finally:
         for name, original in originals.items():
-            setattr(repro.mg, name, original)
+            setattr(module, name, original)
+
+
+def _hierarchy_builds():
+    """One entry per call to ``repro.mg``'s two hierarchy builders: the
+    dtype names of the returned hierarchy's levels, ``/``-joined."""
+    return _calls(
+        repro.mg, ("build_hierarchy", "hierarchy_for_problem"),
+        lambda args, hier: "/".join(sorted({lvl.op.dtype.name for lvl in hier.levels})),
+    )
+
+
+def _engine_builds():
+    """One entry per call to ``repro.core.solver``'s two engine
+    factories: the engine name."""
+    return _calls(
+        repro.core.solver, ("create_engine", "create_batched_engine"),
+        lambda args, engine: args[0],
+    )
 
 
 def main() -> int:
@@ -214,12 +233,12 @@ def main() -> int:
 
     # -- one hierarchy build per Δt in a simulation ----------------------
     schedule = dict(preconditioner="mg", n_steps=3, dt=[1.0, 2.0, 2.0])
-    sim_builds = {}
+    sim_builds, sim_engines = {}, {}
     for backend, knobs in (
         ("wse", dict(spec=SPEC, dtype="float64", engine="fused", rel_tol=1e-9)),
         ("reference", {}),
     ):
-        with _hierarchy_builds() as builds:
+        with _hierarchy_builds() as builds, _engine_builds() as engines:
             sim = repro.simulate(
                 problem, backend=backend,
                 spec=repro.SolveSpec.from_kwargs(**schedule, **knobs),
@@ -230,8 +249,14 @@ def main() -> int:
             failures.append(f"{backend} mg simulation over dts 1, 2, 2 built "
                             f"{len(builds)} hierarchies in {len(sim.steps)} "
                             f"steps, not 2 in 3")
+        sim_engines[backend] = engines
+    if len(sim_engines["wse"]) != 2:
+        failures.append(f"wse mg simulation over dts 1, 2, 2 built "
+                        f"{len(sim_engines['wse'])} engines, not 2")
     print(f"mg_smoke: hierarchy builds per simulation (dts 1, 2, 2): "
           f"wse={sim_builds['wse']} reference={sim_builds['reference']}")
+    print(f"mg_smoke: engine builds per simulation (dts 1, 2, 2): "
+          f"wse={len(sim_engines['wse'])}")
 
     # -- the V-cycle runs in the solve's working precision ---------------
     for label, (builds, want) in precision.items():
@@ -249,7 +274,7 @@ def main() -> int:
     print(f"mg_smoke: PASS ({reduction:.1f}x iteration reduction, 4-engine "
           f"float32 parity, telemetry shape verified, one hierarchy build "
           f"per solve and per simulation dt, each in the solve's working "
-          f"precision)")
+          f"precision, one engine build per simulation dt)")
     return 0
 
 

@@ -24,7 +24,8 @@ exactly what the event oracle records.  A lane's staging
 (:class:`~repro.core.host._Staging`) is the one the oracle loads its
 PEs from, so both read one copy of each system's data.  Every run
 builds its own charge models and histories, so every report owns its
-data.
+data.  A driver is built once per system (once per Δt in a
+simulation) and re-staged between its solves (:meth:`CgDriver.restage`).
 
 Lanes are independent problems, so they run one after another; the
 per-tile dot partials a kernel returns are summed sequentially in a
@@ -33,15 +34,16 @@ fixed order, which makes every layout bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.host import _Staging
+from repro.core.host import _Staging, stage_vectors
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
 from repro.fused.kernels import FusedNumpyBackend
+from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.state_machine import CGState
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WseSpecs
@@ -62,14 +64,16 @@ class Lane:
 
     ``staging`` supplies the charge model's Dirichlet histogram and
     kernel plans, the initial guess every run starts from, and the mg
-    hierarchy; ``extras`` maps the lane's iteration count to the
-    layout's extra :class:`EngineReport` fields (``fused``/``shard``
+    hierarchy; a re-stage rewrites its guess and ``b`` from ``problem``
+    and sets ``tol_rtr``.  ``extras`` maps the lane's iteration count to
+    the layout's extra :class:`EngineReport` fields (``fused``/``shard``
     telemetry)."""
 
     kernel: FusedNumpyBackend
     staging: _Staging
     tol_rtr: float
     memory: dict
+    problem: SinglePhaseProblem
     extras: Callable[[int], dict] = _no_extras
 
 
@@ -136,6 +140,14 @@ class CgDriver:
             spec=self.spec, suppress=self.program.comm_only,
             kind_counts=st.kind_counts, kernel_plans=st.kernel_plans,
         )
+
+    def restage(self, guesses: Sequence, rhss: Sequence, tol_rtrs: Sequence) -> None:
+        """Give every lane a new guess, right-hand side and ε for its next
+        solve; ``program.tol_rtr`` takes the first lane's ε."""
+        for lane, guess, rhs, tol in zip(self.lanes, guesses, rhss, tol_rtrs):
+            stage_vectors(lane.staging, lane.problem, guess, rhs=rhs)
+            lane.tol_rtr = float(tol)
+        self.program = replace(self.program, tol_rtr=self.lanes[0].tol_rtr)
 
     def run(self) -> EngineReport:
         (report,) = self.run_lanes()

@@ -271,7 +271,7 @@ def _layout(
         )
         memory = _memory_report(spec, program, nz, dtype, st.kind_counts)
         kernel = FusedNumpyBackend(st, program, boxes=boxes, dtype=dtype)
-        lane = Lane(kernel, st, float(tol), memory)
+        lane = Lane(kernel, st, float(tol), memory, problem)
         if extras is not None:
             lane.extras = extras
         lanes.append(lane)

@@ -14,6 +14,8 @@ system's data and report the same per-PE memory by construction.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.allreduce import AllReduce, AllReduceColors
@@ -25,6 +27,7 @@ from repro.core.host import (
     fabric_memory_report,
     gather_field,
     stage_problem,
+    stage_vectors,
 )
 from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
@@ -48,7 +51,8 @@ class EventEngine:
     the program to completion and gathers the results.  ``fabric``,
     ``exchange``, ``allreduce`` and ``kernel`` are the current fabric's
     machinery.  ``precondition`` is the system's built ``M`` (default:
-    the program's, built at staging).
+    the program's, built at staging).  :meth:`restage` (the array
+    driver's, for one lane) sets up the next run's guess, ``b`` and ε.
     """
 
     name = "event"
@@ -122,6 +126,14 @@ class EventEngine:
             for pe in self.fabric.iter_pes():
                 pe.suppress_fp = True
         self._loaded = True
+
+    def restage(self, guesses, rhss, tol_rtrs) -> None:
+        """Stage a new guess and ``b``, and ε into ``program.tol_rtr``
+        (the CG reads it); the next run loads them onto a fresh fabric."""
+        (guess,), (rhs,), (tol,) = guesses, rhss, tol_rtrs
+        stage_vectors(self.staging, self.problem, guess, rhs=rhs)
+        self.program = replace(self.program, tol_rtr=float(tol))
+        self._loaded = False
 
     def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
         """Run the distributed CG to completion.  The fabric is spent by

@@ -9,7 +9,10 @@ cycle counters here).  Every fabric engine stages from this module:
   fabric data is built: ``(nx, ny, nz)`` field arrays plus the per-PE
   column classification (:class:`_Staging`).  The array layouts read
   their tiles as windows of these arrays; the event oracle copies each
-  PE's column of them into its PE (:func:`stage_problem`);
+  PE's column of them into its PE (:func:`stage_problem`).  All of it
+  is per system (once per Δt in a simulation) except the per-solve
+  ``y`` and ``b``, which :func:`stage_vectors` writes, and an engine's
+  ``restage`` re-writes;
 * **inventory** — :func:`pe_columns` lists the column buffers one PE
   allocates, in order.  The oracle allocates from it, and
   :func:`_rehearse_bytes` replays it against a real
@@ -210,9 +213,8 @@ def _stage_problem(
             "program.accumulation and the staged accumulation array must "
             "be supplied together"
         )
-    st.y, st.b = problem.system_vectors(
-        dtype, initial_pressure=initial_pressure, accumulation=accumulation, rhs=rhs
-    )
+    st.y, st.b = np.empty(grid.shape, dtype), np.empty(grid.shape, dtype)
+    stage_vectors(st, problem, initial_pressure, accumulation, rhs)
     st.z = np.zeros(grid.shape, dtype=dtype) if program.uses_z else None
     st.inv_diag = None
     st.acc = None if accumulation is None else accumulation.astype(dtype)
@@ -265,6 +267,20 @@ def _stage_problem(
         if count > 0
     }
     return st
+
+
+def stage_vectors(
+    st: _Staging, problem: SinglePhaseProblem, initial_pressure=None,
+    accumulation=None, rhs=None,
+) -> None:
+    """Write ``problem.system_vectors`` into ``st.y`` and ``st.b`` in
+    place: a kernel's ``b`` is a view of ``st.b``."""
+    y, b = problem.system_vectors(
+        st.y.dtype, initial_pressure=initial_pressure, accumulation=accumulation,
+        rhs=rhs,
+    )
+    np.copyto(st.y, y)
+    np.copyto(st.b, b)
 
 
 def stage_problem(

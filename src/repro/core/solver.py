@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.engines import DEFAULT_ENGINE, create_batched_engine, create_engine
 from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram, EngineReport
-from repro.fv.operator import apply_jx
+from repro.fv.operator import FlatStencil
 from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError, unknown_name_error
@@ -41,6 +41,7 @@ def resolve_tolerance(
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
+    stencil: FlatStencil | None = None,
 ) -> float:
     """The absolute ε on the global ``r^T z`` the device applies.
 
@@ -56,7 +57,9 @@ def resolve_tolerance(
 
     The programs check ε against ``r^T z = r^T M^{-1} r``, so the scale
     is ``r0^T M^{-1} r0`` with the system's built ``precondition``
-    (``z = r`` without one).
+    (``z = r`` without one).  ``stencil`` is the problem's ``J``
+    (:meth:`FlatStencil.from_coefficients`), bound once by a caller that
+    resolves many of its systems; without one each call builds it.
     """
     tol = float(tol_rtr)
     if rel_tol is None:
@@ -67,7 +70,9 @@ def resolve_tolerance(
         np.float64, initial_pressure=initial_pressure, accumulation=accumulation,
         rhs=rhs,
     )
-    jx = apply_jx(problem.coefficients, problem.dirichlet, p0)
+    if stencil is None:
+        stencil = FlatStencil.from_coefficients(problem.coefficients, problem.dirichlet)
+    jx = stencil.apply(p0)
     if accumulation is not None:
         jx += accumulation.astype(np.float64) * p0
     r0 = b - jx
@@ -157,12 +162,12 @@ def _build(
     *,
     batched: bool,
     preconditions: Sequence[Preconditioner] | None = None,
+    tols: Sequence[float] | None = None,
 ):
     """Check each system's ``accumulation``/``rhs`` shapes, build the
-    one program, then each system's ``M`` (unless ``preconditions``
-    brings them) and tolerance, and stage the engine with both:
-    ``create_engine`` for one problem, ``create_batched_engine`` (one
-    lane per problem) when ``batched``."""
+    one program, each system's ``M`` and ε (unless ``preconditions`` and
+    ``tols`` bring them), and stage the engine: ``create_engine`` for one
+    problem, ``create_batched_engine`` (a lane each) when ``batched``."""
     for problem, acc, rhs in zip(problems, accs, rhss):
         problem.check_system_shapes(acc, rhs)
     program = knobs.program(len(problems), any(acc is not None for acc in accs))
@@ -171,20 +176,8 @@ def _build(
             program.preconditioner_for(problem, acc, knobs.dtype)
             for problem, acc in zip(problems, accs)
         ]
-    tols = [
-        resolve_tolerance(
-            problem,
-            precondition,
-            tol_rtr=knobs.tol_rtr,
-            rel_tol=knobs.rel_tol,
-            initial_pressure=guess,
-            accumulation=acc,
-            rhs=rhs,
-        )
-        for problem, precondition, guess, acc, rhs in zip(
-            problems, preconditions, guesses, accs, rhss
-        )
-    ]
+    if tols is None:
+        tols = _tolerances(problems, preconditions, guesses, accs, rhss, knobs)
     # Engine construction stages the problems (and enforces the 48 KiB
     # per-PE budget), exactly as loading an oversized CSL program would
     # fail before the run.
@@ -207,36 +200,29 @@ def _build(
     )
 
 
-def _run(
-    engine: str,
-    problems: Sequence[SinglePhaseProblem],
-    guesses: Sequence,
-    accs: Sequence,
-    rhss: Sequence,
-    knobs: _Knobs,
-    *,
-    batched: bool,
-    batch_size: int | None = None,
-    preconditions: Sequence[Preconditioner] | None = None,
-) -> list[EngineReport]:
-    """One report per problem, in order: a serial run of the single
-    problem, or batched chunks of at most ``batch_size`` lanes."""
-    if not batched:
-        return [_build(engine, problems, guesses, accs, rhss, knobs, batched=False,
-                       preconditions=preconditions).run()]
+def _tolerances(problems, ms, guesses, accs, rhss, knobs, stencils=None):
+    """Each system's ε (:func:`resolve_tolerance`), on its stencil if given."""
+    return [
+        resolve_tolerance(p, m, tol_rtr=knobs.tol_rtr, rel_tol=knobs.rel_tol,
+                          initial_pressure=g, accumulation=a, rhs=r, stencil=s)
+        for p, m, g, a, r, s in zip(
+            problems, ms, guesses, accs, rhss, stencils or [None] * len(problems)
+        )
+    ]
+
+
+def _chunks(count: int, batch_size: int | None) -> list[slice]:
+    """The lanes of each batched program: at most ``batch_size`` each."""
     if batch_size is not None and batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    size = batch_size or len(problems)
-    reports: list[EngineReport] = []
-    for start in range(0, len(problems), size):
-        chunk = slice(start, start + size)
-        lanes = _build(
-            engine, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
-            knobs, batched=True,
-            preconditions=None if preconditions is None else preconditions[chunk],
-        )
-        reports.extend(lanes.run_lanes())
-    return reports
+    size = batch_size or count
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _lane_reports(engine, batched: bool) -> list[EngineReport]:
+    """A built engine's reports: a batched chunk's lanes, or a serial
+    engine's ``run`` (so wrappers on ``create_engine``'s engines see it)."""
+    return engine.run_lanes() if batched else [engine.run()]
 
 
 class WseMatrixFreeSolver:
@@ -326,16 +312,19 @@ def solve_batch(
     if not problems:
         return []
     count, shape = len(problems), problems[0].grid.shape
-    return _run(
-        engine,
-        problems,
-        normalize_guesses(initial_pressure, count, shape),
-        normalize_guesses(accumulation, count, shape),
-        normalize_guesses(rhs, count, shape),
-        _Knobs.parse(knobs),
-        batched=True,
-        batch_size=batch_size,
+    guesses, accs, rhss = (
+        normalize_guesses(field, count, shape)
+        for field in (initial_pressure, accumulation, rhs)
     )
+    knobs = _Knobs.parse(knobs)
+    return [
+        report
+        for chunk in _chunks(count, batch_size)
+        for report in _build(
+            engine, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
+            knobs, batched=True,
+        ).run_lanes()
+    ]
 
 
 # -- transient time stepping --------------------------------------------------
@@ -357,10 +346,11 @@ def _simulate(
     **knobs,
 ):
     """The one stepping loop: N :class:`TransientStepper`\\ s advanced
-    together, one engine solve per step (serial for N = 1, one batched
-    program otherwise), yielding each step's reports in input order.
-    ``begin`` returns the same accumulation array while Δt holds, so a
-    lane builds its ``M`` once per Δt."""
+    together, yielding each step's reports in input order.  One engine
+    per Δt, re-staged per step: ``begin`` returns the same accumulation
+    array while Δt holds, so a Δt builds each lane's ``M`` and one engine
+    per chunk of at most ``batch_size`` lanes; its other steps re-stage
+    only ``y0``, ``b`` and ε, resolved on each lane's stencil of ``J``."""
     from repro.physics.transient import TransientStepper
 
     knobs = _Knobs.parse(knobs)
@@ -379,18 +369,28 @@ def _simulate(
         for problem, state in zip(problems, states)
     ]
     program = knobs.program(len(problems), accumulation=True)
-    built = [(None, None)] * len(steppers)  # per lane: (accumulation, its M)
+    stencils = [FlatStencil.from_coefficients(p.coefficients, p.dirichlet)
+                for p in problems]
+    chunks = _chunks(len(problems), batch_size)
+    held: Sequence = [None] * len(problems)  # each lane's accumulation, as built
     for index in steppers[0].pending():
         accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
-        built = [
-            (acc, m) if acc is last
-            else (acc, program.preconditioner_for(p, acc, knobs.dtype))
-            for (last, m), p, acc in zip(built, problems, accs)
-        ]
-        reports = _run(
-            engine, problems, guesses, accs, rhss, knobs, batched=batched,
-            batch_size=batch_size, preconditions=[m for _, m in built],
-        )
+        if any(acc is not last for acc, last in zip(accs, held)):  # a new Δt
+            held, engines = accs, {}
+            ms = [program.preconditioner_for(p, a, knobs.dtype)
+                  for p, a in zip(problems, accs)]
+        tols = _tolerances(problems, ms, guesses, accs, rhss, knobs, stencils)
+        reports: list[EngineReport] = []
+        for at, chunk in enumerate(chunks):
+            if at in engines:
+                engines[at].restage(guesses[chunk], rhss[chunk], tols[chunk])
+            else:
+                engines[at] = _build(
+                    engine, problems[chunk], guesses[chunk], accs[chunk],
+                    rhss[chunk], knobs, batched=batched, preconditions=ms[chunk],
+                    tols=tols[chunk],
+                )
+            reports += _lane_reports(engines[at], batched)
         for stepper, report in zip(steppers, reports):
             stepper.advance(report.pressure)
         yield reports

@@ -220,9 +220,9 @@ class FusedNumpyBackend:
     ``boxes`` are the ``(x0, x1, y0, y1)`` tiles, in the order their dot
     partials are returned; each layout lays them out (see
     :mod:`repro.core.engines`).  ``y`` is seeded from the staging at
-    construction; the driver seeds it again at the start of every run,
-    so a repeated run starts from exactly the state the first one did.
-    Every other work array is rewritten by the init pass.
+    construction and by the driver at the start of every run, so a run
+    starts from the staging's guess; ``b`` is the staging's, re-staged
+    in place.  Every other work array is rewritten by the init pass.
     """
 
     def __init__(self, st, program, *, boxes, dtype: np.dtype):

@@ -5,16 +5,26 @@ driver owns what used to be re-implemented per engine: a repeated
 ``solve()`` re-stages and reports exactly what the first did (each run
 builds its own charge models and histories), and a lane that starts at
 its converged solution stops at ``ITER_CHECK`` after INIT while its
-siblings keep iterating.
+siblings keep iterating.  A simulation builds one engine per run of
+equal Δt and re-stages it (``restage``, shared with the event oracle)
+on the other steps; every step reports exactly what a freshly built
+solver of that step's system does.
 """
 
 import numpy as np
 import pytest
 
 from helpers import make_problem
+from repro.core import solver
 from repro.core.engines import create_batched_engine
 from repro.core.program import CgProgram
-from repro.core.solver import WseMatrixFreeSolver, solve_batch
+from repro.core.solver import (
+    WseMatrixFreeSolver,
+    simulate_reports,
+    simulate_reports_batch,
+    solve_batch,
+)
+from repro.physics.transient import TransientStepper
 from repro.solvers.state_machine import CGState
 from repro.wse.specs import WSE2
 
@@ -123,3 +133,104 @@ def test_lane_starting_converged_stops_after_init(engine):
     assert dict(oracle.counters.op_counts) == dict(stopped.counters.op_counts)
     assert oracle.memory == stopped.memory
     np.testing.assert_allclose(stopped.pressure, oracle.pressure, atol=1e-12)
+
+
+# -- one engine per Δt, re-staged per step ------------------------------------
+
+#: A Δt repeated, then changed: steps 1 and 4 run on a freshly built
+#: engine, steps 2, 3 and 5 on a re-staged one.  The large
+#: compressibility keeps every step iterating.
+STEPPED = dict(dts=[0.5, 0.5, 0.5, 2.0, 2.0], total_compressibility=100.0)
+STEPPED_CASES = [(engine, knobs, None) for engine, knobs in LAYOUTS] + [
+    (engine, {}, size) for engine in ("vectorized", "fused") for size in (1, 2)
+]
+
+
+def _stepped_id(case):
+    engine, knobs, size = case
+    return f"{engine}-{knobs}" if size is None else f"batched-{engine}-size{size}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("preconditioner", ["none", "jacobi", "mg"])
+@pytest.mark.parametrize(
+    "engine, knobs, batch_size", STEPPED_CASES,
+    ids=[_stepped_id(case) for case in STEPPED_CASES],
+)
+def test_restaged_engine_reports_what_a_fresh_one_does(
+    engine, knobs, batch_size, preconditioner, dtype
+):
+    """Every step of a simulation equals a freshly built serial solver
+    (or ``solve_batch`` call) fed the same ``(acc, rhs, x0)``, walked by
+    a :class:`TransientStepper` from the simulation's own pressures:
+    report, pressure bytes and preconditioner telemetry."""
+    solve = dict(
+        spec=SPEC, dtype=dtype, rel_tol=1e-6, preconditioner=preconditioner, **knobs
+    )
+    if batch_size is None:
+        problems = [make_problem(3, 3, 3, seed=1)]
+        steps = [[report] for report in simulate_reports(
+            problems[0], engine=engine, **STEPPED, **solve
+        )]
+    else:
+        problems = [make_problem(3, 3, 3, seed=s) for s in (1, 2)]
+        steps = list(simulate_reports_batch(
+            problems, engine=engine, batch_size=batch_size, **STEPPED, **solve
+        ))
+    steppers = [TransientStepper(p, state_dtype=dtype, **STEPPED) for p in problems]
+    assert len(steps) == len(STEPPED["dts"])
+    for index, step in zip(steppers[0].pending(), steps):
+        accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
+        if batch_size is None:
+            fresh = [WseMatrixFreeSolver(
+                problems[0], engine=engine, initial_pressure=guesses[0],
+                accumulation=accs[0], rhs=rhss[0], **solve,
+            ).solve()]
+        else:
+            fresh = solve_batch(
+                problems, engine=engine, batch_size=batch_size,
+                initial_pressure=list(guesses), accumulation=list(accs),
+                rhs=list(rhss), **solve,
+            )
+        for restaged, alone in zip(step, fresh, strict=True):
+            assert restaged.iterations > 0
+            _same_report(restaged, alone)
+            assert restaged.pressure.tobytes() == alone.pressure.tobytes()
+            assert restaged.preconditioner == alone.preconditioner
+            assert restaged.engine == alone.engine
+        for stepper, report in zip(steppers, step):
+            stepper.advance(report.pressure)
+
+
+@pytest.mark.parametrize("batch_size", [None, 1], ids=["serial", "batched-size1"])
+def test_simulation_builds_one_engine_per_dt_run(monkeypatch, batch_size):
+    """Δt runs 0.5, 2.0, 0.5: three engine builds per chunk, however
+    many steps each run has; a serial engine still solves through the
+    ``run`` of what ``create_engine`` returned, once per step."""
+    builds, runs = [], []
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            engine = original(*args, **kwargs)
+            builds.append(args[0])
+            run = engine.run
+            engine.run = lambda: runs.append(1) or run()
+            return engine
+
+        return counted
+
+    for name in ("create_engine", "create_batched_engine"):
+        monkeypatch.setattr(solver, name, counting(getattr(solver, name)))
+    dts = [0.5, 0.5, 2.0, 2.0, 2.0, 0.5]
+    if batch_size is None:
+        steps = list(simulate_reports(
+            make_problem(4, 4, 3, seed=1), engine="fused", dts=dts, **F64
+        ))
+        assert len(builds) == 3 and len(runs) == len(dts)
+    else:
+        problems = [make_problem(4, 4, 3, seed=s) for s in (1, 2)]
+        steps = list(simulate_reports_batch(
+            problems, engine="fused", batch_size=batch_size, dts=dts, **F64
+        ))
+        assert len(builds) == 3 * len(problems)
+    assert len(steps) == len(dts)

@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from helpers import make_problem
-from repro.backends import SolveResult, StepResult
+from repro.backends import SolveResult, StepResult, get_backend
 from repro.net import (
     GatewayClient,
     GatewayError,
@@ -647,10 +647,30 @@ class TestGatewayStream:
 
         run(main())
 
-    def test_killed_mid_transient_resumes_over_the_wire(self, tmp_path):
+    def test_killed_mid_transient_resumes_over_the_wire(
+        self, tmp_path, monkeypatch
+    ):
         """The satellite: cut the socket mid-stream; the client reconnects
         with ``last_step`` and the gateway resumes from the durable step
         stack — the consumer sees every step exactly once."""
+        cut_after = 2
+        reached = threading.Event()  # the client has read cut_after steps
+        cut = threading.Event()  # every live connection is aborted
+        backend = type(get_backend("wse"))
+        simulate = backend.simulate
+        streams: list[int] = []
+
+        def held(self, problem, spec=None, **kwargs):
+            # The first stream computes no step past the cut before the
+            # cut, so the server cannot push steps ahead of it.
+            first = not streams
+            streams.append(kwargs.get("start_step", 0))
+            for step in simulate(self, problem, spec, **kwargs):
+                yield step
+                if first and step.step == cut_after:
+                    assert cut.wait(timeout=10)
+
+        monkeypatch.setattr(backend, "simulate", held)
 
         async def main():
             async with SolveService(
@@ -658,7 +678,6 @@ class TestGatewayStream:
             ) as service:
                 async with Gateway(service) as gateway:
                     seen: list[int] = []
-                    cut_after = 2
                     proceed = threading.Event()
 
                     def work(port):
@@ -670,6 +689,7 @@ class TestGatewayStream:
                         ):
                             seen.append(step.step)
                             if len(seen) == cut_after:
+                                reached.set()
                                 proceed.wait(timeout=10)
                         client.close()
                         return seen
@@ -677,11 +697,11 @@ class TestGatewayStream:
                     task = asyncio.ensure_future(
                         _client_thread(work, gateway.port)
                     )
-                    while len(seen) < cut_after:
-                        await asyncio.sleep(0.01)
+                    assert await _client_thread(reached.wait, 10)
                     # Kill every live connection out from under the client.
                     for writer in list(gateway._connections):
                         writer.transport.abort()
+                    cut.set()
                     proceed.set()
                     steps = await task
                     stats = service.stats()
