@@ -239,12 +239,7 @@ class DataflowCG:
             self._terminal(pe, CGState.CONVERGED)
             return
         if st.k >= limit:
-            terminal = (
-                CGState.CONVERGED
-                if (self.check_convergence and st.rtr < self.tol_rtr)
-                else CGState.MAXITER
-            )
-            self._terminal(pe, terminal)
+            self._terminal(pe, CGState.MAXITER)
             return
         self._visit(pe, CGState.EXCHANGE)
         self.exchange.begin_pe(pe, "p", self._after_halo)

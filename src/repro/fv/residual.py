@@ -49,12 +49,3 @@ def compute_residual(
         boundary_residual = pressure - dirichlet.values.astype(pressure.dtype)
         np.copyto(out, boundary_residual, where=dirichlet.mask)
     return out
-
-
-def newton_rhs(
-    coeffs: FluxCoefficients,
-    dirichlet: DirichletSet,
-    pressure: np.ndarray,
-) -> np.ndarray:
-    """Right-hand side ``-r(p)`` of the Newton system ``J δp = -r`` (Eq. 5)."""
-    return -compute_residual(coeffs, dirichlet, pressure)

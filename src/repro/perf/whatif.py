@@ -11,7 +11,7 @@ measurements, and are labelled as such by the bench that prints them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.perf.memmodel import PeMemoryModel, SCALAR_RESERVE_BYTES
 from repro.perf.timemodel import Cs2TimeModel
@@ -66,23 +66,6 @@ DEFAULT_SCENARIOS = (
     WhatIfScenario("all of the above", fabric_scale=2.0, clock_scale=2.0,
                    simd_scale=2.0, memory_scale=2.0),
 )
-
-
-@dataclass(frozen=True)
-class WhatIfProjection:
-    """Model outputs for one scenario on the paper's workload."""
-
-    scenario: WhatIfScenario
-    spec: WseSpecs
-    alg1_time_s: float
-    alg2_time_s: float
-    max_depth: int
-    max_cells: int
-
-    @property
-    def speedup_vs_baseline_shape(self) -> float:
-        """Filled in by :func:`project` relative to the first scenario."""
-        return self._speedup  # type: ignore[attr-defined]
 
 
 def project(

@@ -9,7 +9,7 @@ from repro.physics.analytic import (
     linear_pressure_profile,
     analytic_two_plane_solution,
 )
-from repro.physics.simulation import NewtonReport, solve_pressure, newton_solve
+from repro.physics.simulation import NewtonReport, newton_solve
 
 __all__ = [
     "SinglePhaseProblem",
@@ -17,6 +17,5 @@ __all__ = [
     "linear_pressure_profile",
     "analytic_two_plane_solution",
     "NewtonReport",
-    "solve_pressure",
     "newton_solve",
 ]

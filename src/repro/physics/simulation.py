@@ -58,28 +58,6 @@ class NewtonReport:
         return sum(r.iterations for r in self.linear_results)
 
 
-def solve_pressure(
-    problem: SinglePhaseProblem,
-    *,
-    tol_rtr: float = PAPER_TOLERANCE_RTR,
-    max_iters: int = 10_000,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-    dtype=np.float64,
-) -> NewtonReport:
-    """One-Newton-step pressure solve (the paper's experiment shape).
-
-    Equivalent to :func:`newton_solve` with defaults; kept as the simple
-    public entry point.
-    """
-    return newton_solve(
-        problem,
-        tol_rtr=tol_rtr,
-        max_iters=max_iters,
-        precondition=precondition,
-        dtype=dtype,
-    )
-
-
 def newton_solve(
     problem: SinglePhaseProblem,
     *,

@@ -16,6 +16,10 @@ accumulation term on the diagonal:
 The accumulation term *improves* conditioning (diagonal dominance), so CG
 iteration counts drop as Δt shrinks — a property the tests pin down.  As
 Δt → ∞ the scheme recovers the steady incompressible solution.
+
+This module holds the pieces of a step (the accumulation diagonal, the
+operator ``J + A`` and the :class:`TransientStepper` recurrence); the
+loop over steps is ``repro.simulate`` on any backend.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 
 from repro.fv.operator import FlatStencil
 from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.util.errors import ConfigurationError
 from repro.util.validation import check_positive
 
@@ -50,33 +53,6 @@ class TransientOperator:
         # there at construction.
         out += self.accumulation * x
         return out
-
-
-@dataclass
-class TransientReport:
-    """Time-stepping outcome.
-
-    Attributes
-    ----------
-    pressures:
-        Snapshots [p^0, p^1, ..., p^N].
-    linear_results:
-        CG result per step.
-    times:
-        Physical time after each step.
-    """
-
-    pressures: list[np.ndarray] = field(default_factory=list)
-    linear_results: list[CGResult] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-
-    @property
-    def final_pressure(self) -> np.ndarray:
-        return self.pressures[-1]
-
-    @property
-    def total_linear_iterations(self) -> int:
-        return sum(r.iterations for r in self.linear_results)
 
 
 def build_accumulation(
@@ -210,61 +186,3 @@ class TransientStepper:
     def advance(self, pressure: np.ndarray) -> None:
         """Record a completed step's pressure as the new state."""
         self.p = np.asarray(pressure)
-
-
-def simulate_transient(
-    problem: SinglePhaseProblem,
-    *,
-    num_steps: int = 10,
-    dt: float = 1.0,
-    porosity: float | np.ndarray = 0.2,
-    total_compressibility: float = 1e-4,
-    initial_pressure: np.ndarray | None = None,
-    rel_tol: float = 1e-10,
-    max_iters: int = 10_000,
-    store_every: int = 1,
-) -> TransientReport:
-    """Backward-Euler time stepping of the slightly-compressible system.
-
-    Each step solves ``(J + A) p^{n+1} = A p^n + b_D`` with CG; snapshots
-    are stored every ``store_every`` steps (plus the initial and final
-    states).
-    """
-    if num_steps < 1:
-        raise ConfigurationError("num_steps must be >= 1")
-    acc = build_accumulation(
-        problem,
-        porosity=porosity,
-        total_compressibility=total_compressibility,
-        dt=dt,
-    )
-    operator = TransientOperator(problem, acc)
-
-    p, b_dirichlet = problem.system_vectors(
-        np.float64, initial_pressure=initial_pressure
-    )
-
-    report = TransientReport()
-    report.pressures.append(p.copy())
-    report.times.append(0.0)
-
-    rhs = np.empty_like(p)
-    for step in range(1, num_steps + 1):
-        np.multiply(acc, p, out=rhs)
-        rhs += b_dirichlet
-        r0 = rhs - operator(p)
-        rtr0 = float(np.vdot(r0, r0).real)
-        result = conjugate_gradient(
-            operator,
-            rhs,
-            x0=p,
-            tol_rtr=max(rel_tol * rel_tol * rtr0, 1e-300),
-            max_iters=max_iters,
-        )
-        p = result.x
-        problem.dirichlet.apply_to(p)
-        report.linear_results.append(result)
-        if step % store_every == 0 or step == num_steps:
-            report.pressures.append(p.copy())
-            report.times.append(step * dt)
-    return report

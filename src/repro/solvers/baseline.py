@@ -2,8 +2,7 @@
 
 ``scipy_cg_baseline`` runs scipy's CG on the same operator; the dense direct
 solve gives exact (to fp) ground truth on tiny grids.  Tests assert all
-solver paths (reference CG, state machine, dataflow CG, GPU CG, scipy,
-direct) agree.
+solver paths (reference CG, dataflow CG, GPU CG, scipy, direct) agree.
 """
 
 from __future__ import annotations

@@ -3,40 +3,39 @@
 On the dataflow architecture there is no host-style control flow: every
 ``if``/``while`` of Algorithm 1 becomes a state transition triggered by a
 completion callback.  The paper reports devising *14 states*.  This module
-defines that state graph once; the host-side :class:`CGStateMachine` here
-executes it synchronously (useful for testing the graph itself), and
-``repro.core.cg_dataflow`` drives the *same* enum asynchronously on the
-simulated fabric.
+defines that state graph once; the event oracle
+(``repro.core.cg_dataflow``) drives it asynchronously on the simulated
+fabric and the array engines (``repro.core.cg_driver``) walk the same
+graph, so every engine's ``state_visits`` is a path through
+:data:`CG_TRANSITIONS` (tested).
 
-State graph (conditionals are transitions, §III-D):
+State graph (conditionals are transitions, §III-D).  INIT evaluates
+``r0 = b - J y0`` on the fabric, so it routes through the halo exchange
+of ``y0`` and the ``r^T r`` all-reduce before the first ITER_CHECK:
 
-    INIT -> ITER_CHECK
-    ITER_CHECK -> EXCHANGE            (k < k_max)
+    INIT -> EXCHANGE                  (exchange y0)
+    ITER_CHECK -> CONVERGED           (r^T r < ε: a converged start)
     ITER_CHECK -> MAXITER             (k >= k_max)
+    ITER_CHECK -> EXCHANGE            (otherwise)
     EXCHANGE -> COMPUTE_JX            (halo data arrived)
-    COMPUTE_JX -> DOT_PAP             (local Jx done; start all-reduce)
+    COMPUTE_JX -> DOT_PAP             (local Jp done; start all-reduce)
+    COMPUTE_JX -> DOT_RR              (INIT: r0 = b - J y0 done)
     DOT_PAP -> COMPUTE_ALPHA          (all-reduce callback)
     COMPUTE_ALPHA -> UPDATE_SOL
     UPDATE_SOL -> UPDATE_RES
     UPDATE_RES -> DOT_RR              (start all-reduce)
     DOT_RR -> THRES_CHECK             (all-reduce callback)
+    DOT_RR -> ITER_CHECK              (INIT: r0^T r0 arrived)
     THRES_CHECK -> CONVERGED          (r^T r < ε)
     THRES_CHECK -> COMPUTE_BETA       (otherwise)
     COMPUTE_BETA -> UPDATE_DIR
     UPDATE_DIR -> ITER_CHECK
-    CONVERGED -> DONE, MAXITER -> DONE
+    CONVERGED, MAXITER                (terminal)
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
-
-from repro.solvers.cg import CGResult, PAPER_TOLERANCE_RTR
-from repro.util.errors import ConvergenceError
 
 
 class CGState(enum.Enum):
@@ -63,15 +62,15 @@ CG_NUM_STATES = len(CGState)
 
 #: Legal transitions of the state graph (target sets per source state).
 CG_TRANSITIONS: dict[CGState, tuple[CGState, ...]] = {
-    CGState.INIT: (CGState.ITER_CHECK,),
-    CGState.ITER_CHECK: (CGState.EXCHANGE, CGState.MAXITER),
+    CGState.INIT: (CGState.EXCHANGE,),
+    CGState.ITER_CHECK: (CGState.EXCHANGE, CGState.CONVERGED, CGState.MAXITER),
     CGState.EXCHANGE: (CGState.COMPUTE_JX,),
-    CGState.COMPUTE_JX: (CGState.DOT_PAP,),
+    CGState.COMPUTE_JX: (CGState.DOT_PAP, CGState.DOT_RR),
     CGState.DOT_PAP: (CGState.COMPUTE_ALPHA,),
     CGState.COMPUTE_ALPHA: (CGState.UPDATE_SOL,),
     CGState.UPDATE_SOL: (CGState.UPDATE_RES,),
     CGState.UPDATE_RES: (CGState.DOT_RR,),
-    CGState.DOT_RR: (CGState.THRES_CHECK,),
+    CGState.DOT_RR: (CGState.THRES_CHECK, CGState.ITER_CHECK),
     CGState.THRES_CHECK: (CGState.CONVERGED, CGState.COMPUTE_BETA),
     CGState.COMPUTE_BETA: (CGState.UPDATE_DIR,),
     CGState.UPDATE_DIR: (CGState.ITER_CHECK,),
@@ -84,177 +83,3 @@ COMMUNICATING_STATES = (CGState.EXCHANGE, CGState.DOT_PAP, CGState.DOT_RR)
 
 #: Terminal states.
 TERMINAL_STATES = (CGState.CONVERGED, CGState.MAXITER)
-
-
-@dataclass
-class CGStateMachine:
-    """Synchronous executor of the 14-state CG graph.
-
-    This mirrors, step by step, what every PE's event handlers do on the
-    fabric — one :meth:`step` call per state visit.  It is the bridge
-    between the textbook loop (``repro.solvers.cg``) and the asynchronous
-    dataflow version (``repro.core.cg_dataflow``): all three must produce
-    identical iterates (tested).
-
-    Parameters
-    ----------
-    operator:
-        Callable computing ``A @ v``.
-    b:
-        Right-hand side.
-    x0:
-        Initial guess (default zeros).
-    tol_rtr, max_iters:
-        Algorithm 1's ``ε`` and ``k_max``.
-    """
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    b: np.ndarray
-    x0: np.ndarray | None = None
-    tol_rtr: float = PAPER_TOLERANCE_RTR
-    max_iters: int = 10_000
-
-    state: CGState = CGState.INIT
-    k: int = 0
-    state_visits: list[CGState] = field(default_factory=list)
-    residual_history: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.b = np.asarray(self.b)
-        if self.x0 is None:
-            self._x = np.zeros_like(self.b)
-            self._r = self.b.copy()
-        else:
-            self._x = np.array(self.x0, dtype=self.b.dtype, copy=True)
-            self._r = self.b - self.operator(self._x)
-        self._p = np.empty_like(self.b)
-        self._Ap = np.empty_like(self.b)
-        self._rtr = 0.0
-        self._rtr_new = 0.0
-        self._pap = 0.0
-        self._alpha = 0.0
-        self._beta = 0.0
-
-    # -- execution ----------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    def step(self) -> CGState:
-        """Execute the current state's action and transition once."""
-        handler = getattr(self, f"_on_{self.state.name.lower()}")
-        next_state: CGState = handler()
-        allowed = CG_TRANSITIONS[self.state]
-        if next_state not in allowed:  # pragma: no cover - graph is static
-            raise ConvergenceError(
-                f"illegal transition {self.state} -> {next_state}",
-                iterations=self.k,
-                residual_norm=self._rtr,
-            )
-        self.state_visits.append(self.state)
-        self.state = next_state
-        return next_state
-
-    def run(self) -> CGResult:
-        """Step until a terminal state, then return the result."""
-        while not self.done:
-            self.step()
-        self.state_visits.append(self.state)
-        return CGResult(
-            self._x,
-            self.k,
-            self.state is CGState.CONVERGED,
-            self.residual_history,
-        )
-
-    # -- state handlers (lines of Algorithm 1) ------------------------------
-
-    def _on_init(self) -> CGState:
-        # Lines 1-3: r0 computed in __post_init__; p0 <- r0; k <- 0.
-        self._p[...] = self._r
-        self._rtr = float(np.vdot(self._r, self._r).real)
-        self.residual_history.append(self._rtr)
-        self.k = 0
-        return CGState.ITER_CHECK
-
-    def _on_iter_check(self) -> CGState:
-        # Line 4: while k < k_max.  Also short-circuit an already-converged
-        # initial guess (the dataflow code does the same in INIT).
-        if self._rtr < self.tol_rtr:
-            return CGState.MAXITER if self.k >= self.max_iters else CGState.EXCHANGE
-        if self.k >= self.max_iters:
-            return CGState.MAXITER
-        return CGState.EXCHANGE
-
-    def _on_exchange(self) -> CGState:
-        # Halo exchange of the search direction: a no-op for the host
-        # reference (the operator reads any cell directly).
-        return CGState.COMPUTE_JX
-
-    def _on_compute_jx(self) -> CGState:
-        if self._rtr < self.tol_rtr:
-            # Converged initial guess: skip the work, fall through to the
-            # threshold check with zero update.
-            self._Ap.fill(0)
-            return CGState.DOT_PAP
-        self._Ap[...] = self.operator(self._p)
-        return CGState.DOT_PAP
-
-    def _on_dot_pap(self) -> CGState:
-        self._pap = float(np.vdot(self._p, self._Ap).real)
-        return CGState.COMPUTE_ALPHA
-
-    def _on_compute_alpha(self) -> CGState:
-        # Line 5: alpha = r^T r / p^T A p.
-        if self._rtr < self.tol_rtr:
-            self._alpha = 0.0
-        else:
-            if self._pap <= 0:
-                raise ConvergenceError(
-                    f"CG breakdown: p^T A p = {self._pap:.3e} <= 0",
-                    iterations=self.k,
-                    residual_norm=self._rtr,
-                )
-            self._alpha = self._rtr / self._pap
-        return CGState.UPDATE_SOL
-
-    def _on_update_sol(self) -> CGState:
-        # Line 6: y <- y + alpha * p.
-        self._x += self._alpha * self._p
-        return CGState.UPDATE_RES
-
-    def _on_update_res(self) -> CGState:
-        # Line 7: r <- r - alpha * A p.
-        self._r -= self._alpha * self._Ap
-        return CGState.DOT_RR
-
-    def _on_dot_rr(self) -> CGState:
-        self._rtr_new = float(np.vdot(self._r, self._r).real)
-        return CGState.THRES_CHECK
-
-    def _on_thres_check(self) -> CGState:
-        # Line 8: if r^T r < eps, exit loop.
-        self.k += 1
-        self.residual_history.append(self._rtr_new)
-        if self._rtr_new < self.tol_rtr:
-            return CGState.CONVERGED
-        return CGState.COMPUTE_BETA
-
-    def _on_compute_beta(self) -> CGState:
-        # Line 9: beta = r_{k+1}^T r_{k+1} / r_k^T r_k.
-        self._beta = self._rtr_new / self._rtr if self._rtr > 0 else 0.0
-        return CGState.UPDATE_DIR
-
-    def _on_update_dir(self) -> CGState:
-        # Line 10: p <- r + beta * p.
-        self._p *= self._beta
-        self._p += self._r
-        self._rtr = self._rtr_new
-        return CGState.ITER_CHECK
-
-    def _on_converged(self) -> CGState:  # pragma: no cover - terminal
-        return CGState.CONVERGED
-
-    def _on_maxiter(self) -> CGState:  # pragma: no cover - terminal
-        return CGState.MAXITER

@@ -12,10 +12,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core.solver import WseMatrixFreeSolver
 from repro.mesh.geomodel import lognormal_permeability
 from repro.mesh.grid import CartesianGrid3D
 from repro.mesh.wells import quarter_five_spot
 from repro.physics.darcy import SinglePhaseProblem, build_problem
+from repro.wse.specs import WSE2
 
 
 def make_problem(
@@ -34,6 +36,15 @@ def make_problem(
         perm = np.full(grid.shape, 10.0, dtype=np.float32)
     _, dirichlet = quarter_five_spot(grid)
     return build_problem(grid, perm, dirichlet)
+
+
+def converged_guess(problem: SinglePhaseProblem) -> np.ndarray:
+    """A float64 pressure converged to ``r^T r < 1e-24``: a fabric solve
+    at a looser tolerance started from it stops at its first ITER_CHECK."""
+    return WseMatrixFreeSolver(
+        problem, engine="vectorized", spec=WSE2.with_fabric(8, 8),
+        dtype=np.float64, tol_rtr=1e-24, max_iters=500,
+    ).solve().pressure
 
 
 # -- hypothesis strategies ---------------------------------------------------

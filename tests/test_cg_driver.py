@@ -14,7 +14,7 @@ solver of that step's system does.
 import numpy as np
 import pytest
 
-from helpers import make_problem
+from helpers import converged_guess, make_problem
 from repro.core import solver
 from repro.core.engines import create_batched_engine
 from repro.core.program import CgProgram
@@ -88,12 +88,6 @@ def test_repeated_batched_run_returns_equal_reports(engine):
         _same_report(first, second)
 
 
-def _converged_guess(problem):
-    return WseMatrixFreeSolver(
-        problem, engine="vectorized", tol_rtr=1e-24, max_iters=500, **F64
-    ).solve().pressure
-
-
 @pytest.mark.parametrize("engine", ["vectorized", "fused"])
 def test_lane_starting_converged_stops_after_init(engine):
     """A lane seeded with its converged solution runs zero iterations
@@ -101,7 +95,7 @@ def test_lane_starting_converged_stops_after_init(engine):
     exactly their serial solves, and the converged lane matches the
     event oracle's counters and state sequence."""
     done, busy = make_problem(4, 4, 3, seed=1), make_problem(4, 4, 3, seed=2)
-    guess = _converged_guess(done)
+    guess = converged_guess(done)
     lanes = solve_batch(
         [done, busy], engine=engine, initial_pressure=[guess, None], **F64
     )

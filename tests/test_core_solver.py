@@ -8,7 +8,7 @@ permeability field, precision and kernel variant.
 import numpy as np
 import pytest
 
-from helpers import make_problem
+from helpers import converged_guess, make_problem
 import repro
 from repro import api
 from repro.core.fv_kernel import (
@@ -122,24 +122,37 @@ class TestSolverMatchesReference:
 
 
 class TestSolverMechanics:
-    def test_state_visits_follow_graph(self):
-        problem = make_problem(3, 3, 2, seed=0)
-        report = wse_solve(problem)
+    @pytest.mark.parametrize("engine", ["event", "fused"])
+    @pytest.mark.parametrize(
+        "case", ["converged", "converged_start", "max_iters", "mg"]
+    )
+    def test_state_visits_follow_graph(self, engine, case):
+        """Every engine's visits are a path through ``CG_TRANSITIONS``, and
+        the per-iteration states appear once per iteration (INIT's
+        residual adds one EXCHANGE, COMPUTE_JX and DOT_RR)."""
+        problem = make_problem(4, 4, 2, seed=1)
+        kwargs = {
+            "converged": {},
+            "converged_start": {"initial_pressure": converged_guess(problem)},
+            "max_iters": {"max_iters": 2},
+            "mg": {"preconditioner": "mg"},
+        }[case]
+        report = wse_solve(problem, engine=engine, **kwargs)
         visits = report.state_visits
         assert visits[0] is CGState.INIT
-        assert visits[-1] in (CGState.CONVERGED, CGState.MAXITER)
-        # The dataflow machine shares the host machine's transitions; the
-        # INIT phase additionally routes through EXCHANGE -> COMPUTE_JX ->
-        # DOT_RR -> ITER_CHECK to evaluate r0 on-device (§III-D's INIT
-        # "initializes the residual and search direction").
-        init_path_edges = {
-            (CGState.INIT, CGState.EXCHANGE),
-            (CGState.COMPUTE_JX, CGState.DOT_RR),
-            (CGState.DOT_RR, CGState.ITER_CHECK),
-        }
+        terminal = CGState.MAXITER if case == "max_iters" else CGState.CONVERGED
+        assert visits[-1] is terminal
         for a, b in zip(visits, visits[1:]):
-            legal = (b in CG_TRANSITIONS[a]) or ((a, b) in init_path_edges)
-            assert legal, f"illegal transition {a} -> {b}"
+            assert b in CG_TRANSITIONS[a], f"illegal transition {a} -> {b}"
+        k = report.iterations
+        once = (
+            CGState.DOT_PAP, CGState.COMPUTE_ALPHA, CGState.UPDATE_SOL,
+            CGState.UPDATE_RES, CGState.THRES_CHECK,
+        )
+        for state in once:
+            assert visits.count(state) == k, state
+        for state in (CGState.EXCHANGE, CGState.COMPUTE_JX, CGState.DOT_RR):
+            assert visits.count(state) == k + 1, state
 
     def test_residual_history_matches_iterations(self):
         problem = make_problem(4, 3, 2, seed=1)

@@ -20,7 +20,7 @@ from repro.fv.assembly import (
 )
 from repro.fv.coefficients import FluxCoefficients, build_flux_coefficients
 from repro.fv.operator import MatrixFreeOperator, apply_jx
-from repro.fv.residual import compute_residual, newton_rhs
+from repro.fv.residual import compute_residual
 from repro.mesh.boundary import DirichletSet
 from repro.mesh.geomodel import lognormal_permeability
 from repro.mesh.grid import CartesianGrid3D
@@ -199,14 +199,6 @@ class TestResidual:
         mask = small_problem.dirichlet.mask
         np.testing.assert_allclose(
             (jp - r)[mask], small_problem.dirichlet.values[mask], rtol=1e-6
-        )
-
-    def test_newton_rhs_is_negated_residual(self, small_problem, rng):
-        coeffs = _coeffs64(small_problem)
-        p = rng.standard_normal(small_problem.grid.shape)
-        np.testing.assert_array_equal(
-            newton_rhs(coeffs, small_problem.dirichlet, p),
-            -compute_residual(coeffs, small_problem.dirichlet, p),
         )
 
     def test_residual_shape_validation(self, small_problem):

@@ -1,9 +1,12 @@
-"""Packaging: ``import repro`` needs only what ``setup.py`` declares."""
+"""Packaging: ``import repro`` needs only what ``setup.py`` declares, and
+every public name a module lists resolves."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -56,3 +59,24 @@ def test_import_needs_only_declared_dependencies():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_every_all_name_resolves():
+    """A stale ``__all__`` entry breaks only ``from ... import *``, so no
+    other test notices it: import every ``repro`` module and look each
+    listed name up."""
+    import repro
+
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    assert len(names) > 100
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [
+            f"{name}.{public}"
+            for public in getattr(module, "__all__", ())
+            if not hasattr(module, public)
+        ]
+    assert missing == []

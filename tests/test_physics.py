@@ -17,7 +17,7 @@ from repro.physics.analytic import (
     linear_pressure_profile,
 )
 from repro.physics.darcy import build_problem
-from repro.physics.simulation import newton_solve, solve_pressure
+from repro.physics.simulation import newton_solve
 from repro.util.errors import ConfigurationError, ValidationError
 
 
@@ -85,7 +85,7 @@ class TestAnalytic:
         g = CartesianGrid3D(7, 6, 5, dx=1.3, dy=0.7, dz=2.0)
         dirichlet, exact = analytic_two_plane_solution(g, axis, 1.0, -1.0)
         problem = build_problem(g, 25.0, dirichlet)
-        report = solve_pressure(problem)
+        report = newton_solve(problem)
         np.testing.assert_allclose(report.pressure, exact, atol=1e-6)
 
     def test_heterogeneous_layers_orthogonal_to_flow_keep_linearity(self):
@@ -96,26 +96,26 @@ class TestAnalytic:
         perm *= np.linspace(1.0, 10.0, g.ny).reshape(1, -1, 1)
         dirichlet, exact = analytic_two_plane_solution(g, 0, 0.0, 1.0)
         problem = build_problem(g, perm, dirichlet)
-        report = solve_pressure(problem)
+        report = newton_solve(problem)
         np.testing.assert_allclose(report.pressure, exact, atol=1e-6)
 
 
 class TestNewton:
     def test_converges_in_one_step_linear_problem(self, small_problem):
-        report = solve_pressure(small_problem)
+        report = newton_solve(small_problem)
         assert report.newton_iterations == 1
         assert len(report.linear_results) == 1
         assert report.residual_norms[-1] < 1e-10 * report.residual_norms[0]
 
     def test_exact_initial_guess_skips_linear_solve(self, small_problem):
-        first = solve_pressure(small_problem)
+        first = newton_solve(small_problem)
         report = newton_solve(small_problem, initial_pressure=first.pressure)
         assert report.newton_iterations == 0
         assert report.total_linear_iterations == 0
 
     def test_solution_bounded_by_dirichlet_values(self, small_problem):
         """Discrete maximum principle: pressure lies within well pressures."""
-        report = solve_pressure(small_problem)
+        report = newton_solve(small_problem)
         assert report.pressure.min() >= -1e-6
         assert report.pressure.max() <= 1.0 + 1e-6
 
@@ -125,7 +125,7 @@ class TestNewton:
         from repro.solvers.baseline import dense_direct_solve
 
         problem = make_problem(*dims, seed=seed)
-        report = solve_pressure(problem)
+        report = newton_solve(problem)
         J = assemble_jacobian(problem.coefficients, problem.dirichlet)
         b = np.zeros(problem.grid.num_cells)
         mask_flat = problem.dirichlet.mask.reshape(-1)
@@ -134,12 +134,12 @@ class TestNewton:
         np.testing.assert_allclose(report.pressure, direct, rtol=1e-4, atol=1e-7)
 
     def test_float32_mode(self, small_problem):
-        report = solve_pressure(small_problem, dtype=np.float32)
+        report = newton_solve(small_problem, dtype=np.float32)
         assert report.pressure.dtype == np.float32
         assert report.newton_iterations >= 1
 
     def test_report_counts(self, small_problem):
-        report = solve_pressure(small_problem)
+        report = newton_solve(small_problem)
         assert report.total_linear_iterations == sum(
             r.iterations for r in report.linear_results
         )

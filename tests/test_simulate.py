@@ -193,23 +193,6 @@ class TestBackendParity:
             assert ev.telemetry["trace"]["total_wavelets"] == \
                 vec.telemetry["trace"]["total_wavelets"]
 
-    def test_matches_reference_transient_physics(self, problem):
-        """simulate() reproduces the legacy physics loop exactly on the
-        reference backend (same operator, same stepping)."""
-        from repro.physics.transient import simulate_transient
-
-        legacy = simulate_transient(
-            problem, num_steps=4, dt=2.0, total_compressibility=5e-3,
-            rel_tol=1e-10,
-        )
-        sim = repro.simulate(
-            problem, backend="reference",
-            n_steps=4, dt=2.0, total_compressibility=5e-3, rel_tol=1e-10,
-        )
-        np.testing.assert_allclose(
-            sim.final_pressure, legacy.final_pressure, atol=1e-12
-        )
-
     def test_gpu_rejects_jacobi_wse_rejects_comm_only(self, problem):
         with pytest.raises(ConfigurationError, match="preconditioner"):
             list(repro.simulate_steps(

@@ -1,8 +1,9 @@
-"""Tests for the CG solver family: reference loop, state machine, baselines.
+"""Tests for the CG solver family: reference loop, state graph, baselines.
 
 The key cross-validation: all solver paths produce the same solution on the
-same SPD system, and the state machine's visit sequence matches the 14-state
-graph of §III-D.
+same SPD system, and every fabric engine's visit sequence is a walk of the
+14-state graph of §III-D (``test_core_solver.py`` also counts the visits
+per iteration on the event oracle and the fused engine).
 """
 
 import numpy as np
@@ -11,19 +12,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_problem, solvable_grid_dims
+from repro.core.engines import ENGINE_NAMES
+from repro.core.solver import WseMatrixFreeSolver
 from repro.fv.assembly import assemble_jacobian
 from repro.fv.operator import MatrixFreeOperator
+from repro.mesh.boundary import DirichletSet
+from repro.physics.darcy import build_problem
 from repro.solvers.baseline import dense_direct_solve, scipy_cg_baseline
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.state_machine import (
     CG_NUM_STATES,
     CG_TRANSITIONS,
     CGState,
-    CGStateMachine,
     COMMUNICATING_STATES,
     TERMINAL_STATES,
 )
 from repro.util.errors import ConvergenceError, ValidationError
+from repro.wse.specs import WSE2
+
+#: INIT evaluates ``r0 = b - J y0`` on the device before its first check.
+_RESIDUAL = [CGState.EXCHANGE, CGState.COMPUTE_JX, CGState.DOT_RR, CGState.ITER_CHECK]
 
 
 def _spd_system(n: int = 30, seed: int = 0):
@@ -33,6 +41,15 @@ def _spd_system(n: int = 30, seed: int = 0):
     A = A @ A.T + n * np.eye(n)
     b = rng.standard_normal(n)
     return A, b
+
+
+def _fabric_solve(problem, engine, **kwargs):
+    """A float64 solve on one fabric engine at the absolute ε floor."""
+    kwargs.setdefault("dtype", np.float64)
+    kwargs.setdefault("max_iters", 500)
+    return WseMatrixFreeSolver(
+        problem, engine=engine, spec=WSE2.with_fabric(8, 8), **kwargs
+    ).solve()
 
 
 class TestConjugateGradient:
@@ -143,64 +160,59 @@ class TestStateMachine:
     def test_communicating_states_subset(self):
         assert set(COMMUNICATING_STATES) <= set(CGState)
 
-    def test_matches_reference_cg_iterates(self):
-        A, b = _spd_system(seed=6)
-        ref = conjugate_gradient(lambda v: A @ v, b, tol_rtr=1e-18)
-        sm = CGStateMachine(lambda v: A @ v, b, tol_rtr=1e-18)
-        result = sm.run()
-        assert result.converged == ref.converged
-        assert result.iterations == ref.iterations
-        np.testing.assert_allclose(result.x, ref.x, rtol=1e-12)
-        np.testing.assert_allclose(
-            result.residual_history, ref.residual_history, rtol=1e-10
-        )
-
     def test_visit_sequence_follows_graph(self):
-        A, b = _spd_system(n=8, seed=7)
-        sm = CGStateMachine(lambda v: A @ v, b, tol_rtr=1e-18)
-        sm.run()
-        visits = sm.state_visits
-        assert visits[0] is CGState.INIT
-        assert visits[-1] in TERMINAL_STATES
-        for a, nxt in zip(visits, visits[1:]):
-            assert nxt in CG_TRANSITIONS[a], f"illegal {a} -> {nxt}"
+        """Every fabric engine's visits are a path through the graph."""
+        problem = make_problem(4, 4, 2, seed=1)
+        for engine in ENGINE_NAMES:
+            visits = _fabric_solve(problem, engine).state_visits
+            assert visits[0] is CGState.INIT
+            assert visits[-1] in TERMINAL_STATES
+            for a, nxt in zip(visits, visits[1:]):
+                assert nxt in CG_TRANSITIONS[a], f"{engine}: illegal {a} -> {nxt}"
 
     def test_one_iteration_visits_core_loop(self):
-        A, b = _spd_system(n=8, seed=8)
-        sm = CGStateMachine(lambda v: A @ v, b, tol_rtr=1e-18)
-        sm.run()
-        # The loop body states appear exactly `iterations` times.
-        loop_states = [
-            CGState.EXCHANGE,
-            CGState.COMPUTE_JX,
-            CGState.DOT_PAP,
-            CGState.COMPUTE_ALPHA,
-            CGState.UPDATE_SOL,
-            CGState.UPDATE_RES,
-            CGState.DOT_RR,
-            CGState.THRES_CHECK,
+        """One iteration walks INIT's on-device residual, then the loop
+        body once, then stops at MAXITER."""
+        problem = make_problem(4, 4, 2, seed=1)
+        init = [CGState.INIT, *_RESIDUAL]
+        body = [
+            CGState.EXCHANGE, CGState.COMPUTE_JX, CGState.DOT_PAP,
+            CGState.COMPUTE_ALPHA, CGState.UPDATE_SOL, CGState.UPDATE_RES,
+            CGState.DOT_RR, CGState.THRES_CHECK, CGState.COMPUTE_BETA,
+            CGState.UPDATE_DIR, CGState.ITER_CHECK,
         ]
-        for s in loop_states:
-            assert sm.state_visits.count(s) == sm.k
+        for engine in ENGINE_NAMES:
+            report = _fabric_solve(problem, engine, tol_rtr=0.0, max_iters=1)
+            assert report.iterations == 1, engine
+            assert report.state_visits == init + body + [CGState.MAXITER], engine
 
     def test_maxiter_state(self):
-        A, b = _spd_system(n=40, seed=1)
-        sm = CGStateMachine(lambda v: A @ v, b, tol_rtr=1e-30, max_iters=2)
-        result = sm.run()
-        assert not result.converged
-        assert sm.state is CGState.MAXITER
+        problem = make_problem(4, 4, 2, seed=1)
+        for engine in ENGINE_NAMES:
+            report = _fabric_solve(problem, engine, tol_rtr=0.0, max_iters=2)
+            assert not report.converged, engine
+            assert report.iterations == 2, engine
+            assert report.state_visits[-1] is CGState.MAXITER, engine
 
     def test_zero_rhs_short_circuit(self):
-        sm = CGStateMachine(lambda v: v, np.zeros(4), tol_rtr=1e-10)
-        result = sm.run()
-        assert result.converged
-        np.testing.assert_array_equal(result.x, 0.0)
-
-    def test_step_returns_next_state(self):
-        A, b = _spd_system(n=4, seed=0)
-        sm = CGStateMachine(lambda v: A @ v, b)
-        assert sm.step() is CGState.ITER_CHECK
-        assert sm.state is CGState.ITER_CHECK
+        """With zero Dirichlet values the system's right-hand side is zero,
+        so ``r0 = 0`` and every engine converges at its first ITER_CHECK
+        with a zero pressure."""
+        base = make_problem(4, 4, 2, seed=1)
+        problem = build_problem(
+            base.grid, base.permeability,
+            DirichletSet(base.grid, mask=base.dirichlet.mask),
+        )
+        for engine in ENGINE_NAMES:
+            for dtype in (np.float32, np.float64):
+                report = _fabric_solve(problem, engine, dtype=dtype)
+                assert report.converged, engine
+                assert report.iterations == 0, engine
+                assert report.pressure.dtype == dtype
+                np.testing.assert_array_equal(report.pressure, 0.0)
+                assert report.state_visits == [
+                    CGState.INIT, *_RESIDUAL, CGState.CONVERGED
+                ], engine
 
 
 class TestBaselines:
@@ -288,7 +300,7 @@ class TestJacobiPCG:
 class TestSolverAgreementOnFvProblem:
     @given(solvable_grid_dims, st.integers(0, 3))
     def test_all_paths_agree(self, dims, seed):
-        """Reference CG, state machine, scipy and dense direct agree."""
+        """Reference CG and dense direct agree."""
         problem = make_problem(*dims, seed=seed)
         J = assemble_jacobian(problem.coefficients, problem.dirichlet)
         rng = np.random.default_rng(seed)
@@ -297,10 +309,6 @@ class TestSolverAgreementOnFvProblem:
 
         direct = dense_direct_solve(J, b)
         ref = conjugate_gradient(lambda v: J @ v, b, rel_tol=1e-12, max_iters=5000)
-        sm = CGStateMachine(
-            lambda v: J @ v, b, tol_rtr=ref.final_rtr * 1.0001, max_iters=5000
-        ).run()
 
-        assert ref.converged and sm.converged
+        assert ref.converged
         np.testing.assert_allclose(ref.x, direct, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(sm.x, direct, rtol=1e-5, atol=1e-8)
