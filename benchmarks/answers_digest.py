@@ -31,6 +31,19 @@ not their wall-clock time), and the arrays ``apply_jx``,
 ``compute_residual``, ``MatrixFreeOperator``, ``TransientOperator`` and
 ``mg_apply`` return with ``out=None``, on odd lateral sizes and
 ``nz = 1`` with partial-Dirichlet masks, for float32 and float64 inputs.
+
+The front doors are covered on every backend (``reference``, ``gpu``,
+``wse``): ``repro.solve`` steady and with a time schedule,
+``repro.simulate``, ``repro.simulate_many`` (serial, and batched on
+``wse``), ``repro.solve_many(batch=True)`` with a time schedule, and a
+``wse`` simulation through a result store (cut after two steps, resumed,
+replayed from the store, re-run with ``resume=False``).  A backend
+result hashes its pressure, iterations, ``converged``, residual history,
+step/time/Δt, and its telemetry with dataclasses by field value; a
+simulation also hashes its run telemetry and ``to_dict()``.  Wall-clock
+``elapsed_seconds`` is left out wherever ``time_kind`` is
+``"wall_clock"``, and so are the reference's live ``linear_results``
+(their iterations and histories are the result's own).
 ``--cases`` prints one short digest per case too, to find the first
 case two trees disagree on.
 
@@ -45,15 +58,17 @@ that must fail does not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 import repro
-from repro.backends.base import SolveResult, StepResult
+from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.core.solver import (
     WseMatrixFreeSolver,
     simulate_reports,
@@ -67,6 +82,7 @@ from repro.mesh.grid import CartesianGrid3D
 from repro.mg import build_hierarchy, mg_apply
 from repro.physics.darcy import build_problem
 from repro.physics.transient import TransientOperator
+from repro.session import ResultStore
 from repro.util.errors import PeOutOfMemory
 from repro.wse.specs import WSE2
 
@@ -120,6 +136,8 @@ def canon(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value).hex()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return canon(dataclasses.asdict(value))
     if hasattr(value, "name"):
         return value.name
     return value
@@ -129,25 +147,47 @@ def digest_bytes(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def timeless(record: dict) -> dict:
+    """``record`` without ``elapsed_seconds`` when that is wall-clock time."""
+    if record.get("time_kind") == "wall_clock":
+        return {k: v for k, v in record.items() if k != "elapsed_seconds"}
+    return record
+
+
 def fingerprint(report) -> dict:
-    """A fabric report's answers, a host result's answers without its
-    wall-clock time, or an array's dtype, shape and bytes."""
+    """A fabric report's answers, a backend result's or simulation's
+    answers without wall-clock time, or an array's dtype, shape and
+    bytes."""
     if isinstance(report, np.ndarray):
         return canon({"dtype": report.dtype.str, "shape": report.shape,
                       "bytes": digest_bytes(report)})
-    if isinstance(report, (SolveResult, StepResult)):
-        telemetry = report.telemetry
+    if isinstance(report, SimulationResult):
         return canon({
+            "steps": [fingerprint(step) for step in report.steps],
+            "backend": report.backend,
+            "telemetry": report.telemetry,
+            "summary": timeless(report.to_dict()),
+        })
+    if isinstance(report, (SolveResult, StepResult)):
+        telemetry = {
+            k: v for k, v in report.telemetry.items() if k != "linear_results"
+        }
+        if "transient" in telemetry:
+            telemetry["transient"] = timeless(telemetry["transient"])
+        answers = {
             "backend": report.backend,
             "pressure_dtype": report.pressure.dtype.str,
             "pressure": digest_bytes(report.pressure),
             "iterations": report.iterations,
             "converged": report.converged,
             "residual_history": list(report.residual_history),
-            "preconditioner": telemetry.get("preconditioner"),
-            "newton_iterations": telemetry.get("newton_iterations"),
-            "newton_residual_norms": telemetry.get("newton_residual_norms"),
-        })
+            "elapsed_seconds": report.elapsed_seconds,
+            "time_kind": telemetry.get("time_kind"),
+            "telemetry": telemetry,
+        }
+        if isinstance(report, StepResult):
+            answers.update(step=report.step, time=report.time, dt=report.dt)
+        return canon(timeless(answers))
     pressure = np.ascontiguousarray(report.pressure)
     return canon({
         "engine": report.engine,
@@ -253,6 +293,7 @@ def cases():
             ), PeOutOfMemory
 
     yield from host_cases(deep, flat)
+    yield from front_door_cases(deep, pair)
 
 
 def host_cases(deep, flat):
@@ -302,6 +343,63 @@ def host_cases(deep, flat):
                     for a in (None, acc) for x in xs
                 ]
             ), None
+
+
+class _Cut(Exception):
+    """Stops a stored simulation part-way, as a killed run would."""
+
+
+def front_door_cases(deep, pair):
+    """``repro.solve``, ``solve_many``, ``simulate`` and
+    ``simulate_many`` on every backend, and a stored ``wse``
+    simulation, as ``(label, run, None)``."""
+    knobs = {
+        "reference": dict(rel_tol=1e-6, preconditioner="mg"),
+        "gpu": dict(rel_tol=1e-6),
+        "wse": dict(specs=SPEC, rel_tol=1e-6, preconditioner="mg"),
+    }
+    schedule = dict(n_steps=4, dt=tuple(STEPPED_DTS))
+    for backend, opts in knobs.items():
+        timed = {**opts, **schedule}
+        yield f"solve/{backend}", (lambda b=backend, o=opts: [
+            repro.solve(deep, backend=b, **o)
+        ]), None
+        yield f"solve/{backend}/time", (lambda b=backend, o=timed: [
+            repro.solve(deep, backend=b, **o)
+        ]), None
+        yield f"simulate/{backend}", (lambda b=backend, o=timed: [
+            repro.simulate(deep, backend=b, **o)
+        ]), None
+        yield f"simulate_many/{backend}", (
+            lambda b=backend, o=timed: repro.simulate_many(pair, backend=b, **o)
+        ), None
+    wse = {**knobs["wse"], **schedule}
+    yield "simulate_many/wse/batch", (
+        lambda: repro.simulate_many(pair, backend="wse", batch=True, **wse)
+    ), None
+    yield "solve_many/wse/batch/time", (
+        lambda: repro.solve_many(pair, backend="wse", batch=True, **wse)
+    ), None
+
+    def stored():
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+
+            def cut(step):
+                if step.step == 2:
+                    raise _Cut
+
+            try:
+                repro.simulate(deep, backend="wse", store=store, on_step=cut, **wse)
+            except _Cut:
+                pass
+            return [
+                repro.simulate(deep, backend="wse", store=store, **wse),
+                repro.simulate(deep, backend="wse", store=store, **wse),
+                repro.simulate(deep, backend="wse", store=store, resume=False, **wse),
+            ]
+
+    yield "simulate/wse/store", stored, None
 
 
 def main(argv=None) -> int:

@@ -62,8 +62,8 @@ def main() -> None:
     )
     print(
         f"gpu model : {gpu.iterations} CG iterations, "
-        f"{gpu.telemetry['counters'].kernel_launches} kernel launches, "
-        f"{gpu.telemetry['counters'].dram_bytes / 1e6:.1f} MB modeled DRAM traffic"
+        f"{gpu.telemetry['counters']['kernel_launches']} kernel launches, "
+        f"{gpu.telemetry['counters']['dram_bytes'] / 1e6:.1f} MB modeled DRAM traffic"
     )
     print(
         f"            max |gpu - reference| = "

@@ -26,6 +26,7 @@ from repro.backends.reference import ReferenceBackend
 from repro.backends.registry import (
     available_backends,
     get_backend,
+    get_transient_backend,
     iter_backends,
     register_backend,
     unregister_backend,
@@ -49,6 +50,7 @@ __all__ = [
     "WseBackend",
     "available_backends",
     "get_backend",
+    "get_transient_backend",
     "iter_backends",
     "register_backend",
     "unregister_backend",

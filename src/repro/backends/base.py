@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -76,8 +76,41 @@ def decode_telemetry(value: Any) -> Any:
     return value
 
 
+class _ResultFields:
+    """What a solve and a step share: ``final_rtr`` and the wire form of
+    their seven common fields (``pressure`` through ``telemetry``, in
+    that order)."""
+
+    @property
+    def final_rtr(self) -> float:
+        return self.residual_history[-1] if self.residual_history else float("nan")
+
+    def _encode_fields(self) -> dict[str, Any]:
+        return {
+            "pressure": encode_array(self.pressure),
+            "iterations": int(self.iterations),
+            "converged": bool(self.converged),
+            "residual_history": [float(v) for v in self.residual_history],
+            "elapsed_seconds": float(self.elapsed_seconds),
+            "backend": self.backend,
+            "telemetry": jsonable_telemetry(self.telemetry),
+        }
+
+    @staticmethod
+    def _decode_fields(data: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "pressure": decode_array(data["pressure"]),
+            "iterations": int(data["iterations"]),
+            "converged": bool(data["converged"]),
+            "residual_history": [float(v) for v in data["residual_history"]],
+            "elapsed_seconds": float(data["elapsed_seconds"]),
+            "backend": data.get("backend", ""),
+            "telemetry": decode_telemetry(data.get("telemetry", {})),
+        }
+
+
 @dataclass
-class SolveResult:
+class SolveResult(_ResultFields):
     """The canonical outcome of a pressure solve on any backend.
 
     Attributes
@@ -114,10 +147,6 @@ class SolveResult:
     backend: str = ""
     telemetry: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def final_rtr(self) -> float:
-        return self.residual_history[-1] if self.residual_history else float("nan")
-
     def summary(self) -> str:
         """One-line human-readable digest (used by examples)."""
         return (
@@ -132,31 +161,15 @@ class SolveResult:
         """A JSON-able encoding that :meth:`from_dict` round-trips —
         pressure bit-exact (base64), telemetry reduced to its JSON-able
         core.  This is the gateway's ``POST /v1/solve`` response body."""
-        return {
-            "pressure": encode_array(self.pressure),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "residual_history": [float(v) for v in self.residual_history],
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "backend": self.backend,
-            "telemetry": jsonable_telemetry(self.telemetry),
-        }
+        return self._encode_fields()
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SolveResult":
-        return cls(
-            pressure=decode_array(data["pressure"]),
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
-            residual_history=[float(v) for v in data["residual_history"]],
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            backend=data.get("backend", ""),
-            telemetry=decode_telemetry(data.get("telemetry", {})),
-        )
+        return cls(**cls._decode_fields(data))
 
 
 @dataclass
-class StepResult:
+class StepResult(_ResultFields):
     """One backward-Euler step of a transient simulation.
 
     The per-step analogue of :class:`SolveResult`: the step's converged
@@ -175,10 +188,6 @@ class StepResult:
     backend: str = ""
     telemetry: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def final_rtr(self) -> float:
-        return self.residual_history[-1] if self.residual_history else float("nan")
-
     def summary(self) -> str:
         return (
             f"[{self.backend}] step {self.step} (t={self.time:g}, "
@@ -193,13 +202,7 @@ class StepResult:
             "step": int(self.step),
             "time": float(self.time),
             "dt": float(self.dt),
-            "pressure": encode_array(self.pressure),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "residual_history": [float(v) for v in self.residual_history],
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "backend": self.backend,
-            "telemetry": jsonable_telemetry(self.telemetry),
+            **self._encode_fields(),
         }
 
     @classmethod
@@ -208,13 +211,7 @@ class StepResult:
             step=int(data["step"]),
             time=float(data["time"]),
             dt=float(data["dt"]),
-            pressure=decode_array(data["pressure"]),
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
-            residual_history=[float(v) for v in data["residual_history"]],
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            backend=data.get("backend", ""),
-            telemetry=decode_telemetry(data.get("telemetry", {})),
+            **cls._decode_fields(data),
         )
 
 
@@ -232,22 +229,29 @@ class SimulationResult:
     telemetry: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def collect(
-        cls,
-        steps: Any,
-        *,
-        backend: str = "",
-        telemetry: dict[str, Any] | None = None,
-    ) -> "SimulationResult":
-        """Drain a step iterator into a result (the non-streaming path)."""
-        out = cls(steps=list(steps), backend=backend, telemetry=dict(telemetry or {}))
+    def collect(cls, steps: Iterable[StepResult], spec: Any) -> "SimulationResult":
+        """Drain a step iterator into a result with its run telemetry.
+
+        The one place a simulation's run-level keys are spelled:
+        ``preconditioner`` and ``warm_start`` come from ``spec`` (a
+        :class:`~repro.spec.SolveSpec` with a time schedule), and
+        ``backend``, ``time_kind`` and ``engine`` from the last step, so
+        a run resumed from a store reports the engine that computed its
+        tail (stored steps carry none).
+        """
+        out = cls(
+            steps=list(steps),
+            telemetry={
+                "preconditioner": spec.preconditioner,
+                "warm_start": spec.time.warm_start,
+            },
+        )
         if out.steps:
-            if not out.backend:
-                out.backend = out.steps[0].backend
-            first = out.steps[0].telemetry
-            out.telemetry.setdefault("time_kind", first.get("time_kind"))
-            if first.get("engine") is not None:
-                out.telemetry.setdefault("engine", first.get("engine"))
+            last = out.steps[-1]
+            out.backend = last.backend
+            out.telemetry["time_kind"] = last.telemetry.get("time_kind")
+            if last.telemetry.get("engine") is not None:
+                out.telemetry["engine"] = last.telemetry["engine"]
         return out
 
     def __len__(self) -> int:
@@ -355,6 +359,7 @@ class SolverBackend(Protocol):
     implement ``simulate(problem, spec, *, start_step=0, state=None)``
     returning an iterator of :class:`StepResult`; their ``solve`` must
     answer a spec with ``time`` set by folding the simulation via
+    :meth:`SimulationResult.collect` and
     :meth:`SimulationResult.as_solve_result` (one signature for steady
     and transient studies).
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Iterator
 
 import numpy as np
@@ -34,12 +35,6 @@ class GpuBackend:
 
     #: MachineSpec knobs this backend honours.
     SUPPORTED_MACHINE_FIELDS = {"spec", "block_shape", "fixed_iterations"}
-
-    def solve_native(self, problem: SinglePhaseProblem, **options: Any):
-        """Run the solve and return the legacy ``GpuSolveReport``."""
-        from repro.gpu.cg import GpuCGSolver
-
-        return GpuCGSolver.for_problem(problem, **options).solve()
 
     def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
@@ -86,18 +81,11 @@ class GpuBackend:
         device model: per step, the matrix-free CG with the accumulation
         FMA fused into every operator apply, timed by the calibrated
         traffic model."""
-        import dataclasses
-
         from repro.gpu.cg import GpuCGSolver
         from repro.physics.transient import TransientStepper
 
         spec = coerce_spec(spec)
-        tspec = spec.time
-        if tspec is None:
-            raise ConfigurationError(
-                "simulate needs spec.time (a TimeSpec); use solve() for "
-                "steady problems"
-            )
+        tspec = spec.require_time()
         options = self._native_options(spec)
         times = tspec.times()
         stepper = TransientStepper(
@@ -113,14 +101,13 @@ class GpuBackend:
         )
         for idx in stepper.pending():
             acc, rhs, x0 = stepper.begin(idx)
-            solver = GpuCGSolver.for_problem(
+            report = GpuCGSolver(
                 problem,
                 accumulation=acc,
                 rhs=rhs,
                 initial_pressure=x0,
                 **options,
-            )
-            report = solver.solve()
+            ).solve()
             stepper.advance(report.pressure)
             yield StepResult(
                 step=idx + 1,
@@ -132,30 +119,18 @@ class GpuBackend:
                 residual_history=[float(v) for v in report.residual_history],
                 elapsed_seconds=report.modeled_seconds,
                 backend=self.name,
-                telemetry={
-                    # Stable JSON-able summaries, not live device objects
-                    # (the same convention as the fabric backend).
-                    "time_kind": "modeled_kernel",
-                    "preconditioner": spec.preconditioner,
-                    "counters": dataclasses.asdict(report.counters),
-                    "device_bytes": int(report.device_bytes),
-                },
+                telemetry=self._telemetry(report, spec),
             )
 
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
+        from repro.gpu.cg import GpuCGSolver
+
         spec = coerce_spec(spec)
         if spec.time is not None:
-            sim = SimulationResult.collect(
-                self.simulate(problem, spec),
-                backend=self.name,
-                telemetry={
-                    "time_kind": "modeled_kernel",
-                    "preconditioner": spec.preconditioner,
-                    "warm_start": spec.time.warm_start,
-                },
-            )
-            return sim.as_solve_result()
-        report = self.solve_native(problem, **self._native_options(spec))
+            return SimulationResult.collect(
+                self.simulate(problem, spec), spec
+            ).as_solve_result()
+        report = GpuCGSolver(problem, **self._native_options(spec)).solve()
         return SolveResult(
             pressure=np.asarray(report.pressure),
             iterations=report.iterations,
@@ -163,10 +138,16 @@ class GpuBackend:
             residual_history=[float(v) for v in report.residual_history],
             elapsed_seconds=report.modeled_seconds,
             backend=self.name,
-            telemetry={
-                "time_kind": "modeled_kernel",
-                "preconditioner": spec.preconditioner,
-                "counters": report.counters,
-                "device_bytes": report.device_bytes,
-            },
+            telemetry=self._telemetry(report, spec),
         )
+
+    @staticmethod
+    def _telemetry(report, spec: SolveSpec) -> dict[str, Any]:
+        # Stable JSON-able summaries, not live device objects (the same
+        # convention as the fabric backend).
+        return {
+            "time_kind": "modeled_kernel",
+            "preconditioner": spec.preconditioner,
+            "counters": dataclasses.asdict(report.counters),
+            "device_bytes": int(report.device_bytes),
+        }

@@ -9,11 +9,10 @@ import numpy as np
 
 from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
-from repro.physics.simulation import NewtonReport, newton_solve
+from repro.physics.simulation import newton_solve
 from repro.solvers.cg import PAPER_TOLERANCE_RTR, conjugate_gradient
 from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.spec import SolveSpec, coerce_spec
-from repro.util.errors import ConfigurationError
 
 
 class ReferenceBackend:
@@ -39,16 +38,6 @@ class ReferenceBackend:
 
     #: MachineSpec knobs this backend honours: none — it is the host.
     SUPPORTED_MACHINE_FIELDS: set[str] = set()
-
-    def solve_native(
-        self, problem: SinglePhaseProblem, **options: Any
-    ) -> NewtonReport:
-        """Run the solve and return the legacy :class:`NewtonReport`."""
-        options.setdefault("tol_rtr", PAPER_TOLERANCE_RTR)
-        rel_tol = options.pop("rel_tol", None)
-        if rel_tol is not None:
-            options.setdefault("newton_rtol", float(rel_tol))
-        return newton_solve(problem, **options)
 
     def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
@@ -98,25 +87,12 @@ class ReferenceBackend:
         from repro.physics.transient import TransientOperator, TransientStepper
 
         spec = coerce_spec(spec)
-        spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
-        tspec = spec.time
-        if tspec is None:
-            raise ConfigurationError(
-                "simulate needs spec.time (a TimeSpec); use solve() for "
-                "steady problems"
-            )
-        dtype = spec.precision.numpy_dtype(default=np.float64)
-        tol_rtr = (
-            spec.tolerance.tol_rtr
-            if spec.tolerance.tol_rtr is not None
-            else PAPER_TOLERANCE_RTR
-        )
-        rel_tol = spec.tolerance.rel_tol
-        max_iters = (
-            spec.tolerance.max_iters
-            if spec.tolerance.max_iters is not None
-            else 10_000
-        )
+        tspec = spec.require_time()
+        # newton_solve's keywords; each step's CG takes the same tolerances.
+        options = self._native_options(spec)
+        dtype, tol_rtr = options["dtype"], options["tol_rtr"]
+        rel_tol = options.get("newton_rtol")
+        max_iters = options.get("max_iters", 10_000)
         times = tspec.times()
         # The reference works in one precision throughout (float64 by
         # default), so accumulation/rhs arithmetic stays in that dtype.
@@ -175,20 +151,13 @@ class ReferenceBackend:
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
         spec = coerce_spec(spec)
         if spec.time is not None:
-            sim = SimulationResult.collect(
-                self.simulate(problem, spec),
-                backend=self.name,
-                telemetry={
-                    "time_kind": "wall_clock",
-                    "preconditioner": spec.preconditioner,
-                    "warm_start": spec.time.warm_start,
-                },
-            )
-            return sim.as_solve_result()
+            return SimulationResult.collect(
+                self.simulate(problem, spec), spec
+            ).as_solve_result()
         options = self._native_options(spec)
         precondition = self._preconditioner(problem, spec)
         start = time.perf_counter()
-        report = self.solve_native(
+        report = newton_solve(
             problem,
             precondition=None if precondition.name == "none" else precondition,
             **options,
@@ -213,6 +182,5 @@ class ReferenceBackend:
                 "preconditioner": precondition.telemetry(cycles),
                 "newton_iterations": report.newton_iterations,
                 "newton_residual_norms": list(report.residual_norms),
-                "linear_results": list(report.linear_results),
             },
         )

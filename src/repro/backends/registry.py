@@ -61,6 +61,18 @@ def get_backend(name: str) -> SolverBackend:
         ) from None
 
 
+def get_transient_backend(name: str) -> SolverBackend:
+    """:func:`get_backend`, refusing a backend that cannot time-step
+    (one without ``supports_transient = True``)."""
+    backend = get_backend(name)
+    if not getattr(backend, "supports_transient", False):
+        raise ConfigurationError(
+            f"backend {name!r} does not support transient simulation "
+            f"(no supports_transient declaration)"
+        )
+    return backend
+
+
 def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
     return sorted(_REGISTRY)

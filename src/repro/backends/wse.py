@@ -99,12 +99,6 @@ class WseBackend:
             f"engine='fused' or engine='vectorized')"
         )
 
-    def solve_native(self, problem: SinglePhaseProblem, **options: Any):
-        """Run the solve and return the legacy ``WseSolveReport``."""
-        from repro.core.solver import WseMatrixFreeSolver
-
-        return WseMatrixFreeSolver.for_problem(problem, **options).solve()
-
     def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
         machine = spec.machine
@@ -151,8 +145,7 @@ class WseBackend:
     ) -> dict[str, Any]:
         # Telemetry carries stable to_dict() summaries, not live simulator
         # objects: ResultStore manifests, bench JSON and pickled
-        # process-pool results stay serializable and small.  The native
-        # path (solve_native) still returns the live WseSolveReport.
+        # process-pool results stay serializable and small.
         # mg reports carry a structured preconditioner record (levels,
         # sweeps, V-cycle count); none/jacobi stay the plain spec string.
         precond = getattr(report, "preconditioner", None)
@@ -192,6 +185,8 @@ class WseBackend:
         )
 
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
+        from repro.core.solver import WseMatrixFreeSolver
+
         spec = self.resolve(coerce_spec(spec))
         if spec.machine.batch_size is not None:
             self._refuse_unbatchable(spec, "machine.batch_size")
@@ -200,10 +195,10 @@ class WseBackend:
             # targets — the simulation folds into a canonical SolveResult
             # (final state; aggregate iterations/device time; per-step
             # breakdown under telemetry["transient"]).
-            return self._collect_simulation(
+            return SimulationResult.collect(
                 self.simulate(problem, spec), spec
             ).as_solve_result()
-        report = self.solve_native(problem, **self._native_options(spec))
+        report = WseMatrixFreeSolver(problem, **self._native_options(spec)).solve()
         return self._result_from_report(report, spec)
 
     # -- transient time stepping ----------------------------------------------
@@ -211,12 +206,7 @@ class WseBackend:
     def _transient_options(self, spec: SolveSpec) -> tuple[TimeSpec, dict[str, Any]]:
         """Validated native options for a transient run (shared by the
         streaming and batched paths)."""
-        time = spec.time
-        if time is None:
-            raise ConfigurationError(
-                "simulate needs spec.time (a TimeSpec); use solve() for "
-                "steady problems"
-            )
+        time = spec.require_time()
         if spec.machine.comm_only:
             raise ConfigurationError(
                 "comm_only suppresses arithmetic, so a transient schedule "
@@ -254,18 +244,6 @@ class WseBackend:
             backend=self.name,
             telemetry=self._telemetry_from_report(report, spec, extra_telemetry),
         )
-
-    def _collect_simulation(
-        self, steps: Iterator[StepResult], spec: SolveSpec
-    ) -> SimulationResult:
-        sim = SimulationResult.collect(steps, backend=self.name)
-        assert spec.time is not None
-        sim.telemetry.update(
-            time_kind="simulated_device",
-            preconditioner=spec.preconditioner,
-            warm_start=spec.time.warm_start,
-        )
-        return sim
 
     def simulate(
         self,
@@ -346,9 +324,7 @@ class WseBackend:
                         extra_telemetry={"batch": dict(batches[lane])},
                     )
                 )
-        return [
-            self._collect_simulation(iter(steps), spec) for steps in lane_steps
-        ]
+        return [SimulationResult.collect(steps, spec) for steps in lane_steps]
 
     def solve_batch(
         self, problems: list[SinglePhaseProblem], spec: SolveSpec | None = None

@@ -228,8 +228,8 @@ def _lane_reports(engine, batched: bool) -> list[EngineReport]:
 class WseMatrixFreeSolver:
     """Matrix-free FV pressure solver on the simulated dataflow machine.
 
-    Use :meth:`for_problem` to build one from a
-    :class:`~repro.physics.darcy.SinglePhaseProblem`; then :meth:`solve`.
+    Build one from a :class:`~repro.physics.darcy.SinglePhaseProblem`;
+    then :meth:`solve`.
 
     ``engine`` is a layout of the array CG driver, whose analytic
     cycle/counter model reproduces the oracle's instruction counts:
@@ -271,11 +271,6 @@ class WseMatrixFreeSolver:
         if name in ("fabric", "exchange", "allreduce", "kernel"):
             return getattr(self.__dict__.get("engine"), name, None)
         raise AttributeError(name)
-
-    @classmethod
-    def for_problem(cls, problem: SinglePhaseProblem, **kwargs) -> "WseMatrixFreeSolver":
-        """Build a solver sized exactly to the problem's lateral grid."""
-        return cls(problem, **kwargs)
 
     def solve(self) -> WseSolveReport:
         """Run the dataflow CG to completion and gather the results."""

@@ -30,10 +30,11 @@ from repro.backends import (
     SolveResult,
     StepResult,
     get_backend,
+    get_transient_backend,
 )
 from repro.physics.darcy import SinglePhaseProblem
 from repro.scenarios.base import Scenario, scenario as _bind_scenario
-from repro.spec import SolveSpec, resolve_spec
+from repro.spec import resolve_spec
 from repro.util.errors import ConfigurationError, SolveErrorGroup
 
 
@@ -158,27 +159,6 @@ def solve_many(
 # -- transient simulation ----------------------------------------------------
 
 
-def _simulation_spec(spec: Any, options: dict[str, Any]) -> SolveSpec:
-    """:func:`resolve_spec`, and the result must carry a time schedule."""
-    solve_spec = resolve_spec(spec, options)
-    if solve_spec.time is None:
-        raise ConfigurationError(
-            "simulate needs a time schedule: set spec.time to a TimeSpec "
-            "(or pass n_steps=/dt=/... keywords)"
-        )
-    return solve_spec
-
-
-def _transient_backend(backend: str):
-    backend_obj = get_backend(backend)
-    if not getattr(backend_obj, "supports_transient", False):
-        raise ConfigurationError(
-            f"backend {backend!r} does not support transient simulation "
-            f"(no supports_transient declaration)"
-        )
-    return backend_obj
-
-
 def simulate_steps(
     target: Any,
     *,
@@ -193,8 +173,9 @@ def simulate_steps(
     completes, so monitors can watch the pressure front move without
     holding the whole stack.
     """
-    solve_spec = _simulation_spec(spec, options)
-    backend_obj = _transient_backend(backend)
+    solve_spec = resolve_spec(spec, options)
+    solve_spec.require_time()
+    backend_obj = get_transient_backend(backend)
     return backend_obj.simulate(_resolve_problem(target), solve_spec)
 
 
@@ -227,60 +208,33 @@ def simulate(
     """
     from repro.session import ResultStore, entry_fingerprint
 
-    solve_spec = _simulation_spec(spec, options)
-    backend_obj = _transient_backend(backend)
+    solve_spec = resolve_spec(spec, options)
+    n_steps = solve_spec.require_time().n_steps
+    backend_obj = get_transient_backend(backend)
     problem = _resolve_problem(target)
-    tspec = solve_spec.time
-    assert tspec is not None
 
     steps: list[StepResult] = []
-    fingerprint = None
     if store is not None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         fingerprint = entry_fingerprint(target, solve_spec, backend)
-        if resume:
-            completed = min(
-                store.simulation_steps_completed(fingerprint), tspec.n_steps
-            )
-            if completed:
-                steps = store.load_simulation_steps(fingerprint)[:completed]
-                for step in steps:
-                    if on_step is not None:
-                        on_step(step)
-        else:
-            store.clear_simulation(fingerprint)
+        steps = store.resume_simulation(fingerprint, n_steps, resume=resume)
+        meta = {"backend": backend, "spec": solve_spec.to_dict(), "n_steps": n_steps}
+    if on_step is not None:
+        for step in steps:
+            on_step(step)
 
-    start_step = len(steps)
-    if start_step < tspec.n_steps:
+    if len(steps) < n_steps:
         state = steps[-1].pressure if steps else None
         for step in backend_obj.simulate(
-            problem, solve_spec, start_step=start_step, state=state
+            problem, solve_spec, start_step=len(steps), state=state
         ):
             if store is not None:
-                store.save_simulation_step(
-                    fingerprint,
-                    step,
-                    meta={
-                        "backend": backend,
-                        "spec": solve_spec.to_dict(),
-                        "n_steps": tspec.n_steps,
-                    },
-                )
+                store.save_simulation_step(fingerprint, step, meta=meta)
             steps.append(step)
             if on_step is not None:
                 on_step(step)
-
-    telemetry = {
-        "preconditioner": solve_spec.preconditioner,
-        "warm_start": tspec.warm_start,
-    }
-    if steps:
-        telemetry["time_kind"] = steps[-1].telemetry.get("time_kind")
-        engine = steps[-1].telemetry.get("engine")
-        if engine is not None:
-            telemetry["engine"] = engine
-    return SimulationResult(steps=steps, backend=backend_obj.name, telemetry=telemetry)
+    return SimulationResult.collect(steps, solve_spec)
 
 
 def simulate_many(
@@ -300,8 +254,9 @@ def simulate_many(
     dataflow fabric).
     ``batch=False`` simulates each target serially.
     """
-    solve_spec = _simulation_spec(spec, options)
-    backend_obj = _transient_backend(backend)
+    solve_spec = resolve_spec(spec, options)
+    solve_spec.require_time()
+    backend_obj = get_transient_backend(backend)
     items = list(targets)
     if not items:
         return []
@@ -314,13 +269,6 @@ def simulate_many(
             )
         return backend_obj.simulate_batch(problems, solve_spec)
     return [
-        SimulationResult.collect(
-            backend_obj.simulate(problem, solve_spec),
-            backend=backend_obj.name,
-            telemetry={
-                "preconditioner": solve_spec.preconditioner,
-                "warm_start": solve_spec.time.warm_start,
-            },
-        )
+        SimulationResult.collect(backend_obj.simulate(problem, solve_spec), solve_spec)
         for problem in problems
     ]

@@ -124,10 +124,6 @@ class GpuCGSolver:
         self._p = self.device.alloc_like(grid.shape, dtype=self.dtype)
         self._Ap = self.device.alloc_like(grid.shape, dtype=self.dtype)
 
-    @classmethod
-    def for_problem(cls, problem: SinglePhaseProblem, **kwargs) -> "GpuCGSolver":
-        return cls(problem, **kwargs)
-
     def _jx(self, x: np.ndarray, out: np.ndarray) -> None:
         launch_matrix_free_jx(self.device, self._coeffs, self._mask, x, out)
         if self._acc is not None:

@@ -125,7 +125,7 @@ def newton_solve(
     # target.
     threshold = max(float(newton_tol), 10.0 * float(tol_rtr))
     for _ in range(max_newton):
-        rtr = _true_residual_rtr(problem, p, report)
+        r64, rtr = _true_residual(problem, p, report)
         if report.newton_iterations == 0:
             threshold = max(
                 threshold, newton_rtol * newton_rtol * max(scale_rtr, rtr)
@@ -133,7 +133,12 @@ def newton_solve(
         if rtr <= threshold:
             report.pressure = p
             return report
-        r = compute_residual(problem.coefficients, problem.dirichlet, p)
+        # A float64 p already has its residual; a float32 one gets its
+        # right-hand side in the working precision.
+        r = (
+            r64 if p.dtype == np.float64
+            else compute_residual(problem.coefficients, problem.dirichlet, p)
+        )
         rhs = (-r).astype(dtype)
         inner_tol = max(tol_rtr, 1e-2 * threshold)
         result = conjugate_gradient(
@@ -147,7 +152,7 @@ def newton_solve(
         problem.dirichlet.apply_to(p)
         report.newton_iterations += 1
 
-    rtr = _true_residual_rtr(problem, p, report)
+    _, rtr = _true_residual(problem, p, report)
     if rtr > threshold:
         raise ConvergenceError(
             f"Newton did not converge in {max_newton} steps (r^T r = {rtr:.3e})",
@@ -158,13 +163,14 @@ def newton_solve(
     return report
 
 
-def _true_residual_rtr(
+def _true_residual(
     problem: SinglePhaseProblem, p: np.ndarray, report: NewtonReport
-) -> float:
-    """Float64-evaluated nonlinear residual norm (appended to the report)."""
+) -> tuple[np.ndarray, float]:
+    """The float64-evaluated nonlinear residual and its ``r^T r`` (the
+    norm is appended to the report)."""
     r64 = compute_residual(
         problem.coefficients, problem.dirichlet, p.astype(np.float64)
     )
     rtr = float(np.vdot(r64, r64).real)
     report.residual_norms.append(rtr)
-    return rtr
+    return r64, rtr

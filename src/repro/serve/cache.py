@@ -43,13 +43,11 @@ ENTRY_OVERHEAD_BYTES = 2048
 def _telemetry_nbytes(value) -> int:
     """Total bytes of ndarray payloads reachable from a telemetry value.
 
-    Telemetry is not always scalar: folded transient results keep their
-    per-step breakdown under ``telemetry["transient"]``, and the
-    reference backend's ``linear_results`` are dataclasses carrying full
-    solution arrays — payloads that can dwarf the final pressure field,
-    so the byte budget must see them.  Recurses through dicts, lists,
-    tuples and dataclass-like objects; scalars cost nothing beyond the
-    flat entry overhead."""
+    Telemetry is open to every registered backend, and arrays or
+    dataclasses holding them can dwarf the final pressure field, so the
+    byte budget must see them.  Recurses through dicts, lists, tuples
+    and dataclass-like objects; scalars cost nothing beyond the flat
+    entry overhead."""
     import dataclasses
 
     import numpy as np
@@ -71,9 +69,7 @@ def _telemetry_nbytes(value) -> int:
 def result_nbytes(result: SolveResult) -> int:
     """The memory-tier cost of one cached result: the pressure field,
     the float64 residual history, every ndarray payload reachable from
-    the telemetry dict (transient breakdowns and reference
-    ``linear_results`` can dwarf the field), and a flat bookkeeping
-    overhead."""
+    the telemetry dict, and a flat bookkeeping overhead."""
     return (
         int(result.pressure.nbytes)
         + 8 * len(result.residual_history)

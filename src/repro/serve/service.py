@@ -50,7 +50,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, AsyncIterator, Mapping
 
-from repro.backends import SolveResult, StepResult, get_backend
+from repro.backends import SolveResult, StepResult, get_backend, get_transient_backend
 from repro.net.metrics import ServiceMetrics
 from repro.physics.darcy import SinglePhaseProblem
 from repro.serve.admission import AdmissionController, Lane
@@ -350,19 +350,10 @@ class SolveService:
         """
         self._require_started()
         solve_spec = resolve_spec(spec, options)
-        if solve_spec.time is None:
-            raise ConfigurationError(
-                "stream needs a time schedule: set spec.time to a TimeSpec "
-                "(or pass n_steps=/dt=/... keywords)"
-            )
-        backend_obj = get_backend(backend)
-        if not getattr(backend_obj, "supports_transient", False):
-            raise ConfigurationError(
-                f"backend {backend!r} does not support transient simulation"
-            )
+        n_steps = solve_spec.require_time().n_steps
+        backend_obj = get_transient_backend(backend)
         entry = plan_entry(target, solve_spec, backend)
         problem = entry.build_problem(self._problem_cache)
-        n_steps = solve_spec.time.n_steps
         request_id = next_request_id()
         self.recorder.record_submit(
             request_id,
@@ -374,17 +365,9 @@ class SolveService:
 
         stored: list[StepResult] = []
         if self.store is not None:
-            if resume:
-                completed = min(
-                    self.store.simulation_steps_completed(entry.fingerprint),
-                    n_steps,
-                )
-                if completed:
-                    stored = self.store.load_simulation_steps(
-                        entry.fingerprint
-                    )[:completed]
-            else:
-                self.store.clear_simulation(entry.fingerprint)
+            stored = self.store.resume_simulation(
+                entry.fingerprint, n_steps, resume=resume
+            )
 
         computed = 0
         resumed = 0

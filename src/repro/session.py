@@ -547,6 +547,22 @@ class ResultStore:
                 shutil.rmtree(directory)
             self._flush()
 
+    def resume_simulation(
+        self, fingerprint: str, n_steps: int, *, resume: bool
+    ) -> list[StepResult]:
+        """The stored steps a run of ``n_steps`` restarts after: the
+        persisted prefix, at most ``n_steps`` long.  ``resume=False``
+        clears the stack instead and returns no steps.  The one resume
+        rule of ``repro.simulate(store=...)`` and ``SolveService.stream``.
+        """
+        if not resume:
+            self.clear_simulation(fingerprint)
+            return []
+        completed = min(self.simulation_steps_completed(fingerprint), n_steps)
+        if not completed:
+            return []
+        return self.load_simulation_steps(fingerprint)[:completed]
+
     def load_simulation_steps(self, fingerprint: str) -> list[StepResult]:
         """Rehydrate the persisted step stack (JSON-able core only:
         telemetry is ``{"time_kind": ..., "from_store": True}``)."""

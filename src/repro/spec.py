@@ -739,6 +739,17 @@ class SolveSpec:
                 f"{', '.join(sorted(supported)) or '(none)'}"
             )
 
+    def require_time(self) -> TimeSpec:
+        """The time schedule, or a :class:`ConfigurationError` for a
+        steady spec (every simulate and stream door asks here)."""
+        if self.time is None:
+            raise ConfigurationError(
+                "a simulation needs a time schedule: set spec.time to a "
+                "TimeSpec (or pass n_steps=/dt=/... keywords); use solve() "
+                "for steady problems"
+            )
+        return self.time
+
 
 def _machine_spec_to_dict(spec: WseSpecs | GpuSpecs | None) -> dict[str, Any] | None:
     if spec is None:

@@ -7,6 +7,8 @@ quarter-five-spot; registry errors are self-diagnosing.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,22 @@ class TestSolveResult:
     def test_summary_mentions_backend(self, parity_results):
         text = parity_results["wse"].summary()
         assert "[wse]" in text and "converged=True" in text
+
+    @pytest.mark.parametrize("backend", ["reference", "gpu", "wse"])
+    def test_results_round_trip_through_json(self, backend):
+        """Steady and transient results, and the steps of a simulation,
+        carry only JSON-able telemetry: nothing crosses the wire as an
+        ``__opaque__`` marker, and decoding re-encodes to the same
+        bytes."""
+        problem = make_problem(5, 4, 3, seed=2)
+        results = [
+            repro.solve(problem, backend=backend),
+            repro.solve(problem, backend=backend, n_steps=2, dt=1.0),
+            *repro.simulate_steps(problem, backend=backend, n_steps=2, dt=1.0),
+        ]
+        for result in results:
+            text = json.dumps(result.to_dict())
+            assert "__opaque__" not in text
+            clone = type(result).from_dict(json.loads(text))
+            assert json.dumps(clone.to_dict()) == text
+            np.testing.assert_array_equal(clone.pressure, result.pressure)

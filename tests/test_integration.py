@@ -8,6 +8,8 @@ mismatches).
 
 import runpy
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,19 +110,19 @@ class TestFailureModes:
             fab.run()
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+#: Small sizes for the examples that take them.
+EXAMPLE_ARGV = {"pressure_propagation.py": ["--size", "8", "--depth", "2"]}
+
+
 @pytest.mark.parametrize(
-    "script,argv",
-    [
-        ("examples/quickstart.py", []),
-        ("examples/pressure_propagation.py", ["--size", "8", "--depth", "2"]),
-        ("examples/roofline_report.py", []),
-        ("examples/fabric_inspection.py", []),
-        ("examples/transient_injection.py", []),
-    ],
+    "script", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
 )
-def test_examples_run(script, argv, monkeypatch, capsys):
+def test_examples_run(script, monkeypatch, capsys, tmp_path):
     """Every example executes end to end (smoke test with small sizes)."""
-    monkeypatch.setattr(sys, "argv", [script] + argv)
-    runpy.run_path(script, run_name="__main__")
+    monkeypatch.setattr(sys, "argv", [str(script)] + EXAMPLE_ARGV.get(script.name, []))
+    # The service and gateway demos keep their stores in mkdtemp folders.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert len(out) > 100  # produced a real report

@@ -138,6 +138,29 @@ class TestNewton:
         assert report.pressure.dtype == np.float32
         assert report.newton_iterations >= 1
 
+    @pytest.mark.parametrize("dtype,inputs", [
+        (np.float64, ["float64"] * 3),
+        (np.float32, ["float64", "float64", "float32", "float64"]),
+    ])
+    def test_one_float64_residual_per_newton_step(
+        self, small_problem, monkeypatch, dtype, inputs
+    ):
+        """The scale, one residual per Newton step and the final check:
+        a float64 step reuses its float64 residual for the right-hand
+        side, a float32 step forms it in the working precision."""
+        import repro.physics.simulation as simulation
+
+        original, seen = simulation.compute_residual, []
+
+        def counting(coefficients, dirichlet, p):
+            seen.append(p.dtype.name)
+            return original(coefficients, dirichlet, p)
+
+        monkeypatch.setattr(simulation, "compute_residual", counting)
+        report = newton_solve(small_problem, dtype=dtype)
+        assert report.newton_iterations == 1
+        assert seen == inputs
+
     def test_report_counts(self, small_problem):
         report = newton_solve(small_problem)
         assert report.total_linear_iterations == sum(

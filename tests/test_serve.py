@@ -453,10 +453,9 @@ class TestResultCache:
         assert stats["memory_bytes"] == cache.memory_bytes
 
     def test_result_nbytes_counts_telemetry_array_payloads(self):
-        """A folded transient result carries ndarray payloads under its
-        telemetry (and the reference backend's ``linear_results`` carry
-        full solution arrays); they must count toward the memory-tier
-        cost or the byte budget is fiction on simulation-heavy traffic."""
+        """Ndarray payloads under a result's telemetry must count toward
+        the memory-tier cost, or the byte budget is fiction on
+        simulation-heavy traffic."""
         import dataclasses
 
         from repro.serve.cache import result_nbytes

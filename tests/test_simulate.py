@@ -113,6 +113,22 @@ class TestSimulateAPI:
         with pytest.raises(ConfigurationError, match="time"):
             repro.simulate(problem, spec=SolveSpec())
 
+    @pytest.mark.parametrize("backend", ["reference", "gpu", "wse"])
+    def test_every_door_reports_one_run_telemetry(self, problem, backend):
+        """``solve`` with a time spec, ``simulate`` and ``simulate_many``
+        build the same run-level telemetry through
+        :meth:`SimulationResult.collect`."""
+        kw = dict(TIME_KW, specs=SPEC) if backend == "wse" else TIME_KW
+        sim = repro.simulate(problem, backend=backend, **kw)
+        folded = repro.solve(problem, backend=backend, **kw)
+        [many] = repro.simulate_many([problem], backend=backend, **kw)
+        run = {k: v for k, v in folded.telemetry.items() if k != "transient"}
+        assert sim.telemetry == many.telemetry == run
+        assert set(run) == {"preconditioner", "warm_start", "time_kind"} | (
+            {"engine"} if backend == "wse" else set()
+        )
+        assert sim.backend == many.backend == folded.backend == backend
+
     def test_unsupported_backend_is_rejected(self, problem):
         class NoTransient:
             name = "no-transient"
@@ -354,6 +370,9 @@ class TestStoreResume:
 
         uninterrupted = repro.simulate(problem, backend="wse", spec=spec)
         assert resumed.per_step_iterations == uninterrupted.per_step_iterations
+        # Run telemetry comes from the last step, which the engine computed.
+        assert resumed.telemetry == uninterrupted.telemetry
+        assert resumed.telemetry["engine"] == "vectorized"
         np.testing.assert_array_equal(
             resumed.final_pressure, uninterrupted.final_pressure
         )
@@ -368,6 +387,11 @@ class TestStoreResume:
         )
         assert all(s.telemetry.get("from_store") for s in second.steps)
         assert len(seen) == first.n_steps
+        # Stored steps carry no engine, so a replayed run reports none.
+        assert second.telemetry == {
+            k: v for k, v in first.telemetry.items() if k != "engine"
+        }
+        assert second.backend == first.backend == "wse"
         np.testing.assert_array_equal(
             second.final_pressure, first.final_pressure
         )
@@ -417,6 +441,19 @@ class TestStoreResume:
         np.testing.assert_array_equal(
             resumed.final_pressure, complete.final_pressure
         )
+
+    def test_resume_simulation_returns_prefix_or_clears(self, problem, tmp_path):
+        spec = _wse_spec()
+        repro.simulate(problem, backend="wse", spec=spec, store=tmp_path)
+        store = repro.ResultStore(tmp_path)
+        fp = entry_fingerprint(problem, spec, "wse")
+        assert [s.step for s in store.resume_simulation(fp, 4, resume=True)] \
+            == [1, 2, 3, 4]
+        assert [s.step for s in store.resume_simulation(fp, 2, resume=True)] \
+            == [1, 2]
+        assert store.resume_simulation("absent", 4, resume=True) == []
+        assert store.resume_simulation(fp, 4, resume=False) == []
+        assert store.simulation_steps_completed(fp) == 0
 
     def test_ordered_append_is_enforced(self, problem, tmp_path):
         store = repro.ResultStore(tmp_path)
