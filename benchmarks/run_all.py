@@ -30,8 +30,9 @@ deterministic and gated by ``diff_bench.py``.
 driver's kernel passes at 128×128×4 for the vectorized (one whole-grid
 tile), fused (auto tiles) and narrow-tile fused (square tiles of a
 quarter of the grid side, each copying its padded window into scratch)
-layouts — warm medians with IQR over interleaved repeats — instead of
-running the benches.
+layouts, then of one multigrid V-cycle at 64×64×4 per level and part —
+warm medians with IQR over interleaved repeats — instead of running the
+benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -291,6 +292,87 @@ def run_profile() -> None:
         print(f"  {label:<24}" + "".join(f" {cell:>22}" for cell in cells))
 
 
+def run_vcycle_profile() -> None:
+    """Warm host time of one mg V-cycle and of its parts (``--profile``).
+
+    The hierarchy is the float32 one of a 64x64x4 ``transient_injection``
+    system at Δt = 2 (the accumulation perfbench's ``simulate_mg`` steps
+    with).  Each repeat runs one plain ``mg_apply`` and one cycle whose
+    schedule steps are timed one by one in cycle order (copying ``r`` in
+    and ``z`` out as ``mg_apply`` does), alternating which goes first;
+    the first repeat is a discarded warm-up.  Each step is charged to its
+    level and part (``hier.parts``), so the parts add up to the timed
+    cycle, which the last line compares with the plain one.
+    """
+    import numpy as np
+
+    from repro.mg import hierarchy_for_problem, mg_apply
+    from repro.physics.transient import TransientStepper
+
+    reps = 41
+    problem = repro.scenario("transient_injection", nx=64, ny=64, nz=4).build()
+    acc = TransientStepper(problem, dts=[2.0], total_compressibility=5e-3).begin(0)[0]
+    hier = hierarchy_for_problem(problem, accumulation=acc, dtype=np.float32)
+    fine = hier.levels[0]
+    r = np.random.default_rng(0).standard_normal(fine.shape).astype(np.float32)
+    r[fine.mask] = 0.0
+    z = np.empty_like(r)
+    clock = time.perf_counter
+
+    def timed_cycle():
+        marks = [clock()]
+        np.copyto(fine.rhs, r, casting="same_kind")
+        marks.append(clock())
+        for kernel, operands in hier.schedule:
+            kernel(*operands)
+            marks.append(clock())
+        np.copyto(z, fine.z, casting="same_kind")
+        marks.append(clock())
+        return np.diff(marks) * 1e6
+
+    parts = ("smoothing", "residual", "restriction", "prolongation", "coarse solve")
+    plain, timed, io = [], [], []
+    split = {(level, part): [] for level in range(len(hier.levels)) for part in parts}
+    for rep in range(reps):
+        for timed_first in ((True, False) if rep % 2 else (False, True)):
+            if timed_first:
+                steps = timed_cycle()
+                spent = dict.fromkeys(split, 0.0)
+                for label, elapsed in zip(hier.parts, steps[1:-1]):
+                    spent[label] += elapsed
+            else:
+                start = clock()
+                mg_apply(hier, r, out=z)
+                elapsed = (clock() - start) * 1e6
+            if not rep:
+                continue
+            if timed_first:
+                timed.append(steps.sum())
+                io.append(steps[0] + steps[-1])
+                for label, elapsed in spent.items():
+                    split[label].append(elapsed)
+            else:
+                plain.append(elapsed)
+
+    def cell(values):
+        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        return f"{med:.1f} [{q1:.1f}-{q3:.1f}]"
+
+    print(f"\nprofile: mg V-cycle, warm host us per cycle, median [IQR] over "
+          f"{reps - 1} interleaved repeats (64x64x4 float32 transient_injection, "
+          f"dt 2, {len(hier.levels)} levels, {len(hier.schedule)} schedule steps)")
+    print(f"  {'whole cycle (mg_apply)':<24} {cell(plain):>20}")
+    print(f"  {'level':<24}" + "".join(f" {part:>20}" for part in parts))
+    for index, level in enumerate(hier.levels):
+        shape = "x".join(map(str, level.shape))
+        cells = [cell(split[index, part]) if any(split[index, part]) else "-"
+                 for part in parts]
+        print(f"  {index} {shape:<22}" + "".join(f" {c:>20}" for c in cells))
+    print(f"  {'copy r in, z out':<24} {cell(io):>20}")
+    ratio = np.median(timed) / np.median(plain)
+    print(f"  {'sum of parts':<24} {cell(timed):>20}  ({ratio:.3f} x whole cycle)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path,
@@ -298,12 +380,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase host-time breakdown "
                              "(stage/apply/dot/charge; vectorized, fused "
-                             "and narrow-tile fused) and exit without "
-                             "running the benches")
+                             "and narrow-tile fused) and the mg V-cycle's "
+                             "per-level parts, and exit without running "
+                             "the benches")
     args = parser.parse_args(argv)
 
     if args.profile:
         run_profile()
+        run_vcycle_profile()
         return 0
 
     rows = build_targets()

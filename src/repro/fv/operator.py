@@ -13,9 +13,11 @@ the Dirichlet values — a tested invariant).
 :class:`FlatStencil` is the only host-side evaluation of this stencil.
 :func:`apply_jx` builds one per call, and through it run
 ``compute_residual`` and the tolerance resolution
-(``repro.core.solver.resolve_tolerance``); :class:`MatrixFreeOperator`,
-``TransientOperator`` and every multigrid level keep one built stencil
-each.  The fabric kernel's tiled apply is the only other evaluation.
+(``repro.core.solver.resolve_tolerance``); :class:`MatrixFreeOperator`
+and ``TransientOperator`` keep one built stencil each.  Its DIA row
+layout, :func:`dia_operands`, is also the one a multigrid level lays its
+smoother and residual operators out in (``repro.mg.hierarchy``).  The
+fabric kernel's tiled apply is the only other evaluation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,38 @@ from repro.mesh.boundary import DirichletSet
 from repro.util.errors import ValidationError
 
 
+def dia_operands(faces, diagonal: np.ndarray, scale, dtype) -> tuple:
+    """``dia_matvec``'s operands ahead of ``x`` and ``y``, ``(n, n,
+    len(offsets), n, offsets, data)``, for ``diag(diagonal) + diag(scale)·C``
+    in ``dtype``: ``C`` couples each cell to its neighbours through the
+    per-cell ``faces``, and ``scale`` (a scalar or one value per row)
+    weights each row's couplings.
+
+    On the flattened field an axis of stride ``s`` (``ny·nz``, ``nz``,
+    ``1``) couples cells ``i`` and ``i + s`` through the first ``n − s``
+    flat faces, zero where the shift wraps (``j = ny−1``, ``k = nz−1``).
+    The rows are ``[diag, x-up, x-low, y-up, y-low, z-up, z-low]`` (none
+    for an axis of extent 1) at offsets ``(0, +s, −s, …)``; DIA holds row
+    ``i``'s entry in column ``j`` at ``data[k, j]``.  Each product is
+    formed in the operands' dtype and rounded into ``dtype`` once.
+    """
+    shape = diagonal.shape
+    n = stride = diagonal.size
+    scale = np.broadcast_to(scale, shape).reshape(-1)
+    data = np.zeros((1 + 2 * sum(e > 1 for e in shape), n), dtype)
+    data[0] = diagonal.reshape(-1)
+    offsets = [0]
+    for extent, f in zip(shape, faces):
+        stride //= extent
+        if extent > 1:
+            k = len(offsets)
+            f = f.reshape(-1)[: n - stride]
+            np.multiply(scale[: n - stride], f, out=data[k, stride:])  # row i to i + s
+            np.multiply(scale[stride:], f, out=data[k + 1, : n - stride])  # row i + s to i
+            offsets += [stride, -stride]
+    return n, n, len(offsets), n, np.array(offsets, np.int32), data
+
+
 class FlatStencil:
     """``out = diag·x − Σ couplings`` over the C-order flattened field,
     as one sweep of SciPy's compiled DIA mat-vec.
@@ -37,29 +71,21 @@ class FlatStencil:
     per-cell layout of :func:`repro.fv.coefficients.cell_faces` (each
     cell's face to its upper neighbour, zero on the last plane where
     there is none — the layout a PE stores), a diagonal and an optional
-    identity-row ``mask``.  On the flattened field an axis of stride
-    ``s`` (``ny·nz``, ``nz``, ``1``) couples cells ``i`` and ``i + s``
-    through the first ``n − s`` flat faces, zero where the shift wraps
-    (``j = ny−1``, ``k = nz−1``).  Per product dtype the stencil is laid
-    out once as DIA rows ``[diag, x-up, x-low, y-up, y-low, z-up,
-    z-low]`` (none for an axis of extent 1) at offsets ``(0, +s, −s,
-    …)``, couplings negated.  The kernel adds one row at a time into
-    ``out`` filled with −0.0, so each row sees the 3-D slice form's
-    operations in its order, then masked rows take ``x``.  As
-    ``a + (−f)·x`` is bitwise ``a − f·x`` and ``−0.0 + t`` is ``t``, the
-    results are bitwise that form's, except that the zero coupling
-    across a wrap, which the slice form skips, turns a running −0.0
-    into +0.0 where the wrapped-to ``x`` is negative or −0.0.
+    identity-row ``mask``.  Per product dtype the stencil is laid out
+    once as the DIA rows of :func:`dia_operands`, couplings negated.
+    The kernel adds one row at a time into ``out`` filled with −0.0, so
+    each row sees the 3-D slice form's operations in its order, then
+    masked rows take ``x``.  As ``a + (−f)·x`` is bitwise ``a − f·x``
+    and ``−0.0 + t`` is ``t``, the results are bitwise that form's,
+    except that the zero coupling across a wrap, which the slice form
+    skips, turns a running −0.0 into +0.0 where the wrapped-to ``x`` is
+    negative or −0.0.
 
     Products are formed in ``P = np.result_type(faces, diagonal, x,
     out)``.  When ``x`` and ``out`` are of dtype ``P`` the sweep reads
     ``x`` and writes ``out`` in place; otherwise it runs in ``P`` on a
-    widened copy of ``x`` and rounds into ``out`` once.
-
-    :meth:`apply` is :meth:`run` on the operands :meth:`bind` returns
-    for one ``x → out`` pair; a multigrid level binds its ``z → az`` once,
-    at build.  Bound forms share no scratch: threads may apply one
-    instance at once, but one bound form runs on one thread at a time.
+    widened copy of ``x`` and rounds into ``out`` once.  Applies share no
+    scratch, so threads may apply one instance at once.
     """
 
     def __init__(self, faces, diagonal: np.ndarray, mask: np.ndarray | None = None):
@@ -76,23 +102,10 @@ class FlatStencil:
         self._sweeps: dict = {}  # product dtype -> dia_matvec's leading operands
 
     def _sweep(self, dtype: np.dtype) -> tuple:
-        """``dia_matvec``'s operands ahead of ``x`` and ``out``, in
-        ``dtype``: ``(n, n, len(offsets), n, offsets, data)``."""
+        """:func:`dia_operands` of the stencil in ``dtype``, laid out once."""
         sweep = self._sweeps.get(dtype)
         if sweep is None:
-            n = stride = self.diagonal.size
-            data = np.empty((1 + 2 * sum(e > 1 for e in self.shape), n), dtype)
-            data[0] = self.diagonal.reshape(-1)
-            offsets = [0]
-            for extent, f in zip(self.shape, self.faces):
-                stride //= extent
-                if extent > 1:  # DIA holds column j's entry at data[k, j]
-                    up, low = data[len(offsets)], data[len(offsets) + 1]
-                    np.negative(f.reshape(-1), out=low)
-                    up[:stride] = 0.0
-                    up[stride:] = low[: n - stride]
-                    offsets += [stride, -stride]
-            sweep = (n, n, len(offsets), n, np.array(offsets, np.int32), data)
+            sweep = dia_operands(self.faces, self.diagonal, np.asarray(-1.0, dtype), dtype)
             self._sweeps[dtype] = sweep
         return sweep
 
@@ -106,11 +119,19 @@ class FlatStencil:
             coeffs.diagonal, None if dirichlet is None else dirichlet.mask,
         )
 
-    def bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
-        """The operands of ``out = S x``; ``out`` must be C-contiguous,
-        and a bound form follows ``x`` only if ``x`` is too."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stencil applied to ``x`` (grid-shaped), into ``out``: one
+        DIA sweep from −0.0, then the identity rows.
+
+        ``out`` defaults to a new array of ``x``'s dtype and must be
+        C-contiguous; with one dtype throughout, nothing else is
+        allocated once the rows are laid out.
+        """
+        x = np.asarray(x)
         if x.shape != self.shape:
             raise ValidationError(f"x shape {x.shape} != grid {self.shape}")
+        if out is None:
+            out = np.empty(self.shape, dtype=x.dtype)
         if out.shape != x.shape:
             raise ValidationError(f"out shape {out.shape} != x shape {x.shape}")
         if not out.flags.c_contiguous:
@@ -118,31 +139,12 @@ class FlatStencil:
         xf, of = x.reshape(-1), out.reshape(-1)
         dtype = np.result_type(self.dtype, x.dtype, out.dtype)
         y = of if x.dtype == out.dtype == dtype else np.empty(x.size, dtype)
-        return self._sweep(dtype), xf, y, of, self._rows
-
-    @staticmethod
-    def run(bound: tuple) -> None:
-        """Evaluate a :meth:`bind` form: one DIA sweep from −0.0, then
-        the identity rows."""
-        sweep, xf, y, of, rows = bound
-        mixed = y is not of
         y.fill(-0.0)  # -0.0 + t is t; a +0.0 start would turn a lone -0.0 into +0.0
-        _sparsetools.dia_matvec(*sweep, xf.astype(y.dtype) if mixed else xf, y)
-        if mixed:
+        _sparsetools.dia_matvec(*self._sweep(dtype), xf.astype(dtype, copy=False), y)
+        if y is not of:
             np.copyto(of, y, casting="same_kind")
-        if rows is not None:
-            of[rows] = xf[rows]
-
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The stencil applied to ``x`` (grid-shaped), into ``out``.
-
-        ``out`` defaults to a new array of ``x``'s dtype; with one dtype
-        throughout, nothing else is allocated once the rows are laid out.
-        """
-        x = np.asarray(x)
-        if out is None:
-            out = np.empty(self.shape, dtype=x.dtype)
-        self.run(self.bind(x, out))
+        if self._rows is not None:
+            of[self._rows] = xf[self._rows]
         return out
 
 

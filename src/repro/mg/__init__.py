@@ -9,8 +9,10 @@ hierarchy per linear system; the reference path runs it through
 :func:`repro.solvers.cg.conjugate_gradient`'s ``precondition=``.
 
 * :mod:`repro.mg.hierarchy` — level construction (lateral 2×2 Galerkin
-  aggregation of the FV face coefficients) in the working precision;
-* :mod:`repro.mg.cycle` — the V-cycle ``z = M⁻¹ r``, in that precision;
+  aggregation of the FV face coefficients) in the working precision,
+  and the V-cycle bound once per hierarchy as a schedule of compiled
+  sweeps;
+* :mod:`repro.mg.cycle` — the V-cycle ``z = M⁻¹ r``: runs that schedule;
 * :mod:`repro.mg.charges` — the per-V-cycle charge packet the engines
   merge at every preconditioner application.
 """

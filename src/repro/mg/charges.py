@@ -12,9 +12,15 @@ critical path) that every engine merges at every preconditioner
 application (``iterations + 1`` applications per solve: INIT plus one
 per UPDATE_RES).
 
-The per-level cost recipe mirrors ``cycle.py`` statement for statement,
-charged on a *per-level* model whose fabric dimensions are that level's
-coarsened grid (coarse levels occupy a shrinking corner of the fabric):
+The per-level cost recipe models the V-cycle as the fabric would run
+it, per term: damped-Jacobi sweeps that each apply the stencil and then
+update ``z``.  It does not follow the host's bound schedule
+(``repro.mg.hierarchy``), which forms ``c = ωD⁻¹·rhs`` once, makes the
+first sweep from zero ``z = c`` without an apply and runs every other
+sweep as one DIA sweep of ``S = I − ωD⁻¹A``; so the host's arithmetic
+can change without moving a counter.  It is charged on a *per-level*
+model whose fabric dimensions are that level's coarsened grid (coarse
+levels occupy a shrinking corner of the fabric):
 
 * each damped-Jacobi sweep: one halo-exchange round of ``z``, one
   matrix-free apply (FMUL diagonal + FSUB/FMA per face direction), and

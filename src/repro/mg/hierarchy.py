@@ -24,13 +24,17 @@ per-cell faces directly.
 Restriction is the aggregate sum, prolongation its exact adjoint
 (injection); a coarse cell is masked when *any* fine cell in its
 aggregate is masked, and residuals/corrections are kept exactly zero on
-masked cells — the invariant the engine operator relies on.  Each level
-binds its V-cycle operands, transfers included, at build (:class:`MgLevel`).
+masked cells — the invariant the engine operator relies on.
+
+At build each level lays out its V-cycle operands (:class:`MgLevel`),
+and the whole V-cycle is bound once as the hierarchy's ``schedule`` of
+``(kernel, operands)`` steps on the levels' scratch, which
+:func:`repro.mg.mg_apply` runs in order.
 
 A hierarchy is built in one ``dtype``, the solve's working precision:
-sums, diagonals and inverses are formed in float64 and cast once into
-it.  Every engine of one dtype runs the V-cycle on the same hierarchy,
-so ``z`` is bitwise identical across engines.
+sums, diagonals, inverses and operator rows are formed in float64 and
+cast once into it.  Every engine of one dtype runs the V-cycle on the
+same hierarchy, so ``z`` is bitwise identical across engines.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Private: the compiled kernels behind ``dia_array``/``csr_array``/``csc_array`` products.
+from scipy.sparse import _sparsetools
+
 from repro.fv.coefficients import cell_faces, diagonal_from_faces
-from repro.fv.operator import FlatStencil
+from repro.fv.operator import FlatStencil, dia_operands
 from repro.util.errors import ConfigurationError
 
 #: Hard cap on hierarchy depth (mirrored by ``spec.MG_MAX_LEVELS``).
@@ -78,7 +85,7 @@ def _pair_sum(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.nda
 @dataclass
 class MgLevel:
     """One level: its operator, diagonals and mask, and the V-cycle's
-    scratch and operands, bound once at build.
+    scratch and operands, laid out once at build.
 
     ``op`` holds the level's per-cell faces, its diagonal
     ``Σ faces + acc`` with 1.0 on masked rows, and the mask as identity
@@ -87,42 +94,48 @@ class MgLevel:
 
     * ``rhs`` — the level's right-hand side (level 0: the copy of the
       ``r`` the V-cycle is applied to; coarser: the restricted residual);
-    * ``z`` — the level's correction; ``az`` — ``A·z`` and the residual;
-    * ``half`` — the residual pair-summed along x on its way down.
+    * ``c`` — ``ωD⁻¹·rhs``, formed once per cycle;
+    * ``z`` and ``az`` — the correction and the other sweep buffer: a
+      sweep writes ``c + S z`` into the one not holding ``z``, and the
+      residual goes there too.  ``z`` holds the correction when a cycle
+      ends.
 
-    The rest are operands bound to that scratch, none referring back to
-    a level: ``rows``, the masked cells as a flat index; ``flat``, flat
-    views of ``rhs``, ``z``, ``az`` and ``inv_diag``; ``apply_z``, ``op``
-    bound to ``z → az`` (its DIA rows laid out here, once; each
-    ``FlatStencil.run`` is one compiled sweep); and, on all but the
-    coarsest level, the transfers (:func:`_bind_transfers`).
+    The operands are in the level's dtype, formed from ``op`` in float64
+    and cast once, and none refers back to a level: ``rows``, the masked
+    cells as a flat index; ``weight``, ``ωD⁻¹`` with zero on masked rows,
+    and ``smoother``, the :func:`~repro.fv.operator.dia_operands` of
+    ``S = I − ωD⁻¹A`` with zero masked rows (:meth:`lay_out`); and, on
+    all but the coarsest level, ``negated``, those of ``−A`` with zero
+    masked rows, and the transfers (:func:`_lay_out_transfers`).
     """
 
     op: FlatStencil
     acc: np.ndarray  # (nx, ny, nz) float64 accumulation diagonal
     mask: np.ndarray  # (nx, ny, nz) bool — identity rows
-    inv_diag: np.ndarray  # 1 / diag
     dense_inv: np.ndarray | None = None  # coarsest-level exact inverse
     rhs: np.ndarray = field(init=False, repr=False)
+    c: np.ndarray = field(init=False, repr=False)
     z: np.ndarray = field(init=False, repr=False)
     az: np.ndarray = field(init=False, repr=False)
-    half: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
-    flat: tuple = field(init=False, repr=False)
-    apply_z: tuple = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False, repr=False)
+    smoother: tuple = field(init=False, repr=False)
+    negated: tuple = field(init=False, repr=False, default=())
     restriction: tuple = field(init=False, repr=False, default=())
     prolongation: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self) -> None:
-        nx, ny, nz = self.shape
         dtype = self.op.dtype
-        self.rhs, self.z, self.az = (np.empty(self.shape, dtype) for _ in range(3))
-        self.half = np.empty((-(-nx // 2), ny, nz), dtype)
+        self.rhs, self.c, self.z, self.az = (np.empty(self.shape, dtype) for _ in range(4))
         self.rows = np.flatnonzero(self.mask)
-        self.flat = tuple(
-            a.reshape(-1) for a in (self.rhs, self.z, self.az, self.inv_diag)
-        )
-        self.apply_z = self.op.bind(self.z, self.az)
+
+    def lay_out(self, omega: float) -> None:
+        """Lay out ``weight`` and ``smoother`` for damping ``omega``."""
+        op = self.op
+        w = omega / op.diagonal.astype(np.float64)
+        w[self.mask] = 0.0
+        self.weight = w.astype(op.dtype)
+        self.smoother = dia_operands(op.faces, np.where(self.mask, 0.0, 1.0 - omega), w, op.dtype)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -134,31 +147,30 @@ class MgLevel:
         return nx * ny * nz
 
 
-def _bind_transfers(fine: MgLevel, coarse: MgLevel) -> None:
-    """Bind ``fine``'s transfers; ``coarse`` cell ``(I, J)`` aggregates
-    fine cells ``2I, 2I+1`` by ``2J, 2J+1``.  ``restriction`` holds
-    ``(a, b, out)`` steps from ``az`` through ``half`` into
-    ``coarse.rhs``: ``out = a + b`` over the pairs, x then y, or
-    ``out = a`` (``b`` is ``None``) for an odd tail.  ``prolongation``
-    holds ``(z, coarse z)`` view pairs to add, one broadcast pair when
-    both lateral extents are even."""
-    nx, ny, _ = fine.shape
-    hx, hy = nx // 2, ny // 2
-    r, half, rc = fine.az, fine.half, coarse.rhs
-    steps = [
-        (r[0 : 2 * hx : 2], r[1 : 2 * hx : 2], half[:hx]),
-        (r[2 * hx :], None, half[hx:]),
-        (half[:, 0 : 2 * hy : 2], half[:, 1 : 2 * hy : 2], rc[:, :hy]),
-        (half[:, 2 * hy :], None, rc[:, hy:]),
-    ]
-    fine.restriction = tuple(step for step in steps if step[2].size)
-    z, zc = fine.z, coarse.z
-    if nx % 2 == 0 and ny % 2 == 0:
-        pairs = [(z.reshape(hx, 2, hy, 2, -1), zc[:, None, :, None, :])]
-    else:  # per parity (i, j), fine cells 2I + i, 2J + j
-        pairs = [(z[i::2, j::2], zc[: (nx + 1 - i) // 2, : (ny + 1 - j) // 2])
-                 for i in (0, 1) for j in (0, 1)]
-    fine.prolongation = tuple(pair for pair in pairs if pair[0].size)
+def _lay_out_transfers(fine: MgLevel, coarse: MgLevel) -> None:
+    """Lay out what ``fine`` hands its residual to ``coarse`` with:
+    ``negated`` (``−A``), and the transfers ``(rows, columns, indptr,
+    indices, data)``.  Coarse cell ``(I, J)`` aggregates fine cells
+    ``2I, 2I+1`` by ``2J, 2J+1``: ``restriction`` is the CSR matrix of
+    their sums, each row in ascending flat order and empty on a masked
+    coarse cell, and ``prolongation`` its transpose, the same arrays
+    read as CSC (``csc_matvec``)."""
+    keep = ~fine.mask  # -A's couplings scale: 0/1, exact in the level's dtype
+    fine.negated = dia_operands(fine.op.faces, np.where(keep, -fine.op.diagonal, 0.0),
+                                keep.astype(fine.op.dtype), fine.op.dtype)
+    nx, ny, nz = fine.shape
+    cx, cy, _ = coarse.shape
+    cells = np.full((2 * cx, 2 * cy, nz), -1, np.int32)  # -1 past an odd edge
+    cells[:nx, :ny] = np.arange(fine.cells, dtype=np.int32).reshape(fine.shape)
+    members = cells.reshape(cx, 2, cy, 2, nz).transpose(0, 2, 4, 1, 3).reshape(-1, 4)
+    members[coarse.rows] = -1
+    indices = members[members >= 0]
+    sizes = np.outer(np.minimum(nx - 2 * np.arange(cx), 2), np.minimum(ny - 2 * np.arange(cy), 2))
+    indptr = np.zeros(coarse.cells + 1, np.int32)
+    np.cumsum(sizes[:, :, None] * ~coarse.mask, out=indptr[1:])
+    csr = (indptr, indices, np.ones(indices.size, fine.op.dtype))
+    fine.restriction = (coarse.cells, fine.cells, *csr)
+    fine.prolongation = (fine.cells, coarse.cells, *csr)
 
 
 def _level(faces, acc: np.ndarray, mask: np.ndarray, dtype) -> MgLevel:
@@ -173,10 +185,7 @@ def _level(faces, acc: np.ndarray, mask: np.ndarray, dtype) -> MgLevel:
             "non-positive row"
         )
     faces = tuple(np.asarray(f, dtype) for f in faces)
-    return MgLevel(
-        op=FlatStencil(faces, np.asarray(diag, dtype), mask), acc=acc, mask=mask,
-        inv_diag=np.asarray(1.0 / diag, dtype),
-    )
+    return MgLevel(op=FlatStencil(faces, np.asarray(diag, dtype), mask), acc=acc, mask=mask)
 
 
 def _coarsen(fine: MgLevel) -> MgLevel:
@@ -195,7 +204,7 @@ def _coarsen(fine: MgLevel) -> MgLevel:
     acc = _pair_sum(_pair_sum(fine.acc, 0), 1)
     mask = _pair_sum(_pair_sum(fine.mask, 0), 1)
     coarse = _level((fxc, fyc, fzc), acc, mask, fine.op.dtype)
-    _bind_transfers(fine, coarse)
+    _lay_out_transfers(fine, coarse)
     return coarse
 
 
@@ -238,20 +247,77 @@ def _dense_matrix(level: MgLevel) -> np.ndarray:
     return a
 
 
+def _bind_cycle(levels: list[MgLevel], sweeps: int) -> list[tuple]:
+    """The V-cycle on ``levels`` (see :mod:`repro.mg.cycle`), bound:
+    ``((level, part), (kernel, operands))`` steps in cycle order on the
+    levels' flat scratch.  ``z`` moves between a level's ``z`` and
+    ``az`` instead of being copied back, and ends each cycle in ``z``."""
+    steps = []
+    scratch = [tuple(a.reshape(-1) for a in (lv.rhs, lv.c, lv.z, lv.az, lv.weight))
+               for lv in levels]
+
+    def step(index, part, kernel, *operands):
+        steps.append(((index, part), (kernel, operands)))
+
+    def smooth(index, part, z, count):
+        """``count`` sweeps from ``z`` (``None``: from zero); returns the buffer holding ``z``."""
+        rhs, c, z1, z2, weight = scratch[index]
+        if z is None:
+            step(index, part, np.multiply, rhs, weight, c)
+            z, count = c, count - 1
+        for _ in range(count):
+            into = z2 if z is z1 else z1
+            step(index, part, np.copyto, into, c)
+            step(index, part, _sparsetools.dia_matvec, *levels[index].smoother, z, into)
+            z = into
+        return z
+
+    held = []
+    for index, level in enumerate(levels[:-1]):
+        rhs, _, z1, z2, _ = scratch[index]
+        z = smooth(index, "smoothing", None, sweeps)
+        r = z2 if z is z1 else z1
+        coarse_rhs = scratch[index + 1][0]
+        step(index, "residual", np.copyto, r, rhs)
+        step(index, "residual", _sparsetools.dia_matvec, *level.negated, z, r)
+        step(index, "restriction", coarse_rhs.fill, 0.0)
+        step(index, "restriction", _sparsetools.csr_matvec, *level.restriction, r, coarse_rhs)
+        held.append(z)
+    last, coarsest = len(levels) - 1, levels[-1]
+    if coarsest.dense_inv is not None:
+        rhs, _, z, _, _ = scratch[last]
+        step(last, "coarse solve", np.matmul, coarsest.dense_inv, rhs, z)
+        step(last, "coarse solve", np.put, z, coarsest.rows, 0.0)  # zero-on-mask exact
+    else:
+        z = smooth(last, "coarse solve", None, COARSE_FALLBACK_SWEEPS)
+    for index in reversed(range(last)):
+        zc, z = z, held[index]
+        _, c, _, z2, _ = scratch[index]
+        if z is c:  # one sweep left z in c, which the post-smoothing reads
+            step(index, "prolongation", np.copyto, z2, c)
+            z = z2
+        step(index, "prolongation", _sparsetools.csc_matvec, *levels[index].prolongation, zc, z)
+        z = smooth(index, "smoothing", z, sweeps)
+    return steps
+
+
 @dataclass
 class MgHierarchy:
     """A full V-cycle hierarchy plus the smoothing schedule.
 
     A hierarchy belongs to one linear system and is not shared across
-    threads: :func:`repro.mg.mg_apply` runs in its levels' scratch, so
-    two V-cycles on one hierarchy must not overlap.  ``packets`` keeps
-    its V-cycle charge packets, one per machine
-    (:func:`repro.mg.build_mg_packet`).
+    threads: :func:`repro.mg.mg_apply` runs its ``schedule`` in the
+    levels' scratch, so two V-cycles on one hierarchy must not overlap.
+    ``parts`` labels each step of the schedule with its ``(level,
+    part)``.  ``packets`` keeps its V-cycle charge packets, one per
+    machine (:func:`repro.mg.build_mg_packet`).
     """
 
     levels: tuple[MgLevel, ...]
     smoother_iters: int = DEFAULT_SMOOTHER_ITERS
     omega: float = DEFAULT_OMEGA
+    schedule: tuple = field(default=(), repr=False)
+    parts: tuple = field(default=(), repr=False)
     packets: dict = field(default_factory=dict, init=False, repr=False)
 
     def level_shapes(self) -> list[list[int]]:
@@ -321,7 +387,11 @@ def build_hierarchy(
     if coarsest.cells <= DENSE_SOLVE_MAX_CELLS:
         dense_inv = np.linalg.inv(_dense_matrix(coarsest))
         coarsest.dense_inv = dense_inv.astype(coarsest.op.dtype, copy=False)
-    return MgHierarchy(tuple(built), smoother_iters=iters, omega=float(omega))
+    for level in built:
+        level.lay_out(float(omega))
+    parts, schedule = zip(*_bind_cycle(built, iters))
+    return MgHierarchy(tuple(built), smoother_iters=iters, omega=float(omega),
+                       schedule=schedule, parts=parts)
 
 
 def hierarchy_for_problem(

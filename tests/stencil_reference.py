@@ -3,10 +3,16 @@
 These are the 3-D slice forms of the FV apply and of the multigrid
 V-cycle, kept as plain loops over whole-array slices: ``apply_jx`` as a
 per-axis ``lo``/``hi`` slice loop, and a self-contained hierarchy whose
-level operator, smoother, transfers and V-cycle allocate fresh arrays
-at every step, plus the diagonal as a slice loop.
+level operator, smoother, residual, transfers and V-cycle allocate fresh
+arrays at every step, plus the diagonal as a slice loop.  The V-cycle
+pieces add their terms in the order of the library's compiled sweeps:
+a sweep is ``c + S z`` and the residual ``rhs + (−A) z``, each row's
+terms added in the DIA row order (the diagonal, then per axis the upper
+and the lower neighbour) with the library's coefficients; the
+restriction sums each aggregate from +0.0 in ascending flat order, and
+the prolongation adds each aggregate's correction to its fine cells.
 ``tests/test_flat_stencil.py`` requires the library's ``FlatStencil``
-apply, ``diagonal_from_faces``, the V-cycle's bound transfers and
+apply, ``diagonal_from_faces``, the V-cycle's transfers and
 ``repro.mg.mg_apply`` to equal them element for element.
 
 :class:`TiledApply` is the fabric kernel's tiled apply in its
@@ -85,7 +91,6 @@ class RefLevel:
     acc: np.ndarray
     mask: np.ndarray
     diag: np.ndarray
-    inv_diag: np.ndarray
     dense_inv: np.ndarray | None = None
 
     @property
@@ -129,33 +134,62 @@ def _pair_any(mask, axis):
     return out
 
 
-def level_apply(level, z, out=None):
-    """A level's operator as the 3-D slice loop (identity masked rows)."""
-    if out is None:
-        out = np.empty_like(z)
-    np.multiply(level.diag, z, out=out)
+def weight(level, omega):
+    """``ωD⁻¹``, zero on masked rows: the library's ``c = weight·rhs``
+    and the per-row scale of ``S``'s couplings."""
+    return np.where(level.mask, 0.0, omega / level.diag)
+
+
+def _add_rows(level, diag, scale, z, out):
+    """``out += diag·z + scale ⊙ C z``, ``C`` the level's couplings: per
+    row the diagonal term, then per axis the upper and the lower
+    neighbour, each coefficient ``scale·f`` of the row."""
+    out += diag * z
     for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
         if f.size == 0:
             continue
         lo, hi = _lo_hi(axis)
-        out[lo] -= f * z[hi]
-        out[hi] -= f * z[lo]
-    np.copyto(out, z, where=level.mask)
+        out[lo] += (scale[lo] * f) * z[hi]
+        out[hi] += (scale[hi] * f) * z[lo]
     return out
 
 
-def restrict(fine_level, coarse_level, r):
-    rc = _pair_sum(_pair_sum(r, 0), 1)
+def sweep(level, omega, c, z):
+    """One damped-Jacobi sweep ``c + S z``, ``S = I − ωD⁻¹A`` with zero
+    masked rows."""
+    diag = np.where(level.mask, 0.0, 1.0 - omega)
+    return _add_rows(level, diag, weight(level, omega), z, c.copy())
+
+
+def residual(level, r, z):
+    """``r + (−A) z``, ``−A`` with zero masked rows."""
+    keep = np.where(level.mask, 0.0, 1.0)
+    return _add_rows(level, np.where(level.mask, 0.0, -level.diag), keep, z, r.copy())
+
+
+def restrict(coarse_level, r):
+    """``R r``: per coarse cell +0.0 plus its fine cells in ascending flat
+    order (x parity outer, y parity inner), +0.0 on masked coarse cells."""
+    rc = np.zeros(coarse_level.shape, dtype=r.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            part = r[i::2, j::2]
+            rc[: part.shape[0], : part.shape[1]] += part
     rc[coarse_level.mask] = 0.0
     return rc
 
 
-def prolong(fine_level, zc):
-    nx, ny, _ = fine_level.shape
-    zf = np.repeat(np.repeat(zc, 2, axis=0)[:nx], 2, axis=1)[:, :ny]
-    zf = np.ascontiguousarray(zf)
-    zf[fine_level.mask] = 0.0
-    return zf
+def prolong(coarse_level, z, zc):
+    """``z + P zc``: each fine cell adds its aggregate's ``zc``, but for
+    the cells of a masked aggregate (an empty row of ``P``)."""
+    z = z.copy()
+    live = ~coarse_level.mask
+    for i in (0, 1):
+        for j in (0, 1):
+            view = z[i::2, j::2]
+            n0, n1 = view.shape[:2]
+            np.add(view, zc[:n0, :n1], out=view, where=live[:n0, :n1])
+    return z
 
 
 def _level_from_parts(fx, fy, fz, acc, mask, shape):
@@ -168,7 +202,7 @@ def _level_from_parts(fx, fy, fz, acc, mask, shape):
         diag[hi] += f
     diag += acc
     diag[mask] = 1.0
-    return RefLevel(shape, fx, fy, fz, acc, mask, diag, 1.0 / diag)
+    return RefLevel(shape, fx, fy, fz, acc, mask, diag)
 
 
 def _coarsen(fine):
@@ -227,14 +261,14 @@ def build_hierarchy(coefficients, dirichlet_mask, *, accumulation=None,
     return RefHierarchy(tuple(built), smoother_iters=iters)
 
 
-def _smooth(level, z, r, omega, sweeps):
-    """``sweeps`` damped-Jacobi updates ``z += ω D⁻¹ (r − A z)``."""
+def _smooth(level, omega, r, z, sweeps):
+    """``sweeps`` damped-Jacobi sweeps towards ``A z = r`` from ``z``
+    (``None``: from zero, where the first sweep is ``z = c``)."""
+    c = weight(level, omega) * r
+    if z is None:
+        z, sweeps = c, sweeps - 1
     for _ in range(sweeps):
-        az = level_apply(level, z)
-        np.subtract(r, az, out=az)
-        az *= level.inv_diag
-        az *= omega
-        z += az
+        z = sweep(level, omega, c, z)
     return z
 
 
@@ -243,23 +277,18 @@ def _coarse_solve(hier, level, r):
         z = (level.dense_inv @ r.reshape(-1)).reshape(level.shape)
         z[level.mask] = 0.0
         return z
-    z = np.zeros_like(r)
-    return _smooth(level, z, r, hier.omega, COARSE_FALLBACK_SWEEPS)
+    return _smooth(level, hier.omega, r, None, COARSE_FALLBACK_SWEEPS)
 
 
 def _v_cycle(hier, index, r):
     level = hier.levels[index]
     if index == len(hier.levels) - 1:
         return _coarse_solve(hier, level, r)
-    z = np.zeros_like(r)
-    _smooth(level, z, r, hier.omega, hier.smoother_iters)
-    resid = r - level_apply(level, z)
+    z = _smooth(level, hier.omega, r, None, hier.smoother_iters)
     coarse = hier.levels[index + 1]
-    rc = restrict(level, coarse, resid)
-    zc = _v_cycle(hier, index + 1, rc)
-    z += prolong(level, zc)
-    _smooth(level, z, r, hier.omega, hier.smoother_iters)
-    return z
+    rc = restrict(coarse, residual(level, r, z))
+    z = prolong(coarse, z, _v_cycle(hier, index + 1, rc))
+    return _smooth(level, hier.omega, r, z, hier.smoother_iters)
 
 
 def mg_apply(hier, r):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.sparse import _sparsetools, dia_array
+from scipy.sparse import _sparsetools, csc_array, csr_array, dia_array
 
 import stencil_reference as ref
 from repro.fv.coefficients import build_flux_coefficients
@@ -26,7 +26,6 @@ from repro.mesh.geomodel import lognormal_permeability
 from repro.mesh.grid import CartesianGrid3D
 from repro.mg import build_hierarchy, mg_apply
 from repro.mg import hierarchy as mg_hierarchy
-from repro.mg.cycle import _prolong, _restrict
 from repro.physics.darcy import build_problem
 from repro.physics.transient import TransientOperator
 from repro.util.errors import ValidationError
@@ -195,7 +194,7 @@ def _assert_same_hierarchy(hier, expected):
         for got_f, want_f in zip(ref.internal_faces(level.op.faces), (want.fx, want.fy, want.fz)):
             np.testing.assert_array_equal(got_f, want_f)
         np.testing.assert_array_equal(level.op.diagonal, want.diag)
-        np.testing.assert_array_equal(level.inv_diag, want.inv_diag)
+        np.testing.assert_array_equal(level.weight, ref.weight(want, expected.omega))
         np.testing.assert_array_equal(level.acc, want.acc)
         np.testing.assert_array_equal(level.mask, want.mask)
         assert (level.dense_inv is None) == (want.dense_inv is None)
@@ -226,30 +225,30 @@ class TestVCycle:
 
     @pytest.mark.parametrize("shape", MG_SHAPES)
     def test_bound_transfers_equal_reference(self, shape):
-        """Every level's bound restriction gives the reference ``R r``,
-        and its bound prolongation the reference ``z + P zc``, bit for
-        bit (sign bits included), for a ``zc`` zero on masked coarse
-        cells as every coarse level holds it after its cycle."""
+        """Every level's laid-out restriction, run as the cycle runs it
+        (``csr_matvec`` into a zeroed coarse ``rhs``), gives the
+        reference ``R r``, and its prolongation (``csc_matvec``) the
+        reference ``z + P zc``, bit for bit (sign bits included), for a
+        ``zc`` zero on masked coarse cells as every coarse level holds
+        it after its cycle."""
         coeffs = _coefficients(shape, np.float64)
         mask = _mask(shape)
         hier = build_hierarchy(coeffs, mask)
         expected = ref.build_hierarchy(coeffs, mask)
         rng = np.random.default_rng(10)
-        pairs = zip(hier.levels, hier.levels[1:], expected.levels, expected.levels[1:])
-        for fine, coarse, ref_fine, ref_coarse in pairs:
+        pairs = zip(hier.levels, hier.levels[1:], expected.levels[1:])
+        for fine, coarse, ref_coarse in pairs:
             r = rng.standard_normal(fine.shape)
-            fine.az[...] = r
-            _restrict(fine, coarse)
-            want = ref.restrict(ref_fine, ref_coarse, r)
-            assert coarse.rhs.tobytes() == want.tobytes()
+            rc = np.zeros(coarse.shape)
+            _sparsetools.csr_matvec(*fine.restriction, r.reshape(-1), rc.reshape(-1))
+            _assert_bits(rc, ref.restrict(ref_coarse, r))
             z = rng.standard_normal(fine.shape)
             z[::3] = -0.0
             zc = rng.standard_normal(coarse.shape)
             zc[coarse.mask] = 0.0
-            fine.z[...] = z
-            coarse.z[...] = zc
-            _prolong(fine)
-            assert fine.z.tobytes() == (z + ref.prolong(ref_fine, zc)).tobytes()
+            want = ref.prolong(ref_coarse, z, zc)
+            _sparsetools.csc_matvec(*fine.prolongation, zc.reshape(-1), z.reshape(-1))
+            _assert_bits(z, want)
 
     @pytest.mark.parametrize("iters", [1, 3])
     def test_smoother_sweeps(self, iters):
@@ -273,3 +272,86 @@ class TestVCycle:
         assert hier.telemetry(1)["coarse_solve"] == "smooth"
         _assert_same_hierarchy(hier, expected)
         _assert_same_cycles(hier, expected, mask)
+
+
+def _dense_operator(level):
+    """A level's operator as a dense float64 matrix: its diagonal and
+    the couplings ``−f`` of every cell pair, masked rows included."""
+    n = level.cells
+    a = np.diag(level.op.diagonal.reshape(-1).astype(np.float64))
+    idx = np.arange(n).reshape(level.shape)
+    for axis, f in enumerate(ref.internal_faces(level.op.faces)):
+        lo, hi = ref._lo_hi(axis)
+        a[idx[lo].ravel(), idx[hi].ravel()] -= f.ravel()
+        a[idx[hi].ravel(), idx[lo].ravel()] -= f.ravel()
+    return a
+
+
+def _dia_dense(operands):
+    n, _, _, _, offsets, data = operands
+    return dia_array((data, offsets), shape=(n, n)).toarray()
+
+
+def _sparse_dense(kind, operands):
+    rows, cols, indptr, indices, data = operands
+    return kind((data, indices, indptr), shape=(rows, cols)).toarray()
+
+
+class TestLevelOperands:
+    @pytest.mark.parametrize("shape", MG_SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_operands_equal_their_definitions(self, shape, dtype):
+        """On every level the DIA rows of ``S`` are the dense
+        ``I − ωD⁻¹A`` with zero masked rows and ``weight`` is ``ωD⁻¹``
+        with zero masked rows; on every level but the coarsest (which
+        restricts nothing) the rows of ``−A`` are ``−A`` with zero masked
+        rows, the restriction is the aggregate-sum matrix with zero
+        masked coarse rows and the prolongation its transpose.  Rows are
+        formed in float64 from the level's operator: checked there to
+        round-off, and a float32 level's must be those float64 rows cast
+        once."""
+        coeffs = _coefficients(shape, np.float32)
+        mask = _mask(shape)
+        acc = np.random.default_rng(3).random(shape) * 0.5
+        hier = build_hierarchy(coeffs, mask, accumulation=acc, dtype=dtype)
+        omega = hier.omega
+        for index, level in enumerate(hier.levels):
+            op = level.op
+            wide = mg_hierarchy.MgLevel(
+                FlatStencil(tuple(f.astype(np.float64) for f in op.faces),
+                            op.diagonal.astype(np.float64), level.mask),
+                level.acc, level.mask,
+            )
+            wide.lay_out(omega)
+            last = index == len(hier.levels) - 1
+            if not last:
+                mg_hierarchy._lay_out_transfers(wide, hier.levels[index + 1])
+            pairs = [(level.smoother, wide.smoother)] + [(level.negated, wide.negated)] * (not last)
+            for got, want in pairs:
+                np.testing.assert_array_equal(got[4], want[4])
+                _assert_bits(got[5], want[5].astype(dtype))
+            _assert_bits(level.weight, wide.weight.astype(dtype))
+
+            keep = ~level.mask.reshape(-1)
+            a = _dense_operator(wide)
+            d = wide.op.diagonal.reshape(-1)
+            s = np.eye(level.cells) - omega * a / d[:, None]
+            np.testing.assert_allclose(_dia_dense(wide.smoother), s * keep[:, None],
+                                       rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(wide.weight.reshape(-1), omega / d * keep, rtol=1e-15)
+            if last:
+                assert level.negated == level.restriction == level.prolongation == ()
+                continue
+            np.testing.assert_array_equal(_dia_dense(wide.negated), -a * keep[:, None])
+            coarse = hier.levels[index + 1]
+            nx, ny, nz = level.shape
+            i, j, k = np.indices(level.shape).reshape(3, -1)
+            owner = ((i // 2) * coarse.shape[1] + j // 2) * nz + k
+            r = np.zeros((coarse.cells, level.cells))
+            r[owner, np.arange(level.cells)] = 1.0
+            r[coarse.mask.reshape(-1)] = 0.0
+            restriction = _sparse_dense(csr_array, level.restriction)
+            assert level.restriction[4].dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(restriction, r)
+            np.testing.assert_array_equal(_sparse_dense(csc_array, level.prolongation),
+                                          restriction.T)

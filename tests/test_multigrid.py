@@ -2,21 +2,23 @@
 
 Pins the numerical contract the engines rely on: level construction is
 the variational (Galerkin) coarse operator for piecewise-constant
-transfer, the bound restriction/prolongation are exact adjoints, the
+transfer, the laid-out restriction/prolongation are exact adjoints, the
 damped-Jacobi smoother holds the exact solution fixed, one V-cycle is a
-symmetric positive contraction in float64 and in float32, a hierarchy
-is built in the solve's working precision, the spec knobs
-validate/round-trip, and every linear system (every Δt of a simulation)
-builds one hierarchy.
+symmetric positive contraction in float64 and in float32 that allocates
+nothing when warm, a hierarchy is built in the solve's working
+precision, the spec knobs validate/round-trip, and every linear system
+(every Δt of a simulation) builds one hierarchy.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
 from helpers import make_problem
 from stencil_reference import internal_faces
@@ -35,7 +37,6 @@ from repro.mg import (
     planned_level_shapes,
 )
 from repro.mg import hierarchy as mg_hierarchy
-from repro.mg.cycle import _prolong, _relax, _restrict
 from repro.physics.transient import TransientStepper
 from repro.solvers.cg import conjugate_gradient
 from repro.solvers.preconditioning import build_preconditioner
@@ -44,29 +45,33 @@ from repro.util.errors import ConfigurationError, ValidationError
 from repro.wse.specs import WSE2
 
 
-def _sweeps(level, omega, z, r, sweeps):
-    """``sweeps`` smoother updates of ``z`` towards ``A z = r``, run in
-    the level's scratch; returns the new ``z``."""
-    level.rhs[...] = r
-    level.z[...] = z
-    _relax(level, omega, sweeps)
-    return level.z.copy()
+def _sweeps(level, z, r, sweeps):
+    """``sweeps`` smoother updates ``z ← c + S z``, ``c = ωD⁻¹ r``, of
+    ``z`` towards ``A z = r``, on the level's laid-out operands; returns
+    the new ``z``."""
+    c = (r * level.weight).reshape(-1)
+    z = np.asarray(z, level.op.dtype).reshape(-1)
+    for _ in range(sweeps):
+        z, into = c.copy(), z
+        _sparsetools.dia_matvec(*level.smoother, into, z)
+    return z.reshape(level.shape)
 
 
 def _restricted(fine, coarse, r):
-    """``R r`` through the bound restriction (``r`` enters as the fine
-    level's residual ``az``)."""
-    fine.az[...] = r
-    _restrict(fine, coarse)
-    return coarse.rhs.copy()
+    """``R r`` through the laid-out restriction, into a zeroed coarse
+    vector as the V-cycle runs it."""
+    rc = np.zeros(coarse.shape, coarse.op.dtype)
+    r = np.asarray(r, fine.op.dtype).reshape(-1)
+    _sparsetools.csr_matvec(*fine.restriction, r, rc.reshape(-1))
+    return rc
 
 
 def _prolonged(fine, coarse, zc):
-    """``P zc`` through the bound prolongation, added to ``z = 0``."""
-    fine.z[...] = 0.0
-    coarse.z[...] = zc
-    _prolong(fine)
-    return fine.z.copy()
+    """``P zc`` through the laid-out prolongation, added to ``z = 0``."""
+    z = np.zeros(fine.shape, fine.op.dtype)
+    zc = np.asarray(zc, coarse.op.dtype).reshape(-1)
+    _sparsetools.csc_matvec(*fine.prolongation, zc, z.reshape(-1))
+    return z
 
 
 def _masked_random(shape, mask, seed):
@@ -278,28 +283,33 @@ class TestSmoother:
         r = _masked_random(level.shape, level.mask, seed=4)
         z = (level.dense_inv @ r.reshape(-1)).reshape(level.shape)
         z[level.mask] = 0.0
-        out = _sweeps(level, hier.omega, z, r, sweeps=3)
+        out = _sweeps(level, z, r, sweeps=3)
         np.testing.assert_allclose(out, z, atol=1e-10)
 
     def test_sweep_reduces_residual(self, hierarchy):
         level = hierarchy.levels[0]
         r = _masked_random(level.shape, level.mask, seed=5)
-        z1 = _sweeps(level, hierarchy.omega, np.zeros_like(r), r, sweeps=1)
-        z2 = _sweeps(level, hierarchy.omega, z1, r, sweeps=1)
+        z1 = _sweeps(level, np.zeros_like(r), r, sweeps=1)
+        z2 = _sweeps(level, z1, r, sweeps=1)
         res1 = np.linalg.norm(r - level.op.apply(z1))
         res2 = np.linalg.norm(r - level.op.apply(z2))
         assert res2 < res1 < np.linalg.norm(r)
 
-    def test_first_sweep_from_zero_skips_the_apply(self, hierarchy):
-        """From ``z = 0`` the first sweep is ``(r·D⁻¹)·ω``: bitwise what
-        a full sweep computes, without applying ``A`` to zero."""
-        level = hierarchy.levels[0]
+    def test_first_sweep_from_zero_skips_the_apply(self, problem, monkeypatch):
+        """From ``z = 0`` the first sweep is ``z = c = ωD⁻¹·r``: bitwise
+        what a full sweep ``c + S·0`` computes, without applying ``S``
+        to zero or reading the level's old scratch.  A one-level
+        hierarchy too big for the dense solve is exactly the fallback
+        sweeps from zero."""
+        monkeypatch.setattr(mg_hierarchy, "DENSE_SOLVE_MAX_CELLS", 8)
+        hier = hierarchy_for_problem(problem, levels=1)
+        level = hier.levels[0]
+        assert hier.telemetry(1)["coarse_solve"] == "smooth"
         r = _masked_random(level.shape, level.mask, seed=11)
-        full = _sweeps(level, hierarchy.omega, np.zeros_like(r), r, sweeps=2)
-        level.rhs[...] = r
-        level.z[...] = np.nan  # the shortcut must not read the old z
-        _relax(level, hierarchy.omega, 2, from_zero=True)
-        np.testing.assert_array_equal(level.z, full)
+        full = _sweeps(level, np.zeros_like(r), r, mg_hierarchy.COARSE_FALLBACK_SWEEPS)
+        for scratch in (level.c, level.z, level.az):
+            scratch[...] = np.nan  # the shortcut must not read the old z
+        np.testing.assert_array_equal(mg_apply(hier, r), full)
 
 
 class TestVCycle:
@@ -334,7 +344,7 @@ class TestVCycle:
         assert not any(
             np.shares_memory(z1, a)
             for lvl in hierarchy.levels
-            for a in (lvl.rhs, lvl.z, lvl.az, lvl.half)
+            for a in (lvl.rhs, lvl.c, lvl.z, lvl.az)
         )
 
     def test_dropped_hierarchy_is_freed_without_the_cycle_collector(self, problem):
@@ -418,8 +428,9 @@ class TestWorkingPrecision:
     def test_every_level_is_float32(self, hierarchy32):
         for level in hierarchy32.levels:
             arrays = (
-                *level.op.faces, level.op.diagonal, level.inv_diag,
-                level.rhs, level.z, level.az, level.half,
+                *level.op.faces, level.op.diagonal, level.weight, level.smoother[-1],
+                *level.negated[-1:], *level.restriction[-1:], *level.prolongation[-1:],
+                level.rhs, level.c, level.z, level.az,
             )
             assert all(a.dtype == np.float32 for a in arrays)
             assert level.acc.dtype == np.float64  # built from, not run in
@@ -472,6 +483,26 @@ class TestWorkingPrecision:
         z = np.full(level.shape, np.nan, dtype=np.float32)
         assert mg_apply(hier, r, out=z) is z
         np.testing.assert_array_equal(z, mg_apply(hier, r).astype(np.float32))
+
+    def test_warm_cycle_allocates_nothing(self):
+        """A warm ``mg_apply(..., out=z)`` on a 64×64×4 float32 transient
+        hierarchy peaks below a quarter of a fine-level array under
+        tracemalloc: the cycle runs in the levels' scratch, and none of
+        its kernels buffers a strided operand."""
+        problem = repro.scenario("transient_injection", nx=64, ny=64, nz=4, seed=3).build()
+        acc = TransientStepper(problem, dts=[2.0], total_compressibility=5e-3).begin(0)[0]
+        hier = hierarchy_for_problem(problem, accumulation=acc, dtype=np.float32)
+        level = hier.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=21).astype(np.float32)
+        z = np.empty(level.shape, np.float32)
+        mg_apply(hier, r, out=z)
+        tracemalloc.start()
+        try:
+            mg_apply(hier, r, out=z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes / 4
 
     def test_misshaped_out_is_rejected(self, hierarchy32):
         level = hierarchy32.levels[0]
