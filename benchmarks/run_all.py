@@ -31,8 +31,9 @@ driver's kernel passes at 128×128×4 for the vectorized (one whole-grid
 tile), fused (auto tiles) and narrow-tile fused (square tiles of a
 quarter of the grid side, each copying its padded window into scratch)
 layouts, then of one multigrid V-cycle at 64×64×4 per level and part —
-warm medians with IQR over interleaved repeats — instead of running the
-benches.
+warm medians with IQR over interleaved repeats — then the footprint of
+``import repro`` and of a few small solves in fresh interpreters,
+instead of running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -48,7 +49,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -373,6 +376,104 @@ def run_vcycle_profile() -> None:
     print(f"  {'sum of parts':<24} {cell(timed):>20}  ({ratio:.3f} x whole cycle)")
 
 
+#: One fresh interpreter's footprint, printed as one JSON object:
+#: ``import repro`` (wall ms, peak RSS), then small solves of a 4x4x4
+#: lognormal reservoir (the default call on each backend, and the event
+#: and sharded wse engines) and a three-step fused mg simulation of an
+#: 8x8x2 transient injection, with the peak RSS after them, the loaded
+#: modules per top-level package and every loaded module under
+#: ``OFF_PATH``: SciPy's iterative solvers and LAPACK wrappers and the
+#: performance models, which no solve runs.  ``tests/test_packaging.py``
+#: asserts that list is empty.
+FOOTPRINT_CHILD = """
+import json, sys, time
+
+
+def peak_mib():
+    # This address space's own peak (VmHWM): ru_maxrss also carries over
+    # the peak of the process that started this one.
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return float("nan")
+
+
+start = time.perf_counter()
+import repro
+import_ms = (time.perf_counter() - start) * 1e3
+import_mib = peak_mib()
+
+problem = repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=4).build()
+repro.solve(problem)
+repro.solve(problem, backend="gpu")
+repro.solve(problem, backend="wse")
+repro.solve(problem, backend="wse", engine="event")
+repro.solve(problem, backend="wse", engine="sharded", shard_shape=(2, 2))
+repro.simulate(
+    repro.scenario("transient_injection", nx=8, ny=8, nz=2).build(),
+    backend="wse", engine="fused", preconditioner="mg", n_steps=3, dt=1.0,
+)
+
+OFF_PATH = ("scipy.sparse.linalg", "scipy.linalg", "repro.perf")
+print(json.dumps({
+    "import_ms": import_ms,
+    "import_rss_mib": import_mib,
+    "solved_rss_mib": peak_mib(),
+    "modules": {
+        top: sum(name.partition(".")[0] == top for name in sys.modules)
+        for top in ("numpy", "scipy", "repro")
+    },
+    "off_path": sorted(
+        name for name in sys.modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in OFF_PATH)
+    ),
+}))
+"""
+
+
+def run_footprint_child() -> dict:
+    """Run :data:`FOOTPRINT_CHILD` in a fresh interpreter on the ``src``
+    tree this process imported ``repro`` from, and return its record."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CHILD],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def run_footprint_profile(runs: int = 3) -> None:
+    """Medians of :data:`FOOTPRINT_CHILD` over ``runs`` fresh
+    interpreters (``--profile``): whatever ``import repro`` loads, every
+    process that solves pays for, in import time and resident memory."""
+    import numpy as np
+
+    records = [run_footprint_child() for _ in range(runs)]
+
+    def median(read):
+        return float(np.median([read(record) for record in records]))
+
+    cache = "off" if sys.dont_write_bytecode else "on"
+    print(f"\nprofile: footprint, median of {runs} fresh interpreters "
+          f"(bytecode cache writes {cache})")
+    print(f"  {'import repro':<20} {median(lambda r: r['import_ms']):7.0f} ms "
+          f"{median(lambda r: r['import_rss_mib']):7.1f} MiB peak RSS")
+    print(f"  {'after the solves':<20} {'':>10} "
+          f"{median(lambda r: r['solved_rss_mib']):7.1f} MiB peak RSS")
+    print(f"  {'loaded modules':<20} " + "  ".join(
+        f"{top} {median(lambda r: r['modules'][top]):.0f}"
+        for top in ("numpy", "scipy", "repro")
+    ))
+    print(f"  {'off the solve path':<20} "
+          f"{median(lambda r: len(r['off_path'])):.0f} modules "
+          f"(scipy.sparse.linalg, scipy.linalg, repro.perf)")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path,
@@ -380,14 +481,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase host-time breakdown "
                              "(stage/apply/dot/charge; vectorized, fused "
-                             "and narrow-tile fused) and the mg V-cycle's "
-                             "per-level parts, and exit without running "
-                             "the benches")
+                             "and narrow-tile fused), the mg V-cycle's "
+                             "per-level parts and the footprint of fresh "
+                             "interpreters, and exit without running the "
+                             "benches")
     args = parser.parse_args(argv)
 
     if args.profile:
         run_profile()
         run_vcycle_profile()
+        run_footprint_profile()
         return 0
 
     rows = build_targets()

@@ -36,6 +36,7 @@ from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
+from repro.wse.memory import SCALAR_RESERVE_BYTES
 from repro.wse.specs import WseSpecs
 
 
@@ -105,8 +106,6 @@ class EventEngine:
 
     def _load(self) -> None:
         """Build a fresh fabric and load the staging onto it."""
-        from repro.perf.memmodel import SCALAR_RESERVE_BYTES
-
         grid = self.problem.grid
         # CG scalars, state-machine bookkeeping and stack live outside
         # the column buffers; reserve them so the capacity model's

@@ -51,7 +51,7 @@ from repro.physics.darcy import SinglePhaseProblem
 from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError
 from repro.wse.fabric import Fabric
-from repro.wse.memory import MemoryArena
+from repro.wse.memory import SCALAR_RESERVE_BYTES, MemoryArena
 from repro.wse.router import Port
 from repro.wse.specs import WseSpecs
 
@@ -375,8 +375,6 @@ def _rehearse_bytes(
     batch of problems or a sweep of solves pays for at most two
     rehearsals per configuration.
     """
-    from repro.perf.memmodel import SCALAR_RESERVE_BYTES
-
     dtype = np.dtype(dtype_name)
     arena = MemoryArena(pe_memory_bytes, reserved_bytes=SCALAR_RESERVE_BYTES)
     columns = pe_columns(variant, reuse_buffers, jacobi, mg, accumulation, with_mask)

@@ -94,12 +94,3 @@ class ProblemMapping:
         for (x, y), col in columns.items():
             out[x, y, :] = col
         return out
-
-    def estimate_pe_bytes(self, num_columns: int, *, dtype_bytes: int = 4,
-                          scalar_slots: int = 16) -> int:
-        """Estimated per-PE footprint for ``num_columns`` column buffers.
-
-        Used by capacity planning (`repro.perf.memmodel`) and by tests that
-        pin down the maximum Z depth a PE can host.
-        """
-        return num_columns * self.grid.nz * dtype_bytes + scalar_slots * dtype_bytes

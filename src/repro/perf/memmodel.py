@@ -5,15 +5,10 @@ counts columns per configuration and answers the capacity questions the
 paper's memory-saving optimizations exist for: the maximum Z depth per
 configuration, and how much depth buffer reuse buys.
 
-Column inventory (fp32, one column = ``nz`` values):
-
-* CG vectors: pressure ``y``, search ``p``, residual ``r``, rhs ``b``,
-  output ``Jx`` (5);
-* halo receive buffers: W/E/N/S (4);
-* precomputed variant: six ``c = Υλ`` coefficient columns (6);
-* fused variant: six Υ columns + own λ + four neighbour λ + λ-scratch (12);
-* without buffer reuse: one extra scratch column;
-* mixed Dirichlet columns: one mask column.
+The columns (fp32, one column = ``nz`` values) are the plain CG
+program's: the four halo receive buffers plus the inventory
+:func:`repro.core.host.pe_columns` lists, the one the event oracle
+allocates and every layout's memory rehearsal replays.
 
 The paper reports fitting Nz = 922; that implies ≤ 13 columns plus code.
 Our cleanest configuration needs 15 (we keep ``b`` and the solution
@@ -25,15 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.exchange import HALO_BUFFER
 from repro.core.fv_kernel import DirichletKind, KernelVariant
+from repro.core.host import pe_columns
 from repro.util.errors import ConfigurationError
+from repro.wse.memory import SCALAR_RESERVE_BYTES
 from repro.wse.specs import WSE2, WseSpecs
 
 #: Bytes per fp32 value.
 F32 = 4
-
-#: Scalar slots reserved per PE (CG scalars, state machine, stack).
-SCALAR_RESERVE_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -47,16 +42,10 @@ class PeMemoryModel:
 
     def num_columns(self) -> int:
         """Column buffers required by this configuration."""
-        columns = 5 + 4  # CG vectors + halos
-        if self.variant is KernelVariant.PRECOMPUTED:
-            columns += 6
-        else:
-            columns += 6 + 1 + 4 + 1  # Υ, λ own, λ neighbours, λ scratch
-        if not self.reuse_buffers:
-            columns += 1
-        if self.dirichlet is DirichletKind.PARTIAL:
-            columns += 1
-        return columns
+        partial = self.dirichlet is DirichletKind.PARTIAL
+        return len(HALO_BUFFER) + len(
+            pe_columns(self.variant, self.reuse_buffers, False, False, False, partial)
+        )
 
     def bytes_for_depth(self, nz: int) -> int:
         if nz < 1:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.solvers.cg import CGResult
 from repro.util.errors import ConvergenceError
@@ -29,6 +28,10 @@ def scipy_cg_baseline(
     ``atol = sqrt(tol_rtr)`` and ``rtol=0`` for an absolute check equivalent
     to the paper's ``r^T r < ε``.
     """
+    # Imported here, not at module level: no solve path runs SciPy's
+    # iterative solvers, so ``import repro`` does not load them.
+    import scipy.sparse.linalg as spla
+
     b_flat = np.asarray(b).reshape(-1)
     x0_flat = None if x0 is None else np.asarray(x0).reshape(-1)
     residuals: list[float] = []

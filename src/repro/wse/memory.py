@@ -17,6 +17,10 @@ import numpy as np
 
 from repro.util.errors import ConfigurationError, PeOutOfMemory
 
+#: Scalar slots reserved per PE (CG scalars, state machine, stack): the
+#: ``reserved_bytes`` every PE arena of the CG program is charged.
+SCALAR_RESERVE_BYTES = 256
+
 
 @dataclass
 class _Allocation:

@@ -86,11 +86,6 @@ class TestMapping:
         mapping = ProblemMapping(grid, WSE2)
         assert mapping.pe_for_cell(2, 1, 4) == (2, 1)
 
-    def test_estimate_pe_bytes(self):
-        grid = CartesianGrid3D(4, 3, 100)
-        mapping = ProblemMapping(grid, WSE2)
-        assert mapping.estimate_pe_bytes(14) == 14 * 100 * 4 + 16 * 4
-
 
 class TestScheduleTable:
     """The static Table-I schedule itself."""

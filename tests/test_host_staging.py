@@ -3,10 +3,11 @@ from the array staging.
 
 ``repro.core.host.pe_columns`` is the only list of the column buffers a
 PE allocates.  The event oracle allocates from it and the array layouts'
-memory rehearsal replays it, so their memory reports agree by
+memory rehearsal replays it, and the capacity model
+(``PeMemoryModel.num_columns``) counts it, so all three agree by
 construction; the independent check is the paper's analytic column
-count (``PeMemoryModel.num_columns``).  The oracle copies each PE's
-column of the staged arrays in, bit for bit.
+count, spelled out below.  The oracle copies each PE's column of the
+staged arrays in, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ from repro.wse.specs import WSE2
 
 SPEC = WSE2.with_fabric(8, 8)
 
+#: The paper's analytic count (§III-E.1): five CG vectors (``y``, ``p``,
+#: ``r``, ``b``, ``Jx``) and four halos, plus six ``c = Υλ`` columns
+#: (precomputed) or six Υ, own λ, four neighbour λ and a λ-scratch
+#: (fused mobility).  No buffer reuse adds a scratch column, a
+#: partial-Dirichlet column a mask.
+PAPER_COLUMNS = {KernelVariant.PRECOMPUTED: 15, KernelVariant.FUSED_MOBILITY: 21}
+
 
 @pytest.mark.parametrize("kind", list(DirichletKind))
 @pytest.mark.parametrize("reuse", [True, False])
@@ -44,8 +52,10 @@ def test_inventory_is_the_papers_column_count(variant, reuse, kind):
         *pe_columns(variant, reuse, False, False, False, kind is DirichletKind.PARTIAL),
     )
     assert len(set(columns)) == len(columns)
+    expected = PAPER_COLUMNS[variant] + (not reuse) + (kind is DirichletKind.PARTIAL)
+    assert len(columns) == expected
     model = PeMemoryModel(variant=variant, reuse_buffers=reuse, dirichlet=kind)
-    assert len(columns) == model.num_columns()
+    assert model.num_columns() == expected
 
 
 def _problem():

@@ -1,10 +1,12 @@
-"""Packaging: ``import repro`` needs only what ``setup.py`` declares, and
-every public name a module lists resolves."""
+"""Packaging: ``import repro`` needs only what ``setup.py`` declares,
+a solve loads only what it runs, and every public name a module lists
+resolves."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -80,3 +82,18 @@ def test_every_all_name_resolves():
             if not hasattr(module, public)
         ]
     assert missing == []
+
+
+def test_solves_load_no_scipy_solvers_or_perf_models():
+    """Whatever ``import repro`` and a solve load, every process that
+    solves pays for: SciPy's iterative solvers and LAPACK wrappers and the
+    performance models are about 10 MiB of resident memory that no solve
+    runs.  The fresh interpreter is the footprint child of
+    ``benchmarks/run_all.py --profile``, on the ``src`` tree this process
+    imported ``repro`` from."""
+    spec = importlib.util.spec_from_file_location(
+        "run_all", ROOT / "benchmarks" / "run_all.py"
+    )
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    assert run_all.run_footprint_child()["off_path"] == []
