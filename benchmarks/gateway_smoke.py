@@ -11,9 +11,10 @@ gateways, streams one transient over the WebSocket, and asserts the
 invariants the issue's acceptance scenario names:
 
 * every request resolves and converges;
-* **zero lost manifest records** — the shared store holds exactly the
+* **zero lost store records** — the shared store holds exactly the
   10 distinct fingerprints, each loadable (the lost-update regression:
-  blind manifest rewrites dropped whichever gateway flushed first);
+  blind rewrites of a shared manifest once dropped whichever gateway
+  flushed first);
 * cache + dedup + cross-gateway store sharing hold the number of
   genuine solves across *both* processes to **≤ 10**;
 * each gateway's ``/metrics`` totals agree with its own durable
@@ -26,7 +27,6 @@ Exits non-zero on any violated invariant, so CI can gate on it.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import pathlib
 import sys
@@ -110,7 +110,7 @@ def main() -> int:
 
             def one(index: int):
                 # Alternate gateways request by request: both processes
-                # write the shared manifest concurrently.
+                # write to the shared store concurrently.
                 client = clients[index % GATEWAYS]
                 return client.solve(
                     scenarios[index % DISTINCT], backend="wse", spec=spec
@@ -172,17 +172,14 @@ def main() -> int:
                 process.join(timeout=60)
 
         # -- shared store integrity, after both writers are gone ---------
-        manifest = json.loads(
-            (pathlib.Path(root) / "store" / "manifest.json").read_text()
-        )
+        store = ResultStore(pathlib.Path(root) / "store")
         expected = {
             plan_entry(s, spec, "wse").fingerprint for s in scenarios
         }
-        solve_records = {k for k in manifest if "#" not in k}
+        solve_records = {k for k in store.keys() if "#" not in k}
         check(solve_records == expected,
-              f"zero lost manifest records: {len(solve_records)}/{DISTINCT} "
+              f"zero lost store records: {len(solve_records)}/{DISTINCT} "
               f"distinct fingerprints survived both writers")
-        store = ResultStore(pathlib.Path(root) / "store")
         for fingerprint in expected:
             store.load(fingerprint)
         check(True, "every shared-store record rehydrates")

@@ -31,9 +31,10 @@ driver's kernel passes at 128×128×4 for the vectorized (one whole-grid
 tile), fused (auto tiles) and narrow-tile fused (square tiles of a
 quarter of the grid side, each copying its padded window into scratch)
 layouts, then of one multigrid V-cycle at 64×64×4 per level and part —
-warm medians with IQR over interleaved repeats — then the footprint of
-``import repro`` and of a few small solves in fresh interpreters,
-instead of running the benches.
+warm medians with IQR over interleaved repeats — then one
+``ResultStore.save`` into stores of 10 and 800 records, then the
+footprint of ``import repro`` and of a few small solves in fresh
+interpreters, instead of running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -376,15 +377,60 @@ def run_vcycle_profile() -> None:
     print(f"  {'sum of parts':<24} {cell(timed):>20}  ({ratio:.3f} x whole cycle)")
 
 
+def run_store_profile(saves: int = 20) -> None:
+    """Host ms of one ``ResultStore.save`` (``--profile``): the median
+    [IQR] of ``saves`` saves of 16x16x4 float32 results into a temp store
+    that already holds 10 records, and again at 800.  A save writes only
+    its own payload and record, so the two rows should match."""
+    import tempfile
+
+    import numpy as np
+
+    from repro.session import ResultStore, plan_entry
+
+    spec = repro.SolveSpec.from_kwargs(dtype="float32")
+    rng = np.random.default_rng(0)
+    seeds = iter(range(1 << 30))
+
+    def fresh():
+        target = repro.scenario(
+            "lognormal_reservoir", nx=16, ny=16, nz=4, seed=next(seeds)
+        )
+        result = repro.SolveResult(
+            pressure=rng.random((16, 16, 4), dtype=np.float32),
+            iterations=60, converged=True,
+            residual_history=rng.random(61).tolist(),
+            elapsed_seconds=1e-3, backend="wse", telemetry={},
+        )
+        return plan_entry(target, spec, "wse"), result
+
+    print(f"\nprofile: ResultStore.save, host ms per save, median [IQR] over "
+          f"{saves} saves of 16x16x4 float32 results")
+    for held in (10, 800):
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            for _ in range(held):
+                store.save(*fresh())
+            pairs = [fresh() for _ in range(saves)]
+            elapsed = []
+            for entry, result in pairs:
+                start = time.perf_counter()
+                store.save(entry, result)
+                elapsed.append((time.perf_counter() - start) * 1e3)
+        q1, med, q3 = np.percentile(elapsed, [25, 50, 75])
+        print(f"  {f'into {held} records':<24} {med:.3f} [{q1:.3f}-{q3:.3f}]")
+
+
 #: One fresh interpreter's footprint, printed as one JSON object:
 #: ``import repro`` (wall ms, peak RSS), then small solves of a 4x4x4
 #: lognormal reservoir (the default call on each backend, and the event
 #: and sharded wse engines) and a three-step fused mg simulation of an
 #: 8x8x2 transient injection, with the peak RSS after them, the loaded
 #: modules per top-level package and every loaded module under
-#: ``OFF_PATH``: SciPy's iterative solvers and LAPACK wrappers and the
-#: performance models, which no solve runs.  ``tests/test_packaging.py``
-#: asserts that list is empty.
+#: ``OFF_PATH``: SciPy's iterative solvers and LAPACK wrappers, the
+#: performance models and the serving tier (``repro.serve``,
+#: ``repro.net`` and the ``asyncio`` they run on), which no solve runs.
+#: ``tests/test_packaging.py`` asserts that list is empty.
 FOOTPRINT_CHILD = """
 import json, sys, time
 
@@ -418,7 +464,10 @@ repro.simulate(
     backend="wse", engine="fused", preconditioner="mg", n_steps=3, dt=1.0,
 )
 
-OFF_PATH = ("scipy.sparse.linalg", "scipy.linalg", "repro.perf")
+OFF_PATH = (
+    "scipy.sparse.linalg", "scipy.linalg", "repro.perf",
+    "asyncio", "repro.serve", "repro.net",
+)
 print(json.dumps({
     "import_ms": import_ms,
     "import_rss_mib": import_mib,
@@ -471,7 +520,8 @@ def run_footprint_profile(runs: int = 3) -> None:
     ))
     print(f"  {'off the solve path':<20} "
           f"{median(lambda r: len(r['off_path'])):.0f} modules "
-          f"(scipy.sparse.linalg, scipy.linalg, repro.perf)")
+          f"(scipy.sparse.linalg, scipy.linalg, repro.perf, asyncio, "
+          f"repro.serve, repro.net)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -482,7 +532,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the per-phase host-time breakdown "
                              "(stage/apply/dot/charge; vectorized, fused "
                              "and narrow-tile fused), the mg V-cycle's "
-                             "per-level parts and the footprint of fresh "
+                             "per-level parts, a store save at 10 and 800 "
+                             "records and the footprint of fresh "
                              "interpreters, and exit without running the "
                              "benches")
     args = parser.parse_args(argv)
@@ -490,6 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile:
         run_profile()
         run_vcycle_profile()
+        run_store_profile()
         run_footprint_profile()
         return 0
 

@@ -32,7 +32,7 @@ registries, specs & sessions, and the experiment index.
 
 __version__ = "1.3.0"
 
-from repro import api, backends, scenarios, serve, spec, session
+from repro import api, backends, scenarios, spec, session
 from repro.backends import (
     SimulationResult,
     SolveResult,
@@ -84,7 +84,6 @@ __all__ = [
     "register_backend",
     "scenario",
     "scenarios",
-    "serve",
     "session",
     "simulate",
     "simulate_many",

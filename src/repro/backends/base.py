@@ -321,7 +321,7 @@ class SimulationResult:
 
         The final state is the pressure; ``iterations`` and
         ``elapsed_seconds`` aggregate over every step (so plan rows and
-        store manifests stay meaningful for multi-step entries);
+        store records stay meaningful for multi-step entries);
         ``residual_history`` concatenates the per-step histories;
         ``telemetry["transient"]`` keeps the per-step breakdown.
         """

@@ -144,7 +144,7 @@ class WseBackend:
         self, report, spec: SolveSpec, extra_telemetry: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         # Telemetry carries stable to_dict() summaries, not live simulator
-        # objects: ResultStore manifests, bench JSON and pickled
+        # objects: ResultStore records, bench JSON and pickled
         # process-pool results stay serializable and small.
         # mg reports carry a structured preconditioner record (levels,
         # sweeps, V-cycle count); none/jacobi stay the plain spec string.

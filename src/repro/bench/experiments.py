@@ -57,17 +57,11 @@ TABLE2_PAPER = {
 
 @dataclass(frozen=True)
 class PaperRow:
-    """A (label, paper value, model value) triple plus relative error."""
+    """A (label, paper value, model value) triple."""
 
     label: str
     paper: float
     model: float
-
-    @property
-    def rel_err_pct(self) -> float:
-        if self.paper == 0:
-            return float("nan")
-        return 100.0 * (self.model - self.paper) / self.paper
 
 
 # -- Table II: kernel time measurements --------------------------------------------

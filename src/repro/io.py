@@ -9,7 +9,6 @@ inspectable with ``numpy.load`` alone.
 from __future__ import annotations
 
 import json
-import pathlib
 
 import numpy as np
 
@@ -124,10 +123,3 @@ def _read_meta(data, *, expected_kind: str) -> dict:
             f"expected a {expected_kind} file, got {meta.get('kind')!r}"
         )
     return meta
-
-
-def roundtrip_dir(base: pathlib.Path) -> pathlib.Path:
-    """Utility for examples: ensure an output directory exists."""
-    base = pathlib.Path(base)
-    base.mkdir(parents=True, exist_ok=True)
-    return base

@@ -7,8 +7,8 @@ Prometheus ``GET /metrics``) over nothing but :mod:`asyncio.streams` —
 no external dependencies — and :class:`GatewayClient` is the matching
 blocking SDK so examples, benchmarks and remote callers exercise the
 real wire path.  Several gateways on one host can share a single
-:class:`~repro.session.ResultStore` (advisory file locking plus
-merge-on-write keeps concurrent manifest rewrites lossless), and every
+:class:`~repro.session.ResultStore` (one record file per fingerprint,
+renamed into place, so concurrent writers lose nothing), and every
 service/gateway counter flows through one
 :class:`~repro.net.metrics.MetricsRegistry` so ``/metrics``,
 ``service.stats()`` and the durable run records can never disagree.

@@ -29,10 +29,10 @@ but :mod:`asyncio.streams`:
     the one registry.
 
 Multiple gateways (processes) may share one
-:class:`~repro.session.ResultStore` root: the store's advisory file
-lock plus merge-on-write manifest rewrites make concurrent writers
-lossless, and its stat-based reload lets gateway B serve gateway A's
-solves from the store tier.
+:class:`~repro.session.ResultStore` root: each fingerprint's files are
+renamed into place atomically, so concurrent writers lose nothing, and
+every probe asks the disk, so gateway B serves gateway A's solves from
+the store tier.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ Two tiers:
   + residual history + a fixed per-entry overhead).  Entry counts are a
   poor proxy on this workload — a 128×128×4 field is ~1000× the bytes
   of an 8×8×2 one — so the budget is what actually bounds the host's
-  memory.  :meth:`pin` exempts hot fingerprints (a dashboard's standing
-  queries, a sweep's reference case) from eviction entirely.
+  memory.
 * **store** — an optional :class:`~repro.session.ResultStore`.  Probes
-  use the manifest-only fast path (``contains``/``get``) so cache
+  use the record-only fast path (``contains``/``get``) so cache
   *misses* never pay NPZ I/O; a hit rehydrates the payload and is
   promoted into the memory tier.
 
@@ -94,7 +93,6 @@ class ResultCache:
         self._memory: OrderedDict[str, SolveResult] = OrderedDict()
         self._sizes: dict[str, int] = {}
         self._bytes = 0
-        self._pinned: set[str] = set()
         self.hits = {"memory": 0, "store": 0}
         self.misses = 0
 
@@ -102,7 +100,7 @@ class ResultCache:
         return len(self._memory)
 
     def __contains__(self, fingerprint: str) -> bool:
-        """Membership probe (memory, then manifest); counts no stats."""
+        """Membership probe (memory, then store record); counts no stats."""
         return fingerprint in self._memory or (
             self.store is not None and self.store.contains(fingerprint)
         )
@@ -115,7 +113,7 @@ class ResultCache:
         """``(result, tier)`` — tier ``"memory"``/``"store"``, or a miss.
 
         Memory hits refresh LRU recency; store hits load the payload
-        once and promote it to memory.  A manifest record whose NPZ
+        once and promote it to memory.  A store record whose NPZ
         payload is missing (torn write, pruned file) counts as a miss —
         ``contains`` is the cheap probe, ``has`` the paid verification.
         """
@@ -139,31 +137,11 @@ class ResultCache:
         if self.store is not None:
             self.store.save(entry, result)
 
-    # -- pinning --------------------------------------------------------------
-
-    def pin(self, fingerprint: str) -> None:
-        """Exempt a fingerprint from eviction (a standing query, a
-        sweep's reference case).  Takes effect immediately if the entry
-        is resident and sticks for later admissions; pinned entries
-        count against the budget but are never evicted — only
-        :meth:`unpin` releases them."""
-        self._pinned.add(fingerprint)
-
-    def unpin(self, fingerprint: str) -> None:
-        """Release a pin; the entry rejoins normal LRU eviction (and is
-        evicted right away if the budget is currently exceeded)."""
-        self._pinned.discard(fingerprint)
-        self._evict()
-
-    def pinned(self) -> set[str]:
-        """The currently pinned fingerprints (resident or not)."""
-        return set(self._pinned)
-
     # -- memory tier ----------------------------------------------------------
 
     def _remember(self, fingerprint: str, result: SolveResult) -> None:
         size = result_nbytes(result)
-        if size > self.max_bytes and fingerprint not in self._pinned:
+        if size > self.max_bytes:
             # Larger than the whole budget: admitting it would evict
             # everything and then evict it too — skip the memory tier
             # (the store tier, if any, still holds it).
@@ -181,17 +159,11 @@ class ResultCache:
             self._bytes -= self._sizes.pop(fingerprint)
 
     def _evict(self) -> None:
-        """Evict least-recently-used *unpinned* entries until the budget
-        holds.  If only pinned entries remain, the budget may overshoot
-        — pins are a promise, not a hint."""
-        if self._bytes <= self.max_bytes:
-            return
+        """Evict least-recently-used entries until the budget holds."""
         for fingerprint in list(self._memory):
-            if fingerprint in self._pinned:
-                continue
-            self._drop(fingerprint)
             if self._bytes <= self.max_bytes:
                 return
+            self._drop(fingerprint)
 
     @property
     def memory_bytes(self) -> int:
@@ -209,7 +181,6 @@ class ResultCache:
             "memory_entries": len(self._memory),
             "memory_bytes": self._bytes,
             "max_bytes": self.max_bytes,
-            "pinned": len(self._pinned),
             "hits": dict(self.hits),
             "misses": self.misses,
             "hit_ratio": self.hit_ratio,

@@ -13,7 +13,7 @@ Request lifecycle (the order is the design):
 1. **cache** — the request's content fingerprint (target + spec +
    backend, exactly :func:`repro.session.entry_fingerprint`) is probed
    against the memory LRU and then the :class:`~repro.session.ResultStore`
-   manifest (no NPZ I/O on a miss).  A hit resolves immediately.
+   record (no NPZ I/O on a miss).  A hit resolves immediately.
 2. **in-flight dedup** — a miss whose fingerprint is already queued or
    solving *attaches* to that request; N identical concurrent requests
    cost one solve.
@@ -42,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import functools
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ from repro.serve.records import RunRecorder
 from repro.serve.retry import RetryPolicy, classify_failure
 from repro.session import ResultStore, plan_entry
 from repro.spec import SolveSpec, resolve_spec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, picklesafe_error
 
 POOLS = ("thread", "process")
 
@@ -120,8 +119,9 @@ def _pool_solve(
     try:
         return get_backend(backend_name).solve(problem, spec)
     except Exception as exc:
-        if picklesafe:
-            _raise_picklesafe(exc)
+        stand_in = picklesafe_error(exc) if picklesafe else exc
+        if stand_in is not exc:
+            raise stand_in from None
         raise
 
 
@@ -134,20 +134,10 @@ def _pool_solve_batch(
     try:
         return get_backend(backend_name).solve_batch(problems, spec)
     except Exception as exc:
-        if picklesafe:
-            _raise_picklesafe(exc)
+        stand_in = picklesafe_error(exc) if picklesafe else exc
+        if stand_in is not exc:
+            raise stand_in from None
         raise
-
-
-def _raise_picklesafe(exc: Exception) -> None:
-    """Re-raise ``exc``, downgraded to a faithful stand-in if it cannot
-    cross the process-pool pickle boundary (same contract as the session's
-    process executor)."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: BLE001
-        raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
-    raise exc
 
 
 class SolveService:

@@ -24,8 +24,8 @@ the operator/configuration from how it is driven):
 * **Per-entry error capture** — one diverging entry yields a
   :class:`PlanEntryResult` with ``error`` set instead of poisoning the
   batch; results always come back in input order.
-* **Persistent results** — a :class:`ResultStore` writes a JSON manifest
-  plus NPZ pressure fields per entry; re-running a plan against a
+* **Persistent results** — a :class:`ResultStore` writes one JSON record
+  and one NPZ pressure field per entry; re-running a plan against a
   populated store skips completed entries (``from_store=True``).
 """
 
@@ -38,7 +38,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,8 +49,7 @@ from repro.backends import SolveResult, StepResult, get_backend
 from repro.physics.darcy import SinglePhaseProblem
 from repro.scenarios.base import Scenario, scenario as _bind_scenario
 from repro.spec import SolveSpec, coerce_spec
-from repro.util.errors import ConfigurationError
-from repro.util.locking import FileLock
+from repro.util.errors import ConfigurationError, picklesafe_error
 
 EXECUTORS = ("serial", "thread", "process", "batched")
 
@@ -240,20 +238,12 @@ def _execute_entry(
 def _execute_entry_in_worker(
     entry: PlanEntry,
 ) -> tuple[SolveResult | None, Exception | None, float]:
-    """Process-pool worker: like :func:`_execute_entry`, pickle-safe errors.
-
-    Results travel back through pickle; an exception whose constructor
-    signature breaks the default reduce protocol would otherwise kill the
-    whole batch at *deserialization* time, so unpicklable errors are
-    replaced by a faithful stand-in.  Serial/thread executors keep the
-    original exception object (no pickle boundary there).
-    """
+    """Process-pool worker: like :func:`_execute_entry`, with the error
+    made pickle-safe (:func:`~repro.util.errors.picklesafe_error`).
+    Serial/thread executors keep the original exception object."""
     result, error, elapsed = _execute_entry(entry)
     if error is not None:
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:  # noqa: BLE001
-            error = RuntimeError(f"{type(error).__name__}: {error}")
+        error = picklesafe_error(error)
     return result, error, elapsed
 
 
@@ -263,172 +253,131 @@ def _execute_entry_in_worker(
 class ResultStore:
     """Directory-backed persistence for :class:`SolveResult` batches.
 
-    Layout::
+    Layout, one set of files per fingerprint::
 
-        <root>/manifest.json      one record per fingerprint (scenario,
-                                  backend, spec, iterations, timings)
-        <root>/<fingerprint>.npz  pressure field + residual history
+        <root>/<fingerprint>.json             record (scenario, backend,
+                                              spec, iterations, timings)
+        <root>/<fingerprint>.npz              pressure field + residual history
+        <root>/<fingerprint>#steps.json       a simulation's record
+        <root>/<fingerprint>.steps/NNNNN.npz  its completed steps
 
     Only the JSON-able core survives persistence: reloaded results carry
     ``telemetry = {"time_kind": ..., "from_store": True}``, not live
     fabric traces or counters.
 
-    **Multi-writer safe.**  Several store instances — worker threads of
-    one service, or separate gateway *processes* — may share one root.
-    Every manifest rewrite happens under an advisory file lock
-    (``manifest.lock``) as read-merge-write: the on-disk manifest is
-    re-read and this instance's pending changes (tracked as dirty /
-    deleted key sets) are overlaid before the atomic replace, so
-    concurrent writers never drop each other's records.  Reads go
-    through a manifest ``stat`` check that reloads when another writer
-    has flushed — gateway B's cache probe sees gateway A's record
-    without either restarting.
+    **Multi-writer safe without a lock.**  Several store instances —
+    worker threads of one service, or separate gateway *processes* — may
+    share one root.  A fingerprint never maps to two answers, so every
+    file belongs to one key and is written through a unique temp file
+    renamed into place, payload before record: writers share no document
+    in which to lose each other's records, a reader never sees a torn
+    file, and the directory is the index — every probe asks the disk, so
+    gateway B's cache probe sees gateway A's record without either
+    restarting.
     """
-
-    MANIFEST = "manifest.json"
-    LOCKFILE = "manifest.lock"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._manifest: dict[str, dict[str, Any]] = {}
-        #: Keys this instance changed / removed since its last flush —
-        #: exactly what read-merge-write overlays onto the disk state.
-        self._dirty: set[str] = set()
-        self._deleted: set[str] = set()
-        self._mutex = threading.RLock()
-        self._filelock = FileLock(self.root / self.LOCKFILE)
-        self._disk_state: tuple[int, int, int] | None = None
-        with self._mutex:
-            self._reload_from_disk()
+        self._migrate_manifest()
 
-    @property
-    def _manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
+    def _record_path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
 
-    def _stat_state(self) -> tuple[int, int, int] | None:
-        """The manifest file's identity: (mtime_ns, inode, size).
-
-        ``os.replace`` swaps in a new inode, so any completed rewrite —
-        even one within the same mtime tick — changes this tuple.
-        """
+    def _migrate_manifest(self) -> None:
+        """Give each record of a legacy ``manifest.json`` (the one-document
+        format) its own record file, then remove the manifest and its lock
+        file.  A stack's count is its step files now, so its
+        ``steps_completed`` is dropped."""
+        legacy = self.root / "manifest.json"
         try:
-            st = os.stat(self._manifest_path)
+            records = json.loads(legacy.read_text())
         except FileNotFoundError:
-            return None
-        return (st.st_mtime_ns, st.st_ino, st.st_size)
-
-    def _reload_from_disk(self) -> None:
-        """Re-read the manifest, overlaying this instance's pending edits.
-
-        Caller holds ``_mutex``.  The atomic-replace write discipline
-        means the read always sees a complete JSON document (old or
-        new, never torn).
-        """
-        state = self._stat_state()
-        disk: dict[str, dict[str, Any]] = {}
-        if state is not None:
-            try:
-                disk = json.loads(self._manifest_path.read_text())
-            except FileNotFoundError:  # replaced away between stat and read
-                state = None
-        for key in self._dirty:
-            if key in self._manifest:
-                disk[key] = self._manifest[key]
-        for key in self._deleted:
-            disk.pop(key, None)
-        self._manifest = disk
-        self._disk_state = state
-
-    def _maybe_reload(self) -> None:
-        """Pick up other writers' flushes (cheap: one ``stat`` per read)."""
-        with self._mutex:
-            if self._stat_state() != self._disk_state:
-                self._reload_from_disk()
+            return
+        for key, record in records.items():
+            if not self.contains(key):
+                record.pop("steps_completed", None)
+                _write_json(self._record_path(key), record)
+        legacy.unlink(missing_ok=True)
+        (self.root / "manifest.lock").unlink(missing_ok=True)
 
     def __len__(self) -> int:
-        self._maybe_reload()
-        return len(self._manifest)
+        return len(self.keys())
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.has(fingerprint)
 
     def keys(self) -> list[str]:
-        self._maybe_reload()
-        return sorted(self._manifest)
+        return sorted(
+            name[: -len(".json")]
+            for name in os.listdir(self.root)
+            if name.endswith(".json")
+        )
 
     def records(self) -> list[dict[str, Any]]:
-        """Manifest records (copies), sorted by fingerprint."""
-        with self._mutex:
-            self._maybe_reload()
-            return [dict(self._manifest[k]) for k in sorted(self._manifest)]
+        """Every record, sorted by fingerprint."""
+        records = (self.get(key) for key in self.keys())
+        return [record for record in records if record is not None]
 
     def has(self, fingerprint: str) -> bool:
-        self._maybe_reload()
         return (
-            fingerprint in self._manifest
+            self.contains(fingerprint)
             and (self.root / f"{fingerprint}.npz").exists()
         )
 
     def contains(self, fingerprint: str) -> bool:
-        """Manifest-only cache probe: no NPZ payload is touched.
+        """Record-only cache probe: one ``stat``, no NPZ payload touched.
 
         The serving tier answers "is this fingerprint cached?" for every
         incoming request; loading (or even ``stat``-ing) the NPZ payload
-        on that hot path would make every *miss* pay disk I/O.  This
-        answers purely from the in-memory manifest (refreshed by a
-        single manifest ``stat`` when another writer flushed) —
-        :meth:`load` still verifies the payload exists when a hit is
-        actually consumed.
+        on that hot path would make every *miss* pay for it.  The record
+        is renamed into place after its payload, so it exists only once
+        the payload does — :meth:`load` still verifies the payload when
+        a hit is actually consumed.
         """
-        self._maybe_reload()
-        return fingerprint in self._manifest
+        return self._record_path(fingerprint).exists()
 
     def get(self, fingerprint: str) -> dict[str, Any] | None:
-        """The manifest record for a fingerprint (a copy), or ``None``.
+        """The record for a fingerprint (a fresh dict), or ``None``.
 
         The metadata face of :meth:`contains`: label, backend, spec,
         iterations and timings without loading the NPZ payload — what a
-        cache probe or an admission decision needs, at manifest cost.
+        cache probe or an admission decision needs, at one small read.
         """
-        with self._mutex:
-            self._maybe_reload()
-            record = self._manifest.get(fingerprint)
-            return None if record is None else dict(record)
+        try:
+            return json.loads(self._record_path(fingerprint).read_text())
+        except FileNotFoundError:
+            return None
 
     def save(self, entry: PlanEntry, result: SolveResult) -> None:
-        """Persist one completed entry (manifest rewritten atomically)."""
+        """Persist one completed entry: its payload, then its record."""
         fingerprint = entry.fingerprint
         _write_npz(
             self.root / f"{fingerprint}.npz",
             pressure=result.pressure,
             residual_history=np.asarray(result.residual_history, dtype=np.float64),
         )
-        with self._mutex:
-            self._manifest[fingerprint] = {
-                "fingerprint": fingerprint,
-                "label": entry.label,
-                "scenario": entry.scenario.name if entry.scenario is not None else None,
-                "backend": entry.backend,
-                "spec": entry.spec.to_dict(),
-                "iterations": int(result.iterations),
-                "converged": bool(result.converged),
-                "elapsed_seconds": float(result.elapsed_seconds),
-                "time_kind": result.telemetry.get("time_kind"),
-            }
-            self._dirty.add(fingerprint)
-            self._deleted.discard(fingerprint)
-            self._flush()
+        _write_json(self._record_path(fingerprint), {
+            "fingerprint": fingerprint,
+            "label": entry.label,
+            "scenario": entry.scenario.name if entry.scenario is not None else None,
+            "backend": entry.backend,
+            "spec": entry.spec.to_dict(),
+            "iterations": int(result.iterations),
+            "converged": bool(result.converged),
+            "elapsed_seconds": float(result.elapsed_seconds),
+            "time_kind": result.telemetry.get("time_kind"),
+        })
 
     def load(self, fingerprint: str) -> SolveResult:
         """Rehydrate a persisted :class:`SolveResult`."""
-        if not self.has(fingerprint):
+        record = self.get(fingerprint)
+        payload = self.root / f"{fingerprint}.npz"
+        if record is None or not payload.exists():
             raise ConfigurationError(
                 f"result store at {self.root} has no entry {fingerprint!r}"
             )
-        record = self.get(fingerprint)
-        assert record is not None  # has() just confirmed it
-        with np.load(self.root / f"{fingerprint}.npz") as arrays:
+        with np.load(payload) as arrays:
             pressure = arrays["pressure"]
             history = [float(v) for v in arrays["residual_history"]]
         return SolveResult(
@@ -445,12 +394,12 @@ class ResultStore:
     #
     # A simulation persists as an append-only *step stack*: one NPZ per
     # completed step under ``<fingerprint>.steps/`` (written atomically,
-    # tmp + rename) plus a manifest record under ``<fingerprint>#steps``
-    # tracking ``steps_completed``.  Appending step N touches only step
-    # N's file — O(1) per step — and a torn write can at worst lose the
-    # step being written, never the stack behind it, so an interrupted
-    # run always leaves a valid partial stack for
-    # ``repro.simulate(..., store=...)`` to resume from.
+    # tmp + rename) plus a record under ``<fingerprint>#steps``, written
+    # after step 1's file.  Appending step N touches only step N's file —
+    # O(1) per step — and a torn write can at worst lose the step being
+    # written, never the stack behind it, so an interrupted run always
+    # leaves a valid partial stack for ``repro.simulate(..., store=...)``
+    # to resume from.
 
     @staticmethod
     def _steps_key(fingerprint: str) -> str:
@@ -465,17 +414,20 @@ class ResultStore:
     def simulation_steps_completed(self, fingerprint: str) -> int:
         """How many steps of this simulation are already persisted.
 
-        Counts the consecutive on-disk prefix, capped by the manifest
-        record — a step file that never finished writing (crash before
-        the rename) is simply not there and ends the prefix.
+        Counts the consecutive step files from step 1, or 0 without the
+        simulation's record — a step file that never finished writing
+        (crash before the rename) is simply not there and ends the
+        prefix.
         """
-        record = self.get(self._steps_key(fingerprint))
-        if not record:
+        if not self.contains(self._steps_key(fingerprint)):
             return 0
-        completed = int(record.get("steps_completed", 0))
-        for step in range(1, completed + 1):
-            if not self._step_path(fingerprint, step).exists():
-                return step - 1
+        try:
+            names = set(os.listdir(self._steps_dir(fingerprint)))
+        except FileNotFoundError:
+            return 0
+        completed = 0
+        while f"{completed + 1:05d}.npz" in names:
+            completed += 1
         return completed
 
     def save_simulation_step(
@@ -488,8 +440,8 @@ class ResultStore:
         """Append one completed step to the fingerprint's step stack.
 
         Steps must arrive in order (``step.step == completed + 1``); the
-        manifest record carries ``meta`` (label, backend, spec, n_steps)
-        from the first step onward.
+        first step's record carries ``meta`` (label, backend, spec,
+        n_steps).
 
         Appending a step that is *already durable* is a silent no-op,
         not an error: steps are content-addressed and deterministic, so
@@ -517,35 +469,29 @@ class ResultStore:
             dt=np.float64(step.dt),
             elapsed=np.float64(step.elapsed_seconds),
         )
-        key = self._steps_key(fingerprint)
-        with self._mutex:
-            if self.simulation_steps_completed(fingerprint) >= step.step:
-                return  # a racing producer appended this step first
-            record = dict(self._manifest.get(key, {}))
-            record.update(meta or {})
+        if step.step == 1:
+            record = dict(meta or {})
             record.update(
                 kind="simulation",
                 fingerprint=fingerprint,
-                steps_completed=completed + 1,
                 time_kind=step.telemetry.get("time_kind", record.get("time_kind")),
                 backend=step.backend or record.get("backend"),
             )
-            self._manifest[key] = record
-            self._dirty.add(key)
-            self._deleted.discard(key)
-            self._flush()
+            _write_json(self._record_path(self._steps_key(fingerprint)), record)
 
     def clear_simulation(self, fingerprint: str) -> None:
-        """Drop a fingerprint's step stack (the ``resume=False`` path)."""
-        key = self._steps_key(fingerprint)
-        with self._mutex:
-            self._manifest.pop(key, None)
-            self._deleted.add(key)
-            self._dirty.discard(key)
-            directory = self._steps_dir(fingerprint)
-            if directory.exists():
-                shutil.rmtree(directory)
-            self._flush()
+        """Drop a fingerprint's step stack (the ``resume=False`` path).
+
+        The record goes first, so the stack counts 0 from then on; the
+        step directory is renamed away before it is removed, so a removal
+        that stops half-way leaves no step files under the stack's name
+        for a later run to take for its own."""
+        self._record_path(self._steps_key(fingerprint)).unlink(missing_ok=True)
+        directory = self._steps_dir(fingerprint)
+        if directory.exists():
+            trash = Path(tempfile.mkdtemp(dir=self.root, prefix=".tmp-"))
+            os.replace(directory, trash / directory.name)
+            shutil.rmtree(trash)
 
     def resume_simulation(
         self, fingerprint: str, n_steps: int, *, resume: bool
@@ -597,35 +543,27 @@ class ResultStore:
                 )
         return steps
 
-    def _flush(self) -> None:
-        """Durably merge this instance's pending edits into the manifest.
-
-        Read-merge-write under the advisory file lock: re-read the disk
-        manifest (another writer may have flushed since we last looked),
-        overlay our dirty/deleted keys, atomically replace.  A blind
-        rewrite here was the classic lost-update bug — two store
-        instances interleaving ``put()`` would each persist only their
-        own records.
-        """
-        with self._mutex, self._filelock:
-            self._reload_from_disk()
-            path = self._manifest_path
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(self._manifest, indent=2, sort_keys=True))
-            os.replace(tmp, path)
-            self._disk_state = self._stat_state()
-            self._dirty.clear()
-            self._deleted.clear()
-
 
 def _write_npz(path: Path, **arrays: Any) -> None:
-    """Write ``arrays`` as an NPZ through a unique temp file beside
-    ``path``, then rename it into place: a reader never sees a partial
-    payload, and concurrent writers never share a temp file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
+    """Write ``arrays`` as an NPZ at ``path`` (see :func:`_replace_into`)."""
+    _replace_into(path, lambda handle: np.savez_compressed(handle, **arrays))
+
+
+def _write_json(path: Path, record: Mapping[str, Any]) -> None:
+    """Write ``record`` as JSON at ``path`` (see :func:`_replace_into`)."""
+    text = json.dumps(record, indent=2, sort_keys=True)
+    _replace_into(path, lambda handle: handle.write(text.encode()))
+
+
+def _replace_into(path: Path, write: Callable[[Any], Any]) -> None:
+    """Write a file through a unique temp file beside ``path``, then
+    rename it into place: a reader never sees a partial file, and
+    concurrent writers never share a temp file.  Temp names are
+    ``.tmp-<random>.tmp``, so no listing takes one for a record."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -8,6 +8,7 @@ accidentally swallowing genuine programming errors.
 from __future__ import annotations
 
 import difflib
+import pickle
 import sys
 
 
@@ -63,6 +64,22 @@ class PeOutOfMemory(ReproError):
             self.__class__,
             (self.args[0], self.requested, self.available, self.capacity),
         )
+
+
+def picklesafe_error(exc: BaseException) -> BaseException:
+    """``exc`` itself if it survives a pickle round trip, else a
+    :class:`RuntimeError` stand-in naming it.
+
+    A process pool ships a worker's error back through pickle; one whose
+    constructor signature breaks the default reduce protocol (the
+    library's own errors define ``__reduce__`` above for this) would
+    otherwise fail at *deserialization* and take the whole batch down.
+    Thread pools cross no pickle boundary and keep the original."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 class RoutingError(ReproError):

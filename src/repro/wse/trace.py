@@ -79,7 +79,7 @@ class PerfCounters:
         """A stable, JSON-able summary (plain ints, op names as keys).
 
         This — not the live counter object — is what backend telemetry
-        carries, so ``ResultStore`` manifests, bench JSON and pickled
+        carries, so ``ResultStore`` records, bench JSON and pickled
         process-pool results stay serializable and small.
         """
         return {

@@ -510,27 +510,6 @@ class TestResultCache:
         assert cache.stats()["memory_entries"] == 2
         assert pairs[0][0].fingerprint not in cache
 
-    def test_pinned_entries_survive_eviction(self):
-        from repro.serve.cache import result_nbytes
-
-        pairs = self._solved_entries(3)
-        budget = 2 * max(result_nbytes(r) for _, r in pairs)
-        cache = ResultCache(max_bytes=budget)
-        first = pairs[0][0].fingerprint
-        cache.pin(first)
-        for entry, result in pairs:
-            cache.put(entry, result)
-        # The pinned entry is the LRU victim-elect, but pins win; the
-        # next-oldest unpinned entry is evicted instead.
-        assert first in cache
-        assert pairs[1][0].fingerprint not in cache
-        assert pairs[2][0].fingerprint in cache
-        assert cache.stats()["pinned"] == 1
-        cache.unpin(first)
-        # Unpinning re-applies the budget immediately if it is exceeded;
-        # here the two residents fit, so nothing is evicted.
-        assert first in cache and cache.memory_bytes <= budget
-
     def test_oversized_result_skips_memory_tier(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         entry = plan_entry(make_problem(3, 3, 2), SPEC, "reference")

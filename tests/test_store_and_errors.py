@@ -7,15 +7,28 @@ that would break the default reduce protocol across process pools —
 both previously had only incidental coverage.
 """
 
+import builtins
+import json
+import os
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_problem
 import repro
-from repro.session import ResultStore, _execute_entry_in_worker
+import repro.session
+from repro.serve.service import _pool_solve
+from repro.session import (
+    ResultStore,
+    _execute_entry_in_worker,
+    entry_fingerprint,
+    plan_entry,
+)
 from repro.util.errors import ConfigurationError, ConvergenceError, PeOutOfMemory
+from repro.wse.specs import WSE2
 
 REF_SPEC = repro.SolveSpec.from_kwargs(dtype="float64", rel_tol=1e-8)
 
@@ -110,6 +123,142 @@ class TestResultStoreResume:
         assert all(r.from_store for r in second)
 
 
+def _stored_result(seed=0):
+    rng = np.random.default_rng(seed)
+    return repro.SolveResult(
+        pressure=rng.random((4, 4, 2), dtype=np.float32),
+        iterations=7, converged=True, residual_history=[1.0, 0.1, 0.01],
+        elapsed_seconds=0.001, backend="reference", telemetry={},
+    )
+
+
+def _step_arrays(n):
+    return dict(
+        pressure=np.full((2, 2, 2), float(n)), residual_history=np.array([0.1]),
+        iterations=np.int64(n), converged=np.bool_(True),
+        time=np.float64(0.5 * n), dt=np.float64(0.5), elapsed=np.float64(0.0),
+    )
+
+
+class TestPerKeyLayout:
+    """One record file per key: the layout, a legacy manifest's one-time
+    migration, a save's cost and an interrupted clear."""
+
+    def test_legacy_manifest_migrates_on_open(self, tmp_path):
+        solve, sim = "a" * 64, "b" * 64
+        pressure = np.random.default_rng(1).random((3, 3, 2))
+        history = np.array([1.0, 0.1, 0.01])
+        np.savez_compressed(
+            tmp_path / f"{solve}.npz", pressure=pressure, residual_history=history
+        )
+        (tmp_path / f"{sim}.steps").mkdir()
+        for n in (1, 2):
+            np.savez_compressed(
+                tmp_path / f"{sim}.steps" / f"{n:05d}.npz", **_step_arrays(n)
+            )
+        manifest = {
+            solve: {
+                "fingerprint": solve, "label": "problem[3x3x2]",
+                "scenario": None, "backend": "reference",
+                "spec": REF_SPEC.to_dict(), "iterations": 2, "converged": True,
+                "elapsed_seconds": 0.01, "time_kind": "wall_clock",
+            },
+            f"{sim}#steps": {
+                "kind": "simulation", "fingerprint": sim, "n_steps": 4,
+                "steps_completed": 2, "backend": "wse", "time_kind": "modeled",
+            },
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "manifest.lock").touch()
+
+        store = ResultStore(tmp_path)
+        assert store.keys() == sorted(manifest)
+        loaded = store.load(solve)
+        assert loaded.pressure.dtype == pressure.dtype
+        assert loaded.pressure.tobytes() == pressure.tobytes()
+        assert loaded.residual_history == history.tolist()
+        steps = store.resume_simulation(sim, 2, resume=True)
+        assert [s.step for s in steps] == [1, 2]
+        np.testing.assert_array_equal(steps[1].pressure, np.full((2, 2, 2), 2.0))
+        assert steps[1].backend == "wse"
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "manifest.lock").exists()
+        assert "steps_completed" not in store.get(f"{sim}#steps")
+
+    def test_save_writes_its_own_two_files_and_reads_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        entries = [
+            plan_entry(
+                repro.scenario("lognormal_reservoir", nx=4, ny=4, nz=2, seed=s),
+                REF_SPEC, "reference",
+            )
+            for s in range(801)
+        ]
+        result = _stored_result()
+        for entry in entries[:800]:
+            store.save(entry, result)
+        assert len(store) == 800
+
+        replaced: list[str] = []
+        reads: list = []
+        real_replace, real_open = os.replace, builtins.open
+        real_read_text, real_path_open = Path.read_text, Path.open
+        monkeypatch.setattr(
+            os, "replace",
+            lambda src, dst: replaced.append(Path(dst).name) or real_replace(src, dst),
+        )
+        monkeypatch.setattr(
+            builtins, "open", lambda *a, **k: reads.append(a) or real_open(*a, **k)
+        )
+        monkeypatch.setattr(
+            Path, "read_text",
+            lambda self, *a, **k: reads.append(self) or real_read_text(self, *a, **k),
+        )
+        monkeypatch.setattr(
+            Path, "open",
+            lambda self, *a, **k: reads.append(self) or real_path_open(self, *a, **k),
+        )
+        fingerprint = entries[800].fingerprint
+        store.save(entries[800], result)
+        monkeypatch.undo()
+        assert replaced == [f"{fingerprint}.npz", f"{fingerprint}.json"]
+        assert reads == []
+        assert len(store) == 801
+
+    def test_interrupted_clear_leaves_no_steps_to_skip(self, tmp_path, monkeypatch):
+        problem = make_problem(5, 5, 3, seed=3)
+        spec = repro.SolveSpec.from_kwargs(
+            spec=WSE2.with_fabric(8, 8), engine="vectorized", n_steps=4,
+            dt=2.0, total_compressibility=5e-3, rel_tol=1e-8,
+        )
+        repro.simulate(problem, backend="wse", spec=spec, store=tmp_path)
+        store = ResultStore(tmp_path)
+        fingerprint = entry_fingerprint(problem, spec, "wse")
+        assert store.simulation_steps_completed(fingerprint) == 4
+
+        def rmtree_fails(path, *args, **kwargs):
+            raise OSError("removal failed")
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree_fails)
+        with pytest.raises(OSError, match="removal failed"):
+            store.clear_simulation(fingerprint)
+        monkeypatch.undo()
+        assert store.simulation_steps_completed(fingerprint) == 0
+
+        written: list[str] = []
+        write_npz = repro.session._write_npz
+        monkeypatch.setattr(
+            repro.session, "_write_npz",
+            lambda path, **arrays: written.append(path.name) or write_npz(path, **arrays),
+        )
+        rerun = repro.simulate(problem, backend="wse", spec=spec, store=tmp_path)
+        assert not any(step.telemetry.get("from_store") for step in rerun.steps)
+        assert written == ["00001.npz", "00002.npz", "00003.npz", "00004.npz"]
+        assert store.simulation_steps_completed(fingerprint) == 4
+
+
 class TestErrorPickling:
     def test_convergence_error_survives_pickle(self):
         err = ConvergenceError("no luck", iterations=123, residual_norm=4.5e-3)
@@ -162,6 +311,15 @@ class TestErrorPickling:
             assert result is None and elapsed >= 0
             # The stand-in is picklable and names the original error.
             clone = pickle.loads(pickle.dumps(error))
+            assert isinstance(clone, RuntimeError)
+            assert "Unpicklable" in str(clone) and "kaboom" in str(clone)
+            # The service's process-pool worker applies the same rule.
+            with pytest.raises(RuntimeError) as raised:
+                _pool_solve(
+                    ExplodingBackend.name, make_problem(3, 3, 2), REF_SPEC,
+                    picklesafe=True,
+                )
+            clone = pickle.loads(pickle.dumps(raised.value))
             assert isinstance(clone, RuntimeError)
             assert "Unpicklable" in str(clone) and "kaboom" in str(clone)
         finally:
