@@ -32,9 +32,10 @@ tile), fused (auto tiles) and narrow-tile fused (square tiles of a
 quarter of the grid side, each copying its padded window into scratch)
 layouts, then of one multigrid V-cycle at 64×64×4 per level and part —
 warm medians with IQR over interleaved repeats — then one
-``ResultStore.save`` into stores of 10 and 800 records, then the
-footprint of ``import repro`` and of a few small solves in fresh
-interpreters, instead of running the benches.
+``ResultStore.save`` into stores of 10 and 800 records, one
+``RunRecorder.record_outcome`` in runs that have finished 10 and 1,000
+requests, then the footprint of ``import repro`` and of a few small
+solves in fresh interpreters, instead of running the benches.
 
 Every row records its convergence *mode*: Table III/IV/V rows run under
 ``fixed_iterations`` (truncated by design, the paper's Table IV
@@ -421,6 +422,37 @@ def run_store_profile(saves: int = 20) -> None:
         print(f"  {f'into {held} records':<24} {med:.3f} [{q1:.3f}-{q3:.3f}]")
 
 
+def run_records_profile(outcomes: int = 20) -> None:
+    """Host ms of one ``RunRecorder.record_outcome`` (``--profile``): the
+    median [IQR] of ``outcomes`` outcomes in a temp run that has already
+    finished 10 requests, and again at 1,000.  An outcome appends one
+    line to ``requests.jsonl`` and rewrites a ``run.json`` of constant
+    size, so the two rows should match."""
+    import tempfile
+
+    import numpy as np
+
+    from repro.serve.records import RunRecorder
+
+    print(f"\nprofile: RunRecorder.record_outcome, host ms per outcome, "
+          f"median [IQR] over {outcomes} outcomes")
+    for held in (10, 1000):
+        with tempfile.TemporaryDirectory() as root:
+            recorder = RunRecorder(root, run_id="profile")
+            elapsed = []
+            for request_id in range(held + outcomes):
+                recorder.record_submit(
+                    request_id, fingerprint="0" * 64, backend="wse",
+                    label="profile",
+                )
+                start = time.perf_counter()
+                recorder.record_outcome(request_id, outcome="ok")
+                if request_id >= held:
+                    elapsed.append((time.perf_counter() - start) * 1e3)
+        q1, med, q3 = np.percentile(elapsed, [25, 50, 75])
+        print(f"  {f'after {held} requests':<24} {med:.3f} [{q1:.3f}-{q3:.3f}]")
+
+
 #: One fresh interpreter's footprint, printed as one JSON object:
 #: ``import repro`` (wall ms, peak RSS), then small solves of a 4x4x4
 #: lognormal reservoir (the default call on each backend, and the event
@@ -533,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(stage/apply/dot/charge; vectorized, fused "
                              "and narrow-tile fused), the mg V-cycle's "
                              "per-level parts, a store save at 10 and 800 "
-                             "records and the footprint of fresh "
+                             "records, a run-record outcome after 10 and "
+                             "1,000 requests and the footprint of fresh "
                              "interpreters, and exit without running the "
                              "benches")
     args = parser.parse_args(argv)
@@ -542,6 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         run_profile()
         run_vcycle_profile()
         run_store_profile()
+        run_records_profile()
         run_footprint_profile()
         return 0
 

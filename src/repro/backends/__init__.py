@@ -27,7 +27,6 @@ from repro.backends.registry import (
     available_backends,
     get_backend,
     get_transient_backend,
-    iter_backends,
     register_backend,
     unregister_backend,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "get_transient_backend",
-    "iter_backends",
     "register_backend",
     "unregister_backend",
 ]

@@ -90,11 +90,7 @@ class GpuBackend:
         times = tspec.times()
         stepper = TransientStepper(
             problem,
-            dts=tspec.dts(),
-            porosity=tspec.porosity,
-            total_compressibility=tspec.total_compressibility,
-            initial_condition=tspec.initial_condition,
-            warm_start=tspec.warm_start,
+            **tspec.stepper_options(),
             start_step=start_step,
             state=state,
             state_dtype=options["dtype"],

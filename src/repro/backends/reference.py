@@ -98,11 +98,7 @@ class ReferenceBackend:
         # default), so accumulation/rhs arithmetic stays in that dtype.
         stepper = TransientStepper(
             problem,
-            dts=tspec.dts(),
-            porosity=tspec.porosity,
-            total_compressibility=tspec.total_compressibility,
-            initial_condition=tspec.initial_condition,
-            warm_start=tspec.warm_start,
+            **tspec.stepper_options(),
             start_step=start_step,
             state=state,
             state_dtype=dtype,

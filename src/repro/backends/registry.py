@@ -8,8 +8,6 @@ without touching any of them.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.backends.base import SolverBackend
 from repro.util.errors import ConfigurationError
 
@@ -76,8 +74,3 @@ def get_transient_backend(name: str) -> SolverBackend:
 def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
     return sorted(_REGISTRY)
-
-
-def iter_backends() -> Iterator[SolverBackend]:
-    for name in available_backends():
-        yield _REGISTRY[name]

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
-from repro.spec import SolveSpec, TimeSpec, coerce_spec
+from repro.spec import MACHINE_FIELDS, TIME_FIELDS, SolveSpec, TimeSpec, coerce_spec
 from repro.util.errors import ConfigurationError
 from repro.wse.specs import WseSpecs
 
@@ -51,12 +51,8 @@ class WseBackend:
     #: (accumulation FMA) runs on every fabric engine, batched included.
     supports_transient = True
 
-    #: MachineSpec knobs this backend honours.
-    SUPPORTED_MACHINE_FIELDS = {
-        "spec", "engine", "simd_width", "variant", "reuse_buffers",
-        "comm_only", "fixed_iterations", "batch_size", "shard_shape",
-        "fused_tile",
-    }
+    #: MachineSpec knobs this backend honours: all but the GPU's block.
+    SUPPORTED_MACHINE_FIELDS = set(MACHINE_FIELDS) - {"block_shape"}
 
     @staticmethod
     def resolve(spec: SolveSpec) -> SolveSpec:
@@ -100,6 +96,8 @@ class WseBackend:
         )
 
     def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
+        """The spec's knobs as the fabric solver's keywords (``batch_size``
+        cuts the batch above the solver), float32 unless set."""
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
         machine = spec.machine
         if machine.spec is not None and not isinstance(machine.spec, WseSpecs):
@@ -107,37 +105,9 @@ class WseBackend:
                 f"backend {self.name!r} needs machine.spec to be a WseSpecs, "
                 f"got {type(machine.spec).__name__}"
             )
-        options: dict[str, Any] = {
-            "dtype": spec.precision.numpy_dtype(default=np.float32),
-            "preconditioner": spec.preconditioner,
-        }
-        if spec.mg_levels is not None:
-            options["mg_levels"] = spec.mg_levels
-        if spec.mg_smoother_iters is not None:
-            options["mg_smoother_iters"] = spec.mg_smoother_iters
-        if machine.spec is not None:
-            options["spec"] = machine.spec
-        options["engine"] = machine.engine
-        if machine.simd_width is not None:
-            options["simd_width"] = machine.simd_width
-        if machine.variant is not None:
-            options["variant"] = machine.variant
-        if machine.reuse_buffers is not None:
-            options["reuse_buffers"] = machine.reuse_buffers
-        if machine.comm_only:
-            options["comm_only"] = True
-        if machine.fixed_iterations is not None:
-            options["fixed_iterations"] = machine.fixed_iterations
-        if machine.shard_shape is not None:
-            options["shard_shape"] = machine.shard_shape
-        if machine.fused_tile is not None:
-            options["fused_tile"] = machine.fused_tile
-        if spec.tolerance.tol_rtr is not None:
-            options["tol_rtr"] = spec.tolerance.tol_rtr
-        if spec.tolerance.rel_tol is not None:
-            options["rel_tol"] = spec.tolerance.rel_tol
-        if spec.tolerance.max_iters is not None:
-            options["max_iters"] = spec.tolerance.max_iters
+        options = spec.to_kwargs()
+        options.pop("batch_size", None)
+        options["dtype"] = spec.precision.numpy_dtype(default=np.float32)
         return options
 
     def _telemetry_from_report(
@@ -205,22 +175,19 @@ class WseBackend:
 
     def _transient_options(self, spec: SolveSpec) -> tuple[TimeSpec, dict[str, Any]]:
         """Validated native options for a transient run (shared by the
-        streaming and batched paths)."""
+        streaming and batched paths): the schedule's own knobs give way
+        to the stepper's keywords."""
         time = spec.require_time()
         if spec.machine.comm_only:
             raise ConfigurationError(
                 "comm_only suppresses arithmetic, so a transient schedule "
                 "has no state to advance; drop comm_only or spec.time"
             )
-        options = self._native_options(spec)
-        options.pop("comm_only", None)
-        options.update(
-            porosity=time.porosity,
-            total_compressibility=time.total_compressibility,
-            initial_condition=time.initial_condition,
-            warm_start=time.warm_start,
-        )
-        return time, options
+        options = {
+            key: value for key, value in self._native_options(spec).items()
+            if key not in TIME_FIELDS
+        }
+        return time, {**options, **time.stepper_options()}
 
     def _step_from_report(
         self,
@@ -268,7 +235,7 @@ class WseBackend:
         time, options = self._transient_options(spec)
         dts, times = time.dts(), time.times()
         reports = simulate_reports(
-            problem, dts=dts, start_step=start_step, state=state, **options
+            problem, start_step=start_step, state=state, **options
         )
         for offset, report in enumerate(reports):
             idx = start_step + offset
@@ -305,7 +272,6 @@ class WseBackend:
         lane_steps: list[list[StepResult]] = [[] for _ in problems]
         step_lists = simulate_reports_batch(
             problems,
-            dts=dts,
             start_step=start_step,
             states=states,
             batch_size=spec.machine.batch_size,

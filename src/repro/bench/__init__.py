@@ -8,7 +8,6 @@ experiments the ablations need.
 """
 
 from repro.bench.experiments import (
-    PaperRow,
     table2_rows,
     table3_rows,
     table4_rows,
@@ -25,7 +24,6 @@ from repro.bench.experiments import (
 from repro.util.formatting import format_table
 
 __all__ = [
-    "PaperRow",
     "table2_rows",
     "table3_rows",
     "table4_rows",

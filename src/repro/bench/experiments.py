@@ -8,7 +8,6 @@ returns plain rows ready for `repro.util.formatting.format_table`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -53,15 +52,6 @@ TABLE2_PAPER = {
     "A100/CUDA": (23.1879, 0.123267),
     "H100/CUDA": (11.3861, 0.222566),
 }
-
-
-@dataclass(frozen=True)
-class PaperRow:
-    """A (label, paper value, model value) triple."""
-
-    label: str
-    paper: float
-    model: float
 
 
 # -- Table II: kernel time measurements --------------------------------------------

@@ -120,7 +120,6 @@ class HaloExchange:
         self.colors = colors
         self.depth = int(depth)
         self._state: dict[tuple[int, int], dict] = {}
-        self._rounds = 0
         self._program_routers()
         self._allocate_buffers()
         self._register_callbacks()
@@ -284,13 +283,8 @@ class HaloExchange:
         Convenience for tests and standalone use; the dataflow CG enters
         PEs individually via :meth:`begin_pe`.
         """
-        self._rounds += 1
         for pe in self.fabric.iter_pes():
             self.begin_pe(pe, send_buffer, on_pe_complete)
-
-    @property
-    def rounds_completed(self) -> int:
-        return self._rounds
 
     def _begin_step(self, pe: ProcessingElement, step: int) -> None:
         """Run both of the PE's actions for ``step`` (inside a PE task)."""

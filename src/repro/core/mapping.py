@@ -63,10 +63,6 @@ class ProblemMapping:
     def fabric_height(self) -> int:
         return self.grid.ny
 
-    @property
-    def column_depth(self) -> int:
-        return self.grid.nz
-
     def pe_for_cell(self, x: int, y: int, z: int) -> tuple[int, int]:
         """The PE owning cell (x, y, z)."""
         self.grid.check_cell(x, y, z)

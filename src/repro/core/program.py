@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.fv_kernel import KernelVariant
 from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.solvers.state_machine import CGState
+from repro.spec import MG_MAX_LEVELS, MG_MAX_SMOOTHER_ITERS, PRECONDITIONERS
 from repro.util.errors import ConfigurationError
 from repro.wse.trace import FabricTrace, PerfCounters
 
@@ -105,10 +106,10 @@ class CgProgram:
     mg_smoother_iters: int = 2
 
     def __post_init__(self) -> None:
-        if self.preconditioner not in ("none", "jacobi", "mg"):
+        if self.preconditioner not in PRECONDITIONERS:
             raise ConfigurationError(
                 f"unknown preconditioner {self.preconditioner!r}; choose "
-                f"one of 'none', 'jacobi', 'mg'"
+                f"one of {', '.join(map(repr, PRECONDITIONERS))}"
             )
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise ConfigurationError("fixed_iterations must be >= 1")
@@ -126,14 +127,14 @@ class CgProgram:
             )
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
-        if self.mg_levels is not None and not 1 <= self.mg_levels <= 10:
+        if self.mg_levels is not None and not 1 <= self.mg_levels <= MG_MAX_LEVELS:
             raise ConfigurationError(
-                f"mg_levels must be in [1, 10], got {self.mg_levels}"
+                f"mg_levels must be in [1, {MG_MAX_LEVELS}], got {self.mg_levels}"
             )
-        if not 1 <= self.mg_smoother_iters <= 8:
+        if not 1 <= self.mg_smoother_iters <= MG_MAX_SMOOTHER_ITERS:
             raise ConfigurationError(
-                f"mg_smoother_iters must be in [1, 8], got "
-                f"{self.mg_smoother_iters}"
+                f"mg_smoother_iters must be in [1, {MG_MAX_SMOOTHER_ITERS}], "
+                f"got {self.mg_smoother_iters}"
             )
 
     @property

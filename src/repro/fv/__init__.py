@@ -23,7 +23,7 @@ from repro.fv.coefficients import FluxCoefficients, build_flux_coefficients
 from repro.fv.operator import MatrixFreeOperator, apply_jx
 from repro.fv.residual import compute_residual
 from repro.fv.assembly import assemble_jacobian, eliminate_dirichlet
-from repro.fv.stencil import STENCIL_OFFSETS, stencil_neighbors
+from repro.fv.stencil import STENCIL_OFFSETS
 
 __all__ = [
     "FaceTransmissibility",
@@ -39,5 +39,4 @@ __all__ = [
     "assemble_jacobian",
     "eliminate_dirichlet",
     "STENCIL_OFFSETS",
-    "stencil_neighbors",
 ]

@@ -7,7 +7,7 @@ resident in the same PE column.
 
 from __future__ import annotations
 
-from repro.mesh.grid import CartesianGrid3D, Direction, DIRECTIONS
+from repro.mesh.grid import Direction, DIRECTIONS
 
 #: (direction, offset) pairs for the 6 off-center stencil points.
 STENCIL_OFFSETS: tuple[tuple[Direction, tuple[int, int, int]], ...] = tuple(
@@ -25,14 +25,3 @@ PAPER_FLOPS_REST_OF_CG = 12
 
 #: Total per-cell FLOPs in the paper's accounting (6 * 14 + 12 = 96).
 PAPER_FLOPS_PER_CELL = INTERIOR_NEIGHBORS * PAPER_FLOPS_PER_NEIGHBOR + PAPER_FLOPS_REST_OF_CG
-
-
-def stencil_neighbors(
-    grid: CartesianGrid3D, x: int, y: int, z: int
-) -> list[tuple[Direction, tuple[int, int, int]]]:
-    """In-grid stencil neighbours of a cell, in canonical direction order.
-
-    Boundary cells simply have fewer neighbours (no-flow natural boundary:
-    missing faces contribute zero flux, equivalently zero transmissibility).
-    """
-    return list(grid.neighbors(x, y, z))

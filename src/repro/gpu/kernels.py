@@ -60,20 +60,19 @@ def launch_matrix_free_jx(
         xc = x[sx, sy, sz]
         acc = np.zeros_like(xc)
 
-        # West / East neighbours (global-memory gathers, may cross block).
-        if True:
-            w = _shifted(x, block, axis=0, step=-1)
-            acc += cw[sx, sy, sz] * (xc - w)
-            e = _shifted(x, block, axis=0, step=+1)
-            acc += ce[sx, sy, sz] * (xc - e)
-            s = _shifted(x, block, axis=1, step=-1)
-            acc += cs[sx, sy, sz] * (xc - s)
-            n = _shifted(x, block, axis=1, step=+1)
-            acc += cn[sx, sy, sz] * (xc - n)
-            d = _shifted(x, block, axis=2, step=-1)
-            acc += cd[sx, sy, sz] * (xc - d)
-            u = _shifted(x, block, axis=2, step=+1)
-            acc += cu[sx, sy, sz] * (xc - u)
+        # The six neighbours (global-memory gathers, may cross block).
+        w = _shifted(x, block, axis=0, step=-1)
+        acc += cw[sx, sy, sz] * (xc - w)
+        e = _shifted(x, block, axis=0, step=+1)
+        acc += ce[sx, sy, sz] * (xc - e)
+        s = _shifted(x, block, axis=1, step=-1)
+        acc += cs[sx, sy, sz] * (xc - s)
+        n = _shifted(x, block, axis=1, step=+1)
+        acc += cn[sx, sy, sz] * (xc - n)
+        d = _shifted(x, block, axis=2, step=-1)
+        acc += cd[sx, sy, sz] * (xc - d)
+        u = _shifted(x, block, axis=2, step=+1)
+        acc += cu[sx, sy, sz] * (xc - u)
 
         if dirichlet_mask is not None:
             mask = dirichlet_mask[sx, sy, sz]

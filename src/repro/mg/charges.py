@@ -139,24 +139,12 @@ def merge_mg_packet(counters, trace, packet, n: int) -> None:
     """
     if n <= 0:
         return
-    o = packet.counters
-    for op, count in o.op_counts.items():
-        counters.op_counts[op] += count * n
-    counters.flops += o.flops * n
-    counters.mem_load_bytes += o.mem_load_bytes * n
-    counters.mem_store_bytes += o.mem_store_bytes * n
-    counters.fabric_load_bytes += o.fabric_load_bytes * n
-    counters.fabric_store_bytes += o.fabric_store_bytes * n
-    counters.compute_cycles += o.compute_cycles * n
-    ot = packet.trace
-    trace.total_messages += ot.total_messages * n
-    trace.total_wavelets += ot.total_wavelets * n
-    trace.total_hop_wavelets += ot.total_hop_wavelets * n
-    trace.comm_busy_cycles += ot.comm_busy_cycles * n
+    counters.add_scaled(packet.counters, n)
+    trace.add_scaled(packet.trace, n)
     trace.makespan_cycles += packet.makespan * n
     trace.max_compute_cycles += packet.pe_compute * n
     counters.idle_cycles += max(
-        0, (packet.makespan * packet.num_pes - o.compute_cycles) * n
+        0, (packet.makespan * packet.num_pes - packet.counters.compute_cycles) * n
     )
 
 

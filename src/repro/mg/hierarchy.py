@@ -48,10 +48,8 @@ from scipy.sparse import _sparsetools
 
 from repro.fv.coefficients import cell_faces, diagonal_from_faces
 from repro.fv.operator import FlatStencil, dia_operands
+from repro.spec import MG_MAX_LEVELS as MAX_MG_LEVELS, MG_MAX_SMOOTHER_ITERS
 from repro.util.errors import ConfigurationError
-
-#: Hard cap on hierarchy depth (mirrored by ``spec.MG_MAX_LEVELS``).
-MAX_MG_LEVELS = 10
 
 #: Default pre/post weighted-Jacobi sweeps per level.
 DEFAULT_SMOOTHER_ITERS = 2
@@ -368,9 +366,9 @@ def build_hierarchy(
         The levels' dtype, the V-cycle's: the solve's working precision.
     """
     iters = DEFAULT_SMOOTHER_ITERS if smoother_iters is None else int(smoother_iters)
-    if not 1 <= iters <= 8:
+    if not 1 <= iters <= MG_MAX_SMOOTHER_ITERS:
         raise ConfigurationError(
-            f"mg smoother_iters must be in [1, 8], got {iters}"
+            f"mg smoother_iters must be in [1, {MG_MAX_SMOOTHER_ITERS}], got {iters}"
         )
     shape = tuple(int(v) for v in dirichlet_mask.shape)
     mask = np.asarray(dirichlet_mask, dtype=bool)

@@ -141,9 +141,6 @@ class Gauge(_Metric):
         with self._lock:
             self._samples[key] = self._samples.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         key = self._key(labels)
         with self._lock:

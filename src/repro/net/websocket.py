@@ -130,9 +130,6 @@ class FrameDecoder:
                 return frames
             frames.append(frame)
 
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     def _try_parse(self) -> Frame | None:
         buf = self._buffer
         if len(buf) < 2:

@@ -5,10 +5,15 @@ an artifact trail a human (or a test) can audit after the fact —
 
 ``<root>/<run_id>/run.json``
     The run-level record, rewritten atomically as requests finish:
-    config, live summary counters (submitted / executed / launches /
-    fused launches / cache and dedup hits / failures / retries) and one
-    record per request capturing its spec fingerprint, cache outcome,
-    batch-lane assignment, attempt count and timings.
+    config, timestamps and live summary counters (submitted / executed /
+    launches / fused launches / cache and dedup hits / failures /
+    retries).  Its size does not grow with the request count.
+``<root>/<run_id>/requests.jsonl``
+    Append-only, one JSON line per *request*, written once when it
+    finishes (or, still ``"pending"``, when the run closes): its spec
+    fingerprint, cache outcome, batch-lane assignment, attempt count,
+    outcome and timings.  A finished request is written and forgotten,
+    so the recorder holds only requests in flight.
 ``<root>/<run_id>/attempts.jsonl``
     Append-only, one JSON line per *attempt*: request id, fingerprint,
     attempt number, lane assignment, outcome, failure category, the
@@ -16,8 +21,11 @@ an artifact trail a human (or a test) can audit after the fact —
     crash can at worst lose the line being written — the history behind
     it survives, which is exactly what post-mortems need.
 
-With ``root=None`` the recorder keeps the same records in memory only
-(counters still feed the service's stats) — the zero-setup default.
+:func:`load_run_record` reads ``run.json`` back with the request lines
+keyed by request id under ``"requests"``, and :func:`load_attempts` the
+attempt lines; both stop at a torn last line.  With ``root=None`` the
+recorder writes nothing (counters still feed the service's stats) — the
+zero-setup default.
 
 Counter ownership: the recorder does not tally its summary itself.
 Every summary increment routes through a
@@ -49,7 +57,8 @@ SUMMARY_COUNTERS = (
 
 
 class RunRecorder:
-    """Owns one service run's ``run.json`` + ``attempts.jsonl``."""
+    """Owns one service run's ``run.json``, ``requests.jsonl`` and
+    ``attempts.jsonl``."""
 
     def __init__(
         self,
@@ -65,17 +74,15 @@ class RunRecorder:
             raise ConfigurationError(f"invalid run_id {run_id!r}")
         self.run_id = run_id
         self.run_dir: Path | None = None
-        self._attempts_path: Path | None = None
         if root is not None:
             self.run_dir = Path(root) / run_id
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            self._attempts_path = self.run_dir / "attempts.jsonl"
         self.started_at = time.time()
         self.finished_at: float | None = None
         self.config = dict(config or {})
         self.metrics = metrics if metrics is not None else ServiceMetrics()
+        #: The records of requests in flight, by request id.
         self.requests: dict[str, dict[str, Any]] = {}
-        self.attempts: list[dict[str, Any]] = []
 
     @property
     def summary(self) -> dict[str, int]:
@@ -145,7 +152,6 @@ class RunRecorder:
             "backoff_seconds": backoff_seconds,
             "elapsed_seconds": elapsed_seconds,
         }
-        self.attempts.append(line)
         if attempt > 1:
             self.metrics.bump("retries")
         record = self.requests.get(str(request_id))
@@ -153,9 +159,7 @@ class RunRecorder:
             record["attempts"] = max(record["attempts"], attempt)
             if lane is not None:
                 record["lane"] = dict(lane)
-        if self._attempts_path is not None:
-            with self._attempts_path.open("a") as handle:
-                handle.write(json.dumps(line, sort_keys=True) + "\n")
+        self._append("attempts.jsonl", line)
 
     def record_launch(self, *, fused: bool, size: int = 1) -> None:
         """One backend launch (a fused lane of N counts once)."""
@@ -176,9 +180,10 @@ class RunRecorder:
         """Finish a request: ``"ok"`` / ``"error"`` / ``"cancelled"``.
 
         ``cache=None`` on an ``"ok"`` outcome means a genuine solve, and
-        bumps the ``executed`` counter.
+        bumps the ``executed`` counter.  The record is appended to
+        ``requests.jsonl`` and dropped from memory.
         """
-        record = self.requests.get(str(request_id))
+        record = self.requests.pop(str(request_id), None)
         if record is None:
             return
         record["outcome"] = outcome
@@ -195,6 +200,7 @@ class RunRecorder:
         self.metrics.observe_request(
             record["elapsed_seconds"], outcome=outcome
         )
+        self._append("requests.jsonl", record)
         self.flush()
 
     def record_stream_steps(self, *, computed: int, resumed: int) -> None:
@@ -226,11 +232,17 @@ class RunRecorder:
                     0.0 if total_probes == 0 else served_from_cache / total_probes
                 ),
             },
-            "requests": self.requests,
         }
 
+    def _append(self, name: str, line: Mapping[str, Any]) -> None:
+        """Append one JSON line to the run's ``name`` file."""
+        if self.run_dir is None:
+            return
+        with (self.run_dir / name).open("a") as handle:
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+
     def flush(self) -> None:
-        """Atomically rewrite ``run.json`` with the current state."""
+        """Atomically rewrite ``run.json`` with the current summary."""
         if self.run_dir is None:
             return
         path = self.run_dir / "run.json"
@@ -239,30 +251,47 @@ class RunRecorder:
         os.replace(tmp, path)
 
     def close(self) -> None:
+        """Finish the run: requests still in flight are written as they
+        stand (``"pending"``), so the run names every request it took."""
         self.finished_at = time.time()
+        for record in self.requests.values():
+            self._append("requests.jsonl", record)
+        self.requests.clear()
         self.flush()
 
 
 def load_run_record(run_dir: str | Path) -> dict[str, Any]:
-    """Read back a run's ``run.json`` (what audits and tests consume)."""
-    return json.loads((Path(run_dir) / "run.json").read_text())
+    """Read back a run (what audits and tests consume): ``run.json`` with
+    ``requests.jsonl``'s records keyed by request id under
+    ``"requests"``."""
+    record = json.loads((Path(run_dir) / "run.json").read_text())
+    record["requests"] = {
+        str(line["request_id"]): line
+        for line in _read_lines(Path(run_dir) / "requests.jsonl")
+    }
+    return record
 
 
 def load_attempts(run_dir: str | Path) -> list[dict[str, Any]]:
     """Read back a run's ``attempts.jsonl`` lines, tolerating a torn tail."""
-    path = Path(run_dir) / "attempts.jsonl"
+    return _read_lines(Path(run_dir) / "attempts.jsonl")
+
+
+def _read_lines(path: Path) -> list[dict[str, Any]]:
+    """A JSON-lines file's records, up to a torn final line (a crash
+    mid-write); none for a missing file."""
     if not path.exists():
         return []
-    attempts: list[dict[str, Any]] = []
+    lines: list[dict[str, Any]] = []
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line:
             continue
         try:
-            attempts.append(json.loads(line))
+            lines.append(json.loads(line))
         except json.JSONDecodeError:
             break  # torn final line from a crash mid-write
-    return attempts
+    return lines
 
 
 __all__ = ["RunRecorder", "SUMMARY_COUNTERS", "load_attempts", "load_run_record"]

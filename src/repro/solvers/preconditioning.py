@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.fv.operator import operator_diagonal
 from repro.physics.darcy import SinglePhaseProblem
+from repro.spec import PRECONDITIONERS
 from repro.util.errors import ConfigurationError, ValidationError
 
 if TYPE_CHECKING:
@@ -98,7 +99,8 @@ def build_preconditioner(
             ),
         )
     raise ConfigurationError(
-        f"unknown preconditioner {name!r}; choose one of 'none', 'jacobi', 'mg'"
+        f"unknown preconditioner {name!r}; choose one of "
+        f"{', '.join(map(repr, PRECONDITIONERS))}"
     )
 
 

@@ -22,21 +22,26 @@ bag that each backend interpreted — and silently ignored — differently.
   when set.
 
 Every field is validated at construction; ``None`` means "backend
-default".  :meth:`SolveSpec.from_kwargs` is the bridge from the legacy
-flat-kwarg vocabulary (it rejects unknown keys, naming the nearest valid
-one), and :meth:`SolveSpec.to_dict` / :meth:`SolveSpec.from_dict` give a
-JSON-able round trip for persistence (the session result store records
-exactly what configuration produced each result).
+default".  The section dataclasses' fields are the only list of knobs:
+the flat-kwarg vocabulary (:data:`KWARG_MAP`, bridged by
+:meth:`SolveSpec.from_kwargs`, which rejects unknown keys naming the
+nearest valid one, and inverted by :meth:`SolveSpec.to_kwargs`) and the
+JSON-able :meth:`SolveSpec.to_dict` / :meth:`SolveSpec.from_dict` round
+trip for persistence (the session result store records exactly what
+configuration produced each result) are derived from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -53,11 +58,15 @@ SUPPORTED_DTYPES = ("float32", "float64")
 #: shared by the reference solver and every fabric engine.
 PRECONDITIONERS = ("none", "jacobi", "mg")
 
-#: Hard cap on multigrid hierarchy depth (matches repro.mg.MAX_MG_LEVELS).
+#: Hard cap on multigrid hierarchy depth (``repro.mg.MAX_MG_LEVELS``
+#: aliases it; ``CgProgram`` checks against it too).
 MG_MAX_LEVELS = 10
 
 #: Hard cap on pre/post smoothing sweeps per level.
 MG_MAX_SMOOTHER_ITERS = 8
+
+#: The knobs that only the mg preconditioner reads.
+_MG_KNOBS = ("mg_levels", "mg_smoother_iters")
 
 
 def _is_int(value) -> bool:
@@ -137,17 +146,6 @@ class PrecisionSpec:
     def numpy_dtype(self, default: Any = np.float64) -> np.dtype:
         """The resolved ``np.dtype`` (falling back to ``default``)."""
         return np.dtype(self.dtype if self.dtype is not None else default)
-
-
-#: Names of every TimeSpec knob (used for from_dict strictness checks).
-TIME_FIELDS = (
-    "n_steps",
-    "dt",
-    "total_compressibility",
-    "porosity",
-    "initial_condition",
-    "warm_start",
-)
 
 
 @dataclass(frozen=True)
@@ -251,43 +249,20 @@ class TimeSpec:
             out.append(t)
         return tuple(out)
 
-    def to_dict(self) -> dict[str, Any]:
+    def stepper_options(self) -> dict[str, Any]:
+        """The :class:`~repro.physics.transient.TransientStepper` keywords
+        this schedule sets (every backend's stepping loop takes them)."""
         return {
-            "n_steps": self.n_steps,
-            "dt": list(self.dt) if isinstance(self.dt, tuple) else self.dt,
-            "total_compressibility": self.total_compressibility,
+            "dts": self.dts(),
             "porosity": self.porosity,
+            "total_compressibility": self.total_compressibility,
             "initial_condition": self.initial_condition,
             "warm_start": self.warm_start,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TimeSpec":
-        bad = sorted(set(data) - set(TIME_FIELDS))
-        if bad:
-            raise ConfigurationError(
-                f"unknown time key(s) {', '.join(map(repr, bad))}"
-            )
-        payload = dict(data)
-        if isinstance(payload.get("dt"), list):
-            payload["dt"] = tuple(payload["dt"])
-        return cls(**payload)
 
-
-#: Names of every MachineSpec knob (used for per-backend strictness checks).
-MACHINE_FIELDS = (
-    "spec",
-    "engine",
-    "simd_width",
-    "block_shape",
-    "variant",
-    "reuse_buffers",
-    "comm_only",
-    "fixed_iterations",
-    "batch_size",
-    "shard_shape",
-    "fused_tile",
-)
+#: Names of every TimeSpec knob.
+TIME_FIELDS = tuple(f.name for f in dataclasses.fields(TimeSpec))
 
 #: Fabric execution engines the dataflow backend offers (``None`` keeps
 #: the backend default, ``repro.core.engines.DEFAULT_ENGINE``: the fused
@@ -480,37 +455,8 @@ class MachineSpec:
 
 _DEFAULT_MACHINE = MachineSpec()
 
-#: The flat-kwarg vocabulary ``from_kwargs`` understands, mapped to the
-#: (section, field) it configures.  ``specs`` is the GPU-native spelling of
-#: the machine spec; ``jacobi`` the dataflow-native preconditioner toggle.
-KWARG_MAP: dict[str, tuple[str, str]] = {
-    "tol_rtr": ("tolerance", "tol_rtr"),
-    "rel_tol": ("tolerance", "rel_tol"),
-    "max_iters": ("tolerance", "max_iters"),
-    "dtype": ("precision", "dtype"),
-    "spec": ("machine", "spec"),
-    "specs": ("machine", "spec"),
-    "engine": ("machine", "engine"),
-    "simd_width": ("machine", "simd_width"),
-    "block_shape": ("machine", "block_shape"),
-    "variant": ("machine", "variant"),
-    "reuse_buffers": ("machine", "reuse_buffers"),
-    "comm_only": ("machine", "comm_only"),
-    "fixed_iterations": ("machine", "fixed_iterations"),
-    "batch_size": ("machine", "batch_size"),
-    "shard_shape": ("machine", "shard_shape"),
-    "fused_tile": ("machine", "fused_tile"),
-    "preconditioner": ("", "preconditioner"),
-    "jacobi": ("", "preconditioner"),
-    "mg_levels": ("", "mg_levels"),
-    "mg_smoother_iters": ("", "mg_smoother_iters"),
-    "n_steps": ("time", "n_steps"),
-    "dt": ("time", "dt"),
-    "total_compressibility": ("time", "total_compressibility"),
-    "porosity": ("time", "porosity"),
-    "initial_condition": ("time", "initial_condition"),
-    "warm_start": ("time", "warm_start"),
-}
+#: Names of every MachineSpec knob (used for per-backend strictness checks).
+MACHINE_FIELDS = tuple(f.name for f in dataclasses.fields(MachineSpec))
 
 
 @dataclass(frozen=True)
@@ -565,8 +511,7 @@ class SolveSpec:
             )
         if self.preconditioner != "mg":
             set_knobs = [
-                name for name in ("mg_levels", "mg_smoother_iters")
-                if getattr(self, name) is not None
+                name for name in _MG_KNOBS if getattr(self, name) is not None
             ]
             if set_knobs:
                 raise ConfigurationError(
@@ -594,133 +539,62 @@ class SolveSpec:
 
     def with_options(self, **kwargs: Any) -> "SolveSpec":
         """A new spec with flat-kwarg overrides applied over this one."""
-        sections: dict[str, dict[str, Any]] = {
-            "tolerance": {}, "precision": {}, "machine": {}, "time": {},
-        }
-        top: dict[str, Any] = {}
+        changes: dict[str, dict[str, Any]] = {}
         for key, value in kwargs.items():
             if key not in KWARG_MAP:
                 raise unknown_name_error(
                     "solve option", key, sorted(KWARG_MAP), "options"
                 )
-            section, fname = KWARG_MAP[key]
+            section, name = KWARG_MAP[key]
             if key == "jacobi":
-                top["preconditioner"] = "jacobi" if value else "none"
-            elif section == "":
-                top[fname] = value
-            else:
-                sections[section][fname] = value
-        out = self
-        if sections["tolerance"]:
-            out = replace(out, tolerance=replace(out.tolerance, **sections["tolerance"]))
-        if sections["precision"]:
-            out = replace(out, precision=PrecisionSpec(**sections["precision"]))
-        if sections["machine"]:
-            out = replace(out, machine=replace(out.machine, **sections["machine"]))
-        if sections["time"]:
-            if out.time is None and "n_steps" not in sections["time"]:
+                value = "jacobi" if value else "none"
+            changes.setdefault(section, {})[name] = value
+        top = changes.pop("", {})
+        for section, knobs in changes.items():
+            base = getattr(self, section)
+            if base is None:
                 # A lone physics knob must not silently turn a steady
                 # spec transient: establishing a time section requires
                 # the defining knob.
-                raise ConfigurationError(
-                    f"option(s) {', '.join(sorted(sections['time']))} "
-                    f"configure the time section, but this spec has no "
-                    f"time schedule; include n_steps=... (or set "
-                    f"spec.time to a TimeSpec)"
-                )
-            base = out.time if out.time is not None else TimeSpec()
-            out = replace(out, time=replace(base, **sections["time"]))
-        if top:
-            out = replace(out, **top)
-        return out
+                if "n_steps" not in knobs:
+                    raise ConfigurationError(
+                        f"option(s) {', '.join(sorted(knobs))} configure "
+                        f"the time section, but this spec has no time "
+                        f"schedule; include n_steps=... (or set spec.time "
+                        f"to a TimeSpec)"
+                    )
+                base = TimeSpec()
+            top[section] = replace(base, **knobs)
+        return replace(self, **top) if top else self
+
+    def to_kwargs(self) -> dict[str, Any]:
+        """The inverse of :meth:`with_options`: every knob this spec sets
+        (every field that is not ``None``) as one flat keyword, so
+        ``SolveSpec.from_kwargs(**spec.to_kwargs()) == spec``."""
+        options: dict[str, Any] = {}
+        for name, value in _values(self).items():
+            options.update(
+                _values(value) if dataclasses.is_dataclass(value) else {name: value}
+            )
+        return {key: value for key, value in options.items() if value is not None}
 
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-able dict that :meth:`from_dict` round-trips exactly."""
-        m = self.machine
-        # The mg knobs only appear when the mg preconditioner is selected,
-        # so pre-existing spec payloads (and their fingerprints) are
-        # byte-identical to what earlier releases produced.
-        mg_payload: dict[str, Any] = {}
-        if self.preconditioner == "mg":
-            mg_payload = {
-                "mg_levels": self.mg_levels,
-                "mg_smoother_iters": self.mg_smoother_iters,
-            }
-        return {
-            "tolerance": {
-                "tol_rtr": self.tolerance.tol_rtr,
-                "rel_tol": self.tolerance.rel_tol,
-                "max_iters": self.tolerance.max_iters,
-            },
-            "precision": {"dtype": self.precision.dtype},
-            "machine": {
-                "spec": _machine_spec_to_dict(m.spec),
-                "engine": m.engine,
-                "simd_width": m.simd_width,
-                "block_shape": None if m.block_shape is None else list(m.block_shape),
-                "variant": m.variant,
-                "reuse_buffers": m.reuse_buffers,
-                "comm_only": m.comm_only,
-                "fixed_iterations": m.fixed_iterations,
-                "batch_size": m.batch_size,
-                "shard_shape": (
-                    None if m.shard_shape is None else list(m.shard_shape)
-                ),
-                "fused_tile": (
-                    None if m.fused_tile is None else list(m.fused_tile)
-                ),
-            },
-            "preconditioner": self.preconditioner,
-            **mg_payload,
-            "time": None if self.time is None else self.time.to_dict(),
-        }
+        data = _to_data(self)
+        if self.preconditioner != "mg":
+            # The mg knobs only appear when the mg preconditioner is
+            # selected, so other specs' payloads (and fingerprints) are
+            # byte-identical to what earlier releases produced.
+            for name in _MG_KNOBS:
+                del data[name]
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolveSpec":
         """Inverse of :meth:`to_dict`; unknown sections or keys raise."""
-        known = {
-            "tolerance", "precision", "machine", "preconditioner",
-            "mg_levels", "mg_smoother_iters", "time",
-        }
-        extra = sorted(set(data) - known)
-        if extra:
-            raise ConfigurationError(
-                f"unknown SolveSpec section(s) {', '.join(map(repr, extra))}; "
-                f"expected {', '.join(sorted(known))}"
-            )
-        tol = dict(data.get("tolerance", {}))
-        prec = dict(data.get("precision", {}))
-        mach = dict(data.get("machine", {}))
-        for section, payload, fields in (
-            ("tolerance", tol, {"tol_rtr", "rel_tol", "max_iters"}),
-            ("precision", prec, {"dtype"}),
-            ("machine", mach, set(MACHINE_FIELDS)),
-        ):
-            bad = sorted(set(payload) - fields)
-            if bad:
-                raise ConfigurationError(
-                    f"unknown {section} key(s) {', '.join(map(repr, bad))}"
-                )
-        if mach.get("spec") is not None:
-            mach["spec"] = _machine_spec_from_dict(mach["spec"])
-        if mach.get("block_shape") is not None:
-            mach["block_shape"] = tuple(mach["block_shape"])
-        if mach.get("shard_shape") is not None:
-            mach["shard_shape"] = tuple(mach["shard_shape"])
-        if mach.get("fused_tile") is not None:
-            mach["fused_tile"] = tuple(mach["fused_tile"])
-        time_payload = data.get("time")
-        return cls(
-            tolerance=ToleranceSpec(**tol),
-            precision=PrecisionSpec(**prec),
-            machine=MachineSpec(**mach),
-            preconditioner=data.get("preconditioner", "none"),
-            mg_levels=data.get("mg_levels"),
-            mg_smoother_iters=data.get("mg_smoother_iters"),
-            time=None if time_payload is None else TimeSpec.from_dict(time_payload),
-        )
+        return _from_data(cls, data, "SolveSpec section")
 
     def fingerprint(self) -> str:
         """Stable content hash of this configuration (store/memo key part)."""
@@ -751,11 +625,83 @@ class SolveSpec:
         return self.time
 
 
-def _machine_spec_to_dict(spec: WseSpecs | GpuSpecs | None) -> dict[str, Any] | None:
-    if spec is None:
-        return None
-    kind = "wse" if isinstance(spec, WseSpecs) else "gpu"
-    return {"kind": kind, **dataclasses.asdict(spec)}
+def _values(section: Any) -> dict[str, Any]:
+    """A dataclass's field values by name, in declaration order."""
+    return {name: getattr(section, name) for name in _field_types(type(section))}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, tuple]:
+    """Each field's annotated types by name (``X | None`` gives
+    ``(X, NoneType)``, so a section's class comes first)."""
+    return {
+        name: typing.get_args(hint) or (hint,)
+        for name, hint in typing.get_type_hints(cls).items()
+    }
+
+
+def _to_data(value: Any) -> Any:
+    """A spec value as JSON data: a section as the dict of its fields, a
+    tuple as a list, a :class:`WseSpecs`/:class:`GpuSpecs` as its kind
+    dict."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, (WseSpecs, GpuSpecs)):
+        kind = "wse" if isinstance(value, WseSpecs) else "gpu"
+        return {"kind": kind, **dataclasses.asdict(value)}
+    if dataclasses.is_dataclass(value):
+        return {name: _to_data(v) for name, v in _values(value).items()}
+    return value
+
+
+def _from_data(cls: type, data: Mapping[str, Any], what: str) -> Any:
+    """Inverse of :func:`_to_data` for the section ``cls``: lists come
+    back as tuples, dicts as the field's section or machine spec; an
+    unknown key raises."""
+    types = _field_types(cls)
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what}(s) {', '.join(map(repr, unknown))}; expected "
+            f"{', '.join(types)}"
+        )
+    values = {}
+    for name, value in data.items():
+        kind = types[name][0]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif isinstance(value, Mapping) and dataclasses.is_dataclass(kind):
+            value = (
+                _machine_spec_from_dict(value) if kind is WseSpecs
+                else _from_data(kind, value, f"{name} key")
+            )
+        values[name] = value
+    return cls(**values)
+
+
+def _flat_vocabulary() -> dict[str, tuple[str, str]]:
+    """Every flat keyword mapped to the (section, field) it sets: a
+    section's fields under the section's name, the spec's own under
+    ``""``."""
+    vocabulary = {}
+    for name, types in _field_types(SolveSpec).items():
+        if dataclasses.is_dataclass(types[0]):
+            vocabulary.update((knob, (name, knob)) for knob in _field_types(types[0]))
+        else:
+            vocabulary[name] = ("", name)
+    return vocabulary
+
+
+#: The flat-kwarg vocabulary ``from_kwargs`` understands, mapped to the
+#: (section, field) it configures.  ``specs`` is the GPU-native spelling of
+#: the machine spec; ``jacobi`` the dataflow-native preconditioner toggle.
+KWARG_MAP: dict[str, tuple[str, str]] = {
+    **_flat_vocabulary(),
+    "specs": ("machine", "spec"),
+    "jacobi": ("", "preconditioner"),
+}
 
 
 def _machine_spec_from_dict(data: Mapping[str, Any]) -> WseSpecs | GpuSpecs:

@@ -82,11 +82,3 @@ def vector_cycles(num_elements: int, simd_width: int) -> int:
     if num_elements <= 0:
         return 0
     return math.ceil(num_elements / max(1, simd_width))
-
-
-def op_flops(op: Op, num_elements: int) -> int:
-    return OP_FLOPS[op] * num_elements
-
-
-def op_mem_bytes(op: Op, num_elements: int) -> int:
-    return (OP_MEM_LOADS[op] + OP_MEM_STORES[op]) * num_elements * F32_BYTES

@@ -117,10 +117,6 @@ class MemoryArena:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used
 
-    @property
-    def num_buffers(self) -> int:
-        return len(self._allocations)
-
     def report(self) -> dict[str, int]:
         """Per-buffer byte accounting (aliases report 0)."""
         return {a.name: a.nbytes for a in self._allocations.values()}

@@ -97,17 +97,14 @@ class PerfCounters:
             "idle_cycles": int(self.idle_cycles),
         }
 
+    def add_scaled(self, other: "PerfCounters", n: int = 1) -> None:
+        """Add ``n`` times ``other``'s counts into these, in place."""
+        _add_scaled(self, other, n)
+
     def merged_with(self, other: "PerfCounters") -> "PerfCounters":
-        merged = PerfCounters(
-            op_counts=self.op_counts + other.op_counts,
-            flops=self.flops + other.flops,
-            mem_load_bytes=self.mem_load_bytes + other.mem_load_bytes,
-            mem_store_bytes=self.mem_store_bytes + other.mem_store_bytes,
-            fabric_load_bytes=self.fabric_load_bytes + other.fabric_load_bytes,
-            fabric_store_bytes=self.fabric_store_bytes + other.fabric_store_bytes,
-            compute_cycles=self.compute_cycles + other.compute_cycles,
-            idle_cycles=self.idle_cycles + other.idle_cycles,
-        )
+        merged = PerfCounters()
+        merged.add_scaled(self)
+        merged.add_scaled(other)
         return merged
 
 
@@ -136,6 +133,10 @@ class FabricTrace:
     comm_busy_cycles: int = 0
     max_compute_cycles: int = 0
 
+    def add_scaled(self, other: "FabricTrace", n: int = 1) -> None:
+        """Add ``n`` times ``other``'s totals into these, in place."""
+        _add_scaled(self, other, n)
+
     @property
     def comm_exposed_cycles(self) -> int:
         """Communication time not hidden behind compute (Table IV's
@@ -153,3 +154,17 @@ class FabricTrace:
             "max_compute_cycles": int(self.max_compute_cycles),
             "comm_exposed_cycles": int(self.comm_exposed_cycles),
         }
+
+
+def _add_scaled(into, other, n: int) -> None:
+    """``into.f += n · other.f`` for every field ``f``; a counter adds
+    key by key, and a key ``other`` counts zero times gets no entry."""
+    mine = vars(into)
+    for name, theirs in vars(other).items():
+        if isinstance(theirs, Counter):
+            counts = mine[name]
+            for key, count in theirs.items():
+                if count:
+                    counts[key] += count * n
+        else:
+            mine[name] += theirs * n

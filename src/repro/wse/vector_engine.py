@@ -203,20 +203,8 @@ class _ChargeModel:
         sequence explicitly)."""
         if n <= 0:
             return
-        c, o = self.counters, packet.counters
-        for op, count in o.op_counts.items():
-            c.op_counts[op] += count * n
-        c.flops += o.flops * n
-        c.mem_load_bytes += o.mem_load_bytes * n
-        c.mem_store_bytes += o.mem_store_bytes * n
-        c.fabric_load_bytes += o.fabric_load_bytes * n
-        c.fabric_store_bytes += o.fabric_store_bytes * n
-        c.compute_cycles += o.compute_cycles * n
-        t, ot = self.trace, packet.trace
-        t.total_messages += ot.total_messages * n
-        t.total_wavelets += ot.total_wavelets * n
-        t.total_hop_wavelets += ot.total_hop_wavelets * n
-        t.comm_busy_cycles += ot.comm_busy_cycles * n
+        self.counters.add_scaled(packet.counters, n)
+        self.trace.add_scaled(packet.trace, n)
         self.makespan += packet.makespan * n
         self.pe_compute += packet.pe_compute * n
 

@@ -631,6 +631,76 @@ class TestRunRecords:
         attempts = load_attempts(tmp_path / "run-torn")
         assert len(attempts) == 1 and attempts[0]["request_id"] == 1
 
+    def test_run_json_does_not_grow_with_finished_requests(self, tmp_path):
+        recorder = RunRecorder(tmp_path, run_id="run-size")
+        sizes = {}
+        for request_id in range(1, 100):
+            recorder.record_submit(
+                request_id, fingerprint="ff", backend="wse", label="p"
+            )
+            recorder.record_outcome(request_id, outcome="ok")
+            if request_id in (10, 99):  # two-digit counters at both points
+                sizes[request_id] = (tmp_path / "run-size" / "run.json").stat().st_size
+        assert sizes[10] == sizes[99]
+        assert recorder.requests == {}  # finished requests leave memory
+        lines = (tmp_path / "run-size" / "requests.jsonl").read_text().splitlines()
+        assert len(lines) == 99
+
+    def test_pending_requests_written_at_close(self, tmp_path):
+        recorder = RunRecorder(tmp_path, run_id="run-close")
+        recorder.record_submit(1, fingerprint="ff", backend="wse", label="p")
+        recorder.record_submit(2, fingerprint="ee", backend="wse", label="q")
+        recorder.record_outcome(1, outcome="ok")
+        recorder.close()
+        requests = load_run_record(tmp_path / "run-close")["requests"]
+        assert {k: r["outcome"] for k, r in requests.items()} == {
+            "1": "ok", "2": "pending",
+        }
+        assert recorder.requests == {}
+
+    def test_requests_tolerate_torn_tail(self, tmp_path):
+        recorder = RunRecorder(tmp_path, run_id="run-torn-req")
+        recorder.record_submit(1, fingerprint="ff", backend="wse", label="p")
+        recorder.record_outcome(1, outcome="ok")
+        path = tmp_path / "run-torn-req" / "requests.jsonl"
+        with path.open("a") as handle:
+            handle.write('{"request_id": 2, "outc')  # crash mid-write
+        assert list(load_run_record(tmp_path / "run-torn-req")["requests"]) == ["1"]
+
+    def test_one_record_per_request_with_followers_and_streams(self, tmp_path):
+        problem = make_problem(3, 3, 2)
+        transient = SPEC.with_options(n_steps=2, dt=1.0)
+
+        async def main():
+            async with SolveService(
+                records=tmp_path / "runs", admission_window=0.02
+            ) as svc:
+                # A primary and its dedup follower, then a memory hit.
+                await asyncio.gather(
+                    svc.submit(problem, backend="reference", spec=SPEC),
+                    svc.submit(problem, backend="reference", spec=SPEC),
+                )
+                await svc.submit(problem, backend="reference", spec=SPEC)
+                steps = [
+                    s async for s in svc.stream(
+                        problem, backend="wse", spec=transient
+                    )
+                ]
+                return len(steps), svc.recorder.run_dir
+
+        n_steps, run_dir = run(main())
+        record = load_run_record(run_dir)
+        requests = record["requests"]
+        lines = (run_dir / "requests.jsonl").read_text().splitlines()
+        assert len(lines) == len(requests) == record["summary"]["submitted"] == 4
+        assert sorted(r["cache"] or "-" for r in requests.values()) == [
+            "-", "-", "dedup", "memory",
+        ]
+        [stream] = [r for r in requests.values() if r["kind"] == "stream"]
+        assert stream["outcome"] == "ok"
+        assert (stream["steps_resumed"], stream["steps_computed"]) == (0, n_steps)
+        assert "requests" not in json.loads((run_dir / "run.json").read_text())
+
     def test_memory_only_recorder_keeps_counters(self):
         recorder = RunRecorder(None)
         recorder.record_submit(1, fingerprint="ff", backend="wse", label="p")

@@ -61,6 +61,14 @@ class TestTimeSpec:
         with pytest.raises(ConfigurationError):
             TimeSpec(**kwargs)
 
+    def test_stepper_options_drive_a_stepper(self, problem):
+        from repro.physics.transient import TransientStepper
+
+        t = TimeSpec(n_steps=2, dt=(1.0, 3.0), porosity=0.3, warm_start=False)
+        stepper = TransientStepper(problem, **t.stepper_options())
+        assert stepper.dts == [1.0, 3.0]
+        assert (stepper.porosity, stepper.warm_start) == (0.3, False)
+
     def test_numeric_initial_condition(self):
         t = TimeSpec(initial_condition=0.5)
         assert t.initial_condition == 0.5

@@ -8,6 +8,9 @@ validated at construction.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -19,6 +22,7 @@ from repro.spec import (
     MachineSpec,
     PrecisionSpec,
     SolveSpec,
+    TimeSpec,
     ToleranceSpec,
     coerce_spec,
 )
@@ -175,3 +179,124 @@ class TestCoerce:
     def test_rejects_junk(self):
         with pytest.raises(ConfigurationError, match="SolveSpec"):
             coerce_spec(42)
+
+
+# -- every field, one section at a time ---------------------------------------
+
+
+def _with_field(obj, name, value):
+    """``obj`` with one field replaced and no validation run: the
+    fingerprint must tell every field apart, whatever the cross-field
+    rules allow (``shard_shape`` pins ``engine``, for one)."""
+    clone = copy.copy(obj)
+    object.__setattr__(clone, name, value)
+    return clone
+
+
+class TestEveryField:
+    """One spec per section with every field off its default, so a field
+    missed by the dict round trip, the flat vocabulary or the fingerprint
+    fails here.  ``""`` is the spec's own fields (the preconditioner and
+    the mg knobs)."""
+
+    SPECS = {
+        "tolerance": SolveSpec(
+            tolerance=ToleranceSpec(tol_rtr=3e-10, rel_tol=1e-7, max_iters=321)
+        ),
+        "precision": SolveSpec(precision=PrecisionSpec("float64")),
+        "machine": SolveSpec(machine=MachineSpec(
+            spec=WSE2.with_fabric(16, 16), engine="sharded", simd_width=1,
+            block_shape=(8, 4, 2), variant="fused_mobility",
+            reuse_buffers=False, comm_only=True, fixed_iterations=9,
+            batch_size=3, shard_shape=(2, 1), fused_tile=(4, 4),
+        )),
+        "": SolveSpec(preconditioner="mg", mg_levels=3, mg_smoother_iters=4),
+        "time": SolveSpec(time=TimeSpec(
+            n_steps=3, dt=(0.5, 1.0, 2.0), total_compressibility=2e-4,
+            porosity=0.3, initial_condition=5.0, warm_start=False,
+        )),
+    }
+
+    #: SHA-256 of ``json.dumps(spec.to_dict())`` (key order included) and
+    #: ``spec.fingerprint()`` of each spec above: stored records and
+    #: cache keys are these bytes, so they must not move.
+    PINNED = {
+        "tolerance": (
+            "666d92247f7ffda3df0f18023957c1544c5a2d16e4c49fe7ed24b5a6fbbdb743",
+            "f1438fdcf28ac839c0b0fd72a4d115fc24b6293c92f4a3fdc58ccb1e6c24e1a4",
+        ),
+        "precision": (
+            "44555a3fb9e2e14a924cf343958badfbb7f94470be4a808c3a537ea9be80d8af",
+            "ee7d795177a666fc5f853da5ff10483bc12e8f2d72e74cb98cdd597f96c85461",
+        ),
+        "machine": (
+            "be4b84ac56b697ac6f225b0f59d1ac252f93c85b138775f30923188f46ed7809",
+            "2726d105306eb46f6b3da78927dc2266846164d0378e2dd6f19e004a7550588e",
+        ),
+        "": (
+            "44bef7ab8fafda513a3cb0e3fa327df0c3c9a4563dd138e8249e277584281576",
+            "793addb0aff90006c8910e394af7d2f16686f02494309497ae6a4db576ad69ff",
+        ),
+        "time": (
+            "c9436efa785eebb3b7fda990cfc5bd23f73798cf3753bb48e86fd5720decab50",
+            "6e706cac9e82464b0f966b352c6a6dc0dda376f305f75b10f74504831ecb1ffc",
+        ),
+    }
+
+    @classmethod
+    def _fields(cls, spec, section):
+        """The section object and its knobs' (name, default) pairs; the
+        spec's own knobs are its fields that are not a section above."""
+        owner = getattr(spec, section) if section else spec
+        default = type(owner)()
+        return owner, [
+            (f.name, getattr(default, f.name)) for f in dataclasses.fields(owner)
+            if section or f.name not in cls.SPECS
+        ]
+
+    @pytest.mark.parametrize("section", sorted(SPECS))
+    def test_every_field_is_set(self, section):
+        owner, fields = self._fields(self.SPECS[section], section)
+        unset = [name for name, default in fields if getattr(owner, name) == default]
+        assert unset == []
+
+    @pytest.mark.parametrize("section", sorted(SPECS))
+    def test_round_trips(self, section):
+        spec = self.SPECS[section]
+        assert SolveSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert SolveSpec.from_kwargs(**spec.to_kwargs()) == spec
+
+    @pytest.mark.parametrize("section", sorted(SPECS))
+    def test_every_field_moves_the_fingerprint(self, section):
+        spec = self.SPECS[section]
+        owner, fields = self._fields(spec, section)
+        for name, default in fields:
+            changed = _with_field(owner, name, default)
+            if section:
+                changed = dataclasses.replace(spec, **{section: changed})
+            assert changed.fingerprint() != spec.fingerprint(), name
+
+    @pytest.mark.parametrize("section", sorted(SPECS))
+    def test_payload_and_fingerprint_pinned(self, section):
+        spec = self.SPECS[section]
+        text = json.dumps(spec.to_dict())
+        assert (hashlib.sha256(text.encode()).hexdigest(), spec.fingerprint()) \
+            == self.PINNED[section]
+
+    def test_fabric_forwards_every_knob_it_supports(self):
+        from repro.backends.wse import WseBackend
+        from repro.core.solver import _Knobs
+
+        machine = dataclasses.replace(
+            self.SPECS["machine"].machine, block_shape=None
+        )
+        spec = SolveSpec(
+            tolerance=self.SPECS["tolerance"].tolerance,
+            precision=self.SPECS["precision"].precision,
+            machine=machine, preconditioner="mg", mg_levels=3,
+            mg_smoother_iters=4,
+        )
+        options = WseBackend()._native_options(spec)
+        assert set(options) == set(spec.to_kwargs()) - {"batch_size"}
+        # Every forwarded keyword is one the fabric solver takes.
+        _Knobs.parse({k: v for k, v in options.items() if k != "engine"})

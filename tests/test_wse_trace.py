@@ -71,6 +71,20 @@ class TestPerfCounters:
         assert a.op_counts[Op.FADD] == 3
         assert b.op_counts[Op.FADD] == 5
 
+    def test_add_scaled_is_n_merges_in_place(self):
+        packet = PerfCounters()
+        packet.record_op(Op.FMA, 4, cycles=2)
+        packet.record_fabric_send(8)
+        packet.idle_cycles = 5
+        packet.op_counts[Op.FSUB] += 0  # counted zero times: no entry
+        total = PerfCounters()
+        total.record_op(Op.FADD, 1, cycles=1)
+        expected = total.merged_with(packet).merged_with(packet).merged_with(packet)
+        total.add_scaled(packet, 3)
+        assert total.to_dict() == expected.to_dict()
+        assert Op.FSUB not in total.op_counts
+        assert total.idle_cycles == 15
+
     def test_to_dict_is_json_stable(self):
         c = PerfCounters()
         c.record_op(Op.FMA, 6, cycles=3)
@@ -90,6 +104,11 @@ class TestFabricTrace:
     def test_comm_exposed_cycles(self):
         trace = FabricTrace(makespan_cycles=100, max_compute_cycles=60)
         assert trace.comm_exposed_cycles == 40
+
+    def test_add_scaled_sums_every_total(self):
+        trace = FabricTrace(makespan_cycles=1, total_messages=2)
+        trace.add_scaled(FabricTrace(*range(1, 7)), 2)
+        assert trace == FabricTrace(3, 6, 6, 8, 10, 12)
 
     def test_comm_exposed_clamps_at_zero(self):
         trace = FabricTrace(makespan_cycles=50, max_compute_cycles=80)
