@@ -44,6 +44,13 @@ simulation also hashes its run telemetry and ``to_dict()``.  Wall-clock
 ``elapsed_seconds`` is left out wherever ``time_kind`` is
 ``"wall_clock"``, and so are the reference's live ``linear_results``
 (their iterations and histories are the result's own).
+The GPU model also runs on its own thread-block layouts: a 9x7x5 grid
+with 4x3x2 blocks and with one-cell blocks, and a 17x9x9 grid with the
+default 16x8x8 block (each layout leaves a one-cell edge block on every
+axis), in float32 and float64, stopped by ``rel_tol`` and by
+``fixed_iterations``, plus one timed two-step ``repro.simulate``, so a
+change at block boundaries or in the order of the dot's per-block
+partials shows.
 ``--cases`` prints one short digest per case too, to find the first
 case two trees disagree on.
 
@@ -105,6 +112,9 @@ OOM_CASES = (
 STEPPED_DTS = [0.5, 0.5, 2.0, 2.0]
 #: Host stencil grids: odd lateral sizes, and one plane (nz = 1).
 STENCIL_SHAPES = ((7, 5, 3), (9, 3, 1), (5, 6, 2))
+#: GPU (grid, block_shape) layouts, each with a one-cell edge block on
+#: every axis; ``None`` is the default 16x8x8 block.
+GPU_LAYOUTS = (((9, 7, 5), (4, 3, 2)), ((9, 7, 5), (1, 1, 1)), ((17, 9, 9), None))
 
 
 def problem(shape, seed):
@@ -294,6 +304,7 @@ def cases():
 
     yield from host_cases(deep, flat)
     yield from front_door_cases(deep, pair)
+    yield from gpu_cases()
 
 
 def host_cases(deep, flat):
@@ -343,6 +354,27 @@ def host_cases(deep, flat):
                     for a in (None, acc) for x in xs
                 ]
             ), None
+
+
+def gpu_cases():
+    """GPU-model solves on several thread-block layouts, and one timed
+    simulation, as ``(label, run, None)``."""
+    for shape, block in GPU_LAYOUTS:
+        p = problem(shape, 3)
+        layout = {} if block is None else {"block_shape": block}
+        label = "x".join(map(str, shape)) + "/" + (
+            "default" if block is None else "x".join(map(str, block))
+        )
+        for dt in DTYPES:
+            for stop in (dict(rel_tol=1e-6), dict(fixed_iterations=6)):
+                knobs = {**layout, **stop, "dtype": dt}
+                yield f"gpu/{label}/{np.dtype(dt).name}/{next(iter(stop))}", (
+                    lambda p=p, knobs=knobs: [repro.solve(p, backend="gpu", **knobs)]
+                ), None
+    shape, block = GPU_LAYOUTS[0]
+    yield "gpu/simulate", (lambda p=problem(shape, 3): [repro.simulate(
+        p, backend="gpu", block_shape=block, rel_tol=1e-6, n_steps=2, dt=(0.5, 2.0)
+    )]), None
 
 
 class _Cut(Exception):

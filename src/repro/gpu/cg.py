@@ -8,7 +8,7 @@ timing model charges overhead for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,16 +80,7 @@ class GpuCGSolver:
         self.specs = specs
         self.device = GpuDevice(specs, block_shape)
         if timing is None:
-            if specs.name == A100.name:
-                timing = GpuTimingModel.calibrated_a100()
-            else:
-                timing = GpuTimingModel(
-                    specs=specs,
-                    achieved_bandwidth=0.5 * specs.hbm_bandwidth,
-                    overhead_alg1=0.0,
-                    overhead_alg2=0.0,
-                    block_shape=block_shape,
-                )
+            timing = GpuTimingModel.for_specs(specs, block_shape)
         self.timing = timing
         self.dtype = np.dtype(dtype)
         self.tol_rtr = float(tol_rtr)

@@ -3,14 +3,15 @@
 The paper launches 3D thread blocks of 16×8×8 (1024 threads, the hardware
 cap), X innermost (§IV).  The model:
 
-* decomposes a kernel launch into blocks and executes each block
-  functionally (vectorized NumPy on the block's index ranges — the same
-  arithmetic a warp would do, in the same block partitioning);
-* charges a block-level DRAM traffic model: within a block, each global
-  array element is read once (L1/L2 capture intra-block reuse); across
-  blocks there is no reuse, so stencil halo cells are re-read — the
-  classic surface-to-volume amplification;
-* counts FLOPs per thread identically to the reference kernel.
+* runs a kernel launch as whole-array NumPy operations: a GPU thread's
+  arithmetic is elementwise, so each cell gets the same operations in
+  the same order as its thread would;
+* charges each launch from closed forms: one thread per cell, the
+  blocks that tile the grid, the kernel's FLOPs, and its DRAM bytes
+  (for the stencil, :func:`repro.gpu.timing.jx_traffic_bytes`: within a
+  block each global array element is read once, across blocks there is
+  no reuse, so stencil halo cells are re-read — the classic
+  surface-to-volume amplification).
 
 The model is *functionally exact* and *traffic-analytic*; wall-clock time
 comes from `repro.gpu.timing`, never from Python runtime.
@@ -18,8 +19,9 @@ comes from `repro.gpu.timing`, never from Python runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,58 +59,17 @@ class GpuCounters:
     dram_bytes: int = 0
     blocks_executed: int = 0
 
-    def merged_with(self, other: "GpuCounters") -> "GpuCounters":
-        return GpuCounters(
-            self.kernel_launches + other.kernel_launches,
-            self.threads_executed + other.threads_executed,
-            self.flops + other.flops,
-            self.dram_bytes + other.dram_bytes,
-            self.blocks_executed + other.blocks_executed,
-        )
 
-
-@dataclass
-class BlockIndex:
-    """One thread block's cell ranges within the mesh."""
-
-    x0: int
-    x1: int
-    y0: int
-    y1: int
-    z0: int
-    z1: int
-
-    @property
-    def cells(self) -> int:
-        return (self.x1 - self.x0) * (self.y1 - self.y0) * (self.z1 - self.z0)
-
-    def slices(self) -> tuple[slice, slice, slice]:
-        return (slice(self.x0, self.x1), slice(self.y0, self.y1), slice(self.z0, self.z1))
-
-    def halo_cells(self, shape: tuple[int, int, int]) -> int:
-        """Off-block stencil neighbours this block must fetch (7-point)."""
-        nx, ny, nz = shape
-        dx = self.x1 - self.x0
-        dy = self.y1 - self.y0
-        dz = self.z1 - self.z0
-        total = 0
-        if self.x0 > 0:
-            total += dy * dz
-        if self.x1 < nx:
-            total += dy * dz
-        if self.y0 > 0:
-            total += dx * dz
-        if self.y1 < ny:
-            total += dx * dz
-        if self.z0 > 0:
-            total += dx * dy
-        if self.z1 < nz:
-            total += dx * dy
-        return total
+def block_counts(
+    grid_shape: tuple[int, int, int], block_shape: BlockShape
+) -> tuple[int, int, int]:
+    """Blocks per axis of a launch over ``grid_shape`` (edge blocks are
+    clipped to the grid)."""
+    return tuple(-(-n // b) for n, b in zip(grid_shape, block_shape))
 
 
 class GpuDevice:
-    """A GPU with counters and a block scheduler.
+    """A GPU: device-memory accounting and per-launch counters.
 
     Parameters
     ----------
@@ -159,32 +120,16 @@ class GpuDevice:
 
     # -- launch ------------------------------------------------------------------
 
-    def iter_blocks(self, grid_shape: tuple[int, int, int]) -> Iterator[BlockIndex]:
-        nx, ny, nz = grid_shape
-        bs = self.block_shape
-        for x0 in range(0, nx, bs.x):
-            for y0 in range(0, ny, bs.y):
-                for z0 in range(0, nz, bs.z):
-                    yield BlockIndex(
-                        x0, min(x0 + bs.x, nx),
-                        y0, min(y0 + bs.y, ny),
-                        z0, min(z0 + bs.z, nz),
-                    )
-
-    def launch(
-        self,
-        grid_shape: tuple[int, int, int],
-        block_fn: Callable[[BlockIndex], tuple[int, int]],
+    def charge(
+        self, grid_shape: tuple[int, int, int], *, flops: int, dram_bytes: int
     ) -> None:
-        """Run ``block_fn`` over every block of the launch.
-
-        ``block_fn`` returns ``(flops, dram_bytes)`` for the block; the
-        device accumulates them.  One launch = one kernel, as in CUDA.
-        """
-        self.counters.kernel_launches += 1
-        for block in self.iter_blocks(grid_shape):
-            flops, dram_bytes = block_fn(block)
-            self.counters.blocks_executed += 1
-            self.counters.threads_executed += block.cells
-            self.counters.flops += int(flops)
-            self.counters.dram_bytes += int(dram_bytes)
+        """Count one kernel launch over ``grid_shape``: one thread per
+        cell, the ``block_shape`` blocks that tile the grid, and the
+        launch's FLOPs and DRAM bytes.  One launch = one kernel, as in
+        CUDA."""
+        counters = self.counters
+        counters.kernel_launches += 1
+        counters.blocks_executed += math.prod(block_counts(grid_shape, self.block_shape))
+        counters.threads_executed += math.prod(grid_shape)
+        counters.flops += int(flops)
+        counters.dram_bytes += int(dram_bytes)

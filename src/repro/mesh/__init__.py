@@ -2,13 +2,12 @@
 
 The paper discretizes single-phase Darcy flow on a 3D Cartesian mesh where
 each interior cell has six neighbours (the 7-point stencil of Fig. 1).  This
-subpackage provides the grid geometry, cell fields, Dirichlet boundary sets
-(the set ``T_D`` of Eq. 3), synthetic geomodels (permeability generators) and
-wells expressed as Dirichlet columns.
+subpackage provides the grid geometry, Dirichlet boundary sets (the set
+``T_D`` of Eq. 3), synthetic geomodels (permeability generators) and wells
+expressed as Dirichlet columns.
 """
 
 from repro.mesh.grid import CartesianGrid3D, Direction, DIRECTIONS
-from repro.mesh.fields import CellField, make_cell_field
 from repro.mesh.boundary import DirichletSet
 from repro.mesh.geomodel import (
     homogeneous_permeability,
@@ -22,8 +21,6 @@ __all__ = [
     "CartesianGrid3D",
     "Direction",
     "DIRECTIONS",
-    "CellField",
-    "make_cell_field",
     "DirichletSet",
     "homogeneous_permeability",
     "layered_permeability",

@@ -45,15 +45,12 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.net.metrics import ServiceMetrics
+from repro.net.metrics import SUMMARY_METRICS, ServiceMetrics
 from repro.util.errors import ConfigurationError
 
-#: Counter names every run.json summary carries.
-SUMMARY_COUNTERS = (
-    "submitted", "executed", "launches", "batched_launches",
-    "cache_hits_memory", "cache_hits_store", "dedup_hits",
-    "failed", "retries", "streams", "streamed_steps", "resumed_steps",
-)
+#: Counter names every run.json summary carries: the registry's
+#: summary vocabulary, in its order.
+SUMMARY_COUNTERS = tuple(SUMMARY_METRICS)
 
 
 class RunRecorder:

@@ -179,7 +179,6 @@ class SolveService:
         self._admission_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._inflight: dict[str, SolveRequest] = {}
-        self._problem_cache: dict[str, SinglePhaseProblem] = {}
         self._pool: concurrent.futures.Executor | None = None
         self._stream_pool: concurrent.futures.ThreadPoolExecutor | None = None
         #: (stop, demand) per live stream bridge — close() trips these so
@@ -280,36 +279,37 @@ class SolveService:
         solve_spec = resolve_spec(spec, options)
         get_backend(backend)  # fail fast on a typo'd backend
         entry = plan_entry(target, solve_spec, backend)
-        problem = entry.build_problem(self._problem_cache)
         future: asyncio.Future[SolveResult] = (
             asyncio.get_running_loop().create_future()
         )
-        request = SolveRequest(
-            entry=entry, problem=problem, future=future,
-            submitted_at=time.time(),
-        )
+        request_id = next_request_id()
+        cached, tier = self.cache.lookup(entry.fingerprint)
+        primary = None if cached is not None else self._inflight.get(entry.fingerprint)
+        if cached is None and primary is None:
+            # Only a request that will be queued builds its problem, so a
+            # target that fails to build raises here, before any record.
+            request = SolveRequest(
+                entry=entry, problem=entry.build_problem(), future=future,
+                request_id=request_id, submitted_at=time.time(),
+            )
         self.recorder.record_submit(
-            request.request_id,
+            request_id,
             fingerprint=entry.fingerprint,
             backend=backend,
             label=entry.label,
         )
 
-        cached, tier = self.cache.lookup(entry.fingerprint)
         if cached is not None:
             assert tier is not None
-            self.recorder.record_cache_hit(request.request_id, tier)
-            self.recorder.record_outcome(
-                request.request_id, outcome="ok", cache=tier
-            )
+            self.recorder.record_cache_hit(request_id, tier)
+            self.recorder.record_outcome(request_id, outcome="ok", cache=tier)
             future.set_result(cached)
             return future
 
-        primary = self._inflight.get(entry.fingerprint)
         if primary is not None:
             primary.followers.append(future)
-            self.recorder.record_cache_hit(request.request_id, "dedup")
-            self._record_outcome_on_done(future, request.request_id, "dedup")
+            self.recorder.record_cache_hit(request_id, "dedup")
+            self._record_outcome_on_done(future, request_id, "dedup")
             return future
 
         self._inflight[entry.fingerprint] = request
@@ -343,7 +343,6 @@ class SolveService:
         n_steps = solve_spec.require_time().n_steps
         backend_obj = get_transient_backend(backend)
         entry = plan_entry(target, solve_spec, backend)
-        problem = entry.build_problem(self._problem_cache)
         request_id = next_request_id()
         self.recorder.record_submit(
             request_id,
@@ -372,7 +371,7 @@ class SolveService:
                 yield step
             if len(stored) < n_steps:
                 async for step in self._produce_steps(
-                    backend_obj, problem, solve_spec, entry.fingerprint,
+                    backend_obj, entry.build_problem(), solve_spec, entry.fingerprint,
                     start_step=len(stored),
                     state=stored[-1].pressure if stored else None,
                 ):

@@ -42,8 +42,9 @@ class CGResult:
     converged:
         True if ``r^T r`` dropped below the tolerance within max_iters.
     residual_history:
-        ``r^T r`` after each iteration (float64 accumulations), starting
-        with the initial residual.
+        ``r^T r`` after each iteration, accumulated in the fields' dtype
+        (a float32 solve's dots are float32) and widened to Python
+        floats, starting with the initial residual.
     """
 
     x: np.ndarray
@@ -107,9 +108,9 @@ def conjugate_gradient(
             raise ValidationError(f"x0 shape {x.shape} != b shape {b.shape}")
         r = b - operator(x)
 
-    # Dot products accumulate in float64 even for fp32 fields — this is what
-    # the fabric all-reduce does too (wavelets carry fp32, accumulation is
-    # per-PE sequential adds; float64 here keeps the reference robust).
+    # Dot products accumulate in the fields' dtype: ``np.vdot`` of two
+    # float32 arrays is a float32 BLAS ``sdot``, widened to a Python float
+    # only afterwards.
     rtr = float(np.vdot(r, r).real)
     history = [rtr]
     threshold = rtr * rel_tol * rel_tol if rel_tol is not None else tol_rtr

@@ -401,13 +401,18 @@ class MachineSpec:
             self, "simd_width", _check_optional_int("simd_width", self.simd_width, 1)
         )
         if self.block_shape is not None:
-            shape = tuple(int(v) for v in self.block_shape)
-            if len(shape) != 3 or any(v < 1 for v in shape):
+            # Like shard_shape and fused_tile, an entry is never rounded:
+            # two requests differing only there must not share a key.
+            try:
+                shape = tuple(self.block_shape)
+            except TypeError:
+                shape = ()
+            if len(shape) != 3 or not all(_is_int(v) and v >= 1 for v in shape):
                 raise ConfigurationError(
                     f"block_shape must be three positive integers, got "
                     f"{self.block_shape!r}"
                 )
-            object.__setattr__(self, "block_shape", shape)
+            object.__setattr__(self, "block_shape", tuple(int(v) for v in shape))
         if self.variant is not None:
             variant = getattr(self.variant, "value", self.variant)
             if not isinstance(variant, str):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import gpu_reference as ref
 from helpers import make_problem
 import repro
+from repro.fv.coefficients import build_flux_coefficients
 from repro.fv.operator import apply_jx
 from repro.gpu.cg import GpuCGSolver
 from repro.gpu.kernels import (
@@ -15,7 +17,7 @@ from repro.gpu.kernels import (
     launch_matrix_free_jx,
     launch_xpay,
 )
-from repro.gpu.model import BlockShape, DEFAULT_BLOCK_SHAPE, GpuDevice
+from repro.gpu.model import BlockShape, DEFAULT_BLOCK_SHAPE, GpuCounters, GpuDevice
 from repro.gpu.specs import A100, H100
 from repro.gpu.timing import (
     GpuTimingModel,
@@ -25,6 +27,8 @@ from repro.gpu.timing import (
     cg_iteration_bytes,
     jx_traffic_bytes,
 )
+from repro.mesh.geomodel import lognormal_permeability
+from repro.mesh.grid import CartesianGrid3D
 from repro.util.errors import ConfigurationError, ValidationError
 
 
@@ -38,16 +42,23 @@ class TestDeviceModel:
             GpuDevice(A100, BlockShape(32, 8, 8))
 
     def test_blocks_tile_grid_exactly(self):
-        device = GpuDevice(A100, BlockShape(4, 4, 4))
-        blocks = list(device.iter_blocks((10, 7, 5)))
+        blocks = list(ref.iter_blocks((10, 7, 5), (4, 4, 4)))
         cells = sum(b.cells for b in blocks)
         assert cells == 10 * 7 * 5
         # Edge blocks are clipped, never overlapping.
         assert all(b.x1 <= 10 and b.y1 <= 7 and b.z1 <= 5 for b in blocks)
+        covered = np.zeros((10, 7, 5), dtype=int)
+        for b in blocks:
+            covered[b.slices()] += 1
+        assert (covered == 1).all()
+        # A launch charges exactly those blocks, one thread per cell.
+        device = GpuDevice(A100, BlockShape(4, 4, 4))
+        launch_axpy(device, 1.0, np.zeros((10, 7, 5)), np.zeros((10, 7, 5)))
+        assert device.counters.blocks_executed == len(blocks) == 12
+        assert device.counters.threads_executed == cells
 
     def test_halo_cells_interior_block(self):
-        device = GpuDevice(A100, BlockShape(4, 4, 4))
-        blocks = list(device.iter_blocks((12, 12, 12)))
+        blocks = list(ref.iter_blocks((12, 12, 12), (4, 4, 4)))
         interior = [
             b for b in blocks if b.x0 > 0 and b.y0 > 0 and b.z0 > 0
             and b.x1 < 12 and b.y1 < 12 and b.z1 < 12
@@ -62,12 +73,18 @@ class TestDeviceModel:
 
     def test_counters_accumulate(self):
         device = GpuDevice(A100, BlockShape(4, 4, 4))
-        device.launch((8, 8, 8), lambda block: (block.cells, block.cells * 4))
-        assert device.counters.kernel_launches == 1
-        assert device.counters.threads_executed == 512
-        assert device.counters.flops == 512
-        assert device.counters.dram_bytes == 2048
-        assert device.counters.blocks_executed == 8
+        x, y = np.ones((8, 8, 8)), np.zeros((8, 8, 8))
+        launch_axpy(device, 2.0, x, y)
+        # 2 FLOPs per cell; two reads and one store of fp32 per cell.
+        assert device.counters == GpuCounters(
+            kernel_launches=1, threads_executed=512, flops=1024,
+            dram_bytes=3 * 512 * 4, blocks_executed=8,
+        )
+        launch_dot(device, x, y)
+        assert device.counters == GpuCounters(
+            kernel_launches=2, threads_executed=1024, flops=2048,
+            dram_bytes=5 * 512 * 4, blocks_executed=16,
+        )
 
 
 class TestGpuKernels:
@@ -138,6 +155,83 @@ class TestGpuKernels:
             launch_axpy(device, 1.0, np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
 
 
+#: (grid, block) pairs with a one-cell edge block on every axis, and
+#: grids of one plane (nz = 1).
+EDGE_LAYOUTS = [
+    ((9, 7, 5), (4, 3, 2)),
+    ((17, 9, 9), (16, 8, 8)),
+    ((3, 4, 2), (1, 1, 1)),
+    ((7, 6, 1), (3, 5, 2)),
+    ((5, 3, 1), (2, 2, 2)),
+]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestAgainstBlockReference:
+    """The whole-array launches and closed-form charges against the
+    per-block forms they replaced (``tests/gpu_reference.py``)."""
+
+    @pytest.mark.parametrize("block", [
+        (16, 8, 8), (4, 4, 4), (2, 1, 1), (3, 5, 2), (1, 1, 1), (7, 3, 5), (32, 1, 1),
+    ])
+    @pytest.mark.parametrize("grid", [
+        (1, 1, 1), (17, 9, 5), (1, 6, 5), (8, 8, 1), (10, 9, 11), (33, 17, 9), (5, 1, 1),
+    ])
+    def test_halo_tally_sums_to_closed_form(self, grid, block):
+        blocks = list(ref.iter_blocks(grid, block))
+        tally = sum(ref.jx_block_bytes(b, grid) for b in blocks)
+        assert jx_traffic_bytes(grid, BlockShape(*block)) == tally
+        device = GpuDevice(A100, BlockShape(*block))
+        views = {k: np.zeros(grid, dtype=np.float32) for k in "WESNDU"}
+        x = np.zeros(grid, dtype=np.float32)
+        launch_matrix_free_jx(device, views, None, x, np.empty_like(x))
+        assert device.counters == GpuCounters(
+            kernel_launches=1,
+            threads_executed=sum(b.cells for b in blocks),
+            flops=x.size * 6 * 3,
+            dram_bytes=tally,
+            blocks_executed=len(blocks),
+        )
+
+    @pytest.mark.parametrize("field", ["normal", "signed_zeros"])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("dtypes", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    ])
+    @pytest.mark.parametrize("grid,block", EDGE_LAYOUTS)
+    def test_jx_bitwise_matches_per_block(self, grid, block, dtypes, partial, field):
+        """``field="signed_zeros"`` is a checkerboard of −0.0 and +0.0:
+        every term of an interior −0.0 cell is −0.0, so its sum is +0.0
+        only because the accumulator starts at +0.0."""
+        coeff_dtype, x_dtype = dtypes
+        g = CartesianGrid3D(*grid)
+        coeffs = build_flux_coefficients(
+            g, lognormal_permeability(g, seed=3, sigma_log=0.7), dtype=coeff_dtype
+        )
+        views = coefficient_views_for(coeffs)
+        mask = None
+        if partial:
+            mask = np.random.default_rng(5).random(grid) < 0.2
+            mask[0, 0, :] = True  # a full column beside partial ones
+        if field == "normal":
+            x = np.random.default_rng(9).standard_normal(grid).astype(x_dtype)
+            x.flat[::7] = 0.0
+            x.flat[3::7] = -0.0
+        else:
+            odd = np.indices(grid).sum(axis=0) % 2 == 1
+            x = np.where(odd, -0.0, 0.0).astype(x_dtype)
+        want = np.full(grid, np.nan, dtype=x_dtype)
+        ref.matrix_free_jx(views, mask, x, want, block)
+        device = GpuDevice(A100, BlockShape(*block))
+        got = np.full(grid, np.nan, dtype=x_dtype)
+        launch_matrix_free_jx(device, views, mask, x, got)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 class TestGpuCG:
     def test_matches_reference_solution(self):
         problem = make_problem(10, 8, 6, seed=4)
@@ -192,6 +286,18 @@ class TestGpuCG:
             rel_tol=1e-8,
         ).solve()
         assert report.converged
+
+    def test_h100_default_timing_is_calibrated(self):
+        """An H100 solve is timed by the calibrated H100 model by default,
+        on the solver and through the gpu backend."""
+        problem = make_problem(6, 6, 4, seed=8)
+        knobs = dict(dtype=np.float64, rel_tol=1e-8)
+        want = GpuCGSolver(
+            problem, specs=H100, timing=GpuTimingModel.calibrated_h100(), **knobs
+        ).solve().modeled_seconds
+        assert GpuCGSolver(problem, specs=H100, **knobs).solve().modeled_seconds == want
+        result = repro.solve(problem, backend="gpu", specs=H100, **knobs)
+        assert result.elapsed_seconds == want
 
 
 class TestTimingModel:

@@ -1,10 +1,9 @@
-"""Unit tests for cell fields, Dirichlet sets, geomodels and wells."""
+"""Unit tests for Dirichlet sets, geomodels and wells."""
 
 import numpy as np
 import pytest
 
 from repro.mesh.boundary import DirichletSet
-from repro.mesh.fields import CellField, make_cell_field
 from repro.mesh.geomodel import (
     channelized_permeability,
     homogeneous_permeability,
@@ -14,62 +13,6 @@ from repro.mesh.geomodel import (
 from repro.mesh.grid import CartesianGrid3D
 from repro.mesh.wells import Well, WellKind, apply_wells, quarter_five_spot
 from repro.util.errors import ValidationError
-
-
-class TestCellField:
-    def test_make_scalar_fill(self, small_grid):
-        f = make_cell_field(small_grid, 2.5, name="p")
-        assert f.data.shape == small_grid.shape
-        assert f.dtype == np.float32
-        assert np.all(f.data == 2.5)
-
-    def test_make_from_array(self, small_grid, rng):
-        raw = rng.standard_normal(small_grid.shape)
-        f = make_cell_field(small_grid, raw, dtype=np.float64)
-        np.testing.assert_array_equal(f.data, raw)
-
-    def test_shape_mismatch_rejected(self, small_grid):
-        with pytest.raises(ValidationError, match="does not match"):
-            CellField(small_grid, np.zeros((2, 2, 2)))
-
-    def test_column_is_view(self, small_grid):
-        f = make_cell_field(small_grid, 0.0)
-        col = f.column(1, 2)
-        col[:] = 7.0
-        assert np.all(f.data[1, 2, :] == 7.0)
-        assert col.flags["C_CONTIGUOUS"]
-
-    def test_flat_is_view(self, small_grid):
-        f = make_cell_field(small_grid, 0.0)
-        f.flat()[0] = 3.0
-        assert f.data[0, 0, 0] == 3.0
-
-    def test_axpy_and_scale(self, small_grid):
-        a = make_cell_field(small_grid, 1.0)
-        b = make_cell_field(small_grid, 2.0)
-        a.axpy(3.0, b)
-        assert np.all(a.data == 7.0)
-        a.scale(0.5)
-        assert np.all(a.data == 3.5)
-
-    def test_dot_and_norm(self, small_grid):
-        a = make_cell_field(small_grid, 2.0)
-        b = make_cell_field(small_grid, 3.0)
-        n = small_grid.num_cells
-        assert a.dot(b) == pytest.approx(6.0 * n)
-        assert a.norm2() == pytest.approx(4.0 * n)
-
-    def test_cross_grid_rejected(self, small_grid, tiny_grid):
-        a = make_cell_field(small_grid, 1.0)
-        b = make_cell_field(tiny_grid, 1.0)
-        with pytest.raises(ValidationError, match="different grids"):
-            a.dot(b)
-
-    def test_copy_is_deep(self, small_grid):
-        a = make_cell_field(small_grid, 1.0)
-        c = a.copy()
-        c.data[0, 0, 0] = 9.0
-        assert a.data[0, 0, 0] == 1.0
 
 
 class TestDirichletSet:

@@ -808,6 +808,34 @@ class TestServiceEndToEnd:
         assert stats["executed"] == 0
         assert stats["cache_hits_store"] == 1
 
+    def test_store_hit_builds_no_problem(self, tmp_path, monkeypatch):
+        """Only a request that is solved builds its scenario: a repeat
+        the store answers builds none."""
+        from repro.scenarios.base import Scenario
+
+        builds: list[str] = []
+        real_build = Scenario.build
+
+        def counting_build(self):
+            builds.append(self.name)
+            return real_build(self)
+
+        monkeypatch.setattr(Scenario, "build", counting_build)
+        target = repro.scenario("quarter_five_spot", nx=6, ny=6, nz=2)
+
+        async def serve():
+            async with SolveService(store=tmp_path / "cache") as svc:
+                await svc.submit(target, backend="reference", rel_tol=1e-6)
+                return svc.stats()
+
+        stats = run(serve())
+        assert stats["executed"] == 1
+        assert builds == ["quarter_five_spot"]
+        stats = run(serve())
+        assert stats["cache_hits_store"] == 1
+        assert stats["executed"] == 0
+        assert builds == ["quarter_five_spot"]
+
     def test_killed_stream_resumes_from_stored_steps(self, tmp_path):
         """The second acceptance bar: a transient request killed
         mid-stream resumes from the stored step stack on resubmit."""

@@ -102,6 +102,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="WseSpecs or GpuSpecs"):
             MachineSpec(spec="CS-2")
 
+    def test_block_shape_entries_must_be_integers(self):
+        """A block entry is never rounded, so two requests that differ
+        only there never share a fingerprint; numpy integers pass."""
+        for bad in ((16.7, 8, 8), (True, "8", 8.9), (16, 8, 8.0), "16x8x8", 16):
+            with pytest.raises(ConfigurationError, match="block_shape"):
+                SolveSpec.from_kwargs(block_shape=bad)
+        spec = SolveSpec.from_kwargs(block_shape=(np.int64(16), np.int32(8), 8))
+        assert spec.machine.block_shape == (16, 8, 8)
+        assert all(type(v) is int for v in spec.machine.block_shape)
+        assert spec.fingerprint() == SolveSpec.from_kwargs(
+            block_shape=(16, 8, 8)
+        ).fingerprint()
+
     def test_preconditioner_restricted(self):
         with pytest.raises(ConfigurationError, match="preconditioner"):
             SolveSpec(preconditioner="ilu")
