@@ -52,7 +52,8 @@ def test_table5_simulator_mix(benchmark):
         ),
     )
     # Our kernel precomputes the face coefficient, so it spends fewer
-    # FLOPs per cell than the paper's 96 (documented in EXPERIMENTS.md).
+    # FLOPs per cell than the paper's 96 (also pinned by
+    # tests/test_perf_models.py::TestTable5).
     flops_row = [r for r in rows if r[0] == "FLOPs/cell (simulator)"][0]
     assert 0 < flops_row[1] < 96
 

@@ -63,7 +63,6 @@ def _gateway_main(root: str, run_id: str, ready, stop) -> None:
         run_id=run_id,
         ready=lambda info: ready.put(info),
         stop=stop,
-        admission_window=0.02,
     )
 
 

@@ -4,14 +4,18 @@ Usage::
 
     PYTHONPATH=src python benchmarks/service_smoke.py
 
-Boots a :class:`repro.serve.SolveService` twice — once on a process
-worker pool with a steady-state fan-out (many requests, few distinct
-specs), once on a thread pool with a transient streaming request — and
-asserts the service-level invariants a deployment cares about:
+Boots a :class:`repro.serve.SolveService` three times — once on a
+process worker pool with a steady-state fan-out (many requests, few
+distinct specs), then on a thread pool with a transient streaming
+request and with a stream abandoned after its first step — and asserts
+the service-level invariants a deployment cares about:
 
 * every request resolves and duplicates are answered from dedup/cache
   (the fan-out's cache-hit ratio must reflect ``requests >> distinct``);
-* fused batched launches actually happen for compatible requests;
+* fused batched launches actually happen for compatible requests
+  submitted on one loop turn;
+* a stream computes a step only when its consumer asks for it: the
+  abandoned stream leaves exactly one step in the store;
 * the durable run record (``run.json`` / ``attempts.jsonl``) agrees with
   the service's own accounting;
 * shutdown leaves **zero orphaned worker processes** and no lingering
@@ -35,6 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro.serve import SolveService, load_run_record  # noqa: E402
+from repro.session import ResultStore, plan_entry  # noqa: E402
 
 REQUESTS = 24
 DISTINCT = 6
@@ -59,7 +64,6 @@ async def steady_fanout(records_root: str) -> None:
 
     async with SolveService(
         records=records_root, pool="process", n_workers=2,
-        admission_window=0.02,
     ) as service:
         futures = [
             service.submit(scenarios[i % DISTINCT], backend="wse", spec=spec)
@@ -105,6 +109,22 @@ async def transient_stream() -> None:
           "stream accounting recorded")
 
 
+async def abandoned_stream(store_root: str) -> None:
+    """Thread pool, a stream whose consumer stops after step 1."""
+    target = repro.scenario("quarter_five_spot", nx=8, ny=8, nz=2)
+    spec = repro.SolveSpec.from_kwargs(
+        rel_tol=1e-6, engine="vectorized", n_steps=3, dt=1.0,
+    )
+    service = await SolveService(store=store_root).start()
+    first = await service.stream(target, backend="wse", spec=spec).__anext__()
+    await service.close()
+    stored = ResultStore(store_root).simulation_steps_completed(
+        plan_entry(target, spec, "wse").fingerprint
+    )
+    check(first.step == 1 and stored == 1,
+          f"abandoned stream stored only the step it yielded ({stored})")
+
+
 def main() -> int:
     start = time.perf_counter()
     before_threads = {t.name for t in threading.enumerate()}
@@ -113,6 +133,8 @@ def main() -> int:
         asyncio.run(steady_fanout(records_root))
         print("service smoke: transient stream on a thread pool")
         asyncio.run(transient_stream())
+        print("service smoke: stream abandoned after its first step")
+        asyncio.run(abandoned_stream(f"{records_root}/store"))
 
     orphans = multiprocessing.active_children()
     check(orphans == [],

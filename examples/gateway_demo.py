@@ -48,7 +48,7 @@ def main() -> None:
         target=serve_forever,
         kwargs=dict(
             store=store_root, records=records_root, run_id="gateway-demo",
-            ready=ready.put, stop=stop, admission_window=0.02,
+            ready=ready.put, stop=stop,
         ),
         name="gateway", daemon=True,
     )

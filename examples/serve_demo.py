@@ -13,8 +13,9 @@ than 100 solves:
   cache (fingerprint = target + spec + backend, so a hit is *identity*,
   not heuristics),
 * the ~10 genuinely distinct requests agree on backend / spec / grid
-  shape and pin a batch-capable engine, so admission control fuses them
-  into batched lanes — close to one launch for all of them.
+  shape and pin a batch-capable engine, so those that reach the queue
+  on one event-loop turn fuse into batched lanes — a few launches for
+  all of them (nothing waits for a peer that has not arrived).
 
 The run record printed at the end is the service's own accounting
 (`run.json`), not demo bookkeeping.
@@ -48,15 +49,13 @@ async def main() -> None:
         repro.scenario("lognormal_reservoir", nx=16, ny=16, nz=4, seed=seed)
         for seed in range(N_DISTINCT)
     ]
-    # Only the vectorized/fused engines batch; an unset engine is the
-    # event oracle, and its requests would each run solo.
+    # Only the vectorized/fused engines batch (an unset engine resolves
+    # to fused); event-oracle requests would each run solo.
     spec = repro.SolveSpec.from_kwargs(engine="vectorized", rel_tol=1e-7)
 
     records_root = tempfile.mkdtemp(prefix="repro-serve-demo-")
     start = time.perf_counter()
-    async with SolveService(
-        records=records_root, admission_window=0.02
-    ) as service:
+    async with SolveService(records=records_root) as service:
         answers = await asyncio.gather(
             *(client(service, scenarios, spec, i) for i in range(N_REQUESTS))
         )

@@ -31,7 +31,8 @@ def paper_scale() -> None:
     print(format_table(headers, table3_rows(), title="Table III (calibrated models)"))
     print(
         "\nNote: the smallest and largest rows calibrate the models; the five\n"
-        "middle rows are predictions (see EXPERIMENTS.md for the error table).\n"
+        "middle rows are predictions (benchmarks/bench_table3_weak_scaling.py\n"
+        "bounds their error).\n"
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
 from repro.physics.simulation import newton_solve
-from repro.solvers.cg import PAPER_TOLERANCE_RTR, conjugate_gradient
+from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR, conjugate_gradient
 from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.spec import SolveSpec, coerce_spec
 
@@ -92,7 +92,7 @@ class ReferenceBackend:
         options = self._native_options(spec)
         dtype, tol_rtr = options["dtype"], options["tol_rtr"]
         rel_tol = options.get("newton_rtol")
-        max_iters = options.get("max_iters", 10_000)
+        max_iters = options.get("max_iters", DEFAULT_MAX_ITERS)
         times = tspec.times()
         # The reference works in one precision throughout (float64 by
         # default), so accumulation/rhs arithmetic stays in that dtype.

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fv_kernel import KernelVariant
+from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR
 from repro.solvers.preconditioning import Preconditioner, build_preconditioner
 from repro.solvers.state_machine import CGState
 from repro.spec import MG_MAX_LEVELS, MG_MAX_SMOOTHER_ITERS, PRECONDITIONERS
@@ -90,8 +91,8 @@ class CgProgram:
     variant: KernelVariant = KernelVariant.PRECOMPUTED
     reuse_buffers: bool = True
     comm_only: bool = False
-    tol_rtr: float = 2e-10
-    max_iters: int = 10_000
+    tol_rtr: float = PAPER_TOLERANCE_RTR
+    max_iters: int = DEFAULT_MAX_ITERS
     fixed_iterations: int | None = None
     batch: int = 1
     accumulation: bool = False

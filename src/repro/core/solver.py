@@ -27,6 +27,7 @@ from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram, EngineReport
 from repro.fv.operator import FlatStencil
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR
 from repro.solvers.preconditioning import Preconditioner
 from repro.util.errors import ConfigurationError, unknown_name_error
 from repro.wse.specs import WSE2, WseSpecs
@@ -36,7 +37,7 @@ def resolve_tolerance(
     problem: SinglePhaseProblem,
     precondition: Preconditioner,
     *,
-    tol_rtr: float = 2e-10,
+    tol_rtr: float = PAPER_TOLERANCE_RTR,
     rel_tol: float | None = None,
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
@@ -112,9 +113,9 @@ class _Knobs:
     simd_width: int | None = None
     variant: KernelVariant | str = KernelVariant.PRECOMPUTED
     reuse_buffers: bool = True
-    tol_rtr: float = 2e-10
+    tol_rtr: float = PAPER_TOLERANCE_RTR
     rel_tol: float | None = None
-    max_iters: int = 10_000
+    max_iters: int = DEFAULT_MAX_ITERS
     comm_only: bool = False
     fixed_iterations: int | None = None
     preconditioner: str = "none"

@@ -34,6 +34,7 @@ from repro.backends import (
 )
 from repro.physics.darcy import SinglePhaseProblem
 from repro.scenarios.base import Scenario, scenario as _bind_scenario
+from repro.session import Session, simulation_steps
 from repro.spec import resolve_spec
 from repro.util.errors import ConfigurationError, SolveErrorGroup
 
@@ -115,8 +116,6 @@ def solve_many(
     (e.g. the serving tier's retry taxonomy) see all of them, not just
     whichever entry failed first.
     """
-    from repro.session import Session
-
     solve_spec = resolve_spec(spec, options)
     items: Sequence[Any] = list(targets)
     if not items:
@@ -173,10 +172,7 @@ def simulate_steps(
     completes, so monitors can watch the pressure front move without
     holding the whole stack.
     """
-    solve_spec = resolve_spec(spec, options)
-    solve_spec.require_time()
-    backend_obj = get_transient_backend(backend)
-    return backend_obj.simulate(_resolve_problem(target), solve_spec)
+    return simulation_steps(target, resolve_spec(spec, options), backend)
 
 
 def simulate(
@@ -206,34 +202,14 @@ def simulate(
     of a completed simulation rehydrate entirely from disk.  ``on_step``
     is invoked as each step completes (stored steps included).
     """
-    from repro.session import ResultStore, entry_fingerprint
-
     solve_spec = resolve_spec(spec, options)
-    n_steps = solve_spec.require_time().n_steps
-    backend_obj = get_transient_backend(backend)
-    problem = _resolve_problem(target)
-
     steps: list[StepResult] = []
-    if store is not None:
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        fingerprint = entry_fingerprint(target, solve_spec, backend)
-        steps = store.resume_simulation(fingerprint, n_steps, resume=resume)
-        meta = {"backend": backend, "spec": solve_spec.to_dict(), "n_steps": n_steps}
-    if on_step is not None:
-        for step in steps:
+    for step in simulation_steps(
+        target, solve_spec, backend, store=store, resume=resume
+    ):
+        steps.append(step)
+        if on_step is not None:
             on_step(step)
-
-    if len(steps) < n_steps:
-        state = steps[-1].pressure if steps else None
-        for step in backend_obj.simulate(
-            problem, solve_spec, start_step=len(steps), state=state
-        ):
-            if store is not None:
-                store.save_simulation_step(fingerprint, step, meta=meta)
-            steps.append(step)
-            if on_step is not None:
-                on_step(step)
     return SimulationResult.collect(steps, solve_spec)
 
 

@@ -25,6 +25,7 @@ from repro.gpu.model import BlockShape, DEFAULT_BLOCK_SHAPE, GpuCounters, GpuDev
 from repro.gpu.specs import A100, GpuSpecs
 from repro.gpu.timing import GpuTimingModel
 from repro.physics.darcy import SinglePhaseProblem
+from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR
 from repro.util.errors import ConfigurationError
 
 
@@ -68,9 +69,9 @@ class GpuCGSolver:
         timing: GpuTimingModel | None = None,
         block_shape: BlockShape = DEFAULT_BLOCK_SHAPE,
         dtype=np.float32,
-        tol_rtr: float = 2e-10,
+        tol_rtr: float = PAPER_TOLERANCE_RTR,
         rel_tol: float | None = None,
-        max_iters: int = 10_000,
+        max_iters: int = DEFAULT_MAX_ITERS,
         fixed_iterations: int | None = None,
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,

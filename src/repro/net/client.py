@@ -35,7 +35,7 @@ from typing import Any, Iterator, Mapping
 from repro.backends import SolveResult, StepResult
 from repro.net import websocket
 from repro.net.wire import decode_json, encode_json, target_to_wire
-from repro.spec import SolveSpec, coerce_spec
+from repro.spec import resolve_spec
 from repro.util.errors import ConfigurationError, ReproError
 
 #: Connection-level failures worth retrying (the request is
@@ -50,6 +50,17 @@ RECONNECT_ERRORS = (
     EOFError,
     OSError,
 )
+
+
+def _spec_fields(spec: Any, options: Mapping[str, Any]) -> dict[str, Any]:
+    """A request's flat ``options`` as given, or its ``spec`` as
+    ``to_dict()``.  Both are resolved first by the front doors' one rule
+    (:func:`repro.spec.resolve_spec`), so passing both, or a bad option
+    or spec, raises before anything is sent."""
+    resolved = resolve_spec(spec, options)
+    if options:
+        return {"options": dict(options)}
+    return {} if spec is None else {"spec": resolved.to_dict()}
 
 
 class GatewayError(ReproError):
@@ -171,17 +182,8 @@ class GatewayClient:
         payload: dict[str, Any] = {
             "target": target_to_wire(target),
             "backend": backend,
+            **_spec_fields(spec, options),
         }
-        if spec is not None and options:
-            raise ConfigurationError(
-                f"pass configuration either as spec=... or as keyword "
-                f"options, not both (got spec plus "
-                f"{', '.join(sorted(options))})"
-            )
-        if options:
-            payload["options"] = dict(options)
-        elif spec is not None:
-            payload["spec"] = coerce_spec(spec).to_dict()
         headers = {"Content-Type": "application/json"}
         if if_none_match is not None:
             headers["If-None-Match"] = if_none_match
@@ -231,16 +233,8 @@ class GatewayClient:
             "target": target_to_wire(target),
             "backend": backend,
             "resume": resume,
+            **_spec_fields(spec, options),
         }
-        if spec is not None and options:
-            raise ConfigurationError(
-                "pass configuration either as spec=... or as keyword "
-                "options, not both"
-            )
-        if options:
-            request["options"] = dict(options)
-        elif spec is not None:
-            request["spec"] = coerce_spec(spec).to_dict()
 
         last_step = 0
         attempts_left = self.retries

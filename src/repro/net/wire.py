@@ -31,7 +31,7 @@ from typing import Any, Mapping
 
 from repro.scenarios.base import Scenario
 from repro.serve.retry import classify_failure
-from repro.spec import SolveSpec, coerce_spec
+from repro.spec import SolveSpec, resolve_spec
 from repro.util.errors import ConfigurationError
 
 
@@ -81,25 +81,17 @@ def target_from_wire(payload: Any) -> Any:
 
 
 def spec_from_wire(payload: Mapping[str, Any]) -> SolveSpec:
-    """Resolve the request's ``spec`` / ``options`` into a SolveSpec."""
+    """Resolve the request's ``spec`` / ``options`` into a SolveSpec,
+    through the front doors' one rule (:func:`repro.spec.resolve_spec`)."""
     spec = payload.get("spec")
-    options = payload.get("options")
-    if spec is not None and options:
-        raise ConfigurationError(
-            'pass either "spec" (a SolveSpec.to_dict payload) or flat '
-            '"options", not both'
-        )
-    if options:
-        if not isinstance(options, Mapping):
-            raise ConfigurationError('request "options" must be an object')
-        return SolveSpec.from_kwargs(**options)
-    if spec is None:
-        return coerce_spec(None)
-    if not isinstance(spec, Mapping):
+    options = payload.get("options") or {}
+    if not isinstance(options, Mapping):
+        raise ConfigurationError('request "options" must be an object')
+    if spec is not None and not isinstance(spec, Mapping):
         raise ConfigurationError(
             'request "spec" must be a SolveSpec.to_dict() object'
         )
-    return SolveSpec.from_dict(spec)
+    return resolve_spec(spec, options)
 
 
 def parse_solve_payload(payload: Any) -> tuple[Any, str, SolveSpec]:

@@ -1,8 +1,10 @@
 """Performance models: op counts (Table V), CS-2 time model, rooflines.
 
 Everything here is analytic and deterministic; the WSE simulator
-cross-validates the structure at small scale, and EXPERIMENTS.md records
-paper-vs-model numbers for every published row.
+cross-validates the structure at small scale.  ``tests/test_perf_models.py``
+and ``tests/test_bench_experiments.py`` pin the model against the
+published rows, and ``benchmarks/bench_table*.py`` print the
+paper-vs-model tables and assert their own bounds.
 """
 
 from repro.perf.opcount import (

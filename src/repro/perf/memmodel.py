@@ -13,7 +13,9 @@ allocates and every layout's memory rehearsal replays.
 The paper reports fitting Nz = 922; that implies ≤ 13 columns plus code.
 Our cleanest configuration needs 15 (we keep ``b`` and the solution
 separate); the gap — and the extra tricks the paper's hand-tuned CSL must
-be using — is quantified in EXPERIMENTS.md.
+be using — is pinned by ``tests/test_perf_models.py::TestPeMemoryModel``
+and printed by ``benchmarks/bench_memory_capacity.py``, which also checks
+the model's depth against the staging boundary.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ def build_a100_roofline(
     Arithmetic intensity uses the paper's 96-FLOP/cell count over our
     block-level DRAM traffic model; achieved FLOP/s uses the published
     Alg. 2 kernel time.  The kernel is memory-bound (the paper's
-    classification), with the achieved fraction discussed in
-    EXPERIMENTS.md.
+    classification); ``benchmarks/bench_fig6_roofline.py`` and
+    ``tests/test_perf_models.py::TestRoofline`` check where it sits.
     """
     timing = timing or GpuTimingModel.calibrated_a100()
     n = grid_shape[0] * grid_shape[1] * grid_shape[2]

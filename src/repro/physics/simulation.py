@@ -27,7 +27,12 @@ import numpy as np
 
 from repro.fv.residual import compute_residual
 from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.cg import CGResult, conjugate_gradient, PAPER_TOLERANCE_RTR
+from repro.solvers.cg import (
+    DEFAULT_MAX_ITERS,
+    PAPER_TOLERANCE_RTR,
+    CGResult,
+    conjugate_gradient,
+)
 from repro.util.errors import ConvergenceError
 
 
@@ -62,7 +67,7 @@ def newton_solve(
     problem: SinglePhaseProblem,
     *,
     tol_rtr: float = PAPER_TOLERANCE_RTR,
-    max_iters: int = 10_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     max_newton: int = 10,
     newton_tol: float = 0.0,

@@ -3,9 +3,10 @@
 ``repro.serve`` turns the library into infrastructure: a
 :class:`SolveService` that admits concurrent solve requests through an
 asyncio front door, deduplicates them against a content-addressed result
-cache and the in-flight set, fuses compatible requests into batched
-vector-engine lanes, retries transient failures with classified backoff
-(:mod:`~repro.serve.retry`), streams transient solves step by step with
+cache and the in-flight set, fuses compatible requests queued on one
+loop turn into batched lanes and dispatches them at once, retries
+transient failures with classified backoff (:mod:`~repro.serve.retry`),
+streams transient solves one step per consumer request with
 killed-stream resume, and leaves durable per-run records
 (:mod:`~repro.serve.records`) behind for audit.
 
@@ -22,7 +23,6 @@ Quickstart::
     asyncio.run(main())
 """
 
-from repro.serve.admission import AdmissionController, Lane
 from repro.serve.cache import ResultCache
 from repro.serve.queue import QueueClosed, RequestQueue, SolveRequest
 from repro.serve.records import (
@@ -40,10 +40,8 @@ from repro.serve.retry import (
 from repro.serve.service import POOLS, ServiceConfig, SolveService
 
 __all__ = [
-    "AdmissionController",
     "DEFAULT_RETRYABLE",
     "FAILURE_CATEGORIES",
-    "Lane",
     "POOLS",
     "QueueClosed",
     "RequestQueue",

@@ -11,7 +11,8 @@ request instead of enqueuing a duplicate solve.
 :class:`RequestQueue` is a thin close-aware wrapper over
 :class:`asyncio.Queue`: the admission loop blocks on :meth:`get_batch`,
 which returns everything currently available (one blocking ``get`` plus
-a non-blocking drain), so grouping sees the whole burst at once.
+a non-blocking drain), so the lanes it cuts see every request queued on
+one loop turn at once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class SolveRequest:
     problem: SinglePhaseProblem
     future: "asyncio.Future[Any]"
     request_id: int = field(default_factory=next_request_id)
-    submitted_at: float = 0.0
     attempts: int = 0
     #: Futures of requests deduplicated onto this one (same fingerprint
     #: submitted while this request was still in flight).
@@ -93,19 +93,6 @@ class RequestQueue:
         if not self._closed:
             self._closed = True
             self._queue.put_nowait(self._CLOSE)
-
-    def drain_nowait(self) -> list[SolveRequest]:
-        """Everything available right now, without blocking."""
-        batch: list[SolveRequest] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return batch
-            if item is self._CLOSE:
-                self._queue.put_nowait(self._CLOSE)
-                return batch
-            batch.append(item)
 
     async def get_batch(self) -> list[SolveRequest]:
         """Block for at least one request, then drain what's available.

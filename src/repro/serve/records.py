@@ -158,7 +158,7 @@ class RunRecorder:
                 record["lane"] = dict(lane)
         self._append("attempts.jsonl", line)
 
-    def record_launch(self, *, fused: bool, size: int = 1) -> None:
+    def record_launch(self, *, fused: bool) -> None:
         """One backend launch (a fused lane of N counts once)."""
         self.metrics.bump("launches")
         if fused:

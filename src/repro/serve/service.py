@@ -17,11 +17,14 @@ Request lifecycle (the order is the design):
 2. **in-flight dedup** — a miss whose fingerprint is already queued or
    solving *attaches* to that request; N identical concurrent requests
    cost one solve.
-3. **admission** — genuinely new work enters the request queue; the
-   admission controller cuts each burst into the lanes of
-   :func:`repro.session.plan_lanes` (same backend / spec fingerprint /
-   grid shape, on an engine that can batch): one batched program on
-   the :class:`~repro.core.cg_driver.CgDriver` per lane of several.
+3. **admission** — genuinely new work enters the request queue; each
+   time the admission loop wakes it cuts what is queued into the lanes
+   of :func:`repro.session.plan_lanes` (same backend / spec
+   fingerprint / grid shape, on an engine that can batch) and
+   dispatches them at once: requests queued on one loop turn (a
+   ``gather`` of submits) share one batched program on the
+   :class:`~repro.core.cg_driver.CgDriver` per lane of several, and a
+   lone request never waits for company.
 4. **dispatch** — lanes run on a persistent worker pool (threads by
    default, processes for GIL-bound backends); failures classify
    through the retry taxonomy (:mod:`repro.serve.retry`) and retry with
@@ -32,9 +35,11 @@ Request lifecycle (the order is the design):
    (:mod:`repro.serve.records`).
 
 :meth:`SolveService.stream` is the transient front door: an async
-iterator of :class:`~repro.backends.StepResult` riding the backends'
-incremental ``simulate`` generators, persisting each step so a killed
-stream resumes from the stored step stack on resubmit.
+iterator of :class:`~repro.backends.StepResult` over
+:func:`repro.session.simulation_steps`, advanced one step per
+consumer request on a worker thread; each computed step persists
+before it is yielded, so a killed stream resumes from the stored step
+stack on resubmit.
 """
 
 from __future__ import annotations
@@ -42,17 +47,15 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import functools
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import Any, AsyncIterator, Mapping
+from typing import Any, AsyncIterator
 
-from repro.backends import SolveResult, StepResult, get_backend, get_transient_backend
+from repro.backends import SolveResult, StepResult, get_backend
 from repro.net.metrics import ServiceMetrics
 from repro.physics.darcy import SinglePhaseProblem
-from repro.serve.admission import AdmissionController, Lane
 from repro.serve.cache import DEFAULT_MAX_BYTES as DEFAULT_CACHE_BYTES, ResultCache
 from repro.serve.queue import (
     QueueClosed,
@@ -62,9 +65,9 @@ from repro.serve.queue import (
 )
 from repro.serve.records import RunRecorder
 from repro.serve.retry import RetryPolicy, classify_failure
-from repro.session import ResultStore, plan_entry
+from repro.session import ResultStore, plan_entry, plan_lanes, simulation_steps
 from repro.spec import SolveSpec, resolve_spec
-from repro.util.errors import ConfigurationError, picklesafe_error
+from repro.util.errors import ConfigurationError, picklesafe_error, unknown_name_error
 
 POOLS = ("thread", "process")
 
@@ -75,7 +78,6 @@ class ServiceConfig:
 
     n_workers: int = 4
     pool: str = "thread"
-    admission_window: float = 0.005
     cache_bytes: int = DEFAULT_CACHE_BYTES
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     jitter_seed: int | None = None
@@ -94,7 +96,6 @@ class ServiceConfig:
         return {
             "n_workers": self.n_workers,
             "pool": self.pool,
-            "admission_window": self.admission_window,
             "cache_bytes": self.cache_bytes,
             "retry": {
                 "max_attempts": self.retry.max_attempts,
@@ -112,27 +113,16 @@ class ServiceConfig:
 
 def _pool_solve(
     backend_name: str,
-    problem: SinglePhaseProblem,
-    spec: SolveSpec,
-    picklesafe: bool = False,
-) -> SolveResult:
-    try:
-        return get_backend(backend_name).solve(problem, spec)
-    except Exception as exc:
-        stand_in = picklesafe_error(exc) if picklesafe else exc
-        if stand_in is not exc:
-            raise stand_in from None
-        raise
-
-
-def _pool_solve_batch(
-    backend_name: str,
     problems: list[SinglePhaseProblem],
     spec: SolveSpec,
     picklesafe: bool = False,
 ) -> list[SolveResult]:
+    """One launch: ``solve`` for a lane of one, ``solve_batch`` for more."""
     try:
-        return get_backend(backend_name).solve_batch(problems, spec)
+        backend = get_backend(backend_name)
+        if len(problems) == 1:
+            return [backend.solve(problems[0], spec)]
+        return backend.solve_batch(problems, spec)
     except Exception as exc:
         stand_in = picklesafe_error(exc) if picklesafe else exc
         if stand_in is not exc:
@@ -141,7 +131,7 @@ def _pool_solve_batch(
 
 
 class SolveService:
-    """An admission-controlled, cache-first, retrying solve service."""
+    """A cache-first, lane-fusing, retrying solve service."""
 
     def __init__(
         self,
@@ -159,7 +149,13 @@ class SolveService:
                 f"as keyword options, not both (got config plus "
                 f"{', '.join(sorted(config_kwargs))})"
             )
-        self.config = config if config is not None else ServiceConfig(**config_kwargs)
+        if config is None:
+            known = [f.name for f in fields(ServiceConfig)]
+            for name in config_kwargs:
+                if name not in known:
+                    raise unknown_name_error("service option", name, known, "options")
+            config = ServiceConfig(**config_kwargs)
+        self.config = config
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store: ResultStore | None = store
@@ -173,7 +169,6 @@ class SolveService:
             records, run_id=run_id, config=self.config.to_dict(),
             metrics=self.metrics,
         )
-        self._admission = AdmissionController(window=self.config.admission_window)
         self._rng = Random(self.config.jitter_seed)
         self._queue: RequestQueue | None = None
         self._admission_task: asyncio.Task | None = None
@@ -181,11 +176,6 @@ class SolveService:
         self._inflight: dict[str, SolveRequest] = {}
         self._pool: concurrent.futures.Executor | None = None
         self._stream_pool: concurrent.futures.ThreadPoolExecutor | None = None
-        #: (stop, demand) per live stream bridge — close() trips these so
-        #: abandoned streams cannot deadlock the pool shutdown.
-        self._stream_bridges: set[
-            tuple[threading.Event, threading.Semaphore]
-        ] = set()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -238,13 +228,6 @@ class SolveService:
             await asyncio.gather(
                 *list(self._dispatch_tasks), return_exceptions=True
             )
-        # A stream the consumer abandoned mid-iteration leaves its
-        # producer thread parked on the demand semaphore until garbage
-        # collection finalizes the generator; trip every live bridge so
-        # the pool shutdown below cannot deadlock on it.
-        for stop, demand in list(self._stream_bridges):
-            stop.set()
-            demand.release()
         assert self._pool is not None and self._stream_pool is not None
         self._pool.shutdown(wait=True)
         self._stream_pool.shutdown(wait=True)
@@ -290,7 +273,7 @@ class SolveService:
             # target that fails to build raises here, before any record.
             request = SolveRequest(
                 entry=entry, problem=entry.build_problem(), future=future,
-                request_id=request_id, submitted_at=time.time(),
+                request_id=request_id,
             )
         self.recorder.record_submit(
             request_id,
@@ -328,21 +311,23 @@ class SolveService:
     ) -> AsyncIterator[StepResult]:
         """Stream a transient solve step by step, resumably.
 
-        Yields each :class:`~repro.backends.StepResult` as its
-        backward-Euler step completes (the backend's incremental
-        ``simulate`` generator runs on a worker thread, producing at most
-        one step ahead of consumption).  With a service ``store``, every
-        completed step persists into the fingerprint's step stack
-        *before* it is yielded — a stream killed mid-flight loses
-        nothing, and resubmitting the same request replays the stored
-        steps (``telemetry["from_store"]``) and resumes computing at the
-        first missing step.
+        Yields the steps of :func:`repro.session.simulation_steps` as the
+        consumer asks for them: each request advances the step source by
+        one step on a worker thread, so no step is computed ahead of its
+        consumer and stored steps load off the event loop too.  With a
+        service ``store``, every computed step persists into the
+        fingerprint's step stack *before* it is yielded — a stream
+        killed mid-flight loses nothing, and resubmitting the same
+        request replays the stored steps (``telemetry["from_store"]``)
+        and resumes computing at the first missing step.
         """
         self._require_started()
         solve_spec = resolve_spec(spec, options)
-        n_steps = solve_spec.require_time().n_steps
-        backend_obj = get_transient_backend(backend)
         entry = plan_entry(target, solve_spec, backend)
+        steps = simulation_steps(
+            target, solve_spec, backend, store=self.store, resume=resume,
+            fingerprint=entry.fingerprint,
+        )
         request_id = next_request_id()
         self.recorder.record_submit(
             request_id,
@@ -352,32 +337,26 @@ class SolveService:
             kind="stream",
         )
 
-        stored: list[StepResult] = []
-        if self.store is not None:
-            stored = self.store.resume_simulation(
-                entry.fingerprint, n_steps, resume=resume
-            )
-
+        loop = asyncio.get_running_loop()
         computed = 0
         resumed = 0
         outcome = "cancelled"
         error: Exception | None = None
         try:
-            for step in stored:
+            while True:
+                # next() with a default: a future cannot carry StopIteration.
+                step = await loop.run_in_executor(self._stream_pool, next, steps, None)
+                if step is None:
+                    break
                 # Count before the yield: a consumer that breaks suspends
                 # the generator there, and the post-yield line never runs.
-                resumed += 1
-                self.recorder.record_stream_steps(computed=0, resumed=1)
-                yield step
-            if len(stored) < n_steps:
-                async for step in self._produce_steps(
-                    backend_obj, entry.build_problem(), solve_spec, entry.fingerprint,
-                    start_step=len(stored),
-                    state=stored[-1].pressure if stored else None,
-                ):
+                if step.telemetry.get("from_store"):
+                    resumed += 1
+                    self.recorder.record_stream_steps(computed=0, resumed=1)
+                else:
                     computed += 1
                     self.recorder.record_stream_steps(computed=1, resumed=0)
-                    yield step
+                yield step
             outcome = "ok"
         except Exception as exc:
             outcome, error = "error", exc
@@ -393,133 +372,65 @@ class SolveService:
                 steps_computed=computed,
             )
 
-    async def _produce_steps(
-        self,
-        backend_obj: Any,
-        problem: SinglePhaseProblem,
-        spec: SolveSpec,
-        fingerprint: str,
-        *,
-        start_step: int,
-        state: Any,
-    ) -> AsyncIterator[StepResult]:
-        """Bridge the blocking step generator onto the event loop.
-
-        Demand-driven: a semaphore lets the producer thread compute at
-        most one step ahead of the consumer, so breaking out of the
-        stream stops the simulation instead of racing it to completion.
-        """
-        loop = asyncio.get_running_loop()
-        out: asyncio.Queue[tuple[str, Any]] = asyncio.Queue()
-        demand = threading.Semaphore(1)
-        stop = threading.Event()
-        store = self.store
-        meta = {
-            "backend": backend_obj.name,
-            "spec": spec.to_dict(),
-            "n_steps": spec.time.n_steps,
-        }
-
-        def produce() -> None:
-            try:
-                steps = backend_obj.simulate(
-                    problem, spec, start_step=start_step, state=state
-                )
-                while True:
-                    demand.acquire()
-                    if stop.is_set():
-                        return
-                    try:
-                        step = next(steps)
-                    except StopIteration:
-                        loop.call_soon_threadsafe(out.put_nowait, ("done", None))
-                        return
-                    if store is not None:
-                        store.save_simulation_step(fingerprint, step, meta=meta)
-                    loop.call_soon_threadsafe(out.put_nowait, ("step", step))
-            except Exception as exc:  # noqa: BLE001 - crosses the bridge
-                loop.call_soon_threadsafe(out.put_nowait, ("error", exc))
-
-        assert self._stream_pool is not None
-        bridge = (stop, demand)
-        self._stream_bridges.add(bridge)
-        producer = loop.run_in_executor(self._stream_pool, produce)
-        try:
-            while True:
-                kind, payload = await out.get()
-                if kind == "done":
-                    return
-                if kind == "error":
-                    raise payload
-                yield payload
-                demand.release()
-        finally:
-            stop.set()
-            demand.release()
-            self._stream_bridges.discard(bridge)
-            await producer
-
     # -- admission + dispatch -------------------------------------------------
 
     async def _admission_loop(self) -> None:
+        """Cut whatever is queued when the loop wakes into the lanes of
+        :func:`repro.session.plan_lanes` and dispatch them at once."""
         assert self._queue is not None
         while True:
             try:
-                lanes = await self._admission.collect(self._queue)
+                burst = await self._queue.get_batch()
             except QueueClosed:
                 return
-            for lane in lanes:
-                task = asyncio.create_task(self._dispatch_lane(lane))
+            for lane in plan_lanes([(r.entry, r.problem) for r in burst]):
+                task = asyncio.create_task(
+                    self._dispatch_lane([burst[i] for i in lane])
+                )
                 self._dispatch_tasks.add(task)
                 task.add_done_callback(self._dispatch_tasks.discard)
 
-    async def _dispatch_lane(self, lane: Lane) -> None:
-        if not lane.fused:
-            await asyncio.gather(
-                *(self._solve_with_retry(r) for r in lane.requests)
-            )
+    async def _dispatch_lane(self, lane: list[SolveRequest]) -> None:
+        if len(lane) == 1:
+            await self._solve_with_retry(lane[0])
             return
 
-        spec = lane.requests[0].entry.spec
-        backend = lane.requests[0].backend
-        problems = [r.problem for r in lane.requests]
-        self.recorder.record_launch(fused=True, size=lane.size)
+        size = len(lane)
+        self.recorder.record_launch(fused=True)
         start = time.perf_counter()
         try:
-            results = await self._run_in_pool(
-                _pool_solve_batch, backend, problems, spec
+            results = await self._launch(
+                lane[0].backend, [r.problem for r in lane], lane[0].entry.spec
             )
         except Exception as exc:  # noqa: BLE001 - classified below
             elapsed = time.perf_counter() - start
             category = classify_failure(exc)
-            for index, request in enumerate(lane.requests):
+            for index, request in enumerate(lane):
                 request.attempts += 1
                 self.recorder.record_attempt(
                     request.request_id,
                     fingerprint=request.fingerprint,
                     attempt=request.attempts,
                     outcome="error",
-                    lane={"size": lane.size, "lane": index, "fused": True},
+                    lane={"size": size, "lane": index, "fused": True},
                     category=category,
                     error=f"{type(exc).__name__}: {exc}",
-                    elapsed_seconds=elapsed / lane.size,
+                    elapsed_seconds=elapsed / size,
                 )
             # Un-fuse: each member retries solo so one poisoned lane
             # cannot take down its batch peers.
-            await asyncio.gather(
-                *(self._solve_with_retry(r) for r in lane.requests)
-            )
+            await asyncio.gather(*(self._solve_with_retry(r) for r in lane))
             return
         elapsed = time.perf_counter() - start
-        for index, (request, result) in enumerate(zip(lane.requests, results)):
+        for index, (request, result) in enumerate(zip(lane, results)):
             request.attempts += 1
             self.recorder.record_attempt(
                 request.request_id,
                 fingerprint=request.fingerprint,
                 attempt=request.attempts,
                 outcome="ok",
-                lane={"size": lane.size, "lane": index, "fused": True},
-                elapsed_seconds=elapsed / lane.size,
+                lane={"size": size, "lane": index, "fused": True},
+                elapsed_seconds=elapsed / size,
             )
             self._complete(request, result)
 
@@ -530,9 +441,8 @@ class SolveService:
             self.recorder.record_launch(fused=False)
             start = time.perf_counter()
             try:
-                result = await self._run_in_pool(
-                    _pool_solve, request.backend, request.problem,
-                    request.entry.spec,
+                [result] = await self._launch(
+                    request.backend, [request.problem], request.entry.spec
                 )
             except Exception as exc:  # noqa: BLE001 - classified below
                 elapsed = time.perf_counter() - start
@@ -570,13 +480,18 @@ class SolveService:
             self._complete(request, result)
             return
 
-    async def _run_in_pool(self, fn: Any, *args: Any) -> Any:
+    async def _launch(
+        self, backend: str, problems: list[SinglePhaseProblem], spec: SolveSpec
+    ) -> list[SolveResult]:
+        """Run one launch (:func:`_pool_solve`) on the worker pool."""
         assert self._pool is not None
-        picklesafe = self.config.pool == "process"
         # functools.partial of a module-level callable stays picklable
         # for the process pool; a lambda would not.
         return await asyncio.get_running_loop().run_in_executor(
-            self._pool, functools.partial(fn, *args, picklesafe)
+            self._pool,
+            functools.partial(
+                _pool_solve, backend, problems, spec, self.config.pool == "process"
+            ),
         )
 
     def _complete(self, request: SolveRequest, result: SolveResult) -> None:

@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.backends import SolveResult, StepResult, get_backend
+from repro.backends import SolveResult, StepResult, get_backend, get_transient_backend
 from repro.physics.darcy import SinglePhaseProblem
 from repro.scenarios.base import Scenario, scenario as _bind_scenario
 from repro.spec import SolveSpec, coerce_spec
@@ -499,7 +499,7 @@ class ResultStore:
         """The stored steps a run of ``n_steps`` restarts after: the
         persisted prefix, at most ``n_steps`` long.  ``resume=False``
         clears the stack instead and returns no steps.  The one resume
-        rule of ``repro.simulate(store=...)`` and ``SolveService.stream``.
+        rule, read by :func:`simulation_steps`.
         """
         if not resume:
             self.clear_simulation(fingerprint)
@@ -758,7 +758,7 @@ def plan_lanes(
     except the target, so one key means "these can share a launch".
     An item whose backend cannot batch its spec gets a lane of its own,
     and a lane of one member runs solo.  Both ``executor="batched"`` and
-    the service's admission controller dispatch exactly these lanes;
+    the service's admission loop dispatch exactly these lanes;
     ``machine.batch_size`` chunking happens inside ``solve_batch``.
     """
     fingerprints: dict[int, str] = {}  # plans share spec objects; hash once
@@ -883,8 +883,60 @@ def plan_entry(
 def entry_fingerprint(target: Any, spec: SolveSpec, backend: str) -> str:
     """The content identity of one (target, spec, backend) entry — the
     :func:`plan_entry` digest, usable standalone (e.g. by
-    ``repro.simulate``'s store/resume path)."""
+    :func:`simulation_steps`' store/resume path)."""
     return plan_entry(target, spec, backend).fingerprint
+
+
+def simulation_steps(
+    target: Any,
+    spec: SolveSpec,
+    backend: str,
+    *,
+    store: ResultStore | str | Path | None = None,
+    resume: bool = True,
+    fingerprint: str | None = None,
+) -> Iterator[StepResult]:
+    """The one step source of a transient solve: ``repro.simulate``,
+    ``repro.simulate_steps`` and ``SolveService.stream`` all iterate it.
+
+    The call checks the target, the spec's time schedule and that the
+    backend can step; the steps then come one per ``next``.  With a
+    ``store`` it first yields the stored prefix of the entry's step
+    stack (:meth:`ResultStore.resume_simulation`; ``resume=False``
+    clears the stack instead), then computes each missing step,
+    warm-started from the last stored pressure, and saves it before
+    yielding it, so a run cut anywhere resumes at its first missing
+    step.  The problem is built only when a step remains to compute.
+    ``fingerprint`` is the entry's :func:`entry_fingerprint` when the
+    caller already holds it; a run without a store computes none.
+    """
+    n_steps = spec.require_time().n_steps
+    stepper = get_transient_backend(backend)
+    scenario, problem = resolve_target(target)
+    if store is not None:
+        if not isinstance(store, ResultStore):
+            store = ResultStore(store)
+        if fingerprint is None:
+            fingerprint = entry_fingerprint(target, spec, backend)
+
+    def steps() -> Iterator[StepResult]:
+        stored = [] if store is None else store.resume_simulation(
+            fingerprint, n_steps, resume=resume
+        )
+        yield from stored
+        if len(stored) == n_steps:
+            return
+        meta = {"backend": backend, "spec": spec.to_dict(), "n_steps": n_steps}
+        for step in stepper.simulate(
+            scenario.build() if problem is None else problem, spec,
+            start_step=len(stored),
+            state=stored[-1].pressure if stored else None,
+        ):
+            if store is not None:
+                store.save_simulation_step(fingerprint, step, meta=meta)
+            yield step
+
+    return steps()
 
 
 def _digest(payload: Mapping[str, Any]) -> str:
@@ -903,4 +955,5 @@ __all__ = [
     "plan_entry",
     "plan_lanes",
     "resolve_target",
+    "simulation_steps",
 ]

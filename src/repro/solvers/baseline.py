@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.solvers.cg import CGResult
+from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR, CGResult
 from repro.util.errors import ConvergenceError
 
 
@@ -19,8 +19,8 @@ def scipy_cg_baseline(
     b: np.ndarray,
     *,
     x0: np.ndarray | None = None,
-    tol_rtr: float = 2e-10,
-    max_iters: int = 10_000,
+    tol_rtr: float = PAPER_TOLERANCE_RTR,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CGResult:
     """Solve with :func:`scipy.sparse.linalg.cg`, paper-style tolerance.
 

@@ -25,6 +25,9 @@ from repro.util.errors import ConvergenceError, ValidationError
 #: The paper's convergence tolerance on ``r^T r`` (§V-C).
 PAPER_TOLERANCE_RTR = 2e-10
 
+#: The iteration cap every CG path defaults to.
+DEFAULT_MAX_ITERS = 10_000
+
 #: CG iterations to convergence reported by the paper (Table III).
 PAPER_ITERATIONS = 225
 
@@ -64,7 +67,7 @@ def conjugate_gradient(
     *,
     tol_rtr: float = PAPER_TOLERANCE_RTR,
     rel_tol: float | None = None,
-    max_iters: int = 10_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     callback: Callable[[int, float], None] | None = None,
     raise_on_fail: bool = False,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,

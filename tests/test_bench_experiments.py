@@ -1,9 +1,9 @@
 """Tests for the benchmark-harness experiment definitions.
 
 These pin the *reproduction claims*: each table/figure generator must
-match the paper's published values within the documented tolerances (see
-EXPERIMENTS.md).  The heavyweight simulator-based ablations have their own
-assertions inside `benchmarks/`; here we test the pure-model paths.
+match the paper's published values within the tolerances asserted here.
+The heavyweight simulator-based ablations have their own assertions
+inside `benchmarks/`; here we test the pure-model paths.
 """
 
 import numpy as np

@@ -2,10 +2,10 @@
 
 Covers the metrics registry and its Prometheus rendering, RFC 6455
 framing fed at awkward byte offsets, the wire codecs (including the
-bit-exact SolveResult round trip), the admission window, the
-multi-writer-safe ResultStore, and end-to-end HTTP/WebSocket exchanges
-against a live gateway — including a connection killed mid-transient
-that resumes over the wire, and the three-surface counter agreement
+bit-exact SolveResult round trip), the multi-writer-safe ResultStore,
+and end-to-end HTTP/WebSocket exchanges against a live gateway —
+including a connection killed mid-transient that resumes over the
+wire, and the three-surface counter agreement
 (``/metrics`` == ``stats()`` == ``run.json``).
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -34,15 +33,8 @@ from repro.net import wire
 from repro.net.metrics import SUMMARY_METRICS
 from repro.net.server import Gateway
 from repro.scenarios.base import scenario
-from repro.serve import (
-    AdmissionController,
-    RequestQueue,
-    SolveRequest,
-    SolveService,
-    load_run_record,
-)
+from repro.serve import SolveService, load_run_record
 from repro.serve.records import SUMMARY_COUNTERS
-from repro.serve.service import ServiceConfig
 from repro.session import ResultStore, plan_entry
 from repro.spec import SolveSpec
 from repro.util.errors import ConfigurationError
@@ -259,61 +251,6 @@ class TestWireCodecs:
         assert wire.status_for_error(RuntimeError("x")) == 500
 
 
-# -- the admission window ----------------------------------------------------
-
-
-def _request(problem, *, backend="wse", spec=SPEC, age=0.0):
-    entry = plan_entry(problem, spec, backend)
-    return SolveRequest(
-        entry=entry, problem=problem, future=None,
-        submitted_at=time.time() - age,
-    )
-
-
-class TestSpeculativeAdmission:
-    def test_fresh_burst_keeps_the_window(self):
-        controller = AdmissionController(window=0.01)
-        linger = controller.linger_for([_request(make_problem(3, 3, 2))])
-        assert linger == pytest.approx(0.01, abs=0.005)
-
-    def test_stale_burst_launches_immediately(self):
-        controller = AdmissionController(window=0.05)
-        linger = controller.linger_for(
-            [_request(make_problem(3, 3, 2), age=10.0)]
-        )
-        assert linger == 0.0
-
-    def test_oldest_member_governs(self):
-        controller = AdmissionController(window=0.2)
-        burst = [
-            _request(make_problem(3, 3, 2), age=0.0),
-            _request(make_problem(4, 3, 2), age=0.15),
-        ]
-        assert controller.linger_for(burst) == pytest.approx(0.05, abs=0.02)
-
-    def test_stale_lane_never_waits_a_full_window(self):
-        # With an absurd 10 s window, a request that has already waited
-        # past its window must dispatch without lingering.
-        async def scenario_run():
-            controller = AdmissionController(window=10.0)
-            queue = RequestQueue()
-            queue.put(_request(make_problem(3, 3, 2), age=11.0))
-            start = time.perf_counter()
-            lanes = await asyncio.wait_for(controller.collect(queue), timeout=2.0)
-            elapsed = time.perf_counter() - start
-            assert elapsed < 1.0, f"stale lane lingered {elapsed:.2f}s"
-            assert sum(lane.size for lane in lanes) == 1
-
-        run(scenario_run())
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdmissionController(window=-1.0)
-        assert ServiceConfig(admission_window=0.1).to_dict()[
-            "admission_window"
-        ] == 0.1
-
-
 # -- multi-writer ResultStore -------------------------------------------------
 
 
@@ -450,7 +387,7 @@ def _client_thread(fn, *args):
 class TestGatewayHttp:
     def test_solve_over_the_wire_matches_in_process(self):
         async def main():
-            async with SolveService(admission_window=0.001) as service:
+            async with SolveService() as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -466,7 +403,7 @@ class TestGatewayHttp:
 
     def test_etag_304_and_cache_hit(self):
         async def main():
-            async with SolveService(admission_window=0.001) as service:
+            async with SolveService() as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -499,7 +436,7 @@ class TestGatewayHttp:
 
     def test_error_surfaces_typed(self):
         async def main():
-            async with SolveService(admission_window=0.001) as service:
+            async with SolveService() as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -532,7 +469,7 @@ class TestGatewayHttp:
 
     def test_concurrent_clients_dedup_to_one_solve(self):
         async def main():
-            async with SolveService(admission_window=0.02) as service:
+            async with SolveService() as service:
                 async with Gateway(service) as gateway:
                     def one(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -561,7 +498,7 @@ class TestGatewayHttp:
     def test_healthz_and_metrics_agree_with_stats(self, tmp_path):
         async def main():
             async with SolveService(
-                records=tmp_path, run_id="agree", admission_window=0.001
+                records=tmp_path, run_id="agree"
             ) as service:
                 async with Gateway(service) as gateway:
                     def work(port):
@@ -593,9 +530,7 @@ class TestGatewayStream:
 
     def test_stream_matches_in_process_simulate(self, tmp_path):
         async def main():
-            async with SolveService(
-                store=tmp_path, admission_window=0.001
-            ) as service:
+            async with SolveService(store=tmp_path) as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -615,9 +550,7 @@ class TestGatewayStream:
 
     def test_second_stream_resumes_from_store(self, tmp_path):
         async def main():
-            async with SolveService(
-                store=tmp_path, admission_window=0.001
-            ) as service:
+            async with SolveService(store=tmp_path) as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -662,9 +595,7 @@ class TestGatewayStream:
         monkeypatch.setattr(backend, "simulate", held)
 
         async def main():
-            async with SolveService(
-                store=tmp_path, admission_window=0.001
-            ) as service:
+            async with SolveService(store=tmp_path) as service:
                 async with Gateway(service) as gateway:
                     seen: list[int] = []
                     proceed = threading.Event()
@@ -705,7 +636,7 @@ class TestGatewayStream:
 
     def test_plain_get_on_stream_route_is_426(self):
         async def main():
-            async with SolveService(admission_window=0.001) as service:
+            async with SolveService() as service:
                 async with Gateway(service) as gateway:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -725,9 +656,7 @@ class TestMultiGatewaySharedStore:
         # Two services (think: two gateway processes) over one store
         # root; the second must answer from the store tier, not resolve.
         async def main():
-            async with SolveService(
-                store=tmp_path / "shared", admission_window=0.001
-            ) as service_a:
+            async with SolveService(store=tmp_path / "shared") as service_a:
                 async with Gateway(service_a) as gateway_a:
                     def work(port):
                         with GatewayClient("127.0.0.1", port) as client:
@@ -735,9 +664,7 @@ class TestMultiGatewaySharedStore:
                                 SCENARIO, backend="reference", spec=SPEC
                             )
                     first = await _client_thread(work, gateway_a.port)
-            async with SolveService(
-                store=tmp_path / "shared", admission_window=0.001
-            ) as service_b:
+            async with SolveService(store=tmp_path / "shared") as service_b:
                 async with Gateway(service_b) as gateway_b:
                     second = await _client_thread(work, gateway_b.port)
                     stats = service_b.stats()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import repro
 from helpers import make_problem
 from repro.backends import register_backend, unregister_backend
 from repro.serve import (
-    AdmissionController,
     QueueClosed,
     RequestQueue,
     ResultCache,
@@ -30,7 +30,7 @@ from repro.serve import (
     load_attempts,
     load_run_record,
 )
-from repro.session import ResultStore, plan_entry
+from repro.session import ResultStore, plan_entry, plan_lanes
 from repro.spec import SolveSpec
 from repro.util.errors import (
     ConfigurationError,
@@ -162,7 +162,7 @@ class TestServiceRetries:
 
         async def main():
             async with SolveService(
-                records=tmp_path / "runs", retry=policy, admission_window=0
+                records=tmp_path / "runs", retry=policy
             ) as svc:
                 result = await svc.submit(
                     make_problem(3, 3, 2), backend="flaky-backend", spec=SPEC
@@ -201,9 +201,7 @@ class TestServiceRetries:
         fake_backend(TooBig)
 
         async def main():
-            async with SolveService(
-                records=tmp_path / "runs", admission_window=0
-            ) as svc:
+            async with SolveService(records=tmp_path / "runs") as svc:
                 with pytest.raises(PeOutOfMemory):
                     await svc.submit(
                         make_problem(3, 3, 2), backend="toobig-backend",
@@ -234,7 +232,7 @@ class TestServiceRetries:
         policy = RetryPolicy(max_attempts=2, backoff_base=0.001, jitter=0.0)
 
         async def main():
-            async with SolveService(retry=policy, admission_window=0) as svc:
+            async with SolveService(retry=policy) as svc:
                 with pytest.raises(ConvergenceError):
                     await svc.submit(
                         make_problem(3, 3, 2), backend="alwaysflaky-backend",
@@ -264,7 +262,7 @@ class TestServiceRetries:
 
         async def main():
             async with SolveService(
-                records=tmp_path / "runs", admission_window=0.02,
+                records=tmp_path / "runs",
                 retry=RetryPolicy(backoff_base=0.001, jitter=0.0),
             ) as svc:
                 futs = [
@@ -302,31 +300,32 @@ def _request(problem, *, backend="wse", spec=SPEC):
     return SolveRequest(entry=entry, problem=problem, future=future)
 
 
+def _item(problem, *, backend="wse", spec=SPEC):
+    """One queued request as the admission loop hands it to plan_lanes."""
+    return plan_entry(problem, spec, backend), problem
+
+
 class TestAdmission:
+    """The admission loop dispatches the lanes of ``plan_lanes`` over the
+    queued ``(entry, problem)`` items; these pin that rule directly."""
+
     def test_same_key_requests_fuse_into_one_lane(self):
         spec = SPEC.with_options(engine="vectorized")
-        requests = [
-            _request(make_problem(4, 3, 2, seed=s), spec=spec) for s in range(3)
-        ]
-        [lane] = AdmissionController().partition(requests)
-        assert lane.fused and lane.size == 3
+        items = [_item(make_problem(4, 3, 2, seed=s), spec=spec) for s in range(3)]
+        assert plan_lanes(items) == [[0, 1, 2]]
 
     def test_shape_and_backend_split_lanes(self):
-        requests = [
-            _request(make_problem(4, 3, 2)),
-            _request(make_problem(5, 3, 2)),            # different shape
-            _request(make_problem(4, 3, 2), backend="gpu"),  # different backend
+        items = [
+            _item(make_problem(4, 3, 2)),
+            _item(make_problem(5, 3, 2)),            # different shape
+            _item(make_problem(4, 3, 2), backend="gpu"),  # different backend
         ]
-        lanes = AdmissionController().partition(requests)
-        assert len(lanes) == 3 and not any(lane.fused for lane in lanes)
+        assert plan_lanes(items) == [[0], [1], [2]]
 
     def test_event_engine_never_fuses(self):
         spec = SolveSpec.from_kwargs(engine="event")
-        requests = [
-            _request(make_problem(3, 3, 2, seed=s), spec=spec) for s in range(2)
-        ]
-        lanes = AdmissionController().partition(requests)
-        assert len(lanes) == 2 and not any(lane.fused for lane in lanes)
+        items = [_item(make_problem(3, 3, 2, seed=s), spec=spec) for s in range(2)]
+        assert plan_lanes(items) == [[0], [1]]
 
     def test_unset_wse_engine_fuses_like_fused(self):
         # An unset engine resolves to the default "fused" before the
@@ -334,14 +333,37 @@ class TestAdmission:
         # one key and fuse into one lane.
         problems = [make_problem(3, 3, 2, seed=s) for s in range(3)]
         explicit = SPEC.with_options(engine="fused")
-        requests = [
-            _request(problems[0]),
-            _request(problems[1], spec=explicit),
-            _request(problems[2]),
+        items = [
+            _item(problems[0]),
+            _item(problems[1], spec=explicit),
+            _item(problems[2]),
         ]
-        assert requests[0].entry.spec == requests[1].entry.spec
-        [lane] = AdmissionController().partition(requests)
-        assert lane.fused and lane.size == 3
+        assert items[0][0].spec == items[1][0].spec
+        assert plan_lanes(items) == [[0, 1, 2]]
+
+    def test_lone_submit_dispatches_without_sleeping(self, tmp_path, monkeypatch):
+        """A request with no peer is dispatched when the admission loop
+        wakes: nothing on the way to its attempt sleeps."""
+        sleeps: list[float] = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def main():
+            async with SolveService(records=tmp_path / "runs") as svc:
+                result = await svc.submit(
+                    make_problem(3, 3, 2), backend="reference", spec=SPEC
+                )
+                return result, svc.recorder.run_dir
+
+        result, run_dir = run(main())
+        assert result.converged
+        assert [a["outcome"] for a in load_attempts(run_dir)] == ["ok"]
+        assert sleeps == []
 
 
 class TestRequestQueue:
@@ -672,9 +694,7 @@ class TestRunRecords:
         transient = SPEC.with_options(n_steps=2, dt=1.0)
 
         async def main():
-            async with SolveService(
-                records=tmp_path / "runs", admission_window=0.02
-            ) as svc:
+            async with SolveService(records=tmp_path / "runs") as svc:
                 # A primary and its dedup follower, then a memory hit.
                 await asyncio.gather(
                     svc.submit(problem, backend="reference", spec=SPEC),
@@ -727,7 +747,6 @@ class TestServiceEndToEnd:
         async def main():
             async with SolveService(
                 store=tmp_path / "cache", records=tmp_path / "runs",
-                admission_window=0.02,
             ) as svc:
                 futures = [
                     svc.submit(problems[i % 8], backend="wse", spec=spec)
@@ -759,7 +778,7 @@ class TestServiceEndToEnd:
             )
 
     def test_unset_engine_requests_match_solo_solves(self, tmp_path):
-        """Two unset-engine wse requests in one admission window resolve
+        """Two unset-engine wse requests queued on one loop turn resolve
         to the default fused engine and share one batched launch; each
         answer is still exactly ``repro.solve`` of the same target and
         spec (a ``batched_fused`` lane is bitwise the solo ``fused``
@@ -770,9 +789,7 @@ class TestServiceEndToEnd:
         ]
 
         async def main():
-            async with SolveService(
-                records=tmp_path / "runs", admission_window=0.05,
-            ) as svc:
+            async with SolveService(records=tmp_path / "runs") as svc:
                 futures = [
                     svc.submit(t, backend="wse", spec=SPEC) for t in targets
                 ]
@@ -879,6 +896,55 @@ class TestServiceEndToEnd:
             sim.steps[-1].pressure, steps[-1].pressure, rtol=1e-6
         )
 
+    def test_abandoned_stream_computes_nothing_past_its_consumer(self, tmp_path):
+        """A consumer that stops after step 1 leaves step 1 stored and
+        nothing else, and closing the service leaves no stream thread."""
+        target = repro.scenario("quarter_five_spot", nx=6, ny=6, nz=2)
+        spec = SolveSpec.from_kwargs(n_steps=3, dt=1.0, rel_tol=1e-7)
+
+        async def main():
+            svc = await SolveService(store=tmp_path).start()
+            first = await svc.stream(target, backend="wse", spec=spec).__anext__()
+            await svc.close()
+            return first
+
+        assert run(main()).step == 1
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-serve-stream")
+        ]
+        fingerprint = plan_entry(target, spec, "wse").fingerprint
+        assert ResultStore(tmp_path).simulation_steps_completed(fingerprint) == 1
+
+    def test_torn_stored_prefix_fails_the_stream_on_the_record(self, tmp_path):
+        """A stored step that does not load fails the stream with one
+        terminal ``"error"`` record, like any other stream failure."""
+        target = repro.scenario("quarter_five_spot", nx=6, ny=6, nz=2)
+        spec = SolveSpec.from_kwargs(n_steps=3, dt=1.0, rel_tol=1e-7)
+        fingerprint = plan_entry(target, spec, "wse").fingerprint
+
+        async def main():
+            async with SolveService(
+                store=tmp_path / "cache", records=tmp_path / "runs"
+            ) as svc:
+                stream = svc.stream(target, backend="wse", spec=spec)
+                async for step in stream:
+                    if step.step == 2:
+                        break
+                await stream.aclose()
+                step_file = tmp_path / "cache" / f"{fingerprint}.steps" / "00002.npz"
+                step_file.write_bytes(b"not an npz")
+                with pytest.raises(ValueError):
+                    async for _ in svc.stream(target, backend="wse", spec=spec):
+                        pass
+                return svc.recorder.run_dir
+
+        record = load_run_record(run(main()))
+        assert [r["outcome"] for r in record["requests"].values()] == [
+            "cancelled", "error",
+        ]
+        assert record["summary"]["failed"] == 1
+
     def test_stream_parity_with_simulate_cold(self, tmp_path):
         problem = make_problem(3, 3, 2)
         spec = SolveSpec.from_kwargs(n_steps=3, dt=1.0, rel_tol=1e-7)
@@ -899,9 +965,7 @@ class TestServiceEndToEnd:
 
     def test_process_pool_runs_and_leaves_no_orphans(self):
         async def main():
-            async with SolveService(
-                pool="process", n_workers=2, admission_window=0.01
-            ) as svc:
+            async with SolveService(pool="process", n_workers=2) as svc:
                 futures = [
                     svc.submit("quarter_five_spot", backend="reference"),
                     svc.submit("layered_reservoir", backend="wse"),
@@ -933,6 +997,20 @@ class TestServiceGuards:
                     svc.submit("quarter_five_spot", backend="nope")
 
         run(main())
+
+    def test_unknown_option_names_the_closest(self):
+        with pytest.raises(ConfigurationError, match="did you mean 'n_workers'"):
+            SolveService(n_worker=2)
+
+    def test_admission_window_is_an_unknown_option(self):
+        from repro.net import serve_forever
+
+        with pytest.raises(
+            ConfigurationError, match="unknown service option 'admission_window'"
+        ):
+            SolveService(admission_window=0.005)
+        with pytest.raises(ConfigurationError, match="unknown service option"):
+            serve_forever(admission_window=0.005)
 
     def test_stream_requires_time_and_transient_backend(self):
         async def main():

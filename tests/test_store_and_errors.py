@@ -316,7 +316,7 @@ class TestErrorPickling:
             # The service's process-pool worker applies the same rule.
             with pytest.raises(RuntimeError) as raised:
                 _pool_solve(
-                    ExplodingBackend.name, make_problem(3, 3, 2), REF_SPEC,
+                    ExplodingBackend.name, [make_problem(3, 3, 2)], REF_SPEC,
                     picklesafe=True,
                 )
             clone = pickle.loads(pickle.dumps(raised.value))
