@@ -33,23 +33,14 @@ from repro.backends import (
     get_transient_backend,
 )
 from repro.physics.darcy import SinglePhaseProblem
-from repro.scenarios.base import Scenario, scenario as _bind_scenario
-from repro.session import Session, simulation_steps
+from repro.session import Session, resolve_target, simulation_steps
 from repro.spec import resolve_spec
 from repro.util.errors import ConfigurationError, SolveErrorGroup
 
 
 def _resolve_problem(target: Any) -> SinglePhaseProblem:
-    if isinstance(target, SinglePhaseProblem):
-        return target
-    if isinstance(target, Scenario):
-        return target.build()
-    if isinstance(target, str):
-        return _bind_scenario(target).build()
-    raise ConfigurationError(
-        f"cannot solve {target!r}: expected a SinglePhaseProblem, a "
-        f"Scenario, or a registered scenario name"
-    )
+    scenario, problem = resolve_target(target)
+    return scenario.build() if problem is None else problem
 
 
 def solve(
@@ -170,7 +161,8 @@ def simulate_steps(
     The lazy sibling of :func:`simulate`: yields each
     :class:`~repro.backends.StepResult` as its backward-Euler step
     completes, so monitors can watch the pressure front move without
-    holding the whole stack.
+    holding the whole stack.  The problem is built, and a failing
+    build raises, on the first ``next``.
     """
     return simulation_steps(target, resolve_spec(spec, options), backend)
 

@@ -325,8 +325,7 @@ class SolveService:
         solve_spec = resolve_spec(spec, options)
         entry = plan_entry(target, solve_spec, backend)
         steps = simulation_steps(
-            target, solve_spec, backend, store=self.store, resume=resume,
-            fingerprint=entry.fingerprint,
+            target, solve_spec, backend, store=self.store, resume=resume
         )
         request_id = next_request_id()
         self.recorder.record_submit(

@@ -833,7 +833,8 @@ class Session:
 
 
 def resolve_target(target: Any) -> tuple[Scenario | None, SinglePhaseProblem | None]:
-    """Normalize a plan/simulate target into (scenario, problem)."""
+    """Normalize a target into (scenario, problem): the one resolver of
+    every front door (solve, plan, simulate and the service)."""
     if isinstance(target, SinglePhaseProblem):
         return None, target
     if isinstance(target, Scenario):
@@ -894,21 +895,21 @@ def simulation_steps(
     *,
     store: ResultStore | str | Path | None = None,
     resume: bool = True,
-    fingerprint: str | None = None,
 ) -> Iterator[StepResult]:
     """The one step source of a transient solve: ``repro.simulate``,
     ``repro.simulate_steps`` and ``SolveService.stream`` all iterate it.
 
-    The call checks the target, the spec's time schedule and that the
-    backend can step; the steps then come one per ``next``.  With a
+    The call checks the spec's time schedule and that the backend can
+    step, and resolves the target (a bad type or an unknown scenario
+    name raises here); the steps then come one per ``next``.  With a
     ``store`` it first yields the stored prefix of the entry's step
     stack (:meth:`ResultStore.resume_simulation`; ``resume=False``
     clears the stack instead), then computes each missing step,
     warm-started from the last stored pressure, and saves it before
     yielding it, so a run cut anywhere resumes at its first missing
-    step.  The problem is built only when a step remains to compute.
-    ``fingerprint`` is the entry's :func:`entry_fingerprint` when the
-    caller already holds it; a run without a store computes none.
+    step.  The problem is built only when a step remains to compute, so
+    a scenario whose build fails raises on the first ``next`` that must
+    compute.  A run without a store computes no fingerprint.
     """
     n_steps = spec.require_time().n_steps
     stepper = get_transient_backend(backend)
@@ -916,8 +917,7 @@ def simulation_steps(
     if store is not None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
-        if fingerprint is None:
-            fingerprint = entry_fingerprint(target, spec, backend)
+        fingerprint = entry_fingerprint(target, spec, backend)
 
     def steps() -> Iterator[StepResult]:
         stored = [] if store is None else store.resume_simulation(

@@ -322,7 +322,7 @@ class TestFrontDoor:
         assert result.pressure.shape == (16, 16, 8)
 
     def test_solve_rejects_junk_target(self):
-        with pytest.raises(ConfigurationError, match="cannot solve"):
+        with pytest.raises(ConfigurationError, match="cannot plan"):
             repro.solve(42)
 
     def test_solve_many_preserves_order(self):

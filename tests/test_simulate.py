@@ -13,7 +13,7 @@ import repro
 from repro.backends import SimulationResult, StepResult
 from repro.session import entry_fingerprint
 from repro.spec import SolveSpec, TimeSpec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from repro.wse.specs import WSE2
 
 SPEC = WSE2.with_fabric(8, 8)
@@ -156,6 +156,15 @@ class TestSimulateAPI:
         first = next(stream)
         assert isinstance(first, StepResult)
         assert first.step == 1 and first.time == 1.0
+
+    def test_a_failing_build_raises_on_the_first_step(self):
+        # The problem is built only when a step must be computed, so a bad
+        # scenario parameter surfaces on the first next(), not at the call.
+        stream = repro.simulate_steps(
+            repro.scenario("quarter_five_spot", nx=-1), n_steps=1, dt=1.0
+        )
+        with pytest.raises(ValidationError, match="grid dims"):
+            next(stream)
 
     def test_steps_carry_schedule_metadata(self, problem):
         sim = repro.simulate(problem, n_steps=3, dt=(1.0, 2.0, 4.0))
