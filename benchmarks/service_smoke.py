@@ -6,14 +6,18 @@ Usage::
 
 Boots a :class:`repro.serve.SolveService` three times — once on a
 process worker pool with a steady-state fan-out (many requests, few
-distinct specs), then on a thread pool with a transient streaming
-request and with a stream abandoned after its first step — and asserts
-the service-level invariants a deployment cares about:
+distinct specs) followed by a request whose backend kills its worker,
+then on a thread pool with a transient streaming request and with a
+stream abandoned after its first step — and asserts the service-level
+invariants a deployment cares about:
 
 * every request resolves and duplicates are answered from dedup/cache
   (the fan-out's cache-hit ratio must reflect ``requests >> distinct``);
 * fused batched launches actually happen for compatible requests
   submitted on one loop turn;
+* a killed worker fails only its own request (after two attempts), the
+  broken pool is replaced and the next request is answered, and the
+  run record holds one terminal outcome per request;
 * a stream computes a step only when its consumer asks for it: the
   abandoned stream leaves exactly one step in the store;
 * the durable run record (``run.json`` / ``attempts.jsonl``) agrees with
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import pathlib
 import sys
 import tempfile
@@ -38,11 +43,28 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
+from repro.backends import register_backend  # noqa: E402
 from repro.serve import SolveService, load_run_record  # noqa: E402
 from repro.session import ResultStore, plan_entry  # noqa: E402
 
 REQUESTS = 24
 DISTINCT = 6
+
+
+class WorkerKiller:
+    """A backend whose solve ends the pool worker running it."""
+
+    name = "smoke-worker-killer"
+
+    def solve(self, problem, spec=None):
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("only a pool worker may be killed")
+        os._exit(1)
+
+
+# Registered at import, so that pool workers have it under every start
+# method: spawn and forkserver workers import this script again.
+register_backend(WorkerKiller(), overwrite=True)
 
 
 def check(condition: bool, message: str) -> None:
@@ -73,6 +95,17 @@ async def steady_fanout(records_root: str) -> None:
         stats = service.stats()
         run_dir = service.recorder.run_dir
 
+        try:
+            await service.submit(scenarios[0], backend=WorkerKiller.name)
+            killed = None
+        except Exception as exc:  # noqa: BLE001 - checked below
+            killed = exc
+        after_kill = await service.submit(
+            repro.scenario("quarter_five_spot", nx=8, ny=8, nz=2),
+            backend="wse", spec=spec,
+        )
+        final = service.stats()
+
     check(len(results) == REQUESTS and all(r.converged for r in results),
           f"all {REQUESTS} steady requests resolved and converged")
     check(stats["executed"] == DISTINCT,
@@ -84,10 +117,25 @@ async def steady_fanout(records_root: str) -> None:
     check(abs(stats["cache_hit_ratio"] - expected_ratio) < 1e-9,
           f"cache-hit ratio {stats['cache_hit_ratio']:.2f} matches "
           f"requests>>distinct ({expected_ratio:.2f})")
+    check(type(killed).__name__ == "BrokenProcessPool"
+          and final["retries"] == 1 and final["failed"] == 1,
+          f"a killed worker failed its own request after two attempts "
+          f"({type(killed).__name__})")
+    check(after_kill.converged,
+          "the broken pool was replaced: the next request was answered")
     record = load_run_record(run_dir)
-    check(record["summary"]["submitted"] == REQUESTS
-          and record["summary"]["failed"] == 0,
+    summary = record["summary"]
+    check(all(summary[k] == final[k] for k in ("submitted", "executed", "failed"))
+          and summary["submitted"] == REQUESTS + 2,
           "durable run.json agrees with the service accounting")
+    # The record keys requests by id, so count the lines too: a second
+    # terminal line for one request would collapse into the first.
+    lines = (run_dir / "requests.jsonl").read_text().splitlines()
+    outcomes = [r["outcome"] for r in record["requests"].values()]
+    check(len(lines) == len(outcomes) == REQUESTS + 2
+          and outcomes.count("ok") == REQUESTS + 1
+          and outcomes.count("error") == 1,
+          "one terminal outcome per request in the run record")
 
 
 async def transient_stream() -> None:

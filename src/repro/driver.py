@@ -1,4 +1,6 @@
-"""Top-level solve entry points: ``repro.solve`` and ``repro.solve_many``.
+"""Top-level entry points: ``repro.solve`` and ``repro.solve_many`` for
+steady solves, ``repro.simulate``, ``repro.simulate_steps`` and
+``repro.simulate_many`` for transient ones.
 
 One signature for every machine and every workload::
 
@@ -19,6 +21,11 @@ every front door resolves both forms through
 one raising entry no longer loses the rest of the batch: every entry
 finishes, then the first error (in input order) is raised.  For plans,
 stores and process fan-out, use :class:`repro.Session` directly.
+
+The transient doors take the same arguments, with the Δt schedule in
+the spec's ``time`` section: ``simulate`` returns a whole
+:class:`~repro.backends.SimulationResult`, ``simulate_steps`` yields
+each step as it completes, and ``simulate_many`` runs a family.
 """
 
 from __future__ import annotations
@@ -104,8 +111,8 @@ def solve_many(
     single failure is raised as-is and multiple failures are raised
     together as a :class:`~repro.util.errors.SolveErrorGroup` carrying
     every per-entry error (in input order) — callers that triage failures
-    (e.g. the serving tier's retry taxonomy) see all of them, not just
-    whichever entry failed first.
+    (e.g. :func:`repro.util.errors.classify_failure`) see all of them,
+    not just whichever entry failed first.
     """
     solve_spec = resolve_spec(spec, options)
     items: Sequence[Any] = list(targets)

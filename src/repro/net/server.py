@@ -10,8 +10,9 @@ but :mod:`asyncio.streams`:
     + spec + backend, exactly the cache/store identity) — so a client
     replaying a request with ``If-None-Match`` gets ``304 Not Modified``
     without the body ever being built.  All the service's machinery
-    (cache tiers, in-flight dedup, fused admission, retries, run
-    records) applies unchanged; the gateway is a thin wire adapter.
+    (cache tiers, in-flight dedup, fused admission, the solo re-run of
+    a failed fused lane, run records) applies unchanged; the gateway is
+    a thin wire adapter.
 ``GET /v1/stream`` (WebSocket upgrade)
     The transient front door: the first client text frame is a solve
     request, then the server streams one text frame per completed
@@ -48,6 +49,7 @@ from repro.net.wire import (
     encode_json,
     error_payload,
     parse_solve_payload,
+    parse_stream_payload,
     status_for_error,
 )
 from repro.serve.service import SolveService
@@ -323,10 +325,9 @@ class Gateway:
             opening = await next_message()
             if opening is None or opening.opcode == websocket.OP_CLOSE:
                 return
-            body = decode_json(opening.payload)
-            target, backend, spec = parse_solve_payload(body)
-            resume = bool(body.get("resume", True))
-            last_step = int(body.get("last_step", 0) or 0)
+            target, backend, spec, resume, last_step = parse_stream_payload(
+                decode_json(opening.payload)
+            )
             sent = 0
             async for step in self.service.stream(
                 target, backend=backend, spec=spec, resume=resume,

@@ -10,6 +10,10 @@ The gateway speaks JSON.  A solve/stream request body is::
       "options": {"rel_tol": 1e-8, "n_steps": 4, ...}      # flat kwargs
     }
 
+A stream's opening frame may add ``"resume"`` (a boolean, default
+true) and ``"last_step"`` (the last step the client holds, a
+non-negative integer, default 0); a solve body may not.
+
 Targets are *declarative* on the wire — a registered scenario name plus
 JSON-able parameters — which is exactly what keeps the content
 fingerprint (and therefore the cache identity, the ETag and the store
@@ -20,8 +24,8 @@ objects don't travel; callers with bespoke fields register a scenario.
 Responses are :meth:`SolveResult.to_dict` /
 :meth:`StepResult.to_dict` payloads (ndarrays base64-encoded, exact);
 errors are ``{"error": {"type", "message", "category"}}`` with the
-retry-taxonomy category so clients can make the same
-retry-or-fail-fast call the service makes internally.
+failure category of :func:`repro.util.errors.classify_failure`, the one
+the service records.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ import json
 from typing import Any, Mapping
 
 from repro.scenarios.base import Scenario
-from repro.serve.retry import classify_failure
 from repro.spec import SolveSpec, resolve_spec
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, classify_failure
 
 
 def encode_json(payload: Any) -> bytes:
@@ -95,13 +98,10 @@ def spec_from_wire(payload: Mapping[str, Any]) -> SolveSpec:
 
 
 def parse_solve_payload(payload: Any) -> tuple[Any, str, SolveSpec]:
-    """Decode one request body into ``(target, backend, spec)``."""
+    """Decode one solve body into ``(target, backend, spec)``."""
     if not isinstance(payload, Mapping):
         raise ConfigurationError("request body must be a JSON object")
-    unknown = sorted(
-        set(payload)
-        - {"target", "backend", "spec", "options", "resume", "last_step"}
-    )
+    unknown = sorted(set(payload) - {"target", "backend", "spec", "options"})
     if unknown:
         raise ConfigurationError(
             f"unknown request field{'s' if len(unknown) > 1 else ''} "
@@ -119,8 +119,27 @@ def parse_solve_payload(payload: Any) -> tuple[Any, str, SolveSpec]:
     )
 
 
+def parse_stream_payload(payload: Any) -> tuple[Any, str, SolveSpec, bool, int]:
+    """Decode a stream's opening frame into ``(target, backend, spec,
+    resume, last_step)``."""
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError("request body must be a JSON object")
+    body = dict(payload)
+    resume = body.pop("resume", True)
+    last_step = body.pop("last_step", 0)
+    if not isinstance(resume, bool):
+        raise ConfigurationError(
+            f'stream "resume" must be true or false, got {resume!r}'
+        )
+    if type(last_step) is not int or last_step < 0:  # a bool is no step
+        raise ConfigurationError(
+            f'stream "last_step" must be a non-negative integer, got {last_step!r}'
+        )
+    return (*parse_solve_payload(body), resume, last_step)
+
+
 def error_payload(error: BaseException) -> dict[str, Any]:
-    """The wire face of a failure, carrying its retry-taxonomy category."""
+    """The wire face of a failure, carrying its failure category."""
     return {
         "error": {
             "type": type(error).__name__,
@@ -141,6 +160,7 @@ __all__ = [
     "encode_json",
     "error_payload",
     "parse_solve_payload",
+    "parse_stream_payload",
     "spec_from_wire",
     "status_for_error",
     "target_from_wire",

@@ -4,11 +4,12 @@
 :class:`SolveService` that admits concurrent solve requests through an
 asyncio front door, deduplicates them against a content-addressed result
 cache and the in-flight set, fuses compatible requests queued on one
-loop turn into batched lanes and dispatches them at once, retries
-transient failures with classified backoff (:mod:`~repro.serve.retry`),
-streams transient solves one step per consumer request with
-killed-stream resume, and leaves durable per-run records
-(:mod:`~repro.serve.records`) behind for audit.
+loop turn into batched lanes and dispatches them at once, re-runs a
+member solo once when its fused lane fails or its worker pool breaks
+(and replaces the broken pool), streams transient solves one step per
+consumer request with killed-stream resume, and leaves durable per-run
+records (:mod:`~repro.serve.records`) behind for audit.  Each failure
+carries its :func:`~repro.util.errors.classify_failure` category.
 
 Quickstart::
 
@@ -31,22 +32,15 @@ from repro.serve.records import (
     load_attempts,
     load_run_record,
 )
-from repro.serve.retry import (
-    DEFAULT_RETRYABLE,
-    FAILURE_CATEGORIES,
-    RetryPolicy,
-    classify_failure,
-)
 from repro.serve.service import POOLS, ServiceConfig, SolveService
+from repro.util.errors import FAILURE_CATEGORIES, classify_failure
 
 __all__ = [
-    "DEFAULT_RETRYABLE",
     "FAILURE_CATEGORIES",
     "POOLS",
     "QueueClosed",
     "RequestQueue",
     "ResultCache",
-    "RetryPolicy",
     "RunRecorder",
     "SUMMARY_COUNTERS",
     "ServiceConfig",

@@ -132,10 +132,11 @@ class ResultCache:
         return None, None
 
     def put(self, entry: PlanEntry, result: SolveResult) -> None:
-        """Admit a fresh solve into both tiers."""
-        self._remember(entry.fingerprint, result)
+        """Admit a fresh solve into both tiers: the store first, so a
+        failed write caches nothing."""
         if self.store is not None:
             self.store.save(entry, result)
+        self._remember(entry.fingerprint, result)
 
     # -- memory tier ----------------------------------------------------------
 

@@ -7,7 +7,8 @@ an artifact trail a human (or a test) can audit after the fact —
     The run-level record, rewritten atomically as requests finish:
     config, timestamps and live summary counters (submitted / executed /
     launches / fused launches / cache and dedup hits / failures /
-    retries).  Its size does not grow with the request count.
+    retries, i.e. second attempts).  Its size does not grow with the
+    request count.
 ``<root>/<run_id>/requests.jsonl``
     Append-only, one JSON line per *request*, written once when it
     finishes (or, still ``"pending"``, when the run closes): its spec
@@ -15,11 +16,12 @@ an artifact trail a human (or a test) can audit after the fact —
     outcome and timings.  A finished request is written and forgotten,
     so the recorder holds only requests in flight.
 ``<root>/<run_id>/attempts.jsonl``
-    Append-only, one JSON line per *attempt*: request id, fingerprint,
-    attempt number, lane assignment, outcome, failure category, the
-    scheduled backoff before the next try, and elapsed seconds.  A
-    crash can at worst lose the line being written — the history behind
-    it survives, which is exactly what post-mortems need.
+    Append-only, one JSON line per *attempt*, written after its launch:
+    request id, fingerprint, attempt number, lane assignment, outcome,
+    failure category and the request's share of the launch's elapsed
+    seconds.  A crash can at worst lose the line being written — the
+    history behind it survives, which is exactly what post-mortems
+    need.
 
 :func:`load_run_record` reads ``run.json`` back with the request lines
 keyed by request id under ``"requests"``, and :func:`load_attempts` the
@@ -133,10 +135,10 @@ class RunRecorder:
         lane: Mapping[str, Any] | None = None,
         category: str | None = None,
         error: str | None = None,
-        backoff_seconds: float | None = None,
         elapsed_seconds: float | None = None,
     ) -> None:
-        """One solve attempt (fused-lane or solo), success or failure."""
+        """One solve attempt (fused-lane or solo), success or failure;
+        a second attempt counts in ``retries``."""
         line = {
             "ts": time.time(),
             "request_id": request_id,
@@ -146,7 +148,6 @@ class RunRecorder:
             "outcome": outcome,
             "category": category,
             "error": error,
-            "backoff_seconds": backoff_seconds,
             "elapsed_seconds": elapsed_seconds,
         }
         if attempt > 1:

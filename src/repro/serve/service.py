@@ -25,11 +25,14 @@ Request lifecycle (the order is the design):
    ``gather`` of submits) share one batched program on the
    :class:`~repro.core.cg_driver.CgDriver` per lane of several, and a
    lone request never waits for company.
-4. **dispatch** — lanes run on a persistent worker pool (threads by
-   default, processes for GIL-bound backends); failures classify
-   through the retry taxonomy (:mod:`repro.serve.retry`) and retry with
-   capped exponential backoff — a failed *fused* lane un-fuses and
-   retries each member solo, so one bad lane never poisons its peers.
+4. **dispatch** — each lane is one launch on a persistent worker pool
+   (threads by default, processes for GIL-bound backends).  A failed
+   launch re-runs each member solo, once, if the lane was fused (so
+   one bad member never poisons its peers) or the launch broke its
+   pool (which is replaced first: a dead process worker breaks the
+   whole pool); any other failure is the request's outcome on its
+   first attempt, since a solve is deterministic.  Every failure
+   carries its :func:`~repro.util.errors.classify_failure` category.
 5. **records** — every submit, cache hit, attempt and outcome lands in
    the run's ``run.json`` / ``attempts.jsonl``
    (:mod:`repro.serve.records`).
@@ -48,9 +51,8 @@ import asyncio
 import concurrent.futures
 import functools
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from random import Random
 from typing import Any, AsyncIterator
 
 from repro.backends import SolveResult, StepResult, get_backend
@@ -64,10 +66,14 @@ from repro.serve.queue import (
     next_request_id,
 )
 from repro.serve.records import RunRecorder
-from repro.serve.retry import RetryPolicy, classify_failure
 from repro.session import ResultStore, plan_entry, plan_lanes, simulation_steps
 from repro.spec import SolveSpec, resolve_spec
-from repro.util.errors import ConfigurationError, picklesafe_error, unknown_name_error
+from repro.util.errors import (
+    ConfigurationError,
+    classify_failure,
+    picklesafe_error,
+    unknown_name_error,
+)
 
 POOLS = ("thread", "process")
 
@@ -79,8 +85,6 @@ class ServiceConfig:
     n_workers: int = 4
     pool: str = "thread"
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    jitter_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -93,19 +97,7 @@ class ServiceConfig:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_workers": self.n_workers,
-            "pool": self.pool,
-            "cache_bytes": self.cache_bytes,
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "backoff_base": self.retry.backoff_base,
-                "backoff_factor": self.retry.backoff_factor,
-                "backoff_max": self.retry.backoff_max,
-                "jitter": self.retry.jitter,
-                "retryable": sorted(self.retry.retryable),
-            },
-        }
+        return asdict(self)
 
 
 # -- pool workers (module-level: process pools need picklable callables) -----
@@ -131,7 +123,7 @@ def _pool_solve(
 
 
 class SolveService:
-    """A cache-first, lane-fusing, retrying solve service."""
+    """A cache-first, lane-fusing solve service."""
 
     def __init__(
         self,
@@ -169,7 +161,6 @@ class SolveService:
             records, run_id=run_id, config=self.config.to_dict(),
             metrics=self.metrics,
         )
-        self._rng = Random(self.config.jitter_seed)
         self._queue: RequestQueue | None = None
         self._admission_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
@@ -190,15 +181,7 @@ class SolveService:
             raise ConfigurationError("a closed SolveService cannot restart")
         if self._queue is not None:
             return self
-        if self.config.pool == "process":
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.n_workers
-            )
-        else:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.config.n_workers,
-                thread_name_prefix="repro-serve",
-            )
+        self._pool = self._new_pool()
         self._stream_pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.n_workers,
             thread_name_prefix="repro-serve-stream",
@@ -232,6 +215,15 @@ class SolveService:
         self._pool.shutdown(wait=True)
         self._stream_pool.shutdown(wait=True)
         self.recorder.close()
+
+    def _new_pool(self) -> concurrent.futures.Executor:
+        if self.config.pool == "process":
+            return concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.config.n_workers
+            )
+        return concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.config.n_workers, thread_name_prefix="repro-serve"
+        )
 
     async def __aenter__(self) -> "SolveService":
         return await self.start()
@@ -384,131 +376,85 @@ class SolveService:
                 return
             for lane in plan_lanes([(r.entry, r.problem) for r in burst]):
                 task = asyncio.create_task(
-                    self._dispatch_lane([burst[i] for i in lane])
+                    self._dispatch([burst[i] for i in lane])
                 )
                 self._dispatch_tasks.add(task)
                 task.add_done_callback(self._dispatch_tasks.discard)
 
-    async def _dispatch_lane(self, lane: list[SolveRequest]) -> None:
-        if len(lane) == 1:
-            await self._solve_with_retry(lane[0])
-            return
+    async def _dispatch(self, lane: list[SolveRequest]) -> None:
+        """Launch one lane (:func:`_pool_solve`) and settle its members.
 
-        size = len(lane)
-        self.recorder.record_launch(fused=True)
+        A failed launch re-dispatches each member solo, once, if the
+        lane was fused or the launch broke its pool; any other failure
+        is the outcome.  So a request makes at most two attempts.
+        """
+        assert self._pool is not None
+        pool, size, fused = self._pool, len(lane), len(lane) > 1
+        self.recorder.record_launch(fused=fused)
         start = time.perf_counter()
+        error: Exception | None = None
         try:
-            results = await self._launch(
-                lane[0].backend, [r.problem for r in lane], lane[0].entry.spec
+            # functools.partial of a module-level callable stays
+            # picklable for the process pool; a lambda would not.
+            results = await asyncio.get_running_loop().run_in_executor(
+                pool,
+                functools.partial(
+                    _pool_solve, lane[0].backend, [r.problem for r in lane],
+                    lane[0].entry.spec, self.config.pool == "process",
+                ),
             )
         except Exception as exc:  # noqa: BLE001 - classified below
-            elapsed = time.perf_counter() - start
-            category = classify_failure(exc)
-            for index, request in enumerate(lane):
-                request.attempts += 1
-                self.recorder.record_attempt(
-                    request.request_id,
-                    fingerprint=request.fingerprint,
-                    attempt=request.attempts,
-                    outcome="error",
-                    lane={"size": size, "lane": index, "fused": True},
-                    category=category,
-                    error=f"{type(exc).__name__}: {exc}",
-                    elapsed_seconds=elapsed / size,
-                )
-            # Un-fuse: each member retries solo so one poisoned lane
-            # cannot take down its batch peers.
-            await asyncio.gather(*(self._solve_with_retry(r) for r in lane))
-            return
-        elapsed = time.perf_counter() - start
-        for index, (request, result) in enumerate(zip(lane, results)):
+            error = exc
+        share = (time.perf_counter() - start) / size
+        category = None if error is None else classify_failure(error)
+        for index, request in enumerate(lane):
             request.attempts += 1
             self.recorder.record_attempt(
                 request.request_id,
                 fingerprint=request.fingerprint,
                 attempt=request.attempts,
-                outcome="ok",
-                lane={"size": size, "lane": index, "fused": True},
-                elapsed_seconds=elapsed / size,
+                outcome="ok" if error is None else "error",
+                lane={"size": size, "lane": index, "fused": True} if fused else None,
+                category=category,
+                error=None if error is None else f"{type(error).__name__}: {error}",
+                elapsed_seconds=share,
             )
-            self._complete(request, result)
-
-    async def _solve_with_retry(self, request: SolveRequest) -> None:
-        policy = self.config.retry
-        while True:
-            request.attempts += 1
-            self.recorder.record_launch(fused=False)
-            start = time.perf_counter()
-            try:
-                [result] = await self._launch(
-                    request.backend, [request.problem], request.entry.spec
-                )
-            except Exception as exc:  # noqa: BLE001 - classified below
-                elapsed = time.perf_counter() - start
-                category = classify_failure(exc)
-                retrying = (
-                    policy.is_retryable(exc)
-                    and request.attempts < policy.max_attempts
-                )
-                backoff = (
-                    policy.delay(request.attempts, self._rng)
-                    if retrying else None
-                )
-                self.recorder.record_attempt(
-                    request.request_id,
-                    fingerprint=request.fingerprint,
-                    attempt=request.attempts,
-                    outcome="error",
-                    category=category,
-                    error=f"{type(exc).__name__}: {exc}",
-                    backoff_seconds=backoff,
-                    elapsed_seconds=elapsed,
-                )
-                if not retrying:
-                    self._fail(request, exc, category)
-                    return
-                await asyncio.sleep(backoff)
-                continue
-            self.recorder.record_attempt(
-                request.request_id,
-                fingerprint=request.fingerprint,
-                attempt=request.attempts,
-                outcome="ok",
-                elapsed_seconds=time.perf_counter() - start,
-            )
-            self._complete(request, result)
+        if error is None:
+            for request, result in zip(lane, results):
+                self._complete(request, result)
             return
-
-    async def _launch(
-        self, backend: str, problems: list[SinglePhaseProblem], spec: SolveSpec
-    ) -> list[SolveResult]:
-        """Run one launch (:func:`_pool_solve`) on the worker pool."""
-        assert self._pool is not None
-        # functools.partial of a module-level callable stays picklable
-        # for the process pool; a lambda would not.
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool,
-            functools.partial(
-                _pool_solve, backend, problems, spec, self.config.pool == "process"
-            ),
-        )
+        broken = isinstance(error, concurrent.futures.BrokenExecutor)
+        if broken and pool is self._pool:
+            # A dead process worker breaks its whole pool for good; the
+            # lanes that broke with it find it replaced already.
+            self._pool = self._new_pool()
+            pool.shutdown(wait=False)
+        # Every member of a lane is on the same attempt.
+        if (fused or broken) and lane[0].attempts == 1:
+            await asyncio.gather(*(self._dispatch([r]) for r in lane))
+            return
+        for request in lane:
+            self._fail(request, error)
 
     def _complete(self, request: SolveRequest, result: SolveResult) -> None:
-        self.cache.put(request.entry, result)
+        try:
+            self.cache.put(request.entry, result)
+        except Exception as exc:  # noqa: BLE001 - a failed store write
+            # fails the request, which must still reach an outcome.
+            self._fail(request, exc)
+            return
         self._inflight.pop(request.fingerprint, None)
         request.resolve(result)
         self.recorder.record_outcome(request.request_id, outcome="ok")
 
-    def _fail(
-        self, request: SolveRequest, error: Exception, category: str
-    ) -> None:
+    def _fail(self, request: SolveRequest, error: Exception) -> None:
         self._inflight.pop(request.fingerprint, None)
         request.reject(error)
         self.recorder.record_outcome(
             request.request_id,
             outcome="error",
             error=f"{type(error).__name__}: {error}",
-            category=category,
+            category=classify_failure(error),
         )
 
     # -- plumbing -------------------------------------------------------------

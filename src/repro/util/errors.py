@@ -3,10 +3,13 @@
 Every error raised intentionally by this library derives from
 :class:`ReproError`, so callers can catch library failures without
 accidentally swallowing genuine programming errors.
+:func:`classify_failure` maps any failure to one of the
+:data:`FAILURE_CATEGORIES` that service records and wire errors carry.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import difflib
 import pickle
 import sys
@@ -111,7 +114,7 @@ if sys.version_info >= (3, 11):
         A real :class:`ExceptionGroup` (``except*`` works) that is also a
         :class:`ReproError`, so ``except ReproError`` keeps catching
         library failures.  ``.errors`` lists the per-entry exceptions in
-        entry order — the service-side retry taxonomy classifies each one
+        entry order — :func:`classify_failure` classifies each one
         instead of seeing only whichever entry happened to fail first.
         """
 
@@ -143,3 +146,52 @@ else:  # pragma: no cover - exercised only on Python < 3.11
         @property
         def errors(self) -> list[Exception]:
             return list(self.exceptions)
+
+
+# -- failure taxonomy -----------------------------------------------------------
+
+#: Failure categories, most-specific first (the classification order).
+FAILURE_CATEGORIES = (
+    "convergence", "resource", "config", "transport", "executor",
+)
+
+_TRANSPORT_ERRORS = (
+    concurrent.futures.BrokenExecutor,
+    pickle.PicklingError,
+    EOFError,
+    OSError,  # ConnectionError and TimeoutError included
+)
+
+
+def classify_failure(error: BaseException) -> str:
+    """The category of :data:`FAILURE_CATEGORIES` a failure belongs to:
+    ``convergence`` (:class:`ConvergenceError`), ``resource``
+    (:class:`PeOutOfMemory`), ``config`` (a malformed request:
+    :class:`ConfigurationError`, :class:`ValidationError`), ``transport``
+    (the executor or its I/O failed under the solve: a broken worker
+    pool, pickling, an ``OSError``) or ``executor`` (anything else).
+
+    A :class:`SolveErrorGroup` (a failed fused batch surfaces one per
+    member) classifies as its *worst* member: a ``config`` or
+    ``resource`` member wins, so a batch that mixed a malformed request
+    with flaky lanes reports the malformed one.
+    """
+    if isinstance(error, SolveErrorGroup):
+        if not error.errors:
+            # An empty group means the raiser lost track of its member
+            # failures: a bookkeeping bug, reported as config.
+            return "config"
+        members = {classify_failure(e) for e in error.errors}
+        for category in ("config", "resource", "transport", "executor"):
+            if category in members:
+                return category
+        return "convergence"
+    if isinstance(error, ConvergenceError):
+        return "convergence"
+    if isinstance(error, PeOutOfMemory):
+        return "resource"
+    if isinstance(error, (ConfigurationError, ValidationError)):
+        return "config"
+    if isinstance(error, _TRANSPORT_ERRORS):
+        return "transport"
+    return "executor"

@@ -192,6 +192,11 @@ class TestWireCodecs:
         with pytest.raises(ConfigurationError, match="unknown request field"):
             wire.parse_solve_payload({"target": "x", "sepc": {}})
 
+    @pytest.mark.parametrize("field", ["resume", "last_step"])
+    def test_parse_solve_payload_rejects_stream_fields(self, field):
+        with pytest.raises(ConfigurationError, match="unknown request field"):
+            wire.parse_solve_payload({"target": "x", field: 0})
+
     def test_parse_solve_payload_rejects_spec_plus_options(self):
         with pytest.raises(ConfigurationError, match="not both"):
             wire.parse_solve_payload({
@@ -631,6 +636,36 @@ class TestGatewayStream:
             # wire skipped it), then computed the rest.
             assert stats["resumed_steps"] >= cut_after
             assert stats["streamed_steps"] + stats["resumed_steps"] >= 5
+
+        run(main())
+
+    @pytest.mark.parametrize("fields", [
+        {"last_step": "two"}, {"last_step": -1}, {"last_step": True},
+        {"resume": "false"}, {"resume": 0},
+    ], ids=[
+        "last_step-string", "last_step-negative", "last_step-bool",
+        "resume-string", "resume-int",
+    ])
+    def test_malformed_opening_frame_is_a_config_error(self, fields):
+        async def main():
+            async with SolveService() as service:
+                async with Gateway(service) as gateway:
+                    def work(port):
+                        request = {
+                            "target": wire.target_to_wire(SCENARIO),
+                            "backend": "wse", "options": self.OPTIONS,
+                            **fields,
+                        }
+                        with GatewayClient("127.0.0.1", port) as client:
+                            with pytest.raises(GatewayError) as caught:
+                                list(client._stream_once(
+                                    request, fields.get("last_step", 0)
+                                ))
+                            return caught.value
+                    error = await _client_thread(work, gateway.port)
+                    assert service.stats()["streams"] == 0
+            assert error.category == "config"
+            assert f'"{next(iter(fields))}"' in str(error)
 
         run(main())
 

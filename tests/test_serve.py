@@ -1,15 +1,18 @@
-"""Serving-tier tests (ISSUE 6): SolveService and its parts.
+"""Serving-tier tests: SolveService and its parts.
 
-Covers the retry taxonomy under fault injection, admission/fusion
-grouping, the content-addressed cache tiers, durable run records, the
+Covers the failure taxonomy and the dispatch rule under fault injection
+(killed pool workers included), admission/fusion grouping, the
+content-addressed cache tiers, durable run records, the
 64-requests/8-specs acceptance scenario, and killed-mid-stream resume.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -22,7 +25,6 @@ from repro.serve import (
     QueueClosed,
     RequestQueue,
     ResultCache,
-    RetryPolicy,
     RunRecorder,
     SolveRequest,
     SolveService,
@@ -64,7 +66,7 @@ def fake_backend():
         unregister_backend(name)
 
 
-# -- retry taxonomy -----------------------------------------------------------
+# -- failure taxonomy ---------------------------------------------------------
 
 
 class TestRetryTaxonomy:
@@ -84,8 +86,8 @@ class TestRetryTaxonomy:
 
     def test_empty_group_fails_fast_as_config(self):
         """A group with no member errors means the raiser lost track of
-        its failures — a bookkeeping bug that must classify non-retryable
-        (config), not spin through the retry budget as "executor"."""
+        its failures — a bookkeeping bug that classifies as config, not
+        as "executor"."""
 
         class _EmptyGroup(SolveErrorGroup):
             # Python 3.11's ExceptionGroup refuses empty construction,
@@ -103,47 +105,27 @@ class TestRetryTaxonomy:
 
         empty = _EmptyGroup()
         assert classify_failure(empty) == "config"
-        assert not RetryPolicy().is_retryable(empty)
-
-    def test_default_policy_retries_only_transient_categories(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(ConvergenceError("x", 1, 1.0))
-        assert policy.is_retryable(ConnectionError("x"))
-        assert not policy.is_retryable(PeOutOfMemory("x", 9, 1, 4))
-        assert not policy.is_retryable(ConfigurationError("x"))
-
-    def test_backoff_schedule_is_capped_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.1, backoff_factor=3.0,
-            backoff_max=0.5, jitter=0.0,
-        )
-        assert list(policy.backoff_schedule()) == pytest.approx(
-            [0.1, 0.3, 0.5, 0.5]
-        )
-
-    def test_jitter_spreads_downward_only(self):
-        from random import Random
-
-        policy = RetryPolicy(backoff_base=1.0, jitter=0.25)
-        rng = Random(7)
-        delays = [policy.delay(1, rng) for _ in range(50)]
-        assert all(0.75 <= d <= 1.0 for d in delays)
-        assert len(set(delays)) > 1
-
-    def test_policy_validates(self):
-        with pytest.raises(ConfigurationError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError, match="retryable"):
-            RetryPolicy(retryable=frozenset({"cosmic-rays"}))
 
 
 # -- fault injection through the service --------------------------------------
 
 
+def _kill_worker():
+    """End the calling pool worker the way a crash or an OOM kill does;
+    refuse anywhere else, so a misconfigured test cannot end pytest."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("only a pool worker may be killed")
+    os._exit(1)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a backend registered in the test reaches pool workers only by fork",
+)
+
+
 class TestServiceRetries:
-    def test_flaky_backend_recovers_with_recorded_backoffs(
-        self, tmp_path, fake_backend
-    ):
+    def test_flaky_backend_recovers_on_resubmit(self, tmp_path, fake_backend):
         calls = []
 
         class Flaky:
@@ -151,42 +133,36 @@ class TestServiceRetries:
 
             def solve(self, problem, spec=None):
                 calls.append(1)
-                if len(calls) <= 2:
+                if len(calls) == 1:
                     raise ConvergenceError("transient wobble", 1, 1.0)
                 return repro.solve(problem, backend="reference", spec=spec)
 
         fake_backend(Flaky)
-        policy = RetryPolicy(
-            max_attempts=4, backoff_base=0.01, backoff_factor=2.0, jitter=0.0
-        )
 
         async def main():
-            async with SolveService(
-                records=tmp_path / "runs", retry=policy
-            ) as svc:
+            async with SolveService(records=tmp_path / "runs") as svc:
+                problem = make_problem(3, 3, 2)
+                with pytest.raises(ConvergenceError):
+                    await svc.submit(problem, backend="flaky-backend", spec=SPEC)
+                # The failure cached nothing: a resubmit launches again.
                 result = await svc.submit(
-                    make_problem(3, 3, 2), backend="flaky-backend", spec=SPEC
+                    problem, backend="flaky-backend", spec=SPEC
                 )
                 return result, svc.recorder.run_dir
 
         result, run_dir = run(main())
-        assert result.converged and len(calls) == 3
+        assert result.converged and len(calls) == 2
 
         attempts = load_attempts(run_dir)
-        assert [a["attempt"] for a in attempts] == [1, 2, 3]
-        assert [a["outcome"] for a in attempts] == ["error", "error", "ok"]
-        assert [a["category"] for a in attempts] == [
-            "convergence", "convergence", None,
-        ]
-        # The recorded backoffs pin the jitter-free exponential schedule.
-        assert attempts[0]["backoff_seconds"] == pytest.approx(0.01)
-        assert attempts[1]["backoff_seconds"] == pytest.approx(0.02)
-        assert attempts[2]["backoff_seconds"] is None
+        assert [a["attempt"] for a in attempts] == [1, 1]
+        assert [a["outcome"] for a in attempts] == ["error", "ok"]
+        assert [a["category"] for a in attempts] == ["convergence", None]
+        assert all("backoff_seconds" not in a for a in attempts)
 
         record = load_run_record(run_dir)
-        assert record["summary"]["retries"] == 2
+        assert record["summary"]["retries"] == 0
         assert record["summary"]["executed"] == 1
-        assert record["summary"]["failed"] == 0
+        assert record["summary"]["failed"] == 1
 
     def test_pe_out_of_memory_fails_fast(self, tmp_path, fake_backend):
         calls = []
@@ -213,13 +189,21 @@ class TestServiceRetries:
         assert len(calls) == 1  # deterministic failure: no retry
         [attempt] = load_attempts(run_dir)
         assert attempt["category"] == "resource"
-        assert attempt["backoff_seconds"] is None
         record = load_run_record(run_dir)
         assert record["summary"]["failed"] == 1
         assert record["summary"]["retries"] == 0
 
-    def test_attempt_budget_exhausts_and_raises(self, fake_backend):
-        calls = []
+    def test_convergence_error_is_attempted_once_without_sleeping(
+        self, fake_backend, monkeypatch
+    ):
+        calls, sleeps = [], []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
 
         class AlwaysFlaky:
             name = "alwaysflaky-backend"
@@ -229,18 +213,19 @@ class TestServiceRetries:
                 raise ConvergenceError("never converges", 1, 1.0)
 
         fake_backend(AlwaysFlaky)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.001, jitter=0.0)
 
         async def main():
-            async with SolveService(retry=policy) as svc:
+            async with SolveService() as svc:
                 with pytest.raises(ConvergenceError):
                     await svc.submit(
                         make_problem(3, 3, 2), backend="alwaysflaky-backend",
                         spec=SPEC,
                     )
+                return svc.stats()
 
-        run(main())
-        assert len(calls) == 2
+        stats = run(main())
+        assert len(calls) == 1 and sleeps == []
+        assert (stats["launches"], stats["retries"], stats["failed"]) == (1, 0, 1)
 
     def test_failed_fused_lane_unfuses_and_retries_solo(
         self, tmp_path, fake_backend
@@ -261,10 +246,7 @@ class TestServiceRetries:
         fake_backend(FlakyBatch)
 
         async def main():
-            async with SolveService(
-                records=tmp_path / "runs",
-                retry=RetryPolicy(backoff_base=0.001, jitter=0.0),
-            ) as svc:
+            async with SolveService(records=tmp_path / "runs") as svc:
                 futs = [
                     svc.submit(
                         make_problem(3, 3, 2, seed=s),
@@ -285,6 +267,108 @@ class TestServiceRetries:
         for req in record["requests"].values():
             assert req["attempts"] == 2
             assert req["lane"]["fused"] is True
+
+    def test_failed_store_write_fails_the_request(self, tmp_path, monkeypatch):
+        def disk_full(self, entry, result):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "save", disk_full)
+        problem = make_problem(3, 3, 2)
+
+        async def main():
+            async with SolveService(
+                store=tmp_path / "cache", records=tmp_path / "runs"
+            ) as svc:
+                for _ in range(2):  # the failed write cached nothing
+                    with pytest.raises(OSError, match="No space left"):
+                        await asyncio.wait_for(
+                            svc.submit(problem, backend="reference", spec=SPEC),
+                            timeout=20,
+                        )
+                return svc.stats(), svc.recorder.run_dir
+
+        stats, run_dir = run(main())
+        assert (stats["executed"], stats["failed"], stats["inflight"]) == (0, 2, 0)
+        assert stats["cache"]["hits"] == {"memory": 0, "store": 0}
+        requests = load_run_record(run_dir)["requests"]
+        assert [(r["outcome"], r["category"]) for r in requests.values()] == [
+            ("error", "transport"), ("error", "transport"),
+        ]
+
+    @fork_only
+    def test_killed_worker_fails_after_two_attempts_and_the_pool_heals(
+        self, tmp_path, fake_backend
+    ):
+        class Killer:
+            name = "killer-backend"
+
+            def solve(self, problem, spec=None):
+                _kill_worker()
+
+        fake_backend(Killer)  # before the pool forks its workers
+
+        async def main():
+            async with SolveService(
+                records=tmp_path / "runs", pool="process", n_workers=2
+            ) as svc:
+                with pytest.raises(concurrent.futures.BrokenExecutor):
+                    await svc.submit(
+                        make_problem(3, 3, 2), backend="killer-backend",
+                        spec=SPEC,
+                    )
+                healthy = await svc.submit(
+                    make_problem(3, 3, 2), backend="reference", spec=SPEC
+                )
+                return healthy, svc.stats(), svc.recorder.run_dir
+
+        healthy, stats, run_dir = run(main())
+        assert healthy.converged
+        killed = [a for a in load_attempts(run_dir) if a["outcome"] == "error"]
+        assert [a["attempt"] for a in killed] == [1, 2]
+        assert {a["category"] for a in killed} == {"transport"}
+        requests = load_run_record(run_dir)["requests"]
+        assert sorted(
+            (r["outcome"], r.get("category")) for r in requests.values()
+        ) == [("error", "transport"), ("ok", None)]
+        assert (stats["launches"], stats["retries"]) == (3, 1)
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_fused_lane_whose_worker_dies_is_answered_on_the_replacement_pool(
+        self, tmp_path, fake_backend
+    ):
+        class BatchKiller:
+            name = "batchkiller-backend"
+
+            def solve(self, problem, spec=None):
+                return repro.solve(problem, backend="reference", spec=spec)
+
+            def solve_batch(self, problems, spec=None):
+                _kill_worker()
+
+        fake_backend(BatchKiller)  # before the pool forks its workers
+
+        async def main():
+            async with SolveService(
+                records=tmp_path / "runs", pool="process", n_workers=2
+            ) as svc:
+                results = await asyncio.gather(*(
+                    svc.submit(
+                        make_problem(3, 3, 2, seed=s),
+                        backend="batchkiller-backend", spec=SPEC,
+                    )
+                    for s in range(2)
+                ))
+                return results, svc.stats(), svc.recorder.run_dir
+
+        results, stats, run_dir = run(main())
+        assert all(r.converged for r in results)
+        assert (stats["launches"], stats["batched_launches"]) == (3, 1)
+        requests = load_run_record(run_dir)["requests"]
+        assert [r["outcome"] for r in requests.values()] == ["ok", "ok"]
+        lines = (run_dir / "requests.jsonl").read_text().splitlines()
+        assert len(lines) == 2  # one terminal record each
+        assert multiprocessing.active_children() == []
 
 
 # -- admission & queue --------------------------------------------------------
@@ -1011,6 +1095,13 @@ class TestServiceGuards:
             SolveService(admission_window=0.005)
         with pytest.raises(ConfigurationError, match="unknown service option"):
             serve_forever(admission_window=0.005)
+
+    @pytest.mark.parametrize("name", ["retry", "jitter_seed"])
+    def test_retry_options_are_unknown(self, name):
+        with pytest.raises(
+            ConfigurationError, match=f"unknown service option '{name}'"
+        ):
+            SolveService(**{name: 1})
 
     def test_stream_requires_time_and_transient_backend(self):
         async def main():
