@@ -12,9 +12,8 @@ import numpy as np
 
 from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
-from repro.spec import MACHINE_FIELDS, TIME_FIELDS, SolveSpec, TimeSpec, coerce_spec
+from repro.spec import SolveSpec, coerce_spec
 from repro.util.errors import ConfigurationError
-from repro.wse.specs import WseSpecs
 
 
 class WseBackend:
@@ -39,10 +38,10 @@ class WseBackend:
     ``preconditioner`` — ``"jacobi"`` (purely PE-local diagonal scaling)
     or ``"mg"`` (host-assisted geometric multigrid V-cycle, charged
     through the shared packet builders; ``mg_levels`` /
-    ``mg_smoother_iters`` tune the hierarchy).  The knobs go to
-    :mod:`repro.core.solver`, whose one builder turns them into the
-    program every engine runs.
-    ``block_shape`` belongs to the GPU and is rejected here.
+    ``mg_smoother_iters`` tune the hierarchy).  The resolved spec goes
+    straight to :mod:`repro.core.solver`, whose one builder reads the
+    program every engine runs from it (and rejects ``block_shape``,
+    which belongs to the GPU).
     """
 
     name = "wse"
@@ -50,9 +49,6 @@ class WseBackend:
     #: This backend answers ``spec.time`` natively: the transient kernel
     #: (accumulation FMA) runs on every fabric engine, batched included.
     supports_transient = True
-
-    #: MachineSpec knobs this backend honours: all but the GPU's block.
-    SUPPORTED_MACHINE_FIELDS = set(MACHINE_FIELDS) - {"block_shape"}
 
     @staticmethod
     def resolve(spec: SolveSpec) -> SolveSpec:
@@ -94,21 +90,6 @@ class WseBackend:
             f"{spec.machine.engine!r} plays one problem at a time (set "
             f"engine='fused' or engine='vectorized')"
         )
-
-    def _native_options(self, spec: SolveSpec) -> dict[str, Any]:
-        """The spec's knobs as the fabric solver's keywords (``batch_size``
-        cuts the batch above the solver), float32 unless set."""
-        spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
-        machine = spec.machine
-        if machine.spec is not None and not isinstance(machine.spec, WseSpecs):
-            raise ConfigurationError(
-                f"backend {self.name!r} needs machine.spec to be a WseSpecs, "
-                f"got {type(machine.spec).__name__}"
-            )
-        options = spec.to_kwargs()
-        options.pop("batch_size", None)
-        options["dtype"] = spec.precision.numpy_dtype(default=np.float32)
-        return options
 
     def _telemetry_from_report(
         self, report, spec: SolveSpec, extra_telemetry: dict[str, Any] | None = None
@@ -155,7 +136,7 @@ class WseBackend:
         )
 
     def solve(self, problem: SinglePhaseProblem, spec: SolveSpec | None = None) -> SolveResult:
-        from repro.core.solver import WseMatrixFreeSolver
+        from repro.core.solver import _build
 
         spec = self.resolve(coerce_spec(spec))
         if spec.machine.batch_size is not None:
@@ -168,26 +149,10 @@ class WseBackend:
             return SimulationResult.collect(
                 self.simulate(problem, spec), spec
             ).as_solve_result()
-        report = WseMatrixFreeSolver(problem, **self._native_options(spec)).solve()
+        report = _build(spec, [problem], [None], [None], [None], batched=False).run()
         return self._result_from_report(report, spec)
 
     # -- transient time stepping ----------------------------------------------
-
-    def _transient_options(self, spec: SolveSpec) -> tuple[TimeSpec, dict[str, Any]]:
-        """Validated native options for a transient run (shared by the
-        streaming and batched paths): the schedule's own knobs give way
-        to the stepper's keywords."""
-        time = spec.require_time()
-        if spec.machine.comm_only:
-            raise ConfigurationError(
-                "comm_only suppresses arithmetic, so a transient schedule "
-                "has no state to advance; drop comm_only or spec.time"
-            )
-        options = {
-            key: value for key, value in self._native_options(spec).items()
-            if key not in TIME_FIELDS
-        }
-        return time, {**options, **time.stepper_options()}
 
     def _step_from_report(
         self,
@@ -229,15 +194,16 @@ class WseBackend:
         ``start_step``/``state`` resume an interrupted schedule (the
         :class:`~repro.session.ResultStore` resume path).
         """
-        from repro.core.solver import simulate_reports
+        from repro.core.solver import _simulate
 
         spec = self.resolve(coerce_spec(spec))
-        time, options = self._transient_options(spec)
+        time = spec.require_time()
         dts, times = time.dts(), time.times()
-        reports = simulate_reports(
-            problem, start_step=start_step, state=state, **options
+        steps = _simulate(
+            spec, [problem], [state], batched=False, start_step=start_step,
+            **time.stepper_options(),
         )
-        for offset, report in enumerate(reports):
+        for offset, (report,) in enumerate(steps):
             idx = start_step + offset
             yield self._step_from_report(
                 report, spec, step=idx + 1, time=times[idx], dt=dts[idx]
@@ -259,23 +225,20 @@ class WseBackend:
         :class:`SimulationResult` whose per-step counters equal a serial
         simulation of that realization alone.
         """
-        from repro.core.solver import simulate_reports_batch
+        from repro.core.solver import _simulate
 
         spec = self.resolve(coerce_spec(spec))
         problems = list(problems)
         if not problems:
             return []
         self._refuse_unbatchable(spec, "batched execution")
-        time, options = self._transient_options(spec)
+        time = spec.require_time()
         dts, times = time.dts(), time.times()
         batches = _batch_records(len(problems), spec.machine.batch_size)
         lane_steps: list[list[StepResult]] = [[] for _ in problems]
-        step_lists = simulate_reports_batch(
-            problems,
-            start_step=start_step,
-            states=states,
-            batch_size=spec.machine.batch_size,
-            **options,
+        step_lists = _simulate(
+            spec, problems, states, batched=True, start_step=start_step,
+            **time.stepper_options(),
         )
         for offset, reports in enumerate(step_lists):
             idx = start_step + offset
@@ -309,7 +272,7 @@ class WseBackend:
         distinguishable, and per-problem counters identical to a serial
         solve of that problem.
         """
-        from repro.core.solver import solve_batch
+        from repro.core.solver import _solve_batch
 
         spec = self.resolve(coerce_spec(spec))
         problems = list(problems)
@@ -323,10 +286,7 @@ class WseBackend:
                 sim.as_solve_result()
                 for sim in self.simulate_batch(problems, spec)
             ]
-        reports = solve_batch(
-            problems, batch_size=spec.machine.batch_size,
-            **self._native_options(spec),
-        )
+        reports = _solve_batch(spec, problems)
         batches = _batch_records(len(problems), spec.machine.batch_size)
         return [
             self._result_from_report(report, spec, extra_telemetry={"batch": batch})

@@ -1,23 +1,27 @@
 """Public dataflow solver: :class:`WseMatrixFreeSolver`, :func:`solve_batch`
 and the transient :func:`simulate_reports` / :func:`simulate_reports_batch`.
 
-Every entry point forwards to one private builder, :func:`_build`: it
-builds the one engine-agnostic :class:`~repro.core.program.CgProgram`
-from the paper's design knobs (:class:`_Knobs`, the knob list and its
-defaults), builds each system's preconditioner ``M`` once (see
+A :class:`~repro.spec.SolveSpec` is the solver's only configuration.
+Every entry point hands one to a private builder, :func:`_build`: it
+reads the one engine-agnostic :class:`~repro.core.program.CgProgram`
+from the spec (:func:`_program`; a knob left ``None`` keeps the
+program's own default) and the engine layout from ``spec.machine``
+(:func:`_layout`), builds each system's preconditioner ``M`` once (see
 :func:`~repro.solvers.preconditioning.build_preconditioner`; once per
 Δt in a simulation), resolves each system's tolerance from it, and
 stages the engine with it — :func:`~repro.core.engines.create_engine`
 for one problem (the cycle-accurate ``"event"`` oracle or a layout of
 the array CG driver), :func:`~repro.core.engines.create_batched_engine`
-for a batched chunk.
+for a batched chunk.  The wse backend passes its resolved spec straight
+in; the keyword doors build theirs with
+:meth:`~repro.spec.SolveSpec.from_kwargs` (:func:`_keyword_spec`).
 Engines report the solution together with the machine-level telemetry
 (instruction counts, traffic, cycle makespan) the benchmarks consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,9 +31,10 @@ from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram, EngineReport
 from repro.fv.operator import FlatStencil
 from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.cg import DEFAULT_MAX_ITERS, PAPER_TOLERANCE_RTR
+from repro.solvers.cg import PAPER_TOLERANCE_RTR
 from repro.solvers.preconditioning import Preconditioner
-from repro.util.errors import ConfigurationError, unknown_name_error
+from repro.spec import MACHINE_FIELDS, SolveSpec, TimeSpec
+from repro.util.errors import ConfigurationError
 from repro.wse.specs import WSE2, WseSpecs
 
 
@@ -88,78 +93,77 @@ def resolve_tolerance(
 WseSolveReport = EngineReport
 
 
-@dataclass(frozen=True)
-class _Knobs:
-    """The fabric knobs every entry point accepts, with their defaults.
+#: The MachineSpec knobs the fabric honours: all but the GPU's block.
+_MACHINE_FIELDS = set(MACHINE_FIELDS) - {"block_shape"}
 
-    * ``spec`` — the :class:`WseSpecs` fabric (default the full CS-2);
-    * ``dtype`` — fp32 (paper) or fp64 (tight numerical cross-checks);
-    * ``simd_width`` — §III-E.3 vectorization (2 = DSD SIMD, 1 = scalar);
-    * ``variant`` — precomputed ``c = Υλ`` vs. in-kernel mobility fusion;
-    * ``reuse_buffers`` — §III-E.1 memory-saving on/off;
-    * ``tol_rtr``/``rel_tol``/``max_iters`` — the stopping rule (see
-      :func:`resolve_tolerance`);
-    * ``comm_only``/``fixed_iterations`` — §V-C's Table IV methodology
-      (suppress FP, fixed iteration count);
-    * ``preconditioner`` — ``"none"``, ``"jacobi"`` or ``"mg"``, with
-      ``mg_levels``/``mg_smoother_iters`` tuning the hierarchy;
-    * ``shard_shape`` — the ``"sharded"`` layout's decomposition;
-    * ``fused_tile`` — the cache tile of the ``"fused"`` and
-      ``"sharded"`` layouts.
-    """
 
-    spec: WseSpecs = WSE2
-    dtype: Any = np.float32
-    simd_width: int | None = None
-    variant: KernelVariant | str = KernelVariant.PRECOMPUTED
-    reuse_buffers: bool = True
-    tol_rtr: float = PAPER_TOLERANCE_RTR
-    rel_tol: float | None = None
-    max_iters: int = DEFAULT_MAX_ITERS
-    comm_only: bool = False
-    fixed_iterations: int | None = None
-    preconditioner: str = "none"
-    mg_levels: int | None = None
-    mg_smoother_iters: int | None = None
-    shard_shape: Any = None
-    fused_tile: Any = None
-
-    @classmethod
-    def parse(cls, options: dict) -> "_Knobs":
-        """The knobs ``options`` name; an unknown name raises
-        :class:`ConfigurationError` naming the closest knob."""
-        valid = [f.name for f in fields(cls)]
-        for key in options:
-            if key not in valid:
-                raise unknown_name_error("fabric knob", key, valid, "knobs")
-        return cls(**options)
-
-    def program(self, batch: int, accumulation: bool) -> CgProgram:
-        """The one engine-agnostic program these knobs describe."""
-        return CgProgram(
-            variant=KernelVariant(self.variant),
-            reuse_buffers=self.reuse_buffers,
-            preconditioner=self.preconditioner,
-            mg_levels=self.mg_levels,
-            mg_smoother_iters=(
-                2 if self.mg_smoother_iters is None else int(self.mg_smoother_iters)
-            ),
-            comm_only=self.comm_only,
-            tol_rtr=float(self.tol_rtr),
-            max_iters=int(self.max_iters),
-            fixed_iterations=self.fixed_iterations,
-            batch=batch,
-            accumulation=accumulation,
+def _keyword_spec(engine: str, knobs: dict[str, Any], *, single: bool = False) -> SolveSpec:
+    """A keyword door's spec, built by :meth:`SolveSpec.from_kwargs` (one
+    resolver, one "did you mean").  A door takes no time section (the
+    stepping doors take their schedule as keywords), and the
+    single-solve door no ``batch_size``."""
+    spec = SolveSpec.from_kwargs(engine=engine, **knobs)
+    if spec.time is not None:
+        raise ConfigurationError(
+            "the fabric solver takes no time section (n_steps=...); time-step "
+            "with simulate_reports(problem, dts=...)"
         )
+    if single and spec.machine.batch_size is not None:
+        raise ConfigurationError(
+            "WseMatrixFreeSolver solves one problem, so it takes no "
+            "batch_size; use solve_batch"
+        )
+    return spec
+
+
+def _layout(spec: SolveSpec) -> dict[str, Any]:
+    """The engine layout ``spec.machine`` sets: the full CS-2
+    (:data:`WSE2`) and float32 when unset.  A GPU knob (``block_shape``,
+    a :class:`~repro.gpu.specs.GpuSpecs`) is a :class:`ConfigurationError`."""
+    spec.require_machine_support("wse", _MACHINE_FIELDS)
+    machine = spec.machine
+    if machine.spec is not None and not isinstance(machine.spec, WseSpecs):
+        raise ConfigurationError(
+            f"backend 'wse' needs machine.spec to be a WseSpecs, got "
+            f"{type(machine.spec).__name__}"
+        )
+    return dict(
+        spec=WSE2 if machine.spec is None else machine.spec,
+        dtype=spec.precision.numpy_dtype(default=np.float32),
+        simd_width=machine.simd_width,
+        shard_shape=machine.shard_shape,
+        fused_tile=machine.fused_tile,
+    )
+
+
+def _program(spec: SolveSpec, batch: int, accumulation: bool) -> CgProgram:
+    """The one engine-agnostic program ``spec`` describes; a knob left
+    ``None`` keeps :class:`CgProgram`'s default."""
+    machine, tolerance = spec.machine, spec.tolerance
+    unless_unset = dict(
+        variant=None if machine.variant is None else KernelVariant(machine.variant),
+        reuse_buffers=machine.reuse_buffers,
+        tol_rtr=tolerance.tol_rtr,
+        max_iters=tolerance.max_iters,
+        mg_smoother_iters=spec.mg_smoother_iters,
+    )
+    return CgProgram(
+        comm_only=machine.comm_only,
+        fixed_iterations=machine.fixed_iterations,
+        preconditioner=spec.preconditioner,
+        mg_levels=spec.mg_levels,
+        batch=batch,
+        accumulation=accumulation,
+        **{name: value for name, value in unless_unset.items() if value is not None},
+    )
 
 
 def _build(
-    engine: str,
+    spec: SolveSpec,
     problems: Sequence[SinglePhaseProblem],
     guesses: Sequence,
     accs: Sequence,
     rhss: Sequence,
-    knobs: _Knobs,
     *,
     batched: bool,
     preconditions: Sequence[Preconditioner] | None = None,
@@ -167,28 +171,24 @@ def _build(
 ):
     """Check each system's ``accumulation``/``rhs`` shapes, build the
     one program, each system's ``M`` and ε (unless ``preconditions`` and
-    ``tols`` bring them), and stage the engine: ``create_engine`` for one
-    problem, ``create_batched_engine`` (a lane each) when ``batched``."""
+    ``tols`` bring them), and stage ``spec``'s engine: ``create_engine``
+    for one problem, ``create_batched_engine`` (a lane each) when
+    ``batched``."""
+    layout = _layout(spec)
     for problem, acc, rhs in zip(problems, accs, rhss):
         problem.check_system_shapes(acc, rhs)
-    program = knobs.program(len(problems), any(acc is not None for acc in accs))
+    program = _program(spec, len(problems), any(acc is not None for acc in accs))
     if preconditions is None:
         preconditions = [
-            program.preconditioner_for(problem, acc, knobs.dtype)
+            program.preconditioner_for(problem, acc, layout["dtype"])
             for problem, acc in zip(problems, accs)
         ]
     if tols is None:
-        tols = _tolerances(problems, preconditions, guesses, accs, rhss, knobs)
+        tols = _tolerances(spec, program, problems, preconditions, guesses, accs, rhss)
     # Engine construction stages the problems (and enforces the 48 KiB
     # per-PE budget), exactly as loading an oversized CSL program would
     # fail before the run.
-    layout = dict(
-        spec=knobs.spec,
-        dtype=np.dtype(knobs.dtype),
-        simd_width=knobs.simd_width,
-        shard_shape=knobs.shard_shape,
-        fused_tile=knobs.fused_tile,
-    )
+    engine = spec.machine.engine or DEFAULT_ENGINE
     if not batched:
         return create_engine(
             engine, problems[0], replace(program, tol_rtr=tols[0]),
@@ -201,11 +201,13 @@ def _build(
     )
 
 
-def _tolerances(problems, ms, guesses, accs, rhss, knobs, stencils=None):
-    """Each system's ε (:func:`resolve_tolerance`), on its stencil if given."""
+def _tolerances(spec, program, problems, ms, guesses, accs, rhss, stencils=None):
+    """Each system's ε (:func:`resolve_tolerance`) from the program's
+    absolute floor and the spec's ``rel_tol``, on its stencil if given."""
     return [
-        resolve_tolerance(p, m, tol_rtr=knobs.tol_rtr, rel_tol=knobs.rel_tol,
-                          initial_pressure=g, accumulation=a, rhs=r, stencil=s)
+        resolve_tolerance(p, m, tol_rtr=program.tol_rtr,
+                          rel_tol=spec.tolerance.rel_tol, initial_pressure=g,
+                          accumulation=a, rhs=r, stencil=s)
         for p, m, g, a, r, s in zip(
             problems, ms, guesses, accs, rhss, stencils or [None] * len(problems)
         )
@@ -214,8 +216,6 @@ def _tolerances(problems, ms, guesses, accs, rhss, knobs, stencils=None):
 
 def _chunks(count: int, batch_size: int | None) -> list[slice]:
     """The lanes of each batched program: at most ``batch_size`` each."""
-    if batch_size is not None and batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     size = batch_size or count
     return [slice(start, start + size) for start in range(0, count, size)]
 
@@ -241,8 +241,11 @@ class WseMatrixFreeSolver:
     paper's cycle-accurate tables and fabric inspection
     (``solver.fabric``) need.  ``initial_pressure`` seeds the CG
     (Dirichlet values applied on top); ``accumulation``/``rhs`` stage
-    one transient step.  Every other keyword is a fabric knob (see
-    :class:`_Knobs`; an unknown one is a :class:`ConfigurationError`).
+    one transient step.  Every other keyword is a
+    :meth:`~repro.spec.SolveSpec.from_kwargs` option (an unknown one is
+    a :class:`ConfigurationError` naming the closest); ``batch_size``
+    and a time section belong to :func:`solve_batch` and
+    :func:`simulate_reports`.
     A repeated :meth:`solve` starts again from the staging built once
     and returns an equal report.
     """
@@ -259,8 +262,8 @@ class WseMatrixFreeSolver:
     ):
         self.problem = problem
         self.engine = _build(
-            engine, [problem], [initial_pressure], [accumulation], [rhs],
-            _Knobs.parse(knobs), batched=False,
+            _keyword_spec(engine, knobs, single=True), [problem],
+            [initial_pressure], [accumulation], [rhs], batched=False,
         )
         self.program = self.engine.program
         self.mapping = self.engine.mapping
@@ -302,6 +305,14 @@ def solve_batch(
     problem, and each is exactly the report a serial solve of that
     problem alone on ``engine`` would produce.
     """
+    spec = _keyword_spec(engine, {"batch_size": batch_size, **knobs})
+    return _solve_batch(spec, problems, initial_pressure, accumulation, rhs)
+
+
+def _solve_batch(
+    spec: SolveSpec, problems, initial_pressure=None, accumulation=None, rhs=None
+) -> list[WseSolveReport]:
+    """:func:`solve_batch` on ``spec``: chunks of ``machine.batch_size``."""
     from repro.core.host import normalize_guesses
 
     problems = list(problems)
@@ -312,13 +323,12 @@ def solve_batch(
         normalize_guesses(field, count, shape)
         for field in (initial_pressure, accumulation, rhs)
     )
-    knobs = _Knobs.parse(knobs)
     return [
         report
-        for chunk in _chunks(count, batch_size)
+        for chunk in _chunks(count, spec.machine.batch_size)
         for report in _build(
-            engine, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
-            knobs, batched=True,
+            spec, problems[chunk], guesses[chunk], accs[chunk], rhss[chunk],
+            batched=True,
         ).run_lanes()
     ]
 
@@ -327,69 +337,79 @@ def solve_batch(
 
 
 def _simulate(
+    spec: SolveSpec,
     problems: list[SinglePhaseProblem],
-    states: Sequence,
+    states: Sequence | None,
     *,
-    engine: str,
     batched: bool,
-    dts: Sequence[float],
-    porosity: float = 0.2,
-    total_compressibility: float = 1e-4,
-    initial_condition="problem",
-    warm_start: bool = True,
-    start_step: int = 0,
-    batch_size: int | None = None,
-    **knobs,
+    **schedule,
 ):
     """The one stepping loop: N :class:`TransientStepper`\\ s advanced
-    together, yielding each step's reports in input order.  One engine
-    per Δt, re-staged per step: ``begin`` returns the same accumulation
-    array while Δt holds, so a Δt builds each lane's ``M`` and one engine
-    per chunk of at most ``batch_size`` lanes; its other steps re-stage
-    only ``y0``, ``b`` and ε, resolved on each lane's stencil of ``J``."""
+    together on ``schedule`` (the stepper's keywords, as
+    :meth:`TimeSpec.stepper_options` maps them, plus ``start_step``),
+    yielding each step's reports in input order.  One engine per Δt,
+    re-staged per step: ``begin`` returns the same accumulation array
+    while Δt holds, so a Δt builds each lane's ``M`` and one engine per
+    chunk of at most ``machine.batch_size`` lanes; its other steps
+    re-stage only ``y0``, ``b`` and ε, resolved on each lane's stencil
+    of ``J``."""
     from repro.physics.transient import TransientStepper
 
-    knobs = _Knobs.parse(knobs)
-    steppers = [
-        TransientStepper(
-            problem,
-            dts=dts,
-            porosity=porosity,
-            total_compressibility=total_compressibility,
-            initial_condition=initial_condition,
-            warm_start=warm_start,
-            start_step=start_step,
-            state=state,
-            state_dtype=np.dtype(knobs.dtype),
+    if spec.machine.comm_only:
+        raise ConfigurationError(
+            "comm_only suppresses arithmetic, so a time step has no state "
+            "to advance; drop comm_only or the time schedule"
         )
+    if states is None:
+        states = [None] * len(problems)
+    elif len(states) != len(problems):
+        raise ConfigurationError(
+            f"states has {len(states)} entries for {len(problems)} problems"
+        )
+    dtype = _layout(spec)["dtype"]
+    steppers = [
+        TransientStepper(problem, **schedule, state=state, state_dtype=dtype)
         for problem, state in zip(problems, states)
     ]
-    program = knobs.program(len(problems), accumulation=True)
+    program = _program(spec, len(problems), accumulation=True)
     stencils = [FlatStencil.from_coefficients(p.coefficients, p.dirichlet)
                 for p in problems]
-    chunks = _chunks(len(problems), batch_size)
+    chunks = _chunks(len(problems), spec.machine.batch_size)
     held: Sequence = [None] * len(problems)  # each lane's accumulation, as built
     for index in steppers[0].pending():
         accs, rhss, guesses = zip(*(stepper.begin(index) for stepper in steppers))
         if any(acc is not last for acc, last in zip(accs, held)):  # a new Δt
             held, engines = accs, {}
-            ms = [program.preconditioner_for(p, a, knobs.dtype)
+            ms = [program.preconditioner_for(p, a, dtype)
                   for p, a in zip(problems, accs)]
-        tols = _tolerances(problems, ms, guesses, accs, rhss, knobs, stencils)
+        tols = _tolerances(spec, program, problems, ms, guesses, accs, rhss, stencils)
         reports: list[EngineReport] = []
         for at, chunk in enumerate(chunks):
             if at in engines:
                 engines[at].restage(guesses[chunk], rhss[chunk], tols[chunk])
             else:
                 engines[at] = _build(
-                    engine, problems[chunk], guesses[chunk], accs[chunk],
-                    rhss[chunk], knobs, batched=batched, preconditions=ms[chunk],
+                    spec, problems[chunk], guesses[chunk], accs[chunk],
+                    rhss[chunk], batched=batched, preconditions=ms[chunk],
                     tols=tols[chunk],
                 )
             reports += _lane_reports(engines[at], batched)
         for stepper, report in zip(steppers, reports):
             stepper.advance(report.pressure)
         yield reports
+
+
+def _keyword_steps(problems, states, engine, options, *, batched: bool):
+    """A stepping keyword door's loop: its schedule keywords (the names
+    :meth:`TimeSpec.stepper_options` maps, and ``start_step``) drive
+    :func:`_simulate`, and every other keyword is a spec option."""
+    names = {*TimeSpec().stepper_options(), "start_step"}
+    schedule = {key: value for key, value in options.items() if key in names}
+    knobs = {key: value for key, value in options.items() if key not in names}
+    return _simulate(
+        _keyword_spec(engine, knobs), problems, states, batched=batched,
+        **schedule,
+    )
 
 
 def simulate_reports(
@@ -407,16 +427,16 @@ def simulate_reports(
     program on every engine, so per-step counters and traffic stay
     parity-exact between ``"event"`` and the array layouts (fuzz-pinned).
     ``options`` are the schedule (``dts``, ``porosity``,
-    ``total_compressibility``, ``initial_condition``) plus the fabric
-    knobs.  ``warm_start`` starts each step's CG from the previous
-    step's pressure; otherwise every step restarts from the initial
-    condition (step 1 is identical either way).  ``start_step``/``state``
-    resume an interrupted schedule: skip the first ``start_step`` entries
-    of ``dts`` and carry ``state`` as the last completed step's pressure.
+    ``total_compressibility``, ``initial_condition``, ``warm_start``)
+    plus :class:`WseMatrixFreeSolver`'s spec options and
+    ``batch_size``.  ``warm_start`` starts each step's CG from the
+    previous step's pressure; otherwise every step restarts from the
+    initial condition (step 1 is identical either way).
+    ``start_step``/``state`` resume an interrupted schedule: skip the
+    first ``start_step`` entries of ``dts`` and carry ``state`` as the
+    last completed step's pressure.
     """
-    for reports in _simulate(
-        [problem], [state], engine=engine, batched=False, **options
-    ):
+    for reports in _keyword_steps([problem], [state], engine, options, batched=False):
         yield reports[0]
 
 
@@ -441,14 +461,4 @@ def simulate_reports_batch(
     problems = list(problems)
     if not problems:
         return
-    if states is not None and len(states) != len(problems):
-        raise ConfigurationError(
-            f"states has {len(states)} entries for {len(problems)} problems"
-        )
-    yield from _simulate(
-        problems,
-        [None] * len(problems) if states is None else states,
-        engine=engine,
-        batched=True,
-        **options,
-    )
+    yield from _keyword_steps(problems, states, engine, options, batched=True)

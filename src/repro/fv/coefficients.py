@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fv.mobility import FaceMobility, compute_face_mobility
-from repro.fv.transmissibility import FaceTransmissibility, compute_transmissibility
+from repro.fv.mobility import compute_face_mobility
+from repro.fv.transmissibility import compute_transmissibility
 from repro.mesh.grid import CartesianGrid3D, Direction
 from repro.util.validation import check_shape
 
@@ -137,18 +137,3 @@ def build_flux_coefficients(
     diagonal = diagonal_from_faces(cell_faces(faces, grid.shape))
     return FluxCoefficients(grid, *faces, diagonal.astype(dtype))
 
-
-def coefficients_from_faces(
-    grid: CartesianGrid3D,
-    trans: FaceTransmissibility,
-    mob: FaceMobility,
-    *,
-    dtype=np.float32,
-) -> FluxCoefficients:
-    """Combine precomputed face transmissibilities and mobilities."""
-    faces = [
-        (trans.axis(axis).astype(np.float64) * mob.axis(axis)).astype(dtype)
-        for axis in range(3)
-    ]
-    diagonal = diagonal_from_faces(cell_faces(faces, grid.shape))
-    return FluxCoefficients(grid, *faces, diagonal.astype(dtype))

@@ -46,14 +46,6 @@ class FaceMobility:
         return float(self.axis(direction.axis)[lo])
 
 
-def cell_mobility(
-    grid: CartesianGrid3D, viscosity: float, *, dtype=np.float32
-) -> np.ndarray:
-    """Constant cell mobility field ``λ = 1/µ``."""
-    check_positive("viscosity", viscosity)
-    return np.full(grid.shape, 1.0 / viscosity, dtype=dtype)
-
-
 def compute_face_mobility(
     grid: CartesianGrid3D,
     mobility: np.ndarray | float,

@@ -231,7 +231,3 @@ class MatrixFreeOperator:
             (n, n), matvec=self.apply_flat, rmatvec=self.apply_flat,
             dtype=self.coeffs.dtype,
         )
-
-    def diagonal_flat(self) -> np.ndarray:
-        """Operator diagonal as a flat vector (Jacobi-scaling extension)."""
-        return operator_diagonal(self.coeffs, self.dirichlet).reshape(-1)

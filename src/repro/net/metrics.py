@@ -326,6 +326,10 @@ class ServiceMetrics:
             "Submit-to-outcome latency per request.",
             ("outcome",),
         )
+        self.record_write_failures = self.registry.counter(
+            "repro_record_write_failures_total",
+            "Run-record writes that failed; each lost its line or run.json rewrite.",
+        )
 
     def bump(self, summary_name: str, amount: int = 1) -> None:
         """Increment one summary counter (the only mutation path)."""

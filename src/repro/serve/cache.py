@@ -19,8 +19,8 @@ Two tiers:
   *misses* never pay NPZ I/O; a hit rehydrates the payload and is
   promoted into the memory tier.
 
-``hits``/``misses`` counters feed the service's run record and the
-bench's cache-hit-ratio rows.
+The cache counts nothing: the service's recorder tallies each hit's
+tier in the one metrics registry (:mod:`repro.net.metrics`).
 """
 
 from __future__ import annotations
@@ -93,14 +93,13 @@ class ResultCache:
         self._memory: OrderedDict[str, SolveResult] = OrderedDict()
         self._sizes: dict[str, int] = {}
         self._bytes = 0
-        self.hits = {"memory": 0, "store": 0}
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def __contains__(self, fingerprint: str) -> bool:
-        """Membership probe (memory, then store record); counts no stats."""
+        """Membership probe (memory, then store record); refreshes no
+        recency."""
         return fingerprint in self._memory or (
             self.store is not None and self.store.contains(fingerprint)
         )
@@ -120,15 +119,12 @@ class ResultCache:
         result = self._memory.get(fingerprint)
         if result is not None:
             self._memory.move_to_end(fingerprint)
-            self.hits["memory"] += 1
             return result, "memory"
         if self.store is not None and self.store.contains(fingerprint):
             if self.store.has(fingerprint):
                 result = self.store.load(fingerprint)
                 self._remember(fingerprint, result)
-                self.hits["store"] += 1
                 return result, "store"
-        self.misses += 1
         return None, None
 
     def put(self, entry: PlanEntry, result: SolveResult) -> None:
@@ -171,20 +167,11 @@ class ResultCache:
         """Current payload bytes resident in the memory tier."""
         return self._bytes
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over probes so far (0.0 before any probe)."""
-        total = self.hits["memory"] + self.hits["store"] + self.misses
-        return 0.0 if total == 0 else (total - self.misses) / total
-
     def stats(self) -> dict:
         return {
             "memory_entries": len(self._memory),
             "memory_bytes": self._bytes,
             "max_bytes": self.max_bytes,
-            "hits": dict(self.hits),
-            "misses": self.misses,
-            "hit_ratio": self.hit_ratio,
         }
 
 

@@ -27,7 +27,10 @@ an artifact trail a human (or a test) can audit after the fact —
 keyed by request id under ``"requests"``, and :func:`load_attempts` the
 attempt lines; both stop at a torn last line.  With ``root=None`` the
 recorder writes nothing (counters still feed the service's stats) — the
-zero-setup default.
+zero-setup default.  A write that fails (a full disk, say) loses its
+line or its ``run.json`` rewrite and counts in
+``repro_record_write_failures_total``; it never raises into the
+service, so every request still gets its answer or its error.
 
 Counter ownership: the recorder does not tally its summary itself.
 Every summary increment routes through a
@@ -233,20 +236,30 @@ class RunRecorder:
         }
 
     def _append(self, name: str, line: Mapping[str, Any]) -> None:
-        """Append one JSON line to the run's ``name`` file."""
+        """Append one JSON line to the run's ``name`` file (a failed
+        write is counted, not raised)."""
         if self.run_dir is None:
             return
-        with (self.run_dir / name).open("a") as handle:
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
+        text = json.dumps(line, sort_keys=True) + "\n"
+        try:
+            with (self.run_dir / name).open("a") as handle:
+                handle.write(text)
+        except OSError:
+            self.metrics.record_write_failures.inc()
 
     def flush(self) -> None:
-        """Atomically rewrite ``run.json`` with the current summary."""
+        """Atomically rewrite ``run.json`` with the current summary (a
+        failed write is counted, not raised)."""
         if self.run_dir is None:
             return
         path = self.run_dir / "run.json"
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:
+            self.metrics.record_write_failures.inc()
 
     def close(self) -> None:
         """Finish the run: requests still in flight are written as they

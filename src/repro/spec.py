@@ -25,10 +25,11 @@ Every field is validated at construction; ``None`` means "backend
 default".  The section dataclasses' fields are the only list of knobs:
 the flat-kwarg vocabulary (:data:`KWARG_MAP`, bridged by
 :meth:`SolveSpec.from_kwargs`, which rejects unknown keys naming the
-nearest valid one, and inverted by :meth:`SolveSpec.to_kwargs`) and the
-JSON-able :meth:`SolveSpec.to_dict` / :meth:`SolveSpec.from_dict` round
-trip for persistence (the session result store records exactly what
-configuration produced each result) are derived from them.
+nearest valid one) and the JSON-able :meth:`SolveSpec.to_dict` /
+:meth:`SolveSpec.from_dict` round trip for persistence (the session
+result store records exactly what configuration produced each result)
+are derived from them.  The fabric solver reads the spec itself: its
+builder (:mod:`repro.core.solver`) takes one as its only configuration.
 """
 
 from __future__ import annotations
@@ -84,15 +85,16 @@ def _check_optional_int(name: str, value: Any, minimum: int) -> int | None:
     return value
 
 
-def _check_optional_float(name: str, value: Any, *, positive: bool = True) -> float | None:
+def _check_optional_float(name: str, value: Any, *, zero: bool = False) -> float | None:
+    """``value`` as a float that is > 0 (>= 0 when ``zero``), or None."""
     if value is None:
         return None
     try:
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
-    if positive and not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
+    if not (value >= 0 if zero else value > 0):
+        raise ConfigurationError(f"{name} must be {'>=' if zero else '>'} 0, got {value}")
     return value
 
 
@@ -101,9 +103,11 @@ class ToleranceSpec:
     """Convergence criteria for the linear (CG) solve.
 
     ``tol_rtr`` is the paper's absolute tolerance on ``r^T r`` (§V-C uses
-    2e-10); ``rel_tol`` the relative alternative (converge when
-    ``r^T r <= rel_tol² · r0^T r0``); ``max_iters`` the iteration cap.
-    ``None`` defers to the backend default.
+    2e-10); ``tol_rtr=0`` sets no absolute floor, so only ``rel_tol`` or
+    ``max_iters`` stops the solve.  ``rel_tol`` is the relative
+    alternative (converge when ``r^T r <= rel_tol² · r0^T r0``);
+    ``max_iters`` the iteration cap.  ``None`` defers to the backend
+    default.
     """
 
     tol_rtr: float | None = None
@@ -111,7 +115,9 @@ class ToleranceSpec:
     max_iters: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tol_rtr", _check_optional_float("tol_rtr", self.tol_rtr))
+        object.__setattr__(
+            self, "tol_rtr", _check_optional_float("tol_rtr", self.tol_rtr, zero=True)
+        )
         object.__setattr__(self, "rel_tol", _check_optional_float("rel_tol", self.rel_tol))
         object.__setattr__(
             self, "max_iters", _check_optional_int("max_iters", self.max_iters, 1)
@@ -571,17 +577,6 @@ class SolveSpec:
                 base = TimeSpec()
             top[section] = replace(base, **knobs)
         return replace(self, **top) if top else self
-
-    def to_kwargs(self) -> dict[str, Any]:
-        """The inverse of :meth:`with_options`: every knob this spec sets
-        (every field that is not ``None``) as one flat keyword, so
-        ``SolveSpec.from_kwargs(**spec.to_kwargs()) == spec``."""
-        options: dict[str, Any] = {}
-        for name, value in _values(self).items():
-            options.update(
-                _values(value) if dataclasses.is_dataclass(value) else {name: value}
-            )
-        return {key: value for key, value in options.items() if value is not None}
 
     # -- persistence ---------------------------------------------------------
 

@@ -64,14 +64,6 @@ def check_dtype(name: str, array: np.ndarray, dtype: Any) -> np.ndarray:
     return array
 
 
-def check_all_finite(name: str, array: np.ndarray) -> np.ndarray:
-    """Validate that an array contains no NaN/Inf entries."""
-    array = np.asarray(array)
-    if not np.all(np.isfinite(array)):
-        raise ValidationError(f"{name} contains non-finite values")
-    return array
-
-
 def check_index(name: str, value: int, size: int) -> int:
     """Validate an integer index against ``range(size)``."""
     value = int(value)

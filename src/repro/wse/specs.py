@@ -71,23 +71,6 @@ class WseSpecs:
             hop_latency_cycles=self.hop_latency_cycles,
         )
 
-    def with_memory(self, pe_memory_bytes: int) -> "WseSpecs":
-        """Same machine, different per-PE memory (ablation knob)."""
-        return WseSpecs(
-            name=self.name,
-            fabric_width=self.fabric_width,
-            fabric_height=self.fabric_height,
-            pe_memory_bytes=pe_memory_bytes,
-            clock_hz=self.clock_hz,
-            simd_width_f32=self.simd_width_f32,
-            peak_flops=self.peak_flops,
-            memory_bandwidth_bytes=self.memory_bandwidth_bytes,
-            fabric_bandwidth_bytes=self.fabric_bandwidth_bytes,
-            wavelet_bytes=self.wavelet_bytes,
-            routable_colors=self.routable_colors,
-            hop_latency_cycles=self.hop_latency_cycles,
-        )
-
 
 #: The CS-2 / WSE-2 configuration evaluated in the paper.  The clock is
 #: derived from the Fig. 6 ceiling: 1.785 PFLOP/s over 745,500 usable PEs

@@ -17,7 +17,13 @@ from repro.core.fv_kernel import (
     KernelVariant,
     PeKernelConfig,
 )
-from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
+from repro.core.solver import (
+    WseMatrixFreeSolver,
+    simulate_reports,
+    simulate_reports_batch,
+    solve_batch,
+)
+from repro.gpu.specs import A100
 from repro.mesh.geomodel import channelized_permeability, layered_permeability
 from repro.mesh.grid import CartesianGrid3D
 from repro.physics.analytic import analytic_two_plane_solution
@@ -38,6 +44,31 @@ def wse_solve(problem, **kwargs):
     kwargs.setdefault("rel_tol", 1e-10)
     kwargs.setdefault("max_iters", 2000)
     return WseMatrixFreeSolver(problem, **kwargs).solve()
+
+
+#: The fabric solver's keyword doors, then the wse backend's.
+KEYWORD_DOORS = ("solver", "solve_batch", "simulate_reports", "simulate_reports_batch")
+DOORS = KEYWORD_DOORS + ("repro.solve", "repro.simulate")
+STEPPING_DOORS = ("simulate_reports", "simulate_reports_batch", "repro.simulate")
+
+
+def _door(name, problem):
+    """The door ``name`` as ``door(**knobs)``, run to its first report
+    or result (the stepping doors on one Δt)."""
+    return {
+        "solver": lambda **kw: WseMatrixFreeSolver(problem, **kw).solve(),
+        "solve_batch": lambda **kw: solve_batch([problem, problem], **kw)[0],
+        "simulate_reports": lambda **kw: next(
+            simulate_reports(problem, dts=[1.0], **kw)
+        ),
+        "simulate_reports_batch": lambda **kw: next(
+            simulate_reports_batch([problem, problem], dts=[1.0], **kw)
+        )[0],
+        "repro.solve": lambda **kw: repro.solve(problem, backend="wse", **kw),
+        "repro.simulate": lambda **kw: repro.simulate(
+            problem, backend="wse", n_steps=1, **kw
+        ).steps[0],
+    }[name]
 
 
 class TestSolverMatchesReference:
@@ -276,20 +307,56 @@ class TestSolverMechanics:
         door rejects a misspelled option: a ConfigurationError with a
         suggestion, not a TypeError naming a private class."""
         problem = make_problem(4, 4, 2)
-        entries = {
-            "solver": lambda **kw: WseMatrixFreeSolver(problem, **kw),
-            "solve_batch": lambda **kw: solve_batch([problem, problem], **kw),
-            "simulate_reports": lambda **kw: next(
-                simulate_reports(problem, dts=[1.0], **kw)
-            ),
-        }
-        for name, entry in entries.items():
+        for name in KEYWORD_DOORS:
+            entry = _door(name, problem)
             with pytest.raises(
                 ConfigurationError, match="'max_iter'; did you mean 'max_iters'"
             ):
                 entry(max_iter=3)
             with pytest.raises(ConfigurationError, match="'shard_workers'"):
                 entry(shard_workers="thread")
+
+    @pytest.mark.parametrize("name", DOORS)
+    def test_gpu_knobs_are_refused_on_every_door(self, name):
+        """The GPU's block and machine belong to the GPU backend: every
+        fabric door raises, none ignores them."""
+        door = _door(name, make_problem(4, 4, 2))
+        with pytest.raises(ConfigurationError, match="'block_shape'"):
+            door(block_shape=(4, 4, 2))
+        # ``specs`` spells machine.spec on every door (``spec`` is the
+        # front door's SolveSpec).
+        with pytest.raises(ConfigurationError, match="WseSpecs, got GpuSpecs"):
+            door(specs=A100)
+
+    def test_single_door_refuses_lanes_and_steady_doors_refuse_time(self):
+        """``batch_size`` cuts lanes, which one solve has none of, and a
+        steady door takes no time schedule: a keyword for either raises
+        rather than being dropped."""
+        problem = make_problem(4, 4, 2)
+        with pytest.raises(ConfigurationError, match="batch_size; use solve_batch"):
+            _door("solver", problem)(batch_size=2)
+        for name in ("solver", "solve_batch"):
+            with pytest.raises(ConfigurationError, match="no time section"):
+                _door(name, problem)(n_steps=2)
+            with pytest.raises(ConfigurationError, match="porosity"):
+                _door(name, problem)(porosity=0.3)
+
+    @pytest.mark.parametrize("name", STEPPING_DOORS)
+    def test_comm_only_is_refused_on_every_stepping_door(self, name):
+        """comm_only suppresses the arithmetic a time step advances."""
+        door = _door(name, make_problem(4, 4, 2))
+        with pytest.raises(ConfigurationError, match="comm_only"):
+            door(comm_only=True, fixed_iterations=2)
+
+    @pytest.mark.parametrize("name", DOORS)
+    def test_one_tol_rtr_rule_on_every_door(self, name):
+        """``tol_rtr`` may be 0 (no absolute floor: the solve runs to
+        ``max_iters``) and no less, on every door alike."""
+        door = _door(name, make_problem(4, 4, 2))
+        report = door(tol_rtr=0.0, max_iters=2)
+        assert (report.iterations, report.converged) == (2, False)
+        with pytest.raises(ConfigurationError, match="tol_rtr must be >= 0"):
+            door(tol_rtr=-1.0)
 
 
 class TestSystemShapes:

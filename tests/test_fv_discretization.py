@@ -6,11 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import grid_dims
-from repro.fv.coefficients import (
-    build_flux_coefficients,
-    coefficients_from_faces,
-)
-from repro.fv.mobility import cell_mobility, compute_face_mobility
+from repro.fv.coefficients import build_flux_coefficients
+from repro.fv.mobility import compute_face_mobility
 from repro.fv.transmissibility import (
     compute_transmissibility,
     half_transmissibility,
@@ -100,10 +97,6 @@ class TestTransmissibility:
 
 
 class TestMobility:
-    def test_cell_mobility_constant(self, small_grid):
-        lam = cell_mobility(small_grid, viscosity=2.0)
-        assert np.all(lam == 0.5)
-
     def test_scalar_mobility_faces(self, small_grid):
         m = compute_face_mobility(small_grid, 0.25)
         assert np.all(m.mx == 0.25)
@@ -150,20 +143,6 @@ class TestFluxCoefficients:
             small_grid, perm, viscosity=1.0 / 3.0, dtype=np.float64
         )
         np.testing.assert_allclose(c.cx, c_ref.cx, rtol=1e-12)
-
-    def test_coefficients_from_faces_matches_build(self, small_grid):
-        perm = lognormal_permeability(small_grid, seed=4)
-        from repro.fv.mobility import compute_face_mobility
-        from repro.fv.transmissibility import compute_transmissibility
-
-        t = compute_transmissibility(small_grid, perm, dtype=np.float64)
-        m = compute_face_mobility(small_grid, 2.0, dtype=np.float64)
-        combined = coefficients_from_faces(small_grid, t, m, dtype=np.float64)
-        direct = build_flux_coefficients(
-            small_grid, perm, viscosity=0.5, dtype=np.float64
-        )
-        np.testing.assert_allclose(combined.cx, direct.cx, rtol=1e-12)
-        np.testing.assert_allclose(combined.diagonal, direct.diagonal, rtol=1e-12)
 
     def test_face_value_zero_at_boundary(self, small_grid):
         perm = np.ones(small_grid.shape)

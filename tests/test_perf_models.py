@@ -1,6 +1,8 @@
 """Tests for the performance models: Table V, CS-2 timing, rooflines,
 throughput and the PE memory model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.fv_kernel import DirichletKind, KernelVariant
@@ -208,5 +210,5 @@ class TestPeMemoryModel:
         assert report["utilization_pct"] < 100
 
     def test_scaled_spec(self):
-        tiny = PeMemoryModel(spec=WSE2.with_memory(1024))
+        tiny = PeMemoryModel(spec=dataclasses.replace(WSE2, pe_memory_bytes=1024))
         assert tiny.max_depth() < PeMemoryModel().max_depth()

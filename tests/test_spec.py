@@ -19,6 +19,7 @@ import pytest
 
 from repro.gpu.specs import A100, GpuSpecs
 from repro.spec import (
+    TIME_FIELDS,
     MachineSpec,
     PrecisionSpec,
     SolveSpec,
@@ -197,6 +198,21 @@ class TestCoerce:
 # -- every field, one section at a time ---------------------------------------
 
 
+def _flat_kwargs(spec):
+    """Every knob ``spec`` sets (every field that is not ``None``) as one
+    flat keyword: a section's fields under their own names."""
+    options = {}
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if dataclasses.is_dataclass(value):
+            options.update(
+                (f.name, getattr(value, f.name)) for f in dataclasses.fields(value)
+            )
+        else:
+            options[field.name] = value
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _with_field(obj, name, value):
     """``obj`` with one field replaced and no validation run: the
     fingerprint must tell every field apart, whatever the cross-field
@@ -277,7 +293,7 @@ class TestEveryField:
     def test_round_trips(self, section):
         spec = self.SPECS[section]
         assert SolveSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-        assert SolveSpec.from_kwargs(**spec.to_kwargs()) == spec
+        assert SolveSpec.from_kwargs(**_flat_kwargs(spec)) == spec
 
     @pytest.mark.parametrize("section", sorted(SPECS))
     def test_every_field_moves_the_fingerprint(self, section):
@@ -296,20 +312,68 @@ class TestEveryField:
         assert (hashlib.sha256(text.encode()).hexdigest(), spec.fingerprint()) \
             == self.PINNED[section]
 
-    def test_fabric_forwards_every_knob_it_supports(self):
-        from repro.backends.wse import WseBackend
-        from repro.core.solver import _Knobs
+    #: The fields the fabric builder does not read: the GPU's block (a
+    #: ConfigurationError there), the lanes ``batch_size`` cuts above it,
+    #: and the time section's (the stepping loop's keywords).
+    NOT_BUILT = {"block_shape", "batch_size", *TIME_FIELDS}
 
-        machine = dataclasses.replace(
-            self.SPECS["machine"].machine, block_shape=None
-        )
-        spec = SolveSpec(
-            tolerance=self.SPECS["tolerance"].tolerance,
-            precision=self.SPECS["precision"].precision,
-            machine=machine, preconditioner="mg", mg_levels=3,
-            mg_smoother_iters=4,
-        )
-        options = WseBackend()._native_options(spec)
-        assert set(options) == set(spec.to_kwargs()) - {"batch_size"}
-        # Every forwarded keyword is one the fabric solver takes.
-        _Knobs.parse({k: v for k, v in options.items() if k != "engine"})
+    #: What each field needs beside it to make a valid spec (and, for
+    #: ``rel_tol``, no absolute floor to hide behind).
+    COMPANIONS = {
+        "rel_tol": {"tol_rtr": 0.0},
+        "shard_shape": {"engine": "sharded"},
+        "fused_tile": {"engine": "fused"},
+        "comm_only": {"fixed_iterations": 9},
+        "mg_levels": {"preconditioner": "mg"},
+        "mg_smoother_iters": {"preconditioner": "mg"},
+    }
+
+    #: Where the built engine (or its report) shows each field.
+    CARRIED = {
+        "tol_rtr": lambda engine, report: engine.program.tol_rtr,
+        "rel_tol": lambda engine, report: engine.program.tol_rtr,
+        "max_iters": lambda engine, report: engine.program.max_iters,
+        "dtype": lambda engine, report: report.pressure.dtype.name,
+        "spec": lambda engine, report: engine.spec,
+        "engine": lambda engine, report: report.engine,
+        "simd_width": lambda engine, report: engine.simd_width,
+        "variant": lambda engine, report: engine.program.variant.value,
+        "reuse_buffers": lambda engine, report: engine.program.reuse_buffers,
+        "comm_only": lambda engine, report: engine.program.comm_only,
+        "fixed_iterations": lambda engine, report: engine.program.fixed_iterations,
+        "shard_shape": lambda engine, report: (
+            report.shard["layout"]["shards_x"], report.shard["layout"]["shards_y"]
+        ),
+        "fused_tile": lambda engine, report: tuple(report.fused["tile"]),
+        "preconditioner": lambda engine, report: engine.program.preconditioner,
+        "mg_levels": lambda engine, report: engine.program.mg_levels,
+        "mg_smoother_iters": lambda engine, report: engine.program.mg_smoother_iters,
+    }
+
+    def test_fabric_builder_carries_every_knob_it_supports(self):
+        """Each field of the specs above, set alone (with what it needs),
+        reaches the program or the engine the fabric builder returns; a
+        new field fails here until the builder reads it or it is named in
+        ``NOT_BUILT``."""
+        from helpers import make_problem
+        from repro.core.solver import _build, resolve_tolerance
+        from repro.solvers.preconditioning import build_preconditioner
+
+        fields = {}
+        for section, spec in self.SPECS.items():
+            owner, names = self._fields(spec, section)
+            fields.update((name, getattr(owner, name)) for name, _ in names)
+        assert set(self.CARRIED) == set(fields) - self.NOT_BUILT
+        problem = make_problem(4, 4, 2)
+        for name, reads in self.CARRIED.items():
+            value = fields[name]
+            spec = SolveSpec.from_kwargs(
+                **self.COMPANIONS.get(name, {}), **{name: value}
+            )
+            engine = _build(spec, [problem], [None], [None], [None], batched=False)
+            if name == "rel_tol":
+                value = resolve_tolerance(
+                    problem, build_preconditioner(problem, "none"), tol_rtr=0.0,
+                    rel_tol=value,
+                )
+            assert reads(engine, engine.run()) == value, name

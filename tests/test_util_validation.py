@@ -12,7 +12,6 @@ from repro.util.errors import (
 )
 from repro.util.validation import (
     as_tuple3,
-    check_all_finite,
     check_dtype,
     check_in_range,
     check_index,
@@ -101,16 +100,6 @@ class TestCheckDtype:
     def test_rejects_other(self):
         with pytest.raises(ValidationError, match="dtype"):
             check_dtype("a", np.zeros(3, dtype=np.float64), np.float32)
-
-
-class TestCheckAllFinite:
-    def test_accepts_finite(self):
-        check_all_finite("a", np.ones(4))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_nonfinite(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            check_all_finite("a", np.array([1.0, bad]))
 
 
 class TestCheckIndex:

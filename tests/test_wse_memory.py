@@ -166,11 +166,6 @@ class TestSpecs:
         assert small.num_fabric_pes == 32
         assert small.pe_memory_bytes == WSE2.pe_memory_bytes
 
-    def test_with_memory(self):
-        tweaked = WSE2.with_memory(1024)
-        assert tweaked.pe_memory_bytes == 1024
-        assert tweaked.fabric_width == WSE2.fabric_width
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             WseSpecs(
